@@ -1,13 +1,13 @@
 //! Criterion micro-benchmarks for the executor dispatch core: the batched
-//! scheduler→worker pipeline vs the legacy per-task path on real threads,
-//! and the batched scheduler protocol (`pop_batch`/`complete_batch`) vs
+//! scheduler→worker pipeline on real threads, and the batched scheduler
+//! protocol (`pop_batch`/`complete_batch`) vs
 //! one-call-per-task on a pure in-memory drive. The `exec_throughput` bin
 //! produces the machine-readable sweep; these give statistically solid
 //! point comparisons.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use incr_dag::{random, Dag, NodeId};
-use incr_runtime::{ExecConfig, Executor, TaskFn};
+use incr_runtime::{Executor, TaskFn};
 use incr_sched::{CompletionBatch, LevelBased, Scheduler};
 use std::sync::Arc;
 
@@ -21,9 +21,8 @@ fn bench_dag() -> Arc<Dag> {
     }))
 }
 
-/// Real threads: full run of a 2k-node fire-all update, batched vs
-/// per-task dispatch, 4 workers.
-fn bench_executor_modes(c: &mut Criterion) {
+/// Real threads: full run of a 2k-node fire-all update, 4 workers.
+fn bench_executor(c: &mut Criterion) {
     let dag = bench_dag();
     let initial: Vec<NodeId> = dag.sources().collect();
     let task: TaskFn = {
@@ -32,19 +31,15 @@ fn bench_executor_modes(c: &mut Criterion) {
     };
     let mut g = c.benchmark_group("executor_2k_tasks");
     g.sample_size(20);
-    for (label, per_task) in [("batched", false), ("per_task", true)] {
-        g.bench_function(label, |b| {
-            b.iter(|| {
-                let mut cfg = ExecConfig::new(4);
-                cfg.per_task = per_task;
-                let mut s = LevelBased::new(dag.clone());
-                let r = Executor::with_config(cfg)
-                    .run(&mut s, &dag, &initial, task.clone())
-                    .unwrap();
-                std::hint::black_box(r.executed)
-            });
+    g.bench_function("batched", |b| {
+        b.iter(|| {
+            let mut s = LevelBased::new(dag.clone());
+            let r = Executor::new(4)
+                .run(&mut s, &dag, &initial, task.clone())
+                .unwrap();
+            std::hint::black_box(r.executed)
         });
-    }
+    });
     g.finish();
 }
 
@@ -92,5 +87,5 @@ fn bench_protocol(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_executor_modes, bench_protocol);
+criterion_group!(benches, bench_executor, bench_protocol);
 criterion_main!(benches);

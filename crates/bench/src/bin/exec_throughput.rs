@@ -1,8 +1,10 @@
 //! Dispatch-core throughput benchmark: the batched scheduler→executor
-//! pipeline vs the legacy one-task-per-message path, task-granularity and
-//! batch-size sweeps, and the V-independence of per-update dispatch cost
-//! on an update stream. Written to `results/exec_throughput.json`
-//! (ResultsWriter schema v1) so the perf trajectory is machine-readable.
+//! pipeline on zero-work tasks, task-granularity and batch-size sweeps,
+//! and the V-independence of per-update dispatch cost on an update stream.
+//! (The A/B against the one-task-per-message executor it replaced is
+//! frozen in EXPERIMENTS.md, "Dispatch-core throughput".) Written to
+//! `results/exec_throughput.json` (ResultsWriter schema v1) so the perf
+//! trajectory is machine-readable.
 //!
 //! Usage: `cargo run --release -p incr-bench --bin exec_throughput [--smoke]`
 //!
@@ -76,46 +78,22 @@ fn main() {
     // workers (per-row sweeps record their own counts).
     results.set_workers(8);
 
-    // ---- Section 1: batched pipeline vs legacy per-task dispatch (0µs tasks, 8 workers). ----
+    // ---- Section 1: dispatch rate on 0µs tasks, 8 workers. ----
     let (layers, width) = if smoke { (40, 50) } else { (50, 400) };
     let ab_dag = dag(layers, width, 7);
     let n = ab_dag.node_count();
-    println!("exec_throughput: A/B dispatch on {n} zero-work tasks, 8 workers\n");
+    println!("exec_throughput: dispatch on {n} zero-work tasks, 8 workers\n");
     let task = spin_fire_all(&ab_dag, 0);
-    let mut t = Table::new(&["pipeline", "tasks/sec", "coord busy"]);
-    let mut rates = Vec::new();
-    for (label, per_task) in [("per_task (legacy)", true), ("batched", false)] {
-        let mut cfg = ExecConfig::new(8);
-        cfg.per_task = per_task;
-        let (rate, busy) = measure(&ab_dag, &cfg, &task, iters);
-        t.row(vec![
-            label.to_string(),
-            format!("{rate:.0}"),
-            format!("{:.1}%", busy * 100.0),
-        ]);
-        results.push_row(obj([
-            ("workload", "ab_dispatch".into()),
-            ("pipeline", label.into()),
-            ("nodes", n.into()),
-            ("workers", 8u64.into()),
-            ("task_us", 0u64.into()),
-            ("tasks_per_sec", rate.into()),
-            ("coord_busy_fraction", busy.into()),
-        ]));
-        rates.push(rate);
-    }
-    let speedup = rates[1] / rates[0].max(1e-9);
-    println!("{}", t.render());
-    println!("batched vs per-task speedup: {speedup:.2}x\n");
+    let (rate, busy) = measure(&ab_dag, &ExecConfig::new(8), &task, iters);
+    println!("{rate:.0} tasks/sec, coordinator busy {:.1}%\n", busy * 100.0);
     results.push_row(obj([
-        ("workload", "ab_dispatch".into()),
-        ("phase", "speedup".into()),
-        ("batched_speedup", speedup.into()),
+        ("workload", "dispatch".into()),
+        ("nodes", n.into()),
+        ("workers", 8u64.into()),
+        ("task_us", 0u64.into()),
+        ("tasks_per_sec", rate.into()),
+        ("coord_busy_fraction", busy.into()),
     ]));
-    assert!(
-        speedup >= 2.0,
-        "batched pipeline must be >= 2x the per-task baseline on 0us tasks (got {speedup:.2}x)"
-    );
 
     // ---- Section 2: task granularity × worker count (batched). ----
     let durations: &[u64] = if smoke { &[0, 10] } else { &[0, 10, 100] };

@@ -18,7 +18,7 @@
 //! §V experiments and available to users with their own heuristics.
 
 use crate::cost::CostMeter;
-use crate::scheduler::Scheduler;
+use crate::scheduler::{CompletionBatch, Scheduler};
 use incr_dag::NodeId;
 
 /// Any-two-schedulers combination with a shared dispatch view.
@@ -62,6 +62,11 @@ impl<A: Scheduler, B: Scheduler> Scheduler for Duo<A, B> {
     fn on_completed(&mut self, v: NodeId, fired: &[NodeId]) {
         self.primary.on_completed(v, fired);
         self.secondary.on_completed(v, fired);
+    }
+
+    fn complete_batch(&mut self, batch: &CompletionBatch) {
+        self.primary.complete_batch(batch);
+        self.secondary.complete_batch(batch);
     }
 
     fn pop_ready(&mut self) -> Option<NodeId> {

@@ -21,7 +21,7 @@
 use crate::cost::CostMeter;
 use crate::levelbased::LevelBased;
 use crate::logicblox::LogicBlox;
-use crate::scheduler::Scheduler;
+use crate::scheduler::{CompletionBatch, Scheduler};
 use incr_dag::{Dag, NodeId};
 use std::sync::Arc;
 
@@ -92,6 +92,13 @@ impl Scheduler for Hybrid {
     fn on_completed(&mut self, v: NodeId, fired: &[NodeId]) {
         self.lb.on_completed(v, fired);
         self.lbx.on_completed(v, fired);
+    }
+
+    fn complete_batch(&mut self, batch: &CompletionBatch) {
+        // One pass per side, each over its own tables, instead of
+        // alternating sides per node.
+        self.lb.complete_batch(batch);
+        self.lbx.complete_batch(batch);
     }
 
     fn pop_ready(&mut self) -> Option<NodeId> {

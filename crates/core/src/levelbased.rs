@@ -5,7 +5,10 @@
 //! per-level buckets and maintains a monotone cursor `cur` at the lowest
 //! level with unfinished active tasks. By Lemma 1, *every* active task at
 //! `cur` is safe, so readiness checks are O(1) bucket pops — the whole run
-//! costs `O(n + L)` bucket operations (Theorem 2).
+//! costs `O(n + L)` bucket operations (Theorem 2) — in time as well as in
+//! charged operations: no protocol call loops over anything it does not
+//! charge, and the scheduler keeps no list of what is in flight (the state
+//! byte and the level of a node are all a completion needs).
 //!
 //! The deliberate limitation (fixed by [`crate::lookahead`]): the cursor
 //! does not advance past a level until every active task on it has
@@ -13,7 +16,7 @@
 //! Figure 2 / Theorem 9 `Θ(ML)` worst case.
 
 use crate::cost::CostMeter;
-use crate::scheduler::{NodeState, Scheduler, StateTable};
+use crate::scheduler::{CompletionBatch, NodeState, Scheduler, StateTable};
 use incr_dag::{Dag, NodeId};
 use std::sync::Arc;
 
@@ -32,9 +35,6 @@ pub struct LevelBased {
     /// monotonically.
     pub(crate) cur: u32,
     pub(crate) cost: CostMeter,
-    /// Dispatched-but-uncompleted tasks (bounded by in-flight parallelism);
-    /// the look-ahead extension needs them for its blocking set.
-    pub(crate) running: Vec<NodeId>,
     /// High-water mark of simultaneously tracked active tasks (the `O(n)`
     /// space bound of Theorem 2 counts these).
     pub(crate) peak_tracked: usize,
@@ -57,7 +57,6 @@ impl LevelBased {
             unfinished: vec![0; l],
             cur: 0,
             cost: CostMeter::default(),
-            running: Vec::new(),
             peak_tracked: 0,
             touched: Vec::new(),
             level_stamp: vec![0; l],
@@ -80,10 +79,14 @@ impl LevelBased {
         }
     }
 
-    /// Record a dispatch (state transition + running list).
-    pub(crate) fn dispatch(&mut self, v: NodeId) {
-        self.state.dispatch(v);
-        self.running.push(v);
+    fn activate_fired(&mut self, fired: &[NodeId]) {
+        for &c in fired {
+            debug_assert!(
+                self.dag.level(c) > self.cur || self.unfinished[self.cur as usize] > 0,
+                "activation below the cursor would violate Lemma 1"
+            );
+            self.activate(c);
+        }
     }
 
     /// Advance the cursor past fully-completed levels.
@@ -109,7 +112,6 @@ impl LevelBased {
                 // Skip entries dispatched externally (look-ahead / hybrid).
                 if self.state.get(v) == NodeState::Active {
                     self.state.dispatch(v);
-                    self.running.push(v);
                     return Some(v);
                 }
             }
@@ -155,7 +157,6 @@ impl Scheduler for LevelBased {
         }
         self.cur = 0;
         self.cost = CostMeter::default();
-        self.running.clear();
         self.peak_tracked = 0;
         for &v in initial_active {
             self.activate(v);
@@ -163,18 +164,37 @@ impl Scheduler for LevelBased {
     }
 
     fn on_completed(&mut self, v: NodeId, fired: &[NodeId]) {
-        self.cost.completions += 1;
-        self.state.complete(v);
-        if let Some(i) = self.running.iter().position(|&r| r == v) {
-            self.running.swap_remove(i);
+        if !self.state.complete_running(v, "LevelBased") {
+            return;
         }
+        self.cost.completions += 1;
         self.unfinished[self.dag.level(v) as usize] -= 1;
-        for &c in fired {
-            debug_assert!(
-                self.dag.level(c) > self.cur || self.unfinished[self.cur as usize] > 0,
-                "activation below the cursor would violate Lemma 1"
-            );
-            self.activate(c);
+        self.activate_fired(fired);
+    }
+
+    fn complete_batch(&mut self, batch: &CompletionBatch) {
+        // A worker's batch is a run of same-level tasks almost always, so
+        // the level counter takes one subtraction per run, not per node.
+        // Deferring it is invisible: only the cursor reads `unfinished`,
+        // and it does not move during this call.
+        let (mut run_level, mut run_len) = (0usize, 0u32);
+        for (v, fired) in batch.iter() {
+            if !self.state.complete_running(v, "LevelBased") {
+                continue;
+            }
+            self.cost.completions += 1;
+            let l = self.dag.level(v) as usize;
+            if l != run_level {
+                if run_len > 0 {
+                    self.unfinished[run_level] -= run_len;
+                }
+                (run_level, run_len) = (l, 0);
+            }
+            run_len += 1;
+            self.activate_fired(fired);
+        }
+        if run_len > 0 {
+            self.unfinished[run_level] -= run_len;
         }
     }
 
@@ -208,7 +228,7 @@ impl Scheduler for LevelBased {
 
     fn space_bytes(&self) -> usize {
         let entries: usize = self.buckets.iter().map(Vec::len).sum();
-        (entries + self.running.len()) * std::mem::size_of::<NodeId>()
+        entries * std::mem::size_of::<NodeId>()
             + self.unfinished.len() * std::mem::size_of::<u32>()
             + self.state.bytes()
     }
@@ -223,7 +243,7 @@ impl Scheduler for LevelBased {
         if self.state.get(v) == NodeState::Active {
             // The bucket entry becomes stale and is skipped at pop time;
             // `unfinished` still gates the cursor until completion arrives.
-            self.dispatch(v);
+            self.state.dispatch(v);
         }
     }
 

@@ -26,7 +26,7 @@
 //!   and closeness of charges are property-tested.
 
 use crate::cost::CostMeter;
-use crate::scheduler::{NodeState, Scheduler, StateTable};
+use crate::scheduler::{CompletionBatch, NodeState, Scheduler, StateTable};
 use incr_dag::{Dag, IntervalList, NodeId};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -56,7 +56,8 @@ pub struct LogicBlox {
     /// Active-or-running (uncompleted) tasks, bucketed by level for the
     /// pruned check; total count mirrors the naive blocker list length.
     blockers_by_level: Vec<Vec<NodeId>>,
-    /// Position of each node inside its level bucket (for O(1) removal).
+    /// Position of each node inside its level bucket (for O(1) removal);
+    /// valid only while the node is Active or Running, never cleared.
     blocker_pos: Vec<u32>,
     blocker_count: usize,
     /// Levels whose blocker bucket was written this run (the only ones the
@@ -140,6 +141,17 @@ impl LogicBlox {
             self.blocker_pos[moved.index()] = pos as u32;
         }
         self.blocker_count -= 1;
+    }
+
+    /// `v` finished: Running → Done and out of the blocker set. Returns
+    /// false, with nothing changed, when `v` is not Running (its blocker
+    /// slot may be stale); the caller must then drop the completion.
+    fn retire(&mut self, v: NodeId) -> bool {
+        let running = self.state.complete_running(v, "LogicBlox");
+        if running {
+            self.remove_blocker(v);
+        }
+        running
     }
 
     fn activate(&mut self, v: NodeId) {
@@ -321,14 +333,30 @@ impl Scheduler for LogicBlox {
     }
 
     fn on_completed(&mut self, v: NodeId, fired: &[NodeId]) {
+        if !self.retire(v) {
+            return;
+        }
         self.cost.completions += 1;
-        self.state.complete(v);
-        self.remove_blocker(v);
         for &c in fired {
             self.activate(c);
         }
         // A completion can unblock candidates even without new activations.
         self.dirty = true;
+    }
+
+    fn complete_batch(&mut self, batch: &CompletionBatch) {
+        let mut retired = 0u64;
+        for (v, fired) in batch.iter() {
+            if !self.retire(v) {
+                continue;
+            }
+            retired += 1;
+            for &c in fired {
+                self.activate(c);
+            }
+        }
+        self.cost.completions += retired;
+        self.dirty |= retired > 0;
     }
 
     fn pop_ready(&mut self) -> Option<NodeId> {

@@ -27,6 +27,12 @@ pub struct LevelBasedLookahead {
     /// never acquire one, because new activations descend only from nodes
     /// that were active-uncompleted at proof time (Lemma 1's argument).
     stash: Vec<NodeId>,
+    /// Dispatched-but-uncompleted tasks: the look-ahead's blocking set
+    /// needs them, plain LevelBased does not, so the list lives here.
+    running: Vec<NodeId>,
+    /// `running_pos[v]` is `v`'s index in `running`, valid only while `v`
+    /// is `Running` (never cleared) — O(1) removal on completion.
+    running_pos: Vec<u32>,
     /// BFS scratch, reused across calls.
     reached: NodeSet,
     enqueued: NodeSet,
@@ -44,6 +50,8 @@ impl LevelBasedLookahead {
             base: LevelBased::new(dag),
             k,
             stash: Vec::new(),
+            running: Vec::new(),
+            running_pos: vec![0; n],
             reached: NodeSet::new(n),
             enqueued: NodeSet::new(n),
             queue: VecDeque::new(),
@@ -98,9 +106,13 @@ impl LevelBasedLookahead {
                 }
             }
         }
-        // ... plus running tasks (dispatched, not completed).
-        for &v in &self.base.running {
-            if dag.level(v) <= horizon && self.enqueued.insert(v) {
+        // ... plus running tasks (dispatched, not completed). Those within
+        // the horizon pay a `bfs_step` when dequeued; the rest (dispatched
+        // from outside, by a `Duo` partner) are charged for the visit here.
+        for &v in &self.running {
+            if dag.level(v) > horizon {
+                self.base.cost.scan_steps += 1;
+            } else if self.enqueued.insert(v) {
                 self.queue.push_back(v);
             }
         }
@@ -131,7 +143,7 @@ impl LevelBasedLookahead {
             }
         }
         if let Some(t) = first {
-            self.base.dispatch(t);
+            self.base.state.dispatch(t);
         }
         first
     }
@@ -139,11 +151,46 @@ impl LevelBasedLookahead {
     fn pop_stash(&mut self) -> Option<NodeId> {
         while let Some(t) = self.stash.pop() {
             if self.base.state.get(t) == NodeState::Active {
-                self.base.dispatch(t);
+                self.base.state.dispatch(t);
                 return Some(t);
             }
         }
         None
+    }
+
+    /// The pop cascade shared by `pop_ready` and `pop_batch`: cursor level
+    /// → stash → look-ahead. Whatever it hands out joins `running`.
+    fn pop_one(&mut self) -> Option<NodeId> {
+        let mut found = self.base.pop_at_cursor();
+        if found.is_none() {
+            found = self.pop_stash();
+        }
+        if found.is_none()
+            && self.base.state.active_unexecuted() > 0
+            && !self.lookahead_exhausted
+        {
+            found = self.lookahead();
+            // Nothing safe within the horizon: identical until state changes.
+            self.lookahead_exhausted = found.is_none();
+        }
+        if let Some(t) = found {
+            self.track(t);
+        }
+        found
+    }
+
+    fn track(&mut self, v: NodeId) {
+        self.running_pos[v.index()] = self.running.len() as u32;
+        self.running.push(v);
+    }
+
+    /// Remove `v`, which must have been `Running` until just now.
+    fn untrack(&mut self, v: NodeId) {
+        let pos = self.running_pos[v.index()] as usize;
+        self.running.swap_remove(pos);
+        if let Some(&moved) = self.running.get(pos) {
+            self.running_pos[moved.index()] = pos as u32;
+        }
     }
 }
 
@@ -155,54 +202,34 @@ impl Scheduler for LevelBasedLookahead {
     fn start(&mut self, initial_active: &[NodeId]) {
         self.base.start(initial_active);
         self.stash.clear();
+        self.running.clear();
         self.lookahead_exhausted = false;
     }
 
     fn on_completed(&mut self, v: NodeId, fired: &[NodeId]) {
+        // Anything else is not in `running` and its position slot is
+        // stale; the base counts and drops such a completion.
+        if self.base.state.get(v) == NodeState::Running {
+            self.untrack(v);
+            self.lookahead_exhausted = false;
+        }
         self.base.on_completed(v, fired);
-        self.lookahead_exhausted = false;
     }
 
     fn pop_ready(&mut self) -> Option<NodeId> {
         self.base.cost.pops += 1;
-        if let Some(t) = self.base.pop_at_cursor() {
-            return Some(t);
-        }
-        if let Some(t) = self.pop_stash() {
-            return Some(t);
-        }
-        if self.base.state.active_unexecuted() == 0 || self.lookahead_exhausted {
-            return None;
-        }
-        let found = self.lookahead();
-        // Nothing safe within the horizon: identical until state changes.
-        self.lookahead_exhausted = found.is_none();
-        found
+        self.pop_one()
     }
 
     fn pop_batch(&mut self, out: &mut Vec<NodeId>, max: usize) -> usize {
-        // Same cascade as pop_ready (cursor → stash → look-ahead), but one
-        // `pops` charge and one trait crossing for the whole wavefront.
+        // Same cascade as pop_ready, but one `pops` charge and one trait
+        // crossing for the whole wavefront.
         self.base.cost.pops += 1;
         let before = out.len();
         while out.len() - before < max {
-            if let Some(t) = self.base.pop_at_cursor() {
-                out.push(t);
-                continue;
-            }
-            if let Some(t) = self.pop_stash() {
-                out.push(t);
-                continue;
-            }
-            if self.base.state.active_unexecuted() == 0 || self.lookahead_exhausted {
-                break;
-            }
-            match self.lookahead() {
+            match self.pop_one() {
                 Some(t) => out.push(t),
-                None => {
-                    self.lookahead_exhausted = true;
-                    break;
-                }
+                None => break,
             }
         }
         out.len() - before
@@ -218,7 +245,8 @@ impl Scheduler for LevelBasedLookahead {
 
     fn space_bytes(&self) -> usize {
         self.base.space_bytes()
-            + self.stash.len() * std::mem::size_of::<NodeId>()
+            + (self.stash.len() + self.running.len()) * std::mem::size_of::<NodeId>()
+            + self.running_pos.len() * std::mem::size_of::<u32>()
             // Persistent BFS scratch: two bitsets over V plus the queue.
             + 2 * self.reached_bytes()
             + self.queue.capacity() * std::mem::size_of::<NodeId>()
@@ -229,7 +257,10 @@ impl Scheduler for LevelBasedLookahead {
     }
 
     fn on_external_dispatch(&mut self, v: NodeId) {
-        self.base.on_external_dispatch(v);
+        if self.base.state.get(v) == NodeState::Active {
+            self.base.on_external_dispatch(v);
+            self.track(v);
+        }
         self.lookahead_exhausted = false;
     }
 

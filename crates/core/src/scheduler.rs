@@ -82,7 +82,10 @@ pub trait Scheduler: Send {
     /// Report a whole batch of completions at once. Semantically identical
     /// to calling [`Scheduler::on_completed`] per entry in order (the
     /// default impl does exactly that); exists so batching executors make
-    /// one virtual call per flushed completion buffer.
+    /// one virtual call per flushed completion buffer. LevelBased,
+    /// LogicBlox, Hybrid and Duo override it with one pass over the flat
+    /// batch (per side, in the combinators), charging exactly what the
+    /// per-node calls would.
     fn complete_batch(&mut self, batch: &CompletionBatch) {
         for (v, fired) in batch.iter() {
             self.on_completed(v, fired);
@@ -285,6 +288,23 @@ impl StateTable {
         self.active_unexecuted -= 1;
     }
 
+    /// [`StateTable::complete`] for a completion the scheduler has yet to
+    /// trust: Running → Done and true if `v` is Running. Otherwise — a
+    /// duplicate completion, or a journal replay of a node that was never
+    /// dispatched — nothing changes, `sched.protocol_violations` counts it
+    /// and the caller must drop the completion whole: acting on it would
+    /// wrap a level counter or follow a stale position slot. Debug builds
+    /// also fail loudly, since the driver has a bug.
+    pub fn complete_running(&mut self, v: NodeId, scheduler: &str) -> bool {
+        let state = self.get(v);
+        if state != NodeState::Running {
+            protocol_violation(scheduler, v, state);
+            return false;
+        }
+        self.complete(v);
+        true
+    }
+
     /// Activated tasks not yet completed (includes running ones): the
     /// scheduler is quiescent when this hits zero.
     #[inline]
@@ -303,6 +323,15 @@ impl StateTable {
         self.states.len()
             * (std::mem::size_of::<NodeState>() + std::mem::size_of::<u32>())
     }
+}
+
+#[cold]
+fn protocol_violation(scheduler: &str, v: NodeId, state: NodeState) {
+    incr_obs::registry().counter("sched.protocol_violations").inc();
+    debug_assert!(
+        false,
+        "{scheduler}: completion of {v} in state {state:?}, not Running"
+    );
 }
 
 /// Reference scheduler with *exact* readiness: a task is offered as soon
@@ -618,6 +647,49 @@ mod tests {
         let mut check = SafetyChecker::new(dag);
         check.on_start(&[NodeId(1), NodeId(3)]);
         check.on_pop(NodeId(3)); // 1 is an active uncompleted ancestor
+    }
+
+    /// A completion for a node that is not Running (here: a duplicate
+    /// for a Done node, then one for a node still waiting in Active) is
+    /// dropped whole — no counter underflow, no stale position slot
+    /// followed, its fired children not activated — and counted. Debug
+    /// builds panic before touching anything; release builds return.
+    #[test]
+    fn out_of_protocol_completion_changes_nothing() {
+        use crate::SchedulerKind;
+        let violations = incr_obs::registry().counter("sched.protocol_violations");
+        for kind in [
+            SchedulerKind::LevelBased,
+            SchedulerKind::Lookahead(2),
+            SchedulerKind::LogicBlox,
+            SchedulerKind::Hybrid,
+        ] {
+            let mut s = kind.build(diamond());
+            s.start(&[NodeId(0)]);
+            assert_eq!(s.pop_ready(), Some(NodeId(0)));
+            s.on_completed(NodeId(0), &[NodeId(1), NodeId(2)]);
+            let running = s.pop_ready().expect("a level-1 task");
+            let waiting = NodeId(3 - running.0);
+            for bogus in [NodeId(0), waiting] {
+                let seen = violations.get();
+                let before = (s.cost(), s.space_bytes(), s.gauges(), s.is_quiescent());
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    s.on_completed(bogus, &[NodeId(3)]);
+                }));
+                assert_eq!(outcome.is_err(), cfg!(debug_assertions), "{kind:?}");
+                assert!(violations.get() > seen, "{kind:?}: violation not counted");
+                let after = (s.cost(), s.space_bytes(), s.gauges(), s.is_quiescent());
+                assert_eq!(before, after, "{kind:?}: {bogus} changed the scheduler");
+            }
+            // The run carries on as if nothing had happened.
+            s.on_completed(running, &[NodeId(3)]);
+            assert_eq!(s.pop_ready(), Some(waiting), "{kind:?}");
+            assert_eq!(s.pop_ready(), None, "{kind:?}: 3 waits for {waiting}");
+            s.on_completed(waiting, &[NodeId(3)]);
+            assert_eq!(s.pop_ready(), Some(NodeId(3)), "{kind:?}");
+            s.on_completed(NodeId(3), &[]);
+            assert!(s.is_quiescent(), "{kind:?}");
+        }
     }
 
     #[test]

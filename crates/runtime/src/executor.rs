@@ -67,7 +67,7 @@
 //! [`StreamError`], which reports the error *and* the accounting for the
 //! updates that did complete (later updates are not attempted).
 
-use crossbeam::channel::{self, RecvTimeoutError};
+use crossbeam::channel;
 use incr_dag::{Dag, NodeId};
 use incr_obs::flight::{self, FlightCode};
 use incr_obs::{trace, Json};
@@ -417,10 +417,6 @@ pub struct ExecConfig {
     pub chunk_max: usize,
     /// Bounded work-queue capacity in chunks (the backpressure knob).
     pub queue_cap: usize,
-    /// Legacy one-task-per-message dispatch over unbounded channels with a
-    /// fresh allocation per completion — the pre-batching executor,
-    /// preserved as the A/B baseline for the `exec_throughput` bench.
-    pub per_task: bool,
     /// Retry policy for [`TaskOutcome::Retryable`] attempts.
     pub retry: RetryPolicy,
     /// Per-update watchdog deadline: a run not quiescent within this
@@ -473,7 +469,6 @@ impl ExecConfig {
             batch_max: 256,
             chunk_max: 32,
             queue_cap: 64,
-            per_task: false,
             retry: RetryPolicy::default(),
             deadline: None,
             cancel: None,
@@ -739,9 +734,6 @@ impl Executor {
         task: TryTaskFn,
         mut journal: Option<&mut UpdateJournal>,
     ) -> Result<ExecReport, ExecError> {
-        if self.cfg.per_task {
-            return self.run_per_task(scheduler, dag, initial, task, journal);
-        }
         let t0 = Instant::now();
         let mut completion_order = Vec::new();
         let mut wait_ns = 0u64;
@@ -1088,169 +1080,6 @@ impl Executor {
         }
         result
     }
-
-    /// The pre-batching dispatch loop: one node per message, unbounded
-    /// channels, a fresh `Vec` allocated per completion, one
-    /// `pop_ready`/`on_completed` virtual call per task. Kept bit-for-bit
-    /// equivalent in behavior so `exec_throughput` measures the real
-    /// before/after of the batched pipeline. Shares the panic-isolation /
-    /// retry / watchdog / cancellation machinery, but not journaling
-    /// (resume forces the batched path).
-    fn run_per_task(
-        &self,
-        scheduler: &mut dyn Scheduler,
-        dag: &Arc<Dag>,
-        initial: &[NodeId],
-        task: TryTaskFn,
-        journal: Option<&mut UpdateJournal>,
-    ) -> Result<ExecReport, ExecError> {
-        assert!(
-            journal.is_none(),
-            "journaled runs require the batched pipeline (per_task = false)"
-        );
-        let t0 = Instant::now();
-        let deadline = self.cfg.deadline.map(|d| t0 + d);
-        let (work_tx, work_rx) = channel::unbounded::<NodeId>();
-        let (done_tx, done_rx) =
-            channel::unbounded::<(NodeId, Result<Vec<NodeId>, TaskError>)>();
-
-        scheduler.start(initial);
-        let mut executed = 0usize;
-        let mut completion_order = Vec::new();
-        let mut wait_ns = 0u64;
-
-        let mut handles = Vec::with_capacity(self.cfg.workers);
-        for i in 0..self.cfg.workers {
-            let work_rx = work_rx.clone();
-            let done_tx = done_tx.clone();
-            let task = task.clone();
-            let retry = self.cfg.retry.clone();
-            let shard = self.cfg.shard;
-            let handle = std::thread::Builder::new()
-                .name(format!("incr-worker-{i}"))
-                .spawn(move || {
-                    trace::set_thread_name(&format!("worker-{i}"));
-                    flight::set_shard(shard_tag(shard));
-                    loop {
-                        let idle = trace::span("exec", "worker.idle");
-                        let Ok(node) = work_rx.recv() else { break };
-                        drop(idle);
-                        let mut fired = Vec::new();
-                        let result = match run_one(&task, node, &mut fired, &retry) {
-                            Ok(()) => Ok(fired),
-                            Err(e) => Err(e),
-                        };
-                        if done_tx.send((node, result)).is_err() {
-                            break;
-                        }
-                    }
-                })
-                .expect("spawn worker thread");
-            handles.push(handle);
-        }
-        drop(work_rx);
-        drop(done_tx);
-
-        trace::set_thread_name("executor-coordinator");
-        flight::set_shard(shard_tag(self.cfg.shard));
-        let mut in_flight = 0usize;
-        let result = 'drive: loop {
-            if let Some(tok) = &self.cfg.cancel {
-                if tok.is_cancelled() {
-                    break Err(ExecError::Cancelled { executed });
-                }
-            }
-            while let Some(t) = scheduler.pop_ready() {
-                if work_tx.send(t).is_err() {
-                    break; // pool gone; surfaced below as a stall
-                }
-                in_flight += 1;
-            }
-            if in_flight == 0 {
-                if scheduler.is_quiescent() {
-                    break Ok(());
-                }
-                break Err(ExecError::Stall {
-                    scheduler: scheduler.name().to_string(),
-                });
-            }
-            let wait = trace::span("exec", "coordinator.wait_completion");
-            let w0 = Instant::now();
-            let received = match deadline {
-                None => pipes_recv_per_task(&done_rx),
-                Some(dl) => {
-                    let budget = dl.saturating_duration_since(Instant::now());
-                    match done_rx.recv_timeout(budget) {
-                        Ok(msg) => Some(msg),
-                        Err(RecvTimeoutError::Timeout) => None,
-                        Err(RecvTimeoutError::Disconnected) => None,
-                    }
-                }
-            };
-            wait_ns += w0.elapsed().as_nanos() as u64;
-            drop(wait);
-            let Some((node, outcome)) = received else {
-                break Err(ExecError::Timeout {
-                    snapshot: Box::new(ExecSnapshot {
-                        scheduler: scheduler.name().to_string(),
-                        in_flight: Vec::new(),
-                        queued_chunks: 0,
-                        executed,
-                        elapsed_ms: t0.elapsed().as_millis() as u64,
-                    }),
-                });
-            };
-            in_flight -= 1;
-            let fired = match outcome {
-                Ok(fired) => fired,
-                Err(task_err) => break Err(task_err.into_exec_error(node)),
-            };
-            for &c in &fired {
-                if !dag.has_edge(node, c) {
-                    break 'drive Err(ExecError::NonEdge { from: node, to: c });
-                }
-            }
-            executed += 1;
-            completion_order.push(node);
-            scheduler.on_completed(node, &fired);
-        };
-        // Disconnect releases parked workers; bounded join mirrors the
-        // batched pipeline's shutdown.
-        drop(work_tx);
-        let grace_until = Instant::now() + self.cfg.join_grace;
-        for handle in handles {
-            loop {
-                if handle.is_finished() {
-                    let _ = handle.join();
-                    break;
-                }
-                if Instant::now() >= grace_until {
-                    incr_obs::registry().counter("exec.workers_leaked").inc();
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-        if let Err(error) = result {
-            black_box_dump(&self.cfg, &error, scheduler.name());
-            return Err(error);
-        }
-        Ok(finish_report(
-            DriveStats {
-                executed,
-                replayed: 0,
-            },
-            completion_order,
-            t0,
-            wait_ns,
-        ))
-    }
-}
-
-fn pipes_recv_per_task(
-    done_rx: &channel::Receiver<(NodeId, Result<Vec<NodeId>, TaskError>)>,
-) -> Option<(NodeId, Result<Vec<NodeId>, TaskError>)> {
-    done_rx.recv().ok()
 }
 
 /// Run one task to completion, retrying `Retryable` attempts per the
@@ -2152,20 +1981,6 @@ mod tests {
     }
 
     #[test]
-    fn per_task_mode_matches_batched() {
-        let dag = diamond();
-        for per_task in [false, true] {
-            let mut cfg = ExecConfig::new(3);
-            cfg.per_task = per_task;
-            let mut s = LevelBased::new(dag.clone());
-            let report =
-                Executor::with_config(cfg).run_or_panic(&mut s, &dag, &[NodeId(0)], fire_all(&dag));
-            assert_eq!(report.executed, 4, "per_task={per_task}");
-            assert_eq!(report.completion_order[0], NodeId(0));
-        }
-    }
-
-    #[test]
     fn stream_reuses_pool_across_updates() {
         let dag = diamond();
         let mut s = LevelBased::new(dag.clone());
@@ -2329,7 +2144,7 @@ mod tests {
     }
 
     #[test]
-    fn task_panic_returns_typed_error_for_both_pipelines() {
+    fn task_panic_returns_typed_error() {
         quiet_panics();
         let dag = diamond();
         let f: TaskFn = Arc::new(|v, fired: &mut Vec<NodeId>| {
@@ -2341,22 +2156,18 @@ mod tests {
                 fired.push(NodeId(2));
             }
         });
-        for per_task in [false, true] {
-            let mut cfg = ExecConfig::new(2);
-            cfg.per_task = per_task;
-            let mut s = LevelBased::new(dag.clone());
-            let err = Executor::with_config(cfg)
-                .run(&mut s, &dag, &[NodeId(0)], f.clone())
-                .unwrap_err();
-            match err {
-                ExecError::TaskPanicked { node, ref message } => {
-                    assert_eq!(node, NodeId(1), "per_task={per_task}");
-                    assert!(message.contains("injected"), "per_task={per_task}");
-                }
-                other => panic!("expected TaskPanicked, got {other:?} (per_task={per_task})"),
+        let mut s = LevelBased::new(dag.clone());
+        let err = Executor::new(2)
+            .run(&mut s, &dag, &[NodeId(0)], f)
+            .unwrap_err();
+        match err {
+            ExecError::TaskPanicked { node, ref message } => {
+                assert_eq!(node, NodeId(1));
+                assert!(message.contains("injected"));
             }
-            assert!(err.to_string().contains("panicked"));
+            other => panic!("expected TaskPanicked, got {other:?}"),
         }
+        assert!(err.to_string().contains("panicked"));
     }
 
     #[test]
@@ -2395,28 +2206,24 @@ mod tests {
             }
             TaskOutcome::Done
         });
-        for per_task in [false, true] {
-            let mut cfg = ExecConfig::new(2);
-            cfg.per_task = per_task;
-            cfg.retry = RetryPolicy {
-                max_attempts: 3,
-                backoff: Duration::ZERO,
-                backoff_cap: Duration::ZERO,
-            };
-            let mut s = LevelBased::new(dag.clone());
-            let err = Executor::with_config(cfg)
-                .run_fallible(&mut s, &dag, &[NodeId(0)], f.clone(), None)
-                .unwrap_err();
-            assert_eq!(
-                err,
-                ExecError::TaskFailed {
-                    node: NodeId(0),
-                    attempts: 3
-                },
-                "per_task={per_task}"
-            );
-            assert!(err.to_string().contains("failed after 3 attempts"));
-        }
+        let mut cfg = ExecConfig::new(2);
+        cfg.retry = RetryPolicy {
+            max_attempts: 3,
+            backoff: Duration::ZERO,
+            backoff_cap: Duration::ZERO,
+        };
+        let mut s = LevelBased::new(dag.clone());
+        let err = Executor::with_config(cfg)
+            .run_fallible(&mut s, &dag, &[NodeId(0)], f, None)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ExecError::TaskFailed {
+                node: NodeId(0),
+                attempts: 3
+            }
+        );
+        assert!(err.to_string().contains("failed after 3 attempts"));
     }
 
     #[test]

@@ -1,12 +1,15 @@
 //! Integration tests for the paper's theory (Lemmas 3/5/7, Theorems 2
 //! and 9) on randomized instances, using the unit-step simulator.
 
-use datalog_sched::dag::{random, NodeId};
-use datalog_sched::sched::{Instance, LevelBased, Scheduler, SchedulerKind, TaskShape};
-use datalog_sched::sim::{simulate_step, StepSimConfig};
+use datalog_sched::dag::{random, Dag, DagBuilder, NodeId};
+use datalog_sched::sched::{
+    CompletionBatch, CostMeter, Instance, LevelBased, Scheduler, SchedulerKind, TaskShape,
+};
+use datalog_sched::sim::{simulate_event, simulate_step, EventSimConfig, StepSimConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Random layered instance with the requested task shapes.
 fn random_instance(seed: u64, shape_mode: u8) -> Instance {
@@ -186,5 +189,153 @@ fn theorem2_cost_and_space() {
         );
         assert!(s.peak_tracked() as u64 <= n.max(1));
         assert_eq!(c.ancestor_queries, 0, "LevelBased never queries ancestry");
+
+        // The space claim, sampled by the event simulator at every step,
+        // stays within one `NodeId` per active task and per list the
+        // scheduler keeps them in — bucket entries for LevelBased; bucket
+        // entries, the running list and the stash for LBL(k) — over what
+        // the same object claims with nothing active (its per-node tables
+        // and, for LBL(k), the BFS scratch this run grew).
+        for (kind, lists) in [
+            (SchedulerKind::LevelBased, 1),
+            (SchedulerKind::Lookahead(2), 3),
+        ] {
+            let mut s = kind.build(inst.dag.clone());
+            let cfg = EventSimConfig {
+                processors: 4,
+                ..EventSimConfig::default()
+            };
+            let r = simulate_event(s.as_mut(), &inst, &cfg);
+            s.start(&[]);
+            let idle = s.space_bytes();
+            let bound = idle + lists * r.executed * std::mem::size_of::<NodeId>();
+            assert!(
+                r.peak_space <= bound,
+                "seed {seed} {kind:?}: peak claim {} over {bound} (idle {idle}, n={})",
+                r.peak_space,
+                r.executed
+            );
+        }
+    }
+}
+
+/// One level of `w` independent tasks, all of them dirty: the shape of
+/// trace #6's widest level, where a whole level is in flight at once.
+fn wide_level(w: usize) -> (Arc<Dag>, Vec<NodeId>) {
+    let dag = Arc::new(DagBuilder::new(w).build().unwrap());
+    let initial = dag.nodes().collect();
+    (dag, initial)
+}
+
+/// Drive `s` the way the threaded executor does: `pop_batch` until the
+/// scheduler runs dry, with no completion delivered in between, then
+/// `complete_batch` a worker chunk at a time, in pop order or reversed.
+/// Returns the executed tasks, the charges, and the time in the scheduler.
+fn drive_as_executor(
+    s: &mut dyn Scheduler,
+    initial: &[NodeId],
+    reversed: bool,
+) -> (Vec<NodeId>, CostMeter, Duration) {
+    let mut popped = Vec::new();
+    let mut done = CompletionBatch::new();
+    let t0 = Instant::now();
+    s.start(initial);
+    while s.pop_batch(&mut popped, 256) > 0 {}
+    let mut order = popped.clone();
+    if reversed {
+        order.reverse();
+    }
+    for chunk in order.chunks(32) {
+        done.clear();
+        for &v in chunk {
+            done.push(v, &[]);
+        }
+        s.complete_batch(&done);
+    }
+    assert_eq!(s.pop_batch(&mut popped, 256), 0);
+    let elapsed = t0.elapsed();
+    assert!(s.is_quiescent(), "{} not quiescent", s.name());
+    (popped, s.cost(), elapsed)
+}
+
+/// The same run through the one-call-per-task protocol.
+fn drive_per_node(
+    s: &mut dyn Scheduler,
+    initial: &[NodeId],
+    reversed: bool,
+) -> (Vec<NodeId>, CostMeter) {
+    let mut popped = Vec::new();
+    s.start(initial);
+    while let Some(t) = s.pop_ready() {
+        popped.push(t);
+    }
+    let mut order = popped.clone();
+    if reversed {
+        order.reverse();
+    }
+    for v in order {
+        s.on_completed(v, &[]);
+    }
+    assert_eq!(s.pop_ready(), None);
+    assert!(s.is_quiescent(), "{} not quiescent", s.name());
+    (popped, s.cost())
+}
+
+/// Theorem 2 in wall-clock: with a whole level of `W` tasks in flight,
+/// every protocol call still costs O(1) amortised per task, so driving
+/// 16× the width takes about 16× the time — not the 256× of a completion
+/// path that searches a list as long as the wavefront. And the batched
+/// calls charge what the per-task calls charge (`pops` aside: one per
+/// batch by design) for the same executed set.
+#[test]
+fn scheduling_time_is_linear_in_the_width_of_a_level() {
+    const SMALL: usize = 4 * 1024;
+    const LARGE: usize = 64 * 1024;
+    let sans_pops = |c: CostMeter| CostMeter { pops: 0, ..c };
+    for kind in [
+        SchedulerKind::LevelBased,
+        SchedulerKind::Lookahead(2),
+        SchedulerKind::Hybrid,
+        SchedulerKind::LogicBlox,
+    ] {
+        // Fastest of five per width: the floor is what the code costs, the
+        // rest is whatever else the host was doing.
+        let mut fastest = [Duration::MAX; 2];
+        for (slot, w) in [SMALL, LARGE].into_iter().enumerate() {
+            let (dag, initial) = wide_level(w);
+            let mut batched = kind.build(dag.clone());
+            let mut per_node = kind.build(dag);
+            for rep in 0..5 {
+                let mut both_orders = Duration::ZERO;
+                for reversed in [false, true] {
+                    let (mut executed, cost, elapsed) =
+                        drive_as_executor(batched.as_mut(), &initial, reversed);
+                    both_orders += elapsed;
+                    if rep > 0 {
+                        continue;
+                    }
+                    let (mut expected, expected_cost) =
+                        drive_per_node(per_node.as_mut(), &initial, reversed);
+                    executed.sort_unstable();
+                    expected.sort_unstable();
+                    assert_eq!(executed, expected, "{kind:?} W={w}: executed sets differ");
+                    assert_eq!(executed.len(), w);
+                    assert_eq!(
+                        sans_pops(cost),
+                        sans_pops(expected_cost),
+                        "{kind:?} W={w}: batched calls charge differently"
+                    );
+                }
+                fastest[slot] = fastest[slot].min(both_orders);
+            }
+        }
+        let ratio = fastest[1].as_secs_f64() / fastest[0].as_secs_f64();
+        assert!(
+            ratio <= 48.0,
+            "{kind:?}: {LARGE} tasks took {ratio:.1}x the time of {SMALL} \
+             ({:?} vs {:?}); linear is 16x, quadratic 256x",
+            fastest[1],
+            fastest[0]
+        );
     }
 }

@@ -114,6 +114,71 @@ fn space_claim_is_stable_across_restarts() {
     }
 }
 
+/// The claim counts what each scheduler keeps, at every restart alike.
+/// With the first wavefront popped and nothing completed, LBL(k) has moved
+/// each popped bucket entry into its running list (the look-ahead's
+/// blocking set), so its claim stands where it stood after `start`; plain
+/// LevelBased keeps no such list and its claim drops by one `NodeId` per
+/// popped task. LBL(k)'s per-node position table is in its idle claim.
+#[test]
+fn running_list_is_claimed_by_lookahead_only_and_never_accumulates() {
+    let inst = instance(0xBEEF);
+    let node = std::mem::size_of::<NodeId>();
+    let mut idle = Vec::new();
+    for (kind, keeps_running_list) in [
+        (SchedulerKind::LevelBased, false),
+        (SchedulerKind::Lookahead(4), true),
+    ] {
+        let mut s = kind.build(inst.dag.clone());
+        let mut settled_mid = None;
+        let mut popped = Vec::new();
+        for i in 0..1000 {
+            s.start(&inst.initial_active);
+            let started = s.space_bytes();
+            popped.clear();
+            while let Some(t) = s.pop_ready() {
+                popped.push(t);
+            }
+            assert!(!popped.is_empty());
+            let mid = s.space_bytes();
+            let expected = if keeps_running_list {
+                started
+            } else {
+                started - popped.len() * node
+            };
+            assert_eq!(mid, expected, "{kind:?}: mid-run claim at restart {i}");
+            // LBL(k)'s BFS scratch reaches its final size during the first
+            // update; from the second on the claim may not move.
+            if i > 0 {
+                assert_eq!(
+                    *settled_mid.get_or_insert(mid),
+                    mid,
+                    "{kind:?}: mid-run claim drifted at restart {i}"
+                );
+            }
+            // Finish the update, so every restart starts from quiescence.
+            let mut next = 0;
+            while next < popped.len() {
+                let t = popped[next];
+                next += 1;
+                s.on_completed(t, &inst.fired[t.index()]);
+                while let Some(t) = s.pop_ready() {
+                    popped.push(t);
+                }
+            }
+            assert!(s.is_quiescent(), "{kind:?} stalled");
+        }
+        s.start(&[]);
+        idle.push(s.space_bytes());
+    }
+    assert!(
+        idle[1] >= idle[0] + inst.dag.node_count() * std::mem::size_of::<u32>(),
+        "LBL(k) claims {} idle, LevelBased {}: the position table is missing",
+        idle[1],
+        idle[0]
+    );
+}
+
 /// An aborted threaded update (injected panic and cancellation, the two
 /// fault-tolerance abort paths) leaves every scheduler restartable:
 /// `start()` after the abort behaves exactly like a fresh update — the
