@@ -506,7 +506,7 @@ impl IncrementalEngine {
     }
 
     /// Apply one tuple edit and fold it into the running net delta.
-    fn apply_one(
+    pub(crate) fn apply_one(
         db: &mut Database,
         base_deltas: &mut HashMap<PredId, Delta>,
         id: PredId,
@@ -925,11 +925,10 @@ impl IncrementalEngine {
                 NodeKind::Clique { preds, .. } => {
                     let rules = self.node_rules[node.index()].clone();
                     let out = reevaluate_scc_opts(&mut db, &rules, preds, &self.opts);
-                    // Re-evaluation rebuilt the extents from scratch on
-                    // fresh rows whose counts are zero; under FBF the
-                    // changed rule set also changes what counts as a
-                    // non-recursive derivation, so recount this clique
-                    // before the delta propagates downstream.
+                    // Re-evaluation leaves new rows with zero counts, and
+                    // under FBF the changed rule set also changes what
+                    // counts as a non-recursive derivation, so recount
+                    // this clique before the delta propagates downstream.
                     if self.opts.maintenance == MaintenanceStrategy::Fbf {
                         init_counts_scc(&mut db, &rules, preds, &self.opts);
                     }

@@ -15,22 +15,121 @@
 
 use crate::ast::{AggOp, Program, Rule, Term};
 use crate::par::{eval_pin_jobs, EvalOptions, PinJob};
-use crate::rel::{Database, PredId, Relation};
+use crate::rel::{Database, PredId, Probe, Relation};
 use crate::value::{Tuple, Value};
 use incr_obs::Counter;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
 /// Read-only source of relation extents. [`Database`] is the live store;
-/// the incremental module's snapshots overlay old extents for DRed
-/// overdeletion (which must evaluate against the pre-update state).
+/// the incremental module's `OldView` shows the pre-update state (which
+/// overdeletion must evaluate against) by patching the live relations.
 pub trait Rels {
     fn relation(&self, p: PredId) -> &Relation;
+
+    /// How this view's extent of `p` differs from the live relation;
+    /// `None` when it is the live relation.
+    fn patch(&self, _p: PredId) -> Option<&Patch<'_>> {
+        None
+    }
 }
 
 impl Rels for Database {
     fn relation(&self, p: PredId) -> &Relation {
         self.rel(p)
+    }
+}
+
+/// One predicate's extent before an update, as a difference against the
+/// live relation: the tuples the update added are `hidden`, the tuples it
+/// removed are read from `extra`. Building one costs the size of the
+/// update's delta, never the size of the relation.
+pub struct Patch<'a> {
+    hidden: &'a HashSet<Tuple>,
+    extra: Relation,
+}
+
+impl<'a> Patch<'a> {
+    /// The patch that undoes a net change already applied to `live`
+    /// (`added` are in it, `removed` are not). `extra` gets every index
+    /// `live` has, so whatever a plan probes on `live` it can probe here.
+    pub fn undoing(
+        live: &Relation,
+        added: &'a HashSet<Tuple>,
+        removed: &HashSet<Tuple>,
+    ) -> Patch<'a> {
+        let mut extra = Relation::new(live.arity());
+        for cols in live.index_cols() {
+            extra.ensure_index(cols);
+        }
+        for t in removed {
+            extra.insert(t.clone());
+        }
+        Patch {
+            hidden: added,
+            extra,
+        }
+    }
+}
+
+/// One predicate's extent as a [`Rels`] view shows it — the only way the
+/// evaluator reads tuples, so a patched view is honoured by every access
+/// path (scan, index probe, membership).
+pub(crate) struct Extent<'a> {
+    rel: &'a Relation,
+    patch: Option<&'a Patch<'a>>,
+}
+
+impl<'a> Extent<'a> {
+    pub(crate) fn of(db: &'a dyn Rels, p: PredId) -> Extent<'a> {
+        Extent {
+            rel: db.relation(p),
+            patch: db.patch(p),
+        }
+    }
+
+    pub(crate) fn contains(&self, t: &[Value]) -> bool {
+        match self.patch {
+            None => self.rel.contains(t),
+            Some(p) => p.extra.contains(t) || (self.rel.contains(t) && !p.hidden.contains(t)),
+        }
+    }
+
+    /// `main` without the hidden tuples, followed by `extra`.
+    fn patched(
+        &self,
+        main: impl Iterator<Item = &'a Tuple> + 'a,
+        extra: Option<impl Iterator<Item = &'a Tuple> + 'a>,
+    ) -> impl Iterator<Item = &'a Tuple> + 'a {
+        let hidden = self.patch.map(|p| p.hidden);
+        main.filter(move |&t| hidden.is_none_or(|h| !h.contains(t)))
+            .chain(extra.into_iter().flatten())
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &'a Tuple> + 'a {
+        self.patched(self.rel.iter(), self.patch.map(|p| p.extra.iter()))
+    }
+
+    /// Tuples whose projection onto `cols` is `key`, counted as an index
+    /// hit or miss; `None` when the relation has no such index.
+    pub(crate) fn probe(
+        &self,
+        cols: &[usize],
+        key: &[Value],
+    ) -> Option<impl Iterator<Item = &'a Tuple> + 'a> {
+        let main = self.rel.probe(cols, key)?;
+        let extra = self.patch.map(|p| {
+            p.extra
+                .probe(cols, key)
+                .expect("a patch has every index of its relation")
+        });
+        let m = metrics();
+        if main.is_empty() && extra.as_ref().is_none_or(Probe::is_empty) {
+            m.miss.inc();
+        } else {
+            m.hit.inc();
+        }
+        Some(self.patched(main.iter(), extra.map(|e| e.iter())))
     }
 }
 
@@ -95,10 +194,23 @@ pub struct CRule {
     /// Per-body-atom access path when evaluation starts from nothing
     /// bound (the ordinary forward join).
     pub plan: Vec<Access>,
+    /// `pin_plans[j]`: access paths when body literal `j` is pinned to a
+    /// delta, whose tuples bind its variables before anything else runs —
+    /// so the rest of the body is probed from the delta outwards instead
+    /// of scanned up to it. Entry `j` of plan `j` is unused.
+    pub pin_plans: Vec<Vec<Access>>,
     /// Access path when the head variables are pre-bound — used by
     /// [`rule_derives`] to check a single candidate head tuple (DRed
     /// rederivation).
     pub check_plan: Vec<Access>,
+}
+
+impl CRule {
+    /// Does any body atom (positive or negated) read one of `preds`? Asked
+    /// of the rule's own clique, this is "the rule is recursive".
+    pub fn reads_any(&self, preds: &[PredId]) -> bool {
+        self.body.iter().any(|(a, _)| preds.contains(&a.pred))
+    }
 }
 
 /// Index hit/miss/scan/build counters, registered once and cached (the
@@ -227,22 +339,28 @@ pub fn compile_rule_with(rule: &Rule, db: &mut Database, mode: IndexMode) -> CRu
         op,
         slot: slots[var],
     });
+    fn vars_of(atom: &CAtom) -> Vec<u32> {
+        atom.terms
+            .iter()
+            .filter_map(|t| match t {
+                CTerm::Var(s) => Some(*s),
+                CTerm::Const(_) => None,
+            })
+            .collect()
+    }
     let plan = access_plan(&body, &[], mode);
-    let head_slots: Vec<u32> = head
-        .terms
+    let pin_plans = body
         .iter()
-        .filter_map(|t| match t {
-            CTerm::Var(s) => Some(*s),
-            CTerm::Const(_) => None,
-        })
+        .map(|(atom, _)| access_plan(&body, &vars_of(atom), mode))
         .collect();
-    let check_plan = access_plan(&body, &head_slots, mode);
+    let check_plan = access_plan(&body, &vars_of(&head), mode);
     CRule {
         head,
         body,
         nvars: next,
         agg,
         plan,
+        pin_plans,
         check_plan,
     }
 }
@@ -287,6 +405,9 @@ pub fn ensure_indices(db: &mut Database, rules: &[CRule], include_check_plans: b
     }
     for rule in rules {
         ensure_plan(db, rule, &rule.plan);
+        for plan in &rule.pin_plans {
+            ensure_plan(db, rule, plan);
+        }
         if include_check_plans {
             ensure_plan(db, rule, &rule.check_plan);
         }
@@ -390,11 +511,18 @@ pub struct Pin<'a> {
 struct Ctx<'a> {
     rule: &'a CRule,
     plan: &'a [Access],
-    pin: Option<Pin<'a>>,
+    /// The pinned body position: bound from the delta before the
+    /// recursion starts, so the recursion steps over it.
+    pinned: Option<usize>,
 }
 
 /// Evaluate `rule` against `db`, optionally pinning one body literal, and
 /// call `out` for every derived head tuple (duplicates possible).
+///
+/// A pinned evaluation is driven by its delta: each delta tuple binds the
+/// pinned literal's variables and the rest of the body runs under
+/// `pin_plans`, so its cost follows the delta and the joins it opens, not
+/// the extents of the atoms written before the pinned one.
 ///
 /// With `PinMode::NegLost` the negated literal at the pin matches added
 /// tuples and the *rest* of the rule is evaluated as usual — the caller
@@ -404,14 +532,36 @@ pub fn eval_rule(db: &dyn Rels, rule: &CRule, pin: Option<Pin<'_>>, out: &mut dy
         rule.agg.is_none(),
         "aggregate rules are evaluated with eval_agg_rule, never pinned"
     );
-    let ctx = Ctx {
-        rule,
-        plan: &rule.plan,
-        pin,
-    };
     let mut bind: Vec<Option<Value>> = vec![None; rule.nvars as usize];
     let mut trail: Vec<u32> = Vec::new();
-    eval_from(db, &ctx, 0, &mut bind, &mut trail, out);
+    let Some(pin) = pin else {
+        let ctx = Ctx {
+            rule,
+            plan: &rule.plan,
+            pinned: None,
+        };
+        return eval_from(db, &ctx, 0, &mut bind, &mut trail, out);
+    };
+    let (atom, negated) = &rule.body[pin.index];
+    debug_assert_eq!(*negated, pin.mode != PinMode::Positive, "pin mode vs literal sign");
+    let ctx = Ctx {
+        rule,
+        plan: &rule.pin_plans[pin.index],
+        pinned: Some(pin.index),
+    };
+    let ext = Extent::of(db, atom.pred);
+    for tuple in pin.delta {
+        // Only a *net* removal of a blocker enables a derivation.
+        if pin.mode == PinMode::NegGained && ext.contains(tuple) {
+            continue;
+        }
+        if matches(atom, tuple, &mut bind, &mut trail) {
+            eval_from(db, &ctx, 0, &mut bind, &mut trail, out);
+            for s in trail.drain(..) {
+                bind[s as usize] = None;
+            }
+        }
+    }
 }
 
 /// Evaluate an aggregate rule: collect the DISTINCT raw head bindings
@@ -428,7 +578,7 @@ pub fn eval_agg_rule(db: &dyn Rels, rule: &CRule) -> Vec<Tuple> {
         let ctx = Ctx {
             rule,
             plan: &rule.plan,
-            pin: None,
+            pinned: None,
         };
         let mut bind: Vec<Option<Value>> = vec![None; rule.nvars as usize];
         let mut trail: Vec<u32> = Vec::new();
@@ -479,13 +629,11 @@ pub fn eval_agg_rule(db: &dyn Rels, rule: &CRule) -> Vec<Tuple> {
 
 /// Recurse over `tuples`, extending bindings via `matches`.
 macro_rules! join_loop {
-    ($db:ident, $ctx:ident, $depth:ident, $bind:ident, $trail:ident, $out:ident, $atom:ident, $tuples:expr, $extra:expr) => {
+    ($db:ident, $ctx:ident, $depth:ident, $bind:ident, $trail:ident, $out:ident, $atom:ident, $tuples:expr) => {
         for tuple in $tuples {
             let mark = $trail.len();
             if matches($atom, tuple, $bind, $trail) {
-                if $extra(tuple) {
-                    eval_from($db, $ctx, $depth + 1, $bind, $trail, $out);
-                }
+                eval_from($db, $ctx, $depth + 1, $bind, $trail, $out);
                 for &s in &$trail[mark..] {
                     $bind[s as usize] = None;
                 }
@@ -507,73 +655,47 @@ fn eval_from(
         out(instantiate(&ctx.rule.head, bind));
         return;
     }
-    let (atom, negated) = &ctx.rule.body[depth];
-    let pinned_here = ctx.pin.as_ref().filter(|p| p.index == depth);
-
-    if let Some(p) = pinned_here {
-        match p.mode {
-            PinMode::Positive => {
-                debug_assert!(!negated, "Positive pin on negated literal");
-                join_loop!(db, ctx, depth, bind, trail, out, atom, p.delta, |_t| true);
-            }
-            PinMode::NegGained => {
-                debug_assert!(negated);
-                // Only a *net* removal enables the derivation.
-                join_loop!(db, ctx, depth, bind, trail, out, atom, p.delta, |t| !db
-                    .relation(atom.pred)
-                    .contains(t));
-            }
-            PinMode::NegLost => {
-                debug_assert!(negated);
-                join_loop!(db, ctx, depth, bind, trail, out, atom, p.delta, |_t| true);
-            }
-        }
-        return;
+    if ctx.pinned == Some(depth) {
+        return eval_from(db, ctx, depth + 1, bind, trail, out);
     }
-
+    let (atom, negated) = &ctx.rule.body[depth];
+    let ext = Extent::of(db, atom.pred);
     if *negated {
         // Safety guarantees groundness here.
         let tuple = instantiate(atom, bind);
-        if !db.relation(atom.pred).contains(&tuple) {
+        if !ext.contains(&tuple) {
             eval_from(db, ctx, depth + 1, bind, trail, out);
         }
         return;
     }
 
-    let rel = db.relation(atom.pred);
     match &ctx.plan[depth] {
         Access::AllBound => {
             // Fully ground: one membership probe, no new bindings.
             let tuple = instantiate(atom, bind);
             metrics().hit.inc();
-            if rel.contains(&tuple) {
+            if ext.contains(&tuple) {
                 eval_from(db, ctx, depth + 1, bind, trail, out);
             }
         }
         Access::Index(cols) => {
             let key: Vec<Value> = cols.iter().map(|&c| resolve(&atom.terms[c], bind)).collect();
-            match rel.probe(cols, &key) {
-                Some(p) => {
-                    let m = metrics();
-                    if p.is_empty() {
-                        m.miss.inc();
-                    } else {
-                        m.hit.inc();
-                    }
-                    join_loop!(db, ctx, depth, bind, trail, out, atom, p.iter(), |_t| true);
+            match ext.probe(cols, &key) {
+                Some(tuples) => {
+                    join_loop!(db, ctx, depth, bind, trail, out, atom, tuples);
                 }
                 None => {
                     // Index not built (e.g. evaluation through a read-only
                     // view that never saw ensure_indices): stay correct
                     // with a scan.
                     metrics().scan.inc();
-                    join_loop!(db, ctx, depth, bind, trail, out, atom, rel.iter(), |_t| true);
+                    join_loop!(db, ctx, depth, bind, trail, out, atom, ext.iter());
                 }
             }
         }
         Access::Scan => {
             metrics().scan.inc();
-            join_loop!(db, ctx, depth, bind, trail, out, atom, rel.iter(), |_t| true);
+            join_loop!(db, ctx, depth, bind, trail, out, atom, ext.iter());
         }
     }
 }
@@ -606,12 +728,11 @@ fn exists_from(
         return true;
     }
     let (atom, negated) = &rule.body[depth];
+    let ext = Extent::of(db, atom.pred);
     if *negated {
         let tuple = instantiate(atom, bind);
-        return !db.relation(atom.pred).contains(&tuple)
-            && exists_from(db, rule, depth + 1, bind, trail);
+        return !ext.contains(&tuple) && exists_from(db, rule, depth + 1, bind, trail);
     }
-    let rel = db.relation(atom.pred);
 
     macro_rules! exists_loop {
         ($tuples:expr) => {{
@@ -635,29 +756,21 @@ fn exists_from(
         Access::AllBound => {
             let tuple = instantiate(atom, bind);
             metrics().hit.inc();
-            rel.contains(&tuple) && exists_from(db, rule, depth + 1, bind, trail)
+            ext.contains(&tuple) && exists_from(db, rule, depth + 1, bind, trail)
         }
         Access::Index(cols) => {
             let key: Vec<Value> = cols.iter().map(|&c| resolve(&atom.terms[c], bind)).collect();
-            match rel.probe(cols, &key) {
-                Some(p) => {
-                    let m = metrics();
-                    if p.is_empty() {
-                        m.miss.inc();
-                    } else {
-                        m.hit.inc();
-                    }
-                    exists_loop!(p.iter())
-                }
+            match ext.probe(cols, &key) {
+                Some(tuples) => exists_loop!(tuples),
                 None => {
                     metrics().scan.inc();
-                    exists_loop!(rel.iter())
+                    exists_loop!(ext.iter())
                 }
             }
         }
         Access::Scan => {
             metrics().scan.inc();
-            exists_loop!(rel.iter())
+            exists_loop!(ext.iter())
         }
     }
 }
@@ -699,14 +812,14 @@ fn count_from(
         return;
     }
     let (atom, negated) = &rule.body[depth];
+    let ext = Extent::of(db, atom.pred);
     if *negated {
         let tuple = instantiate(atom, bind);
-        if !db.relation(atom.pred).contains(&tuple) {
+        if !ext.contains(&tuple) {
             count_from(db, rule, depth + 1, bind, trail, n);
         }
         return;
     }
-    let rel = db.relation(atom.pred);
 
     macro_rules! count_loop {
         ($tuples:expr) => {{
@@ -727,31 +840,23 @@ fn count_from(
         Access::AllBound => {
             let tuple = instantiate(atom, bind);
             metrics().hit.inc();
-            if rel.contains(&tuple) {
+            if ext.contains(&tuple) {
                 count_from(db, rule, depth + 1, bind, trail, n);
             }
         }
         Access::Index(cols) => {
             let key: Vec<Value> = cols.iter().map(|&c| resolve(&atom.terms[c], bind)).collect();
-            match rel.probe(cols, &key) {
-                Some(p) => {
-                    let m = metrics();
-                    if p.is_empty() {
-                        m.miss.inc();
-                    } else {
-                        m.hit.inc();
-                    }
-                    count_loop!(p.iter())
-                }
+            match ext.probe(cols, &key) {
+                Some(tuples) => count_loop!(tuples),
                 None => {
                     metrics().scan.inc();
-                    count_loop!(rel.iter())
+                    count_loop!(ext.iter())
                 }
             }
         }
         Access::Scan => {
             metrics().scan.inc();
-            count_loop!(rel.iter())
+            count_loop!(ext.iter())
         }
     }
 }

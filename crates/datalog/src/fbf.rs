@@ -4,11 +4,12 @@
 //! DRed ([`crate::incr`]) treats every deletion pessimistically: it
 //! overdeletes everything a removed tuple *might* have supported, then
 //! rederives the survivors. On deletion-heavy streams most overdeleted
-//! tuples come straight back, and DRed additionally clones the clique's
-//! entire extent (`old_scc`) on every update just to diff it. FBF keeps
-//! a per-tuple **derivation count** in the row arena instead
-//! ([`crate::rel::Relation::support`]) so most deletions resolve to a
-//! counter decrement with no propagation at all.
+//! tuples come straight back. FBF keeps a per-tuple **derivation count**
+//! in the row arena instead ([`crate::rel::Relation::support`]) so most
+//! deletions resolve to a counter decrement with no propagation at all.
+//! Both backends read the pre-update state through the same overlay
+//! ([`crate::incr::OldView`]) and assemble their net delta from what
+//! their phases track, so neither copies nor walks an extent.
 //!
 //! ## Count semantics
 //!
@@ -61,8 +62,8 @@
 //!    and insertions propagate semi-naively
 //!    (`datalog.fbf.forward_rederive_ns`).
 //!
-//! Non-recursive cliques skip phase 3 *and* the `old_scc` extent clone
-//! entirely — the dominant saving at high delete ratios.
+//! Non-recursive cliques skip phase 3 entirely: the net delta is read
+//! straight off the count transitions.
 //!
 //! Counts ride the MVCC row arena: they are head-state metadata stamped
 //! on live rows, invisible to snapshot readers, and a re-insert after a
@@ -72,13 +73,12 @@
 //! predicates, so each shard maintains its counts locally from the
 //! exchanged deltas; rollback restores them by recounting.
 
-use crate::eval::{
-    ensure_indices, rule_derivation_count, rule_derives, seminaive_scc_opts, CRule, PinMode,
-    Rels,
+use crate::eval::{ensure_indices, rule_derivation_count, CRule};
+use crate::incr::{
+    delta_lists, delta_pin_jobs, insert_and_net, overdelete, rederive, Delta, OldView, ScopeCounter,
 };
-use crate::incr::{net_deltas, sorted_list, Delta, OldView, ScopeCounter};
-use crate::par::{collect_jobs, eval_pin_jobs, eval_pin_jobs_counted, EvalOptions, PinJob};
-use crate::rel::{Database, PredId, Relation};
+use crate::par::{collect_jobs, eval_pin_jobs, eval_pin_jobs_counted, EvalOptions};
+use crate::rel::{Database, PredId};
 use crate::value::Tuple;
 use incr_obs::flight::{self, FlightCode};
 use incr_obs::trace;
@@ -126,49 +126,6 @@ fn sat(n: u64) -> u32 {
     u32::try_from(n).unwrap_or(u32::MAX)
 }
 
-/// A rule is recursive iff any body atom (positive or negated) reads a
-/// clique predicate. Stratification rejects negation within a clique, so
-/// in practice only positive atoms qualify; checking both is free.
-fn is_recursive(rule: &CRule, scc: &HashSet<PredId>) -> bool {
-    rule.body.iter().any(|(a, _)| scc.contains(&a.pred))
-}
-
-/// Pin jobs for one rule set over the given input delta lists.
-/// `destruction` selects the lost-derivation pins (removed positives,
-/// added blockers) evaluated against the old view; otherwise the
-/// gained-derivation pins (added positives, removed blockers) against
-/// the new state.
-fn input_pin_jobs<'a>(
-    rules: &[&'a CRule],
-    input_lists: &'a HashMap<PredId, (Vec<Tuple>, Vec<Tuple>)>,
-    opts: &EvalOptions,
-    destruction: bool,
-) -> Vec<PinJob<'a>> {
-    let mut jobs: Vec<PinJob<'a>> = Vec::new();
-    for &rule in rules {
-        for (j, (atom, negated)) in rule.body.iter().enumerate() {
-            let Some((added, removed)) = input_lists.get(&atom.pred) else {
-                continue;
-            };
-            let (mode, list) = match (destruction, *negated) {
-                (true, false) => (PinMode::Positive, removed),
-                (true, true) => (PinMode::NegLost, added),
-                (false, false) => (PinMode::Positive, added),
-                (false, true) => (PinMode::NegGained, removed),
-            };
-            for chunk in opts.chunks(list) {
-                jobs.push(PinJob {
-                    rule,
-                    pos: j,
-                    mode,
-                    chunk,
-                });
-            }
-        }
-    }
-    jobs
-}
-
 /// Apply an update to one non-aggregate clique under counting/FBF
 /// maintenance. Same contract as [`crate::incr::update_scc_opts`]: the
 /// input deltas are final and already applied to `db`; the return value
@@ -186,31 +143,12 @@ pub fn update_scc_fbf(
     );
     ensure_indices(db, rules, true);
 
-    let scc_set: HashSet<PredId> = scc_preds.iter().copied().collect();
-    let nonrec: Vec<&CRule> = rules.iter().filter(|r| !is_recursive(r, &scc_set)).collect();
-    let rec: Vec<&CRule> = rules.iter().filter(|r| is_recursive(r, &scc_set)).collect();
+    // A rule is recursive iff a body atom reads a clique predicate.
+    let (rec, nonrec): (Vec<&CRule>, Vec<&CRule>) =
+        rules.iter().partition(|r| r.reads_any(scc_preds));
 
-    // Old extents of the *inputs* only — unlike DRed, the clique's own
-    // extents are cloned only on the recursive path.
-    let mut old: HashMap<PredId, Relation> = HashMap::new();
-    for (&p, d) in input {
-        if d.is_empty() {
-            continue;
-        }
-        let mut r = db.rel(p).clone();
-        for t in &d.added {
-            r.remove(t);
-        }
-        for t in &d.removed {
-            r.insert(t.clone());
-        }
-        old.insert(p, r);
-    }
-    let input_lists: HashMap<PredId, (Vec<Tuple>, Vec<Tuple>)> = input
-        .iter()
-        .filter(|(_, d)| !d.is_empty())
-        .map(|(&p, d)| (p, (sorted_list(&d.added), sorted_list(&d.removed))))
-        .collect();
+    let patches = OldView::patches(db, input);
+    let input_lists = delta_lists(input);
 
     let mut saved: u64 = 0;
     let mut backward: u64 = 0;
@@ -224,12 +162,17 @@ pub fn update_scc_fbf(
     // using several changed inputs is counted once per pinned position —
     // a safe overestimate.
     let destroyed: Vec<(PredId, Tuple, u64)> = {
-        let view = OldView { db, old: &old };
-        let jobs = input_pin_jobs(&nonrec, &input_lists, opts, true);
+        let view = OldView {
+            db,
+            patches: &patches,
+        };
+        let jobs = delta_pin_jobs(&nonrec, &input_lists, opts, true);
+        // Heads are clique predicates, which nothing has mutated yet: the
+        // live relation is the old one.
         eval_pin_jobs_counted(
             &view,
             &jobs,
-            |head, t| view.relation(head).contains(t),
+            |head, t| view.db.rel(head).contains(t),
             opts,
             "par.fbf.destroyed",
         )
@@ -241,7 +184,7 @@ pub fn update_scc_fbf(
     // pinning the deltas finds it.
     let created: Vec<(PredId, Tuple)> = {
         let dbr: &Database = db;
-        let jobs = input_pin_jobs(&nonrec, &input_lists, opts, false);
+        let jobs = delta_pin_jobs(&nonrec, &input_lists, opts, false);
         eval_pin_jobs(dbr, &jobs, |_, _| true, opts, "par.fbf.created")
     };
     let mut created_by: HashMap<PredId, HashSet<Tuple>> = HashMap::new();
@@ -335,8 +278,8 @@ pub fn update_scc_fbf(
     backward_span.end_args(vec![("checks", backward.into())]);
 
     // ---- Non-recursive clique: counts decide membership outright. ----
-    // No extent clone, no cascade, no rederive — the net delta is read
-    // straight off the zero transitions.
+    // No cascade, no rederive — the net delta is read straight off the
+    // zero transitions.
     if rec.is_empty() {
         let mut out: HashMap<PredId, Delta> =
             scc_preds.iter().map(|&p| (p, Delta::default())).collect();
@@ -355,80 +298,37 @@ pub fn update_scc_fbf(
     }
 
     // ---- Recursive clique: DRed-style pass over the recursive rules. ----
-    // The extent clone is needed here (cascade keep checks + net diff),
-    // but it is scoped to recursive cliques only.
-    let old_scc: HashMap<PredId, Relation> = scc_preds
-        .iter()
-        .map(|&p| (p, db.rel(p).clone()))
-        .collect();
+    // Timed as a whole, cascade to net delta, by the forward counter.
+    let _forward_timer = ScopeCounter {
+        counter: "datalog.fbf.forward_rederive_ns",
+        t0: Instant::now(),
+    };
 
     // Backward cascade: candidates are count-zeroed tuples plus heads of
     // destroyed recursive derivations; a candidate whose count is still
     // positive has a surviving non-recursive derivation and is saved
-    // without entering the cascade at all.
-    let mut deleted: HashMap<PredId, HashSet<Tuple>> =
-        scc_preds.iter().map(|&p| (p, HashSet::new())).collect();
-    {
-        let view = OldView { db, old: &old };
-        let jobs = input_pin_jobs(&rec, &input_lists, opts, true);
-        let mut fresh = eval_pin_jobs(
+    // without entering the cascade at all. Phases 1-2 touched counts
+    // only, so the clique's live relations are still its old ones.
+    let deleted = {
+        let view = OldView {
+            db,
+            patches: &patches,
+        };
+        let spared = |p: PredId, t: &Tuple| {
+            let counted = view.db.rel(p).support(t) > 0;
+            saved += u64::from(counted);
+            counted
+        };
+        overdelete(
             &view,
-            &jobs,
-            |head, t| old_scc[&head].contains(t),
+            &rec,
+            &input_lists,
+            zeroed,
+            spared,
             opts,
             "par.fbf.overdelete",
-        );
-        fresh.extend(zeroed);
-        loop {
-            let mut round: HashMap<PredId, Vec<Tuple>> = HashMap::new();
-            for (p, t) in fresh {
-                if view.db.rel(p).support(&t) > 0 {
-                    saved += 1;
-                    continue;
-                }
-                if let Some(set) = deleted.get_mut(&p) {
-                    if set.insert(t.clone()) {
-                        round.entry(p).or_default().push(t);
-                    }
-                }
-            }
-            if round.is_empty() {
-                break;
-            }
-            for list in round.values_mut() {
-                list.sort_unstable();
-            }
-            let mut jobs: Vec<PinJob<'_>> = Vec::new();
-            for &rule in &rec {
-                for (j, (atom, negated)) in rule.body.iter().enumerate() {
-                    if *negated {
-                        continue;
-                    }
-                    let Some(list) = round.get(&atom.pred) else {
-                        continue;
-                    };
-                    for chunk in opts.chunks(list) {
-                        jobs.push(PinJob {
-                            rule,
-                            pos: j,
-                            mode: PinMode::Positive,
-                            chunk,
-                        });
-                    }
-                }
-            }
-            if jobs.is_empty() {
-                break;
-            }
-            fresh = eval_pin_jobs(
-                &view,
-                &jobs,
-                |head, t| old_scc[&head].contains(t) && !deleted[&head].contains(t),
-                opts,
-                "par.fbf.overdelete",
-            );
-        }
-    }
+        )
+    };
     for (&p, ts) in &deleted {
         for t in ts {
             db.rel_mut(p).remove(t);
@@ -440,67 +340,8 @@ pub fn update_scc_fbf(
     // rules cannot bring them back), then propagate insertions.
     let forward_span = trace::span("datalog", "fbf.forward");
     let mut forward_f = flight::span(FlightCode::FbfForward);
-    let _forward_timer = ScopeCounter {
-        counter: "datalog.fbf.forward_rederive_ns",
-        t0: Instant::now(),
-    };
-    let mut seed: HashMap<PredId, HashSet<Tuple>> = HashMap::new();
-    let mut heads_rec: HashMap<PredId, Vec<&CRule>> = HashMap::new();
-    for &r in &rec {
-        heads_rec.entry(r.head.pred).or_default().push(r);
-    }
-    loop {
-        let cand_lists: Vec<(PredId, Vec<Tuple>)> = deleted
-            .iter()
-            .filter(|(p, _)| heads_rec.contains_key(p))
-            .map(|(&p, ts)| {
-                let mut v: Vec<Tuple> = ts
-                    .iter()
-                    .filter(|t| !db.rel(p).contains(t))
-                    .cloned()
-                    .collect();
-                v.sort_unstable();
-                (p, v)
-            })
-            .filter(|(_, v)| !v.is_empty())
-            .collect();
-        let total: usize = cand_lists.iter().map(|(_, v)| v.len()).sum();
-        if total == 0 {
-            break;
-        }
-        backward += total as u64;
-        let mut jobs: Vec<(PredId, &[Tuple])> = Vec::new();
-        for (p, list) in &cand_lists {
-            for chunk in opts.chunks(list) {
-                jobs.push((*p, chunk));
-            }
-        }
-        let dbr: &Database = db;
-        let fresh: Vec<(PredId, Tuple)> = collect_jobs(
-            opts,
-            total,
-            jobs.len(),
-            |i, out: &mut Vec<(PredId, Tuple)>| {
-                let (p, chunk) = jobs[i];
-                if let Some(rs) = heads_rec.get(&p) {
-                    for t in chunk {
-                        if rs.iter().any(|&r| rule_derives(dbr, r, t)) {
-                            out.push((p, t.clone()));
-                        }
-                    }
-                }
-            },
-            "par.fbf.rederive",
-        );
-        if fresh.is_empty() {
-            break;
-        }
-        for (p, t) in fresh {
-            if db.rel_mut(p).insert(t.clone()) {
-                seed.entry(p).or_default().insert(t);
-            }
-        }
-    }
+    let (mut seed, checks) = rederive(db, &deleted, &rec, opts, "par.fbf.rederive");
+    backward += checks;
 
     // Insertions: count-gained tuples (exact support attached) plus
     // derivations newly enabled through the recursive rules.
@@ -512,7 +353,7 @@ pub fn update_scc_fbf(
     }
     {
         let dbr: &Database = db;
-        let jobs = input_pin_jobs(&rec, &input_lists, opts, false);
+        let jobs = delta_pin_jobs(&rec, &input_lists, opts, false);
         let fresh = eval_pin_jobs(
             dbr,
             &jobs,
@@ -527,18 +368,16 @@ pub fn update_scc_fbf(
         }
     }
     let seed_inserts: usize = seed.values().map(|s| s.len()).sum();
-    if !seed.is_empty() {
-        // Rows inserted semi-naively are purely recursive derivations
-        // (anything with non-recursive support was already in `gained`),
-        // so their fresh zero counts are exact.
-        seminaive_scc_opts(db, rules, scc_preds, seed, false, opts);
-    }
+    // Rows inserted semi-naively are purely recursive derivations
+    // (anything with non-recursive support was already in `gained`),
+    // so their fresh zero counts are exact.
+    let out = insert_and_net(db, rules, scc_preds, deleted, seed, false, opts);
     forward_f.set_arg(seed_inserts as u64);
     drop(forward_f);
     forward_span.end_args(vec![("seed_inserts", (seed_inserts as u64).into())]);
 
     emit_counters(saved, backward);
-    net_deltas(db, scc_preds, &old_scc)
+    out
 }
 
 fn emit_counters(saved: u64, backward: u64) {
@@ -566,10 +405,9 @@ pub fn init_counts_scc(
         return;
     }
     ensure_indices(db, rules, true);
-    let scc_set: HashSet<PredId> = scc_preds.iter().copied().collect();
     let mut heads_nonrec: HashMap<PredId, Vec<&CRule>> = HashMap::new();
     for r in rules {
-        if !is_recursive(r, &scc_set) {
+        if !r.reads_any(scc_preds) {
             heads_nonrec.entry(r.head.pred).or_default().push(r);
         }
     }
@@ -609,10 +447,9 @@ pub fn counts_consistent(db: &Database, rules: &[CRule], scc_preds: &[PredId]) -
     if rules.iter().any(|r| r.agg.is_some()) {
         return true;
     }
-    let scc_set: HashSet<PredId> = scc_preds.iter().copied().collect();
     let mut heads_nonrec: HashMap<PredId, Vec<&CRule>> = HashMap::new();
     for r in rules {
-        if !is_recursive(r, &scc_set) {
+        if !r.reads_any(scc_preds) {
             heads_nonrec.entry(r.head.pred).or_default().push(r);
         }
     }
@@ -640,6 +477,7 @@ pub fn counts_consistent(db: &Database, rules: &[CRule], scc_preds: &[PredId]) -
 mod tests {
     use super::*;
     use crate::eval::{compile_program, load_facts, naive_fixpoint};
+    use crate::incr::sorted_list;
     use crate::parser::parse_program;
 
     /// Build a database + compiled rules, fully materialized, with

@@ -7,8 +7,10 @@
 //!
 //! 1. **Overdelete** — find every tuple whose known derivation used a
 //!    removed input tuple (or relied on the absence of an added one,
-//!    for negated literals), evaluated against a *snapshot of the old
-//!    state*; cascade within the clique; remove all candidates.
+//!    for negated literals), evaluated against the *old state* (an
+//!    [`OldView`]: the live relations with the input deltas undone by an
+//!    overlay, not a copy); cascade within the clique; remove all
+//!    candidates.
 //! 2. **Rederive** — candidates with surviving alternative derivations
 //!    are reinstated, checked per candidate with the head-bound plan
 //!    ([`rule_derives`]) instead of re-evaluating whole rules.
@@ -23,9 +25,15 @@
 //! The output delta per predicate is the exact set difference between the
 //! old and new extents, so downstream tasks see *net* changes only — a
 //! task whose inputs changed but whose output did not fires no edges,
-//! which is precisely the "activation may stop" behaviour of §II-A.
+//! which is precisely the "activation may stop" behaviour of §II-A. It is
+//! assembled from what the phases track (overdeleted tuples that stayed
+//! out, inserted tuples that were not overdeleted first), so a task costs
+//! its deltas and its join work, never the size of an extent.
 
-use crate::eval::{ensure_indices, rule_derives, seminaive_scc_opts, CRule, PinMode, Rels};
+use crate::eval::{
+    ensure_indices, eval_agg_rule, eval_rule, rule_derives, seminaive_scc_opts, CRule, Patch,
+    PinMode, Rels,
+};
 use crate::par::{collect_jobs, eval_pin_jobs, EvalOptions, PinJob};
 use crate::rel::{Database, PredId, Relation};
 use crate::value::Tuple;
@@ -66,21 +74,44 @@ impl Delta {
     }
 }
 
-/// Read view overlaying the pre-update extents of the input predicates on
-/// top of the live database (used by overdeletion, and by the FBF count
-/// phase in [`crate::fbf`]).
+/// Read view of the pre-update state (used by overdeletion, and by the
+/// FBF count phase in [`crate::fbf`]): each changed input predicate is the
+/// live relation minus the tuples the update added plus the ones it
+/// removed; the clique's own predicates, which a task leaves untouched
+/// until its overdeletion is decided, are the live relations.
 pub(crate) struct OldView<'a> {
     pub(crate) db: &'a Database,
-    pub(crate) old: &'a HashMap<PredId, Relation>,
+    pub(crate) patches: &'a HashMap<PredId, Patch<'a>>,
+}
+
+impl<'a> OldView<'a> {
+    /// One patch per changed input predicate, undoing `input` (net deltas
+    /// already applied to `db`).
+    pub(crate) fn patches(
+        db: &Database,
+        input: &'a HashMap<PredId, Delta>,
+    ) -> HashMap<PredId, Patch<'a>> {
+        input
+            .iter()
+            .filter(|(_, d)| !d.is_empty())
+            .map(|(&p, d)| (p, Patch::undoing(db.rel(p), &d.added, &d.removed)))
+            .collect()
+    }
 }
 
 impl Rels for OldView<'_> {
     fn relation(&self, p: PredId) -> &Relation {
-        self.old.get(&p).unwrap_or_else(|| self.db.rel(p))
+        self.db.rel(p)
+    }
+
+    fn patch(&self, p: PredId) -> Option<&Patch<'_>> {
+        self.patches.get(&p)
     }
 }
 
-/// Exact old-vs-new extent diff for the clique predicates.
+/// Exact old-vs-new extent diff for the clique predicates — the oracle
+/// the tracked net deltas are tested against.
+#[cfg(test)]
 pub(crate) fn net_deltas(
     db: &Database,
     scc_preds: &[PredId],
@@ -106,12 +137,219 @@ pub(crate) fn net_deltas(
     out
 }
 
+/// The tail every maintenance path shares: run the semi-naive rounds from
+/// `seed` (tuples already inserted; with `bootstrap`, every rule is first
+/// evaluated unpinned) and assemble the clique's net delta. `deleted`
+/// holds the old-extent tuples the caller took out: those still out are
+/// the net removals, and whatever went in without being in `deleted` is a
+/// net addition — a tuple taken out and put back is no change.
+pub(crate) fn insert_and_net(
+    db: &mut Database,
+    rules: &[CRule],
+    scc_preds: &[PredId],
+    deleted: HashMap<PredId, HashSet<Tuple>>,
+    seed: HashMap<PredId, HashSet<Tuple>>,
+    bootstrap: bool,
+    opts: &EvalOptions,
+) -> HashMap<PredId, Delta> {
+    let mut out: HashMap<PredId, Delta> =
+        scc_preds.iter().map(|&p| (p, Delta::default())).collect();
+    let mut note_added = |p: PredId, ts: &mut dyn Iterator<Item = Tuple>| {
+        let was_deleted = deleted.get(&p);
+        let fresh = ts.filter(|t| !was_deleted.is_some_and(|d| d.contains(t)));
+        out.entry(p).or_default().added.extend(fresh);
+    };
+    for (&p, ts) in &seed {
+        note_added(p, &mut ts.iter().cloned());
+    }
+    if bootstrap || !seed.is_empty() {
+        for (p, ts) in seminaive_scc_opts(db, rules, scc_preds, seed, bootstrap, opts) {
+            note_added(p, &mut ts.into_iter());
+        }
+    }
+    for (p, ts) in deleted {
+        let rel = db.rel(p);
+        let removed = &mut out.entry(p).or_default().removed;
+        removed.extend(ts.into_iter().filter(|t| !rel.contains(t)));
+    }
+    out
+}
+
 /// Sorted list of a delta set — deterministic chunk boundaries for the
 /// parallel fan-out.
 pub(crate) fn sorted_list(set: &HashSet<Tuple>) -> Vec<Tuple> {
     let mut v: Vec<Tuple> = set.iter().cloned().collect();
     v.sort_unstable();
     v
+}
+
+/// Sorted `(added, removed)` lists per changed predicate.
+pub(crate) type DeltaLists = HashMap<PredId, (Vec<Tuple>, Vec<Tuple>)>;
+
+pub(crate) fn delta_lists(input: &HashMap<PredId, Delta>) -> DeltaLists {
+    input
+        .iter()
+        .filter(|(_, d)| !d.is_empty())
+        .map(|(&p, d)| (p, (sorted_list(&d.added), sorted_list(&d.removed))))
+        .collect()
+}
+
+/// Pin jobs for `rules` over `lists`. `destruction` selects the
+/// lost-derivation pins (removed positives, added blockers) evaluated
+/// against the old view; otherwise the gained-derivation pins (added
+/// positives, removed blockers) against the new state.
+pub(crate) fn delta_pin_jobs<'a>(
+    rules: &[&'a CRule],
+    lists: &'a DeltaLists,
+    opts: &EvalOptions,
+    destruction: bool,
+) -> Vec<PinJob<'a>> {
+    let mut jobs: Vec<PinJob<'a>> = Vec::new();
+    for &rule in rules {
+        for (j, (atom, negated)) in rule.body.iter().enumerate() {
+            let Some((added, removed)) = lists.get(&atom.pred) else {
+                continue;
+            };
+            let (mode, list) = match (destruction, *negated) {
+                (true, false) => (PinMode::Positive, removed),
+                (true, true) => (PinMode::NegLost, added),
+                (false, false) => (PinMode::Positive, added),
+                (false, true) => (PinMode::NegGained, removed),
+            };
+            for chunk in opts.chunks(list) {
+                jobs.push(PinJob {
+                    rule,
+                    pos: j,
+                    mode,
+                    chunk,
+                });
+            }
+        }
+    }
+    jobs
+}
+
+/// Overdeletion: every clique tuple with a derivation through `rules`
+/// that the update destroyed, found against the old `view`. Candidates
+/// are the heads of derivations that used a changed input, plus `doomed`;
+/// each one not `spared` is recorded and cascades through `rules` within
+/// the clique (negation inside a clique is rejected by stratification, so
+/// the cascade only ever pins positive atoms). The clique's relations are
+/// not mutated until the caller removes the returned sets, so membership
+/// in the live relation is membership in the old one.
+pub(crate) fn overdelete(
+    view: &OldView<'_>,
+    rules: &[&CRule],
+    input_lists: &DeltaLists,
+    doomed: Vec<(PredId, Tuple)>,
+    mut spared: impl FnMut(PredId, &Tuple) -> bool,
+    opts: &EvalOptions,
+    span_name: &'static str,
+) -> HashMap<PredId, HashSet<Tuple>> {
+    let mut deleted: HashMap<PredId, HashSet<Tuple>> = HashMap::new();
+    let jobs = delta_pin_jobs(rules, input_lists, opts, true);
+    let mut fresh = eval_pin_jobs(
+        view,
+        &jobs,
+        |head, t| view.db.rel(head).contains(t),
+        opts,
+        span_name,
+    );
+    fresh.extend(doomed);
+    // `deleted` is frozen during each parallel evaluation and mutated
+    // only in the merge between rounds.
+    loop {
+        // A round is itself a delta: removals from clique predicates.
+        let mut round: DeltaLists = HashMap::new();
+        for (p, t) in fresh {
+            if !spared(p, &t) && deleted.entry(p).or_default().insert(t.clone()) {
+                round.entry(p).or_default().1.push(t);
+            }
+        }
+        for (_, removed) in round.values_mut() {
+            removed.sort_unstable();
+        }
+        let jobs = delta_pin_jobs(rules, &round, opts, true);
+        if jobs.is_empty() {
+            return deleted;
+        }
+        fresh = eval_pin_jobs(
+            view,
+            &jobs,
+            |head, t| {
+                view.db.rel(head).contains(t) && !deleted.get(&head).is_some_and(|d| d.contains(t))
+            },
+            opts,
+            span_name,
+        );
+    }
+}
+
+/// Rederivation: put back (and return) every `deleted` tuple some rule of
+/// `rules` still derives from the current state, checked per candidate
+/// with the head-bound plan ([`rule_derives`]) instead of re-evaluating
+/// whole rules. Candidate lists fan out across the pool; rounds iterate
+/// because one reinstated tuple can support another's alternative
+/// derivation. Also returns how many candidate checks ran.
+pub(crate) fn rederive(
+    db: &mut Database,
+    deleted: &HashMap<PredId, HashSet<Tuple>>,
+    rules: &[&CRule],
+    opts: &EvalOptions,
+    span_name: &'static str,
+) -> (HashMap<PredId, HashSet<Tuple>>, u64) {
+    let mut rules_by_head: HashMap<PredId, Vec<&CRule>> = HashMap::new();
+    for &rule in rules {
+        rules_by_head.entry(rule.head.pred).or_default().push(rule);
+    }
+    let mut seed: HashMap<PredId, HashSet<Tuple>> = HashMap::new();
+    let mut checks = 0u64;
+    loop {
+        let cand_lists: Vec<(&Vec<&CRule>, PredId, Vec<Tuple>)> = deleted
+            .iter()
+            .filter_map(|(&p, ts)| {
+                let rs = rules_by_head.get(&p)?;
+                let mut v: Vec<Tuple> = ts
+                    .iter()
+                    .filter(|t| !db.rel(p).contains(t))
+                    .cloned()
+                    .collect();
+                v.sort_unstable();
+                Some((rs, p, v))
+            })
+            .collect();
+        let total: usize = cand_lists.iter().map(|(_, _, v)| v.len()).sum();
+        checks += total as u64;
+        let mut jobs: Vec<(&Vec<&CRule>, PredId, &[Tuple])> = Vec::new();
+        for (rs, p, list) in &cand_lists {
+            for chunk in opts.chunks(list) {
+                jobs.push((rs, *p, chunk));
+            }
+        }
+        let dbr: &Database = db;
+        let fresh: Vec<(PredId, Tuple)> = collect_jobs(
+            opts,
+            total,
+            jobs.len(),
+            |i, out: &mut Vec<(PredId, Tuple)>| {
+                let (rs, p, chunk) = jobs[i];
+                for t in chunk {
+                    if rs.iter().any(|r| rule_derives(dbr, r, t)) {
+                        out.push((p, t.clone()));
+                    }
+                }
+            },
+            span_name,
+        );
+        if fresh.is_empty() {
+            return (seed, checks);
+        }
+        for (p, t) in fresh {
+            if db.rel_mut(p).insert(t.clone()) {
+                seed.entry(p).or_default().insert(t);
+            }
+        }
+    }
 }
 
 /// Apply an update to one clique (sequential convenience wrapper over
@@ -129,9 +367,9 @@ pub fn update_scc(
 ///
 /// * `rules` — the rules whose heads are in this clique.
 /// * `scc_preds` — the clique's predicates.
-/// * `input` — final deltas of the *external* predicates this clique
-///   reads (upstream cliques' outputs or base-table edits), already
-///   applied to `db`.
+/// * `input` — final *net* deltas of the *external* predicates this
+///   clique reads (upstream cliques' outputs or base-table edits),
+///   already applied to `db`.
 ///
 /// Returns the clique's own net output delta per predicate.
 pub fn update_scc_opts(
@@ -141,136 +379,37 @@ pub fn update_scc_opts(
     input: &HashMap<PredId, Delta>,
     opts: &EvalOptions,
 ) -> HashMap<PredId, Delta> {
-    // Build indices BEFORE cloning old extents so the snapshots (and the
-    // OldView evaluations over them) probe instead of scanning. Includes
-    // the check plans for the rederive phase.
-    ensure_indices(db, rules, true);
-
-    // Old extents: inputs rolled back, clique preds as they stand.
-    let mut old: HashMap<PredId, Relation> = HashMap::new();
-    for (&p, d) in input {
-        if d.is_empty() {
-            continue;
-        }
-        let mut r = db.rel(p).clone();
-        for t in &d.added {
-            r.remove(t);
-        }
-        for t in &d.removed {
-            r.insert(t.clone());
-        }
-        old.insert(p, r);
-    }
-    let old_scc: HashMap<PredId, Relation> = scc_preds
-        .iter()
-        .map(|&p| (p, db.rel(p).clone()))
-        .collect();
-
-    // Sorted input delta lists, shared by the overdelete seeds (removed /
-    // added-through-negation) and the insert seeds.
-    let input_lists: HashMap<PredId, (Vec<Tuple>, Vec<Tuple>)> = input
-        .iter()
-        .filter(|(_, d)| !d.is_empty())
-        .map(|(&p, d)| (p, (sorted_list(&d.added), sorted_list(&d.removed))))
-        .collect();
-
     // ---- Phase 1: overdeletion against the old view. ----
     // Each DRed phase is triply accounted: a trace span (opt-in, rich),
     // a flight-recorder span (always on, lands in black-box dumps), and
     // an always-on phase-time counter (`datalog.dred.*_ns`) that the
-    // attribution and SLO layers read without tracing enabled.
+    // attribution and SLO layers read without tracing enabled. The three
+    // phases tile the task: the first starts here, the last ends with the
+    // net delta.
     let dred_overdelete = trace::span("datalog", "dred.overdelete");
     let mut overdelete_f = flight::span(FlightCode::DredOverdelete);
     let overdelete_t0 = Instant::now();
-    let mut deleted: HashMap<PredId, HashSet<Tuple>> =
-        scc_preds.iter().map(|&p| (p, HashSet::new())).collect();
-    {
-        let view = OldView { db, old: &old };
 
-        // Seeds from the input deltas.
-        let mut jobs: Vec<PinJob<'_>> = Vec::new();
-        for rule in rules {
-            for (j, (atom, negated)) in rule.body.iter().enumerate() {
-                let Some((added, removed)) = input_lists.get(&atom.pred) else {
-                    continue;
-                };
-                if !*negated {
-                    for chunk in opts.chunks(removed) {
-                        jobs.push(PinJob {
-                            rule,
-                            pos: j,
-                            mode: PinMode::Positive,
-                            chunk,
-                        });
-                    }
-                } else {
-                    for chunk in opts.chunks(added) {
-                        jobs.push(PinJob {
-                            rule,
-                            pos: j,
-                            mode: PinMode::NegLost,
-                            chunk,
-                        });
-                    }
-                }
-            }
-        }
-        let mut fresh = eval_pin_jobs(
-            &view,
-            &jobs,
-            |head, t| old_scc[&head].contains(t),
-            opts,
-            "par.overdelete",
-        );
-
-        // Cascade within the clique (negation inside a clique is rejected
-        // by stratification, so only positive pins occur). `deleted` is
-        // frozen during each parallel evaluation and mutated only in the
-        // merge between rounds.
-        loop {
-            let mut round: HashMap<PredId, Vec<Tuple>> = HashMap::new();
-            for (p, t) in fresh {
-                if deleted.get_mut(&p).expect("scc head").insert(t.clone()) {
-                    round.entry(p).or_default().push(t);
-                }
-            }
-            if round.is_empty() {
-                break;
-            }
-            for list in round.values_mut() {
-                list.sort_unstable();
-            }
-            let mut jobs: Vec<PinJob<'_>> = Vec::new();
-            for rule in rules {
-                for (j, (atom, negated)) in rule.body.iter().enumerate() {
-                    if *negated {
-                        continue;
-                    }
-                    let Some(list) = round.get(&atom.pred) else {
-                        continue;
-                    };
-                    for chunk in opts.chunks(list) {
-                        jobs.push(PinJob {
-                            rule,
-                            pos: j,
-                            mode: PinMode::Positive,
-                            chunk,
-                        });
-                    }
-                }
-            }
-            if jobs.is_empty() {
-                break;
-            }
-            fresh = eval_pin_jobs(
-                &view,
-                &jobs,
-                |head, t| old_scc[&head].contains(t) && !deleted[&head].contains(t),
-                opts,
-                "par.overdelete",
-            );
-        }
-    }
+    // Indices first, so the old view's patches mirror them and every
+    // phase probes instead of scanning. Includes the check plans for the
+    // rederive phase.
+    ensure_indices(db, rules, true);
+    let all: Vec<&CRule> = rules.iter().collect();
+    let input_lists = delta_lists(input);
+    let patches = OldView::patches(db, input);
+    let view = OldView {
+        db,
+        patches: &patches,
+    };
+    let deleted = overdelete(
+        &view,
+        &all,
+        &input_lists,
+        Vec::new(),
+        |_, _| false,
+        opts,
+        "par.overdelete",
+    );
     for (&p, ts) in &deleted {
         for t in ts {
             db.rel_mut(p).remove(t);
@@ -285,70 +424,10 @@ pub fn update_scc_opts(
     dred_overdelete.end_args(vec![("overdeleted", (overdeleted as u64).into())]);
 
     // ---- Phase 2: rederive overdeleted tuples with other derivations. ----
-    // Each overdeleted tuple is checked individually with the head-bound
-    // plan: does any clique rule still derive it from the current state?
-    // Candidate lists fan out across the pool; rounds iterate because one
-    // reinstated tuple can support another's alternative derivation.
     let dred_rederive = trace::span("datalog", "dred.rederive");
     let mut rederive_f = flight::span(FlightCode::DredRederive);
     let rederive_t0 = Instant::now();
-    let mut seed: HashMap<PredId, HashSet<Tuple>> = HashMap::new();
-    {
-        let mut rules_by_head: HashMap<PredId, Vec<&CRule>> = HashMap::new();
-        for rule in rules {
-            rules_by_head.entry(rule.head.pred).or_default().push(rule);
-        }
-        loop {
-            let cand_lists: Vec<(PredId, Vec<Tuple>)> = deleted
-                .iter()
-                .filter(|(p, _)| rules_by_head.contains_key(p))
-                .map(|(&p, ts)| {
-                    let mut v: Vec<Tuple> = ts
-                        .iter()
-                        .filter(|t| !db.rel(p).contains(t))
-                        .cloned()
-                        .collect();
-                    v.sort_unstable();
-                    (p, v)
-                })
-                .filter(|(_, v)| !v.is_empty())
-                .collect();
-            let total: usize = cand_lists.iter().map(|(_, v)| v.len()).sum();
-            if total == 0 {
-                break;
-            }
-            let mut jobs: Vec<(PredId, &[Tuple])> = Vec::new();
-            for (p, list) in &cand_lists {
-                for chunk in opts.chunks(list) {
-                    jobs.push((*p, chunk));
-                }
-            }
-            let dbr: &Database = db;
-            let fresh: Vec<(PredId, Tuple)> = collect_jobs(
-                opts,
-                total,
-                jobs.len(),
-                |i, out: &mut Vec<(PredId, Tuple)>| {
-                    let (p, chunk) = jobs[i];
-                    let rs = &rules_by_head[&p];
-                    for t in chunk {
-                        if rs.iter().any(|r| rule_derives(dbr, r, t)) {
-                            out.push((p, t.clone()));
-                        }
-                    }
-                },
-                "par.rederive",
-            );
-            if fresh.is_empty() {
-                break;
-            }
-            for (p, t) in fresh {
-                if db.rel_mut(p).insert(t.clone()) {
-                    seed.entry(p).or_default().insert(t);
-                }
-            }
-        }
-    }
+    let (mut seed, _) = rederive(db, &deleted, &all, opts, "par.rederive");
     let rederived_total: usize = seed.values().map(|s| s.len()).sum();
     incr_obs::registry()
         .counter("datalog.dred.rederive_ns")
@@ -360,65 +439,30 @@ pub fn update_scc_opts(
     // ---- Phase 3: insertions (added inputs + removed blockers). ----
     // All pins evaluate against the post-rederive state; anything one
     // insertion enables through a clique predicate is picked up by the
-    // semi-naive rounds below (the seed carries every insert).
+    // semi-naive rounds (the seed carries every insert).
     let dred_insert = trace::span("datalog", "dred.insert");
     let mut insert_f = flight::span(FlightCode::DredInsert);
     let insert_t0 = Instant::now();
-    {
-        let mut jobs: Vec<PinJob<'_>> = Vec::new();
-        for rule in rules {
-            for (j, (atom, negated)) in rule.body.iter().enumerate() {
-                let Some((added, removed)) = input_lists.get(&atom.pred) else {
-                    continue;
-                };
-                if !*negated {
-                    for chunk in opts.chunks(added) {
-                        jobs.push(PinJob {
-                            rule,
-                            pos: j,
-                            mode: PinMode::Positive,
-                            chunk,
-                        });
-                    }
-                } else {
-                    for chunk in opts.chunks(removed) {
-                        jobs.push(PinJob {
-                            rule,
-                            pos: j,
-                            mode: PinMode::NegGained,
-                            chunk,
-                        });
-                    }
-                }
-            }
-        }
+    let gained = {
         let dbr: &Database = db;
-        let fresh = eval_pin_jobs(
-            dbr,
-            &jobs,
-            |head, t| !dbr.rel(head).contains(t),
-            opts,
-            "par.insert",
-        );
-        for (p, t) in fresh {
-            if db.rel_mut(p).insert(t.clone()) {
-                seed.entry(p).or_default().insert(t);
-            }
+        let jobs = delta_pin_jobs(&all, &input_lists, opts, false);
+        let absent = |head: PredId, t: &Tuple| !dbr.rel(head).contains(t);
+        eval_pin_jobs(dbr, &jobs, absent, opts, "par.insert")
+    };
+    for (p, t) in gained {
+        if db.rel_mut(p).insert(t.clone()) {
+            seed.entry(p).or_default().insert(t);
         }
     }
     let inserted_seed: usize = seed.values().map(|s| s.len()).sum::<usize>() - rederived_total;
-    if !seed.is_empty() {
-        seminaive_scc_opts(db, rules, scc_preds, seed, false, opts);
-    }
+    let out = insert_and_net(db, rules, scc_preds, deleted, seed, false, opts);
     incr_obs::registry()
         .counter("datalog.dred.insert_ns")
         .add(insert_t0.elapsed().as_nanos() as u64);
     insert_f.set_arg(inserted_seed as u64);
     drop(insert_f);
     dred_insert.end_args(vec![("seed_inserts", (inserted_seed as u64).into())]);
-
-    // ---- Net output delta: exact old-vs-new diff. ----
-    net_deltas(db, scc_preds, &old_scc)
+    out
 }
 
 /// Sequential convenience wrapper over [`reevaluate_scc_opts`].
@@ -431,10 +475,14 @@ pub fn reevaluate_scc(
 }
 
 /// Re-evaluate one clique from scratch against its (unchanged) inputs and
-/// return the net delta — the primitive behind incremental *rule* changes
-/// ("the rule definitions change", §I). The clique's extents are cleared
-/// and re-derived with the current rule set; downstream propagation stays
-/// incremental via the returned delta.
+/// return the net delta — how aggregate cliques are maintained, and the
+/// primitive behind incremental *rule* changes ("the rule definitions
+/// change", §I). Downstream propagation stays incremental via the
+/// returned delta.
+///
+/// The relations are never swapped for fresh ones: tuples that leave are
+/// tombstoned and tuples that stay keep their rows, so a snapshot pinned
+/// before the call keeps reading the old extent.
 pub fn reevaluate_scc_opts(
     db: &mut Database,
     rules: &[CRule],
@@ -447,23 +495,55 @@ pub fn reevaluate_scc_opts(
         vec![("preds", scc_preds.len().into())],
     );
     let _fspan = flight::span_arg(FlightCode::Reevaluate, scc_preds.len() as u64);
-    let reeval_t0 = Instant::now();
     let _reeval_timer = ScopeCounter {
         counter: "datalog.dred.reevaluate_ns",
-        t0: reeval_t0,
+        t0: Instant::now(),
     };
-    let old_scc: HashMap<PredId, Relation> = scc_preds
-        .iter()
-        .map(|&p| (p, db.rel(p).clone()))
-        .collect();
-    for &p in scc_preds {
-        let arity = db.rel(p).arity();
-        // Fresh relations drop this clique's indices too; the semi-naive
-        // bootstrap re-ensures whatever the plans need.
-        *db.rel_mut(p) = Relation::new(arity);
+    if rules.iter().any(|r| r.reads_any(scc_preds)) {
+        // Recursive: no single pass over the rules yields the extent, so
+        // take every tuple out and bootstrap the fixpoint.
+        let mut old: HashMap<PredId, HashSet<Tuple>> = HashMap::new();
+        for &p in scc_preds {
+            let ts: HashSet<Tuple> = db.rel(p).iter().cloned().collect();
+            for t in &ts {
+                db.rel_mut(p).remove(t);
+            }
+            old.insert(p, ts);
+        }
+        return insert_and_net(db, rules, scc_preds, old, HashMap::new(), true, opts);
     }
-    seminaive_scc_opts(db, rules, scc_preds, HashMap::new(), true, opts);
-    net_deltas(db, scc_preds, &old_scc)
+    // Non-recursive (every aggregate clique is): one evaluation of the
+    // rules is the whole new extent; apply only how it differs from the
+    // live one, so unchanged groups keep their rows.
+    ensure_indices(db, rules, false);
+    let mut new: HashMap<PredId, HashSet<Tuple>> = HashMap::new();
+    for rule in rules {
+        let ext = new.entry(rule.head.pred).or_default();
+        if rule.agg.is_some() {
+            ext.extend(eval_agg_rule(db, rule));
+        } else {
+            eval_rule(db, rule, None, &mut |t| {
+                ext.insert(t);
+            });
+        }
+    }
+    let mut out: HashMap<PredId, Delta> = HashMap::new();
+    for &p in scc_preds {
+        let new_p = new.remove(&p).unwrap_or_default();
+        let mut d = Delta::default();
+        d.removed
+            .extend(db.rel(p).iter().filter(|&t| !new_p.contains(t)).cloned());
+        for t in &d.removed {
+            db.rel_mut(p).remove(t);
+        }
+        for t in new_p {
+            if db.rel_mut(p).insert(t.clone()) {
+                d.added.insert(t);
+            }
+        }
+        out.insert(p, d);
+    }
+    out
 }
 
 #[cfg(test)]

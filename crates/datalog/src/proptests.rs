@@ -4,16 +4,25 @@
 //! random base facts, and random edit sequences. A second family checks
 //! snapshot isolation: a snapshot pinned mid-cascade reads the
 //! pre-update database bit-for-bit, and a post-publish snapshot matches
-//! the sequential reference — under every scheduler.
+//! the sequential reference — under every scheduler. A third checks the
+//! clique tasks against the code they replaced: the old-state overlay
+//! against a rolled-back copy, the tracked net delta against an extent
+//! diff.
 //!
 //! The engines are built from identical source text, so symbol interning
 //! — and therefore raw tuple comparison — agrees between the two runs.
 
 use crate::engine::{FactEdit, IncrementalEngine};
-use crate::fbf::MaintenanceStrategy;
+use crate::eval::{compile_program, load_facts, seminaive_scc_opts, CRule, Extent};
+use crate::fbf::{counts_consistent, init_counts_scc, update_scc_fbf, MaintenanceStrategy};
+use crate::incr::{net_deltas, reevaluate_scc_opts, update_scc_opts, Delta, OldView};
 use crate::mvcc::{ReaderHandle, Snapshot};
 use crate::par::EvalOptions;
+use crate::parser::parse_program;
+use crate::rel::{Database, PredId, Relation};
 use crate::shard::ShardedEngine;
+use crate::stratify::stratify;
+use crate::taskgraph::{NodeKind, TaskGraph};
 use crate::value::Tuple;
 use incr_dag::Dag;
 use incr_sched::{CostMeter, Hybrid, LevelBased, LogicBlox, Scheduler, SignalPropagation};
@@ -47,6 +56,11 @@ const RTC_RULES: &str = "path(X, Y) :- edge(X, Y).\n\
 /// is therefore replicated (every shard folds the full mirror).
 const AGG_RULES: &str = "deg(X, count(Y)) :- edge(X, Y).\n\
                          indeg(Y, count(X)) :- edge(X, Y).\n";
+
+/// Mutual recursion: `even` and `odd` form one two-predicate clique.
+const PARITY_RULES: &str = "odd(X, Y) :- edge(X, Y).\n\
+                            odd(X, Y) :- edge(X, Z), even(Z, Y).\n\
+                            even(X, Y) :- edge(X, Z), odd(Z, Y).\n";
 
 fn program_src(rules: &str, edges: &[(usize, usize)]) -> String {
     let mut src = String::from(rules);
@@ -519,6 +533,161 @@ fn assert_fault_recovery_idempotent(
     Ok(())
 }
 
+/// `p`'s extent with `d` undone, as a copy — what `OldView` used to hold,
+/// kept as the oracle for the overlay that replaced it.
+fn rolled_back(db: &Database, p: PredId, d: &Delta) -> Relation {
+    let mut r = db.rel(p).clone();
+    for t in &d.added {
+        r.remove(t);
+    }
+    for t in &d.removed {
+        r.insert(t.clone());
+    }
+    r
+}
+
+fn sorted<'a>(it: impl Iterator<Item = &'a Tuple>) -> Vec<Tuple> {
+    let mut v: Vec<Tuple> = it.cloned().collect();
+    v.sort();
+    v
+}
+
+/// Overlay ≡ copy: scan, membership and every index probe of each patched
+/// predicate agree with the rolled-back relation.
+fn assert_overlay_matches_copy(
+    db: &Database,
+    input: &HashMap<PredId, Delta>,
+) -> Result<(), TestCaseError> {
+    let patches = OldView::patches(db, input);
+    let view = OldView {
+        db,
+        patches: &patches,
+    };
+    for (&p, d) in input.iter().filter(|(_, d)| !d.is_empty()) {
+        let old = rolled_back(db, p, d);
+        let ext = Extent::of(&view, p);
+        prop_assert_eq!(sorted(ext.iter()), old.sorted(), "scan of {}", db.pred_name(p));
+        // Everything that is, was, or could be mistaken for a member.
+        let universe: Vec<&Tuple> = db.rel(p).iter().chain(&d.added).chain(&d.removed).collect();
+        for &t in &universe {
+            prop_assert_eq!(ext.contains(t), old.contains(t), "membership of {:?}", t);
+        }
+        for cols in db.rel(p).index_cols() {
+            for &t in &universe {
+                let key: Tuple = cols.iter().map(|&c| t[c]).collect();
+                let got = ext.probe(cols, &key).expect("index exists on the live relation");
+                let want = old.probe(cols, &key).expect("copy carries the indices");
+                prop_assert_eq!(sorted(got), sorted(want.iter()), "probe {:?} = {:?}", cols, key);
+            }
+        }
+    }
+    Ok(())
+}
+
+fn assert_same_delta(
+    db: &Database,
+    got: &HashMap<PredId, Delta>,
+    want: &HashMap<PredId, Delta>,
+    what: &str,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.len(), want.len(), "{}: one delta per clique predicate", what);
+    for (p, w) in want {
+        let name = db.pred_name(*p);
+        prop_assert_eq!(&got[p].added, &w.added, "{}: added to {}", what, name);
+        prop_assert_eq!(&got[p].removed, &w.removed, "{}: removed from {}", what, name);
+    }
+    Ok(())
+}
+
+/// Drive every clique task by hand over random edit batches (duplicate,
+/// no-op and delete-then-reinsert edits included) and check, at each
+/// task, the overlay against a rolled-back copy of every input and the
+/// returned net delta against [`net_deltas`] over a copy taken before —
+/// for `update_scc_opts`, `update_scc_fbf` (whose stored counts must
+/// also stay consistent with an exact recount) and `reevaluate_scc_opts`.
+fn assert_tasks_match_oracles(
+    rules_src: &str,
+    edges: &[(usize, usize)],
+    edits: &[(bool, usize, usize)],
+    opts: &EvalOptions,
+) -> Result<(), TestCaseError> {
+    let program = parse_program(&program_src(rules_src, edges)).expect("valid program");
+    let strat = stratify(&program).expect("stratifiable");
+    let mut db = Database::new();
+    let rules = compile_program(&program, &mut db);
+    load_facts(&program, &mut db);
+    let graph = TaskGraph::build(&strat, &rules, &db);
+    let cliques: Vec<(usize, Vec<PredId>, Vec<CRule>)> = graph
+        .dag
+        .topo_order()
+        .iter()
+        .filter_map(|v| match &graph.kinds[v.index()] {
+            NodeKind::Base(_) => None,
+            NodeKind::Clique { preds, rules: idx } => Some((
+                v.index(),
+                preds.clone(),
+                idx.iter().map(|&i| rules[i].clone()).collect(),
+            )),
+        })
+        .collect();
+    let fbf = opts.maintenance == MaintenanceStrategy::Fbf;
+    for (_, preds, crules) in &cliques {
+        seminaive_scc_opts(&mut db, crules, preds, HashMap::new(), true, opts);
+        if fbf {
+            init_counts_scc(&mut db, crules, preds, opts);
+        }
+    }
+    let snapshot_of = |db: &Database, preds: &[PredId]| -> HashMap<PredId, Relation> {
+        preds.iter().map(|&p| (p, db.rel(p).clone())).collect()
+    };
+
+    let edge = db.pred_id("edge").expect("every template reads edge");
+    for batch in edits.chunks(4) {
+        let mut base: HashMap<PredId, Delta> = HashMap::new();
+        for &(add, a, b) in batch {
+            let t = vec![db.sym(&format!("n{a}")), db.sym(&format!("n{b}"))];
+            IncrementalEngine::apply_one(&mut db, &mut base, edge, t, add);
+        }
+        // Output deltas so far, by predicate; a clique's input is the
+        // part of them it reads.
+        let mut changed: HashMap<PredId, Delta> = base;
+        for (node, preds, crules) in &cliques {
+            let input: HashMap<PredId, Delta> = graph.reads[*node]
+                .iter()
+                .filter_map(|p| changed.get(p).filter(|d| !d.is_empty()).map(|d| (*p, d.clone())))
+                .collect();
+            if input.is_empty() {
+                continue;
+            }
+            assert_overlay_matches_copy(&db, &input)?;
+            let before = snapshot_of(&db, preds);
+            let (out, what) = if crules.iter().any(|r| r.agg.is_some()) {
+                (reevaluate_scc_opts(&mut db, crules, preds, opts), "reevaluate")
+            } else if fbf {
+                (update_scc_fbf(&mut db, crules, preds, &input, opts), "fbf")
+            } else {
+                (update_scc_opts(&mut db, crules, preds, &input, opts), "dred")
+            };
+            assert_same_delta(&db, &out, &net_deltas(&db, preds, &before), what)?;
+            if fbf {
+                prop_assert!(counts_consistent(&db, crules, preds), "fbf counts drifted");
+            }
+            changed.extend(out);
+        }
+    }
+
+    // Rule changes: drop each clique's last rule, then restore it — both
+    // re-evaluation branches (recursive, non-recursive) with real deltas.
+    for (_, preds, crules) in &cliques {
+        for subset in [&crules[..crules.len() - 1], &crules[..]] {
+            let before = snapshot_of(&db, preds);
+            let out = reevaluate_scc_opts(&mut db, subset, preds, opts);
+            assert_same_delta(&db, &out, &net_deltas(&db, preds, &before), "rule change")?;
+        }
+    }
+    Ok(())
+}
+
 fn edges_strategy() -> impl Strategy<Value = Vec<(usize, usize)>> {
     proptest::collection::vec((0usize..6, 0usize..6), 0..14)
 }
@@ -730,5 +899,26 @@ proptest! {
             &edges,
             &edits,
         )?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn clique_tasks_match_the_copy_and_diff_oracles(
+        edges in edges_strategy(),
+        edits in edits_strategy(),
+        deletions in deletion_heavy_strategy(),
+    ) {
+        for rules in [TC_RULES, RTC_RULES, NEG_RULES, TRI_RULES, PARITY_RULES, AGG_RULES] {
+            for threads in [EvalOptions::sequential(), forced_parallel()] {
+                for strategy in [MaintenanceStrategy::DRed, MaintenanceStrategy::Fbf] {
+                    let opts = threads.clone().with_maintenance(strategy);
+                    assert_tasks_match_oracles(rules, &edges, &edits, &opts)?;
+                    assert_tasks_match_oracles(rules, &edges, &deletions, &opts)?;
+                }
+            }
+        }
     }
 }

@@ -414,6 +414,11 @@ impl Relation {
         self.indices.len()
     }
 
+    /// The column set of every secondary index built so far.
+    pub fn index_cols(&self) -> impl Iterator<Item = &[usize]> + '_ {
+        self.indices.keys().map(Vec::as_slice)
+    }
+
     /// Total row references held by the index over `cols` (None when the
     /// index does not exist). Counts live *and* tombstoned rows — every
     /// non-vacuumed row appears exactly once.

@@ -1,13 +1,16 @@
 //! Integration tests for the paper's theory (Lemmas 3/5/7, Theorems 2
-//! and 9) on randomized instances, using the unit-step simulator.
+//! and 9) on randomized instances, using the unit-step simulator, and
+//! for the cost bounds the implementation keeps in wall-clock.
 
 use datalog_sched::dag::{random, Dag, DagBuilder, NodeId};
+use datalog_sched::datalog::{EvalOptions, FactEdit, IncrementalEngine, MaintenanceStrategy};
 use datalog_sched::sched::{
     CompletionBatch, CostMeter, Instance, LevelBased, Scheduler, SchedulerKind, TaskShape,
 };
 use datalog_sched::sim::{simulate_event, simulate_step, EventSimConfig, StepSimConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -334,6 +337,103 @@ fn scheduling_time_is_linear_in_the_width_of_a_level() {
             ratio <= 48.0,
             "{kind:?}: {LARGE} tasks took {ratio:.1}x the time of {SMALL} \
              ({:?} vs {:?}); linear is 16x, quadratic 256x",
+            fastest[1],
+            fastest[0]
+        );
+    }
+}
+
+/// An attack-graph slice (the `two_hop` / `wide_open` rules of
+/// `bench_all/src/workloads/attack.rs`) over `hosts` hosts of out-degree
+/// [`ACL_PER_HOST`]: growing `hosts` grows every extent and leaves the
+/// join work of one `hacl` edit where it was.
+const ACL_PER_HOST: usize = 4;
+
+fn acl_target(host: usize, slot: usize, hosts: usize) -> usize {
+    (host + 1 + 7 * slot) % hosts
+}
+
+fn attack_slice(hosts: usize, present: &HashSet<(usize, usize)>) -> String {
+    let mut src = String::from(
+        "vulnerable(H) :- service(H, P), vuln(P).\n\
+         two_hop(S, D) :- hacl(S, M), hacl(M, D).\n\
+         wide_open(D) :- two_hop(S, D), vulnerable(D).\n\
+         vuln(p0). vuln(p1). vuln(p2).\n",
+    );
+    for h in 0..hosts {
+        src.push_str(&format!("service(h{h}, p{}).\n", h % 4));
+    }
+    let mut acl: Vec<_> = present.iter().collect();
+    acl.sort_unstable();
+    for (s, d) in acl {
+        src.push_str(&format!("hacl(h{s}, h{d}).\n"));
+    }
+    src
+}
+
+/// A clique task costs its deltas and its join work, not the size of the
+/// relations it touches: the same stream of 10-edit updates over a 16×
+/// larger `hacl` takes about the same time, under both maintenance
+/// backends — not the 16× of a task that copies or walks its extents.
+#[test]
+fn update_time_is_independent_of_extent_size() {
+    const SMALL: usize = 2 * 1024 / ACL_PER_HOST;
+    const LARGE: usize = 32 * 1024 / ACL_PER_HOST;
+    const UPDATES: usize = 30;
+    const EDITS: usize = 10;
+    for strategy in [MaintenanceStrategy::DRed, MaintenanceStrategy::Fbf] {
+        // Fastest of three runs of the stream per size, as above.
+        let mut fastest = [Duration::MAX; 2];
+        for (slot, hosts) in [SMALL, LARGE].into_iter().enumerate() {
+            let mut present: HashSet<(usize, usize)> = (0..hosts)
+                .flat_map(|h| (0..ACL_PER_HOST).map(move |j| (h, acl_target(h, j, hosts))))
+                .collect();
+            assert_eq!(present.len(), hosts * ACL_PER_HOST);
+            let opts = EvalOptions::sequential().with_maintenance(strategy);
+            let mut e = IncrementalEngine::with_options(&attack_slice(hosts, &present), opts)
+                .expect("valid program");
+            let mut rng = StdRng::seed_from_u64(15);
+            for _ in 0..3 {
+                let mut elapsed = Duration::ZERO;
+                for _ in 0..UPDATES {
+                    // Toggle edges of the candidate set, twice the degree
+                    // wide, so deletes and inserts both keep occurring.
+                    let edits: Vec<FactEdit> = (0..EDITS)
+                        .map(|_| {
+                            let s = rng.gen_range(0..hosts);
+                            let d = acl_target(s, rng.gen_range(0..2 * ACL_PER_HOST), hosts);
+                            let (s_name, d_name) = (format!("h{s}"), format!("h{d}"));
+                            let args = [s_name.as_str(), d_name.as_str()];
+                            if present.remove(&(s, d)) {
+                                FactEdit::remove("hacl", &args)
+                            } else {
+                                present.insert((s, d));
+                                FactEdit::add("hacl", &args)
+                            }
+                        })
+                        .collect();
+                    let mut sched = LevelBased::new(e.dag().clone());
+                    let t0 = Instant::now();
+                    e.update(&mut sched, &edits).expect("valid edit");
+                    elapsed += t0.elapsed();
+                }
+                fastest[slot] = fastest[slot].min(elapsed);
+            }
+            let scratch = IncrementalEngine::new(&attack_slice(hosts, &present))
+                .expect("valid program");
+            for pattern in ["hacl(?, ?)", "two_hop(?, ?)", "wide_open(?)"] {
+                assert_eq!(
+                    e.query(pattern).expect("valid pattern"),
+                    scratch.query(pattern).expect("valid pattern"),
+                    "{strategy}, {hosts} hosts: {pattern} differs from from-scratch evaluation"
+                );
+            }
+        }
+        let ratio = fastest[1].as_secs_f64() / fastest[0].as_secs_f64();
+        assert!(
+            ratio <= 4.0,
+            "{strategy}: {UPDATES} updates over {LARGE} hosts took {ratio:.1}x the time over \
+             {SMALL} ({:?} vs {:?}); constant is 1x, linear in the extents 16x",
             fastest[1],
             fastest[0]
         );

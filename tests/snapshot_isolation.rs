@@ -306,3 +306,58 @@ fn readers_progress_and_stay_consistent_during_update_stream() {
     e.update(&mut s, &[FactEdit::add("edge", &["c", "z"])]).unwrap();
     assert_eq!(e.database().rows_retained(), 0);
 }
+
+const SALES: &str = "total(C, sum(V)) :- sale(C, I, V).\n\
+                     path(X, Y) :- edge(X, Y).\n\
+                     path(X, Z) :- path(X, Y), edge(Y, Z).\n\
+                     sale(c1, i1, 5). sale(c1, i2, 7). sale(c2, i1, 1).\n\
+                     edge(a, b). edge(b, c).";
+
+/// Pin a snapshot, run `change` (which must alter the head), and assert
+/// the pinned image is still the pre-change head image bit for bit.
+/// Re-evaluated cliques (aggregates on every update, the edited clique on
+/// a rule change) used to swap in a fresh relation and drop the rows the
+/// pin reads.
+fn assert_pin_survives(change: impl FnOnce(&mut IncrementalEngine)) {
+    let mut e = IncrementalEngine::new(SALES).unwrap();
+    let before = head_image(&e);
+    let snap = e.begin_snapshot();
+    assert_eq!(snap.image(), before, "fresh snapshot matches head");
+    change(&mut e);
+    assert_ne!(head_image(&e), before, "the change must reach the head");
+    assert_eq!(snap.image(), before, "pinned image lost rows");
+    assert!(snap.has("path", &["a", "c"]));
+    assert_eq!(snap.count("total"), 2, "total(c1, 12) and total(c2, 1)");
+}
+
+#[test]
+fn pinned_snapshot_survives_aggregate_reevaluation() {
+    assert_pin_survives(|e| {
+        let mut s = LevelBased::new(e.dag().clone());
+        e.update(&mut s, &[FactEdit::add("sale", &["c1", "i3", "3"])])
+            .unwrap();
+        assert_eq!(e.query("total(c1, ?)").unwrap(), vec!["(c1, 15)"]);
+    });
+}
+
+#[test]
+fn pinned_snapshot_survives_add_rule() {
+    assert_pin_survives(|e| {
+        e.add_rule("path(Y, X) :- edge(X, Y).", |dag| {
+            Box::new(LevelBased::new(dag))
+        })
+        .unwrap();
+        assert!(e.has("path", &["b", "a"]));
+    });
+}
+
+#[test]
+fn pinned_snapshot_survives_remove_rule() {
+    assert_pin_survives(|e| {
+        e.remove_rule("path(X, Z) :- path(X, Y), edge(Y, Z).", |dag| {
+            Box::new(LevelBased::new(dag))
+        })
+        .unwrap();
+        assert!(!e.has("path", &["a", "c"]));
+    });
+}
