@@ -4,7 +4,7 @@
 //! computation that have not been affected").
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use incr_datalog::{EvalOptions, FactEdit, IncrementalEngine};
+use incr_datalog::{FactEdit, IncrementalEngine};
 use incr_sched::{LevelBased, Scheduler};
 
 /// Transitive closure over a grid-ish edge set.
@@ -120,38 +120,34 @@ fn bench_large_tc_update(c: &mut Criterion) {
     let src = big_tc_program(n);
     let mut g = c.benchmark_group("tc300_ten_edge_insert");
     g.sample_size(10);
-    for (label, threads) in [("threads1", 1usize), ("threads4", 4usize)] {
-        g.bench_function(label, |b| {
-            b.iter_with_setup(
-                || {
-                    let engine =
-                        IncrementalEngine::with_options(&src, EvalOptions::with_threads(threads))
-                            .expect("valid program");
-                    let sched = LevelBased::new(engine.dag().clone());
-                    (engine, sched)
-                },
-                |(mut engine, mut sched)| {
-                    let edits: Vec<FactEdit> = (0..10)
-                        .map(|j| {
-                            let i = j * (n / 10);
-                            FactEdit::add(
-                                "edge",
-                                &[&format!("v{i}"), &format!("v{}", (i + n / 2) % n)],
-                            )
-                        })
-                        .collect();
-                    engine.update(&mut sched, &edits).expect("update");
-                    std::hint::black_box(engine.count("path"))
-                },
-            )
-        });
-    }
+    g.bench_function("update", |b| {
+        b.iter_with_setup(
+            || {
+                let engine = IncrementalEngine::new(&src).expect("valid program");
+                let sched = LevelBased::new(engine.dag().clone());
+                (engine, sched)
+            },
+            |(mut engine, mut sched)| {
+                let edits: Vec<FactEdit> = (0..10)
+                    .map(|j| {
+                        let i = j * (n / 10);
+                        FactEdit::add(
+                            "edge",
+                            &[&format!("v{i}"), &format!("v{}", (i + n / 2) % n)],
+                        )
+                    })
+                    .collect();
+                engine.update(&mut sched, &edits).expect("update");
+                std::hint::black_box(engine.count("path"))
+            },
+        )
+    });
     g.finish();
 }
 
 fn bench_multi_bound_join(c: &mut Criterion) {
-    // `link`'s first column is unbound at probe time: the auto planner
-    // uses the [1, 2] index while the legacy heuristic would scan.
+    // `link`'s first column is unbound at probe time: the planner probes
+    // the [1, 2] index.
     let rows = 800u64;
     let mut state = 0x51a7b2c93d4e5f60u64;
     let mut rand = move |bound: u64| {
@@ -169,8 +165,7 @@ fn bench_multi_bound_join(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("materialize", |b| {
         b.iter(|| {
-            let engine = IncrementalEngine::with_options(&src, EvalOptions::sequential())
-                .expect("valid program");
+            let engine = IncrementalEngine::new(&src).expect("valid program");
             std::hint::black_box(engine.count("joined"))
         })
     });

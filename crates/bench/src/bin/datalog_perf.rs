@@ -1,21 +1,22 @@
-//! Datalog evaluation hot-path benchmark: parallel speedup on an n≈300
-//! transitive-closure incremental update, and index-probe-vs-full-scan
-//! counters on a multi-bound join, written to `results/datalog_perf.json`
-//! (ResultsWriter schema v1) so the perf trajectory is machine-readable.
+//! Datalog evaluation hot-path benchmark: materialise / delete / reinsert
+//! on an n≈300 transitive closure (the delete-vs-rematerialise yardstick),
+//! and the planner's index-hit / full-scan counters on a multi-bound join,
+//! written to `results/datalog_perf.json` (ResultsWriter schema v1) so the
+//! perf trajectory is machine-readable.
 //!
 //! Usage: `cargo run --release -p incr-bench --bin datalog_perf [--smoke]`
 //!
 //! `--smoke` shrinks the instances for CI (seconds, not minutes).
 
 use incr_bench::{fmt_secs, ResultsWriter, Table};
-use incr_datalog::{EvalOptions, FactEdit, IncrementalEngine, IndexMode};
+use incr_datalog::{FactEdit, IncrementalEngine};
 use incr_obs::json::obj;
 use incr_obs::Json;
 use incr_sched::LevelBased;
 use std::time::Instant;
 
 /// Deterministic LCG (same constants as Numerical Recipes) — the graph
-/// must be identical across runs and thread counts.
+/// must be identical across runs.
 struct Lcg(u64);
 
 impl Lcg {
@@ -27,7 +28,7 @@ impl Lcg {
 
 /// Ring of `n` nodes (one big SCC, closure = n² paths) plus two random
 /// out-edges per node (small diameter, so semi-naive rounds carry large
-/// deltas — the shape parallelism needs).
+/// deltas).
 fn tc_graph(n: u64) -> (String, Vec<(String, String)>) {
     let mut rng = Lcg(0x9e3779b97f4a7c15);
     let mut src = String::from(
@@ -66,9 +67,9 @@ struct TcTimings {
     path_tuples: usize,
 }
 
-fn run_tc(src: &str, edits: &[(String, String)], opts: EvalOptions) -> TcTimings {
+fn run_tc(src: &str, edits: &[(String, String)]) -> TcTimings {
     let t0 = Instant::now();
-    let mut engine = IncrementalEngine::with_options(src, opts).expect("valid program");
+    let mut engine = IncrementalEngine::new(src).expect("valid program");
     let materialize = t0.elapsed().as_secs_f64();
 
     let removes: Vec<FactEdit> = edits
@@ -98,8 +99,8 @@ fn run_tc(src: &str, edits: &[(String, String)], opts: EvalOptions) -> TcTimings
 }
 
 /// Multi-bound join: `link`'s first column is unbound when it is reached,
-/// so the legacy first-column heuristic degrades to a full scan per outer
-/// row while the auto planner probes the `[1, 2]` index.
+/// so the planner must probe the `[1, 2]` index — a plan that could only
+/// index column 0 would scan `link` once per outer row.
 fn multi_bound_src(rows: u64) -> String {
     let mut rng = Lcg(0x51a7b2c93d4e5f60);
     let mut src = String::from("joined(A, D) :- fact3(A, B, C), link(D, B, C).\n");
@@ -127,106 +128,70 @@ fn counter(snap: &Json, name: &str) -> u64 {
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (n, k, join_rows) = if smoke { (80, 8, 500) } else { (300, 10, 2000) };
-    let par_threads = std::thread::available_parallelism().map_or(4, |t| t.get()).max(4);
     let mut results = ResultsWriter::new("datalog_perf", 0);
-    results.set_workers(par_threads);
 
-    // ---- Workload 1: transitive-closure incremental update, 1 vs N threads. ----
+    // ---- Workload 1: transitive-closure materialise, delete, reinsert. ----
     println!("datalog_perf: transitive closure n={n}, {k} edges deleted+reinserted\n");
     let (src, _edges) = tc_graph(n);
     let edits = edit_set(n, k);
-    let mut t = Table::new(&["threads", "materialize", "delete", "reinsert", "path"]);
-    let mut timings = Vec::new();
-    for threads in [1, par_threads] {
-        incr_obs::registry().reset();
-        let tm = run_tc(&src, &edits, EvalOptions::with_threads(threads));
-        t.row(vec![
-            threads.to_string(),
-            fmt_secs(tm.materialize),
-            fmt_secs(tm.delete),
-            fmt_secs(tm.reinsert),
-            tm.path_tuples.to_string(),
-        ]);
-        results.push_row(obj([
-            ("workload", "tc_incremental".into()),
-            ("n", n.into()),
-            ("deleted_edges", k.into()),
-            ("threads", threads.into()),
-            ("materialize_seconds", tm.materialize.into()),
-            ("delete_seconds", tm.delete.into()),
-            ("reinsert_seconds", tm.reinsert.into()),
-            ("path_tuples", tm.path_tuples.into()),
-        ]));
-        timings.push(tm);
-    }
-    assert_eq!(
-        timings[0].path_tuples, timings[1].path_tuples,
-        "thread count must not change the materialization"
-    );
-    let update_speedup = (timings[0].delete + timings[0].reinsert)
-        / (timings[1].delete + timings[1].reinsert).max(1e-9);
-    let materialize_speedup = timings[0].materialize / timings[1].materialize.max(1e-9);
+    incr_obs::registry().reset();
+    let tm = run_tc(&src, &edits);
+    let mut t = Table::new(&["materialize", "delete", "reinsert", "path"]);
+    t.row(vec![
+        fmt_secs(tm.materialize),
+        fmt_secs(tm.delete),
+        fmt_secs(tm.reinsert),
+        tm.path_tuples.to_string(),
+    ]);
     println!("{}", t.render());
-    println!(
-        "incremental-update speedup {par_threads} threads vs 1: {update_speedup:.2}x \
-         (materialize {materialize_speedup:.2}x)\n"
-    );
     results.push_row(obj([
         ("workload", "tc_incremental".into()),
-        ("phase", "speedup".into()),
-        ("threads", par_threads.into()),
-        ("update_speedup", update_speedup.into()),
-        ("materialize_speedup", materialize_speedup.into()),
+        ("n", n.into()),
+        ("deleted_edges", k.into()),
+        ("materialize_seconds", tm.materialize.into()),
+        ("delete_seconds", tm.delete.into()),
+        ("reinsert_seconds", tm.reinsert.into()),
+        ("path_tuples", tm.path_tuples.into()),
     ]));
 
-    // ---- Workload 2: multi-bound join, legacy first-column vs auto planner. ----
-    println!("multi-bound join: {join_rows} rows per relation, index plans vs legacy\n");
+    // ---- Workload 2: multi-bound join, planner counters. ----
+    println!("multi-bound join: {join_rows} rows per relation\n");
     let join_src = multi_bound_src(join_rows);
-    let mut t = Table::new(&["index_mode", "wall", "index_hits", "misses", "full_scans", "joined"]);
-    let mut scans_by_mode = Vec::new();
-    for (label, mode) in [("first_column", IndexMode::FirstColumn), ("auto", IndexMode::Auto)] {
-        incr_obs::registry().reset();
-        let mut opts = EvalOptions::sequential();
-        opts.index_mode = mode;
-        let t0 = Instant::now();
-        let engine = IncrementalEngine::with_options(&join_src, opts).expect("valid program");
-        let wall = t0.elapsed().as_secs_f64();
-        let joined = engine.count("joined");
-        let snap = incr_obs::registry().snapshot();
-        let (hits, misses, scans, builds) = (
-            counter(&snap, "datalog.index.hit"),
-            counter(&snap, "datalog.index.miss"),
-            counter(&snap, "datalog.scan.full"),
-            counter(&snap, "datalog.index.build"),
-        );
-        t.row(vec![
-            label.to_string(),
-            fmt_secs(wall),
-            hits.to_string(),
-            misses.to_string(),
-            scans.to_string(),
-            joined.to_string(),
-        ]);
-        results.push_row(obj([
-            ("workload", "multi_bound_join".into()),
-            ("rows", join_rows.into()),
-            ("index_mode", label.into()),
-            ("wall_seconds", wall.into()),
-            ("index_hits", hits.into()),
-            ("index_misses", misses.into()),
-            ("full_scans", scans.into()),
-            ("index_builds", builds.into()),
-            ("joined_tuples", joined.into()),
-        ]));
-        scans_by_mode.push((hits, scans));
-    }
+    incr_obs::registry().reset();
+    let t0 = Instant::now();
+    let engine = IncrementalEngine::new(&join_src).expect("valid program");
+    let wall = t0.elapsed().as_secs_f64();
+    let joined = engine.count("joined");
+    let snap = incr_obs::registry().snapshot();
+    let (hits, misses, scans, builds) = (
+        counter(&snap, "datalog.index.hit"),
+        counter(&snap, "datalog.index.miss"),
+        counter(&snap, "datalog.scan.full"),
+        counter(&snap, "datalog.index.build"),
+    );
+    let mut t = Table::new(&["wall", "index_hits", "misses", "full_scans", "joined"]);
+    t.row(vec![
+        fmt_secs(wall),
+        hits.to_string(),
+        misses.to_string(),
+        scans.to_string(),
+        joined.to_string(),
+    ]);
     println!("{}", t.render());
-    let (auto_hits, auto_scans) = scans_by_mode[1];
-    let legacy_scans = scans_by_mode[0].1;
-    assert!(auto_hits > 0, "auto mode must hit indices");
+    results.push_row(obj([
+        ("workload", "multi_bound_join".into()),
+        ("rows", join_rows.into()),
+        ("wall_seconds", wall.into()),
+        ("index_hits", hits.into()),
+        ("index_misses", misses.into()),
+        ("full_scans", scans.into()),
+        ("index_builds", builds.into()),
+        ("joined_tuples", joined.into()),
+    ]));
+    assert!(hits > 0, "the join must hit the [1, 2] index");
     assert!(
-        auto_scans < legacy_scans,
-        "index probes must replace full scans (auto {auto_scans} vs legacy {legacy_scans})"
+        scans < join_rows,
+        "index probes must replace per-row scans ({scans} full scans over {join_rows} outer rows)"
     );
 
     results.write_default();

@@ -34,7 +34,7 @@ fn run_one(
     kind: SchedulerKind,
     batches: &[Vec<FactEdit>],
 ) -> (f64, [usize; 3]) {
-    let opts = EvalOptions::sequential().with_maintenance(strategy);
+    let opts = EvalOptions::default().with_maintenance(strategy);
     let mut engine =
         IncrementalEngine::with_options(program, opts).expect("attack program compiles");
     let mut sched = kind.build(engine.dag().clone());

@@ -18,6 +18,8 @@
 //! This library holds the shared measurement helpers so every binary
 //! reports the same quantities the same way.
 
+#![forbid(unsafe_code)]
+
 pub mod attack;
 pub mod results;
 

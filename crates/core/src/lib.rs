@@ -48,6 +48,8 @@
 //! assert!(sched.is_quiescent());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cost;
 pub mod duo;
 pub mod hybrid;

@@ -23,6 +23,8 @@
 //! The graph is purely structural: node payloads (task durations, predicate
 //! names, activation behaviour) live in the crates that consume it.
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod critical;
 pub mod dot;

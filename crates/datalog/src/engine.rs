@@ -8,11 +8,10 @@
 //! as far as the data requires and no further.
 
 use crate::ast::Program;
-use crate::eval::{compile_program_with, load_facts, seminaive_scc_opts, CRule};
+use crate::eval::{compile_program, load_facts, seminaive_scc, CRule};
 use crate::fbf::{init_counts_scc, update_scc_fbf, MaintenanceStrategy};
-use crate::incr::{reevaluate_scc_opts, update_scc_opts, Delta};
+use crate::incr::{reevaluate_scc, update_scc, Delta};
 use crate::mvcc::{DbCell, PinRegistry, ReaderHandle, Snapshot};
-use crate::par::EvalOptions;
 use crate::parser::{parse_program, ParseError};
 use crate::query::{parse_pattern, query as run_query};
 use crate::rel::{Database, PredId};
@@ -147,6 +146,32 @@ pub struct UpdateReport {
     pub order: Vec<NodeId>,
 }
 
+/// How an engine maintains its cliques. Evaluation itself has one path —
+/// sorted deltas, one thread, probes on every bound column — so the
+/// maintenance backend is the only thing left to choose.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct EvalOptions {
+    /// Which incremental maintenance backend non-aggregate cliques run
+    /// under: classic delete/rederive (DRed) or counting-based
+    /// backward/forward (FBF). See [`crate::fbf`].
+    pub maintenance: MaintenanceStrategy,
+}
+
+impl EvalOptions {
+    /// Alias of [`EvalOptions::default`], kept only because the frozen
+    /// `bench_all` calls it (it once turned intra-clique threads off;
+    /// EXPERIMENTS.md, "Retired: intra-clique parallel evaluation").
+    pub fn sequential() -> Self {
+        Self::default()
+    }
+
+    /// Builder-style maintenance-backend selection.
+    pub fn with_maintenance(mut self, maintenance: MaintenanceStrategy) -> Self {
+        self.maintenance = maintenance;
+        self
+    }
+}
+
 /// A fully materialized Datalog database with scheduler-driven
 /// incremental maintenance.
 ///
@@ -169,13 +194,12 @@ pub struct IncrementalEngine {
     /// Per task node: its clique's compiled rules (shared, not re-cloned
     /// on every execution).
     node_rules: Vec<Arc<Vec<CRule>>>,
-    /// Evaluation knobs: thread count, parallelism threshold, index mode.
     opts: EvalOptions,
 }
 
 impl IncrementalEngine {
     /// Parse, stratify, compile, load facts, and fully materialize with
-    /// default options (all available cores, automatic index selection).
+    /// default options (DRed maintenance).
     pub fn new(src: &str) -> Result<Self, EngineError> {
         Self::with_options(src, EvalOptions::default())
     }
@@ -211,7 +235,7 @@ impl IncrementalEngine {
     ) -> Result<Self, EngineError> {
         let strat = stratify(&program).map_err(EngineError::Stratify)?;
         let mut db = Database::new();
-        let rules = compile_program_with(&program, &mut db, opts.index_mode);
+        let rules = compile_program(&program, &mut db);
         load_facts(&program, &mut db);
         for (name, arity) in declare {
             db.pred(name, *arity);
@@ -225,7 +249,7 @@ impl IncrementalEngine {
         for &v in graph.dag.topo_order() {
             if let NodeKind::Clique { preds, .. } = &graph.kinds[v.index()] {
                 let rules = node_rules[v.index()].clone();
-                seminaive_scc_opts(&mut db, &rules, preds, HashMap::new(), true, &opts);
+                seminaive_scc(&mut db, &rules, preds, HashMap::new(), true);
             }
         }
         // FBF updates rely on exact derivation counts being in place
@@ -234,7 +258,7 @@ impl IncrementalEngine {
             for &v in graph.dag.topo_order() {
                 if let NodeKind::Clique { preds, .. } = &graph.kinds[v.index()] {
                     let rules = node_rules[v.index()].clone();
-                    init_counts_scc(&mut db, &rules, preds, &opts);
+                    init_counts_scc(&mut db, &rules, preds);
                 }
             }
         }
@@ -256,18 +280,13 @@ impl IncrementalEngine {
         &self.opts
     }
 
-    /// Swap the evaluation options. Changing the index mode recompiles
-    /// the program (join plans are baked into the rules); switching the
-    /// maintenance backend to FBF (re)establishes derivation counts,
-    /// which may be stale after a stretch of DRed updates.
+    /// Swap the evaluation options. Switching the maintenance backend to
+    /// FBF (re)establishes derivation counts, which may be stale after a
+    /// stretch of DRed updates.
     pub fn set_eval_options(&mut self, opts: EvalOptions) {
-        let recompile = opts.index_mode != self.opts.index_mode;
         let recount = opts.maintenance == MaintenanceStrategy::Fbf
             && self.opts.maintenance != MaintenanceStrategy::Fbf;
         self.opts = opts;
-        if recompile {
-            self.rebuild().expect("program unchanged, rebuild cannot fail");
-        }
         if recount {
             self.reinit_counts();
         }
@@ -282,7 +301,7 @@ impl IncrementalEngine {
         for &v in self.graph.dag.topo_order() {
             if let NodeKind::Clique { preds, .. } = &self.graph.kinds[v.index()] {
                 let rules = self.node_rules[v.index()].clone();
-                init_counts_scc(&mut db, &rules, preds, &self.opts);
+                init_counts_scc(&mut db, &rules, preds);
             }
         }
     }
@@ -674,14 +693,14 @@ impl IncrementalEngine {
                             // fold. Their inputs are final here, so a full
                             // re-evaluation against the live database is
                             // both correct and exact.
-                            reevaluate_scc_opts(&mut db, &rules, preds, &self.opts)
+                            reevaluate_scc(&mut db, &rules, preds)
                         } else {
                             match self.opts.maintenance {
                                 MaintenanceStrategy::DRed => {
-                                    update_scc_opts(&mut db, &rules, preds, &input, &self.opts)
+                                    update_scc(&mut db, &rules, preds, &input)
                                 }
                                 MaintenanceStrategy::Fbf => {
-                                    update_scc_fbf(&mut db, &rules, preds, &input, &self.opts)
+                                    update_scc_fbf(&mut db, &rules, preds, &input)
                                 }
                             }
                         };
@@ -807,7 +826,7 @@ impl IncrementalEngine {
     fn rebuild(&mut self) -> Result<(), EngineError> {
         let strat = stratify(&self.program).map_err(EngineError::Stratify)?;
         let mut db = self.db_write();
-        let rules = compile_program_with(&self.program, &mut db, self.opts.index_mode);
+        let rules = compile_program(&self.program, &mut db);
         let graph = TaskGraph::build(&strat, &rules, &db);
         drop(db);
         self.node_rules = Self::index_node_rules(&graph, &rules);
@@ -924,13 +943,13 @@ impl IncrementalEngine {
             match &self.graph.kinds[node.index()] {
                 NodeKind::Clique { preds, .. } => {
                     let rules = self.node_rules[node.index()].clone();
-                    let out = reevaluate_scc_opts(&mut db, &rules, preds, &self.opts);
+                    let out = reevaluate_scc(&mut db, &rules, preds);
                     // Re-evaluation leaves new rows with zero counts, and
                     // under FBF the changed rule set also changes what
                     // counts as a non-recursive derivation, so recount
                     // this clique before the delta propagates downstream.
                     if self.opts.maintenance == MaintenanceStrategy::Fbf {
-                        init_counts_scc(&mut db, &rules, preds, &self.opts);
+                        init_counts_scc(&mut db, &rules, preds);
                     }
                     out
                 }
@@ -985,6 +1004,7 @@ impl IncrementalEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fbf::counts_consistent;
     use incr_sched::{Hybrid, LevelBased, LogicBlox, SignalPropagation};
 
     const TC: &str = "path(X, Y) :- edge(X, Y).\n\
@@ -1533,6 +1553,73 @@ mod tests {
             3,
             "preset delta rolled back on stalled propagation"
         );
+    }
+
+    #[test]
+    fn maintenance_strategy_switches_mid_stream() {
+        use std::collections::BTreeSet;
+        assert_eq!(EvalOptions::default(), EvalOptions::sequential());
+        const RULES: &str = "path(X, Y) :- edge(X, Y).\n\
+                             path(X, Z) :- path(X, Y), edge(Y, Z).\n\
+                             node(X) :- edge(X, Y).\n\
+                             node(Y) :- edge(X, Y).\n\
+                             apart(X, Y) :- node(X), node(Y), !path(X, Y).\n";
+        const PREDS: [&str; 4] = ["edge", "path", "node", "apart"];
+        let program = |edges: &BTreeSet<(u64, u64)>| {
+            let mut src = String::from(RULES);
+            for (a, b) in edges {
+                src.push_str(&format!("edge(n{a}, n{b}).\n"));
+            }
+            src
+        };
+        let mut edges: BTreeSet<(u64, u64)> = (0..5).map(|i| (i, (i + 1) % 5)).collect();
+        let mut e = IncrementalEngine::new(&program(&edges)).unwrap();
+        let mut state = 0x9e3779b97f4a7c15u64;
+        let mut rand = move |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        for batch in 0..12 {
+            if batch == 4 {
+                // Counts were never established under DRed: the switch
+                // itself must leave every clique's counts exact.
+                e.set_eval_options(EvalOptions::default().with_maintenance(MaintenanceStrategy::Fbf));
+                let db = e.database();
+                for (kind, rules) in e.graph.kinds.iter().zip(&e.node_rules) {
+                    if let NodeKind::Clique { preds, .. } = kind {
+                        assert!(counts_consistent(&db, rules, preds), "after the switch to FBF");
+                    }
+                }
+            }
+            if batch == 8 {
+                e.set_eval_options(EvalOptions::default());
+            }
+            // Toggle three random edges: a mix of inserts and deletes.
+            let edits: Vec<FactEdit> = (0..3)
+                .map(|_| {
+                    let (a, b) = (rand(5), rand(5));
+                    let args = [format!("n{a}"), format!("n{b}")];
+                    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+                    if edges.remove(&(a, b)) {
+                        FactEdit::remove("edge", &args)
+                    } else {
+                        edges.insert((a, b));
+                        FactEdit::add("edge", &args)
+                    }
+                })
+                .collect();
+            let mut s = LevelBased::new(e.dag().clone());
+            e.update(&mut s, &edits).unwrap();
+            let fresh = IncrementalEngine::new(&program(&edges)).unwrap();
+            assert_eq!(
+                db_image(&e, &PREDS),
+                db_image(&fresh, &PREDS),
+                "batch {batch} under {}",
+                e.eval_options().maintenance
+            );
+        }
     }
 
     #[test]

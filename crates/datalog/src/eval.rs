@@ -10,11 +10,11 @@
 //! position `j` to a delta relation evaluates only the derivations that
 //! use a delta tuple at `j` — the primitive behind semi-naive fixpoints,
 //! incremental insertion, and DRed overdeletion alike. Pinned deltas are
-//! slices so the parallel evaluator ([`crate::par`]) can partition them
-//! across workers.
+//! sorted lists evaluated on the calling thread ([`eval_pin_jobs`]), and
+//! their derivations are merged by a sort, so every result is a pure
+//! function of the inputs.
 
 use crate::ast::{AggOp, Program, Rule, Term};
-use crate::par::{eval_pin_jobs, EvalOptions, PinJob};
 use crate::rel::{Database, PredId, Probe, Relation};
 use crate::value::{Tuple, Value};
 use incr_obs::Counter;
@@ -168,18 +168,6 @@ pub enum Access {
     AllBound,
 }
 
-/// Index selection policy, fixed at rule-compile time.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum IndexMode {
-    /// Probe on all bound columns; fully-bound atoms become membership
-    /// checks.
-    #[default]
-    Auto,
-    /// The legacy heuristic — index only when position 0 is bound,
-    /// otherwise scan. Kept as a measurable baseline for `datalog_perf`.
-    FirstColumn,
-}
-
 /// A compiled rule.
 #[derive(Clone, Debug)]
 pub struct CRule {
@@ -234,8 +222,9 @@ pub(crate) fn metrics() -> &'static EvalMetrics {
 
 /// Compute the access path per body atom, given the slots bound before
 /// the first atom runs (`initially_bound` — empty for the forward plan,
-/// the head slots for the check plan).
-fn access_plan(body: &[(CAtom, bool)], initially_bound: &[u32], mode: IndexMode) -> Vec<Access> {
+/// the head slots for the check plan): probe on all bound columns, and a
+/// fully-bound atom becomes a membership check.
+fn access_plan(body: &[(CAtom, bool)], initially_bound: &[u32]) -> Vec<Access> {
     let mut bound: HashSet<u32> = initially_bound.iter().copied().collect();
     let mut plan = Vec::with_capacity(body.len());
     for (atom, negated) in body {
@@ -249,29 +238,14 @@ fn access_plan(body: &[(CAtom, bool)], initially_bound: &[u32], mode: IndexMode)
             })
             .map(|(i, _)| i)
             .collect();
-        let access = if *negated {
-            // Negated literals are ground under safety: always a
-            // membership check, no index needed.
+        // Negated literals are ground under safety: always a membership
+        // check, no index needed.
+        let access = if *negated || cols.len() == atom.terms.len() {
             Access::AllBound
+        } else if cols.is_empty() {
+            Access::Scan
         } else {
-            match mode {
-                IndexMode::Auto => {
-                    if cols.len() == atom.terms.len() {
-                        Access::AllBound
-                    } else if cols.is_empty() {
-                        Access::Scan
-                    } else {
-                        Access::Index(cols)
-                    }
-                }
-                IndexMode::FirstColumn => {
-                    if cols.contains(&0) {
-                        Access::Index(vec![0])
-                    } else {
-                        Access::Scan
-                    }
-                }
-            }
+            Access::Index(cols)
         };
         plan.push(access);
         if !*negated {
@@ -287,11 +261,6 @@ fn access_plan(body: &[(CAtom, bool)], initially_bound: &[u32], mode: IndexMode)
 
 /// Compile `rule`, registering predicates and interning constants.
 pub fn compile_rule(rule: &Rule, db: &mut Database) -> CRule {
-    compile_rule_with(rule, db, IndexMode::Auto)
-}
-
-/// [`compile_rule`] with an explicit index-selection policy.
-pub fn compile_rule_with(rule: &Rule, db: &mut Database, mode: IndexMode) -> CRule {
     fn catom(atom: &crate::ast::Atom, db: &mut Database) -> CAtom {
         let pred = db.pred(&atom.pred, atom.arity());
         let terms = atom
@@ -348,12 +317,12 @@ pub fn compile_rule_with(rule: &Rule, db: &mut Database, mode: IndexMode) -> CRu
             })
             .collect()
     }
-    let plan = access_plan(&body, &[], mode);
+    let plan = access_plan(&body, &[]);
     let pin_plans = body
         .iter()
-        .map(|(atom, _)| access_plan(&body, &vars_of(atom), mode))
+        .map(|(atom, _)| access_plan(&body, &vars_of(atom)))
         .collect();
-    let check_plan = access_plan(&body, &vars_of(&head), mode);
+    let check_plan = access_plan(&body, &vars_of(&head));
     CRule {
         head,
         body,
@@ -368,11 +337,6 @@ pub fn compile_rule_with(rule: &Rule, db: &mut Database, mode: IndexMode) -> CRu
 /// Compile all rules with non-empty bodies (facts are loaded separately
 /// via [`load_facts`]); also registers every predicate.
 pub fn compile_program(program: &Program, db: &mut Database) -> Vec<CRule> {
-    compile_program_with(program, db, IndexMode::Auto)
-}
-
-/// [`compile_program`] with an explicit index-selection policy.
-pub fn compile_program_with(program: &Program, db: &mut Database, mode: IndexMode) -> Vec<CRule> {
     // Register every predicate (even fact-only ones) first.
     for r in &program.rules {
         db.pred(&r.head.pred, r.head.arity());
@@ -384,7 +348,7 @@ pub fn compile_program_with(program: &Program, db: &mut Database, mode: IndexMod
         .rules
         .iter()
         .filter(|r| !r.body.is_empty())
-        .map(|r| compile_rule_with(r, db, mode))
+        .map(|r| compile_rule(r, db))
         .collect()
 }
 
@@ -498,8 +462,7 @@ pub enum PinMode {
     NegLost,
 }
 
-/// A pinned body position. The delta is a slice so callers can pin
-/// disjoint partitions of one logical delta from parallel workers.
+/// A pinned body position and the delta it is restricted to.
 #[derive(Clone, Copy)]
 pub struct Pin<'a> {
     pub index: usize,
@@ -562,6 +525,65 @@ pub fn eval_rule(db: &dyn Rels, rule: &CRule, pin: Option<Pin<'_>>, out: &mut dy
             }
         }
     }
+}
+
+/// One pinned evaluation: the rule, and the body position pinned to a
+/// sorted delta list.
+pub(crate) type PinJob<'a> = (&'a CRule, Pin<'a>);
+
+/// Every `(head, tuple)` derivation of `jobs` that passes `keep`, sorted,
+/// one entry per derivation. The database is only read — callers merge
+/// the returned list themselves.
+fn run_pin_jobs(
+    db: &dyn Rels,
+    jobs: &[PinJob<'_>],
+    keep: impl Fn(PredId, &Tuple) -> bool,
+) -> Vec<(PredId, Tuple)> {
+    let mut out = Vec::new();
+    for &(rule, pin) in jobs {
+        let head = rule.head.pred;
+        eval_rule(db, rule, Some(pin), &mut |t| {
+            if keep(head, &t) {
+                out.push((head, t));
+            }
+        });
+    }
+    // Sorted, so what callers insert (and in which row order) does not
+    // depend on the order the jobs were listed in.
+    out.sort_unstable();
+    out
+}
+
+/// The distinct `(head, tuple)` derivations of `jobs` passing `keep`,
+/// sorted.
+pub(crate) fn eval_pin_jobs(
+    db: &dyn Rels,
+    jobs: &[PinJob<'_>],
+    keep: impl Fn(PredId, &Tuple) -> bool,
+) -> Vec<(PredId, Tuple)> {
+    let mut out = run_pin_jobs(db, jobs, keep);
+    out.dedup();
+    out
+}
+
+/// [`eval_pin_jobs`] with *multiset* semantics: sorted `(head, tuple,
+/// multiplicity)` triples. Counting-based maintenance needs
+/// per-derivation multiplicities — a tuple derived three ways that loses
+/// one input still has two derivations, which set-semantics collection
+/// would erase.
+pub(crate) fn eval_pin_jobs_counted(
+    db: &dyn Rels,
+    jobs: &[PinJob<'_>],
+    keep: impl Fn(PredId, &Tuple) -> bool,
+) -> Vec<(PredId, Tuple, u64)> {
+    let mut counted: Vec<(PredId, Tuple, u64)> = Vec::new();
+    for (p, t) in run_pin_jobs(db, jobs, keep) {
+        match counted.last_mut() {
+            Some((lp, lt, n)) if *lp == p && *lt == t => *n += 1,
+            _ => counted.push((p, t, 1)),
+        }
+    }
+    counted
 }
 
 /// Evaluate an aggregate rule: collect the DISTINCT raw head bindings
@@ -896,19 +918,7 @@ pub fn naive_fixpoint(db: &mut Database, rules: &[CRule]) {
 }
 
 /// Semi-naive fixpoint for one recursive clique, given that everything
-/// the clique depends on (outside itself) is final. Sequential
-/// convenience wrapper over [`seminaive_scc_opts`].
-pub fn seminaive_scc(
-    db: &mut Database,
-    rules: &[CRule],
-    scc_preds: &[PredId],
-    seed: HashMap<PredId, HashSet<Tuple>>,
-    bootstrap: bool,
-) -> HashMap<PredId, HashSet<Tuple>> {
-    seminaive_scc_opts(db, rules, scc_preds, seed, bootstrap, &EvalOptions::sequential())
-}
-
-/// Semi-naive fixpoint for one recursive clique.
+/// the clique depends on (outside itself) is final.
 ///
 /// `scc_preds` lists the clique's predicates; `rules` are exactly the
 /// rules whose heads are in the clique. `seed[p]` holds the tuples of
@@ -917,19 +927,17 @@ pub fn seminaive_scc(
 /// runs every rule unpinned once to produce the first delta.
 ///
 /// Each round pins every (rule, positive body position) pair whose
-/// predicate has a pending delta; with `opts.threads > 1` the pinned
-/// deltas are partitioned into chunks evaluated on the worker pool
-/// against the frozen database, and the per-worker buffers are merged
-/// with a deterministic sorted dedup before insertion.
+/// predicate has a pending delta to that delta's sorted list, evaluates
+/// the pins against the frozen database, and inserts the sorted,
+/// deduplicated derivations.
 ///
 /// Returns all tuples newly added, per predicate.
-pub fn seminaive_scc_opts(
+pub fn seminaive_scc(
     db: &mut Database,
     rules: &[CRule],
     scc_preds: &[PredId],
     seed: HashMap<PredId, HashSet<Tuple>>,
     bootstrap: bool,
-    opts: &EvalOptions,
 ) -> HashMap<PredId, HashSet<Tuple>> {
     ensure_indices(db, rules, false);
     let mut added: HashMap<PredId, HashSet<Tuple>> =
@@ -940,58 +948,24 @@ pub fn seminaive_scc_opts(
     }
 
     if bootstrap {
-        // Unpinned full evaluation of every rule. Rules whose first body
-        // atom is a positive scan are partitioned over that atom's extent
-        // (a Positive pin over the full extent is equivalent to the scan,
-        // and its chunks are disjoint), so large re-evaluations also
-        // parallelize; everything else runs sequentially.
-        let mut seq_fresh: Vec<(PredId, Tuple)> = Vec::new();
-        let mut extents: Vec<(usize, Vec<Tuple>)> = Vec::new();
-        for (i, rule) in rules.iter().enumerate() {
+        // Unpinned full evaluation of every rule.
+        let mut fresh: Vec<(PredId, Tuple)> = Vec::new();
+        for rule in rules {
             let head = rule.head.pred;
             if rule.agg.is_some() {
                 for t in eval_agg_rule(db, rule) {
                     if !db.rel(head).contains(&t) {
-                        seq_fresh.push((head, t));
+                        fresh.push((head, t));
                     }
                 }
                 continue;
             }
-            let chunkable = matches!(rule.body.first(), Some((_, false)))
-                && rule.plan.first() == Some(&Access::Scan)
-                && !db.rel(rule.body[0].0.pred).is_empty();
-            if chunkable && opts.parallel() {
-                let mut ext: Vec<Tuple> =
-                    db.rel(rule.body[0].0.pred).iter().cloned().collect();
-                ext.sort_unstable();
-                extents.push((i, ext));
-            } else {
-                eval_rule(db, rule, None, &mut |t| {
-                    if !db.rel(head).contains(&t) {
-                        seq_fresh.push((head, t));
-                    }
-                });
-            }
+            eval_rule(db, rule, None, &mut |t| {
+                if !db.rel(head).contains(&t) {
+                    fresh.push((head, t));
+                }
+            });
         }
-        let mut jobs: Vec<PinJob<'_>> = Vec::new();
-        for (i, ext) in &extents {
-            for chunk in opts.chunks(ext) {
-                jobs.push(PinJob {
-                    rule: &rules[*i],
-                    pos: 0,
-                    mode: PinMode::Positive,
-                    chunk,
-                });
-            }
-        }
-        let mut fresh = eval_pin_jobs(
-            db,
-            &jobs,
-            |head, t| !db.rel(head).contains(t),
-            opts,
-            "par.bootstrap",
-        );
-        fresh.append(&mut seq_fresh);
         for (p, t) in fresh {
             if db.rel_mut(p).insert(t.clone()) {
                 delta.get_mut(&p).expect("head in scc").insert(t.clone());
@@ -1001,8 +975,8 @@ pub fn seminaive_scc_opts(
     }
 
     loop {
-        // Deterministically ordered delta lists so chunk boundaries (and
-        // therefore the merged output) do not depend on hash order.
+        // Deterministically ordered delta lists, so the derivations (and
+        // the row order they are inserted in) do not depend on hash order.
         let delta_lists: HashMap<PredId, Vec<Tuple>> = delta
             .iter()
             .filter(|(_, d)| !d.is_empty())
@@ -1031,26 +1005,20 @@ pub fn seminaive_scc_opts(
                 let Some(list) = delta_lists.get(&atom.pred) else {
                     continue;
                 };
-                for chunk in opts.chunks(list) {
-                    jobs.push(PinJob {
-                        rule,
-                        pos: j,
+                jobs.push((
+                    rule,
+                    Pin {
+                        index: j,
                         mode: PinMode::Positive,
-                        chunk,
-                    });
-                }
+                        delta: list,
+                    },
+                ));
             }
         }
         if jobs.is_empty() {
             return added;
         }
-        let fresh = eval_pin_jobs(
-            db,
-            &jobs,
-            |head, t| !db.rel(head).contains(t),
-            opts,
-            "par.round",
-        );
+        let fresh = eval_pin_jobs(db, &jobs, |head, t| !db.rel(head).contains(t));
         // Next round's delta = strictly new tuples.
         let mut next: HashMap<PredId, HashSet<Tuple>> =
             scc_preds.iter().map(|&p| (p, HashSet::new())).collect();
@@ -1124,17 +1092,6 @@ mod tests {
     }
 
     #[test]
-    fn first_column_mode_reproduces_legacy_plan() {
-        let src = "q(X, Z) :- r(X, Y, Z), s(Y, Z).\n r(a, b, c). s(b, c).";
-        let prog = parse_program(src).unwrap();
-        let mut db = Database::new();
-        let rules = compile_program_with(&prog, &mut db, IndexMode::FirstColumn);
-        assert_eq!(rules[0].plan[0], Access::Scan);
-        // Position 0 of `s` is bound (Y), so legacy probes only column 0.
-        assert_eq!(rules[0].plan[1], Access::Index(vec![0]));
-    }
-
-    #[test]
     fn multi_bound_join_uses_index_not_scan() {
         let (mut db, rules) = setup(
             "joined(A, C) :- fact3(A, B, C), link(B, C).\n\
@@ -1194,30 +1151,6 @@ mod tests {
         assert_eq!(db1.rel(path).sorted(), db2.rel(path).sorted());
         // Cycle a->b->c->a: 3x4 pairs reach d plus cycle pairs.
         assert!(db2.has_fact("path", &["a", "a"]));
-    }
-
-    #[test]
-    fn seminaive_parallel_matches_sequential() {
-        let src = "path(X, Y) :- edge(X, Y).\n\
-                   path(X, Z) :- path(X, Y), edge(Y, Z).\n\
-                   edge(a, b). edge(b, c). edge(c, a). edge(c, d). edge(d, e).\n\
-                   edge(e, a). edge(b, e).";
-        let run = |opts: &EvalOptions| {
-            let (mut db, rules) = setup(src);
-            let path = db.pred_id("path").unwrap();
-            let scc_rules: Vec<CRule> = rules
-                .iter()
-                .filter(|r| r.head.pred == path)
-                .cloned()
-                .collect();
-            seminaive_scc_opts(&mut db, &scc_rules, &[path], HashMap::new(), true, opts);
-            db.rel(path).sorted()
-        };
-        let seq = run(&EvalOptions::sequential());
-        let mut par_opts = EvalOptions::with_threads(4);
-        par_opts.min_parallel_tuples = 0; // force the pool even on tiny deltas
-        let par = run(&par_opts);
-        assert_eq!(seq, par);
     }
 
     #[test]

@@ -73,11 +73,12 @@
 //! predicates, so each shard maintains its counts locally from the
 //! exchanged deltas; rollback restores them by recounting.
 
-use crate::eval::{ensure_indices, rule_derivation_count, CRule};
+use crate::eval::{
+    ensure_indices, eval_pin_jobs, eval_pin_jobs_counted, rule_derivation_count, CRule,
+};
 use crate::incr::{
     delta_lists, delta_pin_jobs, insert_and_net, overdelete, rederive, Delta, OldView, ScopeCounter,
 };
-use crate::par::{collect_jobs, eval_pin_jobs, eval_pin_jobs_counted, EvalOptions};
 use crate::rel::{Database, PredId};
 use crate::value::Tuple;
 use incr_obs::flight::{self, FlightCode};
@@ -127,7 +128,7 @@ fn sat(n: u64) -> u32 {
 }
 
 /// Apply an update to one non-aggregate clique under counting/FBF
-/// maintenance. Same contract as [`crate::incr::update_scc_opts`]: the
+/// maintenance. Same contract as [`crate::incr::update_scc`]: the
 /// input deltas are final and already applied to `db`; the return value
 /// is the clique's net output delta per predicate.
 pub fn update_scc_fbf(
@@ -135,7 +136,6 @@ pub fn update_scc_fbf(
     rules: &[CRule],
     scc_preds: &[PredId],
     input: &HashMap<PredId, Delta>,
-    opts: &EvalOptions,
 ) -> HashMap<PredId, Delta> {
     debug_assert!(
         rules.iter().all(|r| r.agg.is_none()),
@@ -166,16 +166,10 @@ pub fn update_scc_fbf(
             db,
             patches: &patches,
         };
-        let jobs = delta_pin_jobs(&nonrec, &input_lists, opts, true);
+        let jobs = delta_pin_jobs(&nonrec, &input_lists, true);
         // Heads are clique predicates, which nothing has mutated yet: the
         // live relation is the old one.
-        eval_pin_jobs_counted(
-            &view,
-            &jobs,
-            |head, t| view.db.rel(head).contains(t),
-            opts,
-            "par.fbf.destroyed",
-        )
+        eval_pin_jobs_counted(&view, &jobs, |head, t| view.db.rel(head).contains(t))
     };
 
     // A: tuples with at least one freshly created non-recursive
@@ -183,9 +177,8 @@ pub fn update_scc_fbf(
     // that exists now but not before uses a changed input somewhere, so
     // pinning the deltas finds it.
     let created: Vec<(PredId, Tuple)> = {
-        let dbr: &Database = db;
-        let jobs = delta_pin_jobs(&nonrec, &input_lists, opts, false);
-        eval_pin_jobs(dbr, &jobs, |_, _| true, opts, "par.fbf.created")
+        let jobs = delta_pin_jobs(&nonrec, &input_lists, false);
+        eval_pin_jobs(&*db, &jobs, |_, _| true)
     };
     let mut created_by: HashMap<PredId, HashSet<Tuple>> = HashMap::new();
     for (p, t) in &created {
@@ -218,49 +211,17 @@ pub fn update_scc_fbf(
     // ---- Phase 2: backward — exact recounts for the undecided. ----
     let backward_span = trace::span("datalog", "fbf.backward");
     let mut backward_f = flight::span(FlightCode::FbfBackward);
-    let mut heads_nonrec: HashMap<PredId, Vec<&CRule>> = HashMap::new();
-    for &r in &nonrec {
-        heads_nonrec.entry(r.head.pred).or_default().push(r);
-    }
+    let heads_nonrec = nonrecursive_by_head(rules, scc_preds);
     backward += recount.len() as u64;
-    let counted: Vec<(PredId, Tuple, u64)> = {
-        let mut by_pred: HashMap<PredId, Vec<Tuple>> = HashMap::new();
-        for (p, t) in recount {
-            by_pred.entry(p).or_default().push(t); // stays sorted per pred
-        }
-        let cand_lists: Vec<(PredId, Vec<Tuple>)> = by_pred.into_iter().collect();
-        let total: usize = cand_lists.iter().map(|(_, v)| v.len()).sum();
-        let mut jobs: Vec<(PredId, &[Tuple])> = Vec::new();
-        for (p, list) in &cand_lists {
-            for chunk in opts.chunks(list) {
-                jobs.push((*p, chunk));
-            }
-        }
-        let dbr: &Database = db;
-        collect_jobs(
-            opts,
-            total,
-            jobs.len(),
-            |i, out: &mut Vec<(PredId, Tuple, u64)>| {
-                let (p, chunk) = jobs[i];
-                let rs = heads_nonrec.get(&p);
-                for t in chunk {
-                    let c: u64 = rs.map_or(0, |rs| {
-                        rs.iter().map(|&r| rule_derivation_count(dbr, r, t)).sum()
-                    });
-                    out.push((p, t.clone(), c));
-                }
-            },
-            "par.fbf.recount",
-        )
-    };
 
-    // Apply the exact counts: present tuples hitting zero become
+    // Recount exactly and apply: present tuples hitting zero become
     // deletion candidates; absent tuples gaining support become
-    // insertions (with their exact count attached).
+    // insertions (with their exact count attached). Only counts change
+    // here, so every recount sees the same extents.
     let mut zeroed: Vec<(PredId, Tuple)> = Vec::new();
     let mut gained: Vec<(PredId, Tuple, u64)> = Vec::new();
-    for (p, t, c) in counted {
+    for (p, t) in recount {
+        let c = derivation_count(db, heads_nonrec.get(&p), &t);
         let present = db.rel(p).contains(&t);
         if c > 0 {
             if present {
@@ -319,15 +280,7 @@ pub fn update_scc_fbf(
             saved += u64::from(counted);
             counted
         };
-        overdelete(
-            &view,
-            &rec,
-            &input_lists,
-            zeroed,
-            spared,
-            opts,
-            "par.fbf.overdelete",
-        )
+        overdelete(&view, &rec, &input_lists, zeroed, spared)
     };
     for (&p, ts) in &deleted {
         for t in ts {
@@ -340,7 +293,7 @@ pub fn update_scc_fbf(
     // rules cannot bring them back), then propagate insertions.
     let forward_span = trace::span("datalog", "fbf.forward");
     let mut forward_f = flight::span(FlightCode::FbfForward);
-    let (mut seed, checks) = rederive(db, &deleted, &rec, opts, "par.fbf.rederive");
+    let (mut seed, checks) = rederive(db, &deleted, &rec);
     backward += checks;
 
     // Insertions: count-gained tuples (exact support attached) plus
@@ -353,14 +306,8 @@ pub fn update_scc_fbf(
     }
     {
         let dbr: &Database = db;
-        let jobs = delta_pin_jobs(&rec, &input_lists, opts, false);
-        let fresh = eval_pin_jobs(
-            dbr,
-            &jobs,
-            |head, t| !dbr.rel(head).contains(t),
-            opts,
-            "par.fbf.insert",
-        );
+        let jobs = delta_pin_jobs(&rec, &input_lists, false);
+        let fresh = eval_pin_jobs(dbr, &jobs, |head, t| !dbr.rel(head).contains(t));
         for (p, t) in fresh {
             if db.rel_mut(p).insert(t.clone()) {
                 seed.entry(p).or_default().insert(t);
@@ -371,7 +318,7 @@ pub fn update_scc_fbf(
     // Rows inserted semi-naively are purely recursive derivations
     // (anything with non-recursive support was already in `gained`),
     // so their fresh zero counts are exact.
-    let out = insert_and_net(db, rules, scc_preds, deleted, seed, false, opts);
+    let out = insert_and_net(db, rules, scc_preds, deleted, seed, false);
     forward_f.set_arg(seed_inserts as u64);
     drop(forward_f);
     forward_span.end_args(vec![("seed_inserts", (seed_inserts as u64).into())]);
@@ -390,47 +337,45 @@ fn emit_counters(saved: u64, backward: u64) {
     }
 }
 
+/// The clique's non-recursive rules (no body atom inside the clique), by
+/// head predicate — the only rules whose derivations are counted.
+fn nonrecursive_by_head<'a>(
+    rules: &'a [CRule],
+    scc_preds: &[PredId],
+) -> HashMap<PredId, Vec<&'a CRule>> {
+    let mut by_head: HashMap<PredId, Vec<&CRule>> = HashMap::new();
+    for r in rules.iter().filter(|r| !r.reads_any(scc_preds)) {
+        by_head.entry(r.head.pred).or_default().push(r);
+    }
+    by_head
+}
+
+/// Exact derivation count of `t` through `rules` under the current
+/// extents.
+fn derivation_count(db: &Database, rules: Option<&Vec<&CRule>>, t: &Tuple) -> u64 {
+    rules.map_or(0, |rs| {
+        rs.iter().map(|&r| rule_derivation_count(db, r, t)).sum()
+    })
+}
+
 /// (Re)establish exact derivation counts for one clique — used after
 /// initial materialization, after a rollback (counts are a pure function
 /// of extents and rules, so recovery is a recount, not a replay), and
 /// when switching an engine's maintenance strategy. Aggregate cliques
 /// carry no counts and are skipped.
-pub fn init_counts_scc(
-    db: &mut Database,
-    rules: &[CRule],
-    scc_preds: &[PredId],
-    opts: &EvalOptions,
-) {
+pub fn init_counts_scc(db: &mut Database, rules: &[CRule], scc_preds: &[PredId]) {
     if rules.iter().any(|r| r.agg.is_some()) {
         return;
     }
     ensure_indices(db, rules, true);
-    let mut heads_nonrec: HashMap<PredId, Vec<&CRule>> = HashMap::new();
-    for r in rules {
-        if !r.reads_any(scc_preds) {
-            heads_nonrec.entry(r.head.pred).or_default().push(r);
-        }
-    }
+    let heads_nonrec = nonrecursive_by_head(rules, scc_preds);
     for &p in scc_preds {
-        let list = db.rel(p).sorted();
-        let total = list.len();
-        let jobs: Vec<&[Tuple]> = opts.chunks(&list).collect();
-        let dbr: &Database = db;
-        let counted: Vec<(Tuple, u64)> = collect_jobs(
-            opts,
-            total,
-            jobs.len(),
-            |i, out: &mut Vec<(Tuple, u64)>| {
-                let rs = heads_nonrec.get(&p);
-                for t in jobs[i] {
-                    let c: u64 = rs.map_or(0, |rs| {
-                        rs.iter().map(|&r| rule_derivation_count(dbr, r, t)).sum()
-                    });
-                    out.push((t.clone(), c));
-                }
-            },
-            "par.fbf.init",
-        );
+        let rs = heads_nonrec.get(&p);
+        let counted: Vec<(Tuple, u64)> = db
+            .rel(p)
+            .iter()
+            .map(|t| (t.clone(), derivation_count(db, rs, t)))
+            .collect();
         for (t, c) in counted {
             db.rel_mut(p).set_support(&t, sat(c));
         }
@@ -447,18 +392,11 @@ pub fn counts_consistent(db: &Database, rules: &[CRule], scc_preds: &[PredId]) -
     if rules.iter().any(|r| r.agg.is_some()) {
         return true;
     }
-    let mut heads_nonrec: HashMap<PredId, Vec<&CRule>> = HashMap::new();
-    for r in rules {
-        if !r.reads_any(scc_preds) {
-            heads_nonrec.entry(r.head.pred).or_default().push(r);
-        }
-    }
+    let heads_nonrec = nonrecursive_by_head(rules, scc_preds);
     for &p in scc_preds {
         let rs = heads_nonrec.get(&p);
         for t in db.rel(p).iter() {
-            let truth: u64 = rs.map_or(0, |rs| {
-                rs.iter().map(|&r| rule_derivation_count(db, r, t)).sum()
-            });
+            let truth = derivation_count(db, rs, t);
             let stored = u64::from(db.rel(p).support(t));
             let ok = if truth == 0 {
                 stored == 0
@@ -477,7 +415,6 @@ pub fn counts_consistent(db: &Database, rules: &[CRule], scc_preds: &[PredId]) -
 mod tests {
     use super::*;
     use crate::eval::{compile_program, load_facts, naive_fixpoint};
-    use crate::incr::sorted_list;
     use crate::parser::parse_program;
 
     /// Build a database + compiled rules, fully materialized, with
@@ -507,12 +444,11 @@ mod tests {
         )
     }
 
-    fn tc_update_opts(
+    fn tc_update(
         db: &mut Database,
         rules: &[CRule],
         add: &[(&str, &str)],
         del: &[(&str, &str)],
-        opts: &EvalOptions,
     ) -> HashMap<PredId, Delta> {
         let edge = db.pred_id("edge").unwrap();
         let (prules, path) = path_rules(db, rules);
@@ -530,22 +466,13 @@ mod tests {
             }
         }
         let input = HashMap::from([(edge, d)]);
-        update_scc_fbf(db, &prules, &[path], &input, opts)
-    }
-
-    fn tc_update(
-        db: &mut Database,
-        rules: &[CRule],
-        add: &[(&str, &str)],
-        del: &[(&str, &str)],
-    ) -> HashMap<PredId, Delta> {
-        tc_update_opts(db, rules, add, del, &EvalOptions::sequential())
+        update_scc_fbf(db, &prules, &[path], &input)
     }
 
     fn setup_tc(facts: &str) -> (Database, Vec<CRule>) {
         let (mut db, rules) = setup(&format!("{TC} {facts}"));
         let (prules, path) = path_rules(&db, &rules);
-        init_counts_scc(&mut db, &prules, &[path], &EvalOptions::sequential());
+        init_counts_scc(&mut db, &prules, &[path]);
         assert!(counts_consistent(&db, &prules, &[path]));
         (db, rules)
     }
@@ -626,34 +553,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_update_matches_sequential() {
-        let facts = "edge(a, b). edge(b, c). edge(c, a). edge(a, c). edge(c, d). edge(d, e).";
-        let run = |opts: &EvalOptions| {
-            let (mut db, rules) = setup(&format!("{TC} {facts}"));
-            let (prules, path) = path_rules(&db, &rules);
-            init_counts_scc(&mut db, &prules, &[path], opts);
-            let out = tc_update_opts(
-                &mut db,
-                &rules,
-                &[("e", "a"), ("b", "f")],
-                &[("b", "c"), ("c", "d")],
-                opts,
-            );
-            let d = &out[&path];
-            (
-                db.rel(path).sorted(),
-                sorted_list(&d.added),
-                sorted_list(&d.removed),
-            )
-        };
-        let seq = run(&EvalOptions::sequential());
-        let mut par_opts = EvalOptions::with_threads(4);
-        par_opts.min_parallel_tuples = 0;
-        let par = run(&par_opts);
-        assert_eq!(seq, par);
-    }
-
-    #[test]
     fn nonrecursive_clique_decrements_without_propagation() {
         // Two independent derivations of hot(x); deleting one input must
         // be absorbed by the count (no deletion, saved counter bumped).
@@ -662,8 +561,7 @@ mod tests {
         let (mut db, rules) = setup(src);
         let hot = db.pred_id("hot").unwrap();
         let hrules: Vec<CRule> = rules.iter().filter(|r| r.head.pred == hot).cloned().collect();
-        let opts = EvalOptions::sequential();
-        init_counts_scc(&mut db, &hrules, &[hot], &opts);
+        init_counts_scc(&mut db, &hrules, &[hot]);
         let tx = vec![db.sym("x")];
         assert_eq!(db.rel(hot).support(&tx), 2);
 
@@ -674,7 +572,7 @@ mod tests {
         db.rel_mut(alarm).remove(&tx);
         let mut d = Delta::default();
         d.removed.insert(tx.clone());
-        let out = update_scc_fbf(&mut db, &hrules, &[hot], &HashMap::from([(alarm, d)]), &opts);
+        let out = update_scc_fbf(&mut db, &hrules, &[hot], &HashMap::from([(alarm, d)]));
         assert!(db.has_fact("hot", &["x"]), "second derivation keeps hot(x)");
         assert!(out[&hot].is_empty(), "no net change");
         assert_eq!(db.rel(hot).support(&tx), 1);
@@ -692,14 +590,13 @@ mod tests {
         let (mut db, rules) = setup(src);
         let hot = db.pred_id("hot").unwrap();
         let hrules: Vec<CRule> = rules.iter().filter(|r| r.head.pred == hot).cloned().collect();
-        let opts = EvalOptions::sequential();
-        init_counts_scc(&mut db, &hrules, &[hot], &opts);
+        init_counts_scc(&mut db, &hrules, &[hot]);
         let alarm = db.pred_id("alarm").unwrap();
         let tx = vec![db.sym("x")];
         db.rel_mut(alarm).remove(&tx);
         let mut d = Delta::default();
         d.removed.insert(tx);
-        let out = update_scc_fbf(&mut db, &hrules, &[hot], &HashMap::from([(alarm, d)]), &opts);
+        let out = update_scc_fbf(&mut db, &hrules, &[hot], &HashMap::from([(alarm, d)]));
         assert!(!db.has_fact("hot", &["x"]));
         assert!(db.has_fact("hot", &["y"]));
         assert_eq!(out[&hot].removed.len(), 1);
@@ -714,8 +611,7 @@ mod tests {
         let allowed = db.pred_id("allowed").unwrap();
         let arules: Vec<CRule> =
             rules.iter().filter(|r| r.head.pred == allowed).cloned().collect();
-        let opts = EvalOptions::sequential();
-        init_counts_scc(&mut db, &arules, &[allowed], &opts);
+        init_counts_scc(&mut db, &arules, &[allowed]);
 
         // Ban u1: insertion through negation deletes allowed(u1).
         let banned = db.pred_id("banned").unwrap();
@@ -724,7 +620,7 @@ mod tests {
         let mut d = Delta::default();
         d.added.insert(t1);
         let out =
-            update_scc_fbf(&mut db, &arules, &[allowed], &HashMap::from([(banned, d)]), &opts);
+            update_scc_fbf(&mut db, &arules, &[allowed], &HashMap::from([(banned, d)]));
         assert!(!db.has_fact("allowed", &["u1"]));
         assert_eq!(out[&allowed].removed.len(), 1);
 
@@ -734,7 +630,7 @@ mod tests {
         let mut d = Delta::default();
         d.removed.insert(t2);
         let out =
-            update_scc_fbf(&mut db, &arules, &[allowed], &HashMap::from([(banned, d)]), &opts);
+            update_scc_fbf(&mut db, &arules, &[allowed], &HashMap::from([(banned, d)]));
         assert!(db.has_fact("allowed", &["u2"]));
         assert_eq!(out[&allowed].added.len(), 1);
         assert!(counts_consistent(&db, &arules, &[allowed]));
@@ -748,19 +644,18 @@ mod tests {
         let (mut db, rules) = setup(src);
         let hot = db.pred_id("hot").unwrap();
         let hrules: Vec<CRule> = rules.iter().filter(|r| r.head.pred == hot).cloned().collect();
-        let opts = EvalOptions::sequential();
-        init_counts_scc(&mut db, &hrules, &[hot], &opts);
+        init_counts_scc(&mut db, &hrules, &[hot]);
         let alarm = db.pred_id("alarm").unwrap();
         let tx = vec![db.sym("x")];
         db.rel_mut(alarm).remove(&tx);
         let mut d = Delta::default();
         d.removed.insert(tx.clone());
-        update_scc_fbf(&mut db, &hrules, &[hot], &HashMap::from([(alarm, d)]), &opts);
+        update_scc_fbf(&mut db, &hrules, &[hot], &HashMap::from([(alarm, d)]));
         assert!(!db.has_fact("hot", &["x"]));
         db.rel_mut(alarm).insert(tx.clone());
         let mut d = Delta::default();
         d.added.insert(tx.clone());
-        update_scc_fbf(&mut db, &hrules, &[hot], &HashMap::from([(alarm, d)]), &opts);
+        update_scc_fbf(&mut db, &hrules, &[hot], &HashMap::from([(alarm, d)]));
         assert!(db.has_fact("hot", &["x"]));
         assert_eq!(db.rel(hot).support(&tx), 1);
         assert!(counts_consistent(&db, &hrules, &[hot]));

@@ -17,10 +17,9 @@
 //! 3. **Insert** — semi-naive propagation of added input tuples (and of
 //!    derivations newly enabled by removed blockers) to fixpoint.
 //!
-//! Every phase fans its pinned deltas (or candidate lists) out across the
-//! worker pool when [`EvalOptions`] allows — deltas are sorted before
-//! chunking and merged with a sorted dedup, so the result is independent
-//! of thread count.
+//! Every phase works from sorted delta (or candidate) lists and merges
+//! its derivations with a sort, so the result — down to the row order of
+//! what is inserted — is a pure function of the inputs.
 //!
 //! The output delta per predicate is the exact set difference between the
 //! old and new extents, so downstream tasks see *net* changes only — a
@@ -31,10 +30,9 @@
 //! its deltas and its join work, never the size of an extent.
 
 use crate::eval::{
-    ensure_indices, eval_agg_rule, eval_rule, rule_derives, seminaive_scc_opts, CRule, Patch,
-    PinMode, Rels,
+    ensure_indices, eval_agg_rule, eval_pin_jobs, eval_rule, rule_derives, seminaive_scc, CRule,
+    Patch, Pin, PinJob, PinMode, Rels,
 };
-use crate::par::{collect_jobs, eval_pin_jobs, EvalOptions, PinJob};
 use crate::rel::{Database, PredId, Relation};
 use crate::value::Tuple;
 use incr_obs::flight::{self, FlightCode};
@@ -150,7 +148,6 @@ pub(crate) fn insert_and_net(
     deleted: HashMap<PredId, HashSet<Tuple>>,
     seed: HashMap<PredId, HashSet<Tuple>>,
     bootstrap: bool,
-    opts: &EvalOptions,
 ) -> HashMap<PredId, Delta> {
     let mut out: HashMap<PredId, Delta> =
         scc_preds.iter().map(|&p| (p, Delta::default())).collect();
@@ -163,7 +160,7 @@ pub(crate) fn insert_and_net(
         note_added(p, &mut ts.iter().cloned());
     }
     if bootstrap || !seed.is_empty() {
-        for (p, ts) in seminaive_scc_opts(db, rules, scc_preds, seed, bootstrap, opts) {
+        for (p, ts) in seminaive_scc(db, rules, scc_preds, seed, bootstrap) {
             note_added(p, &mut ts.into_iter());
         }
     }
@@ -175,9 +172,8 @@ pub(crate) fn insert_and_net(
     out
 }
 
-/// Sorted list of a delta set — deterministic chunk boundaries for the
-/// parallel fan-out.
-pub(crate) fn sorted_list(set: &HashSet<Tuple>) -> Vec<Tuple> {
+/// Sorted list of a delta set — a deterministic order to pin it in.
+fn sorted_list(set: &HashSet<Tuple>) -> Vec<Tuple> {
     let mut v: Vec<Tuple> = set.iter().cloned().collect();
     v.sort_unstable();
     v
@@ -201,7 +197,6 @@ pub(crate) fn delta_lists(input: &HashMap<PredId, Delta>) -> DeltaLists {
 pub(crate) fn delta_pin_jobs<'a>(
     rules: &[&'a CRule],
     lists: &'a DeltaLists,
-    opts: &EvalOptions,
     destruction: bool,
 ) -> Vec<PinJob<'a>> {
     let mut jobs: Vec<PinJob<'a>> = Vec::new();
@@ -216,13 +211,15 @@ pub(crate) fn delta_pin_jobs<'a>(
                 (false, false) => (PinMode::Positive, added),
                 (false, true) => (PinMode::NegGained, removed),
             };
-            for chunk in opts.chunks(list) {
-                jobs.push(PinJob {
+            if !list.is_empty() {
+                jobs.push((
                     rule,
-                    pos: j,
-                    mode,
-                    chunk,
-                });
+                    Pin {
+                        index: j,
+                        mode,
+                        delta: list,
+                    },
+                ));
             }
         }
     }
@@ -243,21 +240,11 @@ pub(crate) fn overdelete(
     input_lists: &DeltaLists,
     doomed: Vec<(PredId, Tuple)>,
     mut spared: impl FnMut(PredId, &Tuple) -> bool,
-    opts: &EvalOptions,
-    span_name: &'static str,
 ) -> HashMap<PredId, HashSet<Tuple>> {
     let mut deleted: HashMap<PredId, HashSet<Tuple>> = HashMap::new();
-    let jobs = delta_pin_jobs(rules, input_lists, opts, true);
-    let mut fresh = eval_pin_jobs(
-        view,
-        &jobs,
-        |head, t| view.db.rel(head).contains(t),
-        opts,
-        span_name,
-    );
+    let jobs = delta_pin_jobs(rules, input_lists, true);
+    let mut fresh = eval_pin_jobs(view, &jobs, |head, t| view.db.rel(head).contains(t));
     fresh.extend(doomed);
-    // `deleted` is frozen during each parallel evaluation and mutated
-    // only in the merge between rounds.
     loop {
         // A round is itself a delta: removals from clique predicates.
         let mut round: DeltaLists = HashMap::new();
@@ -269,34 +256,27 @@ pub(crate) fn overdelete(
         for (_, removed) in round.values_mut() {
             removed.sort_unstable();
         }
-        let jobs = delta_pin_jobs(rules, &round, opts, true);
+        let jobs = delta_pin_jobs(rules, &round, true);
         if jobs.is_empty() {
             return deleted;
         }
-        fresh = eval_pin_jobs(
-            view,
-            &jobs,
-            |head, t| {
-                view.db.rel(head).contains(t) && !deleted.get(&head).is_some_and(|d| d.contains(t))
-            },
-            opts,
-            span_name,
-        );
+        fresh = eval_pin_jobs(view, &jobs, |head, t| {
+            view.db.rel(head).contains(t) && !deleted.get(&head).is_some_and(|d| d.contains(t))
+        });
     }
 }
 
 /// Rederivation: put back (and return) every `deleted` tuple some rule of
 /// `rules` still derives from the current state, checked per candidate
 /// with the head-bound plan ([`rule_derives`]) instead of re-evaluating
-/// whole rules. Candidate lists fan out across the pool; rounds iterate
-/// because one reinstated tuple can support another's alternative
-/// derivation. Also returns how many candidate checks ran.
+/// whole rules. Rounds iterate because one reinstated tuple can support
+/// another's alternative derivation; each round checks its candidates, in
+/// sorted order per predicate, against the state the round started from.
+/// Also returns how many candidate checks ran.
 pub(crate) fn rederive(
     db: &mut Database,
     deleted: &HashMap<PredId, HashSet<Tuple>>,
     rules: &[&CRule],
-    opts: &EvalOptions,
-    span_name: &'static str,
 ) -> (HashMap<PredId, HashSet<Tuple>>, u64) {
     let mut rules_by_head: HashMap<PredId, Vec<&CRule>> = HashMap::new();
     for &rule in rules {
@@ -305,42 +285,21 @@ pub(crate) fn rederive(
     let mut seed: HashMap<PredId, HashSet<Tuple>> = HashMap::new();
     let mut checks = 0u64;
     loop {
-        let cand_lists: Vec<(&Vec<&CRule>, PredId, Vec<Tuple>)> = deleted
-            .iter()
-            .filter_map(|(&p, ts)| {
-                let rs = rules_by_head.get(&p)?;
-                let mut v: Vec<Tuple> = ts
-                    .iter()
-                    .filter(|t| !db.rel(p).contains(t))
-                    .cloned()
-                    .collect();
-                v.sort_unstable();
-                Some((rs, p, v))
-            })
-            .collect();
-        let total: usize = cand_lists.iter().map(|(_, _, v)| v.len()).sum();
-        checks += total as u64;
-        let mut jobs: Vec<(&Vec<&CRule>, PredId, &[Tuple])> = Vec::new();
-        for (rs, p, list) in &cand_lists {
-            for chunk in opts.chunks(list) {
-                jobs.push((rs, *p, chunk));
+        let mut fresh: Vec<(PredId, Tuple)> = Vec::new();
+        for (&p, ts) in deleted {
+            let Some(rs) = rules_by_head.get(&p) else {
+                continue;
+            };
+            let mut candidates: Vec<&Tuple> =
+                ts.iter().filter(|t| !db.rel(p).contains(t)).collect();
+            candidates.sort_unstable();
+            checks += candidates.len() as u64;
+            for t in candidates {
+                if rs.iter().any(|r| rule_derives(db, r, t)) {
+                    fresh.push((p, t.clone()));
+                }
             }
         }
-        let dbr: &Database = db;
-        let fresh: Vec<(PredId, Tuple)> = collect_jobs(
-            opts,
-            total,
-            jobs.len(),
-            |i, out: &mut Vec<(PredId, Tuple)>| {
-                let (rs, p, chunk) = jobs[i];
-                for t in chunk {
-                    if rs.iter().any(|r| rule_derives(dbr, r, t)) {
-                        out.push((p, t.clone()));
-                    }
-                }
-            },
-            span_name,
-        );
         if fresh.is_empty() {
             return (seed, checks);
         }
@@ -352,17 +311,6 @@ pub(crate) fn rederive(
     }
 }
 
-/// Apply an update to one clique (sequential convenience wrapper over
-/// [`update_scc_opts`]).
-pub fn update_scc(
-    db: &mut Database,
-    rules: &[CRule],
-    scc_preds: &[PredId],
-    input: &HashMap<PredId, Delta>,
-) -> HashMap<PredId, Delta> {
-    update_scc_opts(db, rules, scc_preds, input, &EvalOptions::sequential())
-}
-
 /// Apply an update to one clique.
 ///
 /// * `rules` — the rules whose heads are in this clique.
@@ -372,12 +320,11 @@ pub fn update_scc(
 ///   already applied to `db`.
 ///
 /// Returns the clique's own net output delta per predicate.
-pub fn update_scc_opts(
+pub fn update_scc(
     db: &mut Database,
     rules: &[CRule],
     scc_preds: &[PredId],
     input: &HashMap<PredId, Delta>,
-    opts: &EvalOptions,
 ) -> HashMap<PredId, Delta> {
     // ---- Phase 1: overdeletion against the old view. ----
     // Each DRed phase is triply accounted: a trace span (opt-in, rich),
@@ -401,15 +348,7 @@ pub fn update_scc_opts(
         db,
         patches: &patches,
     };
-    let deleted = overdelete(
-        &view,
-        &all,
-        &input_lists,
-        Vec::new(),
-        |_, _| false,
-        opts,
-        "par.overdelete",
-    );
+    let deleted = overdelete(&view, &all, &input_lists, Vec::new(), |_, _| false);
     for (&p, ts) in &deleted {
         for t in ts {
             db.rel_mut(p).remove(t);
@@ -427,7 +366,7 @@ pub fn update_scc_opts(
     let dred_rederive = trace::span("datalog", "dred.rederive");
     let mut rederive_f = flight::span(FlightCode::DredRederive);
     let rederive_t0 = Instant::now();
-    let (mut seed, _) = rederive(db, &deleted, &all, opts, "par.rederive");
+    let (mut seed, _) = rederive(db, &deleted, &all);
     let rederived_total: usize = seed.values().map(|s| s.len()).sum();
     incr_obs::registry()
         .counter("datalog.dred.rederive_ns")
@@ -445,9 +384,8 @@ pub fn update_scc_opts(
     let insert_t0 = Instant::now();
     let gained = {
         let dbr: &Database = db;
-        let jobs = delta_pin_jobs(&all, &input_lists, opts, false);
-        let absent = |head: PredId, t: &Tuple| !dbr.rel(head).contains(t);
-        eval_pin_jobs(dbr, &jobs, absent, opts, "par.insert")
+        let jobs = delta_pin_jobs(&all, &input_lists, false);
+        eval_pin_jobs(dbr, &jobs, |head, t| !dbr.rel(head).contains(t))
     };
     for (p, t) in gained {
         if db.rel_mut(p).insert(t.clone()) {
@@ -455,7 +393,7 @@ pub fn update_scc_opts(
         }
     }
     let inserted_seed: usize = seed.values().map(|s| s.len()).sum::<usize>() - rederived_total;
-    let out = insert_and_net(db, rules, scc_preds, deleted, seed, false, opts);
+    let out = insert_and_net(db, rules, scc_preds, deleted, seed, false);
     incr_obs::registry()
         .counter("datalog.dred.insert_ns")
         .add(insert_t0.elapsed().as_nanos() as u64);
@@ -463,15 +401,6 @@ pub fn update_scc_opts(
     drop(insert_f);
     dred_insert.end_args(vec![("seed_inserts", (inserted_seed as u64).into())]);
     out
-}
-
-/// Sequential convenience wrapper over [`reevaluate_scc_opts`].
-pub fn reevaluate_scc(
-    db: &mut Database,
-    rules: &[CRule],
-    scc_preds: &[PredId],
-) -> HashMap<PredId, Delta> {
-    reevaluate_scc_opts(db, rules, scc_preds, &EvalOptions::sequential())
 }
 
 /// Re-evaluate one clique from scratch against its (unchanged) inputs and
@@ -483,11 +412,10 @@ pub fn reevaluate_scc(
 /// The relations are never swapped for fresh ones: tuples that leave are
 /// tombstoned and tuples that stay keep their rows, so a snapshot pinned
 /// before the call keeps reading the old extent.
-pub fn reevaluate_scc_opts(
+pub fn reevaluate_scc(
     db: &mut Database,
     rules: &[CRule],
     scc_preds: &[PredId],
-    opts: &EvalOptions,
 ) -> HashMap<PredId, Delta> {
     let _span = trace::span_with(
         "datalog",
@@ -510,7 +438,7 @@ pub fn reevaluate_scc_opts(
             }
             old.insert(p, ts);
         }
-        return insert_and_net(db, rules, scc_preds, old, HashMap::new(), true, opts);
+        return insert_and_net(db, rules, scc_preds, old, HashMap::new(), true);
     }
     // Non-recursive (every aggregate clique is): one evaluation of the
     // rules is the whole new extent; apply only how it differs from the
@@ -571,12 +499,11 @@ mod tests {
     const TC: &str = "path(X, Y) :- edge(X, Y).\n\
                       path(X, Z) :- path(X, Y), edge(Y, Z).\n";
 
-    fn tc_update_opts(
+    fn tc_update(
         db: &mut Database,
         rules: &[CRule],
         add: &[(&str, &str)],
         del: &[(&str, &str)],
-        opts: &EvalOptions,
     ) -> HashMap<PredId, Delta> {
         let edge = db.pred_id("edge").unwrap();
         let path = db.pred_id("path").unwrap();
@@ -599,16 +526,7 @@ mod tests {
             .filter(|r| r.head.pred == path)
             .cloned()
             .collect();
-        update_scc_opts(db, &path_rules, &[path], &input, opts)
-    }
-
-    fn tc_update(
-        db: &mut Database,
-        rules: &[CRule],
-        add: &[(&str, &str)],
-        del: &[(&str, &str)],
-    ) -> HashMap<PredId, Delta> {
-        tc_update_opts(db, rules, add, del, &EvalOptions::sequential())
+        update_scc(db, &path_rules, &[path], &input)
     }
 
     #[test]
@@ -676,37 +594,6 @@ mod tests {
             // order, so raw comparison is meaningful.
             v
         });
-    }
-
-    #[test]
-    fn parallel_update_matches_sequential() {
-        // The same mixed edit run under threads=1 and threads=4 (pool
-        // forced) must leave identical extents and identical net deltas.
-        let base = format!(
-            "{TC} edge(a, b). edge(b, c). edge(c, a). edge(a, c). edge(c, d). edge(d, e)."
-        );
-        let run = |opts: &EvalOptions| {
-            let (mut db, rules) = setup(&base);
-            let out = tc_update_opts(
-                &mut db,
-                &rules,
-                &[("e", "a"), ("b", "f")],
-                &[("b", "c"), ("c", "d")],
-                opts,
-            );
-            let path = db.pred_id("path").unwrap();
-            let d = &out[&path];
-            (
-                db.rel(path).sorted(),
-                sorted_list(&d.added),
-                sorted_list(&d.removed),
-            )
-        };
-        let seq = run(&EvalOptions::sequential());
-        let mut par_opts = EvalOptions::with_threads(4);
-        par_opts.min_parallel_tuples = 0;
-        let par = run(&par_opts);
-        assert_eq!(seq, par);
     }
 
     #[test]

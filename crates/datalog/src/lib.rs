@@ -28,13 +28,14 @@
 //!   ("just because an input to a predicate changes does not mean that
 //!   the predicate's output changes", §II-A).
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod engine;
 pub mod eval;
 pub mod fbf;
 pub mod incr;
 pub mod mvcc;
-pub mod par;
 pub mod parser;
 pub mod query;
 pub mod rel;
@@ -48,11 +49,10 @@ pub mod value;
 mod proptests;
 
 pub use ast::{Atom, Literal, Program, Rule, Term};
-pub use engine::{FactEdit, IncrementalEngine, TypedEdit, UpdateReport};
-pub use eval::{Access, IndexMode};
+pub use engine::{EvalOptions, FactEdit, IncrementalEngine, TypedEdit, UpdateReport};
+pub use eval::Access;
 pub use fbf::MaintenanceStrategy;
 pub use mvcc::{PinRegistry, ReaderHandle, Snapshot};
-pub use par::EvalOptions;
 pub use parser::parse_program;
 pub use query::{parse_pattern, query, query_at, Pat};
 pub use rel::{Database, Relation};

@@ -1,23 +1,17 @@
-//! Property tests: parallel evaluation (`threads = 4`, pool forced) must
-//! produce exactly the same materializations and the same per-update net
-//! deltas as sequential evaluation (`threads = 1`), on random programs,
-//! random base facts, and random edit sequences. A second family checks
-//! snapshot isolation: a snapshot pinned mid-cascade reads the
-//! pre-update database bit-for-bit, and a post-publish snapshot matches
-//! the sequential reference — under every scheduler. A third checks the
-//! clique tasks against the code they replaced: the old-state overlay
-//! against a rolled-back copy, the tracked net delta against an extent
-//! diff.
-//!
-//! The engines are built from identical source text, so symbol interning
-//! — and therefore raw tuple comparison — agrees between the two runs.
+//! Property tests on random base facts and random edit sequences over a
+//! handful of rule templates. Snapshot isolation: a snapshot pinned
+//! mid-cascade reads the pre-update database bit-for-bit, and a
+//! post-publish snapshot matches a LevelBased reference — under every
+//! scheduler. Sharded ≡ unsharded and FBF ≡ DRed after every committed
+//! batch. And the clique tasks against the code they replaced: the
+//! old-state overlay against a rolled-back copy, the tracked net delta
+//! against an extent diff.
 
-use crate::engine::{FactEdit, IncrementalEngine};
-use crate::eval::{compile_program, load_facts, seminaive_scc_opts, CRule, Extent};
+use crate::engine::{EvalOptions, FactEdit, IncrementalEngine};
+use crate::eval::{compile_program, load_facts, seminaive_scc, CRule, Extent};
 use crate::fbf::{counts_consistent, init_counts_scc, update_scc_fbf, MaintenanceStrategy};
-use crate::incr::{net_deltas, reevaluate_scc_opts, update_scc_opts, Delta, OldView};
+use crate::incr::{net_deltas, reevaluate_scc, update_scc, Delta, OldView};
 use crate::mvcc::{ReaderHandle, Snapshot};
-use crate::par::EvalOptions;
 use crate::parser::parse_program;
 use crate::rel::{Database, PredId, Relation};
 use crate::shard::ShardedEngine;
@@ -68,70 +62,6 @@ fn program_src(rules: &str, edges: &[(usize, usize)]) -> String {
         src.push_str(&format!("edge(n{a}, n{b}).\n"));
     }
     src
-}
-
-fn forced_parallel() -> EvalOptions {
-    let mut o = EvalOptions::with_threads(4);
-    // Fan every delta out, however tiny — maximal interleaving coverage.
-    o.min_parallel_tuples = 0;
-    o
-}
-
-type Extents = Vec<(String, Vec<Tuple>)>;
-type Steps = Vec<(HashMap<String, (usize, usize)>, Extents)>;
-
-fn extents(e: &IncrementalEngine, preds: &[&str]) -> Extents {
-    let db = e.database();
-    preds
-        .iter()
-        .map(|p| {
-            let rows = db.pred_id(p).map(|id| db.rel(id).sorted()).unwrap_or_default();
-            (p.to_string(), rows)
-        })
-        .collect()
-}
-
-/// Run one program + edit sequence under both option sets and assert the
-/// materializations and per-step net deltas coincide.
-fn assert_equivalent(
-    rules: &str,
-    preds: &[&str],
-    edges: &[(usize, usize)],
-    edits: &[(bool, usize, usize)],
-) -> Result<(), TestCaseError> {
-    let src = program_src(rules, edges);
-    let run = |opts: EvalOptions| -> (Extents, Steps) {
-        let mut e = IncrementalEngine::with_options(&src, opts).expect("valid program");
-        let initial = extents(&e, preds);
-        let mut steps = Vec::new();
-        for batch in edits.chunks(4) {
-            let fe: Vec<FactEdit> = batch
-                .iter()
-                .map(|&(add, a, b)| {
-                    let args = [format!("n{a}"), format!("n{b}")];
-                    let args: Vec<&str> = args.iter().map(String::as_str).collect();
-                    if add {
-                        FactEdit::add("edge", &args)
-                    } else {
-                        FactEdit::remove("edge", &args)
-                    }
-                })
-                .collect();
-            let mut s: Box<dyn Scheduler> = Box::new(LevelBased::new(e.dag().clone()));
-            let rep = e.update(s.as_mut(), &fe).expect("valid edit");
-            steps.push((rep.pred_changes, extents(&e, preds)));
-        }
-        (initial, steps)
-    };
-    let (seq_init, seq_steps) = run(EvalOptions::sequential());
-    let (par_init, par_steps) = run(forced_parallel());
-    prop_assert_eq!(seq_init, par_init, "initial materialization differs");
-    prop_assert_eq!(seq_steps.len(), par_steps.len());
-    for (i, (s, p)) in seq_steps.iter().zip(&par_steps).enumerate() {
-        prop_assert_eq!(&s.0, &p.0, "net deltas differ at step {}", i);
-        prop_assert_eq!(&s.1, &p.1, "extents differ at step {}", i);
-    }
-    Ok(())
 }
 
 /// Wraps any scheduler and pins a snapshot at the first popped task —
@@ -369,7 +299,7 @@ fn assert_sharded_equivalent(
 }
 
 fn fbf_opts() -> EvalOptions {
-    EvalOptions::sequential().with_maintenance(MaintenanceStrategy::Fbf)
+    EvalOptions::default().with_maintenance(MaintenanceStrategy::Fbf)
 }
 
 /// DRed ≡ FBF: the same program and edit stream through engines that
@@ -603,13 +533,13 @@ fn assert_same_delta(
 /// no-op and delete-then-reinsert edits included) and check, at each
 /// task, the overlay against a rolled-back copy of every input and the
 /// returned net delta against [`net_deltas`] over a copy taken before —
-/// for `update_scc_opts`, `update_scc_fbf` (whose stored counts must
-/// also stay consistent with an exact recount) and `reevaluate_scc_opts`.
+/// for `update_scc`, `update_scc_fbf` (whose stored counts must also stay
+/// consistent with an exact recount) and `reevaluate_scc`.
 fn assert_tasks_match_oracles(
     rules_src: &str,
     edges: &[(usize, usize)],
     edits: &[(bool, usize, usize)],
-    opts: &EvalOptions,
+    strategy: MaintenanceStrategy,
 ) -> Result<(), TestCaseError> {
     let program = parse_program(&program_src(rules_src, edges)).expect("valid program");
     let strat = stratify(&program).expect("stratifiable");
@@ -630,11 +560,11 @@ fn assert_tasks_match_oracles(
             )),
         })
         .collect();
-    let fbf = opts.maintenance == MaintenanceStrategy::Fbf;
+    let fbf = strategy == MaintenanceStrategy::Fbf;
     for (_, preds, crules) in &cliques {
-        seminaive_scc_opts(&mut db, crules, preds, HashMap::new(), true, opts);
+        seminaive_scc(&mut db, crules, preds, HashMap::new(), true);
         if fbf {
-            init_counts_scc(&mut db, crules, preds, opts);
+            init_counts_scc(&mut db, crules, preds);
         }
     }
     let snapshot_of = |db: &Database, preds: &[PredId]| -> HashMap<PredId, Relation> {
@@ -662,11 +592,11 @@ fn assert_tasks_match_oracles(
             assert_overlay_matches_copy(&db, &input)?;
             let before = snapshot_of(&db, preds);
             let (out, what) = if crules.iter().any(|r| r.agg.is_some()) {
-                (reevaluate_scc_opts(&mut db, crules, preds, opts), "reevaluate")
+                (reevaluate_scc(&mut db, crules, preds), "reevaluate")
             } else if fbf {
-                (update_scc_fbf(&mut db, crules, preds, &input, opts), "fbf")
+                (update_scc_fbf(&mut db, crules, preds, &input), "fbf")
             } else {
-                (update_scc_opts(&mut db, crules, preds, &input, opts), "dred")
+                (update_scc(&mut db, crules, preds, &input), "dred")
             };
             assert_same_delta(&db, &out, &net_deltas(&db, preds, &before), what)?;
             if fbf {
@@ -681,7 +611,7 @@ fn assert_tasks_match_oracles(
     for (_, preds, crules) in &cliques {
         for subset in [&crules[..crules.len() - 1], &crules[..]] {
             let before = snapshot_of(&db, preds);
-            let out = reevaluate_scc_opts(&mut db, subset, preds, opts);
+            let out = reevaluate_scc(&mut db, subset, preds);
             assert_same_delta(&db, &out, &net_deltas(&db, preds, &before), "rule change")?;
         }
     }
@@ -700,39 +630,6 @@ fn edits_strategy() -> impl Strategy<Value = Vec<(bool, usize, usize)>> {
 fn deletion_heavy_strategy() -> impl Strategy<Value = Vec<(bool, usize, usize)>> {
     proptest::collection::vec((0u8..4, 0usize..6, 0usize..6), 0..16)
         .prop_map(|v| v.into_iter().map(|(k, a, b)| (k == 0, a, b)).collect())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn parallel_matches_sequential_on_transitive_closure(
-        edges in edges_strategy(),
-        edits in edits_strategy(),
-    ) {
-        assert_equivalent(TC_RULES, &["edge", "path"], &edges, &edits)?;
-    }
-
-    #[test]
-    fn parallel_matches_sequential_with_negation(
-        edges in edges_strategy(),
-        edits in edits_strategy(),
-    ) {
-        assert_equivalent(
-            NEG_RULES,
-            &["edge", "node", "reach", "unreach"],
-            &edges,
-            &edits,
-        )?;
-    }
-
-    #[test]
-    fn parallel_matches_sequential_on_multi_bound_joins(
-        edges in edges_strategy(),
-        edits in edits_strategy(),
-    ) {
-        assert_equivalent(TRI_RULES, &["edge", "tri", "path"], &edges, &edits)?;
-    }
 }
 
 proptest! {
@@ -912,12 +809,9 @@ proptest! {
         deletions in deletion_heavy_strategy(),
     ) {
         for rules in [TC_RULES, RTC_RULES, NEG_RULES, TRI_RULES, PARITY_RULES, AGG_RULES] {
-            for threads in [EvalOptions::sequential(), forced_parallel()] {
-                for strategy in [MaintenanceStrategy::DRed, MaintenanceStrategy::Fbf] {
-                    let opts = threads.clone().with_maintenance(strategy);
-                    assert_tasks_match_oracles(rules, &edges, &edits, &opts)?;
-                    assert_tasks_match_oracles(rules, &edges, &deletions, &opts)?;
-                }
+            for strategy in [MaintenanceStrategy::DRed, MaintenanceStrategy::Fbf] {
+                assert_tasks_match_oracles(rules, &edges, &edits, strategy)?;
+                assert_tasks_match_oracles(rules, &edges, &deletions, strategy)?;
             }
         }
     }

@@ -81,9 +81,10 @@
 //! integer `42` survive the trip distinct.
 
 use crate::ast::{Literal, Program, Rule, Term};
-use crate::engine::{EngineError, FactEdit, IncrementalEngine, TypedEdit, UpdateReport};
+use crate::engine::{
+    EngineError, EvalOptions, FactEdit, IncrementalEngine, TypedEdit, UpdateReport,
+};
 use crate::incr::Delta;
-use crate::par::EvalOptions;
 use crate::parser::parse_program;
 use crate::query::parse_pattern;
 use crate::rel::{Database, PredId};
@@ -602,15 +603,13 @@ const MAX_ROUNDS: usize = 100_000;
 
 impl ShardedEngine {
     /// Parse, analyze, build one engine per shard, and materialize the
-    /// program's facts as the first committed batch. Per-shard
-    /// evaluation is sequential — the parallelism budget is spent
-    /// across shards, not inside them.
+    /// program's facts as the first committed batch.
     pub fn new(
         src: &str,
         shards: usize,
         make_sched: impl FnMut(Arc<Dag>) -> Box<dyn Scheduler + Send>,
     ) -> Result<ShardedEngine, EngineError> {
-        Self::with_options(src, shards, EvalOptions::sequential(), make_sched)
+        Self::with_options(src, shards, EvalOptions::default(), make_sched)
     }
 
     /// [`Self::new`] with explicit per-shard evaluation options.

@@ -44,6 +44,8 @@
 //! incr_obs::trace::disable();
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod export;
 pub mod flight;
 pub mod json;

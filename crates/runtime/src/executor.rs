@@ -764,21 +764,6 @@ impl Executor {
         Ok(finish_report(stats, completion_order, t0, wait_ns))
     }
 
-    /// [`Executor::run`], panicking on error — the pre-existing contract,
-    /// kept for tests and simple tools.
-    pub fn run_or_panic(
-        &self,
-        scheduler: &mut dyn Scheduler,
-        dag: &Arc<Dag>,
-        initial: &[NodeId],
-        task: TaskFn,
-    ) -> ExecReport {
-        match self.run(scheduler, dag, initial, task) {
-            Ok(report) => report,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Drive a whole stream of updates through one warm worker pool: the
     /// scheduler is `start`ed per update (O(active) with the stamped
     /// schedulers) and the pool, channels and buffers persist across
@@ -1825,7 +1810,9 @@ mod tests {
     fn executes_diamond_fully() {
         let dag = diamond();
         let mut s = LevelBased::new(dag.clone());
-        let report = Executor::new(4).run_or_panic(&mut s, &dag, &[NodeId(0)], fire_all(&dag));
+        let report = Executor::new(4)
+            .run(&mut s, &dag, &[NodeId(0)], fire_all(&dag))
+            .expect("run succeeds");
         assert_eq!(report.executed, 4);
         assert_eq!(report.replayed, 0);
         assert_eq!(report.completion_order.len(), 4);
@@ -1844,7 +1831,7 @@ mod tests {
                 fired.push(NodeId(1));
             }
         });
-        let report = Executor::new(2).run_or_panic(&mut s, &dag, &[NodeId(0)], f);
+        let report = Executor::new(2).run(&mut s, &dag, &[NodeId(0)], f).expect("run succeeds");
         assert_eq!(report.executed, 2);
     }
 
@@ -1875,7 +1862,9 @@ mod tests {
         // Chunk size 1 so the fan spreads across all 8 workers.
         let mut cfg = ExecConfig::new(8);
         cfg.chunk_max = 1;
-        let report = Executor::with_config(cfg).run_or_panic(&mut s, &dag, &[NodeId(0)], f);
+        let report = Executor::with_config(cfg)
+            .run(&mut s, &dag, &[NodeId(0)], f)
+            .expect("run succeeds");
         assert_eq!(report.executed, 17);
         assert!(
             peak.load(Ordering::SeqCst) >= 4,
@@ -1888,7 +1877,9 @@ mod tests {
     fn hybrid_runs_on_real_threads() {
         let dag = diamond();
         let mut s = Hybrid::new(dag.clone());
-        let report = Executor::new(4).run_or_panic(&mut s, &dag, &[NodeId(0)], fire_all(&dag));
+        let report = Executor::new(4)
+            .run(&mut s, &dag, &[NodeId(0)], fire_all(&dag))
+            .expect("run succeeds");
         assert_eq!(report.executed, 4);
     }
 
@@ -1910,17 +1901,6 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("fired non-edge"));
-    }
-
-    #[test]
-    #[should_panic(expected = "fired non-edge")]
-    fn firing_a_non_edge_panics_via_shim() {
-        let dag = diamond();
-        let mut s = LevelBased::new(dag.clone());
-        let f: TaskFn = Arc::new(|_, fired: &mut Vec<NodeId>| {
-            fired.push(NodeId(3));
-        });
-        let _ = Executor::new(2).run_or_panic(&mut s, &dag, &[NodeId(0)], f);
     }
 
     /// A scheduler that admits active work but never offers any task:
@@ -1975,7 +1955,7 @@ mod tests {
     fn empty_update_returns_immediately() {
         let dag = diamond();
         let mut s = LevelBased::new(dag.clone());
-        let report = Executor::new(4).run_or_panic(&mut s, &dag, &[], fire_all(&dag));
+        let report = Executor::new(4).run(&mut s, &dag, &[], fire_all(&dag)).expect("run succeeds");
         assert_eq!(report.executed, 0);
         assert!(report.completion_order.is_empty());
     }
@@ -2295,8 +2275,12 @@ mod tests {
         // The same scheduler restarts cleanly after the abort.
         token.reset();
         let mut s2 = LevelBased::new(dag.clone());
-        let fresh = Executor::new(2).run_or_panic(&mut s2, &dag, &[NodeId(0)], fire_all(&dag));
-        let resumed = Executor::new(2).run_or_panic(&mut s, &dag, &[NodeId(0)], fire_all(&dag));
+        let fresh = Executor::new(2)
+            .run(&mut s2, &dag, &[NodeId(0)], fire_all(&dag))
+            .expect("run succeeds");
+        let resumed = Executor::new(2)
+            .run(&mut s, &dag, &[NodeId(0)], fire_all(&dag))
+            .expect("run succeeds");
         assert_eq!(resumed.executed, fresh.executed);
     }
 

@@ -31,6 +31,8 @@
 //!   serving a hash partition of the update stream on its own
 //!   coordinator thread (the `dlsched stream --shards N` path).
 
+#![forbid(unsafe_code)]
+
 pub mod attribution;
 pub mod executor;
 pub mod faults;

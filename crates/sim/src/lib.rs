@@ -24,6 +24,8 @@
 //!   (the `schedviz` binary renders LevelBased's barrier idling against
 //!   exact-readiness overlap on the Figure 2 instance).
 
+#![forbid(unsafe_code)]
+
 pub mod event;
 pub mod meta;
 pub mod step;

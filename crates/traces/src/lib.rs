@@ -25,6 +25,8 @@
 //! * [`format`](mod@format) — versioned JSON serialization of instances, standing in
 //!   for the paper's trace files.
 
+#![forbid(unsafe_code)]
+
 pub mod adversarial;
 pub mod durations;
 pub mod format;

@@ -399,7 +399,7 @@ fn run_datalog_stream(args: &[String]) -> i32 {
     };
 
     let mut w = AttackWorkload::new(&AttackConfig::smoke());
-    let opts = EvalOptions::sequential().with_maintenance(strategy);
+    let opts = EvalOptions::default().with_maintenance(strategy);
     let reg = incr_obs::registry();
     let saved0 = reg.counter("datalog.fbf.count_saved_deletes").get();
 
@@ -996,7 +996,7 @@ fn run_snapshot_query(
 ) -> Result<String, String> {
     use datalog_sched::datalog::{EvalOptions, IncrementalEngine};
 
-    let opts = EvalOptions::sequential().with_maintenance(strategy);
+    let opts = EvalOptions::default().with_maintenance(strategy);
     let mut e = IncrementalEngine::with_options(src, opts).map_err(|e| e.to_string())?;
     let snap = e.begin_snapshot();
 
@@ -1043,7 +1043,7 @@ fn run_sharded_query(
 ) -> Result<String, String> {
     use datalog_sched::datalog::{EvalOptions, ShardedEngine};
 
-    let opts = EvalOptions::sequential().with_maintenance(strategy);
+    let opts = EvalOptions::default().with_maintenance(strategy);
     let mut e = ShardedEngine::with_options(src, shards, opts, |d| kind.build(d))
         .map_err(|e| e.to_string())?;
     let mut exchange = None;

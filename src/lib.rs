@@ -20,6 +20,8 @@
 //! See `README.md` for a guided tour, `DESIGN.md` for the system
 //! inventory, and `EXPERIMENTS.md` for paper-vs-measured results.
 
+#![forbid(unsafe_code)]
+
 pub use incr_dag as dag;
 pub use incr_datalog as datalog;
 pub use incr_runtime as runtime;

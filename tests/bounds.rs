@@ -389,7 +389,7 @@ fn update_time_is_independent_of_extent_size() {
                 .flat_map(|h| (0..ACL_PER_HOST).map(move |j| (h, acl_target(h, j, hosts))))
                 .collect();
             assert_eq!(present.len(), hosts * ACL_PER_HOST);
-            let opts = EvalOptions::sequential().with_maintenance(strategy);
+            let opts = EvalOptions::default().with_maintenance(strategy);
             let mut e = IncrementalEngine::with_options(&attack_slice(hosts, &present), opts)
                 .expect("valid program");
             let mut rng = StdRng::seed_from_u64(15);

@@ -147,14 +147,14 @@ fn executor_stress_five_thousand_tasks() {
     let expected = (pipes * depth) as usize;
 
     let mut lb = LevelBased::new(dag.clone());
-    let r = Executor::new(8).run_or_panic(&mut lb, &dag, &initial, task.clone());
+    let r = Executor::new(8).run(&mut lb, &dag, &initial, task.clone()).expect("run succeeds");
     assert_eq!(r.executed, expected);
 
     let mut duo = Duo::new(
         LevelBasedLookahead::new(dag.clone(), 3),
         LogicBlox::new(dag.clone()),
     );
-    let r = Executor::new(8).run_or_panic(&mut duo, &dag, &initial, task.clone());
+    let r = Executor::new(8).run(&mut duo, &dag, &initial, task.clone()).expect("run succeeds");
     assert_eq!(r.executed, expected);
 }
 

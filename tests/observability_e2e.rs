@@ -45,7 +45,9 @@ fn executor_run_produces_balanced_multithreaded_trace() {
         let task: TaskFn = Arc::new(move |v, out: &mut Vec<_>| {
             out.extend_from_slice(&fired[v.index()]);
         });
-        let report = Executor::new(4).run_or_panic(&mut s, &inst.dag, &inst.initial_active, task);
+        let report = Executor::new(4)
+            .run(&mut s, &inst.dag, &inst.initial_active, task)
+            .expect("run succeeds");
         assert_eq!(report.executed, inst.active_count());
     });
     assert!(stats.spans > 0, "executor run must record spans");
