@@ -250,8 +250,8 @@ fn main() {
     println!("{}", table.render());
 
     // ISSUE 9 satellite: the fault-tolerance machinery (hook
-    // interrogation, undo staging, barrier watchdog) must not tax the
-    // fault-free path. Armed-no-fault vs stock, best of 3 interleaved.
+    // interrogation, barrier watchdog) must not tax the fault-free
+    // path. Armed-no-fault vs stock, best of 3 interleaved.
     let (armed_ups, stock_ups) = ft_overhead(&src, &batches);
     let ft_ratio = armed_ups / stock_ups.max(1e-9);
     println!(

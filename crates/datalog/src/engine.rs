@@ -15,9 +15,9 @@ use crate::mvcc::{DbCell, PinRegistry, ReaderHandle, Snapshot};
 use crate::parser::{parse_program, ParseError};
 use crate::query::{parse_pattern, query as run_query};
 use crate::rel::{Database, PredId};
-use crate::stratify::{stratify, Stratification, StratifyError};
+use crate::stratify::{stratify, StratifyError};
 use crate::taskgraph::{NodeKind, TaskGraph};
-use crate::value::{Tuple, Value};
+use crate::value::Tuple;
 use incr_dag::{Dag, NodeId};
 use incr_obs::trace;
 use incr_sched::{CostMeter, Scheduler};
@@ -32,9 +32,9 @@ pub enum EngineError {
     Stratify(StratifyError),
     Edit(String),
     /// The driving scheduler stalled (offered no task while active work
-    /// remained). The update was rolled back: the materialization is
-    /// exactly what it was before the failed update, and retrying the
-    /// same update is idempotent.
+    /// remained). The update was rolled back — its open epoch aborted —
+    /// so the materialization is exactly what it was before the failed
+    /// update, and retrying the same update is idempotent.
     Stall { scheduler: String },
     /// A sharded update batch failed on one shard: that shard panicked,
     /// returned an error, or missed the exchange barrier. Every shard
@@ -129,6 +129,22 @@ impl FactEdit {
             FactEdit::Add { args, .. } | FactEdit::Remove { args, .. } => args,
         }
     }
+
+    /// The same edit with its argument texts read as values by
+    /// [`PortableValue::parse`](crate::shard::PortableValue::parse) — the
+    /// one text-to-value rule, shared by the engine, the queue and the
+    /// shard router.
+    pub fn typed(&self) -> TypedEdit {
+        TypedEdit {
+            pred: self.pred_name().to_string(),
+            args: self
+                .arg_texts()
+                .iter()
+                .map(|a| crate::shard::PortableValue::parse(a))
+                .collect(),
+            adding: matches!(self, FactEdit::Add { .. }),
+        }
+    }
 }
 
 /// What one incremental update did.
@@ -188,8 +204,6 @@ pub struct IncrementalEngine {
     pins: Arc<PinRegistry>,
     program: Program,
     rules: Vec<CRule>,
-    #[allow(dead_code)]
-    strat: Stratification,
     graph: TaskGraph,
     /// Per task node: its clique's compiled rules (shared, not re-cloned
     /// on every execution).
@@ -268,7 +282,6 @@ impl IncrementalEngine {
             pins: Arc::new(PinRegistry::new()),
             program,
             rules,
-            strat,
             graph,
             node_rules,
             opts,
@@ -294,8 +307,8 @@ impl IncrementalEngine {
 
     /// Recompute exact derivation counts for every clique — the FBF
     /// recovery primitive. Counts are a pure function of extents and
-    /// rules, so this restores consistency after any extent-level
-    /// restoration (rollback) or strategy switch.
+    /// rules, so this restores consistency after an aborted epoch or a
+    /// strategy switch.
     fn reinit_counts(&mut self) {
         let mut db = self.db_write();
         for &v in self.graph.dag.topo_order() {
@@ -358,8 +371,10 @@ impl IncrementalEngine {
 
     /// Commit the open epoch at a batch boundary: bump the published
     /// epoch, vacuum tombstones past the snapshot watermark, and export
-    /// the `mvcc.*` observability set.
-    fn publish(&mut self) {
+    /// the `mvcc.*` observability set. Every update ends here or in
+    /// [`Self::abort_open_epoch`]; the sharded runtime calls it once per
+    /// committed batch.
+    pub(crate) fn publish(&mut self) {
         let t0 = Instant::now();
         let mut db = self.db_write();
         let epoch = db.publish(self.pins.min_pinned());
@@ -396,40 +411,61 @@ impl IncrementalEngine {
     }
 
     /// Apply base-table edits, driving re-derivation with `scheduler`.
+    /// On `Err` the batch is refused whole: nothing it touched stays in
+    /// the database and no epoch publishes.
     pub fn update(
         &mut self,
         scheduler: &mut dyn Scheduler,
         edits: &[FactEdit],
     ) -> Result<UpdateReport, EngineError> {
-        self.update_full(scheduler, edits, &[], true, None, None)
+        let typed: Vec<TypedEdit> = edits.iter().map(FactEdit::typed).collect();
+        self.update_full(scheduler, &typed, true, None)
     }
 
-    /// The general update entry: string edits plus typed edits, with an
-    /// explicit publish decision and optional per-predicate net-delta
-    /// collection.
+    /// The general update entry: typed edits, an explicit publish
+    /// decision and optional per-predicate net-delta collection.
     ///
-    /// * `publish: false` leaves the epoch open — the sharded runtime
-    ///   suppresses per-round publishes and commits one epoch per batch
-    ///   across all shards, so snapshots stay consistent cuts.
+    /// * `publish: false` leaves the epoch open on success — the sharded
+    ///   runtime runs several rounds in one open epoch and commits it
+    ///   once per batch across all shards, so snapshots stay consistent
+    ///   cuts. Any `Err` aborts the open epoch, earlier rounds included.
     /// * `collect` receives the update's net delta per predicate (each
     ///   task node executes at most once per update, so the per-node
-    ///   output deltas *are* the nets). On a failed (rolled back) update
-    ///   the map's contents are meaningless and must be discarded.
-    /// * `undo_out` receives, on **success**, the update's full undo log
-    ///   (base edits first, then clique outputs in execution order).
-    ///   Replaying it in reverse via [`Self::rollback_batch`] restores
-    ///   the pre-update state — the sharded runtime stages these across
-    ///   exchange rounds so a failed batch can roll back every shard.
-    ///   On failure the log was already consumed by the internal
-    ///   rollback and nothing is appended.
+    ///   output deltas *are* the nets). On a refused update the map's
+    ///   contents are meaningless and must be discarded.
     pub(crate) fn update_full(
         &mut self,
         scheduler: &mut dyn Scheduler,
-        edits: &[FactEdit],
         typed: &[TypedEdit],
         publish: bool,
         collect: Option<&mut HashMap<PredId, Delta>>,
-        undo_out: Option<&mut Vec<(PredId, Delta)>>,
+    ) -> Result<UpdateReport, EngineError> {
+        let report = self.try_update(scheduler, typed, collect);
+        self.end_epoch(report, publish)
+    }
+
+    /// The one place an update's epoch ends. `Ok` publishes (when asked
+    /// to) — the one point where concurrent snapshots start seeing the
+    /// update. `Err` aborts, whatever the error and however far the
+    /// update got, so the last published cut stays the head.
+    fn end_epoch(
+        &mut self,
+        report: Result<UpdateReport, EngineError>,
+        publish: bool,
+    ) -> Result<UpdateReport, EngineError> {
+        match &report {
+            Ok(_) if publish => self.publish(),
+            Ok(_) => {}
+            Err(_) => self.abort_open_epoch(),
+        }
+        report
+    }
+
+    fn try_update(
+        &mut self,
+        scheduler: &mut dyn Scheduler,
+        typed: &[TypedEdit],
+        collect: Option<&mut HashMap<PredId, Delta>>,
     ) -> Result<UpdateReport, EngineError> {
         // 1. Apply edits to base relations, collecting net deltas. The
         // write lock is scoped to this phase so readers interleave
@@ -437,24 +473,8 @@ impl IncrementalEngine {
         let mut base_deltas: HashMap<PredId, Delta> = HashMap::new();
         {
             let mut db = self.db_write();
-            for e in edits {
-                let (pred, args, adding) = match e {
-                    FactEdit::Add { pred, args } => (pred, args, true),
-                    FactEdit::Remove { pred, args } => (pred, args, false),
-                };
-                let id = Self::base_pred(&db, &self.graph, pred, args.len())?;
-                let tuple: Tuple = args
-                    .iter()
-                    .map(|a| match a.parse::<i64>() {
-                        Ok(i) => Value::Int(i),
-                        Err(_) => db.sym(a),
-                    })
-                    .collect();
-                Self::apply_one(&mut db, &mut base_deltas, id, tuple, adding);
-            }
             for e in typed {
-                let id = Self::base_pred(&db, &self.graph, &e.pred, e.args.len())?;
-                let tuple: Tuple = e.args.iter().map(|v| v.intern(&mut db)).collect();
+                let (id, tuple) = Self::resolve(&mut db, &self.graph, e)?;
                 Self::apply_one(&mut db, &mut base_deltas, id, tuple, e.adding);
             }
         }
@@ -468,31 +488,19 @@ impl IncrementalEngine {
             .filter_map(|(p, _)| self.graph.node_of_pred.get(p).copied())
             .collect();
 
-        // 3. Drive the scheduler. The base edits applied in step 1 seed
-        // the undo log, so a failed drive rolls them back too and the
-        // whole update is atomic.
-        let undo: Vec<(PredId, Delta)> = base_deltas
-            .iter()
-            .filter(|(_, d)| !d.is_empty())
-            .map(|(p, d)| (*p, d.clone()))
-            .collect();
-        let report = self.drive(
-            scheduler,
-            &initial,
-            base_deltas,
-            HashMap::new(),
-            undo,
-            collect,
-            undo_out,
-        )?;
-        // 4. Committed: publish the new epoch — the one point where
-        // concurrent snapshots start seeing this update's effects. A
-        // failed drive already rolled back and publishes nothing, so
-        // the last published cut stays the pre-update state.
-        if publish {
-            self.publish();
-        }
-        Ok(report)
+        // 3. Drive the scheduler.
+        self.drive(scheduler, &initial, base_deltas, HashMap::new(), collect)
+    }
+
+    /// Validate one edit (predicate exists, arity, base-only) and intern
+    /// its tuple.
+    fn resolve(
+        db: &mut Database,
+        graph: &TaskGraph,
+        e: &TypedEdit,
+    ) -> Result<(PredId, Tuple), EngineError> {
+        let id = Self::base_pred(db, graph, &e.pred, e.args.len())?;
+        Ok((id, e.args.iter().map(|v| v.intern(db)).collect()))
     }
 
     /// Resolve and validate an editable (base) predicate.
@@ -542,48 +550,47 @@ impl IncrementalEngine {
         }
     }
 
-    /// Commit the open epoch across a batch boundary (sharded runtime's
-    /// batch-end publish point). Equivalent to the publish every
-    /// [`Self::update`] performs.
-    pub(crate) fn publish_now(&mut self) {
-        self.publish();
-    }
-
     /// Queue one logical update's edits into `q`, coalescing against the
     /// live base tables ([`crate::stream::DeltaQueue`] keeps the exact net
     /// diff: restoring edits cancel queued opposites, re-stating edits
     /// drop). Validation (predicate exists, arity, base-only) happens
-    /// here, so a later [`Self::apply_queue`] cannot fail on edit shape.
+    /// here, so a later [`Self::apply_queue`] cannot fail on edit shape,
+    /// and covers the whole update before its first edit is queued: on
+    /// `Err`, `q` is as it was.
     pub fn enqueue(
         &mut self,
         q: &mut crate::stream::DeltaQueue,
         edits: &[FactEdit],
     ) -> Result<(), EngineError> {
+        self.queue_edits(q, edits)?;
+        q.end_update();
+        Ok(())
+    }
+
+    /// Push `edits` with their current base-table membership, all or
+    /// none.
+    fn queue_edits(
+        &mut self,
+        q: &mut crate::stream::DeltaQueue,
+        edits: &[FactEdit],
+    ) -> Result<(), EngineError> {
         let mut db = self.db_write();
+        let mut present = Vec::with_capacity(edits.len());
         for e in edits {
-            let (pred, args) = match e {
-                FactEdit::Add { pred, args } | FactEdit::Remove { pred, args } => (pred, args),
-            };
-            let id = Self::base_pred(&db, &self.graph, pred, args.len())?;
-            let tuple: Tuple = args
-                .iter()
-                .map(|a| match a.parse::<i64>() {
-                    Ok(i) => Value::Int(i),
-                    Err(_) => db.sym(a),
-                })
-                .collect();
-            let present = db.rel(id).contains(&tuple);
+            let (id, tuple) = Self::resolve(&mut db, &self.graph, &e.typed())?;
+            present.push(db.rel(id).contains(&tuple));
+        }
+        for (e, present) in edits.iter().zip(present) {
             q.push_with_presence(e.clone(), present);
         }
-        q.end_update();
         Ok(())
     }
 
     /// Drain the queue's net delta and apply it as **one** update — one
     /// scheduler `start`, one DRed cascade, for however many logical
-    /// updates were absorbed. On failure (scheduler stall) the engine has
-    /// already rolled the database back, and the drained edits are
-    /// re-queued so no queued change is lost.
+    /// updates were absorbed. A refused update left the database as it
+    /// was, and the drained edits are re-queued so no queued change is
+    /// lost.
     pub fn apply_queue(
         &mut self,
         scheduler: &mut dyn Scheduler,
@@ -595,31 +602,17 @@ impl IncrementalEngine {
                 .counter("datalog.coalesce.updates_merged")
                 .add(updates as u64 - 1);
         }
-        match self.update(scheduler, &edits) {
-            Ok(report) => Ok(report),
-            Err(err) => {
-                // Rollback restored the base tables, so re-queuing against
-                // current membership reproduces the pre-drain queue.
-                let mut db = self.db_write();
-                for e in &edits {
-                    let id = db.pred_id(e.pred_name()).expect("validated at enqueue");
-                    let tuple: Tuple = e
-                        .arg_texts()
-                        .iter()
-                        .map(|a| match a.parse::<i64>() {
-                            Ok(i) => Value::Int(i),
-                            Err(_) => db.sym(a),
-                        })
-                        .collect();
-                    let present = db.rel(id).contains(&tuple);
-                    q.push_with_presence(e.clone(), present);
-                }
-                for _ in 0..updates {
-                    q.end_update();
-                }
-                Err(err)
+        let result = self.update(scheduler, &edits);
+        // The base tables are what they were at the drain, so re-queuing
+        // against current membership reproduces the pre-drain queue.
+        // Edits that fail validation got into `q` around `enqueue`; they
+        // are what `update` refused and stay out.
+        if result.is_err() && self.queue_edits(q, &edits).is_ok() {
+            for _ in 0..updates {
+                q.end_update();
             }
         }
+        result
     }
 
     /// The scheduler-driven propagation loop shared by fact updates and
@@ -628,24 +621,19 @@ impl IncrementalEngine {
     /// output delta (used by rule changes, whose head clique is
     /// re-evaluated before propagation starts).
     ///
-    /// `undo` seeds the undo log with deltas the *caller* already applied
-    /// to the database (base edits, preset re-evaluations); every clique
-    /// execution appends its own net deltas. If the scheduler stalls, the
-    /// log is replayed in reverse — added tuples removed, removed tuples
-    /// re-inserted — restoring the materialization bit-for-bit to its
-    /// pre-update state before returning [`EngineError::Stall`], so a
-    /// failed update rolls back atomically and retrying it (with a
-    /// working scheduler) is idempotent.
-    #[allow(clippy::too_many_arguments)]
+    /// A stalled scheduler returns [`EngineError::Stall`] with the
+    /// database mid-update; the caller ends the epoch
+    /// ([`Self::end_epoch`]), which aborts everything the update stamped
+    /// — its own pre-drive edits included — so a failed update rolls
+    /// back atomically and retrying it (with a working scheduler) is
+    /// idempotent.
     fn drive(
         &mut self,
         scheduler: &mut dyn Scheduler,
         initial: &[NodeId],
         mut base_deltas: HashMap<PredId, Delta>,
         mut preset: HashMap<NodeId, HashMap<PredId, Delta>>,
-        mut undo: Vec<(PredId, Delta)>,
         mut collect: Option<&mut HashMap<PredId, Delta>>,
-        undo_out: Option<&mut Vec<(PredId, Delta)>>,
     ) -> Result<UpdateReport, EngineError> {
         let mut pending: Vec<HashMap<PredId, Delta>> =
             vec![HashMap::new(); self.graph.dag.node_count()];
@@ -687,7 +675,7 @@ impl IncrementalEngine {
                     NodeKind::Clique { preds, .. } => {
                         let rules = self.node_rules[node.index()].clone();
                         let input = std::mem::take(&mut pending[node.index()]);
-                        let out = if rules.iter().any(|r| r.agg.is_some()) {
+                        if rules.iter().any(|r| r.agg.is_some()) {
                             // Aggregate cliques cannot be delta-pinned: a
                             // single input tuple can change a whole group's
                             // fold. Their inputs are final here, so a full
@@ -703,17 +691,7 @@ impl IncrementalEngine {
                                     update_scc_fbf(&mut db, &rules, preds, &input)
                                 }
                             }
-                        };
-                        // The clique just mutated the database by these net
-                        // deltas; log them so a failed update can roll back.
-                        // (Base and preset deltas arrive pre-seeded in
-                        // `undo` — recording them here would double them.)
-                        for (p, d) in &out {
-                            if !d.is_empty() {
-                                undo.push((*p, d.clone()));
-                            }
                         }
-                        out
                     }
                 }
             };
@@ -766,13 +744,9 @@ impl IncrementalEngine {
             scheduler.on_completed(node, &fired);
         }
         if !scheduler.is_quiescent() {
-            self.rollback(undo);
             return Err(EngineError::Stall {
                 scheduler: scheduler.name().to_string(),
             });
-        }
-        if let Some(out) = undo_out {
-            out.append(&mut undo);
         }
 
         Ok(UpdateReport {
@@ -784,38 +758,19 @@ impl IncrementalEngine {
         })
     }
 
-    /// Roll back a *batch* of committed-but-unpublished updates using
-    /// the undo logs returned through `update_full`'s `undo_out`. The
-    /// sharded runtime concatenates each round's log in order and hands
-    /// the whole thing back here when any sibling shard fails — reverse
-    /// replay restores this engine's pre-batch state exactly, and since
-    /// nothing was published, pinned snapshots never saw the batch.
-    pub(crate) fn rollback_batch(&mut self, undo: Vec<(PredId, Delta)>) {
-        self.rollback(undo);
-    }
-
-    /// Undo every applied delta in reverse order: tuples an update added
-    /// are removed, tuples it removed are re-inserted. Deltas are *net*
-    /// per application (a tuple is never both added and removed within
-    /// one entry), so reverse replay restores the exact prior contents.
-    fn rollback(&mut self, undo: Vec<(PredId, Delta)>) {
+    /// The one rollback: discard everything stamped at the open epoch
+    /// ([`Database::abort_open_epoch`]), whoever stamped it and however
+    /// far it got. Nothing was published, so pinned snapshots never saw
+    /// it. The sharded runtime calls this on every shard when a batch
+    /// fails; all rounds of a batch share the one open epoch.
+    pub(crate) fn abort_open_epoch(&mut self) {
         let _span = trace::span("datalog", "update.rollback");
-        let mut db = self.db_write();
-        for (p, d) in undo.into_iter().rev() {
-            let rel = db.rel_mut(p);
-            for t in &d.added {
-                rel.remove(t);
-            }
-            for t in &d.removed {
-                rel.insert(t.clone());
-            }
-        }
-        drop(db);
-        // FBF derivation counts are not part of the undo log (a count
-        // can change without any extent change, e.g. a decrement that
-        // saved a deletion). They are a pure function of the restored
-        // extents, so a recount makes recovery exact — and idempotent,
-        // since recounting twice is a no-op.
+        self.db_write().abort_open_epoch();
+        // FBF derivation counts are not stamped (a count can change
+        // without any extent change, e.g. a decrement that saved a
+        // deletion). They are a pure function of the restored extents,
+        // so a recount makes recovery exact — and idempotent, since
+        // recounting twice is a no-op.
         if self.opts.maintenance == MaintenanceStrategy::Fbf {
             self.reinit_counts();
         }
@@ -830,7 +785,6 @@ impl IncrementalEngine {
         let graph = TaskGraph::build(&strat, &rules, &db);
         drop(db);
         self.node_rules = Self::index_node_rules(&graph, &rules);
-        self.strat = strat;
         self.rules = rules;
         self.graph = graph;
         Ok(())
@@ -968,27 +922,20 @@ impl IncrementalEngine {
                 }
             }
         };
-        // The head re-evaluation above already mutated the database; seed
-        // the undo log with it so a stalled propagation rolls the data
-        // back to the pre-change materialization (the new rule set stays —
-        // re-drive with a working scheduler to converge).
-        let undo: Vec<(PredId, Delta)> = out
-            .iter()
-            .filter(|(_, d)| !d.is_empty())
-            .map(|(p, d)| (*p, d.clone()))
-            .collect();
+        // The head re-evaluation above already mutated the database, in
+        // the same open epoch the drive stamps at, so a stalled
+        // propagation aborts both and the data is the pre-change
+        // materialization (the new rule set stays — re-drive with a
+        // working scheduler to converge).
         let mut scheduler = make_sched(self.graph.dag.clone());
         let report = self.drive(
             scheduler.as_mut(),
             &[node],
             HashMap::new(),
             HashMap::from([(node, out)]),
-            undo,
             None,
-            None,
-        )?;
-        self.publish();
-        Ok(report)
+        );
+        self.end_epoch(report, true)
     }
 
     /// Pattern query against the materialization, e.g. `path(a, ?)`.
@@ -1146,6 +1093,61 @@ mod tests {
         assert!(e
             .update(&mut s, &[FactEdit::add("ghost", &["x"])])
             .is_err());
+    }
+
+    /// A good edit followed by one of an unknown predicate: the update
+    /// the engine must refuse whole.
+    fn refused_update(e: &mut IncrementalEngine) {
+        let mut s = LevelBased::new(e.dag().clone());
+        let err = e.update(
+            &mut s,
+            &[
+                FactEdit::add("edge", &["c", "d"]),
+                FactEdit::add("nope", &["x"]),
+            ],
+        );
+        assert!(matches!(err, Err(EngineError::Edit(_))), "got {err:?}");
+    }
+
+    #[test]
+    fn bad_edit_takes_the_good_edits_before_it_down_too() {
+        let mut e = IncrementalEngine::new(TC).unwrap();
+        let epoch = e.epoch();
+        refused_update(&mut e);
+        assert!(!e.has("edge", &["c", "d"]), "refused batch left an edit in");
+        assert_eq!(e.epoch(), epoch);
+    }
+
+    #[test]
+    fn update_after_a_refusal_publishes_a_consistent_cut() {
+        let mut e = IncrementalEngine::new(TC).unwrap();
+        refused_update(&mut e);
+        let mut s = LevelBased::new(e.dag().clone());
+        e.update(&mut s, &[FactEdit::add("edge", &["x", "y"])])
+            .unwrap();
+        let snap = e.begin_snapshot();
+        assert!(snap.has("path", &["x", "y"]));
+        assert_eq!(
+            snap.has("edge", &["c", "d"]),
+            snap.has("path", &["c", "d"]),
+            "a published edge has its path"
+        );
+    }
+
+    #[test]
+    fn refused_enqueue_queues_nothing() {
+        let mut e = IncrementalEngine::new(TC).unwrap();
+        let mut q = crate::stream::DeltaQueue::new();
+        let err = e.enqueue(
+            &mut q,
+            &[
+                FactEdit::add("edge", &["c", "d"]),
+                FactEdit::add("nope", &["x"]),
+            ],
+        );
+        assert!(matches!(err, Err(EngineError::Edit(_))), "got {err:?}");
+        assert_eq!(q.len(), 0);
+        assert_eq!(q.updates_queued(), 0);
     }
 
     fn lb(dag: Arc<Dag>) -> Box<dyn Scheduler> {
@@ -1465,6 +1467,7 @@ mod tests {
     fn stalled_update_rolls_back_and_retry_is_idempotent() {
         let mut e = IncrementalEngine::new(TC).unwrap();
         let before = db_image(&e, &["edge", "path"]);
+        let retained = e.database().rows_retained();
         let dag = e.dag().clone();
 
         // Quota 1: the base-edit node runs (edge mutated, path pending)
@@ -1483,6 +1486,7 @@ mod tests {
             before,
             "failed update must leave no trace"
         );
+        assert_eq!(e.database().rows_retained(), retained, "nor a tombstone");
 
         // Retrying the same edit with a working scheduler matches a fresh
         // engine that never saw the failure.
@@ -1505,7 +1509,7 @@ mod tests {
     #[test]
     fn stall_mid_cascade_rolls_back_clique_outputs_too() {
         // Deletion exercises the DRed path: overdelete/rederive deltas in
-        // `path` must be undone, not just the base edit.
+        // `path` must be rolled back, not just the base edit.
         let src = "p2(X, Y) :- path(X, Y).\n\
                    path(X, Y) :- edge(X, Y).\n\
                    path(X, Z) :- path(X, Y), edge(Y, Z).\n\
@@ -1513,6 +1517,7 @@ mod tests {
         let mut e = IncrementalEngine::new(src).unwrap();
         let preds = ["edge", "path", "p2"];
         let before = db_image(&e, &preds);
+        let retained = e.database().rows_retained();
         let dag = e.dag().clone();
 
         // Quota 2: base node + path clique execute (path shrinks), then
@@ -1526,6 +1531,11 @@ mod tests {
             db_image(&e, &preds),
             before,
             "clique deltas must be rolled back alongside the base edit"
+        );
+        assert_eq!(
+            e.database().rows_retained(),
+            retained,
+            "revived and aborted rows leave the graveyard as it was"
         );
 
         // Idempotent retry completes the deletion.
@@ -1542,12 +1552,14 @@ mod tests {
     fn stalled_rule_change_rolls_back_data() {
         let mut e = IncrementalEngine::new(TC).unwrap();
         assert_eq!(e.count("path"), 3);
+        let retained = e.database().rows_retained();
         // A scheduler that refuses all work: the head clique's preset
-        // delta was applied before the drive, and must be undone.
+        // delta was applied before the drive, and must go with it.
         let err = e.add_rule("path(Y, X) :- edge(X, Y).", |dag| {
             Box::new(QuotaStall::new(dag, 0))
         });
         assert!(matches!(err, Err(EngineError::Stall { .. })));
+        assert_eq!(e.database().rows_retained(), retained);
         assert_eq!(
             e.count("path"),
             3,

@@ -26,7 +26,7 @@
 //! **Sharded runtimes** extend the guarantee across engines: the
 //! sharded coordinator (`crate::shard`) calls each shard's publish
 //! strictly after the whole batch converges on *every* shard, and an
-//! aborted batch publishes on none (its deltas are rolled back first).
+//! aborted batch publishes on none (every shard aborts its open epoch).
 //! Per-shard epoch streams therefore stay aligned — epoch `E` names
 //! the same committed batch on every shard — and a snapshot pinned at
 //! `E` on any shard never observes a partially-failed batch
@@ -127,10 +127,10 @@ impl PinRegistry {
 /// for the readers already inside. One writer at a time (the engine
 /// requires `&mut self` to update), so a plain flag suffices.
 ///
-/// Both paths recover poisoned guards: the database is only mutated
-/// through the engine's undo-logged paths, so a panic mid-write leaves
-/// state a rollback (or teardown) handles — readers keep serving the
-/// last published cut either way.
+/// Both paths recover poisoned guards: the engine only ever stamps at
+/// the open epoch, so a panic mid-write leaves state an epoch abort (or
+/// teardown) discards — readers keep serving the last published cut
+/// either way.
 pub struct DbCell {
     lock: RwLock<Database>,
     writer_waiting: AtomicBool,

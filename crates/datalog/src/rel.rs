@@ -24,7 +24,10 @@
 //! published cut bit-for-bit no matter what the open epoch scribbles.
 //! [`Database::publish`] turns the open epoch into the published one —
 //! that is the *only* point at which concurrent snapshots can observe a
-//! new state.
+//! new state. `Database::abort_open_epoch` is its opposite and the
+//! only rollback: every stamp at `P + 1` is discarded, so the head is
+//! the published cut again. The stamps are the record of what an update
+//! did — nothing else logs it.
 //!
 //! Reclamation is deferred: tombstoned rows queue in a graveyard
 //! (ordered by `died`, which is monotone) and [`Relation::vacuum`]
@@ -349,9 +352,8 @@ impl Relation {
     }
 
     /// Recycle every tombstone no snapshot at or after `watermark + 1`
-    /// can see (`died <= watermark`): unlink it from the membership
-    /// chain and all indices, drop the tuple, and push the row id onto
-    /// the free list. Returns the number of rows reclaimed.
+    /// can see (`died <= watermark`) through [`Self::reclaim`]. Returns
+    /// the number of rows reclaimed.
     pub fn vacuum(&mut self, watermark: u64) -> usize {
         let mut reclaimed = 0;
         while let Some(&row) = self.graveyard.front() {
@@ -359,26 +361,64 @@ impl Relation {
                 break; // graveyard is died-ordered: nothing further qualifies
             }
             self.graveyard.pop_front();
-            let tuple = self.rows[row as usize]
-                .tuple
-                .take()
-                .expect("tombstoned row holds its tuple");
-            let h = tuple_hash(&tuple);
-            if let Some(chain) = self.lookup.get_mut(&h) {
-                if let Some(pos) = chain.iter().position(|&r| r == row) {
-                    chain.swap_remove(pos);
-                }
-                if chain.is_empty() {
-                    self.lookup.remove(&h);
-                }
-            }
-            for idx in self.indices.values_mut() {
-                idx.remove(&tuple, row);
-            }
-            self.free.push(row);
+            self.reclaim(row);
             reclaimed += 1;
         }
         reclaimed
+    }
+
+    /// Take `row` out of the arena: unlink it from the membership chain
+    /// and all indices, drop the tuple, and push the row id onto the
+    /// free list. The caller has already accounted for `live` and the
+    /// graveyard.
+    fn reclaim(&mut self, row: Row) {
+        let tuple = self.rows[row as usize]
+            .tuple
+            .take()
+            .expect("reclaimed row holds its tuple");
+        let h = tuple_hash(&tuple);
+        if let Some(chain) = self.lookup.get_mut(&h) {
+            if let Some(pos) = chain.iter().position(|&r| r == row) {
+                chain.swap_remove(pos);
+            }
+            if chain.is_empty() {
+                self.lookup.remove(&h);
+            }
+        }
+        for idx in self.indices.values_mut() {
+            idx.remove(&tuple, row);
+        }
+        self.free.push(row);
+    }
+
+    /// Discard every stamp made at the open epoch, leaving the head
+    /// extent equal to the last published cut. Rows tombstoned in the
+    /// open epoch are the graveyard's suffix (it is `died`-ordered) and
+    /// come back to life; rows born in it — found by an arena scan, so
+    /// inserts keep no list of them — are reclaimed straight onto the
+    /// free list. Snapshots never saw either kind of stamp. The
+    /// `support` column of a revived row is whatever it held when it was
+    /// tombstoned; counting-based maintenance recounts after an abort.
+    pub(crate) fn abort_epoch(&mut self) {
+        let open = self.write_epoch;
+        while let Some(&row) = self.graveyard.back() {
+            if self.rows[row as usize].died != open {
+                break;
+            }
+            self.graveyard.pop_back();
+            self.rows[row as usize].died = NEVER;
+            self.live += 1;
+        }
+        // Every row born in the open epoch is live again here (revived
+        // just above if the same epoch also removed it), so one sweep
+        // takes them all out.
+        for row in 0..self.rows.len() {
+            let slot = &self.rows[row];
+            if slot.born == open && slot.tuple.is_some() {
+                self.live -= 1;
+                self.reclaim(row as Row);
+            }
+        }
     }
 
     /// Build the secondary index over `cols` if absent; true if it was
@@ -572,6 +612,20 @@ impl Database {
         self.epoch
     }
 
+    /// Discard the open epoch on every relation ([`Relation::abort_epoch`]):
+    /// the head returns to the last published cut and the published
+    /// epoch does not move. This is how a refused update leaves the
+    /// database unchanged.
+    pub(crate) fn abort_open_epoch(&mut self) {
+        let open = self.epoch + 1;
+        for rel in &mut self.rels {
+            // Synced first, as in `rel_mut`: a relation stamping behind
+            // the open epoch would discard published rows.
+            rel.set_write_epoch(open);
+            rel.abort_epoch();
+        }
+    }
+
     /// Tombstoned rows currently retained for snapshot readers, across
     /// all relations (the `mvcc.rows_retained` gauge).
     pub fn rows_retained(&self) -> usize {
@@ -676,6 +730,8 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
 
     #[test]
     fn relation_set_semantics() {
@@ -916,5 +972,114 @@ mod tests {
         db.publish(u64::MAX);
         assert_eq!(db.rows_retained(), 0);
         assert_eq!(db.total_facts(), 0);
+    }
+
+    /// Everything a caller can see of a relation, order-free.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        sorted: Vec<Tuple>,
+        len: usize,
+        members: Vec<bool>,
+        probes: Vec<Vec<Tuple>>,
+        index_entries: [Option<usize>; 2],
+        retained: usize,
+        pinned_view: Option<Vec<Tuple>>,
+    }
+
+    const DOMAIN: i64 = 4;
+
+    fn observe(r: &Relation, pinned: Option<u64>) -> Observed {
+        let pair = |a: i64, b: i64| vec![Value::Int(a), Value::Int(b)];
+        let mut probes = Vec::new();
+        for cols in [[0usize], [1]] {
+            for k in 0..DOMAIN {
+                let mut hit: Vec<Tuple> =
+                    r.probe(&cols, &[Value::Int(k)]).unwrap().iter().cloned().collect();
+                hit.sort();
+                probes.push(hit);
+            }
+        }
+        Observed {
+            sorted: r.sorted(),
+            len: r.len(),
+            members: (0..DOMAIN * DOMAIN)
+                .map(|i| r.contains(&pair(i / DOMAIN, i % DOMAIN)))
+                .collect(),
+            probes,
+            index_entries: [r.index_entries(&[0]), r.index_entries(&[1])],
+            retained: r.retained(),
+            pinned_view: pinned.map(|e| r.sorted_at(e)),
+        }
+    }
+
+    /// One random op against the database and the set model: codes 0–3
+    /// insert, 4–7 remove, 8 publishes — pinning the new epoch when
+    /// `a` is odd and nothing is pinned, else releasing the pin.
+    fn step(
+        db: &mut Database,
+        id: PredId,
+        model: &mut HashSet<Tuple>,
+        pinned: &mut Option<u64>,
+        (code, a, b): (u8, i64, i64),
+    ) {
+        let t = vec![Value::Int(a), Value::Int(b)];
+        match code {
+            0..=3 => assert_eq!(db.rel_mut(id).insert(t.clone()), model.insert(t)),
+            4..=7 => assert_eq!(db.rel_mut(id).remove(&t), model.remove(&t)),
+            _ => {
+                let epoch = db.publish(pinned.unwrap_or(u64::MAX));
+                *pinned = (pinned.is_none() && a % 2 == 1).then_some(epoch);
+            }
+        }
+    }
+
+    proptest! {
+        /// `abort_open_epoch` against a model: whatever ran before the
+        /// last publish (re-inserts over tombstones, vacuums, a pinned
+        /// reader or none) and whatever the open epoch then did, the
+        /// abort leaves every observable what it was at that publish, and
+        /// the relation keeps behaving like a set afterwards.
+        #[test]
+        fn abort_epoch_restores_the_published_cut(
+            committed in proptest::collection::vec((0..9u8, 0..DOMAIN, 0..DOMAIN), 0..40),
+            pin_last in any::<bool>(),
+            aborted in proptest::collection::vec((0..8u8, 0..DOMAIN, 0..DOMAIN), 0..30),
+            after in proptest::collection::vec((0..9u8, 0..DOMAIN, 0..DOMAIN), 0..40),
+        ) {
+            let mut db = Database::new();
+            let id = db.pred("r", 2);
+            db.rel_mut(id).ensure_index(&[0]);
+            db.rel_mut(id).ensure_index(&[1]);
+            let mut model = HashSet::new();
+            let mut pinned = None;
+            for op in committed {
+                step(&mut db, id, &mut model, &mut pinned, op);
+            }
+            step(&mut db, id, &mut model, &mut pinned, (8, i64::from(pin_last), 0));
+            let want = observe(db.rel(id), pinned);
+
+            let mut scratch = model.clone();
+            for op in aborted {
+                step(&mut db, id, &mut scratch, &mut pinned, op);
+            }
+            db.abort_open_epoch();
+            prop_assert_eq!(observe(db.rel(id), pinned), want);
+            prop_assert_eq!(db.rel(id).sorted_at(db.epoch()), db.rel(id).sorted());
+            // Aborted rows are on the free list, not leaked: every slot
+            // is live, retained or free.
+            let r = db.rel(id);
+            prop_assert_eq!(r.arena_len(), r.len() + r.retained() + r.free.len());
+
+            for op in after {
+                step(&mut db, id, &mut model, &mut pinned, op);
+                let r = db.rel(id);
+                prop_assert_eq!(r.len(), model.len());
+                let mut want: Vec<Tuple> = model.iter().cloned().collect();
+                want.sort();
+                prop_assert_eq!(r.sorted(), want);
+                prop_assert_eq!(r.index_entries(&[0]), Some(r.len() + r.retained()));
+                prop_assert_eq!(r.index_entries(&[1]), Some(r.len() + r.retained()));
+            }
+        }
     }
 }

@@ -71,10 +71,11 @@
 //!   last committed batch.
 //! * **Atomic batches**: a shard failure (typed error, panic, or a
 //!   barrier miss caught by the round watchdog) aborts the whole batch:
-//!   every shard reverse-replays its staged undo logs back to the
-//!   pre-batch state — partial mirror feeds included — no epoch
-//!   publishes, and the caller gets [`EngineError::ShardFailed`] with a
-//!   per-shard snapshot. Retrying the batch is idempotent.
+//!   every shard aborts its open epoch, which all rounds of the batch
+//!   stamped at, so each is back at its pre-batch state — partial
+//!   mirror feeds included — whatever it did or failed to report; no
+//!   epoch publishes, and the caller gets [`EngineError::ShardFailed`]
+//!   with a per-shard snapshot. Retrying the batch is idempotent.
 //!
 //! Typed edits ([`TypedEdit`], [`PortableValue`]) carry values across
 //! shards without rendering to text, so the symbol `"42"` and the
@@ -87,7 +88,7 @@ use crate::engine::{
 use crate::incr::Delta;
 use crate::parser::parse_program;
 use crate::query::parse_pattern;
-use crate::rel::{Database, PredId};
+use crate::rel::Database;
 use crate::value::{Tuple, Value};
 use incr_dag::Dag;
 use incr_obs::flight::{self, FlightCode};
@@ -129,10 +130,10 @@ fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
 }
 
 impl PortableValue {
-    /// Parse edit-argument text exactly like the engine's string-edit
-    /// path interns it: integer literals become ints, everything else a
-    /// symbol. Keeping these two in lockstep is what makes the routing
-    /// hash agree with the stored value.
+    /// Read edit-argument text: integer literals become ints,
+    /// everything else a symbol. Every string edit goes through here
+    /// ([`FactEdit::typed`]), so the routing hash agrees with the stored
+    /// value.
     pub fn parse(text: &str) -> PortableValue {
         match text.parse::<i64>() {
             Ok(i) => PortableValue::Int(i),
@@ -549,9 +550,8 @@ pub struct ShardStatus {
 }
 
 /// An injected fault at one `(shard, round)` site — what a
-/// [`ShardFaultHook`] may ask a shard to do at round entry. The hook
-/// fires *before* the shard's engine runs, so an injected panic or
-/// failure never leaves untracked partial deltas behind.
+/// [`ShardFaultHook`] may ask a shard to do at round entry, before the
+/// shard's engine runs.
 #[derive(Clone, Debug)]
 pub enum ShardFault {
     /// Panic with this message.
@@ -579,10 +579,9 @@ pub const DEFAULT_ROUND_DEADLINE: Duration = Duration::from_secs(30);
 /// parallel (each under its own scheduler), cross-shard rules converge
 /// by delta exchange, and all shards publish one MVCC epoch per batch.
 ///
-/// Batches are all-or-nothing across shards: each round's undo log is
-/// staged per shard, and any shard failure (typed error, panic, or
-/// missed barrier) rolls every shard back to its pre-batch state and
-/// publishes no epoch — see [`Self::apply_batch`].
+/// Batches are all-or-nothing across shards: any shard failure (typed
+/// error, panic, or missed barrier) aborts the open epoch on every
+/// shard and publishes none — see [`Self::apply_batch`].
 pub struct ShardedEngine {
     plan: ShardPlan,
     engines: Vec<IncrementalEngine>,
@@ -703,14 +702,7 @@ impl ShardedEngine {
 
     /// Apply one batch of base-table edits across all shards.
     pub fn update(&mut self, edits: &[FactEdit]) -> Result<ShardUpdateReport, EngineError> {
-        let typed: Vec<TypedEdit> = edits
-            .iter()
-            .map(|e| TypedEdit {
-                pred: e.pred_name().to_string(),
-                args: e.arg_texts().iter().map(|a| PortableValue::parse(a)).collect(),
-                adding: matches!(e, FactEdit::Add { .. }),
-            })
-            .collect();
+        let typed: Vec<TypedEdit> = edits.iter().map(FactEdit::typed).collect();
         self.update_typed(&typed)
     }
 
@@ -764,31 +756,22 @@ impl ShardedEngine {
     /// slice, broadcast them to every mirror, repeat until no shard
     /// produces deltas — then publish one epoch on every shard.
     ///
-    /// **All-or-nothing.** Every round returns its undo log through
-    /// `update_full`'s `undo_out`, staged per shard across the batch.
-    /// When any shard's round returns an error or panics, or misses the
-    /// barrier watchdog's per-round deadline, sibling shards are
-    /// cancelled (cooperatively, at round entry and inside delay
-    /// slices), every shard's staged log is replayed in reverse —
-    /// restoring pre-batch state bit-for-bit, stale mirror feeds
-    /// included — and no epoch publishes, so snapshot readers pinned on
-    /// any shard keep the last committed batch and a retry of the same
-    /// batch is idempotent. The failure surfaces as
-    /// [`EngineError::ShardFailed`] carrying a multi-shard
-    /// [`ShardStatus`] snapshot, plus a flight-recorder black box
-    /// spanning all shards' lanes when dumping is enabled.
-    ///
-    /// One caveat: a panic raised *inside* a shard's engine mid-cascade
-    /// can leave deltas its (never returned) undo log tracked alone.
-    /// The engine's own failure mode is typed errors with internal
-    /// rollback, and the injected chaos faults fire before the engine
-    /// runs, so in practice the staged logs are exact.
+    /// **All-or-nothing.** Rounds publish nothing, so every round of a
+    /// batch stamps at the same open epoch on its shard. When any
+    /// shard's round returns an error or panics, or misses the barrier
+    /// watchdog's per-round deadline, sibling shards are cancelled
+    /// (cooperatively, at round entry and inside delay slices) and every
+    /// shard aborts that epoch — restoring pre-batch state bit-for-bit,
+    /// stale mirror feeds included, and exactly so whatever a shard did
+    /// before it failed, panicked mid-cascade or went silent. No epoch
+    /// publishes, so snapshot readers pinned on any shard keep the last
+    /// committed batch and a retry of the same batch is idempotent. The
+    /// failure surfaces as [`EngineError::ShardFailed`] carrying a
+    /// multi-shard [`ShardStatus`] snapshot, plus a flight-recorder
+    /// black box spanning all shards' lanes when dumping is enabled.
     fn apply_batch(&mut self, mut inbox: Vec<Vec<TypedEdit>>) -> Result<ShardUpdateReport, EngineError> {
         let n = self.plan.shards;
         let mut report = ShardUpdateReport::default();
-        // Per-shard undo logs staged across rounds; replayed in reverse
-        // only if the batch aborts.
-        let mut batch_undo: Vec<Vec<(PredId, Delta)>> = (0..n).map(|_| Vec::new()).collect();
         let mut rounds_done = vec![0usize; n];
         let mut exch_sent = vec![0usize; n];
         loop {
@@ -807,7 +790,7 @@ impl ShardedEngine {
                 let cause = ShardCause::Engine(Box::new(EngineError::Edit(
                     "cross-shard exchange did not converge".into(),
                 )));
-                return Err(self.abort(0, round, cause, false, batch_undo, snapshot));
+                return Err(self.abort(0, round, cause, false, snapshot));
             }
             let batches = std::mem::replace(&mut inbox, vec![Vec::new(); n]);
             let queued: Vec<usize> = batches.iter().map(Vec::len).collect();
@@ -815,17 +798,15 @@ impl ShardedEngine {
             let hook = self.fault_hook.clone();
             let deadline = self.round_deadline;
 
-            /// Report, owned-slice broadcasts, and the round's undo log.
-            type RoundDone = (UpdateReport, Vec<TypedEdit>, Vec<(PredId, Delta)>);
+            /// Report and owned-slice broadcasts.
+            type RoundDone = (UpdateReport, Vec<TypedEdit>);
             enum RoundOutcome {
                 Done(Box<RoundDone>),
                 Failed(EngineError),
                 Panicked(String),
                 Cancelled,
             }
-            // Outcomes are deposited in per-shard slots (so even a
-            // round that finishes *after* the watchdog fired still
-            // surrenders its undo log for rollback); the bounded
+            // Outcomes are deposited in per-shard slots; the bounded
             // channel is only the completion signal the watchdog waits
             // on.
             let slots: Vec<Mutex<Option<RoundOutcome>>> =
@@ -874,14 +855,11 @@ impl ShardedEngine {
                                     return RoundOutcome::Cancelled;
                                 }
                                 let mut collected: HashMap<_, Delta> = HashMap::new();
-                                let mut undo: Vec<(PredId, Delta)> = Vec::new();
                                 let run = eng.update_full(
                                     sched.as_mut(),
-                                    &[],
                                     &batch,
                                     false,
                                     Some(&mut collected),
-                                    Some(&mut undo),
                                 );
                                 match run {
                                     Err(e) => RoundOutcome::Failed(e),
@@ -921,7 +899,7 @@ impl ShardedEngine {
                                             (&a.pred, &a.args, a.adding)
                                                 .cmp(&(&b.pred, &b.args, b.adding))
                                         });
-                                        RoundOutcome::Done(Box::new((rep, out, undo)))
+                                        RoundOutcome::Done(Box::new((rep, out)))
                                     }
                                 }
                             };
@@ -995,12 +973,11 @@ impl ShardedEngine {
                 let outcome = slot.into_inner().unwrap_or_else(PoisonError::into_inner);
                 match outcome {
                     Some(RoundOutcome::Done(b)) => {
-                        let (rep, out, undo) = *b;
+                        let (rep, out) = *b;
                         rounds_done[s] += 1;
                         exch_sent[s] += out.len();
                         report.tasks_executed += rep.tasks_executed;
                         report.edges_fired += rep.edges_fired;
-                        batch_undo[s].extend(undo);
                         broadcasts.extend(out);
                         states.push(if on_time[s] { "ok" } else { "missed-barrier" });
                     }
@@ -1044,7 +1021,7 @@ impl ShardedEngine {
                         state: states[s],
                     })
                     .collect();
-                return Err(self.abort(shard, round, cause, barrier_timeout, batch_undo, snapshot));
+                return Err(self.abort(shard, round, cause, barrier_timeout, snapshot));
             }
             if broadcasts.is_empty() {
                 break;
@@ -1056,7 +1033,7 @@ impl ShardedEngine {
             }
         }
         for eng in &mut self.engines {
-            eng.publish_now();
+            eng.publish();
         }
         let reg = incr_obs::registry();
         reg.counter("shard.updates").inc();
@@ -1067,23 +1044,23 @@ impl ShardedEngine {
         Ok(report)
     }
 
-    /// Cross-shard abort: roll every shard back to its pre-batch state
-    /// by reverse-replaying the staged undo logs, count the abort, dump
-    /// a flight-recorder black box spanning all shards' lanes, and
-    /// build the typed error. Nothing publishes — readers pinned on any
-    /// shard keep the last committed batch.
+    /// Cross-shard abort: abort the open epoch on every shard — all the
+    /// batch's rounds stamped at it, so each shard is back at its
+    /// pre-batch state — count the abort, dump a flight-recorder black
+    /// box spanning all shards' lanes, and build the typed error.
+    /// Nothing publishes — readers pinned on any shard keep the last
+    /// committed batch.
     fn abort(
         &mut self,
         shard: usize,
         round: usize,
         cause: ShardCause,
         barrier: bool,
-        batch_undo: Vec<Vec<(PredId, Delta)>>,
         snapshot: Vec<ShardStatus>,
     ) -> EngineError {
         let t0 = Instant::now();
-        for (s, undo) in batch_undo.into_iter().enumerate() {
-            self.engines[s].rollback_batch(undo);
+        for eng in &mut self.engines {
+            eng.abort_open_epoch();
         }
         let reg = incr_obs::registry();
         reg.counter("shard.rollback_ns")
@@ -1455,6 +1432,108 @@ mod tests {
         e.set_fault_hook(None);
         e.update(&[FactEdit::add("edge", &["c", "d"])]).unwrap();
         assert_eq!(e.count("path"), 6);
+    }
+
+    /// Delegates to LevelBased; while armed, panics on the next
+    /// completion — mid-cascade, with the completed task's deltas
+    /// already in the relations — and disarms.
+    struct PanicMidCascade {
+        inner: LevelBased,
+        armed: Arc<AtomicBool>,
+    }
+
+    impl Scheduler for PanicMidCascade {
+        fn name(&self) -> &str {
+            "PanicMidCascade"
+        }
+        fn start(&mut self, initial: &[incr_dag::NodeId]) {
+            self.inner.start(initial);
+        }
+        fn on_completed(&mut self, v: incr_dag::NodeId, fired: &[incr_dag::NodeId]) {
+            if self.armed.swap(false, Ordering::SeqCst) {
+                panic!("fault-injected panic: {}", self.name());
+            }
+            self.inner.on_completed(v, fired);
+        }
+        fn pop_ready(&mut self) -> Option<incr_dag::NodeId> {
+            self.inner.pop_ready()
+        }
+        fn is_quiescent(&self) -> bool {
+            self.inner.is_quiescent()
+        }
+        fn cost(&self) -> incr_sched::CostMeter {
+            self.inner.cost()
+        }
+        fn space_bytes(&self) -> usize {
+            self.inner.space_bytes()
+        }
+        fn precompute_bytes(&self) -> usize {
+            self.inner.precompute_bytes()
+        }
+        fn on_external_dispatch(&mut self, v: incr_dag::NodeId) {
+            self.inner.on_external_dispatch(v);
+        }
+    }
+
+    #[test]
+    fn panic_mid_cascade_rolls_back_the_panicking_shard_too() {
+        silence_test_panics();
+        let batch = [FactEdit::add("edge", &["c", "d"])];
+        let mut fresh = ShardedEngine::new(TC, 2, mk_sched).unwrap();
+        fresh.update(&batch).unwrap();
+        // Every shard takes part in the batch (`edge` is mirrored). The
+        // victim dies right after its first completed task: the edit is
+        // in its `edge` or `edge__mirror`, and no round result exists.
+        for victim in 0..2 {
+            // One switch per shard, in shard order; all off while the
+            // program's own facts load.
+            let mut armed: Vec<Arc<AtomicBool>> = Vec::new();
+            let mut e = ShardedEngine::new(TC, 2, |dag| {
+                let switch = Arc::new(AtomicBool::new(false));
+                armed.push(switch.clone());
+                Box::new(PanicMidCascade {
+                    inner: LevelBased::new(dag),
+                    armed: switch,
+                })
+            })
+            .unwrap();
+            e.set_black_box(None);
+            let before = (e.query("edge(?, ?)").unwrap(), e.query("path(?, ?)").unwrap());
+            let epoch = e.epoch();
+
+            armed[victim].store(true, Ordering::SeqCst);
+            match e.update(&batch).unwrap_err() {
+                EngineError::ShardFailed {
+                    shard,
+                    cause: ShardCause::Panicked(m),
+                    ..
+                } => {
+                    assert_eq!(shard, victim);
+                    assert!(m.contains("PanicMidCascade"), "payload preserved: {m}");
+                }
+                other => panic!("expected a panicked shard, got {other}"),
+            }
+            assert_eq!(
+                (e.query("edge(?, ?)").unwrap(), e.query("path(?, ?)").unwrap()),
+                before,
+                "victim {victim}"
+            );
+            for s in 0..2 {
+                assert_eq!(e.shard(s).epoch(), epoch, "shard {s}: no epoch published");
+            }
+
+            // The panic disarmed itself; the retry must land where an
+            // engine that never failed lands.
+            e.update(&batch).unwrap();
+            for pat in ["edge(?, ?)", "path(?, ?)"] {
+                assert_eq!(
+                    e.query(pat).unwrap(),
+                    fresh.query(pat).unwrap(),
+                    "victim {victim}, {pat}"
+                );
+            }
+            assert_eq!(e.epoch(), epoch + 1);
+        }
     }
 
     #[test]

@@ -38,10 +38,6 @@ pub struct TaskSpan {
     pub node: NodeId,
     /// Trace thread id of the worker that ran it (a Perfetto `tid`).
     pub tid: u64,
-    /// Shard the executing worker served (`None` = unsharded run); set
-    /// from the task span's `shard` arg when
-    /// [`ExecConfig::shard`](crate::ExecConfig) was configured.
-    pub shard: Option<u64>,
     pub start_us: f64,
     pub end_us: f64,
 }
@@ -75,12 +71,6 @@ pub struct UpdateAttribution {
     pub executed: usize,
     /// Total task-span time across workers (parallel time, can exceed wall).
     pub task_us: f64,
-    /// Shard the update ran on (`None` = unsharded), from the
-    /// `exec.update` span's `shard` arg.
-    pub shard: Option<u64>,
-    /// Per-shard task time inside this window, ascending by shard id.
-    /// Empty unless at least one task span carried a shard tag.
-    pub shard_task_us: Vec<(u64, f64)>,
     /// The recovered critical chain, in execution order.
     pub chain: Vec<TaskSpan>,
 }
@@ -129,16 +119,6 @@ impl UpdateAttribution {
             ),
             ("executed", self.executed.into()),
             ("task_us", self.task_us.into()),
-            ("shard", self.shard.map_or(Json::Null, Into::into)),
-            (
-                "shard_task_us",
-                Json::Arr(
-                    self.shard_task_us
-                        .iter()
-                        .map(|&(s, us)| obj([("shard", s.into()), ("task_us", us.into())]))
-                        .collect(),
-                ),
-            ),
             ("chain_us", self.chain_us().into()),
             (
                 "chain",
@@ -149,7 +129,6 @@ impl UpdateAttribution {
                             obj([
                                 ("node", t.node.index().into()),
                                 ("tid", t.tid.into()),
-                                ("shard", t.shard.map_or(Json::Null, Into::into)),
                                 ("start_us", t.start_us.into()),
                                 ("dur_us", t.dur_us().into()),
                             ])
@@ -225,7 +204,6 @@ pub fn analyze(dag: &Dag, threads: &[ThreadEvents]) -> Vec<UpdateAttribution> {
         sched: f64,
         wait: f64,
         commit: f64,
-        shard: Option<u64>,
     }
     let mut windows: Vec<Window> = Vec::new();
     let mut tasks: Vec<TaskSpan> = Vec::new();
@@ -243,7 +221,6 @@ pub fn analyze(dag: &Dag, threads: &[ThreadEvents]) -> Vec<UpdateAttribution> {
                     sched: 0.0,
                     wait: 0.0,
                     commit: 0.0,
-                    shard: num_arg(&s.args, "shard").map(|v| v as u64),
                 };
                 // Direct children are disjoint sub-intervals of the
                 // update, so these sums can never exceed the wall.
@@ -269,7 +246,6 @@ pub fn analyze(dag: &Dag, threads: &[ThreadEvents]) -> Vec<UpdateAttribution> {
                         tasks.push(TaskSpan {
                             node: NodeId(node as u32),
                             tid: t.tid,
-                            shard: num_arg(&s.args, "shard").map(|v| v as u64),
                             start_us: s.start_us,
                             end_us: s.end_us,
                         });
@@ -287,15 +263,6 @@ pub fn analyze(dag: &Dag, threads: &[ThreadEvents]) -> Vec<UpdateAttribution> {
         let in_window = |start: f64| start >= w.start && start < w.end;
         let wtasks: Vec<&TaskSpan> = tasks.iter().filter(|t| in_window(t.start_us)).collect();
         let task_us: f64 = wtasks.iter().map(|t| t.dur_us()).sum();
-        let mut shard_task_us: Vec<(u64, f64)> = Vec::new();
-        for t in &wtasks {
-            if let Some(s) = t.shard {
-                match shard_task_us.binary_search_by_key(&s, |&(k, _)| k) {
-                    Ok(i) => shard_task_us[i].1 += t.dur_us(),
-                    Err(i) => shard_task_us.insert(i, (s, t.dur_us())),
-                }
-            }
-        }
         // `+ 0.0` renormalizes the -0.0 an empty f64 `sum()` yields, so
         // a run with no evaluation spans reports eval as +0.0.
         let eval_raw: f64 = eval_ranges
@@ -349,8 +316,6 @@ pub fn analyze(dag: &Dag, threads: &[ThreadEvents]) -> Vec<UpdateAttribution> {
             other_us,
             executed: wtasks.len(),
             task_us,
-            shard: w.shard,
-            shard_task_us,
             chain,
         });
     }

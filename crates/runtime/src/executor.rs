@@ -444,11 +444,6 @@ pub struct ExecConfig {
     /// critical-path analyzer needs. Off by default: per-task spans on
     /// large updates dominate trace volume.
     pub record_tasks: bool,
-    /// Shard this executor serves in a sharded runtime (`None` =
-    /// unsharded). Tags the flight-recorder events of the coordinator
-    /// and worker threads, the `exec.update` span, and per-task spans,
-    /// so critical-path attribution can split time per shard.
-    pub shard: Option<u64>,
 }
 
 /// Default black-box directory: the `INCR_BLACKBOX_DIR` environment
@@ -476,15 +471,8 @@ impl ExecConfig {
             drain_grace: Duration::from_secs(5),
             black_box: default_black_box_dir(),
             record_tasks: false,
-            shard: None,
         }
     }
-}
-
-/// The flight-recorder tag for a shard config: `0` = unsharded,
-/// `s + 1` = shard `s` (see [`incr_obs::flight::set_shard`]).
-fn shard_tag(shard: Option<u64>) -> u64 {
-    shard.map_or(0, |s| s + 1)
 }
 
 /// Result of one [`Executor::run`].
@@ -1004,7 +992,6 @@ impl Executor {
             let task = task.clone();
             let retry = self.cfg.retry.clone();
             let record_tasks = self.cfg.record_tasks;
-            let shard = self.cfg.shard;
             let handle = std::thread::Builder::new()
                 .name(format!("incr-worker-{i}"))
                 .spawn(move || {
@@ -1017,7 +1004,6 @@ impl Executor {
                         task,
                         retry,
                         record_tasks,
-                        shard,
                     )
                 })
                 .expect("spawn worker thread");
@@ -1030,7 +1016,6 @@ impl Executor {
         // Unconditional: names both the trace track and the flight lane,
         // and the flight recorder is always on.
         trace::set_thread_name("executor-coordinator");
-        flight::set_shard(shard_tag(self.cfg.shard));
         let pipes = Pipes {
             work_tx,
             work_steal: work_rx,
@@ -1132,10 +1117,8 @@ fn worker_loop(
     task: TryTaskFn,
     retry: RetryPolicy,
     record_tasks: bool,
-    shard: Option<u64>,
 ) {
     trace::set_thread_name(&format!("worker-{i}"));
-    flight::set_shard(shard_tag(shard));
     // Cached handle: worker occupancy is always-on (one relaxed add per
     // chunk), feeding `dlsched top`'s occupancy column.
     let busy_ns = incr_obs::registry().counter("exec.worker_busy_ns");
@@ -1159,13 +1142,8 @@ fn worker_loop(
         let c0 = Instant::now();
         let mut failure: Option<(NodeId, usize, TaskError)> = None;
         for (pos, &node) in chunk.iter().enumerate() {
-            let tspan = (record_tasks && trace::enabled()).then(|| {
-                let mut args = vec![("node", node.index().into())];
-                if let Some(s) = shard {
-                    args.push(("shard", s.into()));
-                }
-                trace::span_with("exec", "task", args)
-            });
+            let tspan = (record_tasks && trace::enabled())
+                .then(|| trace::span_with("exec", "task", vec![("node", node.index().into())]));
             let outcome = run_one(&task, node, batch.fired_buf(), &retry);
             drop(tspan);
             match outcome {
@@ -1449,11 +1427,7 @@ fn drive_update(
     let inflight_gauge = registry.gauge("exec.in_flight");
     let mut fspan = flight::span_arg(FlightCode::UpdateRun, 0);
     let mut tspan = trace::enabled().then(|| {
-        let mut args = vec![("initial", initial.len().into())];
-        if let Some(s) = cfg.shard {
-            args.push(("shard", s.into()));
-        }
-        trace::span_with("exec", "exec.update", args)
+        trace::span_with("exec", "exec.update", vec![("initial", initial.len().into())])
     });
     scheduler.start(initial);
     let t0 = Instant::now();
@@ -1710,11 +1684,6 @@ fn black_box_dump(cfg: &ExecConfig, error: &ExecError, scheduler: &str) {
         ("kind", error.kind().into()),
         ("scheduler", scheduler.into()),
     ];
-    if let Some(shard) = cfg.shard {
-        // In a sharded run each shard dumps its own black box; the tag
-        // lets a multi-shard failure be reassembled from the rotation.
-        ctx.push(("shard", shard.into()));
-    }
     if let ExecError::Timeout { snapshot } = error {
         ctx.push(("executed", snapshot.executed.into()));
         ctx.push(("queued_chunks", snapshot.queued_chunks.into()));

@@ -27,21 +27,13 @@
 //!   recover the concrete critical chain (the `dlsched explain`
 //!   subcommand).
 
-//! * [`sharded`] — N scheduler+executor instances over one DAG, each
-//!   serving a hash partition of the update stream on its own
-//!   coordinator thread (the `dlsched stream --shards N` path).
-
 #![forbid(unsafe_code)]
 
 pub mod attribution;
 pub mod executor;
 pub mod faults;
-pub mod sharded;
 
 pub use attribution::{analyze, flow_events, TaskSpan, UpdateAttribution};
-pub use sharded::{
-    partition_stream, ShardFailure, ShardStreamError, ShardedExecutor, ShardedStreamReport,
-};
 pub use executor::{
     infallible, CancelToken, ExecConfig, ExecError, ExecReport, ExecSnapshot, Executor,
     RetryPolicy, StreamError, StreamPolicy, StreamReport, StreamUpdate, TaskFn, TaskOutcome,

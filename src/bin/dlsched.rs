@@ -14,13 +14,12 @@
 //!                                     replay (scheduler + simulator +
 //!                                     executor layers)
 //! dlsched stream [--nodes V] [--sched S] [--updates U] [--update-size K]
-//!                [--procs P] [--batch B] [--task-us D] [--shards N]
+//!                [--procs P] [--batch B] [--task-us D]
 //!                                     drive a stream of K-node updates over a
 //!                                     V-node DAG through one warm worker pool
-//!                                     and report updates/sec + tasks/sec;
-//!                                     --shards N hash-partitions the stream
-//!                                     across N scheduler+executor instances
-//!                                     (P workers each) running concurrently
+//!                                     and report updates/sec + tasks/sec
+//!                                     (--shards here exits 2: shards partition
+//!                                     relations, use --datalog --shards N)
 //! dlsched stream --datalog [--maintenance dred|fbf] [--updates U]
 //!                [--update-size K] [--delete-pct D] [--coalesce C]
 //!                [--sched S] [--shards N]
@@ -60,7 +59,7 @@
 
 use datalog_sched::datalog::MaintenanceStrategy;
 use datalog_sched::runtime::executor::{infallible, StreamPolicy, StreamUpdate};
-use datalog_sched::runtime::{analyze, flow_events, ExecConfig, Executor, ShardedExecutor, TaskFn};
+use datalog_sched::runtime::{analyze, flow_events, ExecConfig, Executor, TaskFn};
 use datalog_sched::sched::{CostPrices, Observed, SchedulerKind};
 use datalog_sched::sim::{record_timeline, simulate_event, EventSimConfig};
 use datalog_sched::traces::{generate, preset, trace_stats, JobTrace};
@@ -486,7 +485,13 @@ fn cmd_stream(args: &[String]) -> i32 {
     let procs: usize = flag(args, "--procs").and_then(|v| v.parse().ok()).unwrap_or(8);
     let batch: usize = flag(args, "--batch").and_then(|v| v.parse().ok()).unwrap_or(256);
     let task_us: u64 = flag(args, "--task-us").and_then(|v| v.parse().ok()).unwrap_or(0);
-    let shards: usize = flag(args, "--shards").and_then(|v| v.parse().ok()).unwrap_or(1);
+    if args.iter().any(|a| a == "--shards") {
+        eprintln!(
+            "stream --shards needs --datalog: shards partition relations, not a task DAG \
+             (dlsched stream --datalog --shards N)"
+        );
+        return 2;
+    }
     let kind = match parse_sched(flag(args, "--sched").unwrap_or("levelbased")) {
         Ok(k) => k,
         Err(e) => {
@@ -540,40 +545,6 @@ fn cmd_stream(args: &[String]) -> i32 {
 
     let mut cfg = ExecConfig::new(procs);
     cfg.batch_max = batch.max(1);
-
-    if shards > 1 {
-        let exec = ShardedExecutor::with_config(shards, cfg);
-        let report = match exec.run_stream(|_| kind.build(dag.clone()), &dag, &stream, task) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("sharded stream failed:");
-                for line in e.shard_lines() {
-                    eprintln!("  {line}");
-                }
-                return 1;
-            }
-        };
-        println!(
-            "{} nodes, {} updates x {} dirty, {} shards x {} workers under {} (batch {}):",
-            n, updates, update_size, shards, procs, kind.label(), batch
-        );
-        println!("  tasks executed   {}", report.executed());
-        println!("  wall time        {:.4} s", report.wall_seconds());
-        println!("  updates/sec      {:.0}", report.updates_per_sec());
-        println!(
-            "  tasks/sec        {:.0}",
-            report.executed() as f64 / report.wall_seconds().max(f64::MIN_POSITIVE)
-        );
-        for (s, r) in report.shards.iter().enumerate() {
-            println!(
-                "  shard {s}:        {} tasks in {:.4} s (coord busy {:.1}%)",
-                r.executed,
-                r.wall_seconds,
-                r.coord_busy_fraction * 100.0
-            );
-        }
-        return 0;
-    }
 
     let mut sched = kind.build(dag.clone());
     let report = match Executor::with_config(cfg).run_stream(sched.as_mut(), &dag, &stream, task) {
@@ -727,12 +698,6 @@ fn cmd_explain(args: &[String]) -> i32 {
             a.chain_us(),
             pct(a.chain_us())
         );
-        // Sharded runs tag task spans with their shard id; split the
-        // parallel task time per shard when any tag is present.
-        for (s, us) in &a.shard_task_us {
-            let share = if a.task_us > 0.0 { 100.0 * us / a.task_us } else { 0.0 };
-            println!("    shard {s}: {us:.0} us task time ({share:.1}% of task time)");
-        }
     }
     println!("  wrote {out}");
     println!("  wrote {trace_out} ({n_flows} flow events) — open in https://ui.perfetto.dev");

@@ -2,9 +2,10 @@
 //! Datalog engine's atomic cross-shard commit (ISSUE 9 acceptance).
 //!
 //! The sweep covers every scheduler × {2,3} shards × fault site
-//! (panic / stall past the round deadline / delayed exchange under the
-//! deadline / fail-k-then-succeed) × injection round {0,1}, and asserts
-//! the full failure-model contract per scenario:
+//! (panic at round entry / panic mid-cascade / stall past the round
+//! deadline / delayed exchange under the deadline / fail-k-then-succeed)
+//! × injection round {0,1}, and asserts the full failure-model contract
+//! per scenario:
 //!
 //! * **atomic rollback** — a failed batch leaves every shard's queryable
 //!   state and every shard's published epoch exactly at pre-batch;
@@ -24,11 +25,13 @@ use datalog_sched::datalog::engine::EngineError;
 use datalog_sched::datalog::{
     FactEdit, IncrementalEngine, ShardCause, ShardFault, ShardFaultHook, ShardedEngine,
 };
+use datalog_sched::dag::NodeId;
 use datalog_sched::runtime::faults::{
-    silence_injected_panics, ArmedShardPlan, Fault, FaultPlan, ShardAction,
+    silence_injected_panics, ArmedShardPlan, Fault, FaultPlan, ShardAction, INJECTED_PANIC,
 };
-use datalog_sched::sched::{Scheduler, SchedulerKind};
+use datalog_sched::sched::{CostMeter, Scheduler, SchedulerKind};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -59,9 +62,65 @@ fn edits() -> Vec<FactEdit> {
 }
 
 fn mk_engine(kind: SchedulerKind, shards: usize) -> ShardedEngine {
-    let mut e = ShardedEngine::new(SRC, shards, |d| kind.build(d)).expect("program builds");
+    mk_engine_with_switches(kind, shards).0
+}
+
+/// The scheduler under test; while its switch is on, panics on the next
+/// completion — mid-cascade, with the completed task's deltas already in
+/// the shard's relations and no round result to report — and turns the
+/// switch off.
+struct PanicMidCascade {
+    inner: Box<dyn Scheduler + Send>,
+    switch: Arc<AtomicBool>,
+}
+
+impl Scheduler for PanicMidCascade {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn start(&mut self, initial: &[NodeId]) {
+        self.inner.start(initial);
+    }
+    fn on_completed(&mut self, v: NodeId, fired: &[NodeId]) {
+        if self.switch.swap(false, Ordering::SeqCst) {
+            panic!("{INJECTED_PANIC}: mid-cascade, completing {v}");
+        }
+        self.inner.on_completed(v, fired);
+    }
+    fn pop_ready(&mut self) -> Option<NodeId> {
+        self.inner.pop_ready()
+    }
+    fn is_quiescent(&self) -> bool {
+        self.inner.is_quiescent()
+    }
+    fn cost(&self) -> CostMeter {
+        self.inner.cost()
+    }
+    fn space_bytes(&self) -> usize {
+        self.inner.space_bytes()
+    }
+    fn precompute_bytes(&self) -> usize {
+        self.inner.precompute_bytes()
+    }
+    fn on_external_dispatch(&mut self, v: NodeId) {
+        self.inner.on_external_dispatch(v);
+    }
+}
+
+/// [`mk_engine`] plus one [`PanicMidCascade`] switch per shard, all off.
+fn mk_engine_with_switches(
+    kind: SchedulerKind,
+    shards: usize,
+) -> (ShardedEngine, Vec<Arc<AtomicBool>>) {
+    let mut switches = Vec::new();
+    let mut e = ShardedEngine::new(SRC, shards, |d| {
+        let switch = Arc::new(AtomicBool::new(false));
+        switches.push(switch.clone());
+        Box::new(PanicMidCascade { inner: kind.build(d), switch })
+    })
+    .expect("program builds");
     e.set_black_box(None);
-    e
+    (e, switches)
 }
 
 /// Full queryable state, canonically ordered — the bit-identity witness.
@@ -94,11 +153,20 @@ fn unsharded_state(kind: SchedulerKind, batch: &[FactEdit]) -> Vec<String> {
 }
 
 /// Adapt an armed positional fault plan to the engine's per-round hook.
-fn hook(armed: &Arc<ArmedShardPlan>) -> ShardFaultHook {
+/// Given `mid_cascade` switches, a planned panic is not raised at round
+/// entry: it turns the shard's switch on, and the shard's scheduler
+/// panics at its first completion of that round.
+fn hook(armed: &Arc<ArmedShardPlan>, mid_cascade: Option<Vec<Arc<AtomicBool>>>) -> ShardFaultHook {
     let armed = armed.clone();
     Arc::new(move |shard, round| match armed.action(shard, round) {
         ShardAction::None => None,
-        ShardAction::Panic(m) => Some(ShardFault::Panic(m)),
+        ShardAction::Panic(m) => match &mid_cascade {
+            Some(switches) => {
+                switches[shard].store(true, Ordering::SeqCst);
+                None
+            }
+            None => Some(ShardFault::Panic(m)),
+        },
         ShardAction::Delay(us) => Some(ShardFault::Delay(Duration::from_micros(us))),
         ShardAction::Fail(m) => Some(ShardFault::Fail(m)),
     })
@@ -108,6 +176,10 @@ fn hook(armed: &Arc<ArmedShardPlan>) -> ShardFaultHook {
 enum Site {
     /// Panic at round entry of the victim shard.
     Panic,
+    /// Panic inside the victim's engine, after the round's first task
+    /// completed: the shard has changed its relations and reports
+    /// nothing.
+    PanicMidCascade,
     /// 30 s sleep — far past the 100 ms round deadline; only the barrier
     /// watchdog plus cancellation keep the scenario fast.
     Stall,
@@ -119,7 +191,13 @@ enum Site {
     FailThenSucceed,
 }
 
-const SITES: [Site; 4] = [Site::Panic, Site::Stall, Site::DelayedExchange, Site::FailThenSucceed];
+const SITES: [Site; 5] = [
+    Site::Panic,
+    Site::PanicMidCascade,
+    Site::Stall,
+    Site::DelayedExchange,
+    Site::FailThenSucceed,
+];
 
 #[test]
 fn chaos_sweep_aborts_atomically_and_recovers_bit_identically() {
@@ -148,12 +226,14 @@ fn chaos_sweep_aborts_atomically_and_recovers_bit_identically() {
 fn run_scenario(kind: SchedulerKind, shards: usize, site: Site, round: usize, want: &[String]) {
     let label = format!("{kind:?} x {shards} shards, {site:?} at round {round}");
     let victim = (round + 1) % shards;
-    let mut e = mk_engine(kind, shards);
+    let (mut e, switches) = mk_engine_with_switches(kind, shards);
     let pre = state(&e);
     let epoch = e.epoch();
 
     let plan = match site {
-        Site::Panic => FaultPlan::new(9).with(Fault::ShardPanic { shard: victim, round }),
+        Site::Panic | Site::PanicMidCascade => {
+            FaultPlan::new(9).with(Fault::ShardPanic { shard: victim, round })
+        }
         Site::Stall => {
             e.set_round_deadline(Duration::from_millis(100));
             FaultPlan::new(9).with(Fault::ShardDelay { shard: victim, round, micros: 30_000_000 })
@@ -166,7 +246,7 @@ fn run_scenario(kind: SchedulerKind, shards: usize, site: Site, round: usize, wa
         }
     };
     let armed = plan.arm_sharded();
-    e.set_fault_hook(Some(hook(&armed)));
+    e.set_fault_hook(Some(hook(&armed, (site == Site::PanicMidCascade).then_some(switches))));
 
     let t0 = Instant::now();
     let first = e.update(&edits());
@@ -192,7 +272,7 @@ fn run_scenario(kind: SchedulerKind, shards: usize, site: Site, round: usize, wa
             assert_eq!(*shard, victim, "{label}: victim shard");
             assert_eq!(snapshot.len(), shards, "{label}: snapshot covers all shards");
             match site {
-                Site::Panic => {
+                Site::Panic | Site::PanicMidCascade => {
                     assert_eq!(*r, round, "{label}: failing round");
                     assert!(matches!(cause, ShardCause::Panicked(_)), "{label}: {cause}");
                 }
@@ -302,7 +382,7 @@ proptest! {
             let armed = FaultPlan::new(11)
                 .with(Fault::ShardFailK { shard: victim_pick % shards, k: 1 })
                 .arm_sharded();
-            e.set_fault_hook(Some(hook(&armed)));
+            e.set_fault_hook(Some(hook(&armed, None)));
 
             let err = e.update(&batch).expect_err("armed first attempt fails");
             prop_assert!(
