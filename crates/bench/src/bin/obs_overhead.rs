@@ -1,11 +1,10 @@
 //! CI gate for observability overhead: the always-on layers must stay
 //! cheap. Two checks, both median-of-K to shrug off scheduler noise:
 //!
-//! * **wrap gate** — the preset-5 scheduler drive (same loop as the
-//!   `obs_overhead` Criterion bench: 8 in-flight slots) wrapped in
-//!   [`Observed`] with tracing *off* must run within 2.5x of the plain
-//!   scheduler. The wrapper costs three relaxed counter adds per
-//!   protocol call plus one relaxed load per skipped emit site.
+//! * **wrap gate** — the preset-5 scheduler drive (8 in-flight slots)
+//!   wrapped in [`Observed`] with tracing *off* must run within 2.5x of
+//!   the plain scheduler. The wrapper costs three relaxed counter adds
+//!   per protocol call plus one relaxed load per skipped emit site.
 //! * **flight gate** — a 200-update executor stream with the flight
 //!   recorder *on* (the production default) must run within 1.3x of the
 //!   same stream with the recorder off. Recording is a few relaxed
@@ -26,7 +25,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Same in-memory environment as the Criterion bench: 8 in-flight slots.
+/// An in-memory environment with 8 in-flight slots.
 fn drive(s: &mut dyn Scheduler, inst: &Instance) -> usize {
     s.start(&inst.initial_active);
     let mut in_flight: VecDeque<incr_dag::NodeId> = VecDeque::new();

@@ -1,7 +1,9 @@
 //! # incr-bench — table/figure regeneration harness
 //!
 //! One binary per table or figure in the paper's evaluation (see
-//! DESIGN.md §5 for the experiment index):
+//! DESIGN.md §5 for the experiment index), the trace tools, and the three
+//! A/B bins that measure what the repository's benchmark (`bench_all/`,
+//! `BENCHMARK.json`) has no workload for:
 //!
 //! | Binary | Regenerates |
 //! |---|---|
@@ -14,6 +16,12 @@
 //! | `ablation_hybrid` | hybrid background-scan interleave sweep |
 //! | `hundredx` | §VI's "100×" synthetic-instance anecdote |
 //! | `meta_guarantee` | Theorem 10 / Corollary 11 meta-scheduler checks |
+//! | `robustness` | Table II/III orderings across reseeded trace replicas |
+//! | `export_traces` | the eleven presets as trace JSON files |
+//! | `schedviz` | Gantt SVGs of the Figure 2 instance under LevelBased, LBL(5) and the exact oracle |
+//! | `maintenance_ab` | DRed vs FBF updates/s per delete share — the only A/B that runs FBF |
+//! | `exec_throughput` | threaded-executor tasks/s on zero-work tasks across worker counts, batch sizes and DAG sizes |
+//! | `obs_overhead` | flight recorder on/off and wrapped/plain scheduler overhead gate |
 //!
 //! This library holds the shared measurement helpers so every binary
 //! reports the same quantities the same way.

@@ -49,7 +49,7 @@ pub struct ResultsWriter {
 /// Detected hardware parallelism of the machine the bench ran on (1 if
 /// detection fails). Recorded in every results document so A/B numbers
 /// stay interpretable across machines.
-pub fn available_parallelism() -> usize {
+fn available_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 

@@ -9,7 +9,7 @@
 //! `sched.completions`, `sched.activations`) are always counted; those are
 //! single relaxed atomic adds. With tracing disabled every other emit site
 //! reduces to one relaxed load, so wrapping costs next to nothing — the
-//! `obs_overhead` bench in `incr-bench` checks exactly this.
+//! `obs_overhead` bin in `incr-bench` checks exactly this.
 
 use crate::cost::CostMeter;
 use crate::scheduler::{CompletionBatch, Scheduler};

@@ -7,7 +7,7 @@
 //! reports which outputs actually changed, so activation cascades exactly
 //! as far as the data requires and no further.
 
-use crate::ast::Program;
+use crate::ast::{Program, Rule};
 use crate::eval::{compile_program, load_facts, seminaive_scc, CRule};
 use crate::fbf::{init_counts_scc, update_scc_fbf, MaintenanceStrategy};
 use crate::incr::{reevaluate_scc, update_scc, Delta};
@@ -797,6 +797,8 @@ impl IncrementalEngine {
     /// over the *new* task DAG.
     ///
     /// Ground facts are rejected — route those through [`Self::update`].
+    /// On `Err` the change is refused whole: rules, task graph and data
+    /// are what they were.
     pub fn add_rule(
         &mut self,
         rule_text: &str,
@@ -815,21 +817,14 @@ impl IncrementalEngine {
             ));
         }
         self.program.rules.push(rule.clone());
-        // The whole program must still be consistent (arity clashes with
-        // existing predicates, stratifiability).
-        self.program
-            .predicate_arities()
-            .map_err(EngineError::Edit)?;
-        if let Err(e) = self.rebuild() {
-            self.program.rules.pop();
-            self.rebuild().expect("previous program was valid");
-            return Err(e);
-        }
-        self.propagate_rule_change(&rule.head.pred, make_sched)
+        self.change_rules(&rule.head.pred, make_sched, |rules| {
+            rules.pop();
+        })
     }
 
     /// Remove a rule (matched by textual equality after parsing) and
-    /// incrementally update the materialization.
+    /// incrementally update the materialization. Refused whole on `Err`,
+    /// like [`Self::add_rule`].
     pub fn remove_rule(
         &mut self,
         rule_text: &str,
@@ -848,20 +843,45 @@ impl IncrementalEngine {
             )));
         };
         self.program.rules.remove(pos);
-        if let Err(e) = self.rebuild() {
-            self.program.rules.insert(pos, rule);
-            self.rebuild().expect("previous program was valid");
-            return Err(e);
-        }
-        self.propagate_rule_change(&rule.head.pred, make_sched)
+        let head_pred = rule.head.pred.clone();
+        self.change_rules(&head_pred, make_sched, |rules| rules.insert(pos, rule))
     }
 
-    /// Re-evaluate the changed head's clique and propagate its net delta.
+    /// Bring the engine in line with a rule just added to or removed from
+    /// `self.program`, and end the epoch. A refused change — arity clash,
+    /// unstratifiable program, stalled propagation — is refused whole,
+    /// like any other update: `undo` restores the rule list and the
+    /// engine is rebuilt over it, so the old data never sits under the
+    /// new rules. That happens *before* the epoch aborts, because the FBF
+    /// recount that follows an abort must count under the restored rules.
+    fn change_rules(
+        &mut self,
+        head_pred: &str,
+        make_sched: impl FnOnce(Arc<Dag>) -> Box<dyn Scheduler>,
+        undo: impl FnOnce(&mut Vec<Rule>),
+    ) -> Result<UpdateReport, EngineError> {
+        let report = self.propagate_rule_change(head_pred, make_sched);
+        if report.is_err() {
+            undo(&mut self.program.rules);
+            self.rebuild().expect("previous program was valid");
+        }
+        self.end_epoch(report, true)
+    }
+
+    /// Recompile the changed program, re-evaluate the changed head's
+    /// clique and propagate its net delta. Leaves the epoch open: the
+    /// caller ends it ([`Self::change_rules`]).
     fn propagate_rule_change(
         &mut self,
         head_pred: &str,
         make_sched: impl FnOnce(Arc<Dag>) -> Box<dyn Scheduler>,
     ) -> Result<UpdateReport, EngineError> {
+        // The whole program must still be consistent (arity clashes with
+        // existing predicates, stratifiability).
+        self.program
+            .predicate_arities()
+            .map_err(EngineError::Edit)?;
+        self.rebuild()?;
         let head = {
             let db = self.db_read();
             db.pred_id(head_pred).expect("head registered by rebuild")
@@ -879,7 +899,6 @@ impl IncrementalEngine {
                 db.rel_mut(head).remove(t);
             }
             drop(db);
-            self.publish();
             let mut pred_changes = HashMap::new();
             if removed > 0 {
                 pred_changes.insert(head_pred.to_string(), (0, removed));
@@ -924,18 +943,15 @@ impl IncrementalEngine {
         };
         // The head re-evaluation above already mutated the database, in
         // the same open epoch the drive stamps at, so a stalled
-        // propagation aborts both and the data is the pre-change
-        // materialization (the new rule set stays — re-drive with a
-        // working scheduler to converge).
+        // propagation aborts both.
         let mut scheduler = make_sched(self.graph.dag.clone());
-        let report = self.drive(
+        self.drive(
             scheduler.as_mut(),
             &[node],
             HashMap::new(),
             HashMap::from([(node, out)]),
             None,
-        );
-        self.end_epoch(report, true)
+        )
     }
 
     /// Pattern query against the materialization, e.g. `path(a, ?)`.
@@ -1553,6 +1569,7 @@ mod tests {
         let mut e = IncrementalEngine::new(TC).unwrap();
         assert_eq!(e.count("path"), 3);
         let retained = e.database().rows_retained();
+        let nodes = e.dag().node_count();
         // A scheduler that refuses all work: the head clique's preset
         // delta was applied before the drive, and must go with it.
         let err = e.add_rule("path(Y, X) :- edge(X, Y).", |dag| {
@@ -1565,6 +1582,74 @@ mod tests {
             3,
             "preset delta rolled back on stalled propagation"
         );
+        assert_eq!(e.dag().node_count(), nodes, "the task graph went back too");
+        assert_eq!(e.rules.len(), 2, "and so did the refused rule");
+    }
+
+    fn stall(dag: Arc<Dag>) -> Box<dyn Scheduler> {
+        Box::new(QuotaStall::new(dag, 0))
+    }
+
+    /// Do the stored FBF supports of every clique match an exact recount?
+    fn counts_exact(e: &IncrementalEngine) -> bool {
+        let db = e.database();
+        e.graph.kinds.iter().zip(&e.node_rules).all(|(kind, rules)| match kind {
+            NodeKind::Clique { preds, .. } => counts_consistent(&db, rules, preds),
+            NodeKind::Base(_) => true,
+        })
+    }
+
+    /// A rule change refused by a stalled scheduler is refused whole —
+    /// rules as well as data: one good update later the engine equals a
+    /// fresh one on the ORIGINAL program given the same update, under
+    /// either maintenance backend.
+    fn refused_rule_change_is_forgotten(
+        change: impl Fn(&mut IncrementalEngine) -> Result<UpdateReport, EngineError>,
+    ) {
+        for maintenance in [MaintenanceStrategy::DRed, MaintenanceStrategy::Fbf] {
+            let opts = EvalOptions::default().with_maintenance(maintenance);
+            let mut e = IncrementalEngine::with_options(TC, opts.clone()).unwrap();
+            let err = change(&mut e);
+            assert!(matches!(err, Err(EngineError::Stall { .. })), "got {err:?}");
+            let mut fresh = IncrementalEngine::with_options(TC, opts).unwrap();
+            for engine in [&mut e, &mut fresh] {
+                let mut s = LevelBased::new(engine.dag().clone());
+                engine
+                    .update(&mut s, &[FactEdit::add("edge", &["c", "d"])])
+                    .unwrap();
+            }
+            assert_eq!(
+                db_image(&e, &["edge", "path"]),
+                db_image(&fresh, &["edge", "path"]),
+                "under {maintenance}"
+            );
+            assert!(
+                maintenance != MaintenanceStrategy::Fbf || counts_exact(&e),
+                "supports recounted under the restored rules"
+            );
+        }
+    }
+
+    #[test]
+    fn stalled_add_rule_leaves_the_original_program() {
+        refused_rule_change_is_forgotten(|e| e.add_rule("path(Y, X) :- edge(X, Y).", stall));
+    }
+
+    #[test]
+    fn stalled_remove_rule_leaves_the_original_program() {
+        refused_rule_change_is_forgotten(|e| {
+            e.remove_rule("path(X, Z) :- path(X, Y), edge(Y, Z).", stall)
+        });
+    }
+
+    #[test]
+    fn add_rule_with_an_arity_clash_leaves_the_program_usable() {
+        let mut e = IncrementalEngine::new(TC).unwrap();
+        let err = e.add_rule("path(X) :- edge(X, Y).", lb);
+        assert!(matches!(err, Err(EngineError::Edit(_))), "got {err:?}");
+        // The clashing rule is gone again, so a good one still goes in.
+        e.add_rule("path(Y, X) :- edge(X, Y).", lb).unwrap();
+        assert_eq!(e.count("path"), 7);
     }
 
     #[test]
@@ -1598,12 +1683,7 @@ mod tests {
                 // Counts were never established under DRed: the switch
                 // itself must leave every clique's counts exact.
                 e.set_eval_options(EvalOptions::default().with_maintenance(MaintenanceStrategy::Fbf));
-                let db = e.database();
-                for (kind, rules) in e.graph.kinds.iter().zip(&e.node_rules) {
-                    if let NodeKind::Clique { preds, .. } = kind {
-                        assert!(counts_consistent(&db, rules, preds), "after the switch to FBF");
-                    }
-                }
+                assert!(counts_exact(&e), "after the switch to FBF");
             }
             if batch == 8 {
                 e.set_eval_options(EvalOptions::default());

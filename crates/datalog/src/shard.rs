@@ -188,17 +188,6 @@ pub(crate) fn tuple_shard(t: &[Value], db: &Database, shards: usize) -> usize {
     }
 }
 
-/// Mirror of the executor's `INCR_BLACKBOX_DIR` convention: empty, `0`
-/// or `off` disables dumping, any other value overrides the directory,
-/// unset defaults to `results/blackbox`.
-fn default_black_box_dir() -> Option<PathBuf> {
-    match std::env::var("INCR_BLACKBOX_DIR") {
-        Ok(v) if v.is_empty() || v == "0" || v == "off" => None,
-        Ok(v) => Some(PathBuf::from(v)),
-        Err(_) => Some(PathBuf::from("results/blackbox")),
-    }
-}
-
 /// Sliced sleep that aborts as soon as `cancel` is raised; returns
 /// `false` when cancelled. This is what keeps an injected "stuck
 /// shard" from wedging the round's thread join after the barrier
@@ -214,17 +203,6 @@ fn sleep_unless_cancelled(total: Duration, cancel: &AtomicBool) -> bool {
             return true;
         }
         std::thread::sleep((end - now).min(Duration::from_millis(1)));
-    }
-}
-
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 
@@ -646,7 +624,7 @@ impl ShardedEngine {
             scheds,
             round_deadline: DEFAULT_ROUND_DEADLINE,
             fault_hook: None,
-            black_box: default_black_box_dir(),
+            black_box: flight::default_black_box_dir(),
         };
         if !this.plan.facts.is_empty() {
             let facts = std::mem::take(&mut this.plan.facts);
@@ -906,7 +884,7 @@ impl ShardedEngine {
                             let outcome =
                                 match std::panic::catch_unwind(AssertUnwindSafe(body)) {
                                     Ok(o) => o,
-                                    Err(p) => RoundOutcome::Panicked(panic_message(p)),
+                                    Err(p) => RoundOutcome::Panicked(flight::panic_message(p)),
                                 };
                             drop(fspan);
                             *slots[s].lock().unwrap_or_else(PoisonError::into_inner) =
@@ -1080,9 +1058,8 @@ impl ShardedEngine {
     }
 
     /// Dump the flight recorder's rings — every shard's lanes, tagged
-    /// by [`flight::set_shard`] — with the abort's context record. IO
-    /// problems are counted, never propagated: the dump must not turn
-    /// one failure into two.
+    /// by [`flight::set_shard`] — with the abort's context record
+    /// ([`flight::black_box`]).
     fn dump_black_box(
         &self,
         shard: usize,
@@ -1090,38 +1067,29 @@ impl ShardedEngine {
         cause: &ShardCause,
         snapshot: &[ShardStatus],
     ) {
-        let Some(dir) = self.black_box.as_deref() else {
-            return;
-        };
-        if !flight::enabled() {
-            return;
-        }
-        let shards_json = Json::Arr(
-            snapshot
-                .iter()
-                .map(|st| {
-                    Json::Obj(vec![
-                        ("shard".to_string(), st.shard.into()),
-                        ("rounds_done".to_string(), st.rounds_done.into()),
-                        ("queued_edits".to_string(), st.queued_edits.into()),
-                        ("exchanged_tuples".to_string(), st.exchanged_tuples.into()),
-                        ("state".to_string(), st.state.into()),
-                    ])
-                })
-                .collect(),
-        );
-        let ctx: Vec<(&'static str, Json)> = vec![
-            ("error", cause.to_string().into()),
-            ("kind", "shard-failed".into()),
-            ("shard", shard.into()),
-            ("round", round.into()),
-            ("shards", shards_json),
-        ];
-        let reg = incr_obs::registry();
-        match flight::dump_to_dir(dir, "shard-failed", &ctx) {
-            Ok(_) => reg.counter("obs.flight.dumps").inc(),
-            Err(_) => reg.counter("obs.flight.dump_errors").inc(),
-        }
+        flight::black_box(self.black_box.as_deref(), "shard-failed", || {
+            let shards_json = Json::Arr(
+                snapshot
+                    .iter()
+                    .map(|st| {
+                        Json::Obj(vec![
+                            ("shard".to_string(), st.shard.into()),
+                            ("rounds_done".to_string(), st.rounds_done.into()),
+                            ("queued_edits".to_string(), st.queued_edits.into()),
+                            ("exchanged_tuples".to_string(), st.exchanged_tuples.into()),
+                            ("state".to_string(), st.state.into()),
+                        ])
+                    })
+                    .collect(),
+            );
+            vec![
+                ("error", cause.to_string().into()),
+                ("kind", "shard-failed".into()),
+                ("shard", shard.into()),
+                ("round", round.into()),
+                ("shards", shards_json),
+            ]
+        });
     }
 
     /// Does `pred(args…)` hold (symbols only)? Routed to the owner,

@@ -705,6 +705,52 @@ pub fn dump_to_dir(
     Ok(path)
 }
 
+/// Where black boxes land unless a caller says otherwise: the
+/// `INCR_BLACKBOX_DIR` environment variable if set (empty, `0` or `off`
+/// disables dumping), else `results/blackbox`.
+pub fn default_black_box_dir() -> Option<PathBuf> {
+    match std::env::var("INCR_BLACKBOX_DIR") {
+        Ok(v) if v.is_empty() || v == "0" || v == "off" => None,
+        Ok(v) => Some(PathBuf::from(v)),
+        Err(_) => Some(PathBuf::from("results/blackbox")),
+    }
+}
+
+/// Dump a black box into `dir` because an error of `kind` is about to
+/// surface; `ctx` builds the dump's context record and runs only if a
+/// dump is written — not without a directory, not with the recorder
+/// off. Best-effort by design: the dump must never turn a typed error
+/// into a second failure, so IO problems are only counted
+/// (`obs.flight.dump_errors`, against `obs.flight.dumps`).
+pub fn black_box(
+    dir: Option<&Path>,
+    kind: &str,
+    ctx: impl FnOnce() -> Vec<(&'static str, Json)>,
+) {
+    let Some(dir) = dir else {
+        return;
+    };
+    if !enabled() {
+        return;
+    }
+    let reg = crate::registry();
+    match dump_to_dir(dir, kind, &ctx()) {
+        Ok(_) => reg.counter("obs.flight.dumps").inc(),
+        Err(_) => reg.counter("obs.flight.dump_errors").inc(),
+    }
+}
+
+/// Best-effort text of a panic payload (`&str` / `String`, else opaque).
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 /// Path of the most recent successful dump, if any (test hook).
 pub fn last_dump() -> Option<PathBuf> {
     collector().last_dump.lock().unwrap().clone()

@@ -69,6 +69,7 @@
 
 use crossbeam::channel;
 use incr_dag::{Dag, NodeId};
+pub use incr_obs::flight::default_black_box_dir;
 use incr_obs::flight::{self, FlightCode};
 use incr_obs::{trace, Json};
 use incr_sched::{ActivationCoalescer, CompletionBatch, Scheduler};
@@ -444,16 +445,6 @@ pub struct ExecConfig {
     /// critical-path analyzer needs. Off by default: per-task spans on
     /// large updates dominate trace volume.
     pub record_tasks: bool,
-}
-
-/// Default black-box directory: the `INCR_BLACKBOX_DIR` environment
-/// variable if set (empty/`0`/`off` disables), else `results/blackbox`.
-pub fn default_black_box_dir() -> Option<PathBuf> {
-    match std::env::var("INCR_BLACKBOX_DIR") {
-        Ok(v) if v.is_empty() || v == "0" || v == "off" => None,
-        Ok(v) => Some(PathBuf::from(v)),
-        Err(_) => Some(PathBuf::from("results/blackbox")),
-    }
 }
 
 impl ExecConfig {
@@ -1086,20 +1077,9 @@ fn run_one(
                 fired.truncate(mark);
                 incr_obs::registry().counter("exec.task_failures").inc();
                 flight::instant(FlightCode::TaskFail, node.index() as u64);
-                return Err(TaskError::Panicked(panic_message(payload)));
+                return Err(TaskError::Panicked(flight::panic_message(payload)));
             }
         }
-    }
-}
-
-/// Best-effort text of a panic payload (`&str` / `String`, else opaque).
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 
@@ -1664,48 +1644,39 @@ fn send_chunks(
 }
 
 /// Dump the flight recorder to a black-box file because `error` is about
-/// to surface. Best-effort by design: the dump must never turn a typed
-/// executor error into a second failure, so IO problems are only counted
-/// (`obs.flight.dump_errors`). The error text — and, for timeouts, the
-/// `ExecSnapshot` diagnostics — ride along as the dump's context record,
-/// stitching "what the watchdog saw" to "what the threads were doing".
+/// to surface ([`flight::black_box`]). The error text — and, for
+/// timeouts, the `ExecSnapshot` diagnostics — ride along as the dump's
+/// context record, stitching "what the watchdog saw" to "what the threads
+/// were doing".
 fn black_box_dump(cfg: &ExecConfig, error: &ExecError, scheduler: &str) {
-    let Some(dir) = cfg.black_box.as_deref() else {
-        return;
-    };
-    if !flight::enabled() {
-        return;
-    }
-    // Mark the failure on the coordinator's own lane so the dump shows
-    // *when* the error surfaced relative to the recorded events.
-    flight::instant(FlightCode::ExecError, 0);
-    let mut ctx: Vec<(&'static str, Json)> = vec![
-        ("error", error.to_string().into()),
-        ("kind", error.kind().into()),
-        ("scheduler", scheduler.into()),
-    ];
-    if let ExecError::Timeout { snapshot } = error {
-        ctx.push(("executed", snapshot.executed.into()));
-        ctx.push(("queued_chunks", snapshot.queued_chunks.into()));
-        ctx.push(("elapsed_ms", snapshot.elapsed_ms.into()));
-        ctx.push((
-            "in_flight",
-            Json::Arr(
-                snapshot
-                    .in_flight
-                    .iter()
-                    .take(32)
-                    .map(|v| Json::Num(v.index() as f64))
-                    .collect(),
-            ),
-        ));
-        ctx.push(("in_flight_total", snapshot.in_flight.len().into()));
-    }
-    let r = incr_obs::registry();
-    match flight::dump_to_dir(dir, error.kind(), &ctx) {
-        Ok(_) => r.counter("obs.flight.dumps").inc(),
-        Err(_) => r.counter("obs.flight.dump_errors").inc(),
-    }
+    flight::black_box(cfg.black_box.as_deref(), error.kind(), || {
+        // Mark the failure on the coordinator's own lane so the dump shows
+        // *when* the error surfaced relative to the recorded events.
+        flight::instant(FlightCode::ExecError, 0);
+        let mut ctx: Vec<(&'static str, Json)> = vec![
+            ("error", error.to_string().into()),
+            ("kind", error.kind().into()),
+            ("scheduler", scheduler.into()),
+        ];
+        if let ExecError::Timeout { snapshot } = error {
+            ctx.push(("executed", snapshot.executed.into()));
+            ctx.push(("queued_chunks", snapshot.queued_chunks.into()));
+            ctx.push(("elapsed_ms", snapshot.elapsed_ms.into()));
+            ctx.push((
+                "in_flight",
+                Json::Arr(
+                    snapshot
+                        .in_flight
+                        .iter()
+                        .take(32)
+                        .map(|v| Json::Num(v.index() as f64))
+                        .collect(),
+                ),
+            ));
+            ctx.push(("in_flight_total", snapshot.in_flight.len().into()));
+        }
+        ctx
+    });
 }
 
 fn busy_fraction(total_ns: u64, wait_ns: u64) -> f64 {
