@@ -13,7 +13,9 @@
 use incr_bench::{fmt_secs, ResultsWriter, Table};
 use incr_dag::{random, Dag, NodeId};
 use incr_obs::json::obj;
-use incr_runtime::{CancelToken, ExecConfig, Executor, RetryPolicy, TaskFn, UpdateJournal};
+use incr_runtime::{
+    infallible, CancelToken, ExecConfig, Executor, RetryPolicy, TaskFn, UpdateJournal,
+};
 use incr_sched::LevelBased;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -61,7 +63,7 @@ fn measure(dag: &Arc<Dag>, cfg: &ExecConfig, task: &TaskFn, iters: usize) -> (f6
     for _ in 0..iters {
         let mut s = LevelBased::new(dag.clone());
         let r = Executor::with_config(cfg.clone())
-            .run(&mut s, dag, &initial, task.clone())
+            .run(&mut s, dag, &initial, infallible(task.clone()), None)
             .expect("run completes");
         assert_eq!(r.executed, dag.node_count(), "fire-all must execute every node");
         best = best.max(r.executed as f64 / r.wall_seconds.max(1e-9));
@@ -241,13 +243,13 @@ fn main() {
         let mut s = LevelBased::new(ab_dag.clone());
         let mut journal = UpdateJournal::new();
         let exec = Executor::with_config(cfg);
-        let ft_task = incr_runtime::executor::infallible(task.clone());
+        let ft_task = infallible(task.clone());
         let t0 = Instant::now();
         let mut executed = 0usize;
         for _ in 0..burst {
             let journal_arg = armed.then_some(&mut journal);
             let r = exec
-                .run_fallible(&mut s, &ab_dag, &initial, ft_task.clone(), journal_arg)
+                .run(&mut s, &ab_dag, &initial, ft_task.clone(), journal_arg)
                 .expect("fault-free run completes");
             assert_eq!(r.executed, n);
             executed += r.executed;

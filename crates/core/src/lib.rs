@@ -60,7 +60,6 @@ pub mod lookahead;
 pub mod obs;
 pub mod scheduler;
 pub mod signal;
-pub mod stream;
 
 pub use cost::{CostMeter, CostPrices};
 pub use duo::Duo;
@@ -74,7 +73,6 @@ pub use scheduler::{
     CompletionBatch, ExactGreedy, NodeState, SafetyChecker, Scheduler, StateTable,
 };
 pub use signal::SignalPropagation;
-pub use stream::ActivationCoalescer;
 
 use incr_dag::Dag;
 use std::sync::Arc;

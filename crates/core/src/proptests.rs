@@ -244,67 +244,6 @@ proptest! {
         }
     }
 
-    /// Coalesced activation: starting once on the stamped union of k
-    /// dirty sets executes exactly the union of the k serial runs'
-    /// executed sets — each node at most once — and passes the safety
-    /// audit, for every scheduler. (Active closures distribute over
-    /// union, which is what makes stream coalescing sound.)
-    #[test]
-    fn coalesced_start_equals_union_of_serial_runs(
-        inst in arb_instance(),
-        p in 1usize..5,
-        extra_seed in any::<u64>(),
-        k in 2usize..5,
-    ) {
-        // Derive k dirty sets from the instance's nodes.
-        let n = inst.dag.node_count() as u64;
-        let sets: Vec<Vec<NodeId>> = (0..k)
-            .map(|i| {
-                let mut s: Vec<NodeId> = inst
-                    .dag
-                    .nodes()
-                    .filter(|v| {
-                        (extra_seed ^ (v.0 as u64 * 131 + i as u64 * 977)) % n.max(4) < 2
-                    })
-                    .collect();
-                if s.is_empty() {
-                    s.push(NodeId((extra_seed.wrapping_mul(i as u64 + 1) % n) as u32));
-                }
-                s
-            })
-            .collect();
-        let mut coalescer = crate::stream::ActivationCoalescer::new(inst.dag.node_count());
-        let mut merged = Vec::new();
-        let refs: Vec<&[NodeId]> = sets.iter().map(Vec::as_slice).collect();
-        coalescer.union_into(&refs, &mut merged);
-        for kind in ALL_KINDS {
-            // Serial: k separate runs through one scheduler object.
-            let mut s = kind.build(inst.dag.clone());
-            let mut serial_union: Vec<u32> = Vec::new();
-            for set in &sets {
-                let mut sub = inst.clone();
-                sub.initial_active = set.clone();
-                serial_union.extend(drive(s.as_mut(), &sub, p).iter().map(|v| v.0));
-            }
-            serial_union.sort_unstable();
-            serial_union.dedup();
-            // Coalesced: one run on the union (audited inside `drive`).
-            let mut c = kind.build(inst.dag.clone());
-            let mut sub = inst.clone();
-            sub.initial_active = merged.clone();
-            let coalesced = drive(c.as_mut(), &sub, p);
-            let mut once = std::collections::HashSet::new();
-            for v in &coalesced {
-                prop_assert!(once.insert(v.0),
-                    "{:?}: node {} executed twice in one coalesced run", kind, v);
-            }
-            let mut co: Vec<u32> = coalesced.iter().map(|v| v.0).collect();
-            co.sort_unstable();
-            prop_assert_eq!(co, serial_union,
-                "{:?}: coalesced executed set diverges from serial union", kind);
-        }
-    }
-
     /// The hybrid executes everything the exact oracle executes, with
     /// LevelBased-side cost staying linear.
     #[test]

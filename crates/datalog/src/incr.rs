@@ -330,7 +330,7 @@ pub fn update_scc(
     // Each DRed phase is triply accounted: a trace span (opt-in, rich),
     // a flight-recorder span (always on, lands in black-box dumps), and
     // an always-on phase-time counter (`datalog.dred.*_ns`) that the
-    // attribution and SLO layers read without tracing enabled. The three
+    // attribution layer reads without tracing enabled. The three
     // phases tile the task: the first starts here, the last ends with the
     // net delta.
     let dred_overdelete = trace::span("datalog", "dred.overdelete");

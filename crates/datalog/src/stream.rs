@@ -26,8 +26,7 @@
 //! Each drained-and-applied batch is also the stream's MVCC **publish
 //! point**: a successful [`crate::IncrementalEngine::update`] publishes
 //! one epoch, so snapshot readers observe whole coalesced batches —
-//! never a half-applied net delta (see `engine::publish` and
-//! `run_stream_committed`'s per-commit hook).
+//! never a half-applied net delta (see `engine::publish`).
 
 use crate::engine::FactEdit;
 use incr_obs::registry;

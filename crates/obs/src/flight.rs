@@ -73,36 +73,30 @@ pub enum FlightCode {
     QueueDepth = 8,
     /// Tasks in flight (popped, not yet committed).
     InFlight = 9,
-    /// A stream batch admitted (possibly coalescing several updates).
-    StreamAdmit = 10,
-    /// Pending updates queued at the stream front door.
-    StreamDepth = 11,
-    /// Rolling p99 sojourn published by the SLO tracker (µs).
-    StreamSojournP99 = 12,
     /// DRed phase 1: overdeletion.
-    DredOverdelete = 13,
+    DredOverdelete = 10,
     /// DRed phase 2: rederivation.
-    DredRederive = 14,
+    DredRederive = 11,
     /// DRed phase 3: insertion.
-    DredInsert = 15,
+    DredInsert = 12,
     /// Full clique re-evaluation.
-    Reevaluate = 16,
+    Reevaluate = 13,
     /// Journal replay resumed a partially-committed update.
-    JournalReplay = 17,
+    JournalReplay = 14,
     /// One shard's participation in one cross-shard exchange round.
-    ShardRound = 18,
+    ShardRound = 15,
     /// A sharded batch aborted and rolled back on every shard.
-    ShardAbort = 19,
+    ShardAbort = 16,
     /// FBF count phase: derivation-count deltas applied to a clique.
-    FbfCount = 20,
+    FbfCount = 17,
     /// FBF backward phase: alternative-derivation searches.
-    FbfBackward = 21,
+    FbfBackward = 18,
     /// FBF forward phase: rederivation + insertion inside a recursive SCC.
-    FbfForward = 22,
+    FbfForward = 19,
 }
 
 /// All codes, indexable by discriminant — the decode table for slots.
-const CODES: [FlightCode; 23] = [
+const CODES: [FlightCode; 20] = [
     FlightCode::UpdateRun,
     FlightCode::PopBatch,
     FlightCode::Commit,
@@ -113,9 +107,6 @@ const CODES: [FlightCode; 23] = [
     FlightCode::ExecError,
     FlightCode::QueueDepth,
     FlightCode::InFlight,
-    FlightCode::StreamAdmit,
-    FlightCode::StreamDepth,
-    FlightCode::StreamSojournP99,
     FlightCode::DredOverdelete,
     FlightCode::DredRederive,
     FlightCode::DredInsert,
@@ -146,9 +137,6 @@ impl FlightCode {
             FlightCode::ExecError => "exec.error",
             FlightCode::QueueDepth => "exec.queue_depth",
             FlightCode::InFlight => "exec.in_flight",
-            FlightCode::StreamAdmit => "stream.admit",
-            FlightCode::StreamDepth => "stream.queue_depth",
-            FlightCode::StreamSojournP99 => "stream.slo.p99_us",
             FlightCode::DredOverdelete => "dred.overdelete",
             FlightCode::DredRederive => "dred.rederive",
             FlightCode::DredInsert => "dred.insert",
@@ -166,9 +154,6 @@ impl FlightCode {
     pub fn cat(self) -> &'static str {
         match self {
             FlightCode::PopBatch => "sched",
-            FlightCode::StreamAdmit
-            | FlightCode::StreamDepth
-            | FlightCode::StreamSojournP99 => "stream",
             FlightCode::DredOverdelete
             | FlightCode::DredRederive
             | FlightCode::DredInsert
@@ -191,7 +176,6 @@ impl FlightCode {
             FlightCode::ChunkRun => "tasks",
             FlightCode::TaskRetry | FlightCode::TaskFail => "node",
             FlightCode::ExecError => "kind",
-            FlightCode::StreamAdmit => "members",
             FlightCode::DredOverdelete => "overdeleted",
             FlightCode::DredRederive => "rederived",
             FlightCode::DredInsert => "inserted",

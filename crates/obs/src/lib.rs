@@ -15,15 +15,12 @@
 //!   [Perfetto](https://ui.perfetto.dev) or `chrome://tracing`), flat
 //!   JSONL, and a structural validator used by tests and CI.
 //!
-//! Two always-on production layers sit alongside them:
+//! One always-on production layer sits alongside them:
 //!
 //! * [`flight`] — a flight recorder: fixed-capacity per-thread lock-free
 //!   ring buffers of recent coded events (a few relaxed stores each, no
 //!   allocation), dumped to a valid Perfetto "black box" file when the
 //!   executor fails. On by default, unlike [`trace`].
-//! * [`slo`] — rolling-window p50/p95/p99 sojourn tracking against a
-//!   stream latency budget, with burn-rate accounting for admission
-//!   control.
 //!
 //! [`json`] is the hand-rolled JSON value/parser/serializer that backs
 //! the exporters; other crates in the workspace reuse it instead of
@@ -50,7 +47,6 @@ pub mod export;
 pub mod flight;
 pub mod json;
 pub mod metrics;
-pub mod slo;
 pub mod trace;
 
 pub use json::Json;

@@ -43,12 +43,11 @@
 //!   run returns [`ExecError::Cancelled`]. The generation-stamped
 //!   schedulers make the abandoned state harmless: the next `start()`
 //!   behaves exactly like a fresh update.
-//! * **Crash-consistent resume** — [`Executor::run_fallible`] can
-//!   journal the executed set into an [`UpdateJournal`]; re-running a
-//!   failed update with the same journal *replays* journaled completions
-//!   (delivering their recorded fired sets to the scheduler without
-//!   executing the task again) and executes only what the failed attempt
-//!   never ran.
+//! * **Crash-consistent resume** — [`Executor::run`] can journal the
+//!   executed set into an [`UpdateJournal`]; re-running a failed update
+//!   with the same journal *replays* journaled completions (delivering
+//!   their recorded fired sets to the scheduler without executing the
+//!   task again) and executes only what the failed attempt never ran.
 //!
 //! Workers park in `recv` when the queue is empty (condvar, no spinning)
 //! and exit on an explicit [`WorkMsg::Shutdown`] — distinct from a stalled
@@ -72,7 +71,7 @@ use incr_dag::{Dag, NodeId};
 pub use incr_obs::flight::default_black_box_dir;
 use incr_obs::flight::{self, FlightCode};
 use incr_obs::{trace, Json};
-use incr_sched::{ActivationCoalescer, CompletionBatch, Scheduler};
+use incr_sched::{CompletionBatch, Scheduler};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -289,28 +288,15 @@ impl ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// A mid-stream failure from [`Executor::run_stream`] /
-/// [`Executor::run_stream_with`]: the error plus the accounting for the
-/// updates that completed before it. Updates after the failing batch are
-/// not attempted.
-///
-/// To resume: re-drive `failed_initial` through
-/// [`Executor::run_fallible`] with the same journal that was passed to
-/// the stream (journaled completions replay instead of re-executing),
-/// then continue the stream from update index
-/// `completed.updates + failed_updates`.
+/// A mid-stream failure from [`Executor::run_stream`]: the error plus
+/// the accounting for the updates that completed before it. The failing
+/// update is `updates[completed.updates]`; later ones are not attempted.
 #[derive(Clone, Debug)]
 pub struct StreamError {
-    /// What stopped the stream (failure of the batch admitting update
-    /// `completed.updates` onward).
+    /// What stopped the stream.
     pub error: ExecError,
     /// Report covering only the fully completed updates.
     pub completed: StreamReport,
-    /// Merged initially-active set of the failing batch — the `initial`
-    /// to pass when resuming it.
-    pub failed_initial: Vec<NodeId>,
-    /// How many stream updates the failing batch had absorbed.
-    pub failed_updates: usize,
 }
 
 impl fmt::Display for StreamError {
@@ -331,7 +317,7 @@ impl std::error::Error for StreamError {
 
 /// Per-update journal of committed executions: which nodes ran
 /// successfully and what they fired. After a failed or cancelled update,
-/// pass the same journal back to [`Executor::run_fallible`] to *resume*:
+/// pass the same journal back to [`Executor::run`] to *resume*:
 /// journaled nodes are completed from the record instead of re-executed,
 /// so the run-once invariant holds across the failure. A successful run
 /// commits the update and clears the journal.
@@ -407,6 +393,10 @@ impl UpdateJournal {
     }
 }
 
+/// Capacity of the bounded work queue, in chunks: the backpressure that
+/// keeps the coordinator from running unboundedly ahead of slow workers.
+const QUEUE_CAP: usize = 64;
+
 /// Tuning for the dispatch pipeline.
 #[derive(Clone, Debug)]
 pub struct ExecConfig {
@@ -416,8 +406,6 @@ pub struct ExecConfig {
     pub batch_max: usize,
     /// Max tasks per chunk handed to a single worker.
     pub chunk_max: usize,
-    /// Bounded work-queue capacity in chunks (the backpressure knob).
-    pub queue_cap: usize,
     /// Retry policy for [`TaskOutcome::Retryable`] attempts.
     pub retry: RetryPolicy,
     /// Per-update watchdog deadline: a run not quiescent within this
@@ -454,7 +442,6 @@ impl ExecConfig {
             workers,
             batch_max: 256,
             chunk_max: 32,
-            queue_cap: 64,
             retry: RetryPolicy::default(),
             deadline: None,
             cancel: None,
@@ -485,8 +472,7 @@ pub struct ExecReport {
     pub coord_busy_fraction: f64,
 }
 
-/// Result of one [`Executor::run_stream`] /
-/// [`Executor::run_stream_with`].
+/// Result of one [`Executor::run_stream`].
 #[derive(Clone, Debug)]
 pub struct StreamReport {
     /// Updates driven to quiescence.
@@ -495,112 +481,10 @@ pub struct StreamReport {
     pub executed: usize,
     /// Wall-clock duration of the whole stream.
     pub wall_seconds: f64,
-    /// Per-update processing durations (members of a coalesced batch all
-    /// record their batch's drive duration).
+    /// Per-update drive durations (`start` to quiescence).
     pub update_seconds: Vec<f64>,
-    /// Per-update sojourn latency: batch completion minus the update's
-    /// arrival time (`StreamUpdate::after`), queue wait included.
-    pub latency_seconds: Vec<f64>,
-    /// Scheduler runs admitted (== `updates` unless coalescing merged
-    /// some).
-    pub batches: usize,
-    /// Updates that shared a batch with at least one other update.
-    pub coalesced: usize,
     /// Coordinator busy fraction over the whole stream.
     pub coord_busy_fraction: f64,
-}
-
-/// One update in a stream: its initially-dirty nodes plus its arrival
-/// time as an offset from the stream's start. A slice passed to
-/// [`Executor::run_stream_with`] must be sorted by `after` (FIFO
-/// admission).
-#[derive(Clone, Debug)]
-pub struct StreamUpdate {
-    /// Initially-active (dirty) nodes of this update.
-    pub initial: Vec<NodeId>,
-    /// Arrival offset from stream start. `ZERO` = already queued when the
-    /// stream starts (closed-loop benchmarking).
-    pub after: Duration,
-}
-
-impl StreamUpdate {
-    /// An update available from the start of the stream.
-    pub fn now(initial: Vec<NodeId>) -> StreamUpdate {
-        StreamUpdate {
-            initial,
-            after: Duration::ZERO,
-        }
-    }
-
-    /// An update arriving `after` the stream starts.
-    pub fn at(initial: Vec<NodeId>, after: Duration) -> StreamUpdate {
-        StreamUpdate { initial, after }
-    }
-}
-
-/// Admission policy for [`Executor::run_stream_with`]: how aggressively
-/// queued updates are merged into one scheduler run, and whether the
-/// coordinator overlaps admission work with the previous update's tail
-/// drain.
-///
-/// The policy is *adaptive by construction*: a batch only ever absorbs
-/// updates that have already arrived, so a shallow queue passes updates
-/// through individually (batch of one, no added latency) while a backlog
-/// coalesces up to `max_coalesce` updates into one cascade. The only
-/// deliberate waiting is the *dwell*: with a non-zero `latency_budget`,
-/// an under-filled batch may wait for imminent arrivals, but never past
-/// the point where its oldest member has aged `latency_budget`.
-#[derive(Clone, Debug)]
-pub struct StreamPolicy {
-    /// Max stream updates merged into one scheduler `start` (1 = never
-    /// coalesce).
-    pub max_coalesce: usize,
-    /// Upper bound on admission delay deliberately added to any update to
-    /// attract more batch members. `ZERO` = admit the moment work exists.
-    pub latency_budget: Duration,
-    /// Overlap the next batch's admission (arrival scan, activation-set
-    /// union, bookkeeping) with the in-flight update's tail drain. The
-    /// scheduler `start` itself stays *after* the previous update's last
-    /// completion — the run-once boundary is per update — but the work
-    /// needed to issue it is already done when quiescence lands.
-    pub pipeline: bool,
-}
-
-impl StreamPolicy {
-    /// The serial baseline: one update per run, admission between runs.
-    /// [`Executor::run_stream`]'s semantics.
-    pub fn serial() -> StreamPolicy {
-        StreamPolicy {
-            max_coalesce: 1,
-            latency_budget: Duration::ZERO,
-            pipeline: false,
-        }
-    }
-
-    /// One update per run, but admission overlapped with the tail drain.
-    pub fn pipelined() -> StreamPolicy {
-        StreamPolicy {
-            max_coalesce: 1,
-            latency_budget: Duration::ZERO,
-            pipeline: true,
-        }
-    }
-
-    /// Pipelined admission with up to `max_coalesce`-way merging and a
-    /// small (1ms) dwell budget.
-    pub fn coalesced(max_coalesce: usize) -> StreamPolicy {
-        StreamPolicy {
-            max_coalesce: max_coalesce.max(1),
-            latency_budget: Duration::from_millis(1),
-            pipeline: true,
-        }
-    }
-}
-
-impl Default for StreamPolicy {
-    fn default() -> StreamPolicy {
-        StreamPolicy::serial()
-    }
 }
 
 /// What the coordinator sends workers.
@@ -675,25 +559,14 @@ impl Executor {
     /// Pool with explicit pipeline tuning.
     pub fn with_config(cfg: ExecConfig) -> Executor {
         assert!(cfg.workers >= 1);
-        assert!(cfg.batch_max >= 1 && cfg.chunk_max >= 1 && cfg.queue_cap >= 1);
+        assert!(cfg.batch_max >= 1 && cfg.chunk_max >= 1);
         assert!(cfg.retry.max_attempts >= 1);
         Executor { cfg }
     }
 
     /// Execute one incremental update: dirty `initial` tasks, then run
-    /// every task the scheduler deems safe until quiescent.
-    pub fn run(
-        &self,
-        scheduler: &mut dyn Scheduler,
-        dag: &Arc<Dag>,
-        initial: &[NodeId],
-        task: TaskFn,
-    ) -> Result<ExecReport, ExecError> {
-        self.run_fallible(scheduler, dag, initial, infallible(task), None)
-    }
-
-    /// [`Executor::run`] with a fallible task body and optional
-    /// crash-consistent journaling.
+    /// every task the scheduler deems safe until quiescent. An infallible
+    /// [`TaskFn`] goes through [`infallible`].
     ///
     /// With `journal`:
     /// * every committed execution is recorded before the run returns —
@@ -705,7 +578,7 @@ impl Executor {
     ///
     /// Resume only with the same `initial` set and a deterministic task
     /// body; the journal describes *this* update, not any update.
-    pub fn run_fallible(
+    pub fn run(
         &self,
         scheduler: &mut dyn Scheduler,
         dag: &Arc<Dag>,
@@ -727,7 +600,6 @@ impl Executor {
                 Some(&mut completion_order),
                 &mut wait_ns,
                 journal.as_deref_mut(),
-                None,
             )
         });
         let stats = match result {
@@ -743,13 +615,13 @@ impl Executor {
         Ok(finish_report(stats, completion_order, t0, wait_ns))
     }
 
-    /// Drive a whole stream of updates through one warm worker pool: the
-    /// scheduler is `start`ed per update (O(active) with the stamped
-    /// schedulers) and the pool, channels and buffers persist across
-    /// updates, so per-update dispatch cost is independent of both V and
-    /// the stream position. A failing update stops the stream; the
-    /// [`StreamError`] reports which update failed and the accounting for
-    /// those that completed.
+    /// Drive a whole stream of updates, one after the other, through one
+    /// warm worker pool: the scheduler is `start`ed per update (O(active)
+    /// with the stamped schedulers) and the pool, channels and buffers
+    /// persist across updates, so per-update dispatch cost is independent
+    /// of both V and the stream position. A failing update stops the
+    /// stream; the [`StreamError`] reports which update failed and the
+    /// accounting for those that completed.
     pub fn run_stream(
         &self,
         scheduler: &mut dyn Scheduler,
@@ -757,200 +629,47 @@ impl Executor {
         updates: &[Vec<NodeId>],
         task: TaskFn,
     ) -> Result<StreamReport, Box<StreamError>> {
-        let stream: Vec<StreamUpdate> = updates
-            .iter()
-            .map(|initial| StreamUpdate::now(initial.clone()))
-            .collect();
-        self.run_stream_with(
-            scheduler,
-            dag,
-            &stream,
-            infallible(task),
-            &StreamPolicy::serial(),
-            None,
-        )
-    }
-
-    /// The stream fast path: [`Executor::run_stream`] with an explicit
-    /// admission [`StreamPolicy`], arrival times, a fallible task body,
-    /// and optional crash-consistent journaling.
-    ///
-    /// Updates are admitted FIFO. Under a [`StreamPolicy`] with
-    /// `max_coalesce > 1`, every batch absorbs up to that many
-    /// already-arrived updates and drives their *merged* activation set
-    /// through one scheduler `start` — one cascade for the burst. With
-    /// `pipeline`, admission work for batch k+1 (arrival scan, set union,
-    /// latency bookkeeping) happens while batch k's last wavefront
-    /// drains, so quiescence is immediately followed by the next `start`.
-    ///
-    /// Fault-tolerance semantics hold per *batch* (= per coalesced
-    /// update): retry and cancellation apply inside each drive as in
-    /// [`Executor::run_fallible`], and with a `journal` the failing
-    /// batch's committed executions are recorded for replay — see
-    /// [`StreamError`] for the resume recipe.
-    pub fn run_stream_with(
-        &self,
-        scheduler: &mut dyn Scheduler,
-        dag: &Arc<Dag>,
-        updates: &[StreamUpdate],
-        task: TryTaskFn,
-        policy: &StreamPolicy,
-        journal: Option<&mut UpdateJournal>,
-    ) -> Result<StreamReport, Box<StreamError>> {
-        self.run_stream_committed(scheduler, dag, updates, task, policy, journal, &mut |_| {})
-    }
-
-    /// [`Executor::run_stream_with`] plus an `on_commit` hook invoked at
-    /// every *committed batch boundary* — after the batch's cascade
-    /// quiesced and its journal entries were cleared, before the next
-    /// batch is admitted. This is the stream's publish point: an
-    /// epoch-versioned store (e.g. the Datalog engine's MVCC database)
-    /// bumps its published epoch here, so concurrent snapshot readers
-    /// advance exactly once per coalesced batch, never mid-cascade. The
-    /// hook receives the number of source updates the committed batch
-    /// coalesced. Failed batches never reach the hook (nothing is
-    /// published; the journal keeps their committed executions for
-    /// replay).
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_stream_committed(
-        &self,
-        scheduler: &mut dyn Scheduler,
-        dag: &Arc<Dag>,
-        updates: &[StreamUpdate],
-        task: TryTaskFn,
-        policy: &StreamPolicy,
-        mut journal: Option<&mut UpdateJournal>,
-        on_commit: &mut dyn FnMut(usize),
-    ) -> Result<StreamReport, Box<StreamError>> {
-        assert!(policy.max_coalesce >= 1);
-        debug_assert!(
-            updates.windows(2).all(|w| w[0].after <= w[1].after),
-            "stream updates must be sorted by arrival time"
-        );
         let t0 = Instant::now();
         let mut update_seconds = Vec::with_capacity(updates.len());
-        let mut latency_seconds = Vec::with_capacity(updates.len());
         let mut executed = 0usize;
         let mut wait_ns = 0u64;
-        let mut batches = 0usize;
-        let mut coalesced = 0usize;
-        let mut failed_initial: Vec<NodeId> = Vec::new();
-        let mut failed_updates = 0usize;
-        let registry = incr_obs::registry();
-        let depth_gauge = registry.gauge("stream.queue_depth");
-        let coalesced_counter = registry.counter("stream.coalesced");
-        let latency_hist = registry.histogram("stream.update_latency_ns");
-        // SLO tracking: every member's sojourn feeds the rolling window;
-        // the derived p50/p95/p99 + burn rate publish as `stream.slo.*`
-        // gauges every SLO_PUBLISH_EVERY batches (and once at the end).
-        let slo = incr_obs::slo::stream_tracker();
-        slo.set_budget_ns(policy.latency_budget.as_nanos() as u64);
-        let slo_samples = registry.counter("stream.slo.samples");
-        let slo_over = registry.counter("stream.slo.over_budget");
-
-        let result = self.with_pool(&task, |pipes, ready| {
-            let mut adm = Admission::new(updates, t0, policy, dag.node_count(), depth_gauge.clone());
-            loop {
-                adm.absorb();
-                if adm.staged.is_empty() {
-                    match adm.next_arrival() {
-                        Some(after) => {
-                            // Idle until the next update arrives.
-                            std::thread::sleep(after.saturating_sub(t0.elapsed()));
-                            continue;
-                        }
-                        None => break, // stream exhausted
-                    }
-                }
-                adm.dwell();
-                let (members, initial) = adm.take_staged();
-                batches += 1;
-                if flight::enabled() {
-                    flight::instant(FlightCode::StreamAdmit, members.len() as u64);
-                    flight::counter(FlightCode::StreamDepth, depth_gauge.get() as f64);
-                }
-                if members.len() > 1 {
-                    coalesced += members.len();
-                    coalesced_counter.add(members.len() as u64);
-                }
+        let result = self.with_pool(&infallible(task), |pipes, ready| {
+            for initial in updates {
                 let u0 = Instant::now();
-                let outcome = {
-                    // Scoped so the overlap hook's borrow of `adm` ends
-                    // before the staged buffers are recycled below.
-                    let mut overlap = || adm.absorb();
-                    drive_update(
-                        scheduler,
-                        dag,
-                        &initial,
-                        &self.cfg,
-                        pipes,
-                        ready,
-                        None,
-                        &mut wait_ns,
-                        journal.as_deref_mut(),
-                        policy.pipeline.then_some(&mut overlap as &mut dyn FnMut()),
-                    )
-                };
-                match outcome {
-                    Ok(stats) => {
-                        executed += stats.executed;
-                        if let Some(j) = journal.as_deref_mut() {
-                            j.clear();
-                        }
-                        on_commit(members.len());
-                        let done_at = t0.elapsed();
-                        let dur = u0.elapsed().as_secs_f64();
-                        for &idx in &members {
-                            let sojourn = done_at.saturating_sub(updates[idx].after);
-                            update_seconds.push(dur);
-                            latency_seconds.push(sojourn.as_secs_f64());
-                            let sojourn_ns = sojourn.as_nanos() as u64;
-                            latency_hist.record(sojourn_ns);
-                            slo_samples.inc();
-                            if slo.record(sojourn_ns) {
-                                slo_over.inc();
-                            }
-                        }
-                        if batches.is_multiple_of(SLO_PUBLISH_EVERY) {
-                            publish_slo(slo, registry);
-                        }
-                        adm.recycle(members, initial);
-                    }
-                    Err(error) => {
-                        failed_initial = initial;
-                        failed_updates = members.len();
-                        return Err(error);
-                    }
-                }
+                let stats = drive_update(
+                    scheduler,
+                    dag,
+                    initial,
+                    &self.cfg,
+                    pipes,
+                    ready,
+                    None,
+                    &mut wait_ns,
+                    None,
+                )?;
+                executed += stats.executed;
+                update_seconds.push(u0.elapsed().as_secs_f64());
             }
             Ok(())
         });
         let wall = t0.elapsed();
         record_occupancy(wall.as_nanos() as u64, wait_ns);
-        if batches > 0 {
-            publish_slo(slo, registry);
-        }
         let report = StreamReport {
-            updates: latency_seconds.len(),
+            updates: update_seconds.len(),
             executed,
             wall_seconds: wall.as_secs_f64(),
             update_seconds,
-            latency_seconds,
-            batches,
-            coalesced,
             coord_busy_fraction: busy_fraction(wall.as_nanos() as u64, wait_ns),
         };
         match result {
             Ok(()) => Ok(report),
-            // Boxed: the error path is cold and the payload (full report +
-            // merged initial set) would otherwise dominate the Ok size.
+            // Boxed: the error path is cold and the payload (the full
+            // report) would otherwise dominate the Ok size.
             Err(error) => {
                 black_box_dump(&self.cfg, &error, scheduler.name());
                 Err(Box::new(StreamError {
                     error,
                     completed: report,
-                    failed_initial,
-                    failed_updates,
                 }))
             }
         }
@@ -969,7 +688,7 @@ impl Executor {
         task: &TryTaskFn,
         body: impl FnOnce(&Pipes, &mut Vec<NodeId>) -> Result<R, ExecError>,
     ) -> Result<R, ExecError> {
-        let (work_tx, work_rx) = channel::bounded::<WorkMsg>(self.cfg.queue_cap);
+        let (work_tx, work_rx) = channel::bounded::<WorkMsg>(QUEUE_CAP);
         let (done_tx, done_rx) = channel::unbounded::<DoneMsg>();
         let (batch_back_tx, batch_back_rx) = channel::unbounded::<CompletionBatch>();
         let (chunk_back_tx, chunk_back_rx) = channel::unbounded::<Vec<NodeId>>();
@@ -1100,7 +819,7 @@ fn worker_loop(
 ) {
     trace::set_thread_name(&format!("worker-{i}"));
     // Cached handle: worker occupancy is always-on (one relaxed add per
-    // chunk), feeding `dlsched top`'s occupancy column.
+    // chunk).
     let busy_ns = incr_obs::registry().counter("exec.worker_busy_ns");
     loop {
         let idle = trace::span("exec", "worker.idle");
@@ -1151,117 +870,6 @@ fn worker_loop(
         if done_tx.send(msg).is_err() {
             break;
         }
-    }
-}
-
-/// Stream admission state: which updates have arrived, which are staged
-/// for the next batch, and their merged activation set. `absorb` is
-/// incremental and non-blocking, so the pipelined stream can run it from
-/// the tail-drain overlap hook; `dwell` (deliberate waiting, bounded by
-/// the policy's latency budget) only ever runs between batches.
-struct Admission<'a> {
-    updates: &'a [StreamUpdate],
-    t0: Instant,
-    policy: &'a StreamPolicy,
-    /// Next update index not yet staged (FIFO admission cursor).
-    next: usize,
-    /// Indices staged for the next batch.
-    staged: Vec<usize>,
-    /// Stamp-deduped union of the staged updates' initial sets.
-    staged_initial: Vec<NodeId>,
-    coalescer: ActivationCoalescer,
-    /// Scratch recycled through `take_staged`/`recycle` so steady-state
-    /// admission allocates nothing.
-    spare: Option<(Vec<usize>, Vec<NodeId>)>,
-    depth_gauge: std::sync::Arc<incr_obs::Gauge>,
-}
-
-impl<'a> Admission<'a> {
-    fn new(
-        updates: &'a [StreamUpdate],
-        t0: Instant,
-        policy: &'a StreamPolicy,
-        nodes: usize,
-        depth_gauge: std::sync::Arc<incr_obs::Gauge>,
-    ) -> Admission<'a> {
-        Admission {
-            updates,
-            t0,
-            policy,
-            next: 0,
-            staged: Vec::new(),
-            staged_initial: Vec::new(),
-            coalescer: ActivationCoalescer::new(nodes),
-            spare: None,
-            depth_gauge,
-        }
-    }
-
-    /// Stage every already-arrived update up to `max_coalesce`,
-    /// non-blocking. Safe to call while the previous batch drains.
-    fn absorb(&mut self) {
-        let elapsed = self.t0.elapsed();
-        while self.staged.len() < self.policy.max_coalesce && self.next < self.updates.len() {
-            let u = &self.updates[self.next];
-            if u.after > elapsed {
-                break; // not arrived yet; never wait here
-            }
-            if self.staged.is_empty() {
-                self.coalescer.begin();
-                self.staged_initial.clear();
-            }
-            self.coalescer.add(&u.initial, &mut self.staged_initial);
-            self.staged.push(self.next);
-            self.next += 1;
-        }
-        // Arrived-but-unadmitted backlog (pressure signal).
-        let mut arrived = self.next;
-        while arrived < self.updates.len() && self.updates[arrived].after <= elapsed {
-            arrived += 1;
-        }
-        self.depth_gauge
-            .set((arrived - self.next + self.staged.len()) as i64);
-    }
-
-    /// With an under-filled batch and a non-zero latency budget, wait for
-    /// imminent arrivals — but never longer than the budget past the
-    /// oldest staged member's arrival.
-    fn dwell(&mut self) {
-        if self.policy.latency_budget.is_zero() {
-            return;
-        }
-        while self.staged.len() < self.policy.max_coalesce && self.next < self.updates.len() {
-            let oldest = self.updates[self.staged[0]].after;
-            let horizon = oldest.saturating_add(self.policy.latency_budget);
-            let arrival = self.updates[self.next].after;
-            if arrival > horizon {
-                break; // would overdraw the oldest member's budget
-            }
-            std::thread::sleep(arrival.saturating_sub(self.t0.elapsed()));
-            self.absorb();
-        }
-    }
-
-    /// Arrival offset of the next unstaged update, or `None` if the
-    /// stream is exhausted.
-    fn next_arrival(&self) -> Option<Duration> {
-        self.updates.get(self.next).map(|u| u.after)
-    }
-
-    /// Move the staged batch out (member indices + merged initial set),
-    /// leaving recycled scratch behind.
-    fn take_staged(&mut self) -> (Vec<usize>, Vec<NodeId>) {
-        let (mut members, mut initial) = self.spare.take().unwrap_or_default();
-        members.clear();
-        initial.clear();
-        std::mem::swap(&mut members, &mut self.staged);
-        std::mem::swap(&mut initial, &mut self.staged_initial);
-        (members, initial)
-    }
-
-    /// Return `take_staged` buffers for reuse.
-    fn recycle(&mut self, members: Vec<usize>, initial: Vec<NodeId>) {
-        self.spare = Some((members, initial));
     }
 }
 
@@ -1376,15 +984,6 @@ impl DriveState<'_> {
 /// One update to quiescence on the batched pipeline. Returns tasks
 /// executed/replayed; accumulates coordinator blocked-time into
 /// `wait_ns`.
-///
-/// `overlap`, when given, is invoked every time the coordinator is about
-/// to block waiting for worker completions — i.e. whenever this update
-/// has dispatched everything poppable and is draining a wavefront. The
-/// pipelined stream uses it to do the *next* update's admission work
-/// under the current update's tail drain. The hook must be non-blocking
-/// and must not touch the scheduler: completions of this update may
-/// still land after it runs, so the next `start` stays strictly after
-/// this drive returns (the run-once boundary is per update).
 #[allow(clippy::too_many_arguments)]
 fn drive_update(
     scheduler: &mut dyn Scheduler,
@@ -1396,7 +995,6 @@ fn drive_update(
     order: Option<&mut Vec<NodeId>>,
     wait_ns: &mut u64,
     journal: Option<&mut UpdateJournal>,
-    mut overlap: Option<&mut dyn FnMut()>,
 ) -> Result<DriveStats, ExecError> {
     // Update boundary: per-update gauge peaks start a fresh window, so a
     // snapshot taken after this update reports *its* peaks, not the
@@ -1487,12 +1085,6 @@ fn drive_update(
             return Err(ExecError::Stall {
                 scheduler: scheduler.name().to_string(),
             });
-        }
-        // Tail-drain overlap point: everything poppable is dispatched and
-        // the coordinator is about to block, so admission work for the
-        // next stream update can run here for free.
-        if let Some(hook) = overlap.as_mut() {
-            hook();
         }
         // Block for one completion batch, then drain whatever else landed.
         let wait = trace::span("exec", "coordinator.wait_completion");
@@ -1686,20 +1278,6 @@ fn busy_fraction(total_ns: u64, wait_ns: u64) -> f64 {
     1.0 - (wait_ns.min(total_ns) as f64 / total_ns as f64)
 }
 
-/// How many stream batches between periodic `stream.slo.*` publishes.
-const SLO_PUBLISH_EVERY: usize = 64;
-
-/// Publish the SLO tracker's rolling window into the registry and the
-/// flight recorder (cold path: snapshot sorts the window).
-fn publish_slo(slo: &incr_obs::slo::SloTracker, registry: &incr_obs::Registry) {
-    let snap = slo.snapshot();
-    snap.publish(registry);
-    flight::counter(
-        FlightCode::StreamSojournP99,
-        (snap.p99_ns / 1_000) as f64,
-    );
-}
-
 /// Always-on occupancy counters (relaxed atomic adds).
 fn record_occupancy(total_ns: u64, wait_ns: u64) {
     let r = incr_obs::registry();
@@ -1751,7 +1329,7 @@ mod tests {
         let dag = diamond();
         let mut s = LevelBased::new(dag.clone());
         let report = Executor::new(4)
-            .run(&mut s, &dag, &[NodeId(0)], fire_all(&dag))
+            .run(&mut s, &dag, &[NodeId(0)], infallible(fire_all(&dag)), None)
             .expect("run succeeds");
         assert_eq!(report.executed, 4);
         assert_eq!(report.replayed, 0);
@@ -1771,7 +1349,7 @@ mod tests {
                 fired.push(NodeId(1));
             }
         });
-        let report = Executor::new(2).run(&mut s, &dag, &[NodeId(0)], f).expect("run succeeds");
+        let report = Executor::new(2).run(&mut s, &dag, &[NodeId(0)], infallible(f), None).expect("run succeeds");
         assert_eq!(report.executed, 2);
     }
 
@@ -1803,7 +1381,7 @@ mod tests {
         let mut cfg = ExecConfig::new(8);
         cfg.chunk_max = 1;
         let report = Executor::with_config(cfg)
-            .run(&mut s, &dag, &[NodeId(0)], f)
+            .run(&mut s, &dag, &[NodeId(0)], infallible(f), None)
             .expect("run succeeds");
         assert_eq!(report.executed, 17);
         assert!(
@@ -1818,7 +1396,7 @@ mod tests {
         let dag = diamond();
         let mut s = Hybrid::new(dag.clone());
         let report = Executor::new(4)
-            .run(&mut s, &dag, &[NodeId(0)], fire_all(&dag))
+            .run(&mut s, &dag, &[NodeId(0)], infallible(fire_all(&dag)), None)
             .expect("run succeeds");
         assert_eq!(report.executed, 4);
     }
@@ -1831,7 +1409,7 @@ mod tests {
             fired.push(NodeId(3)); // node 0 has no edge to 3
         });
         let err = Executor::new(2)
-            .run(&mut s, &dag, &[NodeId(0)], f)
+            .run(&mut s, &dag, &[NodeId(0)], infallible(f), None)
             .unwrap_err();
         assert_eq!(
             err,
@@ -1880,7 +1458,7 @@ mod tests {
         let dag = diamond();
         let mut s = Hoarder { active: 0 };
         let err = Executor::new(2)
-            .run(&mut s, &dag, &[NodeId(0)], fire_all(&dag))
+            .run(&mut s, &dag, &[NodeId(0)], infallible(fire_all(&dag)), None)
             .unwrap_err();
         assert_eq!(
             err,
@@ -1895,7 +1473,7 @@ mod tests {
     fn empty_update_returns_immediately() {
         let dag = diamond();
         let mut s = LevelBased::new(dag.clone());
-        let report = Executor::new(4).run(&mut s, &dag, &[], fire_all(&dag)).expect("run succeeds");
+        let report = Executor::new(4).run(&mut s, &dag, &[], infallible(fire_all(&dag)), None).expect("run succeeds");
         assert_eq!(report.executed, 0);
         assert!(report.completion_order.is_empty());
     }
@@ -1913,128 +1491,6 @@ mod tests {
         // 4 (full) + 0 (empty) + 2 (from node 1) + 4 (full again).
         assert_eq!(report.executed, 10);
         assert_eq!(report.update_seconds.len(), 4);
-        assert_eq!(report.latency_seconds.len(), 4);
-        assert_eq!(report.batches, 4, "serial stream never merges");
-        assert_eq!(report.coalesced, 0);
-    }
-
-    /// Ten alternating 1-node updates under 4-way coalescing: three
-    /// batches, each driving the union closure once.
-    #[test]
-    fn coalesced_stream_merges_backlogged_updates() {
-        let dag = diamond();
-        let mut s = LevelBased::new(dag.clone());
-        let updates: Vec<StreamUpdate> = (0..10)
-            .map(|i| StreamUpdate::now(vec![NodeId(i % 2)]))
-            .collect();
-        let report = Executor::new(2)
-            .run_stream_with(
-                &mut s,
-                &dag,
-                &updates,
-                infallible(fire_all(&dag)),
-                &StreamPolicy::coalesced(4),
-                None,
-            )
-            .unwrap();
-        assert_eq!(report.updates, 10);
-        assert_eq!(report.batches, 3, "10 updates / max_coalesce 4");
-        assert_eq!(report.coalesced, 10, "every update shared its batch");
-        // Each batch drives closure({0} ∪ {1}) = all four nodes once.
-        assert_eq!(report.executed, 12);
-        assert_eq!(report.latency_seconds.len(), 10);
-        assert_eq!(report.update_seconds.len(), 10);
-    }
-
-    /// The publish hook fires once per committed batch, after the
-    /// cascade quiesced, with the batch's coalesced-update count — the
-    /// contract an epoch-versioned store relies on to bump its published
-    /// epoch at batch boundaries only.
-    #[test]
-    fn commit_hook_fires_once_per_committed_batch() {
-        let dag = diamond();
-        let mut s = LevelBased::new(dag.clone());
-        let updates: Vec<StreamUpdate> = (0..10)
-            .map(|i| StreamUpdate::now(vec![NodeId(i % 2)]))
-            .collect();
-        let mut commits: Vec<usize> = Vec::new();
-        let report = Executor::new(2)
-            .run_stream_committed(
-                &mut s,
-                &dag,
-                &updates,
-                infallible(fire_all(&dag)),
-                &StreamPolicy::coalesced(4),
-                None,
-                &mut |members| commits.push(members),
-            )
-            .unwrap();
-        assert_eq!(commits.len(), report.batches, "one publish per batch");
-        assert_eq!(commits.iter().sum::<usize>(), report.updates);
-    }
-
-    /// Pipelining alone (no coalescing) must not change what executes.
-    #[test]
-    fn pipelined_stream_matches_serial_executed_counts() {
-        let dag = diamond();
-        let updates: Vec<Vec<NodeId>> =
-            vec![vec![NodeId(0)], vec![NodeId(1)], vec![NodeId(0)], vec![]];
-        let mut serial_sched = LevelBased::new(dag.clone());
-        let serial = Executor::new(2)
-            .run_stream(&mut serial_sched, &dag, &updates, fire_all(&dag))
-            .unwrap();
-        let stream: Vec<StreamUpdate> = updates
-            .iter()
-            .map(|u| StreamUpdate::now(u.clone()))
-            .collect();
-        let mut piped_sched = LevelBased::new(dag.clone());
-        let piped = Executor::new(2)
-            .run_stream_with(
-                &mut piped_sched,
-                &dag,
-                &stream,
-                infallible(fire_all(&dag)),
-                &StreamPolicy::pipelined(),
-                None,
-            )
-            .unwrap();
-        assert_eq!(piped.updates, serial.updates);
-        assert_eq!(piped.executed, serial.executed);
-        assert_eq!(piped.batches, updates.len());
-        assert_eq!(piped.coalesced, 0);
-    }
-
-    /// Arrival times gate admission: an update scheduled in the future is
-    /// not driven early, and its sojourn latency excludes pre-arrival
-    /// time.
-    #[test]
-    fn stream_respects_arrival_times() {
-        let dag = diamond();
-        let mut s = LevelBased::new(dag.clone());
-        let updates = vec![
-            StreamUpdate::now(vec![NodeId(0)]),
-            StreamUpdate::at(vec![NodeId(0)], Duration::from_millis(30)),
-        ];
-        let t0 = Instant::now();
-        let report = Executor::new(2)
-            .run_stream_with(
-                &mut s,
-                &dag,
-                &updates,
-                infallible(fire_all(&dag)),
-                &StreamPolicy::pipelined(),
-                None,
-            )
-            .unwrap();
-        assert!(t0.elapsed() >= Duration::from_millis(30));
-        assert_eq!(report.updates, 2);
-        // The late update's latency clock starts at its arrival, not at
-        // stream start: it cannot have waited ~30ms.
-        assert!(
-            report.latency_seconds[1] < 0.025,
-            "late update's sojourn {}s includes pre-arrival time",
-            report.latency_seconds[1]
-        );
     }
 
     // ---- fault tolerance ----
@@ -2078,7 +1534,7 @@ mod tests {
         });
         let mut s = LevelBased::new(dag.clone());
         let err = Executor::new(2)
-            .run(&mut s, &dag, &[NodeId(0)], f)
+            .run(&mut s, &dag, &[NodeId(0)], infallible(f), None)
             .unwrap_err();
         match err {
             ExecError::TaskPanicked { node, ref message } => {
@@ -2110,7 +1566,7 @@ mod tests {
         cfg.retry = RetryPolicy::retries(3);
         let mut s = LevelBased::new(dag.clone());
         let report = Executor::with_config(cfg)
-            .run_fallible(&mut s, &dag, &[NodeId(0)], f, None)
+            .run(&mut s, &dag, &[NodeId(0)], f, None)
             .unwrap();
         assert_eq!(report.executed, 4);
         assert_eq!(attempts.load(Ordering::SeqCst), 3, "two failures + one success");
@@ -2134,7 +1590,7 @@ mod tests {
         };
         let mut s = LevelBased::new(dag.clone());
         let err = Executor::with_config(cfg)
-            .run_fallible(&mut s, &dag, &[NodeId(0)], f, None)
+            .run(&mut s, &dag, &[NodeId(0)], f, None)
             .unwrap_err();
         assert_eq!(
             err,
@@ -2161,7 +1617,7 @@ mod tests {
         let mut s = LevelBased::new(dag.clone());
         let t0 = Instant::now();
         let err = Executor::with_config(cfg)
-            .run(&mut s, &dag, &[NodeId(0)], f)
+            .run(&mut s, &dag, &[NodeId(0)], infallible(f), None)
             .unwrap_err();
         assert!(t0.elapsed() < Duration::from_secs(2), "must not wait for the hung task");
         match err {
@@ -2203,7 +1659,7 @@ mod tests {
         cfg.cancel = Some(token.clone());
         let mut s = LevelBased::new(dag.clone());
         let err = Executor::with_config(cfg)
-            .run(&mut s, &dag, &[NodeId(0)], f.clone())
+            .run(&mut s, &dag, &[NodeId(0)], infallible(f.clone()), None)
             .unwrap_err();
         match err {
             ExecError::Cancelled { executed } => {
@@ -2216,10 +1672,10 @@ mod tests {
         token.reset();
         let mut s2 = LevelBased::new(dag.clone());
         let fresh = Executor::new(2)
-            .run(&mut s2, &dag, &[NodeId(0)], fire_all(&dag))
+            .run(&mut s2, &dag, &[NodeId(0)], infallible(fire_all(&dag)), None)
             .expect("run succeeds");
         let resumed = Executor::new(2)
-            .run(&mut s, &dag, &[NodeId(0)], fire_all(&dag))
+            .run(&mut s, &dag, &[NodeId(0)], infallible(fire_all(&dag)), None)
             .expect("run succeeds");
         assert_eq!(resumed.executed, fresh.executed);
     }
@@ -2252,14 +1708,14 @@ mod tests {
         let mut s = LevelBased::new(dag.clone());
         let exec = Executor::new(2);
         let err = exec
-            .run_fallible(&mut s, &dag, &[NodeId(0)], f.clone(), Some(&mut journal))
+            .run(&mut s, &dag, &[NodeId(0)], f.clone(), Some(&mut journal))
             .unwrap_err();
         assert!(matches!(err, ExecError::TaskPanicked { node, .. } if node == NodeId(2)));
         assert_eq!(journal.len(), 2, "nodes 0 and 1 committed");
         assert!(journal.contains(NodeId(0)) && journal.contains(NodeId(1)));
 
         let report = exec
-            .run_fallible(&mut s, &dag, &[NodeId(0)], f, Some(&mut journal))
+            .run(&mut s, &dag, &[NodeId(0)], f, Some(&mut journal))
             .unwrap();
         assert_eq!(report.replayed, 2, "0 and 1 replayed, not re-executed");
         assert_eq!(report.executed, 2, "only 2 and 3 execute on resume");
@@ -2304,80 +1760,6 @@ mod tests {
             calls.load(Ordering::SeqCst)
         );
         assert!(err.to_string().contains("update 1 failed"));
-        assert_eq!(err.failed_initial, vec![NodeId(0)]);
-        assert_eq!(err.failed_updates, 1);
-    }
-
-    /// PR 4 semantics per *coalesced* update: a panic mid-batch journals
-    /// the batch's committed executions; resuming the failed batch via
-    /// `run_fallible` replays them (no re-execution), and the stream
-    /// continues from the first update after the batch.
-    #[test]
-    fn coalesced_stream_failure_journals_and_resumes() {
-        quiet_panics();
-        let dag = diamond();
-        let exec = Executor::new(1); // deterministic commit order
-        let poisoned = Arc::new(AtomicBool::new(true));
-        let f: TaskFn = {
-            let dag = dag.clone();
-            let poisoned = poisoned.clone();
-            Arc::new(move |v, fired: &mut Vec<NodeId>| {
-                if v == NodeId(2) && poisoned.swap(false, Ordering::SeqCst) {
-                    panic!("injected mid-batch failure");
-                }
-                fired.extend_from_slice(dag.children(v));
-            })
-        };
-        let updates: Vec<StreamUpdate> = (0..8)
-            .map(|i| StreamUpdate::now(vec![NodeId(i % 2)]))
-            .collect();
-        let policy = StreamPolicy::coalesced(4);
-        let mut s = LevelBased::new(dag.clone());
-        let mut journal = UpdateJournal::new();
-        let err = exec
-            .run_stream_with(
-                &mut s,
-                &dag,
-                &updates,
-                infallible(f.clone()),
-                &policy,
-                Some(&mut journal),
-            )
-            .unwrap_err();
-        assert!(matches!(err.error, ExecError::TaskPanicked { node, .. } if node == NodeId(2)));
-        assert_eq!(err.completed.updates, 0, "first batch failed");
-        assert_eq!(err.failed_updates, 4, "batch had absorbed 4 updates");
-        assert_eq!(err.failed_initial, vec![NodeId(0), NodeId(1)]);
-        // Node 0's wavefront committed before the failure; completions of
-        // the failing wavefront depend on chunk order, but never node 2.
-        assert!(journal.contains(NodeId(0)));
-        assert!(!journal.contains(NodeId(2)), "failed task must not commit");
-        let committed = journal.len();
-        // Resume the failed batch: journaled nodes replay, the rest runs.
-        let resumed = exec
-            .run_fallible(
-                &mut s,
-                &dag,
-                &err.failed_initial,
-                infallible(f.clone()),
-                Some(&mut journal),
-            )
-            .unwrap();
-        assert_eq!(resumed.replayed, committed);
-        assert_eq!(
-            resumed.executed,
-            4 - committed,
-            "exactly the un-journaled nodes re-run"
-        );
-        assert!(journal.is_empty(), "committed batch clears the journal");
-        // Continue the stream after the failed batch's members.
-        let tail = &updates[err.completed.updates + err.failed_updates..];
-        let report = exec
-            .run_stream_with(&mut s, &dag, tail, infallible(f), &policy, Some(&mut journal))
-            .unwrap();
-        assert_eq!(report.updates, 4);
-        assert_eq!(report.batches, 1);
-        assert_eq!(report.executed, 4);
     }
 
     #[test]
@@ -2493,7 +1875,7 @@ mod tests {
             inner: LevelBased::new(dag.clone()),
         };
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            let _ = Executor::new(4).run(&mut s, &dag, &[NodeId(0)], task);
+            let _ = Executor::new(4).run(&mut s, &dag, &[NodeId(0)], infallible(task), None);
         }));
         assert!(caught.is_err(), "coordinator panic must propagate");
         // All four workers held a TaskFn clone; once they exit, only the

@@ -36,7 +36,6 @@ pub mod faults;
 pub use attribution::{analyze, flow_events, TaskSpan, UpdateAttribution};
 pub use executor::{
     infallible, CancelToken, ExecConfig, ExecError, ExecReport, ExecSnapshot, Executor,
-    RetryPolicy, StreamError, StreamPolicy, StreamReport, StreamUpdate, TaskFn, TaskOutcome,
-    TryTaskFn, UpdateJournal,
+    RetryPolicy, StreamError, StreamReport, TaskFn, TaskOutcome, TryTaskFn, UpdateJournal,
 };
 pub use faults::{Fault, FaultPlan};

@@ -6,7 +6,7 @@
 //! Run: `cargo run --release --example threaded_hybrid`
 
 use datalog_sched::dag::{DagBuilder, NodeId};
-use datalog_sched::runtime::{ExecError, Executor, TaskFn};
+use datalog_sched::runtime::{infallible, ExecError, Executor, TaskFn};
 use datalog_sched::sched::{Hybrid, LevelBased, LogicBlox, Scheduler};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -57,8 +57,13 @@ fn main() -> ExitCode {
             // A failed run prints a one-line diagnostic and exits nonzero:
             // Stall means a broken scheduler, NonEdge a broken task body,
             // TaskPanicked an isolated worker panic — all typed, no hang.
-            let report = match Executor::new(workers).run(s.as_mut(), &dag, &initial, task.clone())
-            {
+            let report = match Executor::new(workers).run(
+                s.as_mut(),
+                &dag,
+                &initial,
+                infallible(task.clone()),
+                None,
+            ) {
                 Ok(report) => report,
                 Err(
                     e @ (ExecError::Stall { .. }

@@ -35,13 +35,6 @@
 //!                                     wait (run/eval) vs commit vs other,
 //!                                     plus the concrete critical chain and a
 //!                                     flow-annotated Perfetto trace
-//! dlsched top [--nodes V] [--updates U] [--update-size K] [--procs P]
-//!             [--coalesce C] [--budget-us B] [--period-us T]
-//!             [--interval-ms I] [--frames N] [--plain]
-//!                                     drive an open-loop stream and render a
-//!                                     live text view of queue depth, SLO
-//!                                     percentiles, burn rate, coalesce rate,
-//!                                     worker occupancy and retries
 //! dlsched query <program.dl|-> <pattern> [--add F]* [--remove F]* [--sched S]
 //!               [--shards N] [--maintenance dred|fbf]
 //!                                     materialize a Datalog program, pin a
@@ -58,7 +51,7 @@
 //! `hybrid`, `hybrid-bg:<slice>`, `exact`.
 
 use datalog_sched::datalog::MaintenanceStrategy;
-use datalog_sched::runtime::executor::{infallible, StreamPolicy, StreamUpdate};
+use datalog_sched::runtime::executor::infallible;
 use datalog_sched::runtime::{analyze, flow_events, ExecConfig, Executor, TaskFn};
 use datalog_sched::sched::{CostPrices, Observed, SchedulerKind};
 use datalog_sched::sim::{record_timeline, simulate_event, EventSimConfig};
@@ -69,7 +62,6 @@ use incr_obs::trace;
 use incr_obs::Json;
 use incr_sched::Instance;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -81,11 +73,10 @@ fn main() {
         Some("trace") => cmd_trace(&args[1..]),
         Some("stream") => cmd_stream(&args[1..]),
         Some("explain") => cmd_explain(&args[1..]),
-        Some("top") => cmd_top(&args[1..]),
         Some("query") => cmd_query(&args[1..]),
         _ => {
             eprintln!(
-                "usage: dlsched <gen|stats|simulate|gantt|trace|stream|explain|top|query> ...\n\
+                "usage: dlsched <gen|stats|simulate|gantt|trace|stream|explain|query> ...\n\
                  see the crate docs (src/bin/dlsched.rs) for details"
             );
             2
@@ -141,6 +132,24 @@ fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .position(|a| a == name)
         .and_then(|i| args.get(i + 1))
         .map(String::as_str)
+}
+
+/// A processor, worker or shard count: at least 1 (the executor, the
+/// simulators and the sharded engine all assert it).
+fn parse_count(name: &str, v: &str) -> Result<usize, String> {
+    match v.parse() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!("bad {name} {v:?}: expected a count of at least 1")),
+    }
+}
+
+/// `name`'s value as a count, or `default` when the flag is absent; a bad
+/// value is reported on stderr and the caller exits 2.
+fn count_flag(args: &[String], name: &str, default: usize) -> Option<usize> {
+    flag(args, name)
+        .map_or(Ok(default), |v| parse_count(name, v))
+        .map_err(|e| eprintln!("{e}"))
+        .ok()
 }
 
 fn cmd_gen(args: &[String]) -> i32 {
@@ -218,7 +227,9 @@ fn cmd_simulate(args: &[String]) -> i32 {
             return 2;
         }
     };
-    let procs: usize = flag(args, "--procs").and_then(|p| p.parse().ok()).unwrap_or(8);
+    let Some(procs) = count_flag(args, "--procs", 8) else {
+        return 2;
+    };
     match load_instance(spec) {
         Ok((name, inst)) => {
             let mut s = kind.build(inst.dag.clone());
@@ -269,7 +280,9 @@ fn cmd_trace(args: &[String]) -> i32 {
             return 2;
         }
     };
-    let procs: usize = flag(args, "--procs").and_then(|p| p.parse().ok()).unwrap_or(8);
+    let Some(procs) = count_flag(args, "--procs", 8) else {
+        return 2;
+    };
     let out = flag(args, "-o")
         .or_else(|| flag(args, "--out"))
         .map(String::from)
@@ -312,8 +325,13 @@ fn cmd_trace(args: &[String]) -> i32 {
     let task: TaskFn = Arc::new(move |v, out: &mut Vec<incr_dag::NodeId>| {
         out.extend_from_slice(&fired[v.index()]);
     });
-    let report = match Executor::new(procs).run(&mut exec_sched, &inst.dag, &inst.initial_active, task)
-    {
+    let report = match Executor::new(procs).run(
+        &mut exec_sched,
+        &inst.dag,
+        &inst.initial_active,
+        infallible(task),
+        None,
+    ) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("replay failed: {e}");
@@ -380,7 +398,9 @@ fn run_datalog_stream(args: &[String]) -> i32 {
     let delete_pct: u64 = flag(args, "--delete-pct").and_then(|v| v.parse().ok()).unwrap_or(70);
     let coalesce: usize =
         flag(args, "--coalesce").and_then(|v| v.parse().ok()).unwrap_or(4).max(1);
-    let shards: usize = flag(args, "--shards").and_then(|v| v.parse().ok()).unwrap_or(1);
+    let Some(shards) = count_flag(args, "--shards", 1) else {
+        return 2;
+    };
     let kind = match parse_sched(flag(args, "--sched").unwrap_or("levelbased")) {
         Ok(k) => k,
         Err(e) => {
@@ -482,7 +502,9 @@ fn cmd_stream(args: &[String]) -> i32 {
     let nodes: usize = flag(args, "--nodes").and_then(|v| v.parse().ok()).unwrap_or(100_000);
     let updates: usize = flag(args, "--updates").and_then(|v| v.parse().ok()).unwrap_or(100);
     let update_size: usize = flag(args, "--update-size").and_then(|v| v.parse().ok()).unwrap_or(10);
-    let procs: usize = flag(args, "--procs").and_then(|v| v.parse().ok()).unwrap_or(8);
+    let Some(procs) = count_flag(args, "--procs", 8) else {
+        return 2;
+    };
     let batch: usize = flag(args, "--batch").and_then(|v| v.parse().ok()).unwrap_or(256);
     let task_us: u64 = flag(args, "--task-us").and_then(|v| v.parse().ok()).unwrap_or(0);
     if args.iter().any(|a| a == "--shards") {
@@ -593,7 +615,9 @@ fn cmd_explain(args: &[String]) -> i32 {
             return 2;
         }
     };
-    let procs: usize = flag(args, "--procs").and_then(|p| p.parse().ok()).unwrap_or(8);
+    let Some(procs) = count_flag(args, "--procs", 8) else {
+        return 2;
+    };
     let out = flag(args, "-o")
         .or_else(|| flag(args, "--out"))
         .unwrap_or("results/explain.json")
@@ -620,14 +644,19 @@ fn cmd_explain(args: &[String]) -> i32 {
     });
     let mut cfg = ExecConfig::new(procs);
     cfg.record_tasks = true;
-    let report =
-        match Executor::with_config(cfg).run(&mut sched, &inst.dag, &inst.initial_active, task) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("run failed: {e}");
-                return 1;
-            }
-        };
+    let report = match Executor::with_config(cfg).run(
+        &mut sched,
+        &inst.dag,
+        &inst.initial_active,
+        infallible(task),
+        None,
+    ) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("run failed: {e}");
+            return 1;
+        }
+    };
     trace::disable();
     let threads = trace::drain();
 
@@ -708,187 +737,6 @@ fn cmd_explain(args: &[String]) -> i32 {
     0
 }
 
-/// Drive an open-loop stream on the main thread while a background thread
-/// repaints a `top`-style text view from the metrics registry and the SLO
-/// tracker: queue depth, p50/p95/p99 sojourn vs budget, burn rate,
-/// coalesce rate, worker occupancy, retries.
-fn cmd_top(args: &[String]) -> i32 {
-    let nodes: usize = flag(args, "--nodes").and_then(|v| v.parse().ok()).unwrap_or(50_000);
-    let updates: usize = flag(args, "--updates").and_then(|v| v.parse().ok()).unwrap_or(2_000);
-    let update_size: usize = flag(args, "--update-size").and_then(|v| v.parse().ok()).unwrap_or(8);
-    let procs: usize = flag(args, "--procs").and_then(|v| v.parse().ok()).unwrap_or(8);
-    let coalesce: usize = flag(args, "--coalesce").and_then(|v| v.parse().ok()).unwrap_or(8);
-    let budget_us: u64 = flag(args, "--budget-us").and_then(|v| v.parse().ok()).unwrap_or(2_000);
-    let period_us: u64 = flag(args, "--period-us").and_then(|v| v.parse().ok()).unwrap_or(500);
-    let interval_ms: u64 = flag(args, "--interval-ms").and_then(|v| v.parse().ok()).unwrap_or(200);
-    let frames: usize = flag(args, "--frames").and_then(|v| v.parse().ok()).unwrap_or(usize::MAX);
-    let plain = args.iter().any(|a| a == "--plain");
-    let kind = match parse_sched(flag(args, "--sched").unwrap_or("levelbased")) {
-        Ok(k) => k,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-
-    let layers = 20u32;
-    let width = (nodes as u32 / layers).max(1);
-    let dag = Arc::new(incr_dag::random::layered(incr_dag::random::LayeredParams {
-        layers,
-        width,
-        max_in: 4,
-        back_span: 2,
-        seed: 42,
-    }));
-    let n = dag.node_count();
-
-    let mut state = 0x9e3779b97f4a7c15u64;
-    let mut lcg = move || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        (state >> 33) as usize
-    };
-    // Open loop: update i arrives at i * period, regardless of progress.
-    let stream: Vec<StreamUpdate> = (0..updates)
-        .map(|i| {
-            let initial = (0..update_size)
-                .map(|_| incr_dag::NodeId((lcg() % width.min(n as u32) as usize) as u32))
-                .collect();
-            StreamUpdate::at(initial, Duration::from_micros(i as u64 * period_us))
-        })
-        .collect();
-
-    let dag2 = dag.clone();
-    let task: TaskFn = Arc::new(move |v, out: &mut Vec<incr_dag::NodeId>| {
-        for (i, &c) in dag2.children(v).iter().enumerate() {
-            if i % 2 == 0 {
-                out.push(c);
-            }
-        }
-    });
-
-    incr_obs::registry().reset();
-    incr_obs::slo::stream_tracker().reset();
-
-    let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let render_done = done.clone();
-    let budget = Duration::from_micros(budget_us);
-    let render = std::thread::spawn(move || {
-        use std::sync::atomic::Ordering;
-        let r = incr_obs::registry();
-        let slo = incr_obs::slo::stream_tracker();
-        let mut frame = 0usize;
-        let mut last_busy = 0u64;
-        let mut last_samples = 0u64;
-        let mut last = std::time::Instant::now();
-        while frame < frames && !render_done.load(Ordering::Relaxed) {
-            std::thread::sleep(Duration::from_millis(interval_ms));
-            let now = std::time::Instant::now();
-            let dt = now.duration_since(last).as_secs_f64();
-            last = now;
-
-            let busy = r.counter("exec.worker_busy_ns").get();
-            let samples = r.counter("stream.slo.samples").get();
-            let occupancy = if dt > 0.0 {
-                (busy.saturating_sub(last_busy) as f64 / 1e9) / (dt * procs as f64)
-            } else {
-                0.0
-            };
-            let rate = if dt > 0.0 {
-                samples.saturating_sub(last_samples) as f64 / dt
-            } else {
-                0.0
-            };
-            last_busy = busy;
-            last_samples = samples;
-
-            let s = slo.snapshot();
-            let coalesced = r.counter("stream.coalesced").get();
-            let over = r.counter("stream.slo.over_budget").get();
-            // Admission (numerator) runs ahead of completion (denominator);
-            // cap so the readout never exceeds 100%.
-            let coalesce_rate = if samples > 0 {
-                (100.0 * coalesced as f64 / samples as f64).min(100.0)
-            } else {
-                0.0
-            };
-            if !plain {
-                print!("\x1b[2J\x1b[H");
-            }
-            println!("dlsched top — frame {frame}  ({rate:.0} updates/s)");
-            println!(
-                "  queue depth     {:>8}   (peak {})",
-                r.gauge("stream.queue_depth").get(),
-                r.gauge("stream.queue_depth").peak()
-            );
-            println!(
-                "  sojourn p50     {:>8.0} us   p95 {:.0} us   p99 {:.0} us   max {:.0} us",
-                s.p50_ns as f64 / 1e3,
-                s.p95_ns as f64 / 1e3,
-                s.p99_ns as f64 / 1e3,
-                s.max_ns as f64 / 1e3
-            );
-            println!(
-                "  SLO budget      {:>8.0} us   burn {:.1}%   over-budget {} / {}",
-                budget.as_micros() as f64,
-                s.burn_rate * 100.0,
-                over,
-                samples
-            );
-            println!("  coalesce rate   {coalesce_rate:>7.1}%   ({coalesced} updates shared a batch)");
-            println!(
-                "  worker occupancy{:>7.1}%   in-flight {}   exec queue {}",
-                occupancy * 100.0,
-                r.gauge("exec.in_flight").get(),
-                r.gauge("exec.queue_depth").get()
-            );
-            println!(
-                "  retries         {:>8}   task failures {}",
-                r.counter("exec.retries").get(),
-                r.counter("exec.task_failures").get()
-            );
-            frame += 1;
-        }
-    });
-
-    let policy = StreamPolicy {
-        max_coalesce: coalesce.max(1),
-        latency_budget: budget,
-        pipeline: true,
-    };
-    let mut sched = kind.build(dag.clone());
-    let result = Executor::with_config(ExecConfig::new(procs)).run_stream_with(
-        sched.as_mut(),
-        &dag,
-        &stream,
-        infallible(task),
-        &policy,
-        None,
-    );
-    done.store(true, std::sync::atomic::Ordering::Relaxed);
-    let _ = render.join();
-
-    match result {
-        Ok(report) => {
-            let s = incr_obs::slo::stream_tracker().snapshot();
-            println!(
-                "stream done: {} updates ({} batches) in {:.3} s — p50 {:.0} us  p95 {:.0} us  p99 {:.0} us  burn {:.1}%",
-                report.updates,
-                report.batches,
-                report.wall_seconds,
-                s.p50_ns as f64 / 1e3,
-                s.p95_ns as f64 / 1e3,
-                s.p99_ns as f64 / 1e3,
-                s.burn_rate * 100.0
-            );
-            0
-        }
-        Err(e) => {
-            eprintln!("stream failed: {e}");
-            1
-        }
-    }
-}
-
 fn cmd_gantt(args: &[String]) -> i32 {
     let (Some(spec), Some(out)) = (args.first(), args.get(1)) else {
         eprintln!("usage: dlsched gantt <#id|figure2:L|trace.json> <out.svg> [--sched S] [--procs P]");
@@ -901,7 +749,9 @@ fn cmd_gantt(args: &[String]) -> i32 {
             return 2;
         }
     };
-    let procs: usize = flag(args, "--procs").and_then(|p| p.parse().ok()).unwrap_or(8);
+    let Some(procs) = count_flag(args, "--procs", 8) else {
+        return 2;
+    };
     match load_instance(spec) {
         Ok((name, inst)) => {
             let mut s = kind.build(inst.dag.clone());
@@ -1055,10 +905,10 @@ fn cmd_query(args: &[String]) -> i32 {
                 match f {
                     "--add" => edits.push((true, v.clone())),
                     "--remove" => edits.push((false, v.clone())),
-                    "--shards" => match v.parse() {
-                        Ok(n) if n >= 1 => shards = n,
-                        _ => {
-                            eprintln!("bad shard count {v:?}\n{usage}");
+                    "--shards" => match parse_count(f, v) {
+                        Ok(n) => shards = n,
+                        Err(e) => {
+                            eprintln!("{e}\n{usage}");
                             return 2;
                         }
                     },
@@ -1163,6 +1013,22 @@ mod query_tests {
         assert!(out.contains("3 shards"), "{out}");
         assert!(out.contains("1 rows"), "{out}");
         assert!(out.contains("(a, d)"), "{out}");
+    }
+
+    /// `--procs 0` / `--shards 0` used to reach `assert!(workers >= 1)`
+    /// and friends; every subcommand now answers 2 before doing any work.
+    #[test]
+    fn zero_counts_are_usage_errors() {
+        let argv = |words: &[&str]| words.iter().map(|w| w.to_string()).collect::<Vec<_>>();
+        assert_eq!(cmd_simulate(&argv(&["#5", "--procs", "0"])), 2);
+        assert_eq!(cmd_trace(&argv(&["#5", "--procs", "0"])), 2);
+        assert_eq!(cmd_explain(&argv(&["#5", "--procs", "0"])), 2);
+        assert_eq!(cmd_gantt(&argv(&["#5", "unwritten.svg", "--procs", "0"])), 2);
+        assert_eq!(cmd_stream(&argv(&["--procs", "0"])), 2);
+        assert_eq!(cmd_stream(&argv(&["--datalog", "--shards", "0"])), 2);
+        assert_eq!(cmd_query(&argv(&["-", "p(?)", "--shards", "0"])), 2);
+        assert_eq!(count_flag(&argv(&["--procs", "many"]), "--procs", 8), None);
+        assert_eq!(count_flag(&argv(&[]), "--procs", 8), Some(8));
     }
 
     #[test]

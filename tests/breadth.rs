@@ -4,7 +4,7 @@
 //! combinator under the executor.
 
 use datalog_sched::dag::{DagBuilder, NodeId};
-use datalog_sched::runtime::{Executor, TaskFn};
+use datalog_sched::runtime::{infallible, Executor, TaskFn};
 use datalog_sched::sched::{
     CostPrices, Duo, LevelBased, LevelBasedLookahead, LogicBlox, Scheduler, SchedulerKind,
 };
@@ -147,14 +147,18 @@ fn executor_stress_five_thousand_tasks() {
     let expected = (pipes * depth) as usize;
 
     let mut lb = LevelBased::new(dag.clone());
-    let r = Executor::new(8).run(&mut lb, &dag, &initial, task.clone()).expect("run succeeds");
+    let r = Executor::new(8)
+        .run(&mut lb, &dag, &initial, infallible(task.clone()), None)
+        .expect("run succeeds");
     assert_eq!(r.executed, expected);
 
     let mut duo = Duo::new(
         LevelBasedLookahead::new(dag.clone(), 3),
         LogicBlox::new(dag.clone()),
     );
-    let r = Executor::new(8).run(&mut duo, &dag, &initial, task.clone()).expect("run succeeds");
+    let r = Executor::new(8)
+        .run(&mut duo, &dag, &initial, infallible(task), None)
+        .expect("run succeeds");
     assert_eq!(r.executed, expected);
 }
 

@@ -164,7 +164,7 @@ fn run_chaos_scenario(
             "{kind:?} seed {}: no completion within {max_rounds} rounds",
             plan.seed
         );
-        match exec.run_fallible(
+        match exec.run(
             &mut scheduler,
             &inst.dag,
             &inst.initial_active,
@@ -331,7 +331,7 @@ fn preset5_worker_panic_fails_fast_and_restarts_identically() {
         cfg.deadline = Some(deadline);
         let t0 = Instant::now();
         let err = Executor::with_config(cfg)
-            .run_fallible(s.as_mut(), &inst.dag, &inst.initial_active, task, None)
+            .run(s.as_mut(), &inst.dag, &inst.initial_active, task, None)
             .unwrap_err();
         let elapsed = t0.elapsed();
         assert!(
@@ -440,7 +440,7 @@ fn injected_stall_and_panic_leave_validator_clean_flight_dumps() {
         allow: 5,
     };
     let err = Executor::with_config(cfg.clone())
-        .run_fallible(&mut s, &inst.dag, &inst.initial_active, inner.clone(), None)
+        .run(&mut s, &inst.dag, &inst.initial_active, inner.clone(), None)
         .unwrap_err();
     assert!(matches!(err, ExecError::Stall { .. }), "got {err:?}");
 
@@ -449,7 +449,7 @@ fn injected_stall_and_panic_leave_validator_clean_flight_dumps() {
     let task = plan.wrap(inner);
     let mut s = SchedulerKind::LevelBased.build(inst.dag.clone());
     let err = Executor::with_config(cfg)
-        .run_fallible(s.as_mut(), &inst.dag, &inst.initial_active, task, None)
+        .run(s.as_mut(), &inst.dag, &inst.initial_active, task, None)
         .unwrap_err();
     assert!(matches!(err, ExecError::TaskPanicked { .. }), "got {err:?}");
 
@@ -492,7 +492,7 @@ fn cancelled_update_leaves_scheduler_restartable() {
         let mut cfg = ExecConfig::new(4);
         cfg.cancel = Some(token);
         let err = Executor::with_config(cfg)
-            .run_fallible(s.as_mut(), &inst.dag, &inst.initial_active, task, None)
+            .run(s.as_mut(), &inst.dag, &inst.initial_active, task, None)
             .unwrap_err();
         assert!(
             matches!(err, ExecError::Cancelled { .. }),

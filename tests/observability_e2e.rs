@@ -8,7 +8,7 @@
 use datalog_sched::datalog::{FactEdit, IncrementalEngine};
 use datalog_sched::runtime::executor::{ExecConfig, ExecError, TaskOutcome, TryTaskFn};
 use datalog_sched::runtime::faults::silence_injected_panics;
-use datalog_sched::runtime::{analyze, flow_events, Executor, TaskFn};
+use datalog_sched::runtime::{analyze, flow_events, infallible, Executor, TaskFn};
 use datalog_sched::sched::{Observed, SchedulerKind};
 use datalog_sched::sim::{simulate_event, EventSimConfig};
 use datalog_sched::traces::{generate, preset};
@@ -46,7 +46,7 @@ fn executor_run_produces_balanced_multithreaded_trace() {
             out.extend_from_slice(&fired[v.index()]);
         });
         let report = Executor::new(4)
-            .run(&mut s, &inst.dag, &inst.initial_active, task)
+            .run(&mut s, &inst.dag, &inst.initial_active, infallible(task), None)
             .expect("run succeeds");
         assert_eq!(report.executed, inst.active_count());
     });
@@ -205,7 +205,7 @@ fn executor_error_dumps_black_box_without_tracing() {
     let mut cfg = ExecConfig::new(4);
     cfg.black_box = Some(dir.clone());
     let err = Executor::with_config(cfg)
-        .run_fallible(s.as_mut(), &inst.dag, &inst.initial_active, task, None)
+        .run(s.as_mut(), &inst.dag, &inst.initial_active, task, None)
         .unwrap_err();
     assert!(matches!(err, ExecError::TaskPanicked { .. }), "got {err:?}");
 
@@ -241,7 +241,7 @@ fn attribution_components_sum_and_chain_follows_edges() {
     cfg.record_tasks = true;
     cfg.black_box = None;
     let report = Executor::with_config(cfg)
-        .run(&mut s, &inst.dag, &inst.initial_active, task)
+        .run(&mut s, &inst.dag, &inst.initial_active, infallible(task), None)
         .expect("run completes");
     trace::disable();
     let threads = trace::drain();

@@ -212,7 +212,7 @@ fn aborted_updates_restart_identically() {
             })
         };
         let err = Executor::new(4)
-            .run_fallible(s.as_mut(), &inst.dag, &inst.initial_active, panicking, None)
+            .run(s.as_mut(), &inst.dag, &inst.initial_active, panicking, None)
             .unwrap_err();
         assert!(
             matches!(err, ExecError::TaskPanicked { .. }),
@@ -238,7 +238,7 @@ fn aborted_updates_restart_identically() {
         let mut cfg = ExecConfig::new(4);
         cfg.cancel = Some(token);
         let err = Executor::with_config(cfg)
-            .run_fallible(s.as_mut(), &inst.dag, &inst.initial_active, cancelling, None)
+            .run(s.as_mut(), &inst.dag, &inst.initial_active, cancelling, None)
             .unwrap_err();
         assert!(matches!(err, ExecError::Cancelled { .. }), "{kind:?}: {err:?}");
         assert_eq!(

@@ -1,32 +1,14 @@
-//! Stream-fast-path equivalence suite: coalescing queued updates into
-//! one net delta / one scheduler run must be *observationally invisible*.
+//! Stream-fast-path equivalence: coalescing queued updates into one net
+//! delta must be *observationally invisible*.
 //!
-//! Three layers, each across all five paper schedulers:
-//!
-//! * **Datalog level** — a churny edit stream applied through
-//!   [`DeltaQueue`] + `apply_queue` yields the same final database as the
-//!   same updates applied one `engine.update` at a time, even though the
-//!   queue cancels opposing pairs and dedupes restatements.
-//! * **Executor level** — a coalesced `run_stream_with` executes exactly
-//!   the union of the serial runs' execution sets, with every pop checked
-//!   by [`SafetyChecker`] against ground-truth reachability, and never
-//!   executes more tasks than the serial baseline.
-//! * **Fault model** — a mid-stream worker panic inside a coalesced batch
-//!   fails typed, journals the batch's committed executions, and the
-//!   documented resume recipe (re-run `failed_initial` with the same
-//!   journal, continue the stream past the absorbed updates) converges to
-//!   the fault-free execution ledger: each closure node exactly once.
+//! Across all five paper schedulers, a churny edit stream applied through
+//! [`DeltaQueue`] + `apply_queue` yields the same final database as the
+//! same updates applied one `engine.update` at a time, even though the
+//! queue cancels opposing pairs and dedupes restatements.
 
-use datalog_sched::dag::{random, NodeId};
 use datalog_sched::datalog::{DeltaQueue, FactEdit, IncrementalEngine};
-use datalog_sched::runtime::executor::{ExecConfig, Executor, StreamPolicy, StreamUpdate, UpdateJournal};
-use datalog_sched::runtime::faults::{silence_injected_panics, Fault, FaultPlan};
-use datalog_sched::runtime::TaskOutcome;
-use datalog_sched::runtime::TryTaskFn;
-use datalog_sched::sched::{CostMeter, Instance, SafetyChecker, Scheduler, SchedulerKind};
+use datalog_sched::sched::SchedulerKind;
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
 
 /// The five paper schedulers (ISSUE 5 acceptance set — same as chaos.rs).
 const SCHEDS: [SchedulerKind; 5] = [
@@ -36,10 +18,6 @@ const SCHEDS: [SchedulerKind; 5] = [
     SchedulerKind::SignalPropagation,
     SchedulerKind::Hybrid,
 ];
-
-// ---------------------------------------------------------------------------
-// Datalog level: DeltaQueue + apply_queue ≡ serial engine.update calls.
-// ---------------------------------------------------------------------------
 
 /// Ring of `n` nodes under transitive closure — every edge edit cascades.
 fn ring_tc(n: usize) -> String {
@@ -130,291 +108,5 @@ fn coalesced_queue_matches_serial_updates_for_all_schedulers() {
             db_image(&merged),
             "{kind:?}: coalesced net delta diverged from the serial stream"
         );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Executor level: coalesced run_stream ≡ union of serial runs, audited.
-// ---------------------------------------------------------------------------
-
-/// Mid-size layered instance with partial firing (chaos.rs shape).
-fn instance(seed: u64) -> Instance {
-    let dag = Arc::new(random::layered(random::LayeredParams {
-        layers: 6,
-        width: 7,
-        max_in: 3,
-        back_span: 2,
-        seed,
-    }));
-    let mut inst = Instance::unit(dag.clone(), dag.sources().take(3).collect());
-    for v in dag.nodes() {
-        inst.fired[v.index()] = dag
-            .children(v)
-            .iter()
-            .copied()
-            .filter(|c| !(c.0 ^ seed as u32).is_multiple_of(3))
-            .collect();
-    }
-    inst
-}
-
-/// Ground-truth safety auditor around any scheduler (chaos.rs pattern):
-/// every pop is checked against reachability, across all stream restarts.
-struct Audited {
-    inner: Box<dyn Scheduler>,
-    check: SafetyChecker,
-}
-
-impl Audited {
-    fn new(kind: SchedulerKind, inst: &Instance) -> Audited {
-        Audited {
-            inner: kind.build(inst.dag.clone()),
-            check: SafetyChecker::new(inst.dag.clone()),
-        }
-    }
-}
-
-impl Scheduler for Audited {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-    fn start(&mut self, initial_active: &[NodeId]) {
-        self.check.on_start(initial_active);
-        self.inner.start(initial_active);
-    }
-    fn on_completed(&mut self, v: NodeId, fired: &[NodeId]) {
-        self.check.on_complete(v, fired);
-        self.inner.on_completed(v, fired);
-    }
-    fn pop_ready(&mut self) -> Option<NodeId> {
-        let t = self.inner.pop_ready();
-        if let Some(v) = t {
-            self.check.on_pop(v);
-        }
-        t
-    }
-    fn is_quiescent(&self) -> bool {
-        self.inner.is_quiescent()
-    }
-    fn cost(&self) -> CostMeter {
-        self.inner.cost()
-    }
-    fn space_bytes(&self) -> usize {
-        self.inner.space_bytes()
-    }
-    fn precompute_bytes(&self) -> usize {
-        self.inner.precompute_bytes()
-    }
-    fn on_external_dispatch(&mut self, v: NodeId) {
-        self.inner.on_external_dispatch(v);
-    }
-}
-
-/// Counting task over the instance's ground-truth fired sets: `counts`
-/// is the execution ledger.
-fn counting_task(inst: &Instance, counts: Arc<Vec<AtomicU32>>) -> TryTaskFn {
-    let fired_sets: Arc<Vec<Vec<NodeId>>> = Arc::new(inst.fired.clone());
-    Arc::new(move |v, fired: &mut Vec<NodeId>| {
-        counts[v.index()].fetch_add(1, Ordering::SeqCst);
-        fired.extend_from_slice(&fired_sets[v.index()]);
-        TaskOutcome::Done
-    })
-}
-
-/// `k` deterministic pseudo-random dirty sets over the instance's dag.
-fn dirty_sets(inst: &Instance, seed: u64, k: usize) -> Vec<Vec<NodeId>> {
-    let n = inst.dag.node_count() as u32;
-    (0..k as u32)
-        .map(|i| {
-            let mut set: Vec<NodeId> = inst
-                .dag
-                .nodes()
-                .filter(|v| (v.0.wrapping_mul(131) ^ (seed as u32) ^ (i * 977)) % n.max(4) < 2)
-                .collect();
-            if set.is_empty() {
-                set.push(NodeId((seed as u32 ^ i) % n));
-            }
-            set
-        })
-        .collect()
-}
-
-fn ledger(counts: &[AtomicU32]) -> (BTreeSet<u32>, u32) {
-    let mut set = BTreeSet::new();
-    let mut total = 0;
-    for (i, c) in counts.iter().enumerate() {
-        let n = c.load(Ordering::SeqCst);
-        if n > 0 {
-            set.insert(i as u32);
-        }
-        total += n;
-    }
-    (set, total)
-}
-
-fn fresh_counts(n: usize) -> Arc<Vec<AtomicU32>> {
-    Arc::new((0..n).map(|_| AtomicU32::new(0)).collect())
-}
-
-#[test]
-fn coalesced_stream_executes_union_of_serial_runs_for_all_schedulers() {
-    for seed in [0x51u64, 0xE21, 0x90F] {
-        let inst = instance(seed);
-        let n = inst.dag.node_count();
-        let updates: Vec<StreamUpdate> = dirty_sets(&inst, seed, 4)
-            .into_iter()
-            .map(StreamUpdate::now)
-            .collect();
-        let exec = Executor::with_config(ExecConfig::new(4));
-
-        for kind in SCHEDS {
-            // Serial: one audited scheduler across the whole stream.
-            let serial_counts = fresh_counts(n);
-            let mut s = Audited::new(kind, &inst);
-            let serial_report = exec
-                .run_stream_with(
-                    &mut s,
-                    &inst.dag,
-                    &updates,
-                    counting_task(&inst, serial_counts.clone()),
-                    &StreamPolicy::serial(),
-                    None,
-                )
-                .unwrap_or_else(|e| panic!("{kind:?} seed {seed:#x}: serial stream failed: {e}"));
-            let (serial_set, serial_total) = ledger(&serial_counts);
-            assert_eq!(serial_report.executed as u32, serial_total);
-
-            // Coalesced: the whole backlog merges into one audited run.
-            let merged_counts = fresh_counts(n);
-            let mut s = Audited::new(kind, &inst);
-            let merged_report = exec
-                .run_stream_with(
-                    &mut s,
-                    &inst.dag,
-                    &updates,
-                    counting_task(&inst, merged_counts.clone()),
-                    &StreamPolicy::coalesced(updates.len()),
-                    None,
-                )
-                .unwrap_or_else(|e| panic!("{kind:?} seed {seed:#x}: coalesced stream failed: {e}"));
-            let (merged_set, merged_total) = ledger(&merged_counts);
-
-            assert_eq!(
-                serial_set, merged_set,
-                "{kind:?} seed {seed:#x}: coalesced execution set ≠ union of serial runs"
-            );
-            assert_eq!(
-                merged_total, merged_set.len() as u32,
-                "{kind:?} seed {seed:#x}: a single coalesced batch must run each node once"
-            );
-            assert!(
-                merged_total <= serial_total,
-                "{kind:?} seed {seed:#x}: coalescing must never execute more \
-                 ({merged_total} vs serial {serial_total})"
-            );
-            assert_eq!(merged_report.batches, 1, "whole backlog fits one batch");
-            assert_eq!(merged_report.coalesced, updates.len());
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Fault model: mid-stream panic inside a coalesced batch, journal resume.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn coalesced_stream_panic_resumes_to_serial_ledger_for_all_schedulers() {
-    silence_injected_panics();
-    for kind in SCHEDS {
-        let seed = 0xFA11;
-        let inst = instance(seed);
-        let n = inst.dag.node_count();
-        let updates: Vec<StreamUpdate> = dirty_sets(&inst, seed, 6)
-            .into_iter()
-            .map(StreamUpdate::now)
-            .collect();
-        let exec = Executor::with_config(ExecConfig::new(4));
-
-        // Fault-free baselines: the serial stream pins the execution
-        // *set*; a fault-free coalesced(3) run pins exact per-node counts
-        // (batching is deterministic — all arrivals are at t=0, so both
-        // the failed run and this baseline absorb 3 updates per batch).
-        let policy = StreamPolicy::coalesced(3);
-        let serial_counts = fresh_counts(n);
-        let mut s = Audited::new(kind, &inst);
-        exec.run_stream_with(
-            &mut s,
-            &inst.dag,
-            &updates,
-            counting_task(&inst, serial_counts.clone()),
-            &StreamPolicy::serial(),
-            None,
-        )
-        .expect("fault-free serial stream completes");
-        let (expect_set, _) = ledger(&serial_counts);
-        let base_counts = fresh_counts(n);
-        let mut s = Audited::new(kind, &inst);
-        exec.run_stream_with(
-            &mut s,
-            &inst.dag,
-            &updates,
-            counting_task(&inst, base_counts.clone()),
-            &policy,
-            None,
-        )
-        .expect("fault-free coalesced stream completes");
-        let (base_set, _) = ledger(&base_counts);
-        assert_eq!(base_set, expect_set, "{kind:?}: coalesced set ≠ serial set");
-
-        // Panic the first execution of a node every scheduler must reach:
-        // a node from the first update's dirty set.
-        let victim = updates[0].initial[0];
-        let counts = fresh_counts(n);
-        let task = FaultPlan::new(seed)
-            .with(Fault::PanicOnNode { node: victim })
-            .wrap(counting_task(&inst, counts.clone()));
-        let mut s = Audited::new(kind, &inst);
-        let mut journal = UpdateJournal::new();
-
-        let err = exec
-            .run_stream_with(&mut s, &inst.dag, &updates, task.clone(), &policy, Some(&mut journal))
-            .expect_err("injected panic must fail the stream");
-        assert!(
-            !journal.contains(victim),
-            "{kind:?}: the panicking node must not be journaled as committed"
-        );
-
-        // Resume recipe from the StreamError docs: re-run the failing
-        // batch's merged initial with the same journal and scheduler...
-        exec.run_fallible(&mut s, &inst.dag, &err.failed_initial, task.clone(), Some(&mut journal))
-            .unwrap_or_else(|e| panic!("{kind:?}: resume failed: {e}"));
-        // ...then continue the stream after the absorbed updates.
-        let next = err.completed.updates + err.failed_updates;
-        assert!(next <= updates.len());
-        exec.run_stream_with(
-            &mut s,
-            &inst.dag,
-            &updates[next..],
-            task,
-            &policy,
-            Some(&mut journal),
-        )
-        .unwrap_or_else(|e| panic!("{kind:?}: post-resume stream failed: {e}"));
-
-        // The recovered ledger is bit-identical to the fault-free
-        // coalesced run: same batching, same execution counts — nothing
-        // lost to the panic, nothing double-run past the journal.
-        let (got_set, _) = ledger(&counts);
-        assert_eq!(
-            got_set, expect_set,
-            "{kind:?}: recovered stream diverged from the fault-free ledger"
-        );
-        for v in inst.dag.nodes() {
-            assert_eq!(
-                counts[v.index()].load(Ordering::SeqCst),
-                base_counts[v.index()].load(Ordering::SeqCst),
-                "{kind:?}: node {v} execution count diverged from the fault-free run"
-            );
-        }
     }
 }
