@@ -959,7 +959,7 @@ impl IncrementalEngine {
     pub fn query(&self, pattern: &str) -> Result<Vec<String>, EngineError> {
         let (pred, pats) = parse_pattern(pattern).map_err(EngineError::Edit)?;
         let db = self.db_read();
-        let rows = run_query(&db, &pred, &pats);
+        let rows = run_query(&db, &pred, &pats).map_err(EngineError::Edit)?;
         Ok(crate::query::render(&db, &rows))
     }
 }

@@ -58,17 +58,19 @@
 //!    of destroyed recursive derivations seed a cascade over the
 //!    recursive rules; candidates whose count is still positive are
 //!    saved without cascading. Deleted candidates are rederived through
-//!    recursive rules only (their non-recursive count is exactly zero),
-//!    and insertions propagate semi-naively
+//!    recursive rules only (their non-recursive count is exactly zero) —
+//!    DRed's one pass, [`crate::incr::rederive`], one check per candidate
+//!    — and insertions propagate semi-naively
 //!    (`datalog.fbf.forward_rederive_ns`).
 //!
 //! Non-recursive cliques skip phase 3 entirely: the net delta is read
 //! straight off the count transitions.
 //!
 //! Counts ride the MVCC row arena: they are head-state metadata stamped
-//! on live rows, invisible to snapshot readers, and a re-insert after a
-//! tombstone allocates a fresh row whose count starts at zero (support
-//! is re-established by whichever phase inserts it). Under sharding,
+//! on live rows, invisible to snapshot readers, and every insert starts
+//! at zero — a fresh row, or the tuple's own row revived when the same
+//! epoch tombstoned it — so support is re-established by whichever
+//! phase inserts the tuple. Under sharding,
 //! mirrors are base predicates and counts live only on derived
 //! predicates, so each shard maintains its counts locally from the
 //! exchanged deltas; rollback restores them by recounting.

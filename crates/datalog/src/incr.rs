@@ -11,14 +11,20 @@
 //!    [`OldView`]: the live relations with the input deltas undone by an
 //!    overlay, not a copy); cascade within the clique; remove all
 //!    candidates.
-//! 2. **Rederive** — candidates with surviving alternative derivations
-//!    are reinstated, checked per candidate with the head-bound plan
-//!    ([`rule_derives`]) instead of re-evaluating whole rules.
-//! 3. **Insert** — semi-naive propagation of added input tuples (and of
-//!    derivations newly enabled by removed blockers) to fixpoint.
+//! 2. **Rederive** — one pass: each candidate is checked once, with the
+//!    head-bound plan ([`rule_derives`]) instead of re-evaluating whole
+//!    rules, against what overdeletion left; those a rule still derives
+//!    are reinstated and seed phase 3, whose rounds find whatever they in
+//!    turn support.
+//! 3. **Insert** — semi-naive propagation of the reinstated tuples, of
+//!    added input tuples and of derivations newly enabled by removed
+//!    blockers, to fixpoint.
 //!
-//! Every phase works from sorted delta (or candidate) lists and merges
-//! its derivations with a sort, so the result — down to the row order of
+//! An overdeleted tuple that comes back — in phase 2 or 3 — gets its own
+//! row back ([`Relation::insert`] revives a tombstone of the open epoch),
+//! so what a task writes to the row store is its net delta. Every phase
+//! that allocates rows works from sorted delta lists and merges its
+//! derivations with a sort, so the result — down to the row order of
 //! what is inserted — is a pure function of the inputs.
 //!
 //! The output delta per predicate is the exact set difference between the
@@ -105,34 +111,6 @@ impl Rels for OldView<'_> {
     fn patch(&self, p: PredId) -> Option<&Patch<'_>> {
         self.patches.get(&p)
     }
-}
-
-/// Exact old-vs-new extent diff for the clique predicates — the oracle
-/// the tracked net deltas are tested against.
-#[cfg(test)]
-pub(crate) fn net_deltas(
-    db: &Database,
-    scc_preds: &[PredId],
-    old_scc: &HashMap<PredId, Relation>,
-) -> HashMap<PredId, Delta> {
-    let mut out: HashMap<PredId, Delta> = HashMap::new();
-    for &p in scc_preds {
-        let old_rel = &old_scc[&p];
-        let new_rel = db.rel(p);
-        let mut d = Delta::default();
-        for t in new_rel.iter() {
-            if !old_rel.contains(t) {
-                d.added.insert(t.clone());
-            }
-        }
-        for t in old_rel.iter() {
-            if !new_rel.contains(t) {
-                d.removed.insert(t.clone());
-            }
-        }
-        out.insert(p, d);
-    }
-    out
 }
 
 /// The tail every maintenance path shares: run the semi-naive rounds from
@@ -267,48 +245,40 @@ pub(crate) fn overdelete(
 }
 
 /// Rederivation: put back (and return) every `deleted` tuple some rule of
-/// `rules` still derives from the current state, checked per candidate
-/// with the head-bound plan ([`rule_derives`]) instead of re-evaluating
-/// whole rules. Rounds iterate because one reinstated tuple can support
-/// another's alternative derivation; each round checks its candidates, in
-/// sorted order per predicate, against the state the round started from.
+/// `rules` derives from the state overdeletion left, checked once per
+/// candidate with the head-bound plan ([`rule_derives`]) instead of
+/// re-evaluating whole rules. One pass is the whole step: a candidate
+/// whose only surviving derivations run *through* a reinstated tuple is
+/// found when the caller's semi-naive rounds pin that tuple — the result
+/// is their seed. The candidates' rows were tombstoned in this epoch, so
+/// reinstating one revives its row and the order they go in is immaterial.
 /// Also returns how many candidate checks ran.
 pub(crate) fn rederive(
     db: &mut Database,
     deleted: &HashMap<PredId, HashSet<Tuple>>,
     rules: &[&CRule],
 ) -> (HashMap<PredId, HashSet<Tuple>>, u64) {
-    let mut rules_by_head: HashMap<PredId, Vec<&CRule>> = HashMap::new();
-    for &rule in rules {
-        rules_by_head.entry(rule.head.pred).or_default().push(rule);
-    }
     let mut seed: HashMap<PredId, HashSet<Tuple>> = HashMap::new();
     let mut checks = 0u64;
-    loop {
-        let mut fresh: Vec<(PredId, Tuple)> = Vec::new();
-        for (&p, ts) in deleted {
-            let Some(rs) = rules_by_head.get(&p) else {
-                continue;
-            };
-            let mut candidates: Vec<&Tuple> =
-                ts.iter().filter(|t| !db.rel(p).contains(t)).collect();
-            candidates.sort_unstable();
-            checks += candidates.len() as u64;
-            for t in candidates {
-                if rs.iter().any(|r| rule_derives(db, r, t)) {
-                    fresh.push((p, t.clone()));
-                }
-            }
+    for (&p, ts) in deleted {
+        let rs: Vec<&CRule> = rules.iter().copied().filter(|r| r.head.pred == p).collect();
+        if rs.is_empty() {
+            continue;
         }
-        if fresh.is_empty() {
-            return (seed, checks);
-        }
-        for (p, t) in fresh {
-            if db.rel_mut(p).insert(t.clone()) {
-                seed.entry(p).or_default().insert(t);
-            }
+        checks += ts.len() as u64;
+        for t in ts.iter().filter(|t| rs.iter().any(|r| rule_derives(db, r, t))) {
+            seed.entry(p).or_default().insert(t.clone());
         }
     }
+    for (&p, ts) in &seed {
+        for t in ts {
+            db.rel_mut(p).insert(t.clone());
+        }
+    }
+    incr_obs::registry()
+        .counter("datalog.dred.rederive_checks")
+        .add(checks);
+    (seed, checks)
 }
 
 /// Apply an update to one clique.
@@ -467,6 +437,34 @@ pub fn reevaluate_scc(
         for t in new_p {
             if db.rel_mut(p).insert(t.clone()) {
                 d.added.insert(t);
+            }
+        }
+        out.insert(p, d);
+    }
+    out
+}
+
+/// Exact old-vs-new extent diff for the clique predicates — the oracle
+/// the tracked net deltas are tested against.
+#[cfg(test)]
+pub(crate) fn net_deltas(
+    db: &Database,
+    scc_preds: &[PredId],
+    old_scc: &HashMap<PredId, Relation>,
+) -> HashMap<PredId, Delta> {
+    let mut out: HashMap<PredId, Delta> = HashMap::new();
+    for &p in scc_preds {
+        let old_rel = &old_scc[&p];
+        let new_rel = db.rel(p);
+        let mut d = Delta::default();
+        for t in new_rel.iter() {
+            if !old_rel.contains(t) {
+                d.added.insert(t.clone());
+            }
+        }
+        for t in old_rel.iter() {
+            if !new_rel.contains(t) {
+                d.removed.insert(t.clone());
             }
         }
         out.insert(p, d);

@@ -256,13 +256,14 @@ impl Snapshot {
         self.db().total_facts_at(self.epoch)
     }
 
-    /// Pattern query (`path(a, ?)`) against the pinned cut. Same
-    /// compiled access paths as head queries — secondary indices filter
-    /// by visibility — rendered and sorted.
+    /// Pattern query (`path(a, ?)`) against the pinned cut: a scan of
+    /// the predicate's rows visible at the pinned epoch, filtered by the
+    /// pattern, rendered and sorted — the head query's scan with a
+    /// different visibility filter.
     pub fn query(&self, pattern: &str) -> Result<Vec<String>, String> {
         let (pred, pats) = parse_pattern(pattern)?;
         let db = self.db();
-        let rows = query_at(&db, &pred, &pats, self.epoch);
+        let rows = query_at(&db, &pred, &pats, self.epoch)?;
         Ok(render(&db, &rows))
     }
 

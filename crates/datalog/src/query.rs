@@ -66,24 +66,40 @@ pub fn parse_pattern(src: &str) -> Result<(String, Vec<Pat>), String> {
 }
 
 /// All tuples of `pred` matching the pattern, sorted for determinism.
-pub fn query(db: &Database, pred: &str, pattern: &[Pat]) -> Vec<Tuple> {
+/// An unknown predicate matches nothing; a pattern of the wrong arity is
+/// an error naming both arities, not an empty answer.
+pub fn query(db: &Database, pred: &str, pattern: &[Pat]) -> Result<Vec<Tuple>, String> {
     query_filtered(db, pred, pattern, None)
 }
 
 /// [`query`] against the consistent cut at a pinned snapshot epoch —
 /// the read path [`crate::mvcc::Snapshot`] serves while the head
 /// version is mid-cascade.
-pub fn query_at(db: &Database, pred: &str, pattern: &[Pat], epoch: u64) -> Vec<Tuple> {
+pub fn query_at(
+    db: &Database,
+    pred: &str,
+    pattern: &[Pat],
+    epoch: u64,
+) -> Result<Vec<Tuple>, String> {
     query_filtered(db, pred, pattern, Some(epoch))
 }
 
-fn query_filtered(db: &Database, pred: &str, pattern: &[Pat], at: Option<u64>) -> Vec<Tuple> {
+fn query_filtered(
+    db: &Database,
+    pred: &str,
+    pattern: &[Pat],
+    at: Option<u64>,
+) -> Result<Vec<Tuple>, String> {
     let Some(id) = db.pred_id(pred) else {
-        return Vec::new();
+        return Ok(Vec::new());
     };
     let rel = db.rel(id);
     if rel.arity() != pattern.len() {
-        return Vec::new();
+        return Err(format!(
+            "{pred} has arity {}, pattern has {}",
+            rel.arity(),
+            pattern.len()
+        ));
     }
     let keep = |t: &&Tuple| t.iter().zip(pattern).all(|(&v, p)| p.matches(v, db));
     let mut out: Vec<Tuple> = match at {
@@ -91,7 +107,7 @@ fn query_filtered(db: &Database, pred: &str, pattern: &[Pat], at: Option<u64>) -
         Some(e) => rel.iter_at(e).filter(keep).cloned().collect(),
     };
     out.sort();
-    out
+    Ok(out)
 }
 
 /// Render query results with the interner.
@@ -117,13 +133,13 @@ mod tests {
     #[test]
     fn wildcard_queries() {
         let db = db();
-        assert_eq!(query(&db, "edge", &[Pat::Any, Pat::Any]).len(), 3);
+        assert_eq!(query(&db, "edge", &[Pat::Any, Pat::Any]).unwrap().len(), 3);
         assert_eq!(
-            query(&db, "edge", &[Pat::Sym("a".into()), Pat::Any]).len(),
+            query(&db, "edge", &[Pat::Sym("a".into()), Pat::Any]).unwrap().len(),
             2
         );
         assert_eq!(
-            query(&db, "edge", &[Pat::Any, Pat::Sym("c".into())]).len(),
+            query(&db, "edge", &[Pat::Any, Pat::Sym("c".into())]).unwrap().len(),
             2
         );
     }
@@ -131,21 +147,24 @@ mod tests {
     #[test]
     fn int_patterns() {
         let db = db();
-        assert_eq!(query(&db, "size", &[Pat::Any, Pat::Int(10)]).len(), 1);
-        assert_eq!(query(&db, "size", &[Pat::Any, Pat::Int(11)]).len(), 0);
+        assert_eq!(query(&db, "size", &[Pat::Any, Pat::Int(10)]).unwrap().len(), 1);
+        assert_eq!(query(&db, "size", &[Pat::Any, Pat::Int(11)]).unwrap().len(), 0);
     }
 
     #[test]
     fn unknown_symbol_or_pred_matches_nothing() {
         let db = db();
-        assert!(query(&db, "edge", &[Pat::Sym("zzz".into()), Pat::Any]).is_empty());
-        assert!(query(&db, "ghost", &[Pat::Any]).is_empty());
+        assert!(query(&db, "edge", &[Pat::Sym("zzz".into()), Pat::Any]).unwrap().is_empty());
+        assert!(query(&db, "ghost", &[Pat::Any]).unwrap().is_empty());
     }
 
     #[test]
-    fn arity_mismatch_is_empty() {
-        let db = db();
-        assert!(query(&db, "edge", &[Pat::Any]).is_empty());
+    fn arity_mismatch_is_an_error_naming_both_arities() {
+        let mut db = db();
+        let want = Err("edge has arity 2, pattern has 1".to_string());
+        assert_eq!(query(&db, "edge", &[Pat::Any]), want);
+        let epoch = db.publish(u64::MAX);
+        assert_eq!(query_at(&db, "edge", &[Pat::Any], epoch), want);
     }
 
     #[test]
@@ -166,7 +185,7 @@ mod tests {
     #[test]
     fn render_uses_symbol_names() {
         let db = db();
-        let rows = query(&db, "edge", &[Pat::Sym("a".into()), Pat::Any]);
+        let rows = query(&db, "edge", &[Pat::Sym("a".into()), Pat::Any]).unwrap();
         let shown = render(&db, &rows);
         assert!(shown.contains(&"(a, b)".to_string()));
         assert!(shown.contains(&"(a, c)".to_string()));

@@ -1128,6 +1128,7 @@ impl ShardedEngine {
         for (s, eng) in self.engines.iter().enumerate() {
             let db = eng.database();
             let owned: Vec<Tuple> = crate::query::query(&db, &pred, &pats)
+                .map_err(EngineError::Edit)?
                 .into_iter()
                 .filter(|t| tuple_shard(t, &db, n) == s)
                 .collect();

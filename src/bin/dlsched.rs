@@ -798,6 +798,20 @@ fn parse_fact_edits(
         .collect()
 }
 
+/// Why a `query` run failed, as the process exit code: 1 when the
+/// program or an edit is at fault, 2 when the pattern is (malformed, or
+/// of the wrong arity for its predicate) — a usage error, and not to be
+/// mistaken for "0 rows".
+type QueryFailure = (i32, String);
+
+fn run_failure(e: impl ToString) -> QueryFailure {
+    (1, e.to_string())
+}
+
+fn pattern_failure(e: impl ToString) -> QueryFailure {
+    (2, e.to_string())
+}
+
 /// The `query` subcommand body, separated so the smoke test can drive
 /// it without a subprocess. Pins a snapshot of the freshly-materialized
 /// program, applies the edits (which publish new epochs), then answers
@@ -808,21 +822,21 @@ fn run_snapshot_query(
     edits: &[(bool, String)],
     kind: SchedulerKind,
     strategy: MaintenanceStrategy,
-) -> Result<String, String> {
+) -> Result<String, QueryFailure> {
     use datalog_sched::datalog::{EvalOptions, IncrementalEngine};
 
     let opts = EvalOptions::default().with_maintenance(strategy);
-    let mut e = IncrementalEngine::with_options(src, opts).map_err(|e| e.to_string())?;
+    let mut e = IncrementalEngine::with_options(src, opts).map_err(run_failure)?;
     let snap = e.begin_snapshot();
 
     if !edits.is_empty() {
-        let fe = parse_fact_edits(edits)?;
+        let fe = parse_fact_edits(edits).map_err(run_failure)?;
         let mut s = kind.build(e.dag().clone());
-        e.update(s.as_mut(), &fe).map_err(|e| e.to_string())?;
+        e.update(s.as_mut(), &fe).map_err(run_failure)?;
     }
 
-    let snap_rows = snap.query(pattern)?;
-    let head_rows = e.query(pattern).map_err(|e| e.to_string())?;
+    let snap_rows = snap.query(pattern).map_err(pattern_failure)?;
+    let head_rows = e.query(pattern).map_err(pattern_failure)?;
     let mut out = String::new();
     out.push_str(&format!(
         "pinned snapshot @ epoch {}: {} rows\n",
@@ -855,18 +869,18 @@ fn run_sharded_query(
     kind: SchedulerKind,
     shards: usize,
     strategy: MaintenanceStrategy,
-) -> Result<String, String> {
+) -> Result<String, QueryFailure> {
     use datalog_sched::datalog::{EvalOptions, ShardedEngine};
 
     let opts = EvalOptions::default().with_maintenance(strategy);
     let mut e = ShardedEngine::with_options(src, shards, opts, |d| kind.build(d))
-        .map_err(|e| e.to_string())?;
+        .map_err(run_failure)?;
     let mut exchange = None;
     if !edits.is_empty() {
-        let fe = parse_fact_edits(edits)?;
-        exchange = Some(e.update(&fe).map_err(|e| e.to_string())?);
+        let fe = parse_fact_edits(edits).map_err(run_failure)?;
+        exchange = Some(e.update(&fe).map_err(run_failure)?);
     }
-    let rows = e.query(pattern).map_err(|e| e.to_string())?;
+    let rows = e.query(pattern).map_err(pattern_failure)?;
     let mut out = format!(
         "{} shards, head @ epoch {}: {} rows\n",
         shards,
@@ -967,9 +981,9 @@ fn cmd_query(args: &[String]) -> i32 {
             print!("{out}");
             0
         }
-        Err(e) => {
+        Err((code, e)) => {
             eprintln!("{e}");
-            1
+            code
         }
     }
 }
@@ -1041,6 +1055,28 @@ mod query_tests {
             MaintenanceStrategy::Fbf,
         )
         .unwrap_err();
-        assert!(err.contains("must be all symbols"), "{err}");
+        assert_eq!(err.0, 1);
+        assert!(err.1.contains("must be all symbols"), "{}", err.1);
+    }
+
+    /// `path(a)` against a binary `path` used to print `0 rows` and exit
+    /// 0, indistinguishable from "no such path".
+    #[test]
+    fn wrong_arity_pattern_is_a_usage_error() {
+        let want = "bad edit: path has arity 2, pattern has 1";
+        let (sched, dred) = (SchedulerKind::LevelBased, MaintenanceStrategy::DRed);
+        let snap = run_snapshot_query(PROGRAM, "path(a)", &[], sched, dred).unwrap_err();
+        assert_eq!(snap, (2, "path has arity 2, pattern has 1".to_string()));
+        let sharded = run_sharded_query(PROGRAM, "path(a)", &[], sched, 2, dred).unwrap_err();
+        assert_eq!(sharded, (2, want.to_string()));
+
+        let dir = std::env::temp_dir().join(format!("dlsched-arity-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let program = dir.join("tc.dl");
+        std::fs::write(&program, PROGRAM).expect("write program");
+        let argv = |pattern: &str| vec![program.display().to_string(), pattern.to_string()];
+        assert_eq!(cmd_query(&argv("path(a)")), 2);
+        assert_eq!(cmd_query(&argv("path(a, ?)")), 0);
+        std::fs::remove_dir_all(&dir).expect("remove temp dir");
     }
 }

@@ -3,15 +3,17 @@
 //! for the cost bounds the implementation keeps in wall-clock.
 
 use datalog_sched::dag::{random, Dag, DagBuilder, NodeId};
-use datalog_sched::datalog::{EvalOptions, FactEdit, IncrementalEngine, MaintenanceStrategy};
+use datalog_sched::datalog::{
+    parse_program, EvalOptions, FactEdit, IncrementalEngine, MaintenanceStrategy,
+};
 use datalog_sched::sched::{
     CompletionBatch, CostMeter, Instance, LevelBased, Scheduler, SchedulerKind, TaskShape,
 };
 use datalog_sched::sim::{simulate_event, simulate_step, EventSimConfig, StepSimConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
-use std::sync::Arc;
+use std::collections::{HashSet, VecDeque};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Random layered instance with the requested task shapes.
@@ -371,12 +373,17 @@ fn attack_slice(hosts: usize, present: &HashSet<(usize, usize)>) -> String {
     src
 }
 
+/// The Datalog tests below time engine updates and read process-wide
+/// counters as deltas, so they take turns.
+static DATALOG_ENGINE_TESTS: Mutex<()> = Mutex::new(());
+
 /// A clique task costs its deltas and its join work, not the size of the
 /// relations it touches: the same stream of 10-edit updates over a 16×
 /// larger `hacl` takes about the same time, under both maintenance
 /// backends — not the 16× of a task that copies or walks its extents.
 #[test]
 fn update_time_is_independent_of_extent_size() {
+    let _turn = DATALOG_ENGINE_TESTS.lock().unwrap_or_else(PoisonError::into_inner);
     const SMALL: usize = 2 * 1024 / ACL_PER_HOST;
     const LARGE: usize = 32 * 1024 / ACL_PER_HOST;
     const UPDATES: usize = 30;
@@ -438,4 +445,172 @@ fn update_time_is_independent_of_extent_size() {
             fastest[0]
         );
     }
+}
+
+/// The `tc_churn` workload of `bench_all/src/workloads/tc.rs`: transitive
+/// closure over a ring of `TC_NODES` nodes with two random chords each,
+/// `TC_LAG` of its edges out at any time.
+const TC_NODES: usize = 64;
+const TC_LAG: usize = 32;
+
+fn tc_program(present: &[(usize, usize)]) -> String {
+    let mut src = String::from(
+        "path(X, Y) :- edge(X, Y).\n\
+         path(X, Z) :- path(X, Y), edge(Y, Z).\n",
+    );
+    for (s, d) in present {
+        src.push_str(&format!("edge(n{s}, n{d}).\n"));
+    }
+    src
+}
+
+/// What one run of the churn stream cost.
+struct Churn {
+    updates: Duration,
+    rematerialisations: Duration,
+}
+
+/// Run `UPDATES` delete + delayed-reinsert updates under `strategy`, with
+/// a snapshot pinned across the whole run or no reader at all, checking
+/// after every update that the extents are a fresh engine's and that the
+/// update checked each overdeleted tuple once; and at the end that the
+/// row store grew by the net deltas, not by what was taken out and put
+/// back.
+fn tc_churn(strategy: MaintenanceStrategy, pinned: bool) -> Churn {
+    const UPDATES: usize = 50;
+    let mut rng = StdRng::seed_from_u64(22);
+    let mut present: Vec<(usize, usize)> = Vec::new();
+    for i in 0..TC_NODES {
+        let ring = (i + 1) % TC_NODES;
+        let mut targets = vec![i, ring];
+        while targets.len() < 4 {
+            let t = rng.gen_range(0..TC_NODES);
+            if !targets.contains(&t) {
+                targets.push(t);
+            }
+        }
+        present.extend(targets[1..].iter().map(|&t| (i, t)));
+    }
+    let mut out: VecDeque<(usize, usize)> = (0..TC_LAG)
+        .map(|_| present.swap_remove(rng.gen_range(0..present.len())))
+        .collect();
+
+    let opts = EvalOptions::default().with_maintenance(strategy);
+    let mut e = IncrementalEngine::with_options(&tc_program(&present), opts).expect("valid program");
+    let reader = pinned.then(|| e.begin_snapshot());
+    let counter = |name: &str| incr_obs::registry().counter(name).get();
+    let path_rows = |e: &IncrementalEngine| {
+        let db = e.database();
+        let path = db.rel(db.pred_id("path").expect("path exists"));
+        (path.len(), path.arena_len())
+    };
+
+    let mut cost = Churn {
+        updates: Duration::ZERO,
+        rematerialisations: Duration::ZERO,
+    };
+    let (mut checks_total, mut net_removed_total) = (0, 0);
+    let (mut largest_extent, mut largest_delta) = (path_rows(&e).0, 0);
+    for update in 0..UPDATES {
+        let victim = present.swap_remove(rng.gen_range(0..present.len()));
+        let back = out.pop_front().expect("always TC_LAG long");
+        let name = |(s, d): (usize, usize)| [format!("n{s}"), format!("n{d}")];
+        let (v, b) = (name(victim), name(back));
+        let edits = [
+            FactEdit::remove("edge", &[v[0].as_str(), v[1].as_str()]),
+            FactEdit::add("edge", &[b[0].as_str(), b[1].as_str()]),
+        ];
+        out.push_back(victim);
+        present.push(back);
+
+        let (checks, revived) = (
+            counter("datalog.dred.rederive_checks"),
+            counter("mvcc.rows_revived"),
+        );
+        let mut sched = LevelBased::new(e.dag().clone());
+        let t0 = Instant::now();
+        let report = e.update(&mut sched, &edits).expect("valid edit");
+        cost.updates += t0.elapsed();
+        let checks = counter("datalog.dred.rederive_checks") - checks;
+        let revived = counter("mvcc.rows_revived") - revived;
+
+        // Every overdeleted tuple either came back, reviving its row, or
+        // is a net removal; each was a rederivation candidate once.
+        let (path_added, path_removed) = report.pred_changes.get("path").copied().unwrap_or((0, 0));
+        let overdeleted = (revived as usize) + path_removed;
+        assert!(
+            checks as usize <= overdeleted,
+            "{strategy}, update {update}: {checks} rederivation checks for {overdeleted} \
+             overdeleted tuples ({revived} revived, {path_removed} net removals)"
+        );
+        checks_total += checks;
+        net_removed_total += report.pred_changes.values().map(|c| c.1).sum::<usize>();
+        largest_extent = largest_extent.max(path_rows(&e).0);
+        largest_delta = largest_delta.max(path_added + path_removed);
+
+        let program = parse_program(&tc_program(&present)).expect("valid program");
+        let t0 = Instant::now();
+        let fresh = IncrementalEngine::from_program(program).expect("valid program");
+        cost.rematerialisations += t0.elapsed();
+        for pattern in ["edge(?, ?)", "path(?, ?)"] {
+            // Rows come sorted by symbol id, which is first-mention order
+            // and so differs between the two engines.
+            let rows = |e: &IncrementalEngine| {
+                let mut rows = e.query(pattern).expect("valid pattern");
+                rows.sort();
+                rows
+            };
+            assert!(
+                rows(&e) == rows(&fresh),
+                "{strategy}, update {update}: {pattern} differs from from-scratch evaluation"
+            );
+        }
+    }
+    assert!(checks_total > 0, "{strategy}: the stream never overdeleted");
+
+    if let Some(reader) = reader {
+        // Nothing could be vacuumed, and still only what the updates
+        // really removed is held for the reader.
+        assert_eq!(reader.epoch(), 1);
+        let retained = e.database().rows_retained();
+        assert!(
+            retained <= net_removed_total,
+            "{strategy}: {retained} rows retained for {net_removed_total} net removals"
+        );
+    } else {
+        let arena = path_rows(&e).1;
+        assert!(
+            arena <= largest_extent + largest_delta,
+            "{strategy}: path holds {arena} slots for an extent of at most {largest_extent} \
+             and net deltas of at most {largest_delta}"
+        );
+    }
+    cost
+}
+
+/// A recursive delete costs what it changes: each overdeleted tuple is
+/// checked for rederivation once (not once per round), a tuple the update
+/// takes out and puts back keeps its row (no second row, nothing retained
+/// for readers), and so one update of the closure stays within a small
+/// multiple of recomputing it.
+#[test]
+fn recursive_delete_checks_each_candidate_once_and_writes_its_net_delta() {
+    let _turn = DATALOG_ENGINE_TESTS.lock().unwrap_or_else(PoisonError::into_inner);
+    tc_churn(MaintenanceStrategy::DRed, true);
+    tc_churn(MaintenanceStrategy::Fbf, true);
+    tc_churn(MaintenanceStrategy::Fbf, false);
+    // Fastest of three, as above.
+    let mut fastest = [Duration::MAX; 2];
+    for _ in 0..3 {
+        let cost = tc_churn(MaintenanceStrategy::DRed, false);
+        fastest[0] = fastest[0].min(cost.updates);
+        fastest[1] = fastest[1].min(cost.rematerialisations);
+    }
+    let ratio = fastest[0].as_secs_f64() / fastest[1].as_secs_f64();
+    assert!(
+        ratio <= 5.0,
+        "an update took {ratio:.1}x a rematerialisation ({:?} vs {:?} over the stream)",
+        fastest[0],
+        fastest[1]
+    );
 }

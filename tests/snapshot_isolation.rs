@@ -16,7 +16,6 @@
 //!   make progress while the engine churns through updates.
 
 use datalog_sched::dag::{Dag, NodeId};
-use datalog_sched::datalog::mvcc::{ReaderHandle, Snapshot};
 use datalog_sched::datalog::{FactEdit, IncrementalEngine};
 use datalog_sched::sched::{CostMeter, Hybrid, LevelBased, LogicBlox, Scheduler, SignalPropagation};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -84,47 +83,42 @@ fn pinned_snapshot_unchanged_by_delete_insert_churn() {
     assert_eq!(fresh.image(), head_image(&e));
 }
 
-/// A scheduler wrapper that opens a snapshot after the `at`-th task pops
-/// — i.e. genuinely mid-cascade, between two write-lock tenures of the
-/// driving update.
-struct PinMidCascade {
+/// LevelBased with a hook at every `pop_ready` — between two write-lock
+/// tenures of the driving update, so genuinely mid-cascade, and once more
+/// after the last task, before the publish. The hook is told how many
+/// tasks have popped so far and says whether to go on: `false` refuses
+/// the pop, which wedges the update so the engine rolls it back.
+struct AtEachPop<F: FnMut(usize) -> bool + Send> {
     inner: LevelBased,
-    reader: ReaderHandle,
-    at: usize,
     popped: usize,
-    snap: Option<Snapshot>,
+    hook: F,
 }
 
-impl PinMidCascade {
-    fn new(dag: Arc<Dag>, reader: ReaderHandle, at: usize) -> Self {
-        PinMidCascade {
-            inner: LevelBased::new(dag),
-            reader,
-            at,
-            popped: 0,
-            snap: None,
-        }
+fn at_each_pop<F: FnMut(usize) -> bool + Send>(dag: Arc<Dag>, hook: F) -> AtEachPop<F> {
+    AtEachPop {
+        inner: LevelBased::new(dag),
+        popped: 0,
+        hook,
     }
 }
 
-impl Scheduler for PinMidCascade {
+impl<F: FnMut(usize) -> bool + Send> Scheduler for AtEachPop<F> {
     fn name(&self) -> &str {
-        "PinMidCascade"
+        "AtEachPop"
     }
     fn start(&mut self, initial: &[NodeId]) {
+        self.popped = 0;
         self.inner.start(initial);
     }
     fn on_completed(&mut self, v: NodeId, fired: &[NodeId]) {
         self.inner.on_completed(v, fired);
     }
     fn pop_ready(&mut self) -> Option<NodeId> {
-        let t = self.inner.pop_ready();
-        if t.is_some() {
-            self.popped += 1;
-            if self.popped == self.at && self.snap.is_none() {
-                self.snap = Some(self.reader.snapshot());
-            }
+        if !(self.hook)(self.popped) {
+            return None;
         }
+        let t = self.inner.pop_ready();
+        self.popped += usize::from(t.is_some());
         t
     }
     fn is_quiescent(&self) -> bool {
@@ -150,13 +144,21 @@ fn snapshot_pinned_mid_cascade_reads_pre_update_state() {
     let before = head_image(&e);
     let pre_epoch = e.epoch();
 
-    // Pin after the first task (the base-table node) has already
-    // mutated edge: the cascade is half-applied at head, yet the
+    // Pin once the first task (the base-table node) is done and edge is
+    // already mutated: the cascade is half-applied at head, yet the
     // snapshot must read the pre-update cut.
-    let mut s = PinMidCascade::new(e.dag().clone(), e.reader(), 1);
+    let reader = e.reader();
+    let mut pinned = None;
+    let mut s = at_each_pop(e.dag().clone(), |popped| {
+        if popped == 1 {
+            pinned = Some(reader.snapshot());
+        }
+        true
+    });
     e.update(&mut s, &[FactEdit::remove("edge", &["a", "b"])])
         .unwrap();
-    let snap = s.snap.take().expect("cascade had at least one task");
+    drop(s);
+    let snap = pinned.expect("cascade had at least one task");
     assert_eq!(snap.epoch(), pre_epoch, "mid-cascade pin gets the old cut");
     assert_eq!(snap.image(), before, "bit-identical to the pre-update db");
 
@@ -167,63 +169,14 @@ fn snapshot_pinned_mid_cascade_reads_pre_update_state() {
     assert!(!after.has("path", &["a", "c"]));
 }
 
-/// Pops the first `quota` tasks, then refuses — wedges the update so
-/// the engine rolls back.
-struct QuotaStall {
-    inner: LevelBased,
-    quota: usize,
-    popped: usize,
-}
-
-impl Scheduler for QuotaStall {
-    fn name(&self) -> &str {
-        "QuotaStall"
-    }
-    fn start(&mut self, initial: &[NodeId]) {
-        self.popped = 0;
-        self.inner.start(initial);
-    }
-    fn on_completed(&mut self, v: NodeId, fired: &[NodeId]) {
-        self.inner.on_completed(v, fired);
-    }
-    fn pop_ready(&mut self) -> Option<NodeId> {
-        if self.popped >= self.quota {
-            return None;
-        }
-        let t = self.inner.pop_ready();
-        if t.is_some() {
-            self.popped += 1;
-        }
-        t
-    }
-    fn is_quiescent(&self) -> bool {
-        self.inner.is_quiescent()
-    }
-    fn cost(&self) -> CostMeter {
-        self.inner.cost()
-    }
-    fn space_bytes(&self) -> usize {
-        self.inner.space_bytes()
-    }
-    fn precompute_bytes(&self) -> usize {
-        self.inner.precompute_bytes()
-    }
-    fn on_external_dispatch(&mut self, v: NodeId) {
-        self.inner.on_external_dispatch(v);
-    }
-}
-
 #[test]
 fn failed_update_publishes_no_epoch() {
     let mut e = IncrementalEngine::new(TC).unwrap();
     let before = head_image(&e);
     let epoch = e.epoch();
 
-    let mut broken = QuotaStall {
-        inner: LevelBased::new(e.dag().clone()),
-        quota: 1,
-        popped: 0,
-    };
+    // One task, then refuse.
+    let mut broken = at_each_pop(e.dag().clone(), |popped| popped < 1);
     e.update(&mut broken, &[FactEdit::remove("edge", &["a", "b"])])
         .unwrap_err();
 
@@ -232,6 +185,110 @@ fn failed_update_publishes_no_epoch() {
     let snap = e.begin_snapshot();
     assert_eq!(snap.epoch(), epoch);
     assert_eq!(snap.image(), before, "snapshot reads the committed cut");
+}
+
+/// A chain n0 → … → n5 with the chord n0 → n3, and a clique downstream of
+/// `path`. Deleting edge(n1, n2) overdeletes every path through it —
+/// path(n0, n3), path(n0, n4) and path(n0, n5) among them, which the
+/// chord then puts back — and really removes the five paths to n2 and
+/// from n1.
+const CHORD: &str = "path(X, Y) :- edge(X, Y).\n\
+                     path(X, Z) :- path(X, Y), edge(Y, Z).\n\
+                     reach(X) :- path(n0, X).\n\
+                     edge(n0, n1). edge(n1, n2). edge(n2, n3). edge(n3, n4). edge(n4, n5).\n\
+                     edge(n0, n3).";
+const CHORD_NET_REMOVALS: usize = 5;
+
+fn path_arena_len(e: &IncrementalEngine) -> usize {
+    let db = e.database();
+    db.rel(db.pred_id("path").expect("path exists")).arena_len()
+}
+
+/// A tuple the cascade takes out and puts back keeps its row: a reader
+/// pinned before the update reads the same image before it, between its
+/// tasks and after its publish, and nothing beyond the update's net
+/// removals is held back for that reader.
+#[test]
+fn pinned_snapshot_reads_through_overdelete_and_rederive() {
+    let mut e = IncrementalEngine::new(CHORD).unwrap();
+    let snap = e.begin_snapshot();
+    let before = snap.image();
+    let arena = path_arena_len(&e);
+    assert!(snap.has("path", &["n0", "n5"]));
+
+    // After the path task (popped == 2) path(n0, n5) has been tombstoned
+    // and revived in the open epoch; reach's task and the publish are
+    // still to come.
+    let mut mid_cascade = Vec::new();
+    let mut s = at_each_pop(e.dag().clone(), |_| {
+        mid_cascade.push(snap.image());
+        true
+    });
+    let report = e
+        .update(&mut s, &[FactEdit::remove("edge", &["n1", "n2"])])
+        .unwrap();
+    drop(s);
+    assert_eq!(report.pred_changes["path"], (0, CHORD_NET_REMOVALS));
+    assert_eq!(mid_cascade.len(), 4, "before each of three tasks and after the last");
+    for (popped, image) in mid_cascade.iter().enumerate() {
+        assert_eq!(image, &before, "read after {popped} tasks");
+    }
+    assert_eq!(snap.image(), before, "read after the publish");
+
+    let after = e.begin_snapshot();
+    assert_eq!(after.image(), head_image(&e));
+    assert_eq!(after.query("path(n0, n5)").unwrap(), vec!["(n0, n5)"]);
+    assert_eq!(path_arena_len(&e), arena, "no second row for what came back");
+    // edge(n1, n2), the five paths and reach(n2): the net removals, not
+    // the eight paths the cascade overdeleted.
+    assert_eq!(e.database().rows_retained(), 1 + CHORD_NET_REMOVALS + 1);
+}
+
+/// The same update refused after the path task ran: the rows it revived
+/// stay live through the abort, the rows it tombstoned come back, rows
+/// born in the aborted epoch are gone, and the arena is the size it was.
+#[test]
+fn stalled_overdelete_and_rederive_leaves_the_rows_as_they_were() {
+    let mut e = IncrementalEngine::new(CHORD).unwrap();
+    let before = head_image(&e);
+    let (epoch, arena) = (e.epoch(), path_arena_len(&e));
+
+    // edge and path run, reach is refused.
+    let mut broken = at_each_pop(e.dag().clone(), |popped| popped < 2);
+    e.update(&mut broken, &[FactEdit::remove("edge", &["n1", "n2"])])
+        .unwrap_err();
+    assert_eq!(head_image(&e), before, "rolled back");
+    assert_eq!(e.epoch(), epoch, "stalled update must not publish");
+    assert_eq!(path_arena_len(&e), arena, "the cascade allocated nothing");
+    assert_eq!(e.begin_snapshot().image(), before);
+
+    // With an insertion in the refused batch, path gets rows born in the
+    // aborted epoch: none of them survives.
+    let grow = [
+        FactEdit::remove("edge", &["n1", "n2"]),
+        FactEdit::add("edge", &["n5", "n6"]),
+    ];
+    let mut broken = at_each_pop(e.dag().clone(), |popped| popped < 2);
+    e.update(&mut broken, &grow).unwrap_err();
+    assert_eq!(head_image(&e), before, "rolled back");
+    assert!(!e.has("path", &["n0", "n6"]));
+
+    // The retry commits, and matches from-scratch evaluation.
+    let mut s = LevelBased::new(e.dag().clone());
+    e.update(&mut s, &grow).unwrap();
+    assert_eq!(e.epoch(), epoch + 1);
+    let fresh = IncrementalEngine::new(
+        &CHORD.replace("edge(n1, n2).", "").replace("edge(n0, n3).", "edge(n0, n3). edge(n5, n6)."),
+    )
+    .unwrap();
+    for pattern in ["path(?, ?)", "reach(?)"] {
+        let rows = |e: &IncrementalEngine| {
+            let mut rows = e.query(pattern).unwrap();
+            rows.sort();
+            rows
+        };
+        assert_eq!(rows(&e), rows(&fresh), "{pattern}");
+    }
 }
 
 /// Post-publish snapshots match the sequential head across every
