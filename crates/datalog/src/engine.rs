@@ -10,6 +10,7 @@
 use crate::ast::{Program, Rule};
 use crate::eval::{compile_program, load_facts, seminaive_scc, CRule};
 use crate::fbf::{init_counts_scc, update_scc_fbf, MaintenanceStrategy};
+use crate::hash::Map;
 use crate::incr::{reevaluate_scc, update_scc, Delta};
 use crate::mvcc::{DbCell, PinRegistry, ReaderHandle, Snapshot};
 use crate::parser::{parse_program, ParseError};
@@ -21,7 +22,6 @@ use crate::value::Tuple;
 use incr_dag::{Dag, NodeId};
 use incr_obs::trace;
 use incr_sched::{CostMeter, Scheduler};
-use std::collections::HashMap;
 use std::sync::{Arc, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
@@ -155,7 +155,7 @@ pub struct UpdateReport {
     /// Edges that fired (carried a non-empty delta).
     pub edges_fired: usize,
     /// Net tuple changes per predicate name.
-    pub pred_changes: HashMap<String, (usize, usize)>,
+    pub pred_changes: Map<String, (usize, usize)>,
     /// Scheduling cost of the run.
     pub sched_cost: CostMeter,
     /// Execution order of task nodes.
@@ -263,7 +263,7 @@ impl IncrementalEngine {
         for &v in graph.dag.topo_order() {
             if let NodeKind::Clique { preds, .. } = &graph.kinds[v.index()] {
                 let rules = node_rules[v.index()].clone();
-                seminaive_scc(&mut db, &rules, preds, HashMap::new(), true);
+                seminaive_scc(&mut db, &rules, preds, Map::default(), true);
             }
         }
         // FBF updates rely on exact derivation counts being in place
@@ -438,7 +438,7 @@ impl IncrementalEngine {
         scheduler: &mut dyn Scheduler,
         typed: &[TypedEdit],
         publish: bool,
-        collect: Option<&mut HashMap<PredId, Delta>>,
+        collect: Option<&mut Map<PredId, Delta>>,
     ) -> Result<UpdateReport, EngineError> {
         let report = self.try_update(scheduler, typed, collect);
         self.end_epoch(report, publish)
@@ -465,12 +465,12 @@ impl IncrementalEngine {
         &mut self,
         scheduler: &mut dyn Scheduler,
         typed: &[TypedEdit],
-        collect: Option<&mut HashMap<PredId, Delta>>,
+        collect: Option<&mut Map<PredId, Delta>>,
     ) -> Result<UpdateReport, EngineError> {
         // 1. Apply edits to base relations, collecting net deltas. The
         // write lock is scoped to this phase so readers interleave
         // before the cascade starts.
-        let mut base_deltas: HashMap<PredId, Delta> = HashMap::new();
+        let mut base_deltas: Map<PredId, Delta> = Map::default();
         {
             let mut db = self.db_write();
             for e in typed {
@@ -489,7 +489,7 @@ impl IncrementalEngine {
             .collect();
 
         // 3. Drive the scheduler.
-        self.drive(scheduler, &initial, base_deltas, HashMap::new(), collect)
+        self.drive(scheduler, &initial, base_deltas, Map::default(), collect)
     }
 
     /// Validate one edit (predicate exists, arity, base-only) and intern
@@ -535,7 +535,7 @@ impl IncrementalEngine {
     /// Apply one tuple edit and fold it into the running net delta.
     pub(crate) fn apply_one(
         db: &mut Database,
-        base_deltas: &mut HashMap<PredId, Delta>,
+        base_deltas: &mut Map<PredId, Delta>,
         id: PredId,
         tuple: Tuple,
         adding: bool,
@@ -631,15 +631,15 @@ impl IncrementalEngine {
         &mut self,
         scheduler: &mut dyn Scheduler,
         initial: &[NodeId],
-        mut base_deltas: HashMap<PredId, Delta>,
-        mut preset: HashMap<NodeId, HashMap<PredId, Delta>>,
-        mut collect: Option<&mut HashMap<PredId, Delta>>,
+        mut base_deltas: Map<PredId, Delta>,
+        mut preset: Map<NodeId, Map<PredId, Delta>>,
+        mut collect: Option<&mut Map<PredId, Delta>>,
     ) -> Result<UpdateReport, EngineError> {
-        let mut pending: Vec<HashMap<PredId, Delta>> =
-            vec![HashMap::new(); self.graph.dag.node_count()];
+        let mut pending: Vec<Map<PredId, Delta>> =
+            vec![Map::default(); self.graph.dag.node_count()];
         let mut edges_fired = 0usize;
         let mut order = Vec::new();
-        let mut pred_changes: HashMap<String, (usize, usize)> = HashMap::new();
+        let mut pred_changes: Map<String, (usize, usize)> = Map::default();
 
         scheduler.start(initial);
         while let Some(node) = scheduler.pop_ready() {
@@ -664,13 +664,13 @@ impl IncrementalEngine {
                 )
             });
             // Execute the task: produce this node's output deltas.
-            let out: HashMap<PredId, Delta> = if let Some(out) = preset.remove(&node) {
+            let out: Map<PredId, Delta> = if let Some(out) = preset.remove(&node) {
                 out
             } else {
                 match &self.graph.kinds[node.index()] {
                     NodeKind::Base(p) => {
                         let d = base_deltas.remove(p).unwrap_or_default();
-                        HashMap::from([(*p, d)])
+                        Map::from_iter([(*p, d)])
                     }
                     NodeKind::Clique { preds, .. } => {
                         let rules = self.node_rules[node.index()].clone();
@@ -899,7 +899,7 @@ impl IncrementalEngine {
                 db.rel_mut(head).remove(t);
             }
             drop(db);
-            let mut pred_changes = HashMap::new();
+            let mut pred_changes = Map::default();
             if removed > 0 {
                 pred_changes.insert(head_pred.to_string(), (0, removed));
             }
@@ -937,7 +937,7 @@ impl IncrementalEngine {
                     for t in &d.removed {
                         db.rel_mut(head).remove(t);
                     }
-                    HashMap::from([(head, d)])
+                    Map::from_iter([(head, d)])
                 }
             }
         };
@@ -948,8 +948,8 @@ impl IncrementalEngine {
         self.drive(
             scheduler.as_mut(),
             &[node],
-            HashMap::new(),
-            HashMap::from([(node, out)]),
+            Map::default(),
+            Map::from_iter([(node, out)]),
             None,
         )
     }

@@ -20,10 +20,10 @@
 //! every result is a pure function of the inputs.
 
 use crate::ast::{AggOp, Program, Rule, Term};
+use crate::hash::{Map, Set};
 use crate::rel::{Database, PredId, Probe, Relation};
-use crate::value::{Tuple, Value};
+use crate::value::{Key, Tuple, Value};
 use incr_obs::Counter;
-use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
 /// Read-only source of relation extents. [`Database`] is the live store;
@@ -50,7 +50,7 @@ impl Rels for Database {
 /// removed are read from `extra`. Building one costs the size of the
 /// update's delta, never the size of the relation.
 pub struct Patch<'a> {
-    hidden: &'a HashSet<Tuple>,
+    hidden: &'a Set<Tuple>,
     extra: Relation,
 }
 
@@ -60,8 +60,8 @@ impl<'a> Patch<'a> {
     /// `live` has, so whatever a plan probes on `live` it can probe here.
     pub fn undoing(
         live: &Relation,
-        added: &'a HashSet<Tuple>,
-        removed: &HashSet<Tuple>,
+        added: &'a Set<Tuple>,
+        removed: &Set<Tuple>,
     ) -> Patch<'a> {
         let mut extra = Relation::new(live.arity());
         for cols in live.index_cols() {
@@ -231,7 +231,7 @@ pub(crate) fn metrics() -> &'static EvalMetrics {
 /// the head slots for the check plan): probe on all bound columns, and a
 /// fully-bound atom becomes a membership check.
 fn access_plan(body: &[(CAtom, bool)], initially_bound: &[u32]) -> Vec<Access> {
-    let mut bound: HashSet<u32> = initially_bound.iter().copied().collect();
+    let mut bound: Set<u32> = initially_bound.iter().copied().collect();
     let mut plan = Vec::with_capacity(body.len());
     for (atom, negated) in body {
         let cols: Vec<usize> = atom
@@ -289,7 +289,7 @@ pub fn compile_rule(rule: &Rule, db: &mut Database) -> CRule {
         .iter()
         .map(|l| (catom(&l.atom, db), l.negated))
         .collect();
-    let mut slots: HashMap<String, u32> = HashMap::new();
+    let mut slots: Map<String, u32> = Map::default();
     let mut next = 0u32;
     let mut fix = |ast: &crate::ast::Atom, c: &mut CAtom| {
         for (i, t) in ast.terms.iter().enumerate() {
@@ -431,24 +431,20 @@ fn matches(atom: &CAtom, tuple: &[Value], bind: &mut [Option<Value>], trail: &mu
     true
 }
 
-/// Instantiate a fully-bound atom (negated literals and heads are ground
-/// under safety once the positive body is bound).
-fn instantiate(atom: &CAtom, bind: &[Option<Value>]) -> Tuple {
-    atom.terms
-        .iter()
-        .map(|t| match *t {
-            CTerm::Const(c) => c,
-            CTerm::Var(s) => bind[s as usize].expect("unbound slot in ground position"),
-        })
-        .collect()
-}
-
-/// The value of a plan-bound term (never an unbound variable).
+/// The value of a term in a ground position (never an unbound variable):
+/// a plan-bound column, or any column of a head or negated literal, which
+/// safety grounds once the positive body is bound.
 fn resolve(t: &CTerm, bind: &[Option<Value>]) -> Value {
     match *t {
         CTerm::Const(c) => c,
-        CTerm::Var(s) => bind[s as usize].expect("plan column is bound"),
+        CTerm::Var(s) => bind[s as usize].expect("unbound slot in ground position"),
     }
+}
+
+/// Instantiate a fully-bound atom: a head as the `Tuple` that is emitted,
+/// a body literal as the stack [`Key`] one membership check reads.
+fn instantiate<T: FromIterator<Value>>(atom: &CAtom, bind: &[Option<Value>]) -> T {
+    atom.terms.iter().map(|t| resolve(t, bind)).collect()
 }
 
 /// How a pinned literal is interpreted.
@@ -613,11 +609,11 @@ pub(crate) fn eval_pin_jobs_counted(
 /// order across interning).
 pub fn eval_agg_rule(db: &dyn Rels, rule: &CRule) -> Vec<Tuple> {
     let agg = rule.agg.expect("eval_agg_rule requires an aggregate head");
-    let mut raw: HashSet<Tuple> = HashSet::new();
+    let mut raw: Set<Tuple> = Set::default();
     eval_heads(db, rule, None, &mut |t| {
         raw.insert(t);
     });
-    let mut groups: HashMap<Vec<Value>, Vec<Value>> = HashMap::new();
+    let mut groups: Map<Vec<Value>, Vec<Value>> = Map::default();
     for t in raw {
         let mut key = t.clone();
         let v = key.remove(agg.pos);
@@ -683,19 +679,23 @@ fn walk(
     let ext = Extent::of(db, atom.pred);
     if *negated {
         // Safety guarantees groundness here.
-        let tuple = instantiate(atom, bind);
+        let tuple: Key = instantiate(atom, bind);
         return ext.contains(&tuple) || walk(db, ctx, depth + 1, bind, trail, leaf);
     }
 
     match &ctx.plan[depth] {
         Access::AllBound => {
             // Fully ground: one membership probe, no new bindings.
-            let tuple = instantiate(atom, bind);
+            let tuple: Key = instantiate(atom, bind);
+            if !ext.contains(&tuple) {
+                metrics().miss.inc();
+                return true;
+            }
             metrics().hit.inc();
-            !ext.contains(&tuple) || walk(db, ctx, depth + 1, bind, trail, leaf)
+            walk(db, ctx, depth + 1, bind, trail, leaf)
         }
         Access::Index(cols) => {
-            let key: Vec<Value> = cols.iter().map(|&c| resolve(&atom.terms[c], bind)).collect();
+            let key: Key = cols.iter().map(|&c| resolve(&atom.terms[c], bind)).collect();
             match ext.probe(cols, &key) {
                 Some(tuples) => walk_tuples(db, ctx, depth, bind, trail, leaf, tuples),
                 None => {
@@ -843,13 +843,13 @@ pub fn seminaive_scc(
     db: &mut Database,
     rules: &[CRule],
     scc_preds: &[PredId],
-    seed: HashMap<PredId, HashSet<Tuple>>,
+    seed: Map<PredId, Set<Tuple>>,
     bootstrap: bool,
-) -> HashMap<PredId, HashSet<Tuple>> {
+) -> Map<PredId, Set<Tuple>> {
     ensure_indices(db, rules, false);
-    let mut added: HashMap<PredId, HashSet<Tuple>> =
-        scc_preds.iter().map(|&p| (p, HashSet::new())).collect();
-    let mut delta: HashMap<PredId, HashSet<Tuple>> = seed;
+    let mut added: Map<PredId, Set<Tuple>> =
+        scc_preds.iter().map(|&p| (p, Set::default())).collect();
+    let mut delta: Map<PredId, Set<Tuple>> = seed;
     for &p in scc_preds {
         delta.entry(p).or_default();
     }
@@ -884,7 +884,7 @@ pub fn seminaive_scc(
     loop {
         // Deterministically ordered delta lists, so the derivations (and
         // the row order they are inserted in) do not depend on hash order.
-        let delta_lists: HashMap<PredId, Vec<Tuple>> = delta
+        let delta_lists: Map<PredId, Vec<Tuple>> = delta
             .iter()
             .filter(|(_, d)| !d.is_empty())
             .map(|(&p, d)| {
@@ -927,8 +927,8 @@ pub fn seminaive_scc(
         }
         let fresh = eval_pin_jobs(db, &jobs, |head, t| !db.rel(head).contains(t));
         // Next round's delta = strictly new tuples.
-        let mut next: HashMap<PredId, HashSet<Tuple>> =
-            scc_preds.iter().map(|&p| (p, HashSet::new())).collect();
+        let mut next: Map<PredId, Set<Tuple>> =
+            scc_preds.iter().map(|&p| (p, Set::default())).collect();
         let mut grew = false;
         for (p, t) in fresh {
             if db.rel_mut(p).insert(t.clone()) {
@@ -998,15 +998,17 @@ mod tests {
         assert_eq!(rules[0].plan[1], Access::AllBound, "both columns bound");
     }
 
+    /// A process-wide counter's current reading.
+    fn counter(name: &str) -> u64 {
+        let snap = incr_obs::registry().snapshot();
+        snap.get("counters")
+            .and_then(|c| c.get(name))
+            .and_then(incr_obs::Json::as_u64)
+            .unwrap_or(0)
+    }
+
     #[test]
     fn multi_bound_join_uses_index_not_scan() {
-        let counter = |name: &str| {
-            let snap = incr_obs::registry().snapshot();
-            snap.get("counters")
-                .and_then(|c| c.get(name))
-                .and_then(incr_obs::Json::as_u64)
-                .unwrap_or(0)
-        };
         // The counters are process-wide and the tests running beside this
         // one bump them too, so a reading is the true count plus noise. An
         // upper bound therefore holds if ANY attempt reads under it; the
@@ -1033,6 +1035,38 @@ mod tests {
             assert!(
                 std::time::Instant::now() < deadline,
                 "{scans} full scans for 2 evaluations over 3 outer rows: link is scanned per row"
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn failed_membership_check_counts_as_a_miss() {
+        // One forward evaluation scans r and checks s(Y, Z) ground for each
+        // of its three rows: one is there, two are not. As above, a reading
+        // is the true count plus the neighbours' noise, so the exact split
+        // shows in a clean window and retrying reaches one.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        loop {
+            let (db, rules) = setup(
+                "q(X, Z) :- r(X, Y, Z), s(Y, Z).\n\
+                 r(a, b, c). r(a2, b, d). r(a3, x, y).\n\
+                 s(b, c).",
+            );
+            assert_eq!(rules[0].plan[1], Access::AllBound);
+            let (hits, misses) = (counter("datalog.index.hit"), counter("datalog.index.miss"));
+            let mut derived = 0;
+            eval_rule(&db, &rules[0], None, &mut |_| derived += 1);
+            let hits = counter("datalog.index.hit") - hits;
+            let misses = counter("datalog.index.miss") - misses;
+            assert_eq!(derived, 1);
+            assert!(hits >= 1 && misses >= 2, "{hits} hits, {misses} misses");
+            if (hits, misses) == (1, 2) {
+                break;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{hits} hits and {misses} misses for one membership check that holds and two that fail"
             );
             std::thread::yield_now();
         }
@@ -1074,7 +1108,7 @@ mod tests {
             .filter(|r| r.head.pred == path)
             .cloned()
             .collect();
-        seminaive_scc(&mut db2, &scc_rules, &scc, HashMap::new(), true);
+        seminaive_scc(&mut db2, &scc_rules, &scc, Map::default(), true);
 
         assert_eq!(db1.rel(path).sorted(), db2.rel(path).sorted());
         // Cycle a->b->c->a: 3x4 pairs reach d plus cycle pairs.
@@ -1156,7 +1190,7 @@ mod tests {
             .filter(|r| r.head.pred == path)
             .cloned()
             .collect();
-        seminaive_scc(&mut db, &scc_rules, &[path], HashMap::new(), true);
+        seminaive_scc(&mut db, &scc_rules, &[path], Map::default(), true);
         assert_eq!(db.rel(path).len(), 1);
 
         // Incremental: add edge(b, c); seed = the edge delta.
@@ -1164,8 +1198,8 @@ mod tests {
         let c = db.sym("c");
         let new_edge = vec![Value::Sym(b), c];
         db.rel_mut(edge).insert(new_edge.clone());
-        let mut seed = HashMap::new();
-        seed.insert(edge, HashSet::from([new_edge]));
+        let mut seed = Map::default();
+        seed.insert(edge, Set::from_iter([new_edge]));
         let added = seminaive_scc(&mut db, &scc_rules, &[path], seed, false);
         // New paths: b->c and a->c.
         assert_eq!(added[&path].len(), 2);
@@ -1187,8 +1221,8 @@ mod tests {
         rule: &CRule,
         domain: &[Value],
         pin: Option<(usize, &[Tuple])>,
-    ) -> HashMap<Tuple, u64> {
-        let mut heads = HashMap::new();
+    ) -> Map<Tuple, u64> {
+        let mut heads = Map::default();
         for assignment in tuples_over(domain, rule.nvars as usize) {
             let bind: Vec<Option<Value>> = assignment.into_iter().map(Some).collect();
             let holds = rule.body.iter().enumerate().all(|(j, (atom, negated))| {
@@ -1221,7 +1255,7 @@ mod tests {
         ensure_indices(&mut db, &rules, true);
         let domain: Vec<Value> = ["a", "b", "c", "d"].iter().map(|s| db.sym(s)).collect();
         let emitted = |rule: &CRule, pin: Option<Pin<'_>>| {
-            let mut heads: HashMap<Tuple, u64> = HashMap::new();
+            let mut heads: Map<Tuple, u64> = Map::default();
             eval_rule(&db, rule, pin, &mut |t| *heads.entry(t).or_insert(0) += 1);
             heads
         };

@@ -78,6 +78,7 @@
 use crate::eval::{
     ensure_indices, eval_pin_jobs, eval_pin_jobs_counted, rule_derivation_count, CRule,
 };
+use crate::hash::{Map, Set};
 use crate::incr::{
     delta_lists, delta_pin_jobs, insert_and_net, overdelete, rederive, Delta, OldView, ScopeCounter,
 };
@@ -85,7 +86,6 @@ use crate::rel::{Database, PredId};
 use crate::value::Tuple;
 use incr_obs::flight::{self, FlightCode};
 use incr_obs::trace;
-use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
 /// Which incremental maintenance backend non-aggregate cliques run under.
@@ -137,8 +137,8 @@ pub fn update_scc_fbf(
     db: &mut Database,
     rules: &[CRule],
     scc_preds: &[PredId],
-    input: &HashMap<PredId, Delta>,
-) -> HashMap<PredId, Delta> {
+    input: &Map<PredId, Delta>,
+) -> Map<PredId, Delta> {
     debug_assert!(
         rules.iter().all(|r| r.agg.is_none()),
         "aggregate cliques are re-evaluated wholesale, never counted"
@@ -182,7 +182,7 @@ pub fn update_scc_fbf(
         let jobs = delta_pin_jobs(&nonrec, &input_lists, false);
         eval_pin_jobs(&*db, &jobs, |_, _| true)
     };
-    let mut created_by: HashMap<PredId, HashSet<Tuple>> = HashMap::new();
+    let mut created_by: Map<PredId, Set<Tuple>> = Map::default();
     for (p, t) in &created {
         created_by.entry(*p).or_default().insert(t.clone());
     }
@@ -244,7 +244,7 @@ pub fn update_scc_fbf(
     // No cascade, no rederive — the net delta is read straight off the
     // zero transitions.
     if rec.is_empty() {
-        let mut out: HashMap<PredId, Delta> =
+        let mut out: Map<PredId, Delta> =
             scc_preds.iter().map(|&p| (p, Delta::default())).collect();
         for (p, t) in zeroed {
             db.rel_mut(p).remove(&t);
@@ -344,8 +344,8 @@ fn emit_counters(saved: u64, backward: u64) {
 fn nonrecursive_by_head<'a>(
     rules: &'a [CRule],
     scc_preds: &[PredId],
-) -> HashMap<PredId, Vec<&'a CRule>> {
-    let mut by_head: HashMap<PredId, Vec<&CRule>> = HashMap::new();
+) -> Map<PredId, Vec<&'a CRule>> {
+    let mut by_head: Map<PredId, Vec<&CRule>> = Map::default();
     for r in rules.iter().filter(|r| !r.reads_any(scc_preds)) {
         by_head.entry(r.head.pred).or_default().push(r);
     }
@@ -451,7 +451,7 @@ mod tests {
         rules: &[CRule],
         add: &[(&str, &str)],
         del: &[(&str, &str)],
-    ) -> HashMap<PredId, Delta> {
+    ) -> Map<PredId, Delta> {
         let edge = db.pred_id("edge").unwrap();
         let (prules, path) = path_rules(db, rules);
         let mut d = Delta::default();
@@ -467,7 +467,7 @@ mod tests {
                 d.removed.insert(t);
             }
         }
-        let input = HashMap::from([(edge, d)]);
+        let input = Map::from_iter([(edge, d)]);
         update_scc_fbf(db, &prules, &[path], &input)
     }
 
@@ -574,7 +574,7 @@ mod tests {
         db.rel_mut(alarm).remove(&tx);
         let mut d = Delta::default();
         d.removed.insert(tx.clone());
-        let out = update_scc_fbf(&mut db, &hrules, &[hot], &HashMap::from([(alarm, d)]));
+        let out = update_scc_fbf(&mut db, &hrules, &[hot], &Map::from_iter([(alarm, d)]));
         assert!(db.has_fact("hot", &["x"]), "second derivation keeps hot(x)");
         assert!(out[&hot].is_empty(), "no net change");
         assert_eq!(db.rel(hot).support(&tx), 1);
@@ -598,7 +598,7 @@ mod tests {
         db.rel_mut(alarm).remove(&tx);
         let mut d = Delta::default();
         d.removed.insert(tx);
-        let out = update_scc_fbf(&mut db, &hrules, &[hot], &HashMap::from([(alarm, d)]));
+        let out = update_scc_fbf(&mut db, &hrules, &[hot], &Map::from_iter([(alarm, d)]));
         assert!(!db.has_fact("hot", &["x"]));
         assert!(db.has_fact("hot", &["y"]));
         assert_eq!(out[&hot].removed.len(), 1);
@@ -622,7 +622,7 @@ mod tests {
         let mut d = Delta::default();
         d.added.insert(t1);
         let out =
-            update_scc_fbf(&mut db, &arules, &[allowed], &HashMap::from([(banned, d)]));
+            update_scc_fbf(&mut db, &arules, &[allowed], &Map::from_iter([(banned, d)]));
         assert!(!db.has_fact("allowed", &["u1"]));
         assert_eq!(out[&allowed].removed.len(), 1);
 
@@ -632,7 +632,7 @@ mod tests {
         let mut d = Delta::default();
         d.removed.insert(t2);
         let out =
-            update_scc_fbf(&mut db, &arules, &[allowed], &HashMap::from([(banned, d)]));
+            update_scc_fbf(&mut db, &arules, &[allowed], &Map::from_iter([(banned, d)]));
         assert!(db.has_fact("allowed", &["u2"]));
         assert_eq!(out[&allowed].added.len(), 1);
         assert!(counts_consistent(&db, &arules, &[allowed]));
@@ -652,12 +652,12 @@ mod tests {
         db.rel_mut(alarm).remove(&tx);
         let mut d = Delta::default();
         d.removed.insert(tx.clone());
-        update_scc_fbf(&mut db, &hrules, &[hot], &HashMap::from([(alarm, d)]));
+        update_scc_fbf(&mut db, &hrules, &[hot], &Map::from_iter([(alarm, d)]));
         assert!(!db.has_fact("hot", &["x"]));
         db.rel_mut(alarm).insert(tx.clone());
         let mut d = Delta::default();
         d.added.insert(tx.clone());
-        update_scc_fbf(&mut db, &hrules, &[hot], &HashMap::from([(alarm, d)]));
+        update_scc_fbf(&mut db, &hrules, &[hot], &Map::from_iter([(alarm, d)]));
         assert!(db.has_fact("hot", &["x"]));
         assert_eq!(db.rel(hot).support(&tx), 1);
         assert!(counts_consistent(&db, &hrules, &[hot]));

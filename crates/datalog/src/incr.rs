@@ -39,11 +39,11 @@ use crate::eval::{
     ensure_indices, eval_agg_rule, eval_pin_jobs, eval_rule, rule_derives, seminaive_scc, CRule,
     Patch, Pin, PinJob, PinMode, Rels,
 };
+use crate::hash::{Map, Set};
 use crate::rel::{Database, PredId, Relation};
 use crate::value::Tuple;
 use incr_obs::flight::{self, FlightCode};
 use incr_obs::trace;
-use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
 /// Adds elapsed nanoseconds to a named always-on counter when dropped —
@@ -64,8 +64,8 @@ impl Drop for ScopeCounter {
 /// Net change to one predicate's extent.
 #[derive(Clone, Debug, Default)]
 pub struct Delta {
-    pub added: HashSet<Tuple>,
-    pub removed: HashSet<Tuple>,
+    pub added: Set<Tuple>,
+    pub removed: Set<Tuple>,
 }
 
 impl Delta {
@@ -85,7 +85,7 @@ impl Delta {
 /// until its overdeletion is decided, are the live relations.
 pub(crate) struct OldView<'a> {
     pub(crate) db: &'a Database,
-    pub(crate) patches: &'a HashMap<PredId, Patch<'a>>,
+    pub(crate) patches: &'a Map<PredId, Patch<'a>>,
 }
 
 impl<'a> OldView<'a> {
@@ -93,8 +93,8 @@ impl<'a> OldView<'a> {
     /// already applied to `db`).
     pub(crate) fn patches(
         db: &Database,
-        input: &'a HashMap<PredId, Delta>,
-    ) -> HashMap<PredId, Patch<'a>> {
+        input: &'a Map<PredId, Delta>,
+    ) -> Map<PredId, Patch<'a>> {
         input
             .iter()
             .filter(|(_, d)| !d.is_empty())
@@ -123,11 +123,11 @@ pub(crate) fn insert_and_net(
     db: &mut Database,
     rules: &[CRule],
     scc_preds: &[PredId],
-    deleted: HashMap<PredId, HashSet<Tuple>>,
-    seed: HashMap<PredId, HashSet<Tuple>>,
+    deleted: Map<PredId, Set<Tuple>>,
+    seed: Map<PredId, Set<Tuple>>,
     bootstrap: bool,
-) -> HashMap<PredId, Delta> {
-    let mut out: HashMap<PredId, Delta> =
+) -> Map<PredId, Delta> {
+    let mut out: Map<PredId, Delta> =
         scc_preds.iter().map(|&p| (p, Delta::default())).collect();
     let mut note_added = |p: PredId, ts: &mut dyn Iterator<Item = Tuple>| {
         let was_deleted = deleted.get(&p);
@@ -151,16 +151,16 @@ pub(crate) fn insert_and_net(
 }
 
 /// Sorted list of a delta set — a deterministic order to pin it in.
-fn sorted_list(set: &HashSet<Tuple>) -> Vec<Tuple> {
+fn sorted_list(set: &Set<Tuple>) -> Vec<Tuple> {
     let mut v: Vec<Tuple> = set.iter().cloned().collect();
     v.sort_unstable();
     v
 }
 
 /// Sorted `(added, removed)` lists per changed predicate.
-pub(crate) type DeltaLists = HashMap<PredId, (Vec<Tuple>, Vec<Tuple>)>;
+pub(crate) type DeltaLists = Map<PredId, (Vec<Tuple>, Vec<Tuple>)>;
 
-pub(crate) fn delta_lists(input: &HashMap<PredId, Delta>) -> DeltaLists {
+pub(crate) fn delta_lists(input: &Map<PredId, Delta>) -> DeltaLists {
     input
         .iter()
         .filter(|(_, d)| !d.is_empty())
@@ -218,14 +218,14 @@ pub(crate) fn overdelete(
     input_lists: &DeltaLists,
     doomed: Vec<(PredId, Tuple)>,
     mut spared: impl FnMut(PredId, &Tuple) -> bool,
-) -> HashMap<PredId, HashSet<Tuple>> {
-    let mut deleted: HashMap<PredId, HashSet<Tuple>> = HashMap::new();
+) -> Map<PredId, Set<Tuple>> {
+    let mut deleted: Map<PredId, Set<Tuple>> = Map::default();
     let jobs = delta_pin_jobs(rules, input_lists, true);
     let mut fresh = eval_pin_jobs(view, &jobs, |head, t| view.db.rel(head).contains(t));
     fresh.extend(doomed);
     loop {
         // A round is itself a delta: removals from clique predicates.
-        let mut round: DeltaLists = HashMap::new();
+        let mut round: DeltaLists = Map::default();
         for (p, t) in fresh {
             if !spared(p, &t) && deleted.entry(p).or_default().insert(t.clone()) {
                 round.entry(p).or_default().1.push(t);
@@ -255,10 +255,10 @@ pub(crate) fn overdelete(
 /// Also returns how many candidate checks ran.
 pub(crate) fn rederive(
     db: &mut Database,
-    deleted: &HashMap<PredId, HashSet<Tuple>>,
+    deleted: &Map<PredId, Set<Tuple>>,
     rules: &[&CRule],
-) -> (HashMap<PredId, HashSet<Tuple>>, u64) {
-    let mut seed: HashMap<PredId, HashSet<Tuple>> = HashMap::new();
+) -> (Map<PredId, Set<Tuple>>, u64) {
+    let mut seed: Map<PredId, Set<Tuple>> = Map::default();
     let mut checks = 0u64;
     for (&p, ts) in deleted {
         let rs: Vec<&CRule> = rules.iter().copied().filter(|r| r.head.pred == p).collect();
@@ -294,8 +294,8 @@ pub fn update_scc(
     db: &mut Database,
     rules: &[CRule],
     scc_preds: &[PredId],
-    input: &HashMap<PredId, Delta>,
-) -> HashMap<PredId, Delta> {
+    input: &Map<PredId, Delta>,
+) -> Map<PredId, Delta> {
     // ---- Phase 1: overdeletion against the old view. ----
     // Each DRed phase is triply accounted: a trace span (opt-in, rich),
     // a flight-recorder span (always on, lands in black-box dumps), and
@@ -386,7 +386,7 @@ pub fn reevaluate_scc(
     db: &mut Database,
     rules: &[CRule],
     scc_preds: &[PredId],
-) -> HashMap<PredId, Delta> {
+) -> Map<PredId, Delta> {
     let _span = trace::span_with(
         "datalog",
         "clique.reevaluate",
@@ -400,21 +400,21 @@ pub fn reevaluate_scc(
     if rules.iter().any(|r| r.reads_any(scc_preds)) {
         // Recursive: no single pass over the rules yields the extent, so
         // take every tuple out and bootstrap the fixpoint.
-        let mut old: HashMap<PredId, HashSet<Tuple>> = HashMap::new();
+        let mut old: Map<PredId, Set<Tuple>> = Map::default();
         for &p in scc_preds {
-            let ts: HashSet<Tuple> = db.rel(p).iter().cloned().collect();
+            let ts: Set<Tuple> = db.rel(p).iter().cloned().collect();
             for t in &ts {
                 db.rel_mut(p).remove(t);
             }
             old.insert(p, ts);
         }
-        return insert_and_net(db, rules, scc_preds, old, HashMap::new(), true);
+        return insert_and_net(db, rules, scc_preds, old, Map::default(), true);
     }
     // Non-recursive (every aggregate clique is): one evaluation of the
     // rules is the whole new extent; apply only how it differs from the
     // live one, so unchanged groups keep their rows.
     ensure_indices(db, rules, false);
-    let mut new: HashMap<PredId, HashSet<Tuple>> = HashMap::new();
+    let mut new: Map<PredId, Set<Tuple>> = Map::default();
     for rule in rules {
         let ext = new.entry(rule.head.pred).or_default();
         if rule.agg.is_some() {
@@ -425,7 +425,7 @@ pub fn reevaluate_scc(
             });
         }
     }
-    let mut out: HashMap<PredId, Delta> = HashMap::new();
+    let mut out: Map<PredId, Delta> = Map::default();
     for &p in scc_preds {
         let new_p = new.remove(&p).unwrap_or_default();
         let mut d = Delta::default();
@@ -450,9 +450,9 @@ pub fn reevaluate_scc(
 pub(crate) fn net_deltas(
     db: &Database,
     scc_preds: &[PredId],
-    old_scc: &HashMap<PredId, Relation>,
-) -> HashMap<PredId, Delta> {
-    let mut out: HashMap<PredId, Delta> = HashMap::new();
+    old_scc: &Map<PredId, Relation>,
+) -> Map<PredId, Delta> {
+    let mut out: Map<PredId, Delta> = Map::default();
     for &p in scc_preds {
         let old_rel = &old_scc[&p];
         let new_rel = db.rel(p);
@@ -502,7 +502,7 @@ mod tests {
         rules: &[CRule],
         add: &[(&str, &str)],
         del: &[(&str, &str)],
-    ) -> HashMap<PredId, Delta> {
+    ) -> Map<PredId, Delta> {
         let edge = db.pred_id("edge").unwrap();
         let path = db.pred_id("path").unwrap();
         let mut d = Delta::default();
@@ -518,7 +518,7 @@ mod tests {
                 d.removed.insert(t);
             }
         }
-        let input = HashMap::from([(edge, d)]);
+        let input = Map::from_iter([(edge, d)]);
         let path_rules: Vec<CRule> = rules
             .iter()
             .filter(|r| r.head.pred == path)
@@ -610,7 +610,7 @@ mod tests {
         let edge = db.pred_id("edge").unwrap();
         let path = db.pred_id("path").unwrap();
         // Delta with same tuple added and removed: relation unchanged.
-        let input = HashMap::from([(edge, Delta::default())]);
+        let input = Map::from_iter([(edge, Delta::default())]);
         let path_rules: Vec<CRule> = rules
             .iter()
             .filter(|r| r.head.pred == path)
@@ -635,7 +635,7 @@ mod tests {
         db.rel_mut(banned).insert(t.clone());
         let mut d = Delta::default();
         d.added.insert(t);
-        let input = HashMap::from([(banned, d)]);
+        let input = Map::from_iter([(banned, d)]);
         let arules: Vec<CRule> = rules
             .iter()
             .filter(|r| r.head.pred == allowed)
@@ -658,7 +658,7 @@ mod tests {
         db.rel_mut(banned).remove(&t);
         let mut d = Delta::default();
         d.removed.insert(t);
-        let input = HashMap::from([(banned, d)]);
+        let input = Map::from_iter([(banned, d)]);
         let arules: Vec<CRule> = rules
             .iter()
             .filter(|r| r.head.pred == allowed)
@@ -711,7 +711,7 @@ mod tests {
         d1.added.insert(t.clone());
         let mut d2 = Delta::default();
         d2.added.insert(t);
-        let input = HashMap::from([(f1, d1), (f2, d2)]);
+        let input = Map::from_iter([(f1, d1), (f2, d2)]);
         let orules: Vec<CRule> = rules
             .iter()
             .filter(|r| r.head.pred == ok)

@@ -8,6 +8,7 @@
 //! * [`ast`] / [`parser`] — rules, atoms, terms; a hand-written
 //!   recursive-descent parser for conventional Datalog syntax.
 //! * [`value`] — the constant domain (interned symbols + integers).
+//! * [`hash`] — the one fixed-key hasher every container here uses.
 //! * [`query`](mod@query) — pattern queries against the materialization.
 //! * [`rel`] — relation storage with tuple indices.
 //! * [`stratify`] — predicate dependency graph, Tarjan SCCs, and
@@ -34,6 +35,7 @@ pub mod ast;
 pub mod engine;
 pub mod eval;
 pub mod fbf;
+pub mod hash;
 pub mod incr;
 pub mod mvcc;
 pub mod parser;

@@ -11,6 +11,7 @@ use crate::engine::{EvalOptions, FactEdit, IncrementalEngine};
 use crate::eval::{compile_program, load_facts, seminaive_scc, CRule, Extent};
 use crate::fbf::{counts_consistent, init_counts_scc, update_scc_fbf, MaintenanceStrategy};
 use crate::incr::{net_deltas, reevaluate_scc, update_scc, Delta, OldView};
+use crate::hash::Map;
 use crate::mvcc::{ReaderHandle, Snapshot};
 use crate::parser::parse_program;
 use crate::rel::{Database, PredId, Relation};
@@ -21,7 +22,6 @@ use crate::value::Tuple;
 use incr_dag::Dag;
 use incr_sched::{CostMeter, Hybrid, LevelBased, LogicBlox, Scheduler, SignalPropagation};
 use proptest::prelude::*;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 const TC_RULES: &str = "path(X, Y) :- edge(X, Y).\n\
@@ -486,7 +486,7 @@ fn sorted<'a>(it: impl Iterator<Item = &'a Tuple>) -> Vec<Tuple> {
 /// predicate agree with the rolled-back relation.
 fn assert_overlay_matches_copy(
     db: &Database,
-    input: &HashMap<PredId, Delta>,
+    input: &Map<PredId, Delta>,
 ) -> Result<(), TestCaseError> {
     let patches = OldView::patches(db, input);
     let view = OldView {
@@ -516,8 +516,8 @@ fn assert_overlay_matches_copy(
 
 fn assert_same_delta(
     db: &Database,
-    got: &HashMap<PredId, Delta>,
-    want: &HashMap<PredId, Delta>,
+    got: &Map<PredId, Delta>,
+    want: &Map<PredId, Delta>,
     what: &str,
 ) -> Result<(), TestCaseError> {
     prop_assert_eq!(got.len(), want.len(), "{}: one delta per clique predicate", what);
@@ -562,27 +562,27 @@ fn assert_tasks_match_oracles(
         .collect();
     let fbf = strategy == MaintenanceStrategy::Fbf;
     for (_, preds, crules) in &cliques {
-        seminaive_scc(&mut db, crules, preds, HashMap::new(), true);
+        seminaive_scc(&mut db, crules, preds, Map::default(), true);
         if fbf {
             init_counts_scc(&mut db, crules, preds);
         }
     }
-    let snapshot_of = |db: &Database, preds: &[PredId]| -> HashMap<PredId, Relation> {
+    let snapshot_of = |db: &Database, preds: &[PredId]| -> Map<PredId, Relation> {
         preds.iter().map(|&p| (p, db.rel(p).clone())).collect()
     };
 
     let edge = db.pred_id("edge").expect("every template reads edge");
     for batch in edits.chunks(4) {
-        let mut base: HashMap<PredId, Delta> = HashMap::new();
+        let mut base: Map<PredId, Delta> = Map::default();
         for &(add, a, b) in batch {
             let t = vec![db.sym(&format!("n{a}")), db.sym(&format!("n{b}"))];
             IncrementalEngine::apply_one(&mut db, &mut base, edge, t, add);
         }
         // Output deltas so far, by predicate; a clique's input is the
         // part of them it reads.
-        let mut changed: HashMap<PredId, Delta> = base;
+        let mut changed: Map<PredId, Delta> = base;
         for (node, preds, crules) in &cliques {
-            let input: HashMap<PredId, Delta> = graph.reads[*node]
+            let input: Map<PredId, Delta> = graph.reads[*node]
                 .iter()
                 .filter_map(|p| changed.get(p).filter(|d| !d.is_empty()).map(|d| (*p, d.clone())))
                 .collect();

@@ -85,6 +85,7 @@ use crate::ast::{Literal, Program, Rule, Term};
 use crate::engine::{
     EngineError, EvalOptions, FactEdit, IncrementalEngine, TypedEdit, UpdateReport,
 };
+use crate::hash::Map;
 use crate::incr::Delta;
 use crate::parser::parse_program;
 use crate::query::parse_pattern;
@@ -94,7 +95,7 @@ use incr_dag::Dag;
 use incr_obs::flight::{self, FlightCode};
 use incr_obs::json::Json;
 use incr_sched::Scheduler;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -832,7 +833,7 @@ impl ShardedEngine {
                                 if cancel.load(Ordering::SeqCst) {
                                     return RoundOutcome::Cancelled;
                                 }
-                                let mut collected: HashMap<_, Delta> = HashMap::new();
+                                let mut collected: Map<_, Delta> = Map::default();
                                 let run = eng.update_full(
                                     sched.as_mut(),
                                     &batch,

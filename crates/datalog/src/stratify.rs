@@ -8,7 +8,7 @@
 //! rejected (the program is not stratifiable).
 
 use crate::ast::Program;
-use std::collections::HashMap;
+use crate::hash::Map;
 
 /// Result of dependency analysis over a program.
 #[derive(Clone, Debug)]
@@ -55,7 +55,7 @@ pub fn stratify(program: &Program) -> Result<Stratification, StratifyError> {
     // Collect predicates in stable first-mention order, then index them.
     let mut preds: Vec<String> = Vec::new();
     {
-        let mut seen: HashMap<String, ()> = HashMap::new();
+        let mut seen: Map<String, ()> = Map::default();
         let mut add = |n: &str, preds: &mut Vec<String>| {
             if seen.insert(n.to_string(), ()).is_none() {
                 preds.push(n.to_string());
@@ -68,7 +68,7 @@ pub fn stratify(program: &Program) -> Result<Stratification, StratifyError> {
             }
         }
     }
-    let index: HashMap<&str, usize> = preds
+    let index: Map<&str, usize> = preds
         .iter()
         .enumerate()
         .map(|(i, n)| (n.as_str(), i))
@@ -238,7 +238,7 @@ mod tests {
              c(X) :- b(X).\n\
              d(X) :- c(X), a(X).",
         );
-        let pos: HashMap<usize, usize> = s.topo.iter().enumerate().map(|(i, &x)| (x, i)).collect();
+        let pos: Map<usize, usize> = s.topo.iter().enumerate().map(|(i, &x)| (x, i)).collect();
         let idx = |n: &str| s.scc_of[pred_index(&s, n)];
         assert!(pos[&idx("a")] < pos[&idx("b")]);
         assert!(pos[&idx("b")] < pos[&idx("c")]);

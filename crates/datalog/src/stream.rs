@@ -29,8 +29,8 @@
 //! never a half-applied net delta (see `engine::publish`).
 
 use crate::engine::FactEdit;
+use crate::hash::Map;
 use incr_obs::registry;
-use std::collections::HashMap;
 
 /// Key identifying one base tuple in queue space (pre-interning).
 type Key = (String, Vec<String>);
@@ -50,7 +50,7 @@ struct Slot {
 /// whole burst.
 #[derive(Default)]
 pub struct DeltaQueue {
-    slots: HashMap<Key, Slot>,
+    slots: Map<Key, Slot>,
     order: Vec<Key>,
     /// Logical updates absorbed since the last drain.
     updates: usize,

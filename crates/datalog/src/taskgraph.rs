@@ -7,10 +7,10 @@
 //! `A` — output flowing into input, the paper's precedence constraints.
 
 use crate::eval::CRule;
+use crate::hash::Map;
 use crate::rel::{Database, PredId};
 use crate::stratify::Stratification;
 use incr_dag::{Dag, DagBuilder, NodeId};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// What a task node computes.
@@ -33,7 +33,7 @@ pub struct TaskGraph {
     pub dag: Arc<Dag>,
     pub kinds: Vec<NodeKind>,
     /// Node evaluating each predicate.
-    pub node_of_pred: HashMap<PredId, NodeId>,
+    pub node_of_pred: Map<PredId, NodeId>,
     /// Per node: the external predicates its rules read (for firing
     /// decisions).
     pub reads: Vec<Vec<PredId>>,
@@ -53,7 +53,7 @@ impl TaskGraph {
         // One task node per SCC, numbered by SCC id.
         let n_nodes = strat.sccs.len();
         let mut kinds: Vec<NodeKind> = Vec::with_capacity(n_nodes);
-        let mut node_of_pred: HashMap<PredId, NodeId> = HashMap::new();
+        let mut node_of_pred: Map<PredId, NodeId> = Map::default();
         for (scc_idx, comp) in strat.sccs.iter().enumerate() {
             let preds: Vec<PredId> = comp.iter().map(|&p| pred_id[p]).collect();
             for &p in &preds {

@@ -21,6 +21,54 @@ pub enum Value {
 /// A fact's constant vector.
 pub type Tuple = Vec<Value>;
 
+/// A ground tuple or index key that lives for one lookup, collected on the
+/// stack: a join step builds one per membership check and per probe, and
+/// an index one per row it files. Only past [`Key::INLINE`] columns does it
+/// spill to the heap.
+pub(crate) struct Key {
+    inline: [Value; Key::INLINE],
+    len: usize,
+    spill: Vec<Value>,
+}
+
+impl Key {
+    const INLINE: usize = 8;
+}
+
+impl FromIterator<Value> for Key {
+    fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Key {
+        let mut key = Key {
+            inline: [Value::Int(0); Key::INLINE],
+            len: 0,
+            spill: Vec::new(),
+        };
+        for v in iter {
+            if let Some(cell) = key.inline.get_mut(key.len) {
+                *cell = v;
+            } else {
+                if key.spill.is_empty() {
+                    key.spill.extend_from_slice(&key.inline);
+                }
+                key.spill.push(v);
+            }
+            key.len += 1;
+        }
+        key
+    }
+}
+
+impl std::ops::Deref for Key {
+    type Target = [Value];
+
+    fn deref(&self) -> &[Value] {
+        if self.len <= Key::INLINE {
+            &self.inline[..self.len]
+        } else {
+            &self.spill
+        }
+    }
+}
+
 /// String interner: symbol text ↔ [`SymId`].
 #[derive(Clone, Debug, Default)]
 pub struct Interner {
@@ -106,6 +154,15 @@ mod tests {
         assert_eq!(i.get("x"), None);
         let x = i.intern("x");
         assert_eq!(i.get("x"), Some(x));
+    }
+
+    #[test]
+    fn key_holds_what_it_was_given_inline_or_spilled() {
+        for n in [0, 1, Key::INLINE, Key::INLINE + 1, 3 * Key::INLINE] {
+            let vals: Vec<Value> = (0..n as i64).map(Value::Int).collect();
+            let key: Key = vals.iter().copied().collect();
+            assert_eq!(&*key, vals.as_slice(), "{n} columns");
+        }
     }
 
     #[test]

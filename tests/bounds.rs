@@ -3,8 +3,10 @@
 //! for the cost bounds the implementation keeps in wall-clock.
 
 use datalog_sched::dag::{random, Dag, DagBuilder, NodeId};
+use datalog_sched::datalog::value::SymId;
 use datalog_sched::datalog::{
-    parse_program, EvalOptions, FactEdit, IncrementalEngine, MaintenanceStrategy,
+    parse_program, EvalOptions, FactEdit, IncrementalEngine, MaintenanceStrategy, Relation, Tuple,
+    Value,
 };
 use datalog_sched::sched::{
     CompletionBatch, CostMeter, Instance, LevelBased, Scheduler, SchedulerKind, TaskShape,
@@ -443,6 +445,73 @@ fn update_time_is_independent_of_extent_size() {
              {SMALL} ({:?} vs {:?}); constant is 1x, linear in the extents 16x",
             fastest[1],
             fastest[0]
+        );
+    }
+}
+
+/// A join step is a hash-table operation whatever the keys look like. The
+/// crate's hasher multiplies, and a multiplication alone leaves the low
+/// bits of a key's hash a function of the key's low bits — so the families
+/// below are the ones a weak `finish()` would pile into few buckets: an
+/// insert, a membership check and a probe of the `[0]` index per tuple
+/// cost about 16× as much for 16× the tuples (the larger table also falls
+/// out of cache, which random keys pay too — not the 256× of chains that
+/// grow with the table), and no family costs far more than random keys.
+#[test]
+fn relation_operations_cost_the_same_for_every_key_family() {
+    let _turn = DATALOG_ENGINE_TESTS.lock().unwrap_or_else(PoisonError::into_inner);
+    const SMALL: usize = 8 * 1024;
+    const LARGE: usize = 128 * 1024;
+    let mut rng = StdRng::seed_from_u64(23);
+    let random: Vec<(i64, i64)> = (0..LARGE)
+        .map(|_| (rng.gen::<u64>() as i64, rng.gen::<u64>() as i64))
+        .collect();
+    let sym = |i: usize| Value::Sym(SymId(i as u32));
+    type Family<'a> = (&'a str, Box<dyn Fn(usize) -> Tuple + 'a>);
+    let families: [Family<'_>; 5] = [
+        ("random ints", Box::new(|i| vec![Value::Int(random[i].0), Value::Int(random[i].1)])),
+        ("sequential ints", Box::new(|i| vec![Value::Int(i as i64), Value::Int(0)])),
+        ("multiples of 2^32", Box::new(|i| vec![Value::Int((i as i64) << 32), Value::Int(0)])),
+        ("sequential symbols", Box::new(|i| vec![sym(i), sym(0)])),
+        ("second column only", Box::new(|i| vec![Value::Int(0), Value::Int(i as i64)])),
+    ];
+    let mut at_large = Vec::new();
+    for (name, tuple) in &families {
+        // Fastest of three per size, as above.
+        let mut fastest = [Duration::MAX; 2];
+        for (slot, n) in [SMALL, LARGE].into_iter().enumerate() {
+            let tuples: Vec<Tuple> = (0..n).map(tuple).collect();
+            for _ in 0..3 {
+                let mut rel = Relation::new(2);
+                rel.ensure_index(&[0]);
+                let owned = tuples.clone();
+                let t0 = Instant::now();
+                for t in owned {
+                    assert!(rel.insert(t));
+                }
+                for t in &tuples {
+                    assert!(rel.contains(t));
+                    assert!(!rel.probe(&[0], &t[..1]).expect("index built").is_empty());
+                }
+                fastest[slot] = fastest[slot].min(t0.elapsed());
+                assert_eq!(rel.len(), n);
+            }
+        }
+        let ratio = fastest[1].as_secs_f64() / fastest[0].as_secs_f64();
+        assert!(
+            ratio <= 48.0,
+            "{name}: {LARGE} tuples took {ratio:.1}x the time of {SMALL} ({:?} vs {:?}); \
+             linear is 16x, chains that grow with the table 256x",
+            fastest[1],
+            fastest[0]
+        );
+        at_large.push(fastest[1]);
+    }
+    for ((name, _), t) in families.iter().zip(&at_large) {
+        assert!(
+            t.as_secs_f64() <= 4.0 * at_large[0].as_secs_f64(),
+            "{name}: {t:?} for {LARGE} tuples against {:?} for random keys",
+            at_large[0]
         );
     }
 }
