@@ -1,16 +1,17 @@
 //! Bottom-up evaluation: naive and semi-naive, with *delta pinning* as
 //! the common primitive.
 //!
-//! A compiled rule's body is evaluated left-to-right by nested-loop join
-//! over variable bindings, driven by a join plan computed at compile
-//! time: for each body atom the plan records which columns are bound by
-//! constants and earlier positive atoms, and the evaluator probes the
-//! secondary index on exactly that column set (building it on demand via
-//! [`ensure_indices`]) instead of scanning the extent. One walker
-//! (`walk`) runs every plan — forward, pinned and head-bound check alike;
-//! [`eval_rule`], [`rule_derives`] and [`rule_derivation_count`] differ
-//! only in the leaf they hand it (emit the head, stop at the first
-//! binding, count).
+//! A compiled rule's body is evaluated by nested-loop join over variable
+//! bindings, driven by a join plan: for each body atom the plan records
+//! which columns are bound by constants and earlier positive atoms, and
+//! the evaluator probes the secondary index on exactly that column set
+//! (built on demand by [`ensure_indices`]) instead of scanning the extent.
+//! The forward and pinned plans keep source order and are fixed at compile
+//! time; the head-bound [`CheckPlan`] also picks the order, most-bound atom
+//! first, once the extents are materialised. One walker (`walk`) runs them
+//! all; [`eval_rule`], [`rule_derives`], [`rule_derivation_count`] and the
+//! proof search of [`crate::prove`] differ only in the leaf they hand it
+//! (emit the head, stop at the first binding, count, record the instance).
 //!
 //! Pinning body position `j` to a delta relation evaluates only the
 //! derivations that use a delta tuple at `j` — the primitive behind
@@ -24,6 +25,7 @@ use crate::hash::{Map, Set};
 use crate::rel::{Database, PredId, Probe, Relation};
 use crate::value::{Key, Tuple, Value};
 use incr_obs::Counter;
+use std::cmp::Reverse;
 use std::sync::{Arc, OnceLock};
 
 /// Read-only source of relation extents. [`Database`] is the live store;
@@ -192,14 +194,34 @@ pub struct CRule {
     /// so the rest of the body is probed from the delta outwards instead
     /// of scanned up to it. Entry `j` of plan `j` is unused.
     pub pin_plans: Vec<Vec<Access>>,
-    /// Access path when the head variables are pre-bound — the plan under
-    /// which [`rule_derives`] (DRed rederivation) and
-    /// [`rule_derivation_count`] (FBF support) check a single candidate
-    /// head tuple. Walked by the same join walker as the forward plans.
-    pub check_plan: Vec<Access>,
+    /// The head-bound plan, decided on first use ([`CRule::check_plan`]).
+    check_plan: OnceLock<CheckPlan>,
+}
+
+/// A rule's plan when the head variables are pre-bound, under which
+/// [`rule_derives`], [`rule_derivation_count`] (FBF support) and the proof
+/// search look at a single head tuple. Unlike the forward and pinned plans
+/// it picks the order the body is visited in, greedily by boundness — a
+/// negated literal as soon as it is ground, else the positive atom with
+/// every column bound, else the one with the most bound columns; ties go
+/// to the smaller extent, then to source order.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CheckPlan {
+    /// Body positions in the order they are visited.
+    pub order: Vec<usize>,
+    /// Access path per body *position*.
+    pub access: Vec<Access>,
 }
 
 impl CRule {
+    /// Decided from the extents `db` shows the first time it is asked for —
+    /// in the engine, the first `ensure_indices(.., true)` after
+    /// materialisation; a rule change recompiles and so decides again.
+    pub fn check_plan(&self, db: &dyn Rels) -> &CheckPlan {
+        self.check_plan
+            .get_or_init(|| plan_body(&self.body, &vars_of(&self.head), Some(db)))
+    }
+
     /// Does any body atom (positive or negated) read one of `preds`? Asked
     /// of the rule's own clique, this is "the rule is recursive".
     pub fn reads_any(&self, preds: &[PredId]) -> bool {
@@ -226,43 +248,71 @@ pub(crate) fn metrics() -> &'static EvalMetrics {
     })
 }
 
-/// Compute the access path per body atom, given the slots bound before
-/// the first atom runs (`initially_bound` — empty for the forward plan,
-/// the head slots for the check plan): probe on all bound columns, and a
-/// fully-bound atom becomes a membership check.
-fn access_plan(body: &[(CAtom, bool)], initially_bound: &[u32]) -> Vec<Access> {
+/// The variable slots of `atom`.
+fn vars_of(atom: &CAtom) -> Vec<u32> {
+    atom.terms
+        .iter()
+        .filter_map(|t| match t {
+            CTerm::Var(s) => Some(*s),
+            CTerm::Const(_) => None,
+        })
+        .collect()
+}
+
+/// Plan `body` given the slots bound before its first atom runs
+/// (`initially_bound` — empty for the forward plan, a pinned literal's
+/// slots for a pin plan, the head slots for the check plan): probe on all
+/// bound columns, and a fully-bound atom becomes a membership check.
+/// Without `extents` the body keeps its source order; with them the next
+/// literal is chosen by boundness ([`CheckPlan`]).
+fn plan_body(
+    body: &[(CAtom, bool)],
+    initially_bound: &[u32],
+    extents: Option<&dyn Rels>,
+) -> CheckPlan {
     let mut bound: Set<u32> = initially_bound.iter().copied().collect();
-    let mut plan = Vec::with_capacity(body.len());
-    for (atom, negated) in body {
-        let cols: Vec<usize> = atom
-            .terms
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| match t {
+    let mut left: Vec<usize> = (0..body.len()).collect();
+    let mut order = Vec::with_capacity(body.len());
+    let mut access = vec![Access::Scan; body.len()];
+    while let Some(&first) = left.first() {
+        let bound_cols = |j: usize| -> Vec<usize> {
+            let is_bound = |t: &CTerm| match t {
                 CTerm::Const(_) => true,
                 CTerm::Var(s) => bound.contains(s),
-            })
-            .map(|(i, _)| i)
-            .collect();
+            };
+            let terms = &body[j].0.terms;
+            (0..terms.len()).filter(|&i| is_bound(&terms[i])).collect()
+        };
+        let j = extents.map_or(first, |db| {
+            let rank = |&j: &usize| {
+                let (atom, negated) = &body[j];
+                let n = bound_cols(j).len();
+                // Ground negation, fully bound, partly bound; a negated
+                // literal that is not ground yet cannot run.
+                let ground = n == atom.terms.len();
+                let class = if ground { u8::from(!*negated) } else { 2 + u8::from(*negated) };
+                (class, Reverse(n), db.relation(atom.pred).len(), j)
+            };
+            left.iter().copied().min_by_key(rank).unwrap_or(first)
+        });
+        left.retain(|&l| l != j);
+        let (atom, negated) = &body[j];
+        let cols = bound_cols(j);
         // Negated literals are ground under safety: always a membership
         // check, no index needed.
-        let access = if *negated || cols.len() == atom.terms.len() {
+        access[j] = if *negated || cols.len() == atom.terms.len() {
             Access::AllBound
         } else if cols.is_empty() {
             Access::Scan
         } else {
             Access::Index(cols)
         };
-        plan.push(access);
+        order.push(j);
         if !*negated {
-            for t in &atom.terms {
-                if let CTerm::Var(s) = t {
-                    bound.insert(*s);
-                }
-            }
+            bound.extend(vars_of(atom));
         }
     }
-    plan
+    CheckPlan { order, access }
 }
 
 /// Compile `rule`, registering predicates and interning constants.
@@ -314,21 +364,11 @@ pub fn compile_rule(rule: &Rule, db: &mut Database) -> CRule {
         op,
         slot: slots[var],
     });
-    fn vars_of(atom: &CAtom) -> Vec<u32> {
-        atom.terms
-            .iter()
-            .filter_map(|t| match t {
-                CTerm::Var(s) => Some(*s),
-                CTerm::Const(_) => None,
-            })
-            .collect()
-    }
-    let plan = access_plan(&body, &[]);
+    let plan = plan_body(&body, &[], None).access;
     let pin_plans = body
         .iter()
-        .map(|(atom, _)| access_plan(&body, &vars_of(atom)))
+        .map(|(atom, _)| plan_body(&body, &vars_of(atom), None).access)
         .collect();
-    let check_plan = access_plan(&body, &vars_of(&head));
     CRule {
         head,
         body,
@@ -336,12 +376,16 @@ pub fn compile_rule(rule: &Rule, db: &mut Database) -> CRule {
         agg,
         plan,
         pin_plans,
-        check_plan,
+        check_plan: OnceLock::new(),
     }
 }
 
 /// Compile all rules with non-empty bodies (facts are loaded separately
-/// via [`load_facts`]); also registers every predicate.
+/// via [`load_facts`]); also registers every predicate. A ground fact of a
+/// *derived* predicate is both loaded and compiled, as a rule with an
+/// empty body: the walker reaches its leaf at depth 0, so every
+/// maintenance path sees a derivation with no premises, not a tuple that
+/// nothing derives. Pure base tables compile to nothing and stay editable.
 pub fn compile_program(program: &Program, db: &mut Database) -> Vec<CRule> {
     // Register every predicate (even fact-only ones) first.
     for r in &program.rules {
@@ -350,10 +394,11 @@ pub fn compile_program(program: &Program, db: &mut Database) -> Vec<CRule> {
             db.pred(&l.atom.pred, l.atom.arity());
         }
     }
+    let derived = program.derived_predicates();
     program
         .rules
         .iter()
-        .filter(|r| !r.body.is_empty())
+        .filter(|r| !r.body.is_empty() || (r.is_fact() && derived.contains(r.head.pred.as_str())))
         .map(|r| compile_rule(r, db))
         .collect()
 }
@@ -361,8 +406,8 @@ pub fn compile_program(program: &Program, db: &mut Database) -> Vec<CRule> {
 /// Build every secondary index the rules' plans probe, so evaluation
 /// under `&Database` never takes a lock or mutates. Call at any `&mut`
 /// entry point before evaluating; re-ensuring is a cheap no-op.
-/// `include_check_plans` additionally covers [`rule_derives`]'s plans
-/// (only the DRed path needs those).
+/// `include_check_plans` additionally covers the head-bound plans (only
+/// the maintenance paths need those), deciding each rule's on the way.
 pub fn ensure_indices(db: &mut Database, rules: &[CRule], include_check_plans: bool) {
     fn ensure_plan(db: &mut Database, rule: &CRule, plan: &[Access]) {
         for ((atom, _), access) in rule.body.iter().zip(plan) {
@@ -379,7 +424,8 @@ pub fn ensure_indices(db: &mut Database, rules: &[CRule], include_check_plans: b
             ensure_plan(db, rule, plan);
         }
         if include_check_plans {
-            ensure_plan(db, rule, &rule.check_plan);
+            let access = &rule.check_plan(db).access;
+            ensure_plan(db, rule, access);
         }
     }
 }
@@ -443,7 +489,7 @@ fn resolve(t: &CTerm, bind: &[Option<Value>]) -> Value {
 
 /// Instantiate a fully-bound atom: a head as the `Tuple` that is emitted,
 /// a body literal as the stack [`Key`] one membership check reads.
-fn instantiate<T: FromIterator<Value>>(atom: &CAtom, bind: &[Option<Value>]) -> T {
+pub(crate) fn instantiate<T: FromIterator<Value>>(atom: &CAtom, bind: &[Option<Value>]) -> T {
     atom.terms.iter().map(|t| resolve(t, bind)).collect()
 }
 
@@ -475,7 +521,10 @@ pub struct Pin<'a> {
 /// Immutable per-evaluation context threaded through the join recursion.
 struct Ctx<'a> {
     rule: &'a CRule,
+    /// Access path per body position.
     plan: &'a [Access],
+    /// The body positions in visiting order.
+    order: &'a [usize],
     /// The pinned body position: bound from the delta before the
     /// recursion starts, so the recursion steps over it.
     pinned: Option<usize>,
@@ -506,6 +555,8 @@ pub fn eval_rule(db: &dyn Rels, rule: &CRule, pin: Option<Pin<'_>>, out: &mut dy
 fn eval_heads(db: &dyn Rels, rule: &CRule, pin: Option<Pin<'_>>, out: &mut dyn FnMut(Tuple)) {
     let mut bind: Vec<Option<Value>> = vec![None; rule.nvars as usize];
     let mut trail: Vec<u32> = Vec::new();
+    // The forward and pinned plans keep source order.
+    let order: Vec<usize> = (0..rule.body.len()).collect();
     let mut emit = |b: &[Option<Value>]| {
         out(instantiate(&rule.head, b));
         true
@@ -514,6 +565,7 @@ fn eval_heads(db: &dyn Rels, rule: &CRule, pin: Option<Pin<'_>>, out: &mut dyn F
         let ctx = Ctx {
             rule,
             plan: &rule.plan,
+            order: &order,
             pinned: None,
         };
         walk(db, &ctx, 0, &mut bind, &mut trail, &mut emit);
@@ -524,6 +576,7 @@ fn eval_heads(db: &dyn Rels, rule: &CRule, pin: Option<Pin<'_>>, out: &mut dyn F
     let ctx = Ctx {
         rule,
         plan: &rule.pin_plans[pin.index],
+        order: &order,
         pinned: Some(pin.index),
     };
     let ext = Extent::of(db, atom.pred);
@@ -654,8 +707,9 @@ pub fn eval_agg_rule(db: &dyn Rels, rule: &CRule) -> Vec<Tuple> {
     out
 }
 
-/// The one join walker: extend `bind` over body literals `depth..` of
-/// `ctx.rule` under the access paths of `ctx.plan`, and call `leaf` at
+/// The one join walker: extend `bind` over the body literals of
+/// `ctx.rule` from step `depth` of `ctx.order` on, under the access paths
+/// of `ctx.plan`, and call `leaf` at
 /// every complete binding (safety grounds each binding in the positive
 /// atoms, so bindings are in bijection with derivations). `leaf` returns
 /// `false` to stop the search; so does `walk`, iff the search was stopped.
@@ -672,10 +726,11 @@ fn walk(
     if depth == ctx.rule.body.len() {
         return leaf(bind);
     }
-    if ctx.pinned == Some(depth) {
+    let pos = ctx.order[depth];
+    if ctx.pinned == Some(pos) {
         return walk(db, ctx, depth + 1, bind, trail, leaf);
     }
-    let (atom, negated) = &ctx.rule.body[depth];
+    let (atom, negated) = &ctx.rule.body[pos];
     let ext = Extent::of(db, atom.pred);
     if *negated {
         // Safety guarantees groundness here.
@@ -683,7 +738,7 @@ fn walk(
         return ext.contains(&tuple) || walk(db, ctx, depth + 1, bind, trail, leaf);
     }
 
-    match &ctx.plan[depth] {
+    match &ctx.plan[pos] {
         Access::AllBound => {
             // Fully ground: one membership probe, no new bindings.
             let tuple: Key = instantiate(atom, bind);
@@ -714,8 +769,8 @@ fn walk(
     }
 }
 
-/// [`walk`]'s per-tuple loop over the candidates for body literal
-/// `depth`, monomorphic over the access path's iterator: match, descend,
+/// [`walk`]'s per-tuple loop over the candidates for the body literal at
+/// step `depth`, monomorphic over the access path's iterator: match, descend,
 /// backtrack.
 fn walk_tuples<'a>(
     db: &dyn Rels,
@@ -726,7 +781,7 @@ fn walk_tuples<'a>(
     leaf: &mut dyn FnMut(&[Option<Value>]) -> bool,
     tuples: impl Iterator<Item = &'a Tuple>,
 ) -> bool {
-    let atom = &ctx.rule.body[depth].0;
+    let atom = &ctx.rule.body[ctx.order[depth]].0;
     for tuple in tuples {
         let mark = trail.len();
         if matches(atom, tuple, bind, trail) {
@@ -746,15 +801,17 @@ fn walk_tuples<'a>(
 /// search the body under the head-bound check plan (far more constrained
 /// than the forward plan), calling `leaf` per derivation. Returns `false`
 /// iff `leaf` stopped the search.
-fn walk_head(
+pub(crate) fn walk_head(
     db: &dyn Rels,
     rule: &CRule,
     t: &[Value],
     leaf: &mut dyn FnMut(&[Option<Value>]) -> bool,
 ) -> bool {
+    let check = rule.check_plan(db);
     let ctx = Ctx {
         rule,
-        plan: &rule.check_plan,
+        plan: &check.access,
+        order: &check.order,
         pinned: None,
     };
     let mut bind: Vec<Option<Value>> = vec![None; rule.nvars as usize];
@@ -764,8 +821,7 @@ fn walk_head(
 }
 
 /// Does `rule` derive the ground head tuple `t` under the current
-/// extents? Stops at the first derivation — the per-candidate primitive
-/// behind DRed rederivation (no full rule re-evaluation).
+/// extents? Stops at the first derivation (no full rule re-evaluation).
 pub fn rule_derives(db: &dyn Rels, rule: &CRule, t: &[Value]) -> bool {
     debug_assert!(rule.agg.is_none(), "aggregate cliques are re-evaluated, not rederived");
     !walk_head(db, rule, t, &mut |_| false)
@@ -974,19 +1030,89 @@ mod tests {
 
     #[test]
     fn join_plans_pick_bound_columns() {
-        let (_db, rules) = setup(
+        let (db, rules) = setup(
             "q(X, W) :- r(X, Y, Z), s(Y, Z, W).\n\
-             r(a, b, c). s(b, c, d).",
+             r(a, b, c). r(a2, b2, c2). s(b, c, d).",
         );
         let rule = &rules[0];
         // First atom: nothing bound -> scan; second: Y and Z bound, W not
         // -> probe the two-column index.
-        assert_eq!(rule.plan[0], Access::Scan);
-        assert_eq!(rule.plan[1], Access::Index(vec![0, 1]));
-        // Check plan: head binds X and W, so r probes on column 0; after
-        // r binds Y and Z, every column of s is bound.
-        assert_eq!(rule.check_plan[0], Access::Index(vec![0]));
-        assert_eq!(rule.check_plan[1], Access::AllBound);
+        assert_eq!(rule.plan, [Access::Scan, Access::Index(vec![0, 1])]);
+        // Head-bound, X and W are: one column of each atom, so the smaller
+        // extent goes first — s on column 2 — and binds all of r.
+        let check = rule.check_plan(&db);
+        assert_eq!(check.order, [1, 0]);
+        assert_eq!(check.access, [Access::AllBound, Access::Index(vec![2])]);
+    }
+
+    /// The check plan of the rule heading `head` with `body_len` literals,
+    /// as `(order, access)`.
+    fn check_plan_of(db: &Database, rules: &[CRule], head: &str, body_len: usize) -> CheckPlan {
+        let head = db.pred_id(head).unwrap();
+        let rule = rules.iter().find(|r| r.head.pred == head && r.body.len() == body_len);
+        rule.unwrap().check_plan(db).clone()
+    }
+
+    #[test]
+    fn check_plan_is_ordered_by_boundness_then_extent() {
+        // Transitive closure, materialised: head-bound, `path(X, Y)` and
+        // `edge(Y, Z)` have one bound column each and `edge` is the smaller
+        // extent, so the plan walks Z's in-edges and checks `path`.
+        let tc = "path(X, Y) :- edge(X, Y).\n\
+                  path(X, Z) :- path(X, Y), edge(Y, Z).\n\
+                  edge(a, b). edge(b, c). edge(c, d).";
+        let (mut db, rules) = setup(tc);
+        naive_fixpoint(&mut db, &rules);
+        let plan = check_plan_of(&db, &rules, "path", 2);
+        assert_eq!(plan.order, [1, 0]);
+        assert_eq!(plan.access, [Access::AllBound, Access::Index(vec![1])]);
+
+        // Fully bound before partially bound, whatever the extents: D
+        // grounds `vulnerable(D)`, then `hacl` is probed on D and binds S
+        // for a membership check of `compromised` — nothing is scanned.
+        let (mut db, rules) = setup(
+            "compromised(D) :- compromised(S), hacl(S, D), vulnerable(D).\n\
+             compromised(D) :- attacker(D).\n\
+             attacker(h0). hacl(h0, h1). hacl(h1, h2). hacl(h2, h0).\n\
+             vulnerable(h0). vulnerable(h1). vulnerable(h2). vulnerable(h3).",
+        );
+        naive_fixpoint(&mut db, &rules);
+        let plan = check_plan_of(&db, &rules, "compromised", 3);
+        assert_eq!(plan.order, [2, 1, 0]);
+        assert!(!plan.access.contains(&Access::Scan), "{plan:?}");
+
+        // A negated literal runs as soon as it is ground: here right after
+        // the head binds X, before either positive atom.
+        let (mut db, rules) = setup(
+            "ok(X, Y) :- big(X, Y), !banned(X), small(Y).\n\
+             big(a, b). big(b, c). small(b). banned(b).",
+        );
+        naive_fixpoint(&mut db, &rules);
+        assert_eq!(check_plan_of(&db, &rules, "ok", 3).order, [1, 0, 2]);
+        let (a, b) = (db.sym("a"), db.sym("b"));
+        assert!(rule_derives(&db, &rules[0], &[a, b]));
+        assert!(!rule_derives(&db, &rules[0], &[b, a]));
+    }
+
+    #[test]
+    fn check_plan_is_a_function_of_program_and_facts() {
+        // Same program and facts, stated in another order: same plans, and
+        // asking again (or asking a clone) does not change them.
+        let rules_src = "same(X, Y) :- parent(X, P), parent(Y, P).\n\
+                         same(X, Y) :- parent(X, P), same(P, Q), parent(Y, Q).\n";
+        let facts = ["parent(a, r).", "parent(b, r).", "parent(c, a).", "parent(d, b)."];
+        let plans = |facts: Vec<&str>| {
+            let (mut db, rules) = setup(&format!("{rules_src}{}", facts.join(" ")));
+            naive_fixpoint(&mut db, &rules);
+            ensure_indices(&mut db, &rules, true);
+            let plans: Vec<CheckPlan> = rules.iter().map(|r| r.check_plan(&db).clone()).collect();
+            let again: Vec<CheckPlan> = rules.to_vec().iter().map(|r| r.check_plan(&db).clone()).collect();
+            assert_eq!(plans, again);
+            plans
+        };
+        let forward = plans(facts.to_vec());
+        assert_eq!(forward, plans(facts.iter().rev().copied().collect()));
+        assert_eq!(forward[1].order, [0, 2, 1], "both parents are bound, then same is ground");
     }
 
     #[test]

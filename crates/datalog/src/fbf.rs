@@ -1,12 +1,11 @@
 //! Counting-based backward/forward (FBF) maintenance: the
 //! deletion-heavy alternative to DRed.
 //!
-//! DRed ([`crate::incr`]) treats every deletion pessimistically: it
-//! overdeletes everything a removed tuple *might* have supported, then
-//! rederives the survivors. On deletion-heavy streams most overdeleted
-//! tuples come straight back. FBF keeps a per-tuple **derivation count**
-//! in the row arena instead ([`crate::rel::Relation::support`]) so most
-//! deletions resolve to a counter decrement with no propagation at all.
+//! DRed ([`crate::incr`]) finds every tuple a removed tuple *might* have
+//! supported and puts each to a proof search before deleting it. FBF keeps
+//! a per-tuple **derivation count** in the row arena instead
+//! ([`crate::rel::Relation::support`]) so most deletions resolve to a
+//! counter decrement with no search and no propagation at all.
 //! Both backends read the pre-update state through the same overlay
 //! ([`crate::incr::OldView`]) and assemble their net delta from what
 //! their phases track, so neither copies nor walks an extent.
@@ -19,8 +18,9 @@
 //! complete variable binding of a safe rule is one derivation
 //! ([`rule_derivation_count`] enumerates them). Recursive rules are never
 //! counted: cyclic support makes counting unsound there, so recursive
-//! SCCs fall back to a DRed-style delete/rederive pass *restricted to
-//! the recursive rules* (the forward phase below).
+//! SCCs fall back to DRed's prove-or-delete pass *restricted to the
+//! recursive rules*, with a positive count as the proof's base case (the
+//! forward phase below).
 //!
 //! The stored count obeys the invariant the update relies on:
 //!
@@ -31,9 +31,9 @@
 //! exact recount); overcounts would wrongly skip deletions, so
 //! membership transitions are only ever decided from an exact recount,
 //! and the decrement fast path never crosses zero. The zero side is
-//! load-bearing: a deleted candidate with a stored zero is rederived
-//! through the recursive rules *only*, so a tuple whose non-recursive
-//! support was never counted would be lost. [`init_counts_scc`] must
+//! load-bearing: a candidate with a stored zero is proved through the
+//! recursive rules *only*, so a tuple whose non-recursive support was
+//! never counted would be lost. [`init_counts_scc`] must
 //! therefore run before the first FBF update — the engine does so at
 //! materialization, on strategy switch, and after a rollback (counts
 //! are a pure function of extents and rules, so recovery is a recount,
@@ -55,13 +55,14 @@
 //!    deletion candidates, absent tuples with new support become
 //!    insertions.
 //! 3. **Forward** (recursive SCCs only) — count-zeroed tuples plus heads
-//!    of destroyed recursive derivations seed a cascade over the
-//!    recursive rules; candidates whose count is still positive are
-//!    saved without cascading. Deleted candidates are rederived through
-//!    recursive rules only (their non-recursive count is exactly zero) —
-//!    DRed's one pass, [`crate::incr::rederive`], one check per candidate
-//!    — and insertions propagate semi-naively
-//!    (`datalog.fbf.forward_rederive_ns`).
+//!    of destroyed recursive derivations are the candidates of
+//!    [`crate::incr::overdelete`] over the recursive rules: one whose
+//!    count is still positive is saved outright, one the proof search
+//!    ([`crate::prove`]) grounds in positively counted facts stays too,
+//!    and only the rest are deleted and cascade. Nothing deleted can be
+//!    rederived from what survived, so insertions — count-gained tuples
+//!    and derivations the new inputs enable — then propagate semi-naively
+//!    (`datalog.fbf.forward_rederive_ns` times the whole phase).
 //!
 //! Non-recursive cliques skip phase 3 entirely: the net delta is read
 //! straight off the count transitions.
@@ -80,10 +81,10 @@ use crate::eval::{
 };
 use crate::hash::{Map, Set};
 use crate::incr::{
-    delta_lists, delta_pin_jobs, insert_and_net, overdelete, rederive, Delta, OldView, ScopeCounter,
+    delta_lists, delta_pin_jobs, insert_and_net, overdelete, Delta, OldView, ScopeCounter,
 };
 use crate::rel::{Database, PredId};
-use crate::value::Tuple;
+use crate::value::{Tuple, Value};
 use incr_obs::flight::{self, FlightCode};
 use incr_obs::trace;
 use std::time::Instant;
@@ -91,7 +92,7 @@ use std::time::Instant;
 /// Which incremental maintenance backend non-aggregate cliques run under.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum MaintenanceStrategy {
-    /// Classic delete/rederive: overdelete, rederive, insert.
+    /// Delete/rederive, the deletion proof-guarded: prove or delete, insert.
     #[default]
     DRed,
     /// Counting-based backward/forward: per-tuple derivation counts with
@@ -153,7 +154,6 @@ pub fn update_scc_fbf(
     let input_lists = delta_lists(input);
 
     let mut saved: u64 = 0;
-    let mut backward: u64 = 0;
 
     // ---- Phase 1: count deltas for the non-recursive rules. ----
     let count_span = trace::span("datalog", "fbf.count");
@@ -214,7 +214,7 @@ pub fn update_scc_fbf(
     let backward_span = trace::span("datalog", "fbf.backward");
     let mut backward_f = flight::span(FlightCode::FbfBackward);
     let heads_nonrec = nonrecursive_by_head(rules, scc_preds);
-    backward += recount.len() as u64;
+    let backward = recount.len() as u64;
 
     // Recount exactly and apply: present tuples hitting zero become
     // deletion candidates; absent tuples gaining support become
@@ -260,7 +260,7 @@ pub fn update_scc_fbf(
         return out;
     }
 
-    // ---- Recursive clique: DRed-style pass over the recursive rules. ----
+    // ---- Recursive clique: DRed's two phases over the recursive rules. ----
     // Timed as a whole, cascade to net delta, by the forward counter.
     let _forward_timer = ScopeCounter {
         counter: "datalog.fbf.forward_rederive_ns",
@@ -270,19 +270,18 @@ pub fn update_scc_fbf(
     // Backward cascade: candidates are count-zeroed tuples plus heads of
     // destroyed recursive derivations; a candidate whose count is still
     // positive has a surviving non-recursive derivation and is saved
-    // without entering the cascade at all. Phases 1-2 touched counts
-    // only, so the clique's live relations are still its old ones.
+    // without a search, and such facts are where the others' proofs end.
+    // Phases 1-2 touched counts only, so the clique's live relations are
+    // still its old ones.
     let deleted = {
         let view = OldView {
             db,
             patches: &patches,
         };
-        let spared = |p: PredId, t: &Tuple| {
-            let counted = view.db.rel(p).support(t) > 0;
-            saved += u64::from(counted);
-            counted
-        };
-        overdelete(&view, &rec, &input_lists, zeroed, spared)
+        let spared = |p: PredId, t: &[Value]| view.db.rel(p).support(t) > 0;
+        let (deleted, spared) = overdelete(&view, &rec, scc_preds, &input_lists, zeroed, spared);
+        saved += spared;
+        deleted
     };
     for (&p, ts) in &deleted {
         for t in ts {
@@ -290,16 +289,14 @@ pub fn update_scc_fbf(
         }
     }
 
-    // Forward: rederive deleted candidates through the recursive rules
-    // only (their non-recursive count is exactly zero, so non-recursive
-    // rules cannot bring them back), then propagate insertions.
+    // Forward: propagate insertions — count-gained tuples (exact support
+    // attached) plus derivations newly enabled through the recursive
+    // rules. Nothing deleted has an instance left over what survived (its
+    // non-recursive count is exactly zero and the proof search went
+    // through its recursive instances), so there is nothing to rederive.
     let forward_span = trace::span("datalog", "fbf.forward");
     let mut forward_f = flight::span(FlightCode::FbfForward);
-    let (mut seed, checks) = rederive(db, &deleted, &rec);
-    backward += checks;
-
-    // Insertions: count-gained tuples (exact support attached) plus
-    // derivations newly enabled through the recursive rules.
+    let mut seed: Map<PredId, Set<Tuple>> = Map::default();
     for (p, t, c) in gained {
         if db.rel_mut(p).insert(t.clone()) {
             db.rel_mut(p).set_support(&t, sat(c));

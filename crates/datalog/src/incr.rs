@@ -3,29 +3,28 @@
 //!
 //! Given *final* input deltas (the upstream predicates have finished
 //! updating — exactly the safety discipline the scheduler enforces), the
-//! clique's task runs three phases:
+//! clique's task runs two phases:
 //!
-//! 1. **Overdelete** — find every tuple whose known derivation used a
-//!    removed input tuple (or relied on the absence of an added one,
-//!    for negated literals), evaluated against the *old state* (an
-//!    [`OldView`]: the live relations with the input deltas undone by an
-//!    overlay, not a copy); cascade within the clique; remove all
-//!    candidates.
-//! 2. **Rederive** — one pass: each candidate is checked once, with the
-//!    head-bound plan ([`rule_derives`]) instead of re-evaluating whole
-//!    rules, against what overdeletion left; those a rule still derives
-//!    are reinstated and seed phase 3, whose rounds find whatever they in
-//!    turn support.
-//! 3. **Insert** — semi-naive propagation of the reinstated tuples, of
-//!    added input tuples and of derivations newly enabled by removed
-//!    blockers, to fixpoint.
+//! 1. **Prove or delete** ([`overdelete`]) — find every tuple whose known
+//!    derivation used a removed input tuple (or relied on the absence of
+//!    an added one, for negated literals), evaluated against the *old
+//!    state* (an [`OldView`]: the live relations with the input deltas
+//!    undone by an overlay, not a copy), and put each to a grounded proof
+//!    search over the new inputs ([`crate::prove`]): proved, it stays and
+//!    nothing it supports is looked at; unproved, it is recorded and
+//!    cascades within the clique. Then remove all the unproved.
+//! 2. **Insert** — semi-naive propagation of added input tuples and of
+//!    derivations newly enabled by removed blockers, to fixpoint.
 //!
-//! An overdeleted tuple that comes back — in phase 2 or 3 — gets its own
-//! row back ([`Relation::insert`] revives a tombstone of the open epoch),
-//! so what a task writes to the row store is its net delta. Every phase
-//! that allocates rows works from sorted delta lists and merges its
-//! derivations with a sort, so the result — down to the row order of
-//! what is inserted — is a pure function of the inputs.
+//! There is no rederivation phase: a deleted tuple has no rule instance
+//! over the facts that survived (every old-extent fact without a proof was
+//! itself a candidate), so its only way back is through a tuple phase 2
+//! adds. One that does come back gets its own row back
+//! ([`Relation::insert`] revives a tombstone of the open epoch), so what a
+//! task writes to the row store is its net delta. Every phase that
+//! allocates rows works from sorted delta lists and merges its derivations
+//! with a sort, so the result — down to the row order of what is inserted
+//! — is a pure function of the inputs.
 //!
 //! The output delta per predicate is the exact set difference between the
 //! old and new extents, so downstream tasks see *net* changes only — a
@@ -36,12 +35,13 @@
 //! its deltas and its join work, never the size of an extent.
 
 use crate::eval::{
-    ensure_indices, eval_agg_rule, eval_pin_jobs, eval_rule, rule_derives, seminaive_scc, CRule,
-    Patch, Pin, PinJob, PinMode, Rels,
+    ensure_indices, eval_agg_rule, eval_pin_jobs, eval_rule, seminaive_scc, CRule, Patch, Pin,
+    PinJob, PinMode, Rels,
 };
 use crate::hash::{Map, Set};
+use crate::prove::Prover;
 use crate::rel::{Database, PredId, Relation};
-use crate::value::Tuple;
+use crate::value::{Tuple, Value};
 use incr_obs::flight::{self, FlightCode};
 use incr_obs::trace;
 use std::time::Instant;
@@ -205,21 +205,27 @@ pub(crate) fn delta_pin_jobs<'a>(
 }
 
 /// Overdeletion: every clique tuple with a derivation through `rules`
-/// that the update destroyed, found against the old `view`. Candidates
-/// are the heads of derivations that used a changed input, plus `doomed`;
-/// each one not `spared` is recorded and cascades through `rules` within
-/// the clique (negation inside a clique is rejected by stratification, so
-/// the cascade only ever pins positive atoms). The clique's relations are
-/// not mutated until the caller removes the returned sets, so membership
-/// in the live relation is membership in the old one.
+/// that the update destroyed, found against the old `view`, and no proof
+/// left in the new state. Candidates are the heads of derivations that
+/// used a changed input, plus `doomed`. One the [`Prover`] proves — from
+/// `spared` facts and instances of `rules` over the new inputs — stays,
+/// and nothing becomes a candidate through it; the others are recorded
+/// and cascade through `rules` within the clique (negation inside a clique
+/// is rejected by stratification, so the cascade only pins positive atoms).
+/// The clique's relations are not mutated until the caller removes the
+/// returned sets, so membership in the live relation is membership in the
+/// old one. Also returns how many candidates were `spared` outright.
 pub(crate) fn overdelete(
     view: &OldView<'_>,
     rules: &[&CRule],
+    scc_preds: &[PredId],
     input_lists: &DeltaLists,
     doomed: Vec<(PredId, Tuple)>,
-    mut spared: impl FnMut(PredId, &Tuple) -> bool,
-) -> Map<PredId, Set<Tuple>> {
+    spared: impl Fn(PredId, &[Value]) -> bool,
+) -> (Map<PredId, Set<Tuple>>, u64) {
     let mut deleted: Map<PredId, Set<Tuple>> = Map::default();
+    let mut spared_candidates = 0;
+    let mut prover = Prover::new(view.db, rules, scc_preds, &spared);
     let jobs = delta_pin_jobs(rules, input_lists, true);
     let mut fresh = eval_pin_jobs(view, &jobs, |head, t| view.db.rel(head).contains(t));
     fresh.extend(doomed);
@@ -227,7 +233,9 @@ pub(crate) fn overdelete(
         // A round is itself a delta: removals from clique predicates.
         let mut round: DeltaLists = Map::default();
         for (p, t) in fresh {
-            if !spared(p, &t) && deleted.entry(p).or_default().insert(t.clone()) {
+            if spared(p, &t) {
+                spared_candidates += 1;
+            } else if !prover.check(p, &t) && deleted.entry(p).or_default().insert(t.clone()) {
                 round.entry(p).or_default().1.push(t);
             }
         }
@@ -236,49 +244,17 @@ pub(crate) fn overdelete(
         }
         let jobs = delta_pin_jobs(rules, &round, true);
         if jobs.is_empty() {
-            return deleted;
+            let reg = incr_obs::registry();
+            reg.counter("datalog.dred.overdeleted")
+                .add(deleted.values().map(|s| s.len() as u64).sum());
+            reg.counter("datalog.dred.proof_expansions")
+                .add(prover.expansions);
+            return (deleted, spared_candidates);
         }
         fresh = eval_pin_jobs(view, &jobs, |head, t| {
             view.db.rel(head).contains(t) && !deleted.get(&head).is_some_and(|d| d.contains(t))
         });
     }
-}
-
-/// Rederivation: put back (and return) every `deleted` tuple some rule of
-/// `rules` derives from the state overdeletion left, checked once per
-/// candidate with the head-bound plan ([`rule_derives`]) instead of
-/// re-evaluating whole rules. One pass is the whole step: a candidate
-/// whose only surviving derivations run *through* a reinstated tuple is
-/// found when the caller's semi-naive rounds pin that tuple — the result
-/// is their seed. The candidates' rows were tombstoned in this epoch, so
-/// reinstating one revives its row and the order they go in is immaterial.
-/// Also returns how many candidate checks ran.
-pub(crate) fn rederive(
-    db: &mut Database,
-    deleted: &Map<PredId, Set<Tuple>>,
-    rules: &[&CRule],
-) -> (Map<PredId, Set<Tuple>>, u64) {
-    let mut seed: Map<PredId, Set<Tuple>> = Map::default();
-    let mut checks = 0u64;
-    for (&p, ts) in deleted {
-        let rs: Vec<&CRule> = rules.iter().copied().filter(|r| r.head.pred == p).collect();
-        if rs.is_empty() {
-            continue;
-        }
-        checks += ts.len() as u64;
-        for t in ts.iter().filter(|t| rs.iter().any(|r| rule_derives(db, r, t))) {
-            seed.entry(p).or_default().insert(t.clone());
-        }
-    }
-    for (&p, ts) in &seed {
-        for t in ts {
-            db.rel_mut(p).insert(t.clone());
-        }
-    }
-    incr_obs::registry()
-        .counter("datalog.dred.rederive_checks")
-        .add(checks);
-    (seed, checks)
 }
 
 /// Apply an update to one clique.
@@ -296,20 +272,20 @@ pub fn update_scc(
     scc_preds: &[PredId],
     input: &Map<PredId, Delta>,
 ) -> Map<PredId, Delta> {
-    // ---- Phase 1: overdeletion against the old view. ----
+    // ---- Phase 1: prove or delete, against the old view. ----
     // Each DRed phase is triply accounted: a trace span (opt-in, rich),
     // a flight-recorder span (always on, lands in black-box dumps), and
     // an always-on phase-time counter (`datalog.dred.*_ns`) that the
-    // attribution layer reads without tracing enabled. The three
-    // phases tile the task: the first starts here, the last ends with the
-    // net delta.
+    // attribution layer reads without tracing enabled. The two phases
+    // tile the task: the first starts here, the last ends with the net
+    // delta.
     let dred_overdelete = trace::span("datalog", "dred.overdelete");
     let mut overdelete_f = flight::span(FlightCode::DredOverdelete);
     let overdelete_t0 = Instant::now();
 
     // Indices first, so the old view's patches mirror them and every
-    // phase probes instead of scanning. Includes the check plans for the
-    // rederive phase.
+    // phase probes instead of scanning. Includes the check plans the
+    // proof search walks.
     ensure_indices(db, rules, true);
     let all: Vec<&CRule> = rules.iter().collect();
     let input_lists = delta_lists(input);
@@ -318,7 +294,7 @@ pub fn update_scc(
         db,
         patches: &patches,
     };
-    let deleted = overdelete(&view, &all, &input_lists, Vec::new(), |_, _| false);
+    let (deleted, _) = overdelete(&view, &all, scc_preds, &input_lists, Vec::new(), |_, _| false);
     for (&p, ts) in &deleted {
         for t in ts {
             db.rel_mut(p).remove(t);
@@ -332,23 +308,10 @@ pub fn update_scc(
     drop(overdelete_f);
     dred_overdelete.end_args(vec![("overdeleted", (overdeleted as u64).into())]);
 
-    // ---- Phase 2: rederive overdeleted tuples with other derivations. ----
-    let dred_rederive = trace::span("datalog", "dred.rederive");
-    let mut rederive_f = flight::span(FlightCode::DredRederive);
-    let rederive_t0 = Instant::now();
-    let (mut seed, _) = rederive(db, &deleted, &all);
-    let rederived_total: usize = seed.values().map(|s| s.len()).sum();
-    incr_obs::registry()
-        .counter("datalog.dred.rederive_ns")
-        .add(rederive_t0.elapsed().as_nanos() as u64);
-    rederive_f.set_arg(rederived_total as u64);
-    drop(rederive_f);
-    dred_rederive.end_args(vec![("rederived", (rederived_total as u64).into())]);
-
-    // ---- Phase 3: insertions (added inputs + removed blockers). ----
-    // All pins evaluate against the post-rederive state; anything one
-    // insertion enables through a clique predicate is picked up by the
-    // semi-naive rounds (the seed carries every insert).
+    // ---- Phase 2: insertions (added inputs + removed blockers). ----
+    // All pins evaluate against what phase 1 left; anything one insertion
+    // enables through a clique predicate is picked up by the semi-naive
+    // rounds (the seed carries every insert).
     let dred_insert = trace::span("datalog", "dred.insert");
     let mut insert_f = flight::span(FlightCode::DredInsert);
     let insert_t0 = Instant::now();
@@ -357,12 +320,13 @@ pub fn update_scc(
         let jobs = delta_pin_jobs(&all, &input_lists, false);
         eval_pin_jobs(dbr, &jobs, |head, t| !dbr.rel(head).contains(t))
     };
+    let mut seed: Map<PredId, Set<Tuple>> = Map::default();
     for (p, t) in gained {
         if db.rel_mut(p).insert(t.clone()) {
             seed.entry(p).or_default().insert(t);
         }
     }
-    let inserted_seed: usize = seed.values().map(|s| s.len()).sum::<usize>() - rederived_total;
+    let inserted_seed: usize = seed.values().map(|s| s.len()).sum();
     let out = insert_and_net(db, rules, scc_preds, deleted, seed, false);
     incr_obs::registry()
         .counter("datalog.dred.insert_ns")

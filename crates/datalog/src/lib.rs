@@ -16,7 +16,7 @@
 //! * [`eval`] — naive and semi-naive bottom-up evaluation, plus grouped
 //!   aggregate evaluation (`count`/`sum`/`min`/`max` heads).
 //! * [`incr`] — incremental maintenance: delta-driven insertion and
-//!   delete-rederive (DRed) deletion.
+//!   delete-rederive (DRed) deletion behind a grounded proof search.
 //! * [`fbf`] — the counting-based backward/forward maintenance backend:
 //!   per-tuple derivation counts that absorb most deletions without
 //!   propagation, with a DRed-style fallback inside recursive SCCs.
@@ -39,6 +39,7 @@ pub mod hash;
 pub mod incr;
 pub mod mvcc;
 pub mod parser;
+mod prove;
 pub mod query;
 pub mod rel;
 pub mod shard;

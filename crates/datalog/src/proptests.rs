@@ -56,6 +56,16 @@ const PARITY_RULES: &str = "odd(X, Y) :- edge(X, Y).\n\
                             odd(X, Y) :- edge(X, Z), even(Z, Y).\n\
                             even(X, Y) :- edge(X, Z), odd(Z, Y).\n";
 
+/// Non-linear closure: both body atoms of the recursive rule are in the
+/// clique, so one rule instance can wait for two facts.
+const NLTC_RULES: &str = "path(X, Y) :- edge(X, Y).\n\
+                          path(X, Z) :- path(X, Y), path(Y, Z).\n";
+
+/// Same generation, reading `edge` as parent → child: the clique atom
+/// sits between two input atoms.
+const SG_RULES: &str = "sg(X, Y) :- edge(P, X), edge(P, Y).\n\
+                        sg(X, Y) :- edge(P, X), sg(P, Q), edge(Q, Y).\n";
+
 fn program_src(rules: &str, edges: &[(usize, usize)]) -> String {
     let mut src = String::from(rules);
     for &(a, b) in edges {
@@ -747,6 +757,22 @@ proptest! {
     }
 
     #[test]
+    fn fbf_matches_dred_on_nonlinear_recursion(
+        edges in edges_strategy(),
+        edits in edits_strategy(),
+    ) {
+        assert_strategy_equivalent(NLTC_RULES, &[("edge", 2), ("path", 2)], &edges, &edits)?;
+    }
+
+    #[test]
+    fn fbf_matches_dred_on_same_generation(
+        edges in edges_strategy(),
+        edits in edits_strategy(),
+    ) {
+        assert_strategy_equivalent(SG_RULES, &[("edge", 2), ("sg", 2)], &edges, &edits)?;
+    }
+
+    #[test]
     fn fbf_matches_dred_with_negation(
         edges in edges_strategy(),
         edits in edits_strategy(),
@@ -808,7 +834,10 @@ proptest! {
         edits in edits_strategy(),
         deletions in deletion_heavy_strategy(),
     ) {
-        for rules in [TC_RULES, RTC_RULES, NEG_RULES, TRI_RULES, PARITY_RULES, AGG_RULES] {
+        let templates = [
+            TC_RULES, RTC_RULES, NLTC_RULES, SG_RULES, NEG_RULES, TRI_RULES, PARITY_RULES, AGG_RULES,
+        ];
+        for rules in templates {
             for strategy in [MaintenanceStrategy::DRed, MaintenanceStrategy::Fbf] {
                 assert_tasks_match_oracles(rules, &edges, &edits, strategy)?;
                 assert_tasks_match_oracles(rules, &edges, &deletions, strategy)?;

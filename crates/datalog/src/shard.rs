@@ -1144,6 +1144,7 @@ impl ShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fbf::MaintenanceStrategy;
     use crate::stream::DeltaQueue;
     use incr_sched::{Hybrid, LevelBased};
 
@@ -1256,6 +1257,30 @@ mod tests {
             assert_eq!(e.count("path"), 2, "{shards} shards");
             assert!(!e.has("path", &["a", "c"]), "{shards} shards");
         }
+    }
+
+    #[test]
+    fn program_fact_of_a_derived_predicate_is_refused_not_lost() {
+        // One engine keeps such a fact as a rule with an empty body. Here
+        // facts travel as base-table edits, which a derived predicate does
+        // not take, so the program is refused before any shard exists —
+        // under either backend — rather than loaded and later forgotten.
+        let src = "reach(n0).\n\
+                   reach(Y) :- reach(X), edge(X, Y).\n\
+                   edge(n0, n1). edge(n1, n0).";
+        for strategy in [MaintenanceStrategy::DRed, MaintenanceStrategy::Fbf] {
+            let opts = EvalOptions::default().with_maintenance(strategy);
+            let err = ShardedEngine::with_options(src, 2, opts, mk_sched).err();
+            assert!(
+                matches!(&err, Some(EngineError::Edit(m)) if m.contains("derived predicate reach")),
+                "{strategy}: {err:?}"
+            );
+        }
+        // With the seed in a base table the same cut keeps both tuples.
+        let src = src.replace("reach(n0).", "start(n0).\nreach(X) :- start(X).");
+        let mut e = ShardedEngine::new(&src, 2, mk_sched).unwrap();
+        e.update(&[FactEdit::remove("edge", &["n1", "n0"])]).unwrap();
+        assert_eq!(e.query("reach(?)").unwrap(), ["(n0)", "(n1)"]);
     }
 
     #[test]

@@ -73,30 +73,28 @@ pub enum FlightCode {
     QueueDepth = 8,
     /// Tasks in flight (popped, not yet committed).
     InFlight = 9,
-    /// DRed phase 1: overdeletion.
+    /// DRed phase 1: prove or delete.
     DredOverdelete = 10,
-    /// DRed phase 2: rederivation.
-    DredRederive = 11,
-    /// DRed phase 3: insertion.
-    DredInsert = 12,
+    /// DRed phase 2: insertion.
+    DredInsert = 11,
     /// Full clique re-evaluation.
-    Reevaluate = 13,
+    Reevaluate = 12,
     /// Journal replay resumed a partially-committed update.
-    JournalReplay = 14,
+    JournalReplay = 13,
     /// One shard's participation in one cross-shard exchange round.
-    ShardRound = 15,
+    ShardRound = 14,
     /// A sharded batch aborted and rolled back on every shard.
-    ShardAbort = 16,
+    ShardAbort = 15,
     /// FBF count phase: derivation-count deltas applied to a clique.
-    FbfCount = 17,
+    FbfCount = 16,
     /// FBF backward phase: alternative-derivation searches.
-    FbfBackward = 18,
-    /// FBF forward phase: rederivation + insertion inside a recursive SCC.
-    FbfForward = 19,
+    FbfBackward = 17,
+    /// FBF forward phase: prove-or-delete + insertion inside a recursive SCC.
+    FbfForward = 18,
 }
 
 /// All codes, indexable by discriminant — the decode table for slots.
-const CODES: [FlightCode; 20] = [
+const CODES: [FlightCode; 19] = [
     FlightCode::UpdateRun,
     FlightCode::PopBatch,
     FlightCode::Commit,
@@ -108,7 +106,6 @@ const CODES: [FlightCode; 20] = [
     FlightCode::QueueDepth,
     FlightCode::InFlight,
     FlightCode::DredOverdelete,
-    FlightCode::DredRederive,
     FlightCode::DredInsert,
     FlightCode::Reevaluate,
     FlightCode::JournalReplay,
@@ -138,7 +135,6 @@ impl FlightCode {
             FlightCode::QueueDepth => "exec.queue_depth",
             FlightCode::InFlight => "exec.in_flight",
             FlightCode::DredOverdelete => "dred.overdelete",
-            FlightCode::DredRederive => "dred.rederive",
             FlightCode::DredInsert => "dred.insert",
             FlightCode::Reevaluate => "clique.reevaluate",
             FlightCode::JournalReplay => "exec.journal_replay",
@@ -155,7 +151,6 @@ impl FlightCode {
         match self {
             FlightCode::PopBatch => "sched",
             FlightCode::DredOverdelete
-            | FlightCode::DredRederive
             | FlightCode::DredInsert
             | FlightCode::Reevaluate
             | FlightCode::FbfCount
@@ -177,7 +172,6 @@ impl FlightCode {
             FlightCode::TaskRetry | FlightCode::TaskFail => "node",
             FlightCode::ExecError => "kind",
             FlightCode::DredOverdelete => "overdeleted",
-            FlightCode::DredRederive => "rederived",
             FlightCode::DredInsert => "inserted",
             FlightCode::Reevaluate => "nodes",
             FlightCode::JournalReplay => "replayed",

@@ -453,7 +453,7 @@ mod tests {
             dropped: 0,
             events: vec![
                 ev("task", "exec", Phase::Begin, 10.0, vec![("node", 2u64.into())]),
-                ev("dred.rederive", "datalog", Phase::Begin, 20.0, vec![]),
+                ev("dred.overdelete", "datalog", Phase::Begin, 20.0, vec![]),
                 ev("join.step", "datalog", Phase::Begin, 25.0, vec![]),
                 ev("", "", Phase::End, 45.0, vec![]),
                 ev("", "", Phase::End, 60.0, vec![]),

@@ -1,10 +1,11 @@
 //! End-to-end Datalog correctness: randomized edit sequences maintained
-//! incrementally (through every scheduler) must always agree with full
-//! recomputation from scratch.
+//! incrementally (through every scheduler, under both maintenance
+//! strategies) must always agree with full recomputation from scratch.
 
-use datalog_sched::datalog::{FactEdit, IncrementalEngine};
+use datalog_sched::datalog::{EvalOptions, FactEdit, IncrementalEngine, MaintenanceStrategy};
 use datalog_sched::sched::{Scheduler, SchedulerKind};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 const RULES: &str = "
     path(X, Y) :- edge(X, Y).
@@ -17,97 +18,166 @@ const RULES: &str = "
     start(n0).
 ";
 
+/// One rule set of the differential test: its rules (program facts only
+/// of predicates no edit reaches), the base tables the edits go to, and the
+/// derived predicates compared with a fresh engine, each with its arity.
+struct RuleSet {
+    name: &'static str,
+    rules: &'static str,
+    base: &'static [(&'static str, usize)],
+    derived: &'static [(&'static str, usize)],
+}
+
+const RULE_SETS: &[RuleSet] = &[
+    // Left-linear closure, and negation over an upstream recursive clique.
+    RuleSet {
+        name: "left-linear TC + negation",
+        rules: RULES,
+        base: &[("edge", 2)],
+        derived: &[("path", 2), ("node", 1), ("reach", 1), ("cut", 1)],
+    },
+    RuleSet {
+        name: "right-linear TC",
+        rules: "path(X, Y) :- edge(X, Y).\n path(X, Z) :- edge(X, Y), path(Y, Z).\n",
+        base: &[("edge", 2)],
+        derived: &[("path", 2)],
+    },
+    RuleSet {
+        name: "non-linear TC",
+        rules: "path(X, Y) :- edge(X, Y).\n path(X, Z) :- path(X, Y), path(Y, Z).\n",
+        base: &[("edge", 2)],
+        derived: &[("path", 2)],
+    },
+    RuleSet {
+        name: "same generation",
+        rules: "sg(X, Y) :- flat(X, Y).\n sg(X, Y) :- up(X, U), sg(U, V), down(V, Y).\n",
+        base: &[("flat", 2), ("up", 2), ("down", 2)],
+        derived: &[("sg", 2)],
+    },
+    // Mutual recursion: a two-predicate clique.
+    RuleSet {
+        name: "parity",
+        rules: "even(X) :- zero(X).\n odd(Y) :- even(X), edge(X, Y).\n \
+                even(Y) :- odd(X), edge(X, Y).\n",
+        base: &[("edge", 2), ("zero", 1)],
+        derived: &[("even", 1), ("odd", 1)],
+    },
+    RuleSet {
+        name: "two clique atoms in one body",
+        rules: "a(X, Y) :- edge(X, Y).\n b(X, Y) :- a(X, Y), mark(Y).\n \
+                a(X, Z) :- a(X, Y), b(Y, Z).\n",
+        base: &[("edge", 2), ("mark", 1)],
+        derived: &[("a", 2), ("b", 2)],
+    },
+    RuleSet {
+        name: "negation over a non-linear clique",
+        rules: "path(X, Y) :- edge(X, Y).\n path(X, Z) :- path(X, Y), path(Y, Z).\n \
+                node(X) :- edge(X, Y).\n node(Y) :- edge(X, Y).\n \
+                apart(X, Y) :- node(X), node(Y), !path(X, Y).\n",
+        base: &[("edge", 2)],
+        derived: &[("path", 2), ("apart", 2)],
+    },
+    // The seed is a program fact of the derived predicate itself, and the
+    // graph may run cycles through it.
+    RuleSet {
+        name: "reach seeded by its own program fact",
+        rules: "reach(n0).\n reach(Y) :- reach(X), edge(X, Y).\n \
+                reach(Y) :- reach(X), hop(X, Y).\n",
+        base: &[("edge", 2), ("hop", 2)],
+        derived: &[("reach", 1)],
+    },
+];
+
 const VERTS: usize = 6;
 
 fn vname(i: usize) -> String {
     format!("n{i}")
 }
 
-/// Build engine with the rule base plus the given edge facts.
-fn engine_with(edges: &[(usize, usize)]) -> IncrementalEngine {
-    let mut src = String::from(RULES);
-    for &(a, b) in edges {
-        src.push_str(&format!("edge({}, {}).\n", vname(a), vname(b)));
-    }
-    IncrementalEngine::new(&src).expect("valid program")
+/// A base fact: predicate and its arguments (vertex numbers).
+type Fact = (&'static str, Vec<usize>);
+
+fn args(fact: &Fact) -> Vec<String> {
+    fact.1.iter().map(|&v| vname(v)).collect()
 }
 
-/// Canonical state of all derived predicates.
-fn snapshot(e: &IncrementalEngine) -> Vec<(String, usize)> {
-    ["path", "node", "reach", "cut", "edge"]
-        .iter()
-        .map(|p| (p.to_string(), e.count(p)))
-        .collect()
+/// Build an engine with the rule set plus the given base facts.
+fn engine_with(rules: &str, facts: &BTreeSet<Fact>, strategy: MaintenanceStrategy) -> IncrementalEngine {
+    let mut src = String::from(rules);
+    for fact in facts {
+        src.push_str(&format!("{}({}).\n", fact.0, args(fact).join(", ")));
+    }
+    let opts = EvalOptions::default().with_maintenance(strategy);
+    IncrementalEngine::with_options(&src, opts).expect("valid program")
 }
 
-/// Detailed membership check between two engines.
-fn assert_same_facts(incr: &IncrementalEngine, full: &IncrementalEngine) {
-    for p in ["path", "reach", "cut"] {
-        assert_eq!(incr.count(p), full.count(p), "size mismatch on {p}");
-    }
-    for a in 0..VERTS {
-        for b in 0..VERTS {
-            assert_eq!(
-                incr.has("path", &[&vname(a), &vname(b)]),
-                full.has("path", &[&vname(a), &vname(b)]),
-                "path({a},{b})"
-            );
-        }
-        assert_eq!(
-            incr.has("cut", &[&vname(a)]),
-            full.has("cut", &[&vname(a)]),
-            "cut({a})"
-        );
-    }
+/// The sorted rows of `pred`, as text (symbol ids differ between engines).
+fn extent(e: &IncrementalEngine, (pred, arity): (&str, usize)) -> Vec<String> {
+    let mut rows = e.query(&format!("{pred}({})", vec!["?"; arity].join(", "))).expect("valid pattern");
+    rows.sort();
+    rows
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Apply a random sequence of edge insertions/deletions incrementally
-    /// and compare with recomputation, for each scheduler kind.
+    /// Apply a random sequence of multi-edit updates incrementally and
+    /// compare every derived predicate with recomputation after each one —
+    /// for every rule set, under both maintenance strategies.
     #[test]
     fn incremental_equals_recompute(
-        initial_edges in proptest::collection::vec((0..VERTS, 0..VERTS), 0..8),
-        edits in proptest::collection::vec((any::<bool>(), 0..VERTS, 0..VERTS), 1..10),
+        initial in proptest::collection::vec((0usize..8, 0..VERTS, 0..VERTS), 0..10),
+        updates in proptest::collection::vec(
+            proptest::collection::vec((any::<bool>(), 0usize..8, 0..VERTS, 0..VERTS), 1..5),
+            1..8,
+        ),
         sched_pick in 0usize..4,
     ) {
-        let initial: Vec<(usize, usize)> = initial_edges
-            .into_iter()
-            .filter(|(a, b)| a != b)
-            .collect();
-        let mut engine = engine_with(&initial);
         let kind = [
             SchedulerKind::LevelBased,
             SchedulerKind::Lookahead(4),
             SchedulerKind::LogicBlox,
             SchedulerKind::Hybrid,
         ][sched_pick];
-        let mut sched: Box<dyn Scheduler> = kind.build(engine.dag().clone());
-
-        // Mirror of the base table for ground-truth reconstruction.
-        let mut edges: Vec<(usize, usize)> = initial.clone();
-        edges.sort_unstable();
-        edges.dedup();
-
-        for (add, a, b) in edits {
-            if a == b {
-                continue; // self-loops are not in the model
-            }
-            let edit = if add {
-                if !edges.contains(&(a, b)) {
-                    edges.push((a, b));
-                }
-                FactEdit::add("edge", &[&vname(a), &vname(b)])
-            } else {
-                edges.retain(|&e| e != (a, b));
-                FactEdit::remove("edge", &[&vname(a), &vname(b)])
+        for set in RULE_SETS {
+            // The generated picks, read against this rule set's base tables.
+            let fact = |pick: usize, a: usize, b: usize| -> Fact {
+                let (pred, arity) = set.base[pick % set.base.len()];
+                (pred, [a, b][..arity].to_vec())
             };
-            engine.update(sched.as_mut(), &[edit]).expect("update applies");
+            for strategy in [MaintenanceStrategy::DRed, MaintenanceStrategy::Fbf] {
+                // Mirror of the base tables for ground-truth reconstruction.
+                let mut facts: BTreeSet<Fact> =
+                    initial.iter().map(|&(pick, a, b)| fact(pick, a, b)).collect();
+                let mut engine = engine_with(set.rules, &facts, strategy);
+                let mut sched: Box<dyn Scheduler> = kind.build(engine.dag().clone());
+                for (step, update) in updates.iter().enumerate() {
+                    let mut edits = Vec::new();
+                    for &(add, pick, a, b) in update {
+                        let f = fact(pick, a, b);
+                        let texts = args(&f);
+                        let texts: Vec<&str> = texts.iter().map(String::as_str).collect();
+                        if add {
+                            edits.push(FactEdit::add(f.0, &texts));
+                            facts.insert(f);
+                        } else {
+                            edits.push(FactEdit::remove(f.0, &texts));
+                            facts.remove(&f);
+                        }
+                    }
+                    engine.update(sched.as_mut(), &edits).expect("update applies");
 
-            let full = engine_with(&edges);
-            prop_assert_eq!(snapshot(&engine), snapshot(&full), "{:?}", kind);
-            assert_same_facts(&engine, &full);
+                    let full = engine_with(set.rules, &facts, strategy);
+                    for &pred in set.base.iter().chain(set.derived) {
+                        prop_assert_eq!(
+                            extent(&engine, pred),
+                            extent(&full, pred),
+                            "{}: {} after update {} ({:?}, {}, {:?})",
+                            set.name, pred.0, step, update, strategy, kind
+                        );
+                    }
+                }
+            }
         }
     }
 }

@@ -1,6 +1,7 @@
 //! Every cargo target and every `dlsched` subcommand a CI step or a
 //! README command names exists — the acceptance check for retiring a bin,
-//! a bench, a test or a subcommand.
+//! a bench, a test or a subcommand — and the metric names `crates/datalog`
+//! emits are the ones `docs/METRICS.md` documents.
 
 use std::path::Path;
 
@@ -67,4 +68,71 @@ fn ci_and_readme_invoke_only_dlsched_subcommands_that_exist() {
         }
     }
     assert!(checked > 0, "no `dlsched <subcommand>` found: the scan is broken");
+}
+
+/// The metric families `crates/datalog` emits.
+const DATALOG_FAMILIES: [&str; 4] = ["datalog.", "mvcc.", "stream.", "shard."];
+
+fn is_datalog_metric(name: &str) -> bool {
+    DATALOG_FAMILIES.iter().any(|f| name.starts_with(f))
+        && name.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_' || c == '.')
+}
+
+/// Every counter or gauge name `crates/datalog` emits has a row in
+/// `docs/METRICS.md`, and every row of those families names one it emits —
+/// the static half of "every emitted metric is documented and every
+/// documented metric is emitted".
+#[test]
+fn datalog_metric_names_and_metrics_md_rows_agree() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut emitted: Vec<String> = Vec::new();
+    for entry in std::fs::read_dir(root.join("crates/datalog/src")).expect("crates/datalog/src") {
+        let path = entry.expect("directory entry").path();
+        let text = std::fs::read_to_string(&path).expect("source file");
+        // Non-test code: up to the file's test module (proptests.rs is
+        // declared `#[cfg(test)]` from lib.rs and holds no metric).
+        let code = text.split("#[cfg(test)]").next().unwrap_or_default();
+        // Odd segments between double quotes are string literals (no
+        // metric name sits near an escaped quote).
+        emitted.extend(
+            code.split('"')
+                .skip(1)
+                .step_by(2)
+                .filter(|lit| is_datalog_metric(lit))
+                .map(str::to_string),
+        );
+    }
+    emitted.sort();
+    emitted.dedup();
+    assert!(
+        emitted.iter().any(|n| n == "datalog.index.hit"),
+        "no metric literal found: the scan is broken"
+    );
+
+    let doc = std::fs::read_to_string(root.join("docs/METRICS.md")).expect("docs/METRICS.md");
+    let mut documented: Vec<String> = Vec::new();
+    for row in doc.lines().filter(|l| l.starts_with("| `")) {
+        let name_cell = row.split('|').nth(1).unwrap_or_default();
+        documented.extend(
+            name_cell
+                .split('`')
+                .skip(1)
+                .step_by(2)
+                .filter(|name| is_datalog_metric(name))
+                .map(str::to_string),
+        );
+    }
+    documented.sort();
+    assert!(!documented.is_empty(), "no metric row found: the scan is broken");
+
+    let undocumented: Vec<&String> = emitted.iter().filter(|n| !documented.contains(n)).collect();
+    assert!(
+        undocumented.is_empty(),
+        "emitted by crates/datalog/src without a docs/METRICS.md row: {undocumented:?}"
+    );
+    let dead: Vec<&String> = documented.iter().filter(|n| !emitted.contains(n)).collect();
+    assert!(
+        dead.is_empty(),
+        "docs/METRICS.md rows naming nothing crates/datalog/src emits: {dead:?}"
+    );
 }

@@ -120,12 +120,13 @@ fn datalog_update_emits_dred_phase_spans() {
             .expect("edit applies");
     });
     assert!(stats.categories.iter().any(|c| c == "datalog"));
-    for phase in ["dred.overdelete", "dred.rederive", "dred.insert"] {
+    for phase in ["dred.overdelete", "dred.insert"] {
         assert!(
             text.contains(phase),
             "missing DRed phase span {phase} in exported trace"
         );
     }
+    assert!(!text.contains("dred.rederive"), "the rederive phase is gone");
     assert!(text.contains("eval "), "missing per-stratum eval span");
 }
 

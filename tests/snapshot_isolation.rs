@@ -18,8 +18,9 @@
 use datalog_sched::dag::{Dag, NodeId};
 use datalog_sched::datalog::{FactEdit, IncrementalEngine};
 use datalog_sched::sched::{CostMeter, Hybrid, LevelBased, LogicBlox, Scheduler, SignalPropagation};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const TC: &str = "path(X, Y) :- edge(X, Y).\n\
                   path(X, Z) :- path(X, Y), edge(Y, Z).\n\
@@ -188,16 +189,29 @@ fn failed_update_publishes_no_epoch() {
 }
 
 /// A chain n0 → … → n5 with the chord n0 → n3, and a clique downstream of
-/// `path`. Deleting edge(n1, n2) overdeletes every path through it —
-/// path(n0, n3), path(n0, n4) and path(n0, n5) among them, which the
-/// chord then puts back — and really removes the five paths to n2 and
-/// from n1.
+/// `path`. Deleting edge(n1, n2) makes a deletion candidate of every path
+/// through it: the chord proves path(n0, n3), path(n0, n4) and path(n0, n5),
+/// which are never touched; the five paths to n2 and from n1 have no proof
+/// among the old tuples and are taken out.
 const CHORD: &str = "path(X, Y) :- edge(X, Y).\n\
                      path(X, Z) :- path(X, Y), edge(Y, Z).\n\
                      reach(X) :- path(n0, X).\n\
                      edge(n0, n1). edge(n1, n2). edge(n2, n3). edge(n3, n4). edge(n4, n5).\n\
                      edge(n0, n3).";
-const CHORD_NET_REMOVALS: usize = 5;
+const CHORD_TAKEN_OUT: u64 = 5;
+
+/// CHORD's edge(n1, n2) rerouted through a new node m in one update: the
+/// five paths taken out all hold again, but only through path(n1, m) and
+/// path(n0, m), which are new — so they go out and come back — and six
+/// paths to and from m are added.
+fn reroute() -> Vec<FactEdit> {
+    vec![
+        FactEdit::remove("edge", &["n1", "n2"]),
+        FactEdit::add("edge", &["n1", "m"]),
+        FactEdit::add("edge", &["m", "n2"]),
+    ]
+}
+const REROUTE_NET_ADDITIONS: usize = 6;
 
 fn path_arena_len(e: &IncrementalEngine) -> usize {
     let db = e.database();
@@ -214,21 +228,23 @@ fn pinned_snapshot_reads_through_overdelete_and_rederive() {
     let snap = e.begin_snapshot();
     let before = snap.image();
     let arena = path_arena_len(&e);
-    assert!(snap.has("path", &["n0", "n5"]));
+    assert!(snap.has("path", &["n0", "n2"]));
 
-    // After the path task (popped == 2) path(n0, n5) has been tombstoned
+    // After the path task (popped == 2) path(n0, n2) has been tombstoned
     // and revived in the open epoch; reach's task and the publish are
     // still to come.
+    let revived = incr_obs::registry().counter("mvcc.rows_revived");
+    let revived_before = revived.get();
     let mut mid_cascade = Vec::new();
     let mut s = at_each_pop(e.dag().clone(), |_| {
         mid_cascade.push(snap.image());
         true
     });
-    let report = e
-        .update(&mut s, &[FactEdit::remove("edge", &["n1", "n2"])])
-        .unwrap();
+    let report = e.update(&mut s, &reroute()).unwrap();
     drop(s);
-    assert_eq!(report.pred_changes["path"], (0, CHORD_NET_REMOVALS));
+    // The counter is process-wide: the tests beside this one only add.
+    assert!(revived.get() - revived_before >= CHORD_TAKEN_OUT);
+    assert_eq!(report.pred_changes["path"], (REROUTE_NET_ADDITIONS, 0));
     assert_eq!(mid_cascade.len(), 4, "before each of three tasks and after the last");
     for (popped, image) in mid_cascade.iter().enumerate() {
         assert_eq!(image, &before, "read after {popped} tasks");
@@ -237,16 +253,20 @@ fn pinned_snapshot_reads_through_overdelete_and_rederive() {
 
     let after = e.begin_snapshot();
     assert_eq!(after.image(), head_image(&e));
-    assert_eq!(after.query("path(n0, n5)").unwrap(), vec!["(n0, n5)"]);
-    assert_eq!(path_arena_len(&e), arena, "no second row for what came back");
-    // edge(n1, n2), the five paths and reach(n2): the net removals, not
-    // the eight paths the cascade overdeleted.
-    assert_eq!(e.database().rows_retained(), 1 + CHORD_NET_REMOVALS + 1);
+    assert_eq!(after.query("path(n0, n2)").unwrap(), vec!["(n0, n2)"]);
+    assert_eq!(
+        path_arena_len(&e),
+        arena + REROUTE_NET_ADDITIONS,
+        "no second row for what came back"
+    );
+    // edge(n1, n2): the net removal, not the five paths taken out and put
+    // back.
+    assert_eq!(e.database().rows_retained(), 1);
 }
 
-/// The same update refused after the path task ran: the rows it revived
-/// stay live through the abort, the rows it tombstoned come back, rows
-/// born in the aborted epoch are gone, and the arena is the size it was.
+/// Updates refused after the path task ran: the rows it tombstoned come
+/// back, the rows it revived stay live through the abort, rows born in the
+/// aborted epoch are gone, and the arena is the size it was.
 #[test]
 fn stalled_overdelete_and_rederive_leaves_the_rows_as_they_were() {
     let mut e = IncrementalEngine::new(CHORD).unwrap();
@@ -262,23 +282,25 @@ fn stalled_overdelete_and_rederive_leaves_the_rows_as_they_were() {
     assert_eq!(path_arena_len(&e), arena, "the cascade allocated nothing");
     assert_eq!(e.begin_snapshot().image(), before);
 
-    // With an insertion in the refused batch, path gets rows born in the
-    // aborted epoch: none of them survives.
-    let grow = [
-        FactEdit::remove("edge", &["n1", "n2"]),
-        FactEdit::add("edge", &["n5", "n6"]),
-    ];
+    // With insertions in the refused batch, path gets rows born in the
+    // aborted epoch, and rows taken out and put back in it: none of the
+    // first survives, all of the second do.
+    let mut grow = reroute();
+    grow.push(FactEdit::add("edge", &["n5", "n6"]));
     let mut broken = at_each_pop(e.dag().clone(), |popped| popped < 2);
     e.update(&mut broken, &grow).unwrap_err();
     assert_eq!(head_image(&e), before, "rolled back");
     assert!(!e.has("path", &["n0", "n6"]));
+    assert!(e.has("path", &["n0", "n2"]));
 
     // The retry commits, and matches from-scratch evaluation.
     let mut s = LevelBased::new(e.dag().clone());
     e.update(&mut s, &grow).unwrap();
     assert_eq!(e.epoch(), epoch + 1);
     let fresh = IncrementalEngine::new(
-        &CHORD.replace("edge(n1, n2).", "").replace("edge(n0, n3).", "edge(n0, n3). edge(n5, n6)."),
+        &CHORD
+            .replace("edge(n1, n2).", "edge(n1, m). edge(m, n2).")
+            .replace("edge(n0, n3).", "edge(n0, n3). edge(n5, n6)."),
     )
     .unwrap();
     for pattern in ["path(?, ?)", "reach(?)"] {
@@ -319,17 +341,22 @@ fn post_publish_snapshot_matches_head_for_all_schedulers() {
 /// writer churns: every read must be internally consistent (the same
 /// snapshot answers identically twice) and correspond to a committed
 /// cut (`path` is the closure of `edge` — sizes must be consistent).
+/// The writer keeps churning until every reader has completed a read
+/// beside it: how long 80 updates take says nothing about whether a
+/// reader got scheduled meanwhile.
 #[test]
 fn readers_progress_and_stay_consistent_during_update_stream() {
+    const READERS: usize = 4;
     let mut e = IncrementalEngine::new(TC).unwrap();
     let stop = Arc::new(AtomicBool::new(false));
-    let readers: Vec<_> = (0..4)
+    let progressed = Arc::new(AtomicUsize::new(0));
+    let readers: Vec<_> = (0..READERS)
         .map(|_| {
             let reader = e.reader();
-            let stop = stop.clone();
+            let (stop, progressed) = (stop.clone(), progressed.clone());
             std::thread::spawn(move || {
                 let mut reads = 0usize;
-                while !stop.load(Ordering::Relaxed) {
+                while !stop.load(Ordering::SeqCst) {
                     let snap = reader.snapshot();
                     let a = snap.image();
                     let paths = snap.query("path(?, ?)").unwrap();
@@ -337,6 +364,9 @@ fn readers_progress_and_stay_consistent_during_update_stream() {
                     assert_eq!(a, b, "snapshot view drifted between reads");
                     assert_eq!(paths.len(), snap.count("path"));
                     reads += 1;
+                    if reads == 1 {
+                        progressed.fetch_add(1, Ordering::SeqCst);
+                    }
                 }
                 reads
             })
@@ -345,15 +375,26 @@ fn readers_progress_and_stay_consistent_during_update_stream() {
 
     let dag = e.dag().clone();
     let hosts = ["d", "e", "f", "g", "h"];
-    for round in 0..40 {
+    let deadline = Instant::now() + Duration::from_secs(120);
+    let mut round = 0;
+    while round < 40 || progressed.load(Ordering::SeqCst) < READERS {
+        if Instant::now() >= deadline {
+            // Let the readers out before failing, or they spin for ever.
+            stop.store(true, Ordering::SeqCst);
+            panic!(
+                "{} of {READERS} readers completed a read in 120 s and {round} update rounds",
+                progressed.load(Ordering::SeqCst)
+            );
+        }
         let h = hosts[round % hosts.len()];
         let mut s = Hybrid::new(dag.clone());
         e.update(&mut s, &[FactEdit::add("edge", &["c", h])]).unwrap();
         let mut s = Hybrid::new(dag.clone());
         e.update(&mut s, &[FactEdit::remove("edge", &["c", h])])
             .unwrap();
+        round += 1;
     }
-    stop.store(true, Ordering::Relaxed);
+    stop.store(true, Ordering::SeqCst);
     for r in readers {
         let reads = r.join().expect("reader thread");
         assert!(reads > 0, "reader made no progress during the stream");
