@@ -1,5 +1,5 @@
-//! MulVAL-style dynamic attack-graph workload: the deletion-heavy
-//! scenario the counting (FBF) maintenance backend exists for.
+//! MulVAL-style dynamic attack-graph workload: a deletion-heavy stream
+//! over tuples with many derivations each.
 //!
 //! The program models network attack reachability the way MulVAL-class
 //! analyzers do:
@@ -15,11 +15,12 @@
 //! runs many services, is reachable from many sources), so most
 //! *remediation* edits — patching a program (`-vuln`), flipping a
 //! firewall rule (`-hacl`), decommissioning a service (`-service`) —
-//! destroy one derivation of a tuple that has several others. A
-//! counting backend absorbs those with a decrement; DRed pays a full
-//! overdelete/rederive pass plus old-extent clones per update. The
-//! `compromised` SCC keeps one genuinely recursive rule so the
-//! recursive fallback path stays exercised.
+//! destroy one derivation of a tuple that has several others. The
+//! maintenance task finds such a tuple still proved by one of the others
+//! before it is taken out, so it is neither deleted nor propagated; it
+//! reads the pre-update inputs through an overlay, not a copy. The
+//! `compromised` SCC keeps one genuinely recursive rule, so the proof
+//! search also runs through recursion.
 //!
 //! All randomness comes from a seeded LCG: the same config produces the
 //! same program and the same edit stream on every run and machine.
@@ -62,26 +63,13 @@ pub struct AttackConfig {
 impl AttackConfig {
     /// CI-sized instance: materializes and sweeps in seconds. Pools
     /// are sized so a 90%-delete stream never drains them (a drained
-    /// pool degenerates batches into no-ops and flatters both
-    /// backends equally).
+    /// pool degenerates batches into no-ops).
     pub fn smoke() -> AttackConfig {
         AttackConfig {
             hosts: 70,
             programs: 40,
             services_per_host: 10,
             acl_per_host: 8,
-            vuln_pct: 60,
-            seed: 0xa77ac4,
-        }
-    }
-
-    /// Full-size instance for the real A/B sweep.
-    pub fn full() -> AttackConfig {
-        AttackConfig {
-            hosts: 200,
-            programs: 120,
-            services_per_host: 12,
-            acl_per_host: 12,
             vuln_pct: 60,
             seed: 0xa77ac4,
         }
@@ -125,8 +113,7 @@ pub struct AttackWorkload {
 /// The rule set shared by every generated instance. `two_hop` /
 /// `wide_open` model indirect reachability: a large non-recursive
 /// extent whose tuples each have many derivations (one per relay
-/// host), i.e. exactly the shape where counting absorbs deletions
-/// that DRed must overdelete and rederive.
+/// host), so most deletions leave a proof behind.
 pub const ATTACK_RULES: &str = "vulnerable(H) :- service(H, P), vuln(P).\n\
      exposed(D) :- hacl(S, D), vulnerable(D).\n\
      two_hop(S, D) :- hacl(S, M), hacl(M, D).\n\

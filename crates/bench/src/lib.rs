@@ -1,7 +1,7 @@
 //! # incr-bench — table/figure regeneration harness
 //!
 //! One binary per table or figure in the paper's evaluation (see
-//! DESIGN.md §5 for the experiment index), the trace tools, and the three
+//! DESIGN.md §5 for the experiment index), the trace tools, and the two
 //! A/B bins that measure what the repository's benchmark (`bench_all/`,
 //! `BENCHMARK.json`) has no workload for:
 //!
@@ -19,7 +19,6 @@
 //! | `robustness` | Table II/III orderings across reseeded trace replicas |
 //! | `export_traces` | the eleven presets as trace JSON files |
 //! | `schedviz` | Gantt SVGs of the Figure 2 instance under LevelBased, LBL(5) and the exact oracle |
-//! | `maintenance_ab` | DRed vs FBF updates/s per delete share — the only A/B that runs FBF |
 //! | `exec_throughput` | threaded-executor tasks/s on zero-work tasks across worker counts, batch sizes and DAG sizes |
 //! | `obs_overhead` | flight recorder on/off and wrapped/plain scheduler overhead gate |
 //!

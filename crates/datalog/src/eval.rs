@@ -9,9 +9,8 @@
 //! The forward and pinned plans keep source order and are fixed at compile
 //! time; the head-bound [`CheckPlan`] also picks the order, most-bound atom
 //! first, once the extents are materialised. One walker (`walk`) runs them
-//! all; [`eval_rule`], [`rule_derives`], [`rule_derivation_count`] and the
-//! proof search of [`crate::prove`] differ only in the leaf they hand it
-//! (emit the head, stop at the first binding, count, record the instance).
+//! all; [`eval_rule`] and the proof search of [`crate::prove`] differ only
+//! in the leaf they hand it (emit the head, record the instance).
 //!
 //! Pinning body position `j` to a delta relation evaluates only the
 //! derivations that use a delta tuple at `j` — the primitive behind
@@ -198,13 +197,12 @@ pub struct CRule {
     check_plan: OnceLock<CheckPlan>,
 }
 
-/// A rule's plan when the head variables are pre-bound, under which
-/// [`rule_derives`], [`rule_derivation_count`] (FBF support) and the proof
-/// search look at a single head tuple. Unlike the forward and pinned plans
-/// it picks the order the body is visited in, greedily by boundness — a
-/// negated literal as soon as it is ground, else the positive atom with
-/// every column bound, else the one with the most bound columns; ties go
-/// to the smaller extent, then to source order.
+/// A rule's plan when the head variables are pre-bound, under which the
+/// proof search looks at a single head tuple. Unlike the forward and
+/// pinned plans it picks the order the body is visited in, greedily by
+/// boundness — a negated literal as soon as it is ground, else the
+/// positive atom with every column bound, else the one with the most bound
+/// columns; ties go to the smaller extent, then to source order.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CheckPlan {
     /// Body positions in the order they are visited.
@@ -598,10 +596,10 @@ fn eval_heads(db: &dyn Rels, rule: &CRule, pin: Option<Pin<'_>>, out: &mut dyn F
 /// sorted delta list.
 pub(crate) type PinJob<'a> = (&'a CRule, Pin<'a>);
 
-/// Every `(head, tuple)` derivation of `jobs` that passes `keep`, sorted,
-/// one entry per derivation. The database is only read — callers merge
-/// the returned list themselves.
-fn run_pin_jobs(
+/// The distinct `(head, tuple)` derivations of `jobs` passing `keep`,
+/// sorted. The database is only read — callers merge the returned list
+/// themselves.
+pub(crate) fn eval_pin_jobs(
     db: &dyn Rels,
     jobs: &[PinJob<'_>],
     keep: impl Fn(PredId, &Tuple) -> bool,
@@ -618,39 +616,8 @@ fn run_pin_jobs(
     // Sorted, so what callers insert (and in which row order) does not
     // depend on the order the jobs were listed in.
     out.sort_unstable();
-    out
-}
-
-/// The distinct `(head, tuple)` derivations of `jobs` passing `keep`,
-/// sorted.
-pub(crate) fn eval_pin_jobs(
-    db: &dyn Rels,
-    jobs: &[PinJob<'_>],
-    keep: impl Fn(PredId, &Tuple) -> bool,
-) -> Vec<(PredId, Tuple)> {
-    let mut out = run_pin_jobs(db, jobs, keep);
     out.dedup();
     out
-}
-
-/// [`eval_pin_jobs`] with *multiset* semantics: sorted `(head, tuple,
-/// multiplicity)` triples. Counting-based maintenance needs
-/// per-derivation multiplicities — a tuple derived three ways that loses
-/// one input still has two derivations, which set-semantics collection
-/// would erase.
-pub(crate) fn eval_pin_jobs_counted(
-    db: &dyn Rels,
-    jobs: &[PinJob<'_>],
-    keep: impl Fn(PredId, &Tuple) -> bool,
-) -> Vec<(PredId, Tuple, u64)> {
-    let mut counted: Vec<(PredId, Tuple, u64)> = Vec::new();
-    for (p, t) in run_pin_jobs(db, jobs, keep) {
-        match counted.last_mut() {
-            Some((lp, lt, n)) if *lp == p && *lt == t => *n += 1,
-            _ => counted.push((p, t, 1)),
-        }
-    }
-    counted
 }
 
 /// Evaluate an aggregate rule: collect the DISTINCT raw head bindings
@@ -714,7 +681,7 @@ pub fn eval_agg_rule(db: &dyn Rels, rule: &CRule) -> Vec<Tuple> {
 /// atoms, so bindings are in bijection with derivations). `leaf` returns
 /// `false` to stop the search; so does `walk`, iff the search was stopped.
 /// What happens at a complete binding is all that tells forward
-/// evaluation, the existence check and the derivation count apart.
+/// evaluation and the proof search's instance enumeration apart.
 fn walk(
     db: &dyn Rels,
     ctx: &Ctx<'_>,
@@ -818,32 +785,6 @@ pub(crate) fn walk_head(
     let mut trail: Vec<u32> = Vec::new();
     !matches(&rule.head, t, &mut bind, &mut trail)
         || walk(db, &ctx, 0, &mut bind, &mut trail, leaf)
-}
-
-/// Does `rule` derive the ground head tuple `t` under the current
-/// extents? Stops at the first derivation (no full rule re-evaluation).
-pub fn rule_derives(db: &dyn Rels, rule: &CRule, t: &[Value]) -> bool {
-    debug_assert!(rule.agg.is_none(), "aggregate cliques are re-evaluated, not rederived");
-    !walk_head(db, rule, t, &mut |_| false)
-}
-
-/// How many distinct derivations (complete body bindings) does `rule`
-/// have for the ground head tuple `t` under the current extents? The
-/// counting sibling of [`rule_derives`]: the same head binding and
-/// check plan, but exhaustive instead of early-exit — the per-candidate
-/// backward-search primitive behind counting (FBF) maintenance, where
-/// the answer becomes the tuple's stored support.
-pub fn rule_derivation_count(db: &dyn Rels, rule: &CRule, t: &[Value]) -> u64 {
-    debug_assert!(
-        rule.agg.is_none(),
-        "aggregate cliques are re-evaluated, never counted"
-    );
-    let mut n = 0u64;
-    walk_head(db, rule, t, &mut |_| {
-        n += 1;
-        true
-    });
-    n
 }
 
 /// Naive evaluation to fixpoint over ALL rules — the reference semantics
@@ -1090,8 +1031,8 @@ mod tests {
         naive_fixpoint(&mut db, &rules);
         assert_eq!(check_plan_of(&db, &rules, "ok", 3).order, [1, 0, 2]);
         let (a, b) = (db.sym("a"), db.sym("b"));
-        assert!(rule_derives(&db, &rules[0], &[a, b]));
-        assert!(!rule_derives(&db, &rules[0], &[b, a]));
+        assert!(derives(&db, &rules[0], &[a, b]));
+        assert!(!derives(&db, &rules[0], &[b, a]));
     }
 
     #[test]
@@ -1198,8 +1139,24 @@ mod tests {
         }
     }
 
+    /// Does the head-bound walk find a derivation of `t` through `rule`?
+    /// Stops at the first one.
+    fn derives(db: &Database, rule: &CRule, t: &[Value]) -> bool {
+        !walk_head(db, rule, t, &mut |_| false)
+    }
+
+    /// Every derivation of `t` the head-bound walk finds through `rule`.
+    fn derivation_count(db: &Database, rule: &CRule, t: &[Value]) -> u64 {
+        let mut n = 0;
+        walk_head(db, rule, t, &mut |_| {
+            n += 1;
+            true
+        });
+        n
+    }
+
     #[test]
-    fn rule_derives_checks_single_candidates() {
+    fn head_bound_walk_checks_single_candidates() {
         let (mut db, rules) = setup(
             "path(X, Y) :- edge(X, Y).\n\
              path(X, Z) :- path(X, Y), edge(Y, Z).\n\
@@ -1212,10 +1169,10 @@ mod tests {
         let c = Value::Sym(db.interner.get("c").unwrap());
         let base = &rules[0];
         let rec = &rules[1];
-        assert!(rule_derives(&db, base, &[a, b]));
-        assert!(!rule_derives(&db, base, &[a, c]), "no direct edge a->c");
-        assert!(rule_derives(&db, rec, &[a, c]), "via path(a,b), edge(b,c)");
-        assert!(!rule_derives(&db, rec, &[c, a]));
+        assert!(derives(&db, base, &[a, b]));
+        assert!(!derives(&db, base, &[a, c]), "no direct edge a->c");
+        assert!(derives(&db, rec, &[a, c]), "via path(a,b), edge(b,c)");
+        assert!(!derives(&db, rec, &[c, a]));
     }
 
     #[test]
@@ -1391,8 +1348,8 @@ mod tests {
             assert_eq!(emitted(rule, None), reference, "forward join");
             for t in tuples_over(&domain, rule.head.terms.len()) {
                 let want = reference.get(&t).copied().unwrap_or(0);
-                assert_eq!(rule_derivation_count(&db, rule, &t), want, "count of {t:?}");
-                assert_eq!(rule_derives(&db, rule, &t), want > 0, "existence of {t:?}");
+                assert_eq!(derivation_count(&db, rule, &t), want, "count of {t:?}");
+                assert_eq!(derives(&db, rule, &t), want > 0, "existence of {t:?}");
             }
             for (j, (atom, negated)) in rule.body.iter().enumerate() {
                 if *negated {

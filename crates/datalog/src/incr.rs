@@ -41,16 +41,16 @@ use crate::eval::{
 use crate::hash::{Map, Set};
 use crate::prove::Prover;
 use crate::rel::{Database, PredId, Relation};
-use crate::value::{Tuple, Value};
+use crate::value::Tuple;
 use incr_obs::flight::{self, FlightCode};
 use incr_obs::trace;
 use std::time::Instant;
 
 /// Adds elapsed nanoseconds to a named always-on counter when dropped —
 /// phase timing that survives early returns and needs no tracing.
-pub(crate) struct ScopeCounter {
-    pub(crate) counter: &'static str,
-    pub(crate) t0: Instant,
+struct ScopeCounter {
+    counter: &'static str,
+    t0: Instant,
 }
 
 impl Drop for ScopeCounter {
@@ -78,11 +78,11 @@ impl Delta {
     }
 }
 
-/// Read view of the pre-update state (used by overdeletion, and by the
-/// FBF count phase in [`crate::fbf`]): each changed input predicate is the
-/// live relation minus the tuples the update added plus the ones it
-/// removed; the clique's own predicates, which a task leaves untouched
-/// until its overdeletion is decided, are the live relations.
+/// Read view of the pre-update state (used by overdeletion): each changed
+/// input predicate is the live relation minus the tuples the update added
+/// plus the ones it removed; the clique's own predicates, which a task
+/// leaves untouched until its overdeletion is decided, are the live
+/// relations.
 pub(crate) struct OldView<'a> {
     pub(crate) db: &'a Database,
     pub(crate) patches: &'a Map<PredId, Patch<'a>>,
@@ -119,7 +119,7 @@ impl Rels for OldView<'_> {
 /// holds the old-extent tuples the caller took out: those still out are
 /// the net removals, and whatever went in without being in `deleted` is a
 /// net addition — a tuple taken out and put back is no change.
-pub(crate) fn insert_and_net(
+fn insert_and_net(
     db: &mut Database,
     rules: &[CRule],
     scc_preds: &[PredId],
@@ -158,9 +158,9 @@ fn sorted_list(set: &Set<Tuple>) -> Vec<Tuple> {
 }
 
 /// Sorted `(added, removed)` lists per changed predicate.
-pub(crate) type DeltaLists = Map<PredId, (Vec<Tuple>, Vec<Tuple>)>;
+type DeltaLists = Map<PredId, (Vec<Tuple>, Vec<Tuple>)>;
 
-pub(crate) fn delta_lists(input: &Map<PredId, Delta>) -> DeltaLists {
+fn delta_lists(input: &Map<PredId, Delta>) -> DeltaLists {
     input
         .iter()
         .filter(|(_, d)| !d.is_empty())
@@ -172,7 +172,7 @@ pub(crate) fn delta_lists(input: &Map<PredId, Delta>) -> DeltaLists {
 /// lost-derivation pins (removed positives, added blockers) evaluated
 /// against the old view; otherwise the gained-derivation pins (added
 /// positives, removed blockers) against the new state.
-pub(crate) fn delta_pin_jobs<'a>(
+fn delta_pin_jobs<'a>(
     rules: &[&'a CRule],
     lists: &'a DeltaLists,
     destruction: bool,
@@ -207,35 +207,28 @@ pub(crate) fn delta_pin_jobs<'a>(
 /// Overdeletion: every clique tuple with a derivation through `rules`
 /// that the update destroyed, found against the old `view`, and no proof
 /// left in the new state. Candidates are the heads of derivations that
-/// used a changed input, plus `doomed`. One the [`Prover`] proves — from
-/// `spared` facts and instances of `rules` over the new inputs — stays,
-/// and nothing becomes a candidate through it; the others are recorded
-/// and cascade through `rules` within the clique (negation inside a clique
-/// is rejected by stratification, so the cascade only pins positive atoms).
-/// The clique's relations are not mutated until the caller removes the
-/// returned sets, so membership in the live relation is membership in the
-/// old one. Also returns how many candidates were `spared` outright.
-pub(crate) fn overdelete(
+/// used a changed input. One the [`Prover`] proves from instances of
+/// `rules` over the new inputs stays, and nothing becomes a candidate
+/// through it; the others are recorded and cascade through `rules` within
+/// the clique (negation inside a clique is rejected by stratification, so
+/// the cascade only pins positive atoms). The clique's relations are not
+/// mutated until the caller removes the returned sets, so membership in
+/// the live relation is membership in the old one.
+fn overdelete(
     view: &OldView<'_>,
     rules: &[&CRule],
     scc_preds: &[PredId],
     input_lists: &DeltaLists,
-    doomed: Vec<(PredId, Tuple)>,
-    spared: impl Fn(PredId, &[Value]) -> bool,
-) -> (Map<PredId, Set<Tuple>>, u64) {
+) -> Map<PredId, Set<Tuple>> {
     let mut deleted: Map<PredId, Set<Tuple>> = Map::default();
-    let mut spared_candidates = 0;
-    let mut prover = Prover::new(view.db, rules, scc_preds, &spared);
+    let mut prover = Prover::new(view.db, rules, scc_preds);
     let jobs = delta_pin_jobs(rules, input_lists, true);
     let mut fresh = eval_pin_jobs(view, &jobs, |head, t| view.db.rel(head).contains(t));
-    fresh.extend(doomed);
     loop {
         // A round is itself a delta: removals from clique predicates.
         let mut round: DeltaLists = Map::default();
         for (p, t) in fresh {
-            if spared(p, &t) {
-                spared_candidates += 1;
-            } else if !prover.check(p, &t) && deleted.entry(p).or_default().insert(t.clone()) {
+            if !prover.check(p, &t) && deleted.entry(p).or_default().insert(t.clone()) {
                 round.entry(p).or_default().1.push(t);
             }
         }
@@ -249,7 +242,7 @@ pub(crate) fn overdelete(
                 .add(deleted.values().map(|s| s.len() as u64).sum());
             reg.counter("datalog.dred.proof_expansions")
                 .add(prover.expansions);
-            return (deleted, spared_candidates);
+            return deleted;
         }
         fresh = eval_pin_jobs(view, &jobs, |head, t| {
             view.db.rel(head).contains(t) && !deleted.get(&head).is_some_and(|d| d.contains(t))
@@ -294,7 +287,7 @@ pub fn update_scc(
         db,
         patches: &patches,
     };
-    let (deleted, _) = overdelete(&view, &all, scc_preds, &input_lists, Vec::new(), |_, _| false);
+    let deleted = overdelete(&view, &all, scc_preds, &input_lists);
     for (&p, ts) in &deleted {
         for t in ts {
             db.rel_mut(p).remove(t);

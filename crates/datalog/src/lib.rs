@@ -15,11 +15,9 @@
 //!   negation-safe stratification.
 //! * [`eval`] — naive and semi-naive bottom-up evaluation, plus grouped
 //!   aggregate evaluation (`count`/`sum`/`min`/`max` heads).
-//! * [`incr`] — incremental maintenance: delta-driven insertion and
-//!   delete-rederive (DRed) deletion behind a grounded proof search.
-//! * [`fbf`] — the counting-based backward/forward maintenance backend:
-//!   per-tuple derivation counts that absorb most deletions without
-//!   propagation, with a DRed-style fallback inside recursive SCCs.
+//! * [`incr`] — incremental maintenance, the one backend: every deletion
+//!   candidate is put to a grounded proof search and deleted only if it
+//!   fails (prove or delete), then insertions propagate semi-naively.
 //! * [`mvcc`] — concurrent snapshot readers: a lock-free pin registry
 //!   over the epoch-versioned arena, so queries serve a consistent
 //!   published cut while maintenance cascades mutate the head.
@@ -34,7 +32,6 @@
 pub mod ast;
 pub mod engine;
 pub mod eval;
-pub mod fbf;
 pub mod hash;
 pub mod incr;
 pub mod mvcc;
@@ -54,7 +51,6 @@ mod proptests;
 pub use ast::{Atom, Literal, Program, Rule, Term};
 pub use engine::{EvalOptions, FactEdit, IncrementalEngine, TypedEdit, UpdateReport};
 pub use eval::Access;
-pub use fbf::MaintenanceStrategy;
 pub use mvcc::{PinRegistry, ReaderHandle, Snapshot};
 pub use parser::parse_program;
 pub use query::{parse_pattern, query, query_at, Pat};

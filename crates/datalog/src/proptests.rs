@@ -2,14 +2,14 @@
 //! handful of rule templates. Snapshot isolation: a snapshot pinned
 //! mid-cascade reads the pre-update database bit-for-bit, and a
 //! post-publish snapshot matches a LevelBased reference — under every
-//! scheduler. Sharded ≡ unsharded and FBF ≡ DRed after every committed
-//! batch. And the clique tasks against the code they replaced: the
-//! old-state overlay against a rolled-back copy, the tracked net delta
-//! against an extent diff.
+//! scheduler. Sharded ≡ unsharded after every committed batch, and a batch
+//! stalled mid-cascade leaves no trace. And the clique tasks against the
+//! code they replaced: the old-state overlay against a rolled-back copy,
+//! the tracked net delta against an extent diff.
 
-use crate::engine::{EvalOptions, FactEdit, IncrementalEngine};
+use crate::engine::tests::QuotaStall;
+use crate::engine::{FactEdit, IncrementalEngine};
 use crate::eval::{compile_program, load_facts, seminaive_scc, CRule, Extent};
-use crate::fbf::{counts_consistent, init_counts_scc, update_scc_fbf, MaintenanceStrategy};
 use crate::incr::{net_deltas, reevaluate_scc, update_scc, Delta, OldView};
 use crate::hash::Map;
 use crate::mvcc::{ReaderHandle, Snapshot};
@@ -308,126 +308,12 @@ fn assert_sharded_equivalent(
     Ok(())
 }
 
-fn fbf_opts() -> EvalOptions {
-    EvalOptions::default().with_maintenance(MaintenanceStrategy::Fbf)
-}
-
-/// DRed ≡ FBF: the same program and edit stream through engines that
-/// differ only in maintenance strategy must produce identical rendered
-/// extents after every committed batch — under every scheduler, and
-/// through the 2-shard exchange (count deltas ride the same batches).
-fn assert_strategy_equivalent(
-    rules: &str,
-    preds: &[(&str, usize)],
-    edges: &[(usize, usize)],
-    edits: &[(bool, usize, usize)],
-) -> Result<(), TestCaseError> {
-    let src = program_src(rules, edges);
-    let batches = edit_batches(edits);
-
-    // DRed reference: one image per committed batch (plus initial).
-    let mut reference = IncrementalEngine::new(&src).expect("valid program");
-    let mut ref_images = vec![unsharded_image(&reference, preds)];
-    for fe in &batches {
-        let mut s = LevelBased::new(reference.dag().clone());
-        reference.update(&mut s, fe).expect("valid edit");
-        ref_images.push(unsharded_image(&reference, preds));
-    }
-
-    for kind in 0..4 {
-        let mut e = IncrementalEngine::with_options(&src, fbf_opts()).expect("valid program");
-        prop_assert_eq!(
-            &unsharded_image(&e, preds),
-            &ref_images[0],
-            "FBF initial materialization differs (scheduler {})",
-            kind
-        );
-        for (step, fe) in batches.iter().enumerate() {
-            let mut s = make_scheduler(&e, kind);
-            e.update(s.as_mut(), fe).expect("valid edit");
-            prop_assert_eq!(
-                &unsharded_image(&e, preds),
-                &ref_images[step + 1],
-                "FBF diverged from DRed at step {} (scheduler {})",
-                step,
-                kind
-            );
-        }
-    }
-
-    // Sharded FBF: count deltas cross the exchange and per-shard counts
-    // must stay consistent batch after batch.
-    let mut e = ShardedEngine::with_options(&src, 2, fbf_opts(), make_sharded_scheduler(0))
-        .expect("valid program");
-    prop_assert_eq!(
-        &sharded_image(&e, preds),
-        &ref_images[0],
-        "sharded FBF initial materialization differs"
-    );
-    for (step, fe) in batches.iter().enumerate() {
-        e.update(fe).expect("valid edit");
-        prop_assert_eq!(
-            &sharded_image(&e, preds),
-            &ref_images[step + 1],
-            "sharded FBF diverged from DRed at step {}",
-            step
-        );
-    }
-    Ok(())
-}
-
-/// Pops `quota` tasks per update, then refuses — wedges the cascade so
-/// the engine must roll back (and, under FBF, recount support).
-struct QuotaStall {
-    inner: LevelBased,
-    quota: usize,
-    popped: usize,
-}
-
-impl Scheduler for QuotaStall {
-    fn name(&self) -> &str {
-        "QuotaStall"
-    }
-    fn start(&mut self, initial: &[incr_dag::NodeId]) {
-        self.popped = 0;
-        self.inner.start(initial);
-    }
-    fn on_completed(&mut self, v: incr_dag::NodeId, fired: &[incr_dag::NodeId]) {
-        self.inner.on_completed(v, fired);
-    }
-    fn pop_ready(&mut self) -> Option<incr_dag::NodeId> {
-        if self.popped >= self.quota {
-            return None;
-        }
-        let t = self.inner.pop_ready();
-        if t.is_some() {
-            self.popped += 1;
-        }
-        t
-    }
-    fn is_quiescent(&self) -> bool {
-        self.inner.is_quiescent()
-    }
-    fn cost(&self) -> CostMeter {
-        self.inner.cost()
-    }
-    fn space_bytes(&self) -> usize {
-        self.inner.space_bytes()
-    }
-    fn precompute_bytes(&self) -> usize {
-        self.inner.precompute_bytes()
-    }
-    fn on_external_dispatch(&mut self, v: incr_dag::NodeId) {
-        self.inner.on_external_dispatch(v);
-    }
-}
-
-/// Restart-after-fault idempotence of FBF count state: every batch is
-/// first attempted under a scheduler that wedges after one task. A
-/// stalled attempt must leave the image untouched (rollback recounts
-/// support), and the retry plus all *subsequent* deletion-heavy batches
-/// must keep matching a DRed reference — corrupt counts would make a
-/// later deletion over- or under-delete and diverge.
+/// Restart-after-fault idempotence: every batch is first attempted under a
+/// scheduler that wedges after one task. A stalled attempt must leave the
+/// image untouched, and the retry plus all *subsequent* deletion-heavy
+/// batches must keep matching a reference engine that never stalled — a
+/// rollback that left a stamp behind would make a later deletion over- or
+/// under-delete and diverge.
 fn assert_fault_recovery_idempotent(
     rules: &str,
     preds: &[(&str, usize)],
@@ -438,14 +324,10 @@ fn assert_fault_recovery_idempotent(
     let batches = edit_batches(edits);
 
     let mut reference = IncrementalEngine::new(&src).expect("valid program");
-    let mut e = IncrementalEngine::with_options(&src, fbf_opts()).expect("valid program");
+    let mut e = IncrementalEngine::new(&src).expect("valid program");
     for (step, fe) in batches.iter().enumerate() {
         let pre = unsharded_image(&e, preds);
-        let mut broken = QuotaStall {
-            inner: LevelBased::new(e.dag().clone()),
-            quota: 1,
-            popped: 0,
-        };
+        let mut broken = QuotaStall::new(e.dag().clone(), 1);
         match e.update(&mut broken, fe) {
             // Small cascades can finish within the quota — that's a
             // legitimate success, not a fault.
@@ -466,7 +348,7 @@ fn assert_fault_recovery_idempotent(
         prop_assert_eq!(
             &unsharded_image(&e, preds),
             &unsharded_image(&reference, preds),
-            "post-recovery FBF state diverged from DRed at step {}",
+            "post-recovery state diverged from the reference at step {}",
             step
         );
     }
@@ -543,13 +425,11 @@ fn assert_same_delta(
 /// no-op and delete-then-reinsert edits included) and check, at each
 /// task, the overlay against a rolled-back copy of every input and the
 /// returned net delta against [`net_deltas`] over a copy taken before —
-/// for `update_scc`, `update_scc_fbf` (whose stored counts must also stay
-/// consistent with an exact recount) and `reevaluate_scc`.
+/// for `update_scc` and `reevaluate_scc`.
 fn assert_tasks_match_oracles(
     rules_src: &str,
     edges: &[(usize, usize)],
     edits: &[(bool, usize, usize)],
-    strategy: MaintenanceStrategy,
 ) -> Result<(), TestCaseError> {
     let program = parse_program(&program_src(rules_src, edges)).expect("valid program");
     let strat = stratify(&program).expect("stratifiable");
@@ -570,12 +450,8 @@ fn assert_tasks_match_oracles(
             )),
         })
         .collect();
-    let fbf = strategy == MaintenanceStrategy::Fbf;
     for (_, preds, crules) in &cliques {
         seminaive_scc(&mut db, crules, preds, Map::default(), true);
-        if fbf {
-            init_counts_scc(&mut db, crules, preds);
-        }
     }
     let snapshot_of = |db: &Database, preds: &[PredId]| -> Map<PredId, Relation> {
         preds.iter().map(|&p| (p, db.rel(p).clone())).collect()
@@ -603,15 +479,10 @@ fn assert_tasks_match_oracles(
             let before = snapshot_of(&db, preds);
             let (out, what) = if crules.iter().any(|r| r.agg.is_some()) {
                 (reevaluate_scc(&mut db, crules, preds), "reevaluate")
-            } else if fbf {
-                (update_scc_fbf(&mut db, crules, preds, &input), "fbf")
             } else {
-                (update_scc(&mut db, crules, preds, &input), "dred")
+                (update_scc(&mut db, crules, preds, &input), "update")
             };
             assert_same_delta(&db, &out, &net_deltas(&db, preds, &before), what)?;
-            if fbf {
-                prop_assert!(counts_consistent(&db, crules, preds), "fbf counts drifted");
-            }
             changed.extend(out);
         }
     }
@@ -741,78 +612,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
-    fn fbf_matches_dred_on_transitive_closure(
-        edges in edges_strategy(),
-        edits in edits_strategy(),
-    ) {
-        assert_strategy_equivalent(TC_RULES, &[("edge", 2), ("path", 2)], &edges, &edits)?;
-    }
-
-    #[test]
-    fn fbf_matches_dred_on_right_recursion(
-        edges in edges_strategy(),
-        edits in edits_strategy(),
-    ) {
-        assert_strategy_equivalent(RTC_RULES, &[("edge", 2), ("path", 2)], &edges, &edits)?;
-    }
-
-    #[test]
-    fn fbf_matches_dred_on_nonlinear_recursion(
-        edges in edges_strategy(),
-        edits in edits_strategy(),
-    ) {
-        assert_strategy_equivalent(NLTC_RULES, &[("edge", 2), ("path", 2)], &edges, &edits)?;
-    }
-
-    #[test]
-    fn fbf_matches_dred_on_same_generation(
-        edges in edges_strategy(),
-        edits in edits_strategy(),
-    ) {
-        assert_strategy_equivalent(SG_RULES, &[("edge", 2), ("sg", 2)], &edges, &edits)?;
-    }
-
-    #[test]
-    fn fbf_matches_dred_with_negation(
-        edges in edges_strategy(),
-        edits in edits_strategy(),
-    ) {
-        assert_strategy_equivalent(
-            NEG_RULES,
-            &[("edge", 2), ("node", 1), ("reach", 1), ("unreach", 1)],
-            &edges,
-            &edits,
-        )?;
-    }
-
-    #[test]
-    fn fbf_matches_dred_on_aggregates(
-        edges in edges_strategy(),
-        edits in edits_strategy(),
-    ) {
-        assert_strategy_equivalent(
-            AGG_RULES,
-            &[("edge", 2), ("deg", 2), ("indeg", 2)],
-            &edges,
-            &edits,
-        )?;
-    }
-
-    #[test]
-    fn fbf_matches_dred_under_deletion_heavy_stream(
-        edges in edges_strategy(),
-        edits in deletion_heavy_strategy(),
-    ) {
-        assert_strategy_equivalent(
-            TRI_RULES,
-            &[("edge", 2), ("tri", 2), ("path", 2)],
-            &edges,
-            &edits,
-        )?;
-    }
-
-    #[test]
-    fn fbf_counts_recover_from_faults(
+    fn stalled_batches_roll_back_and_retry_to_the_reference(
         edges in edges_strategy(),
         edits in deletion_heavy_strategy(),
     ) {
@@ -838,10 +638,8 @@ proptest! {
             TC_RULES, RTC_RULES, NLTC_RULES, SG_RULES, NEG_RULES, TRI_RULES, PARITY_RULES, AGG_RULES,
         ];
         for rules in templates {
-            for strategy in [MaintenanceStrategy::DRed, MaintenanceStrategy::Fbf] {
-                assert_tasks_match_oracles(rules, &edges, &edits, strategy)?;
-                assert_tasks_match_oracles(rules, &edges, &deletions, strategy)?;
-            }
+            assert_tasks_match_oracles(rules, &edges, &edits)?;
+            assert_tasks_match_oracles(rules, &edges, &deletions)?;
         }
     }
 }

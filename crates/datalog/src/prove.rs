@@ -5,8 +5,7 @@
 //! lost one of several derivations is never deleted, never cascades and
 //! never has to be derived again.
 //!
-//! A clique fact is **proved** iff the caller's `spared` says so (FBF's
-//! positive non-recursive count) or some instance of a rule with it as
+//! A clique fact is **proved** iff some instance of a rule with it as
 //! head — enumerated with the head-bound plan over the live database,
 //! inputs already new and clique extents still old — has every clique body
 //! fact proved. An instance with no clique body fact (a non-recursive rule,
@@ -48,12 +47,11 @@ struct Instance {
     unproved: u32,
 }
 
-pub(crate) struct Prover<'a, S> {
+pub(crate) struct Prover<'a> {
     /// The live database: inputs new, the clique's extents still old.
     db: &'a Database,
     rules: &'a [&'a CRule],
     clique: &'a [PredId],
-    spared: S,
     /// Fact ids (indices into `facts`), per clique predicate.
     ids: Map<PredId, Map<Rc<[Value]>, usize>>,
     facts: Vec<Fact>,
@@ -64,18 +62,12 @@ pub(crate) struct Prover<'a, S> {
     pub(crate) expansions: u64,
 }
 
-impl<'a, S: Fn(PredId, &[Value]) -> bool> Prover<'a, S> {
-    pub(crate) fn new(
-        db: &'a Database,
-        rules: &'a [&'a CRule],
-        clique: &'a [PredId],
-        spared: S,
-    ) -> Self {
+impl<'a> Prover<'a> {
+    pub(crate) fn new(db: &'a Database, rules: &'a [&'a CRule], clique: &'a [PredId]) -> Self {
         Prover {
             db,
             rules,
             clique,
-            spared,
             ids: Map::default(),
             facts: Vec::new(),
             instances: Vec::new(),
@@ -98,8 +90,8 @@ impl<'a, S: Fn(PredId, &[Value]) -> bool> Prover<'a, S> {
         true
     }
 
-    /// The id of a clique fact; a fact seen for the first time is proved
-    /// on the spot if `spared`, else queued for expansion.
+    /// The id of a clique fact; a fact seen for the first time is queued
+    /// for expansion.
     fn id_of(&mut self, pred: PredId, t: &[Value]) -> usize {
         let ids = self.ids.entry(pred).or_default();
         if let Some(&id) = ids.get(t) {
@@ -107,16 +99,13 @@ impl<'a, S: Fn(PredId, &[Value]) -> bool> Prover<'a, S> {
         }
         let (id, tuple) = (self.facts.len(), Rc::<[Value]>::from(t));
         ids.insert(tuple.clone(), id);
-        let proved = (self.spared)(pred, t);
         self.facts.push(Fact {
             pred,
             tuple,
-            proved,
+            proved: false,
             waiting: Vec::new(),
         });
-        if !proved {
-            self.unexpanded.push(id);
-        }
+        self.unexpanded.push(id);
         id
     }
 
@@ -201,8 +190,8 @@ mod tests {
         (db, rules)
     }
 
-    /// Which of `facts` (tuples of `pred`) a prover over all of `rules`,
-    /// with nothing spared, proves — asked in the order given.
+    /// Which of `facts` (tuples of `pred`) a prover over all of `rules`
+    /// proves — asked in the order given.
     fn proved(db: &mut Database, rules: &[CRule], pred: &str, facts: &[&[&str]]) -> Vec<bool> {
         let tuples: Vec<Tuple> = facts
             .iter()
@@ -211,7 +200,7 @@ mod tests {
         let pred = db.pred_id(pred).unwrap();
         let rules: Vec<&CRule> = rules.iter().filter(|r| r.head.pred == pred).collect();
         let clique = [pred];
-        let mut prover = Prover::new(db, &rules, &clique, |_, _| false);
+        let mut prover = Prover::new(db, &rules, &clique);
         let answers = tuples.iter().map(|t| prover.check(pred, t)).collect();
         assert!(
             prover.expansions <= db.rel(pred).len() as u64,

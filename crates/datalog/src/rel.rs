@@ -105,14 +105,6 @@ struct Slot {
     tuple: Option<Tuple>,
     born: u64,
     died: u64,
-    /// Derivation-count column for counting-based maintenance (FBF):
-    /// how many non-recursive derivations support this tuple. Head-state
-    /// metadata — it rides the row through `clone()` and across MVCC
-    /// epochs, but snapshot readers never consult it (membership at a
-    /// pinned epoch is decided by `born`/`died` alone). Every insert
-    /// leaves it at 0, on a fresh row and on a revived one alike, so the
-    /// maintenance layer re-establishes support for whatever it inserts.
-    support: u32,
     /// This row's position in [`Relation::dying`]; meaningful only while
     /// `died` is the open epoch.
     dying_pos: u32,
@@ -321,7 +313,7 @@ impl Relation {
     /// hash once and leave every index untouched.
     ///
     /// A re-insert over a tombstone of the *open* epoch revives that row
-    /// (`died` back to `NEVER`, `support` back to 0): no snapshot ever saw
+    /// (`died` back to `NEVER`): no snapshot ever saw
     /// the tombstone, so taking it back changes no view, allocates no
     /// slot and touches no chain or index. A re-insert over a tombstone
     /// of a *published* epoch allocates a new row: the tombstone keeps
@@ -351,7 +343,6 @@ impl Relation {
             tuple: Some(t),
             born: self.write_epoch,
             died: NEVER,
-            support: 0,
             dying_pos: 0,
             next: NIL,
         };
@@ -399,7 +390,7 @@ impl Relation {
 
     /// Undo the open epoch's tombstone on `row`: out of `dying` by its
     /// remembered position (the row swapped into the hole learns its new
-    /// one), live again, derivation count forgotten.
+    /// one), live again.
     fn revive(&mut self, row: Row) {
         let pos = self.rows[row as usize].dying_pos as usize;
         debug_assert_eq!(self.dying[pos], row, "dying_pos out of step");
@@ -407,31 +398,9 @@ impl Relation {
         if let Some(&moved) = self.dying.get(pos) {
             self.rows[moved as usize].dying_pos = pos as u32;
         }
-        let slot = &mut self.rows[row as usize];
-        slot.died = NEVER;
-        slot.support = 0;
+        self.rows[row as usize].died = NEVER;
         self.live += 1;
         revived_counter().inc();
-    }
-
-    /// The derivation-count column of the live row holding `t` (0 when
-    /// the tuple is absent from the head extent). Only meaningful while
-    /// counting-based (FBF) maintenance keeps it up to date.
-    pub fn support(&self, t: &[Value]) -> u32 {
-        self.find_row(t)
-            .map_or(0, |r| self.rows[r as usize].support)
-    }
-
-    /// Set the derivation count on the live row holding `t`; false (and
-    /// no effect) when the tuple is absent.
-    pub fn set_support(&mut self, t: &[Value], support: u32) -> bool {
-        match self.find_row(t) {
-            Some(r) => {
-                self.rows[r as usize].support = support;
-                true
-            }
-            None => false,
-        }
     }
 
     /// Recycle every tombstone no snapshot at or after `watermark + 1`
@@ -492,10 +461,7 @@ impl Relation {
     /// the open epoch (`dying`) come back to life — the ones an insert
     /// already revived need nothing; rows born in it — found by an arena
     /// scan, so inserts keep no list of them — are reclaimed straight
-    /// onto the free list. Snapshots never saw either kind of stamp. The
-    /// `support` column is not restored (a row revived here keeps its
-    /// count, one revived by an insert was reset); counting-based
-    /// maintenance recounts after an abort.
+    /// onto the free list. Snapshots never saw either kind of stamp.
     pub(crate) fn abort_epoch(&mut self) {
         let open = self.write_epoch;
         for row in std::mem::take(&mut self.dying) {
@@ -985,6 +951,14 @@ mod tests {
     }
 
     #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_slot_is_a_tuple_two_stamps_and_two_links() {
+        // The tuple's `Vec` (24), `born` and `died` (8 each), `dying_pos`
+        // and `next` (4 each): nothing else rides a row.
+        assert_eq!(std::mem::size_of::<Slot>(), 48);
+    }
+
+    #[test]
     fn vacuum_respects_watermark() {
         let mut r = Relation::new(1);
         let t = vec![Value::Int(7)];
@@ -1011,7 +985,6 @@ mod tests {
         let t = vec![Value::Int(5)];
         let key = [Value::Int(5)];
         r.insert(t.clone()); // born 1
-        r.set_support(&t, 3);
         r.set_write_epoch(2);
         let seen_at_1 = |r: &Relation| {
             r.contains_at(&t, 1) && r.probe_at(&[0], &key, 1).unwrap().len() == 1
@@ -1023,11 +996,10 @@ mod tests {
         assert!(r.insert(t.clone()), "back in the head extent");
         assert!(seen_at_1(&r), "after");
         // The same row, not a second one: nothing was allocated, indexed
-        // or retained, and the count starts over as on any insert.
+        // or retained.
         assert_eq!((r.len(), r.arena_len(), r.retained()), (1, 1, 0));
         assert_eq!(r.index_entries(&[0]), Some(1));
         assert_eq!(r.probe(&[0], &key).unwrap().len(), 1);
-        assert_eq!(r.support(&t), 0);
         assert!(r.contains_at(&t, 2), "and it lives on through epoch 2");
         assert!(!r.insert(t.clone()), "a duplicate again");
         // Nothing is left for the vacuum, now or after the epoch closes.

@@ -82,9 +82,7 @@
 //! integer `42` survive the trip distinct.
 
 use crate::ast::{Literal, Program, Rule, Term};
-use crate::engine::{
-    EngineError, EvalOptions, FactEdit, IncrementalEngine, TypedEdit, UpdateReport,
-};
+use crate::engine::{EngineError, FactEdit, IncrementalEngine, TypedEdit, UpdateReport};
 use crate::hash::Map;
 use crate::incr::Delta;
 use crate::parser::parse_program;
@@ -585,28 +583,12 @@ impl ShardedEngine {
     pub fn new(
         src: &str,
         shards: usize,
-        make_sched: impl FnMut(Arc<Dag>) -> Box<dyn Scheduler + Send>,
-    ) -> Result<ShardedEngine, EngineError> {
-        Self::with_options(src, shards, EvalOptions::default(), make_sched)
-    }
-
-    /// [`Self::new`] with explicit per-shard evaluation options.
-    pub fn with_options(
-        src: &str,
-        shards: usize,
-        opts: EvalOptions,
         mut make_sched: impl FnMut(Arc<Dag>) -> Box<dyn Scheduler + Send>,
     ) -> Result<ShardedEngine, EngineError> {
         let program = parse_program(src).map_err(EngineError::Parse)?;
         let plan = ShardPlan::analyze(&program, shards)?;
         let engines = (0..shards)
-            .map(|_| {
-                IncrementalEngine::from_program_declared(
-                    plan.program.clone(),
-                    opts.clone(),
-                    &plan.declared,
-                )
-            })
+            .map(|_| IncrementalEngine::from_program_declared(plan.program.clone(), &plan.declared))
             .collect::<Result<Vec<_>, _>>()?;
         let scheds = engines
             .iter()
@@ -1144,7 +1126,6 @@ impl ShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fbf::MaintenanceStrategy;
     use crate::stream::DeltaQueue;
     use incr_sched::{Hybrid, LevelBased};
 
@@ -1263,19 +1244,16 @@ mod tests {
     fn program_fact_of_a_derived_predicate_is_refused_not_lost() {
         // One engine keeps such a fact as a rule with an empty body. Here
         // facts travel as base-table edits, which a derived predicate does
-        // not take, so the program is refused before any shard exists —
-        // under either backend — rather than loaded and later forgotten.
+        // not take, so the program is refused before any shard exists
+        // rather than loaded and later forgotten.
         let src = "reach(n0).\n\
                    reach(Y) :- reach(X), edge(X, Y).\n\
                    edge(n0, n1). edge(n1, n0).";
-        for strategy in [MaintenanceStrategy::DRed, MaintenanceStrategy::Fbf] {
-            let opts = EvalOptions::default().with_maintenance(strategy);
-            let err = ShardedEngine::with_options(src, 2, opts, mk_sched).err();
-            assert!(
-                matches!(&err, Some(EngineError::Edit(m)) if m.contains("derived predicate reach")),
-                "{strategy}: {err:?}"
-            );
-        }
+        let err = ShardedEngine::new(src, 2, mk_sched).err();
+        assert!(
+            matches!(&err, Some(EngineError::Edit(m)) if m.contains("derived predicate reach")),
+            "{err:?}"
+        );
         // With the seed in a base table the same cut keeps both tuples.
         let src = src.replace("reach(n0).", "start(n0).\nreach(X) :- start(X).");
         let mut e = ShardedEngine::new(&src, 2, mk_sched).unwrap();

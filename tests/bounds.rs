@@ -5,7 +5,7 @@
 use datalog_sched::dag::{random, Dag, DagBuilder, NodeId};
 use datalog_sched::datalog::value::SymId;
 use datalog_sched::datalog::{
-    parse_program, EvalOptions, FactEdit, IncrementalEngine, MaintenanceStrategy, Relation, Tuple,
+    parse_program, FactEdit, IncrementalEngine, Relation, Tuple,
     Value,
 };
 use datalog_sched::sched::{
@@ -381,8 +381,8 @@ static DATALOG_ENGINE_TESTS: Mutex<()> = Mutex::new(());
 
 /// A clique task costs its deltas and its join work, not the size of the
 /// relations it touches: the same stream of 10-edit updates over a 16×
-/// larger `hacl` takes about the same time, under both maintenance
-/// backends — not the 16× of a task that copies or walks its extents.
+/// larger `hacl` takes about the same time — not the 16× of a task that
+/// copies or walks its extents.
 #[test]
 fn update_time_is_independent_of_extent_size() {
     let _turn = DATALOG_ENGINE_TESTS.lock().unwrap_or_else(PoisonError::into_inner);
@@ -390,63 +390,60 @@ fn update_time_is_independent_of_extent_size() {
     const LARGE: usize = 32 * 1024 / ACL_PER_HOST;
     const UPDATES: usize = 30;
     const EDITS: usize = 10;
-    for strategy in [MaintenanceStrategy::DRed, MaintenanceStrategy::Fbf] {
-        // Fastest of three runs of the stream per size, as above.
-        let mut fastest = [Duration::MAX; 2];
-        for (slot, hosts) in [SMALL, LARGE].into_iter().enumerate() {
-            let mut present: HashSet<(usize, usize)> = (0..hosts)
-                .flat_map(|h| (0..ACL_PER_HOST).map(move |j| (h, acl_target(h, j, hosts))))
-                .collect();
-            assert_eq!(present.len(), hosts * ACL_PER_HOST);
-            let opts = EvalOptions::default().with_maintenance(strategy);
-            let mut e = IncrementalEngine::with_options(&attack_slice(hosts, &present), opts)
-                .expect("valid program");
-            let mut rng = StdRng::seed_from_u64(15);
-            for _ in 0..3 {
-                let mut elapsed = Duration::ZERO;
-                for _ in 0..UPDATES {
-                    // Toggle edges of the candidate set, twice the degree
-                    // wide, so deletes and inserts both keep occurring.
-                    let edits: Vec<FactEdit> = (0..EDITS)
-                        .map(|_| {
-                            let s = rng.gen_range(0..hosts);
-                            let d = acl_target(s, rng.gen_range(0..2 * ACL_PER_HOST), hosts);
-                            let (s_name, d_name) = (format!("h{s}"), format!("h{d}"));
-                            let args = [s_name.as_str(), d_name.as_str()];
-                            if present.remove(&(s, d)) {
-                                FactEdit::remove("hacl", &args)
-                            } else {
-                                present.insert((s, d));
-                                FactEdit::add("hacl", &args)
-                            }
-                        })
-                        .collect();
-                    let mut sched = LevelBased::new(e.dag().clone());
-                    let t0 = Instant::now();
-                    e.update(&mut sched, &edits).expect("valid edit");
-                    elapsed += t0.elapsed();
-                }
-                fastest[slot] = fastest[slot].min(elapsed);
+    // Fastest of three runs of the stream per size, as above.
+    let mut fastest = [Duration::MAX; 2];
+    for (slot, hosts) in [SMALL, LARGE].into_iter().enumerate() {
+        let mut present: HashSet<(usize, usize)> = (0..hosts)
+            .flat_map(|h| (0..ACL_PER_HOST).map(move |j| (h, acl_target(h, j, hosts))))
+            .collect();
+        assert_eq!(present.len(), hosts * ACL_PER_HOST);
+        let mut e = IncrementalEngine::new(&attack_slice(hosts, &present))
+            .expect("valid program");
+        let mut rng = StdRng::seed_from_u64(15);
+        for _ in 0..3 {
+            let mut elapsed = Duration::ZERO;
+            for _ in 0..UPDATES {
+                // Toggle edges of the candidate set, twice the degree
+                // wide, so deletes and inserts both keep occurring.
+                let edits: Vec<FactEdit> = (0..EDITS)
+                    .map(|_| {
+                        let s = rng.gen_range(0..hosts);
+                        let d = acl_target(s, rng.gen_range(0..2 * ACL_PER_HOST), hosts);
+                        let (s_name, d_name) = (format!("h{s}"), format!("h{d}"));
+                        let args = [s_name.as_str(), d_name.as_str()];
+                        if present.remove(&(s, d)) {
+                            FactEdit::remove("hacl", &args)
+                        } else {
+                            present.insert((s, d));
+                            FactEdit::add("hacl", &args)
+                        }
+                    })
+                    .collect();
+                let mut sched = LevelBased::new(e.dag().clone());
+                let t0 = Instant::now();
+                e.update(&mut sched, &edits).expect("valid edit");
+                elapsed += t0.elapsed();
             }
-            let scratch = IncrementalEngine::new(&attack_slice(hosts, &present))
-                .expect("valid program");
-            for pattern in ["hacl(?, ?)", "two_hop(?, ?)", "wide_open(?)"] {
-                assert_eq!(
-                    e.query(pattern).expect("valid pattern"),
-                    scratch.query(pattern).expect("valid pattern"),
-                    "{strategy}, {hosts} hosts: {pattern} differs from from-scratch evaluation"
-                );
-            }
+            fastest[slot] = fastest[slot].min(elapsed);
         }
-        let ratio = fastest[1].as_secs_f64() / fastest[0].as_secs_f64();
-        assert!(
-            ratio <= 4.0,
-            "{strategy}: {UPDATES} updates over {LARGE} hosts took {ratio:.1}x the time over \
-             {SMALL} ({:?} vs {:?}); constant is 1x, linear in the extents 16x",
-            fastest[1],
-            fastest[0]
-        );
+        let scratch = IncrementalEngine::new(&attack_slice(hosts, &present))
+            .expect("valid program");
+        for pattern in ["hacl(?, ?)", "two_hop(?, ?)", "wide_open(?)"] {
+            assert_eq!(
+                e.query(pattern).expect("valid pattern"),
+                scratch.query(pattern).expect("valid pattern"),
+                "{hosts} hosts: {pattern} differs from from-scratch evaluation"
+            );
+        }
     }
+    let ratio = fastest[1].as_secs_f64() / fastest[0].as_secs_f64();
+    assert!(
+        ratio <= 4.0,
+        "{UPDATES} updates over {LARGE} hosts took {ratio:.1}x the time over \
+         {SMALL} ({:?} vs {:?}); constant is 1x, linear in the extents 16x",
+        fastest[1],
+        fastest[0]
+    );
 }
 
 /// A join step is a hash-table operation whatever the keys look like. The
@@ -539,14 +536,14 @@ struct Churn {
     rematerialisations: Duration,
 }
 
-/// Run `UPDATES` delete + delayed-reinsert updates under `strategy`, with
+/// Run `UPDATES` delete + delayed-reinsert updates, with
 /// a snapshot pinned across the whole run or no reader at all, checking
 /// after every update that the extents are a fresh engine's, that what was
 /// taken out is what came back plus what stayed out, that nothing came
 /// back unless something new went in, and that the proof search expanded
 /// no fact twice; and at the end that the row store grew by the net
 /// deltas, not by what was taken out and put back.
-fn tc_churn(strategy: MaintenanceStrategy, pinned: bool) -> Churn {
+fn tc_churn(pinned: bool) -> Churn {
     const UPDATES: usize = 50;
     let mut rng = StdRng::seed_from_u64(22);
     let mut present: Vec<(usize, usize)> = Vec::new();
@@ -565,8 +562,7 @@ fn tc_churn(strategy: MaintenanceStrategy, pinned: bool) -> Churn {
         .map(|_| present.swap_remove(rng.gen_range(0..present.len())))
         .collect();
 
-    let opts = EvalOptions::default().with_maintenance(strategy);
-    let mut e = IncrementalEngine::with_options(&tc_program(&present), opts).expect("valid program");
+    let mut e = IncrementalEngine::new(&tc_program(&present)).expect("valid program");
     let reader = pinned.then(|| e.begin_snapshot());
     let counter = |name: &str| incr_obs::registry().counter(name).get();
     let path_rows = |e: &IncrementalEngine| {
@@ -615,16 +611,16 @@ fn tc_churn(strategy: MaintenanceStrategy, pinned: bool) -> Churn {
         assert_eq!(
             overdeleted,
             revived + path_removed,
-            "{strategy}, update {update}: {overdeleted} tuples taken out, {revived} revived, \
+            "update {update}: {overdeleted} tuples taken out, {revived} revived, \
              {path_removed} net removals"
         );
         assert!(
             path_added > 0 || revived == 0,
-            "{strategy}, update {update}: {revived} tuples taken out and put back with nothing new"
+            "update {update}: {revived} tuples taken out and put back with nothing new"
         );
         assert!(
             expansions <= extent_before,
-            "{strategy}, update {update}: {expansions} facts expanded, the extent held {extent_before}"
+            "update {update}: {expansions} facts expanded, the extent held {extent_before}"
         );
         expansions_total += expansions;
         net_removed_total += report.pred_changes.values().map(|c| c.1).sum::<usize>();
@@ -645,11 +641,11 @@ fn tc_churn(strategy: MaintenanceStrategy, pinned: bool) -> Churn {
             };
             assert!(
                 rows(&e) == rows(&fresh),
-                "{strategy}, update {update}: {pattern} differs from from-scratch evaluation"
+                "update {update}: {pattern} differs from from-scratch evaluation"
             );
         }
     }
-    assert!(expansions_total > 0, "{strategy}: the stream never had a deletion candidate");
+    assert!(expansions_total > 0, "the stream never had a deletion candidate");
 
     if let Some(reader) = reader {
         // Nothing could be vacuumed, and still only what the updates
@@ -658,13 +654,13 @@ fn tc_churn(strategy: MaintenanceStrategy, pinned: bool) -> Churn {
         let retained = e.database().rows_retained();
         assert!(
             retained <= net_removed_total,
-            "{strategy}: {retained} rows retained for {net_removed_total} net removals"
+            "{retained} rows retained for {net_removed_total} net removals"
         );
     } else {
         let arena = path_rows(&e).1;
         assert!(
             arena <= largest_extent + largest_delta,
-            "{strategy}: path holds {arena} slots for an extent of at most {largest_extent} \
+            "path holds {arena} slots for an extent of at most {largest_extent} \
              and net deltas of at most {largest_delta}"
         );
     }
@@ -679,13 +675,11 @@ fn tc_churn(strategy: MaintenanceStrategy, pinned: bool) -> Churn {
 #[test]
 fn recursive_delete_checks_each_candidate_once_and_writes_its_net_delta() {
     let _turn = DATALOG_ENGINE_TESTS.lock().unwrap_or_else(PoisonError::into_inner);
-    tc_churn(MaintenanceStrategy::DRed, true);
-    tc_churn(MaintenanceStrategy::Fbf, true);
-    tc_churn(MaintenanceStrategy::Fbf, false);
+    tc_churn(true);
     // Fastest of three, as above.
     let mut fastest = [Duration::MAX; 2];
     for _ in 0..3 {
-        let cost = tc_churn(MaintenanceStrategy::DRed, false);
+        let cost = tc_churn(false);
         fastest[0] = fastest[0].min(cost.updates);
         fastest[1] = fastest[1].min(cost.rematerialisations);
     }

@@ -1,8 +1,8 @@
 //! End-to-end Datalog correctness: randomized edit sequences maintained
-//! incrementally (through every scheduler, under both maintenance
-//! strategies) must always agree with full recomputation from scratch.
+//! incrementally (through every scheduler) must always agree with full
+//! recomputation from scratch.
 
-use datalog_sched::datalog::{EvalOptions, FactEdit, IncrementalEngine, MaintenanceStrategy};
+use datalog_sched::datalog::{FactEdit, IncrementalEngine};
 use datalog_sched::sched::{Scheduler, SchedulerKind};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -86,6 +86,19 @@ const RULE_SETS: &[RuleSet] = &[
         base: &[("edge", 2), ("hop", 2)],
         derived: &[("reach", 1)],
     },
+    // The MulVAL attack graph of `crates/bench/src/attack.rs`: tuples with
+    // many derivations each (a host runs several vulnerable services and is
+    // reached from several sources), so most deletions leave a proof
+    // behind, over a small recursive clique.
+    RuleSet {
+        name: "attack graph",
+        rules: "vulnerable(H) :- service(H, P), vuln(P).\n \
+                exposed(D) :- hacl(S, D), vulnerable(D).\n \
+                compromised(H) :- attacker(H).\n \
+                compromised(D) :- compromised(S), hacl(S, D), vulnerable(D).\n",
+        base: &[("service", 2), ("vuln", 1), ("hacl", 2), ("attacker", 1)],
+        derived: &[("vulnerable", 1), ("exposed", 1), ("compromised", 1)],
+    },
 ];
 
 const VERTS: usize = 6;
@@ -102,13 +115,12 @@ fn args(fact: &Fact) -> Vec<String> {
 }
 
 /// Build an engine with the rule set plus the given base facts.
-fn engine_with(rules: &str, facts: &BTreeSet<Fact>, strategy: MaintenanceStrategy) -> IncrementalEngine {
+fn engine_with(rules: &str, facts: &BTreeSet<Fact>) -> IncrementalEngine {
     let mut src = String::from(rules);
     for fact in facts {
         src.push_str(&format!("{}({}).\n", fact.0, args(fact).join(", ")));
     }
-    let opts = EvalOptions::default().with_maintenance(strategy);
-    IncrementalEngine::with_options(&src, opts).expect("valid program")
+    IncrementalEngine::new(&src).expect("valid program")
 }
 
 /// The sorted rows of `pred`, as text (symbol ids differ between engines).
@@ -123,7 +135,7 @@ proptest! {
 
     /// Apply a random sequence of multi-edit updates incrementally and
     /// compare every derived predicate with recomputation after each one —
-    /// for every rule set, under both maintenance strategies.
+    /// for every rule set.
     #[test]
     fn incremental_equals_recompute(
         initial in proptest::collection::vec((0usize..8, 0..VERTS, 0..VERTS), 0..10),
@@ -145,37 +157,35 @@ proptest! {
                 let (pred, arity) = set.base[pick % set.base.len()];
                 (pred, [a, b][..arity].to_vec())
             };
-            for strategy in [MaintenanceStrategy::DRed, MaintenanceStrategy::Fbf] {
-                // Mirror of the base tables for ground-truth reconstruction.
-                let mut facts: BTreeSet<Fact> =
-                    initial.iter().map(|&(pick, a, b)| fact(pick, a, b)).collect();
-                let mut engine = engine_with(set.rules, &facts, strategy);
-                let mut sched: Box<dyn Scheduler> = kind.build(engine.dag().clone());
-                for (step, update) in updates.iter().enumerate() {
-                    let mut edits = Vec::new();
-                    for &(add, pick, a, b) in update {
-                        let f = fact(pick, a, b);
-                        let texts = args(&f);
-                        let texts: Vec<&str> = texts.iter().map(String::as_str).collect();
-                        if add {
-                            edits.push(FactEdit::add(f.0, &texts));
-                            facts.insert(f);
-                        } else {
-                            edits.push(FactEdit::remove(f.0, &texts));
-                            facts.remove(&f);
-                        }
+            // Mirror of the base tables for ground-truth reconstruction.
+            let mut facts: BTreeSet<Fact> =
+                initial.iter().map(|&(pick, a, b)| fact(pick, a, b)).collect();
+            let mut engine = engine_with(set.rules, &facts);
+            let mut sched: Box<dyn Scheduler> = kind.build(engine.dag().clone());
+            for (step, update) in updates.iter().enumerate() {
+                let mut edits = Vec::new();
+                for &(add, pick, a, b) in update {
+                    let f = fact(pick, a, b);
+                    let texts = args(&f);
+                    let texts: Vec<&str> = texts.iter().map(String::as_str).collect();
+                    if add {
+                        edits.push(FactEdit::add(f.0, &texts));
+                        facts.insert(f);
+                    } else {
+                        edits.push(FactEdit::remove(f.0, &texts));
+                        facts.remove(&f);
                     }
-                    engine.update(sched.as_mut(), &edits).expect("update applies");
+                }
+                engine.update(sched.as_mut(), &edits).expect("update applies");
 
-                    let full = engine_with(set.rules, &facts, strategy);
-                    for &pred in set.base.iter().chain(set.derived) {
-                        prop_assert_eq!(
-                            extent(&engine, pred),
-                            extent(&full, pred),
-                            "{}: {} after update {} ({:?}, {}, {:?})",
-                            set.name, pred.0, step, update, strategy, kind
-                        );
-                    }
+                let full = engine_with(set.rules, &facts);
+                for &pred in set.base.iter().chain(set.derived) {
+                    prop_assert_eq!(
+                        extent(&engine, pred),
+                        extent(&full, pred),
+                        "{}: {} after update {} ({:?}, {:?})",
+                        set.name, pred.0, step, update, kind
+                    );
                 }
             }
         }
