@@ -5,7 +5,7 @@
 //! negates a body literal (stratified negation only, enforced by
 //! [`crate::stratify`]).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Aggregate operator (head-only; see [`Term::Agg`]).
@@ -216,6 +216,21 @@ impl Program {
             }
         }
         Ok(arities)
+    }
+
+    /// A predicate that has an aggregate rule and any other rule or fact
+    /// besides it, if there is one: such a program states a group's value
+    /// more than once.
+    pub(crate) fn shared_aggregate(&self) -> Option<&str> {
+        let mut rules_of: BTreeMap<&str, usize> = BTreeMap::new();
+        for r in &self.rules {
+            *rules_of.entry(r.head.pred.as_str()).or_default() += 1;
+        }
+        self.rules
+            .iter()
+            .map(|r| (r.head.pred.as_str(), r.head.agg().is_some()))
+            .find(|&(p, aggregate)| aggregate && rules_of[p] > 1)
+            .map(|(p, _)| p)
     }
 
     /// Safety check over all rules.

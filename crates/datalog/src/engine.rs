@@ -7,7 +7,7 @@
 //! reports which outputs actually changed, so activation cascades exactly
 //! as far as the data requires and no further.
 
-use crate::ast::{Program, Rule};
+use crate::ast::{Atom, Program, Rule, Term};
 use crate::eval::{compile_program, load_facts, seminaive_scc, CRule};
 use crate::hash::Map;
 use crate::incr::{reevaluate_scc, update_scc, Delta};
@@ -17,10 +17,11 @@ use crate::query::{parse_pattern, query as run_query};
 use crate::rel::{Database, PredId};
 use crate::stratify::{stratify, StratifyError};
 use crate::taskgraph::{NodeKind, TaskGraph};
-use crate::value::Tuple;
+use crate::value::{Tuple, Value};
 use incr_dag::{Dag, NodeId};
 use incr_obs::trace;
 use incr_sched::{CostMeter, Scheduler};
+use std::collections::BTreeSet;
 use std::sync::{Arc, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
@@ -30,6 +31,11 @@ pub enum EngineError {
     Parse(ParseError),
     Stratify(StratifyError),
     Edit(String),
+    /// `pred` has an aggregate rule and another rule or a program fact
+    /// besides it. An aggregate holds one fold per group, and the engine
+    /// keeps that fold in the group's one tuple, so such a program — or a
+    /// rule change that would make one — is refused.
+    Aggregate { pred: String },
     /// The driving scheduler stalled (offered no task while active work
     /// remained). The update was rolled back — its open epoch aborted —
     /// so the materialization is exactly what it was before the failed
@@ -59,6 +65,11 @@ impl std::fmt::Display for EngineError {
             EngineError::Parse(e) => write!(f, "{e}"),
             EngineError::Stratify(e) => write!(f, "{e}"),
             EngineError::Edit(e) => write!(f, "bad edit: {e}"),
+            EngineError::Aggregate { pred } => write!(
+                f,
+                "{pred} is an aggregate: its aggregate rule must be its only rule, \
+                 with no program facts"
+            ),
             EngineError::Stall { scheduler } => write!(
                 f,
                 "{scheduler} stalled mid-update; the update was rolled back"
@@ -194,6 +205,10 @@ impl EvalOptions {
 pub struct IncrementalEngine {
     db: Arc<DbCell>,
     pins: Arc<PinRegistry>,
+    /// The rules, and the facts the program states of *derived*
+    /// predicates (they compile into rules). Base facts are rows of the
+    /// database and nowhere else once loaded: base tables are edited
+    /// through [`Self::update`], so a copy here would go stale.
     program: Program,
     rules: Vec<CRule>,
     graph: TaskGraph,
@@ -220,16 +235,21 @@ impl IncrementalEngine {
     /// routing and queries never hit an unregistered name even when no
     /// rewritten rule mentions it.
     pub(crate) fn from_program_declared(
-        program: Program,
+        mut program: Program,
         declare: &[(String, usize)],
     ) -> Result<Self, EngineError> {
-        let strat = stratify(&program).map_err(EngineError::Stratify)?;
+        Self::check_aggregates(&program)?;
         let mut db = Database::new();
         let rules = compile_program(&program, &mut db);
         load_facts(&program, &mut db);
         for (name, arity) in declare {
             db.pred(name, *arity);
         }
+        let derived: BTreeSet<String> =
+            program.derived_predicates().into_iter().map(str::to_string).collect();
+        program.rules.retain(|r| !r.is_fact() || derived.contains(&r.head.pred));
+        program.rules.shrink_to_fit();
+        let strat = stratify(&program).map_err(EngineError::Stratify)?;
         let graph = TaskGraph::build(&strat, &rules, &db);
 
         let node_rules = Self::index_node_rules(&graph, &rules);
@@ -620,16 +640,7 @@ impl IncrementalEngine {
                     NodeKind::Clique { preds, .. } => {
                         let rules = self.node_rules[node.index()].clone();
                         let input = std::mem::take(&mut pending[node.index()]);
-                        if rules.iter().any(|r| r.agg.is_some()) {
-                            // Aggregate cliques cannot be delta-pinned: a
-                            // single input tuple can change a whole group's
-                            // fold. Their inputs are final here, so a full
-                            // re-evaluation against the live database is
-                            // both correct and exact.
-                            reevaluate_scc(&mut db, &rules, preds)
-                        } else {
-                            update_scc(&mut db, &rules, preds, &input)
-                        }
+                        update_scc(&mut db, &rules, preds, &input)
                     }
                 }
             };
@@ -726,75 +737,136 @@ impl IncrementalEngine {
     /// then propagates downstream under `make_sched`'s scheduler, built
     /// over the *new* task DAG.
     ///
-    /// Ground facts are rejected — route those through [`Self::update`].
-    /// On `Err` the change is refused whole: rules, task graph and data
-    /// are what they were.
+    /// A rule for a base table makes it derived: the rows it holds now
+    /// become the facts the program states of it, so none is lost and no
+    /// edit it has seen is undone. Ground facts are rejected — route those
+    /// through [`Self::update`]. On `Err` the change is refused whole:
+    /// rules, task graph, data and epoch are what they were.
     pub fn add_rule(
         &mut self,
         rule_text: &str,
         make_sched: impl FnOnce(Arc<Dag>) -> Box<dyn Scheduler>,
     ) -> Result<UpdateReport, EngineError> {
-        let parsed = parse_program(rule_text).map_err(EngineError::Parse)?;
-        if parsed.rules.len() != 1 {
-            return Err(EngineError::Edit(
-                "add_rule takes exactly one clause".into(),
-            ));
-        }
-        let rule = parsed.rules.into_iter().next().expect("one clause");
+        let rule = Self::one_clause(rule_text, "add_rule")?;
         if rule.is_fact() {
             return Err(EngineError::Edit(
                 "ground facts go through update(), not add_rule()".into(),
             ));
         }
-        self.program.rules.push(rule.clone());
-        self.change_rules(&rule.head.pred, make_sched, |rules| {
-            rules.pop();
-        })
+        let mut rules = self.program.rules.clone();
+        if !self.program.derived_predicates().contains(rule.head.pred.as_str()) {
+            rules.extend(self.rows_as_facts(&rule.head.pred));
+        }
+        let head_pred = rule.head.pred.clone();
+        rules.push(rule);
+        self.change_rules(&head_pred, Program { rules }, make_sched)
     }
 
     /// Remove a rule (matched by textual equality after parsing) and
-    /// incrementally update the materialization. Refused whole on `Err`,
-    /// like [`Self::add_rule`].
+    /// incrementally update the materialization. A predicate left without
+    /// rules is a base table again, holding what the program states of it.
+    /// Refused whole on `Err`, like [`Self::add_rule`].
     pub fn remove_rule(
         &mut self,
         rule_text: &str,
         make_sched: impl FnOnce(Arc<Dag>) -> Box<dyn Scheduler>,
     ) -> Result<UpdateReport, EngineError> {
-        let parsed = parse_program(rule_text).map_err(EngineError::Parse)?;
-        if parsed.rules.len() != 1 {
-            return Err(EngineError::Edit(
-                "remove_rule takes exactly one clause".into(),
-            ));
-        }
-        let rule = parsed.rules.into_iter().next().expect("one clause");
+        let rule = Self::one_clause(rule_text, "remove_rule")?;
         let Some(pos) = self.program.rules.iter().position(|r| *r == rule) else {
             return Err(EngineError::Edit(format!(
                 "no such rule in the program: {rule}"
             )));
         };
-        self.program.rules.remove(pos);
-        let head_pred = rule.head.pred.clone();
-        self.change_rules(&head_pred, make_sched, |rules| rules.insert(pos, rule))
+        let mut rules = self.program.rules.clone();
+        rules.remove(pos);
+        self.change_rules(&rule.head.pred, Program { rules }, make_sched)
     }
 
-    /// Bring the engine in line with a rule just added to or removed from
-    /// `self.program`, and end the epoch. A refused change — arity clash,
-    /// unstratifiable program, stalled propagation — is refused whole,
-    /// like any other update: `undo` restores the rule list and the
-    /// engine is rebuilt over it, so the old data never sits under the
-    /// new rules; then the epoch aborts, which restores the data.
+    /// The one clause of `text`, for `what`.
+    fn one_clause(text: &str, what: &str) -> Result<Rule, EngineError> {
+        let parsed = parse_program(text).map_err(EngineError::Parse)?;
+        match <[Rule; 1]>::try_from(parsed.rules) {
+            Ok([rule]) => Ok(rule),
+            Err(_) => Err(EngineError::Edit(format!("{what} takes exactly one clause"))),
+        }
+    }
+
+    /// `pred`'s current rows as program facts, sorted.
+    fn rows_as_facts(&self, pred: &str) -> Vec<Rule> {
+        let db = self.db_read();
+        let Some(id) = db.pred_id(pred) else {
+            return Vec::new();
+        };
+        let term = |v: &Value| match *v {
+            Value::Int(i) => Term::Int(i),
+            Value::Sym(s) => Term::Sym(db.interner.name(s).to_string()),
+        };
+        db.rel(id)
+            .sorted()
+            .iter()
+            .map(|t| Rule {
+                head: Atom {
+                    pred: pred.to_string(),
+                    terms: t.iter().map(term).collect(),
+                },
+                body: Vec::new(),
+            })
+            .collect()
+    }
+
+    /// Refuse a program in which a predicate with an aggregate rule has
+    /// any other rule or program fact ([`EngineError::Aggregate`]).
+    fn check_aggregates(program: &Program) -> Result<(), EngineError> {
+        match program.shared_aggregate() {
+            Some(pred) => Err(EngineError::Aggregate { pred: pred.to_string() }),
+            None => Ok(()),
+        }
+    }
+
+    /// Bring the engine in line with `program`, the current one with one
+    /// rule added or removed, and end the epoch. A change the database
+    /// cannot take — an arity clash with a predicate it holds, an
+    /// aggregate that would share its predicate — is refused before
+    /// anything moves. One refused later — unstratifiable program, stalled
+    /// propagation — is refused whole, like any other update: the old
+    /// program comes back and the engine is rebuilt over it, so the old
+    /// data never sits under the new rules; then the epoch aborts, which
+    /// restores the data.
     fn change_rules(
         &mut self,
         head_pred: &str,
+        program: Program,
         make_sched: impl FnOnce(Arc<Dag>) -> Box<dyn Scheduler>,
-        undo: impl FnOnce(&mut Vec<Rule>),
     ) -> Result<UpdateReport, EngineError> {
-        let report = self.propagate_rule_change(head_pred, make_sched);
-        if report.is_err() {
-            undo(&mut self.program.rules);
-            self.rebuild().expect("previous program was valid");
-        }
+        let report = self.check_rule_change(&program).and_then(|()| {
+            let old = std::mem::replace(&mut self.program, program);
+            let report = self.propagate_rule_change(head_pred, make_sched);
+            if report.is_err() {
+                self.program = old;
+                self.rebuild().expect("previous program was valid");
+            }
+            report
+        });
         self.end_epoch(report, true)
+    }
+
+    /// Is `program` one this database can take: arities consistent with
+    /// each other and with every predicate the database holds — base
+    /// tables included, which the program does not list — and every
+    /// aggregate alone in its predicate?
+    fn check_rule_change(&self, program: &Program) -> Result<(), EngineError> {
+        let arities = program.predicate_arities().map_err(EngineError::Edit)?;
+        let db = self.db_read();
+        for (pred, arity) in arities {
+            let Some(id) = db.pred_id(&pred) else { continue };
+            let held = db.rel(id).arity();
+            if held != arity {
+                return Err(EngineError::Edit(format!(
+                    "predicate {pred} has arity {held}, the program uses it with {arity}"
+                )));
+            }
+        }
+        Self::check_aggregates(program)
     }
 
     /// Recompile the changed program, re-evaluate the changed head's
@@ -805,29 +877,49 @@ impl IncrementalEngine {
         head_pred: &str,
         make_sched: impl FnOnce(Arc<Dag>) -> Box<dyn Scheduler>,
     ) -> Result<UpdateReport, EngineError> {
-        // The whole program must still be consistent (arity clashes with
-        // existing predicates, stratifiability).
-        self.program
-            .predicate_arities()
-            .map_err(EngineError::Edit)?;
+        // A predicate no rule derives any more is a base table: the facts
+        // the program states of it become its rows, and leave the program.
+        let mut stated = Vec::new();
+        if !self.program.derived_predicates().contains(head_pred) {
+            let rules = std::mem::take(&mut self.program.rules);
+            let (facts, rest): (Vec<Rule>, Vec<Rule>) =
+                rules.into_iter().partition(|r| r.head.pred == head_pred);
+            stated = facts;
+            self.program.rules = rest;
+        }
         self.rebuild()?;
         let head = {
             let db = self.db_read();
             db.pred_id(head_pred).expect("head registered by rebuild")
         };
-        let Some(&node) = self.graph.node_of_pred.get(&head) else {
-            // The predicate vanished from the program entirely (its last
-            // rule removed and nothing else mentions it): clear leftovers
-            // tuple-by-tuple — tombstones, not a wholesale relation swap,
-            // so pinned snapshots keep reading the old extent until the
-            // next publish vacuums past them.
+        let node = self.graph.node_of_pred.get(&head).copied();
+        let out = {
             let mut db = self.db_write();
-            let doomed = db.rel(head).sorted();
-            let removed = doomed.len();
-            for t in &doomed {
-                db.rel_mut(head).remove(t);
+            match node.map(|n| (n, &self.graph.kinds[n.index()])) {
+                Some((n, NodeKind::Clique { preds, .. })) => {
+                    let rules = self.node_rules[n.index()].clone();
+                    reevaluate_scc(&mut db, &rules, preds)
+                }
+                _ => {
+                    // What was derived goes — tuple by tuple, tombstoned
+                    // for any pinned snapshot, not a wholesale relation
+                    // swap; what the program stated goes back in, reviving
+                    // its rows.
+                    let mut d = Delta::default();
+                    for t in db.rel(head).sorted() {
+                        db.rel_mut(head).remove(&t);
+                        d.removed.insert(t);
+                    }
+                    load_facts(&Program { rules: stated }, &mut db);
+                    d.removed.retain(|t| !db.rel(head).contains(t));
+                    Map::from_iter([(head, d)])
+                }
             }
-            drop(db);
+        };
+        let Some(node) = node else {
+            // The predicate vanished from the program entirely (its last
+            // rule removed and nothing else reads it): no task reads it.
+            let removed = out[&head].removed.len();
             let mut pred_changes = Map::default();
             if removed > 0 {
                 pred_changes.insert(head_pred.to_string(), (0, removed));
@@ -839,31 +931,6 @@ impl IncrementalEngine {
                 sched_cost: CostMeter::default(),
                 order: Vec::new(),
             });
-        };
-        let out = {
-            let mut db = self.db_write();
-            match &self.graph.kinds[node.index()] {
-                NodeKind::Clique { preds, .. } => {
-                    let rules = self.node_rules[node.index()].clone();
-                    reevaluate_scc(&mut db, &rules, preds)
-                }
-                NodeKind::Base(_) => {
-                    // The last rule for this predicate was removed: it is
-                    // now a base table. Remove the derived leftovers
-                    // (tombstoned for any pinned snapshot); the program's
-                    // own facts of it go back in, reviving their rows.
-                    let mut d = Delta::default();
-                    for t in db.rel(head).sorted() {
-                        db.rel_mut(head).remove(&t);
-                        d.removed.insert(t);
-                    }
-                    let stated = self.program.rules.iter();
-                    let stated = stated.filter(|r| r.is_fact() && r.head.pred == head_pred);
-                    load_facts(&Program { rules: stated.cloned().collect() }, &mut db);
-                    d.removed.retain(|t| !db.rel(head).contains(t));
-                    Map::from_iter([(head, d)])
-                }
-            }
         };
         // The head re-evaluation above already mutated the database, in
         // the same open epoch the drive stamps at, so a stalled
@@ -1309,6 +1376,158 @@ pub(crate) mod tests {
         e.update(&mut s, &[FactEdit::add("edge", &["c", "d"])])
             .unwrap();
         assert_eq!(e.query("reach_size(a, ?)").unwrap(), vec!["(a, 4)"]);
+    }
+
+    fn update_with(e: &mut IncrementalEngine, edits: &[FactEdit]) -> UpdateReport {
+        let mut s = LevelBased::new(e.dag().clone());
+        e.update(&mut s, edits).unwrap()
+    }
+
+    #[test]
+    fn aggregate_group_counts_down_to_zero_and_comes_back() {
+        let src = "deg(X, count(Y)) :- edge(X, Y).\nedge(a, b). edge(a, c).";
+        let mut e = IncrementalEngine::new(src).unwrap();
+        let pinned = e.begin_snapshot();
+        update_with(&mut e, &[FactEdit::remove("edge", &["a", "b"])]);
+        assert_eq!(rows(&e, "deg(?, ?)"), ["(a, 1)"]);
+        let rep = update_with(&mut e, &[FactEdit::remove("edge", &["a", "c"])]);
+        assert_eq!(e.count("deg"), 0, "a group at zero has no tuple");
+        assert_eq!(rep.pred_changes["deg"], (0, 1));
+        update_with(&mut e, &[FactEdit::add("edge", &["a", "c"])]);
+        assert_eq!(rows(&e, "deg(?, ?)"), ["(a, 1)"]);
+        assert_eq!(pinned.query("deg(?, ?)").unwrap(), ["(a, 2)"], "the pinned epoch's fold");
+    }
+
+    #[test]
+    fn max_keeps_its_extreme_while_a_tie_remains() {
+        let mut e = IncrementalEngine::new(
+            "top(C, max(V)) :- item(C, I, V).\nitem(c, i1, 9). item(c, i2, 9). item(c, i3, 4).",
+        )
+        .unwrap();
+        let rep = update_with(&mut e, &[FactEdit::remove("item", &["c", "i1", "9"])]);
+        assert_eq!(rows(&e, "top(?, ?)"), ["(c, 9)"]);
+        assert!(!rep.pred_changes.contains_key("top"), "i2 still holds the 9");
+        update_with(&mut e, &[FactEdit::remove("item", &["c", "i2", "9"])]);
+        assert_eq!(rows(&e, "top(?, ?)"), ["(c, 4)"], "the extreme left: re-folded");
+        update_with(&mut e, &[FactEdit::add("item", &["c", "i4", "7"])]);
+        assert_eq!(rows(&e, "top(?, ?)"), ["(c, 7)"]);
+    }
+
+    #[test]
+    fn sum_over_a_group_of_symbols_has_no_tuple() {
+        let src = "total(X, sum(V)) :- m(X, V).\nm(a, x). m(a, y).";
+        let mut e = IncrementalEngine::new(src).unwrap();
+        assert_eq!(e.count("total"), 0, "nothing to add up");
+        update_with(&mut e, &[FactEdit::add("m", &["a", "3"])]);
+        assert_eq!(rows(&e, "total(?, ?)"), ["(a, 3)"]);
+        update_with(&mut e, &[FactEdit::add("m", &["a", "z"])]);
+        assert_eq!(rows(&e, "total(?, ?)"), ["(a, 3)"]);
+        update_with(&mut e, &[FactEdit::remove("m", &["a", "3"])]);
+        assert_eq!(e.count("total"), 0, "the last Int left; symbols remain");
+    }
+
+    #[test]
+    fn sum_wraps_at_the_i64_bounds() {
+        // Folded whole (materialisation) and kept by ±Δ (updates) alike,
+        // in a debug build as in release.
+        let max = i64::MAX.to_string();
+        let src = format!("total(X, sum(V)) :- m(X, V).\nm(a, {max}). m(a, 1).");
+        let mut e = IncrementalEngine::new(&src).unwrap();
+        assert_eq!(rows(&e, "total(?, ?)"), [format!("(a, {})", i64::MIN)]);
+        update_with(&mut e, &[FactEdit::remove("m", &["a", "1"])]);
+        assert_eq!(rows(&e, "total(?, ?)"), [format!("(a, {max})")]);
+        update_with(&mut e, &[FactEdit::add("m", &["a", "5"]), FactEdit::add("m", &["a", "-2"])]);
+        assert_eq!(rows(&e, "total(?, ?)"), [format!("(a, {})", i64::MIN + 2)]);
+        update_with(&mut e, &[FactEdit::remove("m", &["a", "5"])]);
+        assert_eq!(rows(&e, "total(?, ?)"), [format!("(a, {})", i64::MAX - 2)]);
+    }
+
+    #[test]
+    fn a_sale_added_and_voided_in_one_batch_changes_nothing() {
+        let src = "
+            volume(C, count(T)) :- sale(T, P), product(P, C).
+            revenue(C, sum(V)) :- sale(T, P), product(P, C), price(P, V).
+            product(widget, gadgets). price(widget, 10). sale(s1, widget).
+        ";
+        let mut e = IncrementalEngine::new(src).unwrap();
+        let before = db_image(&e, &["volume", "revenue"]);
+        let pair = |add: &str, void: &str| {
+            [FactEdit::add("sale", &[add, "widget"]), FactEdit::remove("sale", &[void, "widget"])]
+        };
+        let rep = update_with(&mut e, &pair("s2", "s2"));
+        assert_eq!(rep.tasks_executed, 0, "the pair nets to nothing");
+        // A sale in and another out: the count and the price both stay.
+        let rep = update_with(&mut e, &pair("s3", "s1"));
+        assert!(rep.tasks_executed > 1);
+        assert!(!rep.pred_changes.contains_key("volume"));
+        assert!(!rep.pred_changes.contains_key("revenue"));
+        assert_eq!(db_image(&e, &["volume", "revenue"]), before);
+    }
+
+    #[test]
+    fn an_aggregate_predicate_with_another_rule_or_fact_is_refused() {
+        for src in [
+            "v(C, count(T)) :- a(C, T). v(C, count(T)) :- b(C, T).\n\
+             v(x, 9). a(x, 1). b(x, 1). b(x, 2).",
+            "v(C, count(T)) :- a(C, T). v(C, T) :- b(C, T). a(x, 1).",
+            "v(x, 9). v(C, count(T)) :- a(C, T). a(x, 1).",
+        ] {
+            let err = IncrementalEngine::new(src).err();
+            let refused = matches!(err, Some(EngineError::Aggregate { ref pred }) if pred == "v");
+            assert!(refused, "{src}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn a_rule_change_sharing_an_aggregate_predicate_is_refused_whole() {
+        let src = "v(C, count(T)) :- a(C, T).\nw(C) :- b(C).\na(x, 1). b(x). d(x, 2).";
+        let mut e = IncrementalEngine::new(src).unwrap();
+        let preds = ["v", "w", "a", "b", "d"];
+        let (image, epoch, nodes) = (db_image(&e, &preds), e.epoch(), e.dag().node_count());
+        for rule in [
+            "v(C, count(T)) :- b2(C, T).",
+            "v(C, T) :- d(C, T).",
+            // `d` holds a row, which would become a fact beside the aggregate.
+            "d(C, sum(T)) :- a(C, T).",
+        ] {
+            let err = e.add_rule(rule, lb);
+            assert!(matches!(err, Err(EngineError::Aggregate { .. })), "{rule}: {err:?}");
+            assert_eq!(db_image(&e, &preds), image);
+            assert_eq!((e.epoch(), e.dag().node_count(), e.rules.len()), (epoch, nodes, 2));
+        }
+        // An aggregate of its own goes in, and is maintained from then on.
+        e.add_rule("total(C, sum(T)) :- a(C, T).", lb).unwrap();
+        update_with(&mut e, &[FactEdit::add("a", &["x", "2"])]);
+        assert_eq!(rows(&e, "v(?, ?)"), ["(x, 2)"]);
+        assert_eq!(rows(&e, "total(?, ?)"), ["(x, 3)"]);
+    }
+
+    #[test]
+    fn a_base_table_turning_derived_keeps_the_rows_it_holds() {
+        let mut e = IncrementalEngine::new("p(X) :- q(X).\nq(a). r(c).").unwrap();
+        assert_eq!(e.program.rules.len(), 1, "base facts live in the database only");
+        update_with(&mut e, &[FactEdit::remove("q", &["a"]), FactEdit::add("q", &["b"])]);
+        assert_eq!(rows(&e, "q(?)"), ["(b)"]);
+        e.add_rule("q(X) :- r(X).", lb).unwrap();
+        assert_eq!(rows(&e, "q(?)"), ["(b)", "(c)"], "q(a) was deleted; q(b) was not");
+        assert_eq!(rows(&e, "p(?)"), ["(b)", "(c)"]);
+        e.remove_rule("q(X) :- r(X).", lb).unwrap();
+        assert_eq!(rows(&e, "q(?)"), ["(b)"]);
+        assert_eq!(rows(&e, "p(?)"), ["(b)"]);
+        // A base table again, whose rows are edited as rows.
+        update_with(&mut e, &[FactEdit::remove("q", &["b"])]);
+        assert_eq!((e.count("q"), e.count("p")), (0, 0));
+        assert_eq!(e.program.rules.len(), 1);
+    }
+
+    #[test]
+    fn add_rule_checks_arities_against_the_base_tables_held() {
+        // `r` is in no rule, so only the database knows its arity.
+        let mut e = IncrementalEngine::new("p(X) :- q(X).\nq(a). r(c).").unwrap();
+        let err = e.add_rule("p(X) :- r(X, Y).", lb);
+        assert!(matches!(err, Err(EngineError::Edit(_))), "got {err:?}");
+        e.add_rule("p(X) :- r(X).", lb).unwrap();
+        assert_eq!(rows(&e, "p(?)"), ["(a)", "(c)"]);
     }
 
     #[test]

@@ -7,10 +7,12 @@
 //! the evaluator probes the secondary index on exactly that column set
 //! (built on demand by [`ensure_indices`]) instead of scanning the extent.
 //! The forward and pinned plans keep source order and are fixed at compile
-//! time; the head-bound [`CheckPlan`] also picks the order, most-bound atom
-//! first, once the extents are materialised. One walker (`walk`) runs them
-//! all; [`eval_rule`] and the proof search of [`crate::prove`] differ only
-//! in the leaf they hand it (emit the head, record the instance).
+//! time; the head-bound [`CheckPlan`] (and an aggregate rule's group-bound
+//! one) also picks the order, most-bound atom first, once the extents are
+//! materialised. One walker (`walk`) runs them all; [`eval_rule`], the
+//! proof search of [`crate::prove`] and aggregate maintenance differ only
+//! in the leaf they hand it (emit the head, record the instance, read the
+//! aggregated value).
 //!
 //! Pinning body position `j` to a delta relation evaluates only the
 //! derivations that use a delta tuple at `j` — the primitive behind
@@ -162,6 +164,14 @@ pub struct CAgg {
     pub slot: u32,
 }
 
+impl CAgg {
+    /// The head columns of the group key: all of an `arity`-wide head
+    /// but `pos`.
+    pub(crate) fn group_cols(&self, arity: usize) -> Vec<usize> {
+        (0..arity).filter(|&c| c != self.pos).collect()
+    }
+}
+
 /// How one body atom is accessed by the nested-loop join.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Access {
@@ -181,9 +191,10 @@ pub struct CRule {
     /// `(atom, negated)` in source order.
     pub body: Vec<(CAtom, bool)>,
     pub nvars: u32,
-    /// Head aggregate, if any. Aggregate rules are evaluated by
-    /// [`eval_agg_rule`], never with delta pins; stratification keeps
-    /// their consumers above their inputs exactly as with negation.
+    /// Head aggregate, if any. An aggregate rule is folded whole by
+    /// [`eval_agg_rule`], or maintained group by group from the raw head
+    /// bindings its delta pins find (`incr.rs`); stratification keeps its
+    /// consumers above its inputs exactly as with negation.
     pub agg: Option<CAgg>,
     /// Per-body-atom access path when evaluation starts from nothing
     /// bound (the ordinary forward join).
@@ -195,6 +206,9 @@ pub struct CRule {
     pub pin_plans: Vec<Vec<Access>>,
     /// The head-bound plan, decided on first use ([`CRule::check_plan`]).
     check_plan: OnceLock<CheckPlan>,
+    /// The group-bound plan of an aggregate rule, decided on first use
+    /// ([`CRule::group_plan`]).
+    group_plan: OnceLock<CheckPlan>,
 }
 
 /// A rule's plan when the head variables are pre-bound, under which the
@@ -218,6 +232,25 @@ impl CRule {
     pub fn check_plan(&self, db: &dyn Rels) -> &CheckPlan {
         self.check_plan
             .get_or_init(|| plan_body(&self.body, &vars_of(&self.head), Some(db)))
+    }
+
+    /// The plan that visits one group of an aggregate rule: the group key's
+    /// slots bound, the body ordered by boundness as in the check plan.
+    /// Decided when the check plan is.
+    pub(crate) fn group_plan(&self, db: &dyn Rels) -> &CheckPlan {
+        self.group_plan
+            .get_or_init(|| plan_body(&self.body, &vars_of(&self.group_atom()), Some(db)))
+    }
+
+    /// The head without its aggregate position: the atom a group key
+    /// matches. The whole head for a rule without an aggregate.
+    fn group_atom(&self) -> CAtom {
+        let pos = self.agg.map(|a| a.pos);
+        let terms = self.head.terms.iter().enumerate();
+        CAtom {
+            pred: self.head.pred,
+            terms: terms.filter(|&(i, _)| Some(i) != pos).map(|(_, t)| *t).collect(),
+        }
     }
 
     /// Does any body atom (positive or negated) read one of `preds`? Asked
@@ -375,6 +408,7 @@ pub fn compile_rule(rule: &Rule, db: &mut Database) -> CRule {
         plan,
         pin_plans,
         check_plan: OnceLock::new(),
+        group_plan: OnceLock::new(),
     }
 }
 
@@ -405,7 +439,9 @@ pub fn compile_program(program: &Program, db: &mut Database) -> Vec<CRule> {
 /// under `&Database` never takes a lock or mutates. Call at any `&mut`
 /// entry point before evaluating; re-ensuring is a cheap no-op.
 /// `include_check_plans` additionally covers the head-bound plans (only
-/// the maintenance paths need those), deciding each rule's on the way.
+/// the maintenance paths need those), deciding each rule's on the way —
+/// and, for an aggregate rule, its group plan and the head index on the
+/// group key its maintenance reads a group's tuple through.
 pub fn ensure_indices(db: &mut Database, rules: &[CRule], include_check_plans: bool) {
     fn ensure_plan(db: &mut Database, rule: &CRule, plan: &[Access]) {
         for ((atom, _), access) in rule.body.iter().zip(plan) {
@@ -424,6 +460,14 @@ pub fn ensure_indices(db: &mut Database, rules: &[CRule], include_check_plans: b
         if include_check_plans {
             let access = &rule.check_plan(db).access;
             ensure_plan(db, rule, access);
+            if let Some(agg) = rule.agg {
+                let access = &rule.group_plan(db).access;
+                ensure_plan(db, rule, access);
+                let key = agg.group_cols(rule.head.terms.len());
+                if !key.is_empty() && db.rel_mut(rule.head.pred).ensure_index(&key) {
+                    metrics().build.inc();
+                }
+            }
         }
     }
 }
@@ -542,7 +586,7 @@ struct Ctx<'a> {
 pub fn eval_rule(db: &dyn Rels, rule: &CRule, pin: Option<Pin<'_>>, out: &mut dyn FnMut(Tuple)) {
     assert!(
         rule.agg.is_none(),
-        "aggregate rules are evaluated with eval_agg_rule, never pinned"
+        "an aggregate rule's heads are folds: evaluate it with eval_agg_rule"
     );
     eval_heads(db, rule, pin, out)
 }
@@ -597,8 +641,8 @@ fn eval_heads(db: &dyn Rels, rule: &CRule, pin: Option<Pin<'_>>, out: &mut dyn F
 pub(crate) type PinJob<'a> = (&'a CRule, Pin<'a>);
 
 /// The distinct `(head, tuple)` derivations of `jobs` passing `keep`,
-/// sorted. The database is only read — callers merge the returned list
-/// themselves.
+/// sorted; an aggregate rule's are its raw head bindings. The database is
+/// only read — callers merge the returned list themselves.
 pub(crate) fn eval_pin_jobs(
     db: &dyn Rels,
     jobs: &[PinJob<'_>],
@@ -607,7 +651,7 @@ pub(crate) fn eval_pin_jobs(
     let mut out = Vec::new();
     for &(rule, pin) in jobs {
         let head = rule.head.pred;
-        eval_rule(db, rule, Some(pin), &mut |t| {
+        eval_heads(db, rule, Some(pin), &mut |t| {
             if keep(head, &t) {
                 out.push((head, t));
             }
@@ -620,13 +664,33 @@ pub(crate) fn eval_pin_jobs(
     out
 }
 
+/// Fold one group's raw values with `op` — distinct values for `count`
+/// and `sum`, which count and add each one. `count` counts every value;
+/// `sum`/`min`/`max` fold the `Int` ones and give `None` when there are
+/// none (symbols have no meaningful order across interning).
+///
+/// `sum` wraps at the `i64` bounds in every build, debug included.
+/// Wrapping addition is a group, so a sum kept up to date by adding the
+/// values that join a group and subtracting the ones that leave it is
+/// bit-for-bit this fold.
+pub(crate) fn fold(op: AggOp, vals: &[Value]) -> Option<Value> {
+    let mut ints = vals.iter().filter_map(|v| match v {
+        Value::Int(i) => Some(*i),
+        Value::Sym(_) => None,
+    });
+    let folded = match op {
+        AggOp::Count => Some(vals.len() as i64),
+        AggOp::Sum => ints.next().map(|first| ints.fold(first, i64::wrapping_add)),
+        AggOp::Min => ints.min(),
+        AggOp::Max => ints.max(),
+    };
+    folded.map(Value::Int)
+}
+
 /// Evaluate an aggregate rule: collect the DISTINCT raw head bindings
 /// (the aggregate position carries the bound variable), group by the
-/// remaining positions, and fold each group with the operator.
-///
-/// `count` counts distinct values per group; `sum`/`min`/`max` fold the
-/// `Int` values and skip groups with none (symbols have no meaningful
-/// order across interning).
+/// remaining positions, and [`fold`] each group with the operator; a
+/// group that folds to nothing has no tuple.
 pub fn eval_agg_rule(db: &dyn Rels, rule: &CRule) -> Vec<Tuple> {
     let agg = rule.agg.expect("eval_agg_rule requires an aggregate head");
     let mut raw: Set<Tuple> = Set::default();
@@ -641,31 +705,7 @@ pub fn eval_agg_rule(db: &dyn Rels, rule: &CRule) -> Vec<Tuple> {
     }
     let mut out = Vec::with_capacity(groups.len());
     for (key, vals) in groups {
-        let folded = match agg.op {
-            AggOp::Count => Some(Value::Int(vals.len() as i64)),
-            AggOp::Sum => {
-                let ints: Vec<i64> = vals
-                    .iter()
-                    .filter_map(|v| match v {
-                        Value::Int(i) => Some(*i),
-                        _ => None,
-                    })
-                    .collect();
-                (!ints.is_empty()).then(|| Value::Int(ints.iter().sum()))
-            }
-            AggOp::Min | AggOp::Max => {
-                let ints = vals.iter().filter_map(|v| match v {
-                    Value::Int(i) => Some(*i),
-                    _ => None,
-                });
-                if agg.op == AggOp::Min {
-                    ints.min().map(Value::Int)
-                } else {
-                    ints.max().map(Value::Int)
-                }
-            }
-        };
-        if let Some(v) = folded {
+        if let Some(v) = fold(agg.op, &vals) {
             let mut tuple = key;
             tuple.insert(agg.pos, v);
             out.push(tuple);
@@ -784,6 +824,30 @@ pub(crate) fn walk_head(
     let mut bind: Vec<Option<Value>> = vec![None; rule.nvars as usize];
     let mut trail: Vec<u32> = Vec::new();
     !matches(&rule.head, t, &mut bind, &mut trail)
+        || walk(db, &ctx, 0, &mut bind, &mut trail, leaf)
+}
+
+/// Walk one group of an aggregate rule: bind the head's group terms to
+/// `key` (a head tuple without its aggregate position), then search the
+/// body under the group plan, calling `leaf` per derivation — the
+/// aggregated value is in slot `agg.slot`. Returns `false` iff `leaf`
+/// stopped the search.
+pub(crate) fn walk_group(
+    db: &dyn Rels,
+    rule: &CRule,
+    key: &[Value],
+    leaf: &mut dyn FnMut(&[Option<Value>]) -> bool,
+) -> bool {
+    let plan = rule.group_plan(db);
+    let ctx = Ctx {
+        rule,
+        plan: &plan.access,
+        order: &plan.order,
+        pinned: None,
+    };
+    let mut bind: Vec<Option<Value>> = vec![None; rule.nvars as usize];
+    let mut trail: Vec<u32> = Vec::new();
+    !matches(&rule.group_atom(), key, &mut bind, &mut trail)
         || walk(db, &ctx, 0, &mut bind, &mut trail, leaf)
 }
 

@@ -9,7 +9,7 @@
 //! runs, or a relation and its clone, lay their rows out alike.
 //!
 //! Given up: the standard hasher's defence against keys crafted to
-//! collide. The interner's string map (`value.rs`) keeps it; `DeltaQueue`
+//! collide. The interner's symbol table (`value.rs`) keeps it; `DeltaQueue`
 //! and the predicate-name maps hash text with this one, sound while edits
 //! come from the embedding program (a network front door would differ).
 

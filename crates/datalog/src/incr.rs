@@ -33,15 +33,23 @@
 //! assembled from what the phases track (overdeleted tuples that stayed
 //! out, inserted tuples that were not overdeleted first), so a task costs
 //! its deltas and its join work, never the size of an extent.
+//!
+//! An aggregate clique takes the same deltas through the same pins, and
+//! keeps each group's fold in the group's own tuple: the raw bindings
+//! that came or went are added to or taken from it, and a group is walked
+//! again only when its `min`/`max` extreme left ([`update_scc`]). Every
+//! clique is maintained on every fact update; [`reevaluate_scc`] serves
+//! rule changes alone.
 
+use crate::ast::AggOp;
 use crate::eval::{
-    ensure_indices, eval_agg_rule, eval_pin_jobs, eval_rule, seminaive_scc, CRule, Patch, Pin,
-    PinJob, PinMode, Rels,
+    ensure_indices, eval_agg_rule, eval_pin_jobs, eval_rule, fold, seminaive_scc, walk_group,
+    walk_head, CAgg, CRule, Patch, Pin, PinJob, PinMode, Rels,
 };
 use crate::hash::{Map, Set};
 use crate::prove::Prover;
 use crate::rel::{Database, PredId, Relation};
-use crate::value::Tuple;
+use crate::value::{Tuple, Value};
 use incr_obs::flight::{self, FlightCode};
 use incr_obs::trace;
 use std::time::Instant;
@@ -258,13 +266,21 @@ fn overdelete(
 ///   clique reads (upstream cliques' outputs or base-table edits),
 ///   already applied to `db`.
 ///
-/// Returns the clique's own net output delta per predicate.
+/// Returns the clique's own net output delta per predicate. An aggregate
+/// clique — one predicate, one rule, never recursive — is maintained
+/// group by group ([`maintain_aggregate`]); every other clique proves or
+/// deletes, then inserts.
 pub fn update_scc(
     db: &mut Database,
     rules: &[CRule],
     scc_preds: &[PredId],
     input: &Map<PredId, Delta>,
 ) -> Map<PredId, Delta> {
+    if let [rule] = rules {
+        if let Some(agg) = rule.agg {
+            return maintain_aggregate(db, rule, agg, input);
+        }
+    }
     // ---- Phase 1: prove or delete, against the old view. ----
     // Each DRed phase is triply accounted: a trace span (opt-in, rich),
     // a flight-recorder span (always on, lands in black-box dumps), and
@@ -330,11 +346,185 @@ pub fn update_scc(
     out
 }
 
+/// Is the raw head tuple `t` derivable through `rule` in `db`?
+fn derivable(db: &dyn Rels, rule: &CRule, t: &[Value]) -> bool {
+    !walk_head(db, rule, t, &mut |_| false)
+}
+
+/// The live tuple of the group `key` of `rule`'s head — the group's
+/// accumulator — read through the head index on the group key.
+fn group_tuple(db: &Database, rule: &CRule, agg: CAgg, key: &[Value]) -> Option<Tuple> {
+    let head = db.rel(rule.head.pred);
+    let cols = agg.group_cols(rule.head.terms.len());
+    if cols.is_empty() {
+        // No group columns: one group, at most one tuple.
+        return head.iter().next().cloned();
+    }
+    match head.probe(&cols, key) {
+        Some(rows) => rows.iter().next().cloned(),
+        // Not reached: the index is ensured with the rule's plans.
+        None => head
+            .iter()
+            .find(|t| cols.iter().zip(key).all(|(&c, v)| t[c] == *v))
+            .cloned(),
+    }
+}
+
+/// Maintain an aggregate clique from its input deltas, paying for the
+/// delta and the groups it touches, never for the groups it does not.
+///
+/// The rule's delta pins find the *raw* head bindings (group key plus the
+/// aggregated value) whose derivations the update destroyed, over the old
+/// view, or created, over the new state. A destroyed-derivation candidate
+/// was derivable before, so it is lost iff no derivation is left now; a
+/// created-derivation one is derivable now, so it is gained iff none
+/// existed before — one head-bound walk each, in the other state. A sale
+/// that has a duplicate, or a product with two sales, changes nothing.
+///
+/// The group's live tuple is its accumulator: `count` adds the gained and
+/// subtracts the lost values (its tuple goes at 0), `sum` does the same
+/// with their `Int`s in wrapping arithmetic ([`fold`]), `min`/`max` take
+/// the better of the old extreme and the gained values. One group-bound
+/// walk ([`walk_group`]) is needed only when a `min`/`max` group lost its
+/// extreme (re-fold the group) or a `sum` group lost `Int`s and gained none
+/// (is any `Int` left?). Nothing lives outside the relation, so
+/// `abort_open_epoch` undoes this like any other write and pinned
+/// snapshots keep reading their epoch.
+fn maintain_aggregate(
+    db: &mut Database,
+    rule: &CRule,
+    agg: CAgg,
+    input: &Map<PredId, Delta>,
+) -> Map<PredId, Delta> {
+    let span = trace::span("datalog", "agg.maintain");
+    let mut fspan = flight::span(FlightCode::AggMaintain);
+    let _timer = ScopeCounter {
+        counter: "datalog.agg.maintain_ns",
+        t0: Instant::now(),
+    };
+    ensure_indices(db, std::slice::from_ref(rule), true);
+    let lists = delta_lists(input);
+    // `(group key, value, gained)` per raw tuple whose derivability changed.
+    let mut raw: Vec<(Tuple, Value, bool)> = Vec::new();
+    {
+        let patches = OldView::patches(db, input);
+        let view = OldView {
+            db,
+            patches: &patches,
+        };
+        let (old, new): (&dyn Rels, &dyn Rels) = (&view, db);
+        // Destruction pins run where the derivations were, construction
+        // pins where they are; each candidate is checked in the other state.
+        for (gained, pinned, other) in [(false, old, new), (true, new, old)] {
+            let jobs = delta_pin_jobs(&[rule], &lists, !gained);
+            for (_, mut t) in eval_pin_jobs(pinned, &jobs, |_, _| true) {
+                if !derivable(other, rule, &t) {
+                    let v = t.remove(agg.pos);
+                    raw.push((t, v, gained));
+                }
+            }
+        }
+    }
+    // Sorted by key, so the groups are visited, and their rows written, in
+    // one order.
+    raw.sort_unstable();
+    let head = rule.head.pred;
+    let mut delta = Delta::default();
+    let (mut changed, mut refolds) = (0u64, 0u64);
+    for group in raw.chunk_by(|a, b| a.0 == b.0) {
+        let key = &group[0].0;
+        let values = |gained: bool| -> Vec<Value> {
+            group.iter().filter(|r| r.2 == gained).map(|r| r.1).collect()
+        };
+        let old = group_tuple(db, rule, agg, key);
+        let old_value = old.as_ref().map(|t| t[agg.pos]);
+        let (gained, lost) = (values(true), values(false));
+        let (new_value, walks) = fold_change(db, rule, agg, key, old_value, &gained, &lost);
+        refolds += walks;
+        if new_value == old_value {
+            continue;
+        }
+        changed += 1;
+        if let Some(t) = old {
+            db.rel_mut(head).remove(&t);
+            delta.removed.insert(t);
+        }
+        if let Some(v) = new_value {
+            let mut t = key.clone();
+            t.insert(agg.pos, v);
+            db.rel_mut(head).insert(t.clone());
+            delta.added.insert(t);
+        }
+    }
+    let reg = incr_obs::registry();
+    reg.counter("datalog.agg.groups_changed").add(changed);
+    reg.counter("datalog.agg.refolds").add(refolds);
+    fspan.set_arg(changed);
+    drop(fspan);
+    span.end_args(vec![("groups_changed", changed.into())]);
+    Map::from_iter([(head, delta)])
+}
+
+/// The new aggregated value of the group `key`, from its old one and the
+/// raw values it `gained` and `lost`; `None` when the group folds to
+/// nothing; and how many group-bound walks it took.
+fn fold_change(
+    db: &Database,
+    rule: &CRule,
+    agg: CAgg,
+    key: &[Value],
+    old: Option<Value>,
+    gained: &[Value],
+    lost: &[Value],
+) -> (Option<Value>, u64) {
+    let int = |v: &Value| match v {
+        Value::Int(i) => Some(*i),
+        Value::Sym(_) => None,
+    };
+    let old_int = old.as_ref().and_then(int);
+    let mut walks = 0;
+    // Visit the value of every binding of the group now, until `leaf`
+    // says stop; true iff it did.
+    let mut walk = |leaf: &mut dyn FnMut(Value) -> bool| {
+        walks += 1;
+        !walk_group(db, rule, key, &mut |b| b[agg.slot as usize].is_none_or(&mut *leaf))
+    };
+    let new = match agg.op {
+        AggOp::Count => {
+            let n = old_int.unwrap_or(0) + gained.len() as i64 - lost.len() as i64;
+            (n > 0).then_some(Value::Int(n))
+        }
+        AggOp::Sum => {
+            let sum = |vals: &[Value]| vals.iter().filter_map(int).fold(0, i64::wrapping_add);
+            let total = old_int.unwrap_or(0).wrapping_add(sum(gained)).wrapping_sub(sum(lost));
+            // An `Int` is left if one was gained, or if there were some and
+            // none was lost; else look for one.
+            let has_int = |vals: &[Value]| vals.iter().any(|v| int(v).is_some());
+            let left = has_int(gained)
+                || (old.is_some() && (!has_int(lost) || walk(&mut |v| int(&v).is_none())));
+            left.then_some(Value::Int(total))
+        }
+        AggOp::Min | AggOp::Max => {
+            let mut vals: Vec<Value> = gained.to_vec();
+            if old.is_some_and(|e| lost.contains(&e)) {
+                // The extreme left: re-fold what the group holds now.
+                walk(&mut |v| {
+                    vals.push(v);
+                    true
+                });
+            } else {
+                vals.extend(old);
+            }
+            fold(agg.op, &vals)
+        }
+    };
+    (new, walks)
+}
+
 /// Re-evaluate one clique from scratch against its (unchanged) inputs and
-/// return the net delta — how aggregate cliques are maintained, and the
-/// primitive behind incremental *rule* changes ("the rule definitions
-/// change", §I). Downstream propagation stays incremental via the
-/// returned delta.
+/// return the net delta — the primitive behind incremental *rule* changes
+/// ("the rule definitions change", §I); fact updates never come here.
+/// Downstream propagation stays incremental via the returned delta.
 ///
 /// The relations are never swapped for fresh ones: tuples that leave are
 /// tombstoned and tuples that stay keep their rows, so a snapshot pinned

@@ -9,7 +9,7 @@
 
 use crate::engine::tests::QuotaStall;
 use crate::engine::{FactEdit, IncrementalEngine};
-use crate::eval::{compile_program, load_facts, seminaive_scc, CRule, Extent};
+use crate::eval::{compile_program, eval_agg_rule, load_facts, seminaive_scc, CRule, Extent};
 use crate::incr::{net_deltas, reevaluate_scc, update_scc, Delta, OldView};
 use crate::hash::Map;
 use crate::mvcc::{ReaderHandle, Snapshot};
@@ -425,7 +425,8 @@ fn assert_same_delta(
 /// no-op and delete-then-reinsert edits included) and check, at each
 /// task, the overlay against a rolled-back copy of every input and the
 /// returned net delta against [`net_deltas`] over a copy taken before —
-/// for `update_scc` and `reevaluate_scc`.
+/// for `update_scc` on every clique, aggregates included, and for
+/// `reevaluate_scc` on rule changes.
 fn assert_tasks_match_oracles(
     rules_src: &str,
     edges: &[(usize, usize)],
@@ -477,12 +478,13 @@ fn assert_tasks_match_oracles(
             }
             assert_overlay_matches_copy(&db, &input)?;
             let before = snapshot_of(&db, preds);
-            let (out, what) = if crules.iter().any(|r| r.agg.is_some()) {
-                (reevaluate_scc(&mut db, crules, preds), "reevaluate")
-            } else {
-                (update_scc(&mut db, crules, preds, &input), "update")
-            };
-            assert_same_delta(&db, &out, &net_deltas(&db, preds, &before), what)?;
+            let out = update_scc(&mut db, crules, preds, &input);
+            assert_same_delta(&db, &out, &net_deltas(&db, preds, &before), "update")?;
+            if let [rule @ CRule { agg: Some(_), .. }] = &crules[..] {
+                let mut folded = eval_agg_rule(&db, rule);
+                folded.sort();
+                prop_assert_eq!(db.rel(preds[0]).sorted(), folded, "maintained != folded");
+            }
             changed.extend(out);
         }
     }

@@ -4,8 +4,9 @@
 //! and joins compare in one instruction — the same trick production
 //! Datalog engines (LogicBlox, Soufflé) use.
 
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
 use std::fmt;
+use std::hash::BuildHasher;
 
 /// Interned symbol handle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -70,10 +71,23 @@ impl std::ops::Deref for Key {
 }
 
 /// String interner: symbol text ↔ [`SymId`].
+///
+/// Each symbol's text is stored once: all of them back to back in `text`,
+/// symbol `i` ending at `ends[i]` (and starting where `i - 1` ends). The
+/// lookup side is an open-addressing table of ids — a `u32` per slot, no
+/// copy of any text — probed linearly from the text's hash and kept at
+/// most half full. The hash is the standard library's keyed one: symbol
+/// texts come from outside the program, so a crafted set of them must not
+/// pile into one probe run (the crate's fixed hasher, `hash.rs`, keys
+/// only what the program mints).
 #[derive(Clone, Debug, Default)]
 pub struct Interner {
-    map: HashMap<String, SymId>,
-    names: Vec<String>,
+    text: String,
+    ends: Vec<u32>,
+    /// `id + 1` per occupied slot, `0` when empty; the length is zero or
+    /// a power of two.
+    slots: Vec<u32>,
+    hasher: RandomState,
 }
 
 impl Interner {
@@ -83,33 +97,69 @@ impl Interner {
 
     /// Intern `s`, returning its stable id.
     pub fn intern(&mut self, s: &str) -> SymId {
-        if let Some(&id) = self.map.get(s) {
-            return id;
+        let slot = match self.probe(s) {
+            Ok(slot) => return SymId(self.slots[slot] - 1),
+            Err(slot) => slot,
+        };
+        let id = SymId(u32::try_from(self.ends.len()).expect("too many symbols"));
+        self.text.push_str(s);
+        self.ends
+            .push(u32::try_from(self.text.len()).expect("symbol text over 4 GiB"));
+        if 2 * self.ends.len() > self.slots.len() {
+            self.grow();
+        } else {
+            self.slots[slot] = id.0 + 1;
         }
-        let id = SymId(u32::try_from(self.names.len()).expect("too many symbols"));
-        self.map.insert(s.to_string(), id);
-        self.names.push(s.to_string());
         id
     }
 
     /// Look up without interning.
     pub fn get(&self, s: &str) -> Option<SymId> {
-        self.map.get(s).copied()
+        self.probe(s).ok().map(|slot| SymId(self.slots[slot] - 1))
+    }
+
+    /// `Ok(slot)` holding `s`, or `Err(slot)`: the empty slot its probe
+    /// run ends at (meaningless while the table is empty).
+    fn probe(&self, s: &str) -> Result<usize, usize> {
+        let mask = self.slots.len().wrapping_sub(1);
+        let mut at = self.hasher.hash_one(s) as usize & mask;
+        loop {
+            match self.slots.get(at) {
+                None | Some(0) => return Err(at),
+                Some(&id) if self.name(SymId(id - 1)) == s => return Ok(at),
+                Some(_) => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    /// Double the table (from 8 slots) and re-file every id, the one just
+    /// interned included.
+    fn grow(&mut self) {
+        let len = (2 * self.slots.len()).max(8);
+        self.slots = vec![0; len];
+        for id in 0..self.ends.len() as u32 {
+            let Err(slot) = self.probe(self.name(SymId(id))) else {
+                unreachable!("interned texts are distinct");
+            };
+            self.slots[slot] = id + 1;
+        }
     }
 
     /// The text of `id`.
     pub fn name(&self, id: SymId) -> &str {
-        &self.names[id.0 as usize]
+        let i = id.0 as usize;
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.text[start..self.ends[i] as usize]
     }
 
     /// Number of interned symbols.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.ends.len()
     }
 
     /// True when nothing has been interned.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.ends.is_empty()
     }
 
     /// Render a value for display.
@@ -146,6 +196,26 @@ mod tests {
         assert_eq!(i.intern("alice"), a);
         assert_eq!(i.name(a), "alice");
         assert_eq!(i.len(), 2);
+    }
+
+    #[test]
+    fn interned_texts_survive_growth_and_cloning() {
+        let mut i = Interner::new();
+        let mut names: Vec<String> = (0..5_000).map(|k| format!("t{k}")).collect();
+        names.extend(["".into(), "ü".into()]);
+        let ids: Vec<SymId> = names.iter().map(|n| i.intern(n)).collect();
+        let c = i.clone();
+        for (n, &id) in names.iter().zip(&ids) {
+            for interner in [&i, &c] {
+                assert_eq!(interner.get(n), Some(id));
+                assert_eq!(interner.name(id), n);
+            }
+            assert_eq!(i.intern(n), id, "a second intern of {n:?}");
+        }
+        assert_eq!((i.len(), i.get("t5000")), (names.len(), None));
+        // The texts are stored once, back to back.
+        assert_eq!(i.text.len(), names.iter().map(String::len).sum::<usize>());
+        assert!(2 * i.len() <= i.slots.len());
     }
 
     #[test]

@@ -85,10 +85,12 @@ pub enum FlightCode {
     ShardRound = 14,
     /// A sharded batch aborted and rolled back on every shard.
     ShardAbort = 15,
+    /// An aggregate clique maintained from its input deltas, group by group.
+    AggMaintain = 16,
 }
 
 /// All codes, indexable by discriminant — the decode table for slots.
-const CODES: [FlightCode; 16] = [
+const CODES: [FlightCode; 17] = [
     FlightCode::UpdateRun,
     FlightCode::PopBatch,
     FlightCode::Commit,
@@ -105,6 +107,7 @@ const CODES: [FlightCode; 16] = [
     FlightCode::JournalReplay,
     FlightCode::ShardRound,
     FlightCode::ShardAbort,
+    FlightCode::AggMaintain,
 ];
 
 impl FlightCode {
@@ -131,6 +134,7 @@ impl FlightCode {
             FlightCode::JournalReplay => "exec.journal_replay",
             FlightCode::ShardRound => "shard.round",
             FlightCode::ShardAbort => "shard.abort",
+            FlightCode::AggMaintain => "agg.maintain",
         }
     }
 
@@ -138,9 +142,10 @@ impl FlightCode {
     pub fn cat(self) -> &'static str {
         match self {
             FlightCode::PopBatch => "sched",
-            FlightCode::DredOverdelete | FlightCode::DredInsert | FlightCode::Reevaluate => {
-                "datalog"
-            }
+            FlightCode::DredOverdelete
+            | FlightCode::DredInsert
+            | FlightCode::Reevaluate
+            | FlightCode::AggMaintain => "datalog",
             FlightCode::ShardRound | FlightCode::ShardAbort => "shard",
             _ => "exec",
         }
@@ -162,6 +167,7 @@ impl FlightCode {
             FlightCode::JournalReplay => "replayed",
             FlightCode::ShardRound => "round",
             FlightCode::ShardAbort => "shard",
+            FlightCode::AggMaintain => "groups_changed",
             _ => "value",
         }
     }

@@ -35,6 +35,13 @@ fn main() {
     let mut engine = IncrementalEngine::new(RULES).expect("valid rule base");
     println!("initial materialization:");
     report(&engine);
+    // `revenue` adds each category's distinct price points that sold.
+    assert_aggregates(
+        &engine,
+        ["(gadgets, 2)", "(grocery, 1)"],
+        ["(gadgets, 10)", "(grocery, 4)"],
+        ["(gadgets, 10)", "(grocery, 4)"],
+    );
 
     let dag = engine.dag().clone();
     println!(
@@ -66,6 +73,12 @@ fn main() {
     report(&engine);
     assert!(engine.has("premium_sale", &["sprocket"]));
     assert!(!engine.has("stale_product", &["sprocket"]));
+    assert_aggregates(
+        &engine,
+        ["(gadgets, 3)", "(grocery, 2)"],
+        ["(gadgets, 35)", "(grocery, 11)"],
+        ["(gadgets, 25)", "(grocery, 7)"],
+    );
 
     // A return voids the only widget-free... remove both widget sales:
     // widget goes stale, its category needs restocking review.
@@ -87,6 +100,38 @@ fn main() {
         engine.has("restock", &["gadgets"]),
         "gadgets still sell (sprocket) but widget is stale -> restock review"
     );
+    // Only the groups the voids touched moved: gadgets lost two sales and
+    // its 10 price point; its top price (sprocket, 25) stayed.
+    assert_aggregates(
+        &engine,
+        ["(gadgets, 1)", "(grocery, 2)"],
+        ["(gadgets, 25)", "(grocery, 11)"],
+        ["(gadgets, 25)", "(grocery, 7)"],
+    );
+
+    println!("\n-- batch 3: the sprocket sale voided too --");
+    let mut sched = LevelBased::new(dag);
+    engine
+        .update(&mut sched, &[FactEdit::remove("sale", &["s4", "sprocket"])])
+        .expect("update");
+    report(&engine);
+    // Nothing in gadgets sold: the category has no volume, revenue or top
+    // price left at all.
+    assert_aggregates(&engine, ["(grocery, 2)"], ["(grocery, 11)"], ["(grocery, 7)"]);
+}
+
+/// `volume`, `revenue` and `top_price`, each as its sorted rows.
+fn assert_aggregates<const N: usize>(
+    engine: &IncrementalEngine,
+    volume: [&str; N],
+    revenue: [&str; N],
+    top_price: [&str; N],
+) {
+    for (pred, want) in [("volume", volume), ("revenue", revenue), ("top_price", top_price)] {
+        let mut rows = engine.query(&format!("{pred}(?, ?)")).expect("valid pattern");
+        rows.sort();
+        assert_eq!(rows, want, "{pred}");
+    }
 }
 
 fn report(engine: &IncrementalEngine) {

@@ -744,3 +744,131 @@ fn a_proof_as_deep_as_the_closure_takes_nothing_out() {
         .join()
         .expect("no panic, no overflow");
 }
+
+/// The rules of `examples/retail_analytics.rs` (and of `bench_all`'s
+/// `retail_burst`): negation, and three aggregate strata over `sale`.
+const RETAIL_RULES: &str = "
+    sold(P)          :- sale(T, P).
+    category_hit(C)  :- sold(P), product(P, C).
+    premium_sale(P)  :- sold(P), price(P, 25).
+    stale_product(P) :- product(P, C), !sold(P).
+    restock(C)       :- category_hit(C), product(P, C), stale_product(P).
+    volume(C, count(T))    :- sale(T, P), product(P, C).
+    revenue(C, sum(V))     :- sale(T, P), product(P, C), price(P, V).
+    top_price(C, max(V))   :- sold(P), product(P, C), price(P, V).
+";
+const RETAIL_PRODUCTS: usize = 2_000;
+const RETAIL_CATEGORIES: usize = 40;
+
+/// The retail rules over the catalogue and `sales` — `(ticket, product)`.
+fn retail_program(sales: &[(String, usize)]) -> String {
+    let mut src = String::from(RETAIL_RULES);
+    for p in 0..RETAIL_PRODUCTS {
+        let (category, price) = (p % RETAIL_CATEGORIES, 1 + p * 7 % 50);
+        src.push_str(&format!("product(p{p}, c{category}). price(p{p}, {price}).\n"));
+    }
+    for (ticket, p) in sales {
+        src.push_str(&format!("sale({ticket}, p{p}).\n"));
+    }
+    src
+}
+
+/// An aggregate clique costs the groups its delta touches, not the groups
+/// it has: the same stream of one-sale updates over 16× the sales does
+/// about the same join work — index hits, misses and full scans, counted —
+/// and takes about the same time, not the 16× of re-folding `volume`,
+/// `revenue` and `top_price` over every sale.
+#[test]
+fn aggregate_update_cost_is_independent_of_extent_size() {
+    let _turn = DATALOG_ENGINE_TESTS.lock().unwrap_or_else(PoisonError::into_inner);
+    const SMALL: usize = 2_000;
+    const LARGE: usize = 32_000;
+    const UPDATES: usize = 40;
+    let counter = |name: &str| incr_obs::registry().counter(name).get();
+    let work = || ["datalog.index.hit", "datalog.index.miss", "datalog.scan.full"].map(counter);
+    // Even updates sell a product under a new ticket, odd ones void an
+    // initial sale: the same edits at both sizes. The inverse edits undo
+    // them, so every round starts from the set-up state.
+    let stream: Vec<(bool, String, usize)> = (0..UPDATES)
+        .map(|i| match i % 2 {
+            0 => (true, format!("x{i}"), i * 131 % RETAIL_PRODUCTS),
+            _ => (false, format!("t{i}"), i * 7 % RETAIL_PRODUCTS),
+        })
+        .collect();
+    let edit = |adding: bool, ticket: &str, p: usize| {
+        let product = format!("p{p}");
+        let args = [ticket, product.as_str()];
+        if adding {
+            FactEdit::add("sale", &args)
+        } else {
+            FactEdit::remove("sale", &args)
+        }
+    };
+    let mut per_update = [[0u64; 3]; 2];
+    let mut fastest = [Duration::MAX; 2];
+    for (slot, n) in [SMALL, LARGE].into_iter().enumerate() {
+        let mut sales: Vec<(String, usize)> =
+            (0..n).map(|t| (format!("t{t}"), t * 7 % RETAIL_PRODUCTS)).collect();
+        let mut e = IncrementalEngine::new(&retail_program(&sales)).expect("valid program");
+        // Fastest of three rounds, as above; the work of the first.
+        for round in 0..3 {
+            let before = work();
+            let mut elapsed = Duration::ZERO;
+            for inverse in [false, true] {
+                for (adding, ticket, p) in &stream {
+                    let mut sched = LevelBased::new(e.dag().clone());
+                    let t0 = Instant::now();
+                    let edits = [edit(*adding != inverse, ticket, *p)];
+                    e.update(&mut sched, &edits).expect("valid edit");
+                    elapsed += t0.elapsed();
+                }
+            }
+            fastest[slot] = fastest[slot].min(elapsed);
+            if round == 0 {
+                let after = work();
+                per_update[slot] = [0, 1, 2].map(|i| (after[i] - before[i]) / (2 * UPDATES as u64));
+            }
+        }
+        // One more pass forward, then the aggregates against a fresh fold.
+        for (adding, ticket, p) in &stream {
+            let mut sched = LevelBased::new(e.dag().clone());
+            e.update(&mut sched, &[edit(*adding, ticket, *p)]).expect("valid edit");
+            if *adding {
+                sales.push((ticket.clone(), *p));
+            } else {
+                sales.retain(|(t, _)| t != ticket);
+            }
+        }
+        let scratch = IncrementalEngine::new(&retail_program(&sales)).expect("valid program");
+        for pattern in ["volume(?, ?)", "revenue(?, ?)", "top_price(?, ?)", "restock(?)"] {
+            let rows = |e: &IncrementalEngine| {
+                let mut rows = e.query(pattern).expect("valid pattern");
+                rows.sort();
+                rows
+            };
+            assert!(rows(&e) == rows(&scratch), "{n} sales: {pattern} differs from a fresh engine");
+        }
+    }
+    let [small, large] = per_update;
+    assert_eq!(large[2], 0, "{LARGE} sales: {} full scans per update", large[2]);
+    for (what, i) in [("index hits", 0), ("index misses", 1)] {
+        assert!(
+            large[i] <= 4 * small[i] + 16,
+            "{what} per update: {} over {LARGE} sales, {} over {SMALL}",
+            large[i],
+            small[i]
+        );
+    }
+    let ratio = fastest[1].as_secs_f64() / fastest[0].as_secs_f64();
+    assert!(
+        ratio <= 4.0,
+        "{UPDATES} one-sale updates over {LARGE} sales took {ratio:.1}x the time over \
+         {SMALL} ({:?} vs {:?}); constant is 1x, a re-fold of every group 16x",
+        fastest[1],
+        fastest[0]
+    );
+    println!(
+        "per update (hits, misses, scans): {small:?} at {SMALL} sales, {large:?} at {LARGE}; \
+         time ratio {ratio:.2}"
+    );
+}

@@ -19,12 +19,15 @@ const RULES: &str = "
 ";
 
 /// One rule set of the differential test: its rules (program facts only
-/// of predicates no edit reaches), the base tables the edits go to, and the
-/// derived predicates compared with a fresh engine, each with its arity.
+/// of predicates no edit reaches), the base tables the edits go to, which
+/// of them hold an integer in their last column (every other argument is a
+/// vertex symbol), and the derived predicates compared with a fresh
+/// engine, each with its arity.
 struct RuleSet {
     name: &'static str,
     rules: &'static str,
     base: &'static [(&'static str, usize)],
+    valued: &'static [&'static str],
     derived: &'static [(&'static str, usize)],
 }
 
@@ -34,24 +37,28 @@ const RULE_SETS: &[RuleSet] = &[
         name: "left-linear TC + negation",
         rules: RULES,
         base: &[("edge", 2)],
+        valued: &[],
         derived: &[("path", 2), ("node", 1), ("reach", 1), ("cut", 1)],
     },
     RuleSet {
         name: "right-linear TC",
         rules: "path(X, Y) :- edge(X, Y).\n path(X, Z) :- edge(X, Y), path(Y, Z).\n",
         base: &[("edge", 2)],
+        valued: &[],
         derived: &[("path", 2)],
     },
     RuleSet {
         name: "non-linear TC",
         rules: "path(X, Y) :- edge(X, Y).\n path(X, Z) :- path(X, Y), path(Y, Z).\n",
         base: &[("edge", 2)],
+        valued: &[],
         derived: &[("path", 2)],
     },
     RuleSet {
         name: "same generation",
         rules: "sg(X, Y) :- flat(X, Y).\n sg(X, Y) :- up(X, U), sg(U, V), down(V, Y).\n",
         base: &[("flat", 2), ("up", 2), ("down", 2)],
+        valued: &[],
         derived: &[("sg", 2)],
     },
     // Mutual recursion: a two-predicate clique.
@@ -60,6 +67,7 @@ const RULE_SETS: &[RuleSet] = &[
         rules: "even(X) :- zero(X).\n odd(Y) :- even(X), edge(X, Y).\n \
                 even(Y) :- odd(X), edge(X, Y).\n",
         base: &[("edge", 2), ("zero", 1)],
+        valued: &[],
         derived: &[("even", 1), ("odd", 1)],
     },
     RuleSet {
@@ -67,6 +75,7 @@ const RULE_SETS: &[RuleSet] = &[
         rules: "a(X, Y) :- edge(X, Y).\n b(X, Y) :- a(X, Y), mark(Y).\n \
                 a(X, Z) :- a(X, Y), b(Y, Z).\n",
         base: &[("edge", 2), ("mark", 1)],
+        valued: &[],
         derived: &[("a", 2), ("b", 2)],
     },
     RuleSet {
@@ -75,6 +84,7 @@ const RULE_SETS: &[RuleSet] = &[
                 node(X) :- edge(X, Y).\n node(Y) :- edge(X, Y).\n \
                 apart(X, Y) :- node(X), node(Y), !path(X, Y).\n",
         base: &[("edge", 2)],
+        valued: &[],
         derived: &[("path", 2), ("apart", 2)],
     },
     // The seed is a program fact of the derived predicate itself, and the
@@ -84,6 +94,7 @@ const RULE_SETS: &[RuleSet] = &[
         rules: "reach(n0).\n reach(Y) :- reach(X), edge(X, Y).\n \
                 reach(Y) :- reach(X), hop(X, Y).\n",
         base: &[("edge", 2), ("hop", 2)],
+        valued: &[],
         derived: &[("reach", 1)],
     },
     // The MulVAL attack graph of `crates/bench/src/attack.rs`: tuples with
@@ -97,7 +108,35 @@ const RULE_SETS: &[RuleSet] = &[
                 compromised(H) :- attacker(H).\n \
                 compromised(D) :- compromised(S), hacl(S, D), vulnerable(D).\n",
         base: &[("service", 2), ("vuln", 1), ("hacl", 2), ("attacker", 1)],
+        valued: &[],
         derived: &[("vulnerable", 1), ("exposed", 1), ("compromised", 1)],
+    },
+    // Every aggregate operator, kept group by group: over a negation
+    // upstream and one in its own body, over a join, with no group columns
+    // at all, and a sum over symbols only, which folds to nothing.
+    RuleSet {
+        name: "aggregates",
+        rules: "blocked(X) :- edge(X, X).\n \
+                spend(X, V) :- amount(X, V), !blocked(X).\n \
+                total(X, sum(V)) :- spend(X, V).\n \
+                low(X, min(V)) :- spend(X, V).\n \
+                free(X, count(Y)) :- edge(X, Y), !blocked(Y).\n \
+                deg(X, count(Y)) :- edge(X, Y).\n \
+                peak(Y, max(V)) :- edge(X, Y), amount(X, V).\n \
+                grand(sum(V)) :- amount(X, V).\n \
+                labels(X, sum(Y)) :- edge(X, Y).\n",
+        base: &[("edge", 2), ("amount", 2)],
+        valued: &["amount"],
+        derived: &[
+            ("spend", 2),
+            ("total", 2),
+            ("low", 2),
+            ("free", 2),
+            ("deg", 2),
+            ("peak", 2),
+            ("grand", 1),
+            ("labels", 2),
+        ],
     },
 ];
 
@@ -110,15 +149,26 @@ fn vname(i: usize) -> String {
 /// A base fact: predicate and its arguments (vertex numbers).
 type Fact = (&'static str, Vec<usize>);
 
-fn args(fact: &Fact) -> Vec<String> {
-    fact.1.iter().map(|&v| vname(v)).collect()
+/// The argument texts of `fact` in `set`: vertex symbols, but for the
+/// last column of a valued table an integer, negative ones included.
+fn args(set: &RuleSet, fact: &Fact) -> Vec<String> {
+    let valued = set.valued.contains(&fact.0);
+    let last = fact.1.len() - 1;
+    let text = |(i, &v): (usize, &usize)| {
+        if valued && i == last {
+            (3 * v as i64 - 7).to_string()
+        } else {
+            vname(v)
+        }
+    };
+    fact.1.iter().enumerate().map(text).collect()
 }
 
 /// Build an engine with the rule set plus the given base facts.
-fn engine_with(rules: &str, facts: &BTreeSet<Fact>) -> IncrementalEngine {
-    let mut src = String::from(rules);
+fn engine_with(set: &RuleSet, facts: &BTreeSet<Fact>) -> IncrementalEngine {
+    let mut src = String::from(set.rules);
     for fact in facts {
-        src.push_str(&format!("{}({}).\n", fact.0, args(fact).join(", ")));
+        src.push_str(&format!("{}({}).\n", fact.0, args(set, fact).join(", ")));
     }
     IncrementalEngine::new(&src).expect("valid program")
 }
@@ -160,13 +210,13 @@ proptest! {
             // Mirror of the base tables for ground-truth reconstruction.
             let mut facts: BTreeSet<Fact> =
                 initial.iter().map(|&(pick, a, b)| fact(pick, a, b)).collect();
-            let mut engine = engine_with(set.rules, &facts);
+            let mut engine = engine_with(set, &facts);
             let mut sched: Box<dyn Scheduler> = kind.build(engine.dag().clone());
             for (step, update) in updates.iter().enumerate() {
                 let mut edits = Vec::new();
                 for &(add, pick, a, b) in update {
                     let f = fact(pick, a, b);
-                    let texts = args(&f);
+                    let texts = args(set, &f);
                     let texts: Vec<&str> = texts.iter().map(String::as_str).collect();
                     if add {
                         edits.push(FactEdit::add(f.0, &texts));
@@ -178,7 +228,7 @@ proptest! {
                 }
                 engine.update(sched.as_mut(), &edits).expect("update applies");
 
-                let full = engine_with(set.rules, &facts);
+                let full = engine_with(set, &facts);
                 for &pred in set.base.iter().chain(set.derived) {
                     prop_assert_eq!(
                         extent(&engine, pred),
