@@ -55,21 +55,38 @@ fn spin_fire_all(dag: &Arc<Dag>, task_us: u64) -> TaskFn {
     })
 }
 
-/// Best-of-`iters` full run; returns (tasks/sec, mean coord busy fraction).
-fn measure(dag: &Arc<Dag>, cfg: &ExecConfig, task: &TaskFn, iters: usize) -> (f64, f64) {
+/// What one configuration measured.
+struct Measured {
+    /// Best-of-`iters` tasks/sec.
+    rate: f64,
+    /// Mean coordinator busy fraction.
+    busy: f64,
+    /// Tasks executed over chunks dispatched (`exec.chunks`), all runs.
+    tasks_per_chunk: f64,
+}
+
+/// `iters` full runs through one executor.
+fn measure(dag: &Arc<Dag>, cfg: &ExecConfig, task: &TaskFn, iters: usize) -> Measured {
     let initial: Vec<NodeId> = dag.sources().collect();
-    let mut best = 0.0f64;
-    let mut busy = 0.0f64;
+    let exec = Executor::with_config(cfg.clone());
+    let chunks = incr_obs::registry().counter("exec.chunks");
+    let chunks0 = chunks.get();
+    let (mut best, mut busy, mut executed) = (0.0f64, 0.0f64, 0usize);
     for _ in 0..iters {
         let mut s = LevelBased::new(dag.clone());
-        let r = Executor::with_config(cfg.clone())
+        let r = exec
             .run(&mut s, dag, &initial, infallible(task.clone()), None)
             .expect("run completes");
         assert_eq!(r.executed, dag.node_count(), "fire-all must execute every node");
         best = best.max(r.executed as f64 / r.wall_seconds.max(1e-9));
         busy += r.coord_busy_fraction;
+        executed += r.executed;
     }
-    (best, busy / iters as f64)
+    Measured {
+        rate: best,
+        busy: busy / iters as f64,
+        tasks_per_chunk: executed as f64 / (chunks.get() - chunks0).max(1) as f64,
+    }
 }
 
 fn main() {
@@ -86,15 +103,21 @@ fn main() {
     let n = ab_dag.node_count();
     println!("exec_throughput: dispatch on {n} zero-work tasks, 8 workers\n");
     let task = spin_fire_all(&ab_dag, 0);
-    let (rate, busy) = measure(&ab_dag, &ExecConfig::new(8), &task, iters);
-    println!("{rate:.0} tasks/sec, coordinator busy {:.1}%\n", busy * 100.0);
+    let m = measure(&ab_dag, &ExecConfig::new(8), &task, iters);
+    println!(
+        "{:.0} tasks/sec, coordinator busy {:.1}%, {:.1} tasks per chunk\n",
+        m.rate,
+        m.busy * 100.0,
+        m.tasks_per_chunk
+    );
     results.push_row(obj([
         ("workload", "dispatch".into()),
         ("nodes", n.into()),
         ("workers", 8u64.into()),
         ("task_us", 0u64.into()),
-        ("tasks_per_sec", rate.into()),
-        ("coord_busy_fraction", busy.into()),
+        ("tasks_per_sec", m.rate.into()),
+        ("coord_busy_fraction", m.busy.into()),
+        ("tasks_per_chunk", m.tasks_per_chunk.into()),
     ]));
 
     // ---- Section 2: task granularity × worker count (batched). ----
@@ -106,24 +129,32 @@ fn main() {
         "granularity sweep: {} tasks, durations {durations:?} us, workers {worker_counts:?}\n",
         g_dag.node_count()
     );
-    let mut t = Table::new(&["task_us", "workers", "tasks/sec", "coord busy"]);
+    let mut t = Table::new(&[
+        "task_us",
+        "workers",
+        "tasks/sec",
+        "coord busy",
+        "tasks/chunk",
+    ]);
     for &task_us in durations {
         let task = spin_fire_all(&g_dag, task_us);
         for &w in worker_counts {
-            let (rate, busy) = measure(&g_dag, &ExecConfig::new(w), &task, iters.min(2));
+            let m = measure(&g_dag, &ExecConfig::new(w), &task, iters.min(2));
             t.row(vec![
                 task_us.to_string(),
                 w.to_string(),
-                format!("{rate:.0}"),
-                format!("{:.1}%", busy * 100.0),
+                format!("{:.0}", m.rate),
+                format!("{:.1}%", m.busy * 100.0),
+                format!("{:.1}", m.tasks_per_chunk),
             ]);
             results.push_row(obj([
                 ("workload", "granularity".into()),
                 ("nodes", g_dag.node_count().into()),
                 ("task_us", task_us.into()),
                 ("workers", w.into()),
-                ("tasks_per_sec", rate.into()),
-                ("coord_busy_fraction", busy.into()),
+                ("tasks_per_sec", m.rate.into()),
+                ("coord_busy_fraction", m.busy.into()),
+                ("tasks_per_chunk", m.tasks_per_chunk.into()),
             ]));
         }
     }
@@ -134,19 +165,23 @@ fn main() {
     let batches: &[usize] = if smoke { &[1, 256] } else { &[1, 8, 64, 256] };
     println!("batch-size sweep on {n} zero-work tasks, 8 workers\n");
     let task = spin_fire_all(&ab_dag, 0);
-    let mut t = Table::new(&["batch_max", "tasks/sec"]);
+    let mut t = Table::new(&["batch_max", "tasks/sec", "tasks/chunk"]);
     for &b in batches {
         let mut cfg = ExecConfig::new(8);
         cfg.batch_max = b;
-        cfg.chunk_max = b.clamp(1, 32);
-        let (rate, _) = measure(&ab_dag, &cfg, &task, iters.min(2));
-        t.row(vec![b.to_string(), format!("{rate:.0}")]);
+        let m = measure(&ab_dag, &cfg, &task, iters.min(2));
+        t.row(vec![
+            b.to_string(),
+            format!("{:.0}", m.rate),
+            format!("{:.1}", m.tasks_per_chunk),
+        ]);
         results.push_row(obj([
             ("workload", "batch_size".into()),
             ("nodes", n.into()),
             ("workers", 8u64.into()),
             ("batch_max", b.into()),
-            ("tasks_per_sec", rate.into()),
+            ("tasks_per_sec", m.rate.into()),
+            ("tasks_per_chunk", m.tasks_per_chunk.into()),
         ]));
     }
     println!("{}", t.render());

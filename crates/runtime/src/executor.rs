@@ -6,9 +6,16 @@
 //!
 //! * the coordinator pulls whole wavefronts with
 //!   [`Scheduler::pop_batch`] (one trait crossing per wavefront, not per
-//!   node) and ships them to workers as multi-task *chunks* over a
-//!   **bounded** channel — backpressure, so a fast coordinator can never
-//!   run unboundedly ahead of slow workers;
+//!   node) and ships them to workers as multi-task *chunks*;
+//! * a chunk is its wavefront split evenly across the workers, with no
+//!   fixed cap — so a wide wavefront of cheap tasks pays one channel
+//!   round trip per worker, not one per few dozen tasks, and a narrow
+//!   one still goes out one task to a worker;
+//! * a **window** of `WINDOW` tasks dispatched but not yet completed is
+//!   the backpressure: the coordinator pops only while the window has
+//!   room, so it can never run unboundedly ahead of slow workers, however
+//!   large its chunks. The work channel itself is unbounded and never
+//!   blocks the coordinator; it blocks only waiting for completions;
 //! * workers append each task's fired children straight into a reusable
 //!   [`CompletionBatch`] (no per-task allocation) and flush the whole
 //!   buffer back in one message;
@@ -393,9 +400,15 @@ impl UpdateJournal {
     }
 }
 
-/// Capacity of the bounded work queue, in chunks: the backpressure that
+/// Most tasks dispatched but not yet completed: the backpressure that
 /// keeps the coordinator from running unboundedly ahead of slow workers.
-const QUEUE_CAP: usize = 64;
+/// Counted in tasks, not chunks, so growing chunks cannot widen it. It
+/// must not grow with a level, and smaller is cheaper: while LevelBased
+/// waits at a level barrier, Hybrid's LogicBlox side checks every
+/// candidate against every task still in flight. Two default
+/// `pop_batch` wavefronts — one the workers run, one queued behind it —
+/// keep the pipeline full.
+const WINDOW: usize = 512;
 
 /// Tuning for the dispatch pipeline.
 #[derive(Clone, Debug)]
@@ -404,8 +417,6 @@ pub struct ExecConfig {
     pub workers: usize,
     /// Max tasks pulled from the scheduler per `pop_batch` call.
     pub batch_max: usize,
-    /// Max tasks per chunk handed to a single worker.
-    pub chunk_max: usize,
     /// Retry policy for [`TaskOutcome::Retryable`] attempts.
     pub retry: RetryPolicy,
     /// Per-update watchdog deadline: a run not quiescent within this
@@ -441,7 +452,6 @@ impl ExecConfig {
         ExecConfig {
             workers,
             batch_max: 256,
-            chunk_max: 32,
             retry: RetryPolicy::default(),
             deadline: None,
             cancel: None,
@@ -559,7 +569,7 @@ impl Executor {
     /// Pool with explicit pipeline tuning.
     pub fn with_config(cfg: ExecConfig) -> Executor {
         assert!(cfg.workers >= 1);
-        assert!(cfg.batch_max >= 1 && cfg.chunk_max >= 1);
+        assert!(cfg.batch_max >= 1);
         assert!(cfg.retry.max_attempts >= 1);
         Executor { cfg }
     }
@@ -676,9 +686,8 @@ impl Executor {
     }
 
     /// Spawn the worker pool, run `body` on the coordinator side, then
-    /// shut the pool down: one explicit [`WorkMsg::Shutdown`] per worker
-    /// (non-blocking, so a wedged pipeline cannot block shutdown), the
-    /// work sender dropped as the catch-all release, and a bounded join —
+    /// shut the pool down: one explicit [`WorkMsg::Shutdown`] per worker,
+    /// the work sender dropped as the catch-all release, and a bounded join —
     /// workers that outstay [`ExecConfig::join_grace`] (hung task bodies)
     /// are leaked and counted rather than awaited forever. If `body`
     /// itself panics, the unwinding drop of the channels releases every
@@ -688,7 +697,7 @@ impl Executor {
         task: &TryTaskFn,
         body: impl FnOnce(&Pipes, &mut Vec<NodeId>) -> Result<R, ExecError>,
     ) -> Result<R, ExecError> {
-        let (work_tx, work_rx) = channel::bounded::<WorkMsg>(QUEUE_CAP);
+        let (work_tx, work_rx) = channel::unbounded::<WorkMsg>();
         let (done_tx, done_rx) = channel::unbounded::<DoneMsg>();
         let (batch_back_tx, batch_back_rx) = channel::unbounded::<CompletionBatch>();
         let (chunk_back_tx, chunk_back_rx) = channel::unbounded::<Vec<NodeId>>();
@@ -735,11 +744,10 @@ impl Executor {
         };
         let mut ready = Vec::new();
         let result = body(&pipes, &mut ready);
-        // Orderly shutdown: one message per worker. `try_send` — if the
-        // queue is full the pool is wedged and the dropped sender below
-        // doubles as the release for any worker that drains that far.
+        // Orderly shutdown: one message per worker, queued behind any
+        // chunk still waiting.
         for _ in 0..self.cfg.workers {
-            let _ = pipes.work_tx.try_send(WorkMsg::Shutdown);
+            let _ = pipes.work_tx.send(WorkMsg::Shutdown);
         }
         drop(pipes);
 
@@ -1003,6 +1011,7 @@ fn drive_update(
     registry.reset_gauge_peaks();
     let queue_gauge = registry.gauge("exec.queue_depth");
     let inflight_gauge = registry.gauge("exec.in_flight");
+    let chunks = registry.counter("exec.chunks");
     let mut fspan = flight::span_arg(FlightCode::UpdateRun, 0);
     let mut tspan = trace::enabled().then(|| {
         trace::span_with("exec", "exec.update", vec![("initial", initial.len().into())])
@@ -1027,10 +1036,12 @@ fn drive_update(
                 return Err(ExecError::Cancelled { executed });
             }
         }
-        // Dispatch every currently-safe task, one wavefront per pop_batch.
-        loop {
+        // Dispatch currently-safe tasks, one wavefront per pop_batch, while
+        // the window has room: never more than `WINDOW` in flight.
+        while st.in_flight < WINDOW {
             ready.clear();
-            if scheduler.pop_batch(ready, cfg.batch_max) == 0 {
+            let room = cfg.batch_max.min(WINDOW - st.in_flight);
+            if scheduler.pop_batch(ready, room) == 0 {
                 break;
             }
             flight::instant(FlightCode::PopBatch, ready.len() as u64);
@@ -1052,10 +1063,7 @@ fn drive_update(
                     flags[v.index()] = true;
                 }
             }
-            if !send_chunks(ready, cfg, pipes, deadline) {
-                let snapshot = st.snapshot(scheduler, pipes, t0);
-                return Err(ExecError::Timeout { snapshot });
-            }
+            chunks.add(send_chunks(ready, cfg.workers, pipes));
             if !replay_batch.is_empty() {
                 st.stats.replayed += replay_batch.len();
                 flight::instant(FlightCode::JournalReplay, replay_batch.len() as u64);
@@ -1090,11 +1098,18 @@ fn drive_update(
         let wait = trace::span("exec", "coordinator.wait_completion");
         let fwait = flight::span_arg(FlightCode::CoordWait, st.in_flight as u64);
         let w0 = Instant::now();
+        // This wait is the only place the coordinator blocks, so it is the
+        // whole watchdog: an expired deadline ends the update here even if
+        // completions are still arriving.
         let received = match deadline {
             None => pipes.done_rx.recv().ok(),
             Some(dl) => {
                 let budget = dl.saturating_duration_since(Instant::now());
-                pipes.done_rx.recv_timeout(budget).ok()
+                if budget.is_zero() {
+                    None
+                } else {
+                    pipes.done_rx.recv_timeout(budget).ok()
+                }
             }
         };
         *wait_ns += w0.elapsed().as_nanos() as u64;
@@ -1192,47 +1207,20 @@ fn drain_on_error(
     }
 }
 
-/// Split `ready` into chunks sized to spread one wavefront across the
-/// pool (capped at `chunk_max`) and send them, recycling chunk vectors
-/// returned by workers. The bounded send is the backpressure point; with
-/// a watchdog armed the send itself is deadline-aware (a pool of wedged
-/// workers must not block the coordinator forever). Returns false on
-/// deadline expiry.
-fn send_chunks(
-    ready: &[NodeId],
-    cfg: &ExecConfig,
-    pipes: &Pipes,
-    deadline: Option<Instant>,
-) -> bool {
-    let target = ready.len().div_ceil(cfg.workers).clamp(1, cfg.chunk_max);
-    for piece in ready.chunks(target) {
+/// Split `ready` evenly across `workers`, with no cap on a chunk's length,
+/// and send the chunks, recycling chunk vectors returned by workers.
+/// Returns the number of chunks sent.
+fn send_chunks(ready: &[NodeId], workers: usize, pipes: &Pipes) -> u64 {
+    let len = ready.len().div_ceil(workers).max(1);
+    for piece in ready.chunks(len) {
         let mut chunk = pipes.chunk_back_rx.try_recv().unwrap_or_default();
         chunk.extend_from_slice(piece);
-        match deadline {
-            None => {
-                if pipes.work_tx.send(WorkMsg::Chunk(chunk)).is_err() {
-                    return true; // pool gone; surfaced later as stall/timeout
-                }
-            }
-            Some(dl) => {
-                // Same condvar-based blocking as the bare path, but bounded
-                // by the watchdog deadline: no sleep-polling, so an armed
-                // deadline costs nothing while the queue has room.
-                let remaining = dl.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    return false;
-                }
-                match pipes.work_tx.send_timeout(WorkMsg::Chunk(chunk), remaining) {
-                    Ok(()) => {}
-                    Err(channel::SendTimeoutError::Timeout(_)) => return false,
-                    Err(channel::SendTimeoutError::Disconnected(_)) => {
-                        return true; // pool gone; surfaced later as stall/timeout
-                    }
-                }
-            }
-        }
+        // Unbounded: the window, not the queue, is the backpressure. A
+        // send fails only once the pool is gone, which surfaces later as
+        // a stall or a timeout.
+        let _ = pipes.work_tx.send(WorkMsg::Chunk(chunk));
     }
-    true
+    ready.len().div_ceil(len) as u64
 }
 
 /// Dump the flight recorder to a black-box file because `error` is about
@@ -1377,10 +1365,8 @@ mod tests {
                 fired.extend_from_slice(dag.children(v));
             })
         };
-        // Chunk size 1 so the fan spreads across all 8 workers.
-        let mut cfg = ExecConfig::new(8);
-        cfg.chunk_max = 1;
-        let report = Executor::with_config(cfg)
+        // The 16-task fan goes out as 8 chunks of 2, one to each worker.
+        let report = Executor::new(8)
             .run(&mut s, &dag, &[NodeId(0)], infallible(f), None)
             .expect("run succeeds");
         assert_eq!(report.executed, 17);
@@ -1389,6 +1375,87 @@ mod tests {
             "expected real overlap, saw peak {}",
             peak.load(Ordering::SeqCst)
         );
+    }
+
+    /// One level of `w` independent tasks, all of them dirty.
+    fn wide_level(w: usize) -> (Arc<Dag>, Vec<NodeId>) {
+        let dag = Arc::new(DagBuilder::new(w).build().unwrap());
+        let initial = dag.nodes().collect();
+        (dag, initial)
+    }
+
+    fn no_work() -> TaskFn {
+        Arc::new(|_, _: &mut Vec<NodeId>| {})
+    }
+
+    #[test]
+    fn a_chunk_is_the_wavefront_split_across_workers() {
+        // The dispatch path on private pipes, so no other test's chunks
+        // reach the count: a wide wavefront goes out in one chunk a
+        // worker, with no cap, and a narrow one a task at a time.
+        let (work_tx, work_rx) = channel::unbounded();
+        let (_done_tx, done_rx) = channel::unbounded();
+        let (batch_back_tx, _batch_back_rx) = channel::unbounded();
+        let (_chunk_back_tx, chunk_back_rx) = channel::unbounded();
+        let pipes = Pipes {
+            work_tx,
+            work_steal: work_rx,
+            done_rx,
+            batch_back_tx,
+            chunk_back_rx,
+        };
+        let ready: Vec<NodeId> = (0..256).map(NodeId).collect();
+        for (tasks, workers, chunks, len) in [
+            (256, 1, 1, 256),
+            (256, 2, 2, 128),
+            (16, 8, 8, 2),
+            (3, 8, 3, 1),
+        ] {
+            assert_eq!(send_chunks(&ready[..tasks], workers, &pipes), chunks);
+            let mut sent = Vec::new();
+            while let Some(WorkMsg::Chunk(chunk)) = pipes.work_steal.try_recv() {
+                assert_eq!(chunk.len(), len, "{tasks} tasks over {workers} workers");
+                sent.extend(chunk);
+            }
+            assert_eq!(sent, ready[..tasks], "{tasks} tasks over {workers} workers");
+        }
+    }
+
+    #[test]
+    fn coordinator_waiting_on_workers_is_not_busy() {
+        // One worker, 4 096 tasks of 50 µs: the coordinator has next to
+        // nothing to do, and its time blocked on the pipeline is waiting.
+        let (dag, initial) = wide_level(4096);
+        let spin: TaskFn = Arc::new(|_, _: &mut Vec<NodeId>| {
+            let t0 = Instant::now();
+            while t0.elapsed() < Duration::from_micros(50) {
+                std::hint::spin_loop();
+            }
+        });
+        let mut s = LevelBased::new(dag.clone());
+        let report = Executor::new(1)
+            .run(&mut s, &dag, &initial, infallible(spin), None)
+            .expect("run succeeds");
+        assert!(
+            report.coord_busy_fraction < 0.2,
+            "coordinator busy {:.2}",
+            report.coord_busy_fraction
+        );
+    }
+
+    #[test]
+    fn in_flight_never_exceeds_the_window() {
+        // A 64 k-wide level under Hybrid: LevelBased would hand all of it
+        // out before the first completion came back.
+        let (dag, initial) = wide_level(64 * 1024);
+        let mut s = Hybrid::new(dag.clone());
+        let report = Executor::new(2)
+            .run(&mut s, &dag, &initial, infallible(no_work()), None)
+            .expect("run succeeds");
+        assert_eq!(report.executed, 64 * 1024);
+        // Over every run in this process; this one fills the window.
+        let peak = incr_obs::registry().gauge("exec.in_flight").lifetime_peak();
+        assert_eq!(peak, WINDOW as i64);
     }
 
     #[test]

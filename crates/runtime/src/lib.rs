@@ -9,9 +9,10 @@
 //!
 //! * [`executor`] — the batched dispatch pipeline: the coordinator owns
 //!   the scheduler and pulls whole wavefronts (`pop_batch`), workers are
-//!   fed multi-task chunks over bounded channels (backpressure) and flush
-//!   completions in reusable batches with the fired-edge sets the task
-//!   functions compute. Execution is fault-tolerant: panics are isolated
+//!   fed each wavefront split evenly across them, a fixed window of tasks
+//!   in flight is the backpressure, and workers flush completions in
+//!   reusable batches with the fired-edge sets the task functions
+//!   compute. Execution is fault-tolerant: panics are isolated
 //!   per task, transient failures retry under a bounded backoff policy, a
 //!   watchdog deadline and a [`executor::CancelToken`] bound every
 //!   update's latency, and an [`executor::UpdateJournal`] makes failed

@@ -8,6 +8,7 @@ use datalog_sched::datalog::{
     parse_program, FactEdit, IncrementalEngine, Relation, Tuple,
     Value,
 };
+use datalog_sched::runtime::{infallible, Executor, TaskFn};
 use datalog_sched::sched::{
     CompletionBatch, CostMeter, Instance, LevelBased, Scheduler, SchedulerKind, TaskShape,
 };
@@ -347,6 +348,59 @@ fn scheduling_time_is_linear_in_the_width_of_a_level() {
     }
 }
 
+/// The same widths on the threaded executor, under Hybrid, over two
+/// levels: `w` sources, source `i` over sink `i`, one source in
+/// `FIRE_EVERY` firing its sink. A guard on linearity only: time on the
+/// executor must grow with the width of a level, not its square. It does
+/// not pin the executor's window on tasks in flight: with zero-work
+/// bodies it passes with no window at all (the dispatch loop commits
+/// nothing while it can still pop). `in_flight_never_exceeds_the_window`
+/// in the executor's tests pins the window. (With every source firing, how
+/// many sources are in flight when LevelBased runs dry is a race, and
+/// single runs would move tenfold.)
+#[test]
+fn executor_time_is_linear_in_the_width_of_a_level() {
+    let _turn = DATALOG_ENGINE_TESTS.lock().unwrap_or_else(PoisonError::into_inner);
+    const SMALL: usize = 4 * 1024;
+    const LARGE: usize = 64 * 1024;
+    const FIRE_EVERY: usize = 16;
+    let mut fastest = [Duration::MAX; 2];
+    for (slot, w) in [SMALL, LARGE].into_iter().enumerate() {
+        let mut b = DagBuilder::new(2 * w);
+        for i in 0..w {
+            b.add_edge(NodeId(i as u32), NodeId((w + i) as u32));
+        }
+        let dag = Arc::new(b.build().unwrap());
+        let sources: Vec<NodeId> = dag.sources().collect();
+        let fire: TaskFn = {
+            let dag = dag.clone();
+            Arc::new(move |v, fired: &mut Vec<NodeId>| {
+                if v.index() % FIRE_EVERY == 0 {
+                    fired.extend_from_slice(dag.children(v));
+                }
+            })
+        };
+        let exec = Executor::new(2);
+        let mut s = SchedulerKind::Hybrid.build(dag.clone());
+        for _ in 0..3 {
+            let t0 = Instant::now();
+            let report = exec
+                .run(s.as_mut(), &dag, &sources, infallible(fire.clone()), None)
+                .expect("run succeeds");
+            fastest[slot] = fastest[slot].min(t0.elapsed());
+            assert_eq!(report.executed, w + w / FIRE_EVERY);
+        }
+    }
+    let ratio = fastest[1].as_secs_f64() / fastest[0].as_secs_f64();
+    assert!(
+        ratio <= 48.0,
+        "Hybrid on the executor: {LARGE} sources took {ratio:.1}x the time of {SMALL} \
+         ({:?} vs {:?}); linear is 16x, quadratic 256x",
+        fastest[1],
+        fastest[0]
+    );
+}
+
 /// An attack-graph slice (the `two_hop` / `wide_open` rules of
 /// `bench_all/src/workloads/attack.rs`) over `hosts` hosts of out-degree
 /// [`ACL_PER_HOST`]: growing `hosts` grows every extent and leaves the
@@ -376,7 +430,8 @@ fn attack_slice(hosts: usize, present: &HashSet<(usize, usize)>) -> String {
 }
 
 /// The Datalog tests below time engine updates and read process-wide
-/// counters as deltas, so they take turns.
+/// counters as deltas, so they take turns — with the executor test above
+/// too, whose worker threads would be timed along with them.
 static DATALOG_ENGINE_TESTS: Mutex<()> = Mutex::new(());
 
 /// A clique task costs its deltas and its join work, not the size of the

@@ -1,7 +1,7 @@
 //! Every cargo target and every `dlsched` subcommand a CI step or a
 //! README command names exists — the acceptance check for retiring a bin,
 //! a bench, a test or a subcommand — and the metric names `crates/datalog`
-//! emits are the ones `docs/METRICS.md` documents.
+//! and the executor emit are the ones `docs/METRICS.md` documents.
 
 use std::path::Path;
 
@@ -78,20 +78,69 @@ fn is_datalog_metric(name: &str) -> bool {
         && name.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_' || c == '.')
 }
 
+/// The non-test code of every source file in `dir`: each file up to its
+/// test module (proptests.rs is declared `#[cfg(test)]` from lib.rs and
+/// holds no metric).
+fn non_test_sources(dir: &Path) -> Vec<String> {
+    std::fs::read_dir(dir)
+        .expect("source directory")
+        .map(|entry| {
+            let text = std::fs::read_to_string(entry.expect("directory entry").path())
+                .expect("source file");
+            text.split("#[cfg(test)]")
+                .next()
+                .unwrap_or_default()
+                .to_string()
+        })
+        .collect()
+}
+
+/// Every name `emitted` from `dir` has a row in `docs/METRICS.md`, and
+/// every row `in_family` names one of them — the static half of "every
+/// emitted metric is documented and every documented metric is emitted".
+fn assert_rows_agree(
+    root: &Path,
+    dir: &str,
+    mut emitted: Vec<String>,
+    in_family: fn(&str) -> bool,
+) {
+    emitted.sort();
+    emitted.dedup();
+    let doc = std::fs::read_to_string(root.join("docs/METRICS.md")).expect("docs/METRICS.md");
+    let mut documented: Vec<String> = Vec::new();
+    for row in doc.lines().filter(|l| l.starts_with("| `")) {
+        let name_cell = row.split('|').nth(1).unwrap_or_default();
+        documented.extend(
+            name_cell
+                .split('`')
+                .skip(1)
+                .step_by(2)
+                .filter(|name| in_family(name))
+                .map(str::to_string),
+        );
+    }
+    documented.sort();
+    assert!(!documented.is_empty(), "no metric row found: the scan is broken");
+
+    let undocumented: Vec<&String> = emitted.iter().filter(|n| !documented.contains(n)).collect();
+    assert!(
+        undocumented.is_empty(),
+        "emitted by {dir} without a docs/METRICS.md row: {undocumented:?}"
+    );
+    let dead: Vec<&String> = documented.iter().filter(|n| !emitted.contains(n)).collect();
+    assert!(
+        dead.is_empty(),
+        "docs/METRICS.md rows naming nothing {dir} emits: {dead:?}"
+    );
+}
+
 /// Every counter or gauge name `crates/datalog` emits has a row in
-/// `docs/METRICS.md`, and every row of those families names one it emits —
-/// the static half of "every emitted metric is documented and every
-/// documented metric is emitted".
+/// `docs/METRICS.md`, and every row of those families names one it emits.
 #[test]
 fn datalog_metric_names_and_metrics_md_rows_agree() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut emitted: Vec<String> = Vec::new();
-    for entry in std::fs::read_dir(root.join("crates/datalog/src")).expect("crates/datalog/src") {
-        let path = entry.expect("directory entry").path();
-        let text = std::fs::read_to_string(&path).expect("source file");
-        // Non-test code: up to the file's test module (proptests.rs is
-        // declared `#[cfg(test)]` from lib.rs and holds no metric).
-        let code = text.split("#[cfg(test)]").next().unwrap_or_default();
+    for code in non_test_sources(&root.join("crates/datalog/src")) {
         // Odd segments between double quotes are string literals (no
         // metric name sits near an escaped quote).
         emitted.extend(
@@ -102,37 +151,36 @@ fn datalog_metric_names_and_metrics_md_rows_agree() {
                 .map(str::to_string),
         );
     }
-    emitted.sort();
-    emitted.dedup();
     assert!(
         emitted.iter().any(|n| n == "datalog.index.hit"),
         "no metric literal found: the scan is broken"
     );
+    assert_rows_agree(root, "crates/datalog/src", emitted, is_datalog_metric);
+}
 
-    let doc = std::fs::read_to_string(root.join("docs/METRICS.md")).expect("docs/METRICS.md");
-    let mut documented: Vec<String> = Vec::new();
-    for row in doc.lines().filter(|l| l.starts_with("| `")) {
-        let name_cell = row.split('|').nth(1).unwrap_or_default();
-        documented.extend(
-            name_cell
-                .split('`')
-                .skip(1)
-                .step_by(2)
-                .filter(|name| is_datalog_metric(name))
-                .map(str::to_string),
-        );
+/// The same for the executor's `exec.*` family. Only names registered
+/// through `counter("…")` / `gauge("…")` count: `exec.update` and
+/// `exec.commit` are span names, not metrics.
+#[test]
+fn executor_metric_names_and_metrics_md_rows_agree() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut emitted: Vec<String> = Vec::new();
+    for code in non_test_sources(&root.join("crates/runtime/src")) {
+        for call in ["counter(\"", "gauge(\""] {
+            emitted.extend(
+                code.split(call)
+                    .skip(1)
+                    .filter_map(|rest| rest.split('"').next())
+                    .filter(|name| name.starts_with("exec."))
+                    .map(str::to_string),
+            );
+        }
     }
-    documented.sort();
-    assert!(!documented.is_empty(), "no metric row found: the scan is broken");
-
-    let undocumented: Vec<&String> = emitted.iter().filter(|n| !documented.contains(n)).collect();
     assert!(
-        undocumented.is_empty(),
-        "emitted by crates/datalog/src without a docs/METRICS.md row: {undocumented:?}"
+        emitted.iter().any(|n| n == "exec.chunks"),
+        "no `exec.chunks` registration found: the scan is broken"
     );
-    let dead: Vec<&String> = documented.iter().filter(|n| !emitted.contains(n)).collect();
-    assert!(
-        dead.is_empty(),
-        "docs/METRICS.md rows naming nothing crates/datalog/src emits: {dead:?}"
-    );
+    assert_rows_agree(root, "crates/runtime/src", emitted, |name| {
+        name.starts_with("exec.")
+    });
 }
