@@ -8,9 +8,9 @@
 //! as far as the data requires and no further.
 
 use crate::ast::{Atom, Program, Rule, Term};
-use crate::eval::{compile_program, load_facts, seminaive_scc, CRule};
+use crate::eval::{compile_program, compile_rule, load_facts, seminaive_scc, CRule};
 use crate::hash::Map;
-use crate::incr::{reevaluate_scc, update_scc, Delta};
+use crate::incr::{update_scc, Delta, RuleChange};
 use crate::mvcc::{DbCell, PinRegistry, ReaderHandle, Snapshot};
 use crate::parser::{parse_program, ParseError};
 use crate::query::{parse_pattern, query as run_query};
@@ -454,7 +454,7 @@ impl IncrementalEngine {
             .collect();
 
         // 3. Drive the scheduler.
-        self.drive(scheduler, &initial, base_deltas, Map::default(), collect)
+        self.drive(scheduler, &initial, base_deltas, None, collect)
     }
 
     /// Validate one edit (predicate exists, arity, base-only) and intern
@@ -582,9 +582,9 @@ impl IncrementalEngine {
 
     /// The scheduler-driven propagation loop shared by fact updates and
     /// rule changes. `base_deltas` are consumed by base nodes when popped;
-    /// `preset` short-circuits a node's execution with a precomputed
-    /// output delta (used by rule changes, whose head clique is
-    /// re-evaluated before propagation starts).
+    /// `change` — a rule change's rule, with the node of its head clique —
+    /// goes to that clique's task beside its input deltas. Every clique task
+    /// is the one [`update_scc`] call below.
     ///
     /// A stalled scheduler returns [`EngineError::Stall`] with the
     /// database mid-update; the caller ends the epoch
@@ -597,7 +597,7 @@ impl IncrementalEngine {
         scheduler: &mut dyn Scheduler,
         initial: &[NodeId],
         mut base_deltas: Map<PredId, Delta>,
-        mut preset: Map<NodeId, Map<PredId, Delta>>,
+        mut change: Option<(NodeId, RuleChange)>,
         mut collect: Option<&mut Map<PredId, Delta>>,
     ) -> Result<UpdateReport, EngineError> {
         let mut pending: Vec<Map<PredId, Delta>> =
@@ -629,19 +629,16 @@ impl IncrementalEngine {
                 )
             });
             // Execute the task: produce this node's output deltas.
-            let out: Map<PredId, Delta> = if let Some(out) = preset.remove(&node) {
-                out
-            } else {
-                match &self.graph.kinds[node.index()] {
-                    NodeKind::Base(p) => {
-                        let d = base_deltas.remove(p).unwrap_or_default();
-                        Map::from_iter([(*p, d)])
-                    }
-                    NodeKind::Clique { preds, .. } => {
-                        let rules = self.node_rules[node.index()].clone();
-                        let input = std::mem::take(&mut pending[node.index()]);
-                        update_scc(&mut db, &rules, preds, &input)
-                    }
+            let out: Map<PredId, Delta> = match &self.graph.kinds[node.index()] {
+                NodeKind::Base(p) => {
+                    let d = base_deltas.remove(p).unwrap_or_default();
+                    Map::from_iter([(*p, d)])
+                }
+                NodeKind::Clique { preds, .. } => {
+                    let rules = self.node_rules[node.index()].clone();
+                    let input = std::mem::take(&mut pending[node.index()]);
+                    let change = change.take_if(|(n, _)| *n == node).map(|(_, c)| c);
+                    update_scc(&mut db, &rules, preds, &input, change.as_ref())
                 }
             };
             for (p, d) in &out {
@@ -732,40 +729,50 @@ impl IncrementalEngine {
     }
 
     /// Add a rule to the program and incrementally update the
-    /// materialization ("the rule definitions change", §I). The head's
-    /// clique is re-evaluated against its unchanged inputs; the net delta
-    /// then propagates downstream under `make_sched`'s scheduler, built
-    /// over the *new* task DAG.
+    /// materialization ("the rule definitions change", §I): the rule's
+    /// output over the current database, less what its head already holds,
+    /// is inserted into the head's clique and semi-naive carries on from it
+    /// ([`update_scc`]); the net delta propagates downstream under
+    /// `make_sched`'s scheduler, built over the *new* task DAG. The cost
+    /// follows the rule's output and what it cascades into, not the
+    /// extents.
     ///
     /// A rule for a base table makes it derived: the rows it holds now
     /// become the facts the program states of it, so none is lost and no
-    /// edit it has seen is undone. Ground facts are rejected — route those
-    /// through [`Self::update`]. On `Err` the change is refused whole:
-    /// rules, task graph, data and epoch are what they were.
+    /// edit it has seen is undone. A ground fact of a derived predicate is
+    /// a rule with an empty body (what [`Self::remove_rule`] takes out); a
+    /// fact of a base table is a row — route it through [`Self::update`].
+    /// On `Err` the change is refused whole: rules, task graph, data and
+    /// epoch are what they were.
     pub fn add_rule(
         &mut self,
         rule_text: &str,
         make_sched: impl FnOnce(Arc<Dag>) -> Box<dyn Scheduler>,
     ) -> Result<UpdateReport, EngineError> {
         let rule = Self::one_clause(rule_text, "add_rule")?;
-        if rule.is_fact() {
+        let derived = self
+            .program
+            .derived_predicates()
+            .contains(rule.head.pred.as_str());
+        if rule.is_fact() && !derived {
             return Err(EngineError::Edit(
-                "ground facts go through update(), not add_rule()".into(),
+                "a base-table fact goes through update(), not add_rule()".into(),
             ));
         }
         let mut rules = self.program.rules.clone();
-        if !self.program.derived_predicates().contains(rule.head.pred.as_str()) {
+        if !derived {
             rules.extend(self.rows_as_facts(&rule.head.pred));
         }
-        let head_pred = rule.head.pred.clone();
-        rules.push(rule);
-        self.change_rules(&head_pred, Program { rules }, make_sched)
+        rules.push(rule.clone());
+        self.change_rules(&rule, true, Program { rules }, make_sched)
     }
 
     /// Remove a rule (matched by textual equality after parsing) and
-    /// incrementally update the materialization. A predicate left without
-    /// rules is a base table again, holding what the program states of it.
-    /// Refused whole on `Err`, like [`Self::add_rule`].
+    /// incrementally update the materialization: the rule's output is put
+    /// to proof against the remaining rules, and what has none is deleted
+    /// and cascades ([`update_scc`]). A predicate left without rules is a
+    /// base table again, holding what the program states of it. Refused
+    /// whole on `Err`, like [`Self::add_rule`].
     pub fn remove_rule(
         &mut self,
         rule_text: &str,
@@ -779,7 +786,7 @@ impl IncrementalEngine {
         };
         let mut rules = self.program.rules.clone();
         rules.remove(pos);
-        self.change_rules(&rule.head.pred, Program { rules }, make_sched)
+        self.change_rules(&rule, false, Program { rules }, make_sched)
     }
 
     /// The one clause of `text`, for `what`.
@@ -823,8 +830,8 @@ impl IncrementalEngine {
         }
     }
 
-    /// Bring the engine in line with `program`, the current one with one
-    /// rule added or removed, and end the epoch. A change the database
+    /// Bring the engine in line with `program`, the current one with `rule`
+    /// `added` or removed, and end the epoch. A change the database
     /// cannot take — an arity clash with a predicate it holds, an
     /// aggregate that would share its predicate — is refused before
     /// anything moves. One refused later — unstratifiable program, stalled
@@ -834,13 +841,14 @@ impl IncrementalEngine {
     /// restores the data.
     fn change_rules(
         &mut self,
-        head_pred: &str,
+        rule: &Rule,
+        added: bool,
         program: Program,
         make_sched: impl FnOnce(Arc<Dag>) -> Box<dyn Scheduler>,
     ) -> Result<UpdateReport, EngineError> {
         let report = self.check_rule_change(&program).and_then(|()| {
             let old = std::mem::replace(&mut self.program, program);
-            let report = self.propagate_rule_change(head_pred, make_sched);
+            let report = self.propagate_rule_change(rule, added, make_sched);
             if report.is_err() {
                 self.program = old;
                 self.rebuild().expect("previous program was valid");
@@ -869,18 +877,25 @@ impl IncrementalEngine {
         Self::check_aggregates(program)
     }
 
-    /// Recompile the changed program, re-evaluate the changed head's
-    /// clique and propagate its net delta. Leaves the epoch open: the
-    /// caller ends it ([`Self::change_rules`]).
+    /// Recompile the changed program and propagate the change like an
+    /// update: the head's clique task gets `rule` as its [`RuleChange`], and
+    /// it and every task the change reaches run under `make_sched`'s
+    /// scheduler over the new task DAG. A head left without rules is a base
+    /// table, and its change — what was derived goes, what the program
+    /// states of it stays — enters as a base-table delta. Leaves the epoch
+    /// open: the caller ends it ([`Self::change_rules`]).
     fn propagate_rule_change(
         &mut self,
-        head_pred: &str,
+        rule: &Rule,
+        added: bool,
         make_sched: impl FnOnce(Arc<Dag>) -> Box<dyn Scheduler>,
     ) -> Result<UpdateReport, EngineError> {
+        let head_pred = rule.head.pred.as_str();
         // A predicate no rule derives any more is a base table: the facts
         // the program states of it become its rows, and leave the program.
+        let derived = self.program.derived_predicates().contains(head_pred);
         let mut stated = Vec::new();
-        if !self.program.derived_predicates().contains(head_pred) {
+        if !derived {
             let rules = std::mem::take(&mut self.program.rules);
             let (facts, rest): (Vec<Rule>, Vec<Rule>) =
                 rules.into_iter().partition(|r| r.head.pred == head_pred);
@@ -888,38 +903,33 @@ impl IncrementalEngine {
             self.program.rules = rest;
         }
         self.rebuild()?;
-        let head = {
-            let db = self.db_read();
-            db.pred_id(head_pred).expect("head registered by rebuild")
-        };
-        let node = self.graph.node_of_pred.get(&head).copied();
-        let out = {
-            let mut db = self.db_write();
-            match node.map(|n| (n, &self.graph.kinds[n.index()])) {
-                Some((n, NodeKind::Clique { preds, .. })) => {
-                    let rules = self.node_rules[n.index()].clone();
-                    reevaluate_scc(&mut db, &rules, preds)
-                }
-                _ => {
-                    // What was derived goes — tuple by tuple, tombstoned
-                    // for any pinned snapshot, not a wholesale relation
-                    // swap; what the program stated goes back in, reviving
-                    // its rows.
-                    let mut d = Delta::default();
-                    for t in db.rel(head).sorted() {
-                        db.rel_mut(head).remove(&t);
-                        d.removed.insert(t);
-                    }
-                    load_facts(&Program { rules: stated }, &mut db);
-                    d.removed.retain(|t| !db.rel(head).contains(t));
-                    Map::from_iter([(head, d)])
-                }
+        let mut db = self.db_write();
+        let head = db.pred_id(head_pred).expect("head registered by rebuild");
+        let change = derived.then(|| RuleChange {
+            rule: compile_rule(rule, &mut db),
+            added,
+        });
+        let mut base_deltas = Map::default();
+        if !derived {
+            // What was derived goes — tuple by tuple, tombstoned for any
+            // pinned snapshot, not a wholesale relation swap; what the
+            // program stated goes back in, reviving its rows.
+            let mut d = Delta::default();
+            for t in db.rel(head).sorted() {
+                db.rel_mut(head).remove(&t);
+                d.removed.insert(t);
             }
-        };
-        let Some(node) = node else {
+            load_facts(&Program { rules: stated }, &mut db);
+            d.removed.retain(|t| !db.rel(head).contains(t));
+            base_deltas.insert(head, d);
+        }
+        drop(db);
+        let Some(node) = self.graph.node_of_pred.get(&head).copied() else {
             // The predicate vanished from the program entirely (its last
             // rule removed and nothing else reads it): no task reads it.
-            let removed = out[&head].removed.len();
+            let removed = base_deltas
+                .get(&head)
+                .map_or(0, |d: &Delta| d.removed.len());
             let mut pred_changes = Map::default();
             if removed > 0 {
                 pred_changes.insert(head_pred.to_string(), (0, removed));
@@ -932,17 +942,11 @@ impl IncrementalEngine {
                 order: Vec::new(),
             });
         };
-        // The head re-evaluation above already mutated the database, in
-        // the same open epoch the drive stamps at, so a stalled
-        // propagation aborts both.
+        // Anything moved above is stamped at the open epoch the drive
+        // stamps at, so a stalled propagation aborts both.
         let mut scheduler = make_sched(self.graph.dag.clone());
-        self.drive(
-            scheduler.as_mut(),
-            &[node],
-            Map::default(),
-            Map::from_iter([(node, out)]),
-            None,
-        )
+        let change = change.map(|c| (node, c));
+        self.drive(scheduler.as_mut(), &[node], base_deltas, change, None)
     }
 
     /// Pattern query against the materialization, e.g. `path(a, ?)`.
@@ -1712,18 +1716,14 @@ pub(crate) mod tests {
         assert_eq!(e.count("path"), 3);
         let retained = e.database().rows_retained();
         let nodes = e.dag().node_count();
-        // A scheduler that refuses all work: the head clique's preset
-        // delta was applied before the drive, and must go with it.
+        // A scheduler that refuses all work: the program and the task graph
+        // changed before the drive, and must go back with the data.
         let err = e.add_rule("path(Y, X) :- edge(X, Y).", |dag| {
             Box::new(QuotaStall::new(dag, 0))
         });
         assert!(matches!(err, Err(EngineError::Stall { .. })));
         assert_eq!(e.database().rows_retained(), retained);
-        assert_eq!(
-            e.count("path"),
-            3,
-            "preset delta rolled back on stalled propagation"
-        );
+        assert_eq!(e.count("path"), 3, "nothing of the new rule's stayed");
         assert_eq!(e.dag().node_count(), nodes, "the task graph went back too");
         assert_eq!(e.rules.len(), 2, "and so did the refused rule");
     }
@@ -1815,12 +1815,30 @@ pub(crate) mod tests {
         );
         let mut e = IncrementalEngine::new(&src).unwrap();
         assert_eq!(rows(&e, "reach(?)"), ["(n0)", "(n1)", "(n2)"]);
-        // The recursive re-evaluation takes every tuple out and
-        // bootstraps: the statement is where the bootstrap starts.
+        // `reach(n2)` is put to proof without the rule and has none; the
+        // statement proves what is left, with no premises.
         e.remove_rule(HOP, lb).unwrap();
         assert_eq!(rows(&e, "reach(?)"), ["(n0)", "(n1)"]);
         e.add_rule(HOP, lb).unwrap();
         assert_eq!(rows(&e, "reach(?)"), ["(n0)", "(n1)", "(n2)"]);
+    }
+
+    #[test]
+    fn program_fact_of_a_derived_predicate_is_removed_and_added_back() {
+        const SEED: &str = "reach(n0).";
+        let mut e = IncrementalEngine::new(&format!(
+            "{SEED}\nreach(Y) :- reach(X), edge(X, Y).\nedge(n0, n1)."
+        ))
+        .unwrap();
+        let report = e.remove_rule(SEED, lb).unwrap();
+        assert_eq!(e.count("reach"), 0, "nothing is reached without the seed");
+        assert_eq!(report.pred_changes["reach"], (0, 2));
+        // A derived predicate's fact is a clause, not a row.
+        let err = e.update(&mut LevelBased::new(e.dag().clone()), &[FactEdit::add("reach", &["n0"])]);
+        assert!(matches!(err, Err(EngineError::Edit(_))), "{err:?}");
+        let report = e.add_rule(SEED, lb).unwrap();
+        assert_eq!(rows(&e, "reach(?)"), ["(n0)", "(n1)"]);
+        assert_eq!(report.pred_changes["reach"], (2, 0));
     }
 
     #[test]

@@ -636,9 +636,10 @@ fn eval_heads(db: &dyn Rels, rule: &CRule, pin: Option<Pin<'_>>, out: &mut dyn F
     }
 }
 
-/// One pinned evaluation: the rule, and the body position pinned to a
-/// sorted delta list.
-pub(crate) type PinJob<'a> = (&'a CRule, Pin<'a>);
+/// One evaluation of a rule: with the body position pinned to a sorted
+/// delta list, or unpinned — the whole output of a rule just added or
+/// removed.
+pub(crate) type PinJob<'a> = (&'a CRule, Option<Pin<'a>>);
 
 /// The distinct `(head, tuple)` derivations of `jobs` passing `keep`,
 /// sorted; an aggregate rule's are its raw head bindings. The database is
@@ -651,7 +652,7 @@ pub(crate) fn eval_pin_jobs(
     let mut out = Vec::new();
     for &(rule, pin) in jobs {
         let head = rule.head.pred;
-        eval_heads(db, rule, Some(pin), &mut |t| {
+        eval_heads(db, rule, pin, &mut |t| {
             if keep(head, &t) {
                 out.push((head, t));
             }
@@ -975,11 +976,11 @@ pub fn seminaive_scc(
                 };
                 jobs.push((
                     rule,
-                    Pin {
+                    Some(Pin {
                         index: j,
                         mode: PinMode::Positive,
                         delta: list,
-                    },
+                    }),
                 ));
             }
         }

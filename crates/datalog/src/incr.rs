@@ -2,19 +2,22 @@
 //! delete-rederive (DRed) deletion, with stratified negation.
 //!
 //! Given *final* input deltas (the upstream predicates have finished
-//! updating — exactly the safety discipline the scheduler enforces), the
-//! clique's task runs two phases:
+//! updating — exactly the safety discipline the scheduler enforces), and
+//! on a rule change the rule added to or removed from the clique
+//! ([`RuleChange`]), the clique's task runs two phases:
 //!
 //! 1. **Prove or delete** ([`overdelete`]) — find every tuple whose known
 //!    derivation used a removed input tuple (or relied on the absence of
-//!    an added one, for negated literals), evaluated against the *old
-//!    state* (an [`OldView`]: the live relations with the input deltas
-//!    undone by an overlay, not a copy), and put each to a grounded proof
-//!    search over the new inputs ([`crate::prove`]): proved, it stays and
-//!    nothing it supports is looked at; unproved, it is recorded and
-//!    cascades within the clique. Then remove all the unproved.
-//! 2. **Insert** — semi-naive propagation of added input tuples and of
-//!    derivations newly enabled by removed blockers, to fixpoint.
+//!    an added one, for negated literals) or the removed rule, evaluated
+//!    against the *old state* (an [`OldView`]: the live relations with the
+//!    input deltas undone by an overlay, not a copy), and put each to a
+//!    grounded proof search over the new inputs and the remaining rules
+//!    ([`crate::prove`]): proved, it stays and nothing it supports is
+//!    looked at; unproved, it is recorded and cascades within the clique.
+//!    Then remove all the unproved.
+//! 2. **Insert** — semi-naive propagation of added input tuples, of
+//!    derivations newly enabled by removed blockers and of the added rule's
+//!    output, to fixpoint.
 //!
 //! There is no rederivation phase: a deleted tuple has no rule instance
 //! over the facts that survived (every old-extent fact without a proof was
@@ -37,14 +40,19 @@
 //! An aggregate clique takes the same deltas through the same pins, and
 //! keeps each group's fold in the group's own tuple: the raw bindings
 //! that came or went are added to or taken from it, and a group is walked
-//! again only when its `min`/`max` extreme left ([`update_scc`]). Every
-//! clique is maintained on every fact update; [`reevaluate_scc`] serves
-//! rule changes alone.
+//! again only when its `min`/`max` extreme left ([`update_scc`]); an
+//! aggregate rule just added gains every binding it has.
+//!
+//! Fact updates and rule changes ("the rule definitions change", §I) reach
+//! a clique through [`update_scc`] alike: a changed rule is evaluated once,
+//! unpinned, as one more source of candidates for the two phases, so a rule
+//! change costs the rule's output and what it cascades into, never a
+//! re-evaluation of the clique.
 
 use crate::ast::AggOp;
 use crate::eval::{
-    ensure_indices, eval_agg_rule, eval_pin_jobs, eval_rule, fold, seminaive_scc, walk_group,
-    walk_head, CAgg, CRule, Patch, Pin, PinJob, PinMode, Rels,
+    ensure_indices, eval_pin_jobs, fold, seminaive_scc, walk_group, walk_head, CAgg, CRule, Patch,
+    Pin, PinJob, PinMode, Rels,
 };
 use crate::hash::{Map, Set};
 use crate::prove::Prover;
@@ -86,6 +94,17 @@ impl Delta {
     }
 }
 
+/// A rule added to or removed from a clique since its extent was last
+/// maintained — what a rule change hands the head clique's task beside its
+/// input deltas.
+pub struct RuleChange {
+    /// The rule, compiled against the database.
+    pub rule: CRule,
+    /// Added (its output is inserted) or removed (its output is put to
+    /// proof against the remaining rules).
+    pub added: bool,
+}
+
 /// Read view of the pre-update state (used by overdeletion): each changed
 /// input predicate is the live relation minus the tuples the update added
 /// plus the ones it removed; the clique's own predicates, which a task
@@ -121,9 +140,8 @@ impl Rels for OldView<'_> {
     }
 }
 
-/// The tail every maintenance path shares: run the semi-naive rounds from
-/// `seed` (tuples already inserted; with `bootstrap`, every rule is first
-/// evaluated unpinned) and assemble the clique's net delta. `deleted`
+/// The tail of clique maintenance: run the semi-naive rounds from `seed`
+/// (tuples already inserted) and assemble the clique's net delta. `deleted`
 /// holds the old-extent tuples the caller took out: those still out are
 /// the net removals, and whatever went in without being in `deleted` is a
 /// net addition — a tuple taken out and put back is no change.
@@ -133,7 +151,6 @@ fn insert_and_net(
     scc_preds: &[PredId],
     deleted: Map<PredId, Set<Tuple>>,
     seed: Map<PredId, Set<Tuple>>,
-    bootstrap: bool,
 ) -> Map<PredId, Delta> {
     let mut out: Map<PredId, Delta> =
         scc_preds.iter().map(|&p| (p, Delta::default())).collect();
@@ -145,8 +162,8 @@ fn insert_and_net(
     for (&p, ts) in &seed {
         note_added(p, &mut ts.iter().cloned());
     }
-    if bootstrap || !seed.is_empty() {
-        for (p, ts) in seminaive_scc(db, rules, scc_preds, seed, bootstrap) {
+    if !seed.is_empty() {
+        for (p, ts) in seminaive_scc(db, rules, scc_preds, seed, false) {
             note_added(p, &mut ts.into_iter());
         }
     }
@@ -200,11 +217,11 @@ fn delta_pin_jobs<'a>(
             if !list.is_empty() {
                 jobs.push((
                     rule,
-                    Pin {
+                    Some(Pin {
                         index: j,
                         mode,
                         delta: list,
-                    },
+                    }),
                 ));
             }
         }
@@ -212,10 +229,11 @@ fn delta_pin_jobs<'a>(
     jobs
 }
 
-/// Overdeletion: every clique tuple with a derivation through `rules`
-/// that the update destroyed, found against the old `view`, and no proof
-/// left in the new state. Candidates are the heads of derivations that
-/// used a changed input. One the [`Prover`] proves from instances of
+/// Overdeletion: every clique tuple with a derivation that the change
+/// destroyed, found against the old `view`, and no proof left in the new
+/// state. The first candidates are `first`: the heads of derivations that
+/// used a changed input or the removed rule, which the caller found. One
+/// the [`Prover`] proves from instances of
 /// `rules` over the new inputs stays, and nothing becomes a candidate
 /// through it; the others are recorded and cascade through `rules` within
 /// the clique (negation inside a clique is rejected by stratification, so
@@ -226,12 +244,11 @@ fn overdelete(
     view: &OldView<'_>,
     rules: &[&CRule],
     scc_preds: &[PredId],
-    input_lists: &DeltaLists,
+    first: Vec<(PredId, Tuple)>,
 ) -> Map<PredId, Set<Tuple>> {
     let mut deleted: Map<PredId, Set<Tuple>> = Map::default();
     let mut prover = Prover::new(view.db, rules, scc_preds);
-    let jobs = delta_pin_jobs(rules, input_lists, true);
-    let mut fresh = eval_pin_jobs(view, &jobs, |head, t| view.db.rel(head).contains(t));
+    let mut fresh = first;
     loop {
         // A round is itself a delta: removals from clique predicates.
         let mut round: DeltaLists = Map::default();
@@ -260,11 +277,16 @@ fn overdelete(
 
 /// Apply an update to one clique.
 ///
-/// * `rules` — the rules whose heads are in this clique.
+/// * `rules` — the rules whose heads are in this clique, now: an added
+///   rule among them, a removed one not.
 /// * `scc_preds` — the clique's predicates.
 /// * `input` — final *net* deltas of the *external* predicates this
 ///   clique reads (upstream cliques' outputs or base-table edits),
 ///   already applied to `db`.
+/// * `change` — the rule added to or removed from the clique, if any. Its
+///   output, one unpinned evaluation, is one more source of candidates:
+///   a removed rule's (over the old state) is put to proof, an added
+///   rule's (over what phase 1 left) is inserted.
 ///
 /// Returns the clique's own net output delta per predicate. An aggregate
 /// clique — one predicate, one rule, never recursive — is maintained
@@ -275,12 +297,15 @@ pub fn update_scc(
     rules: &[CRule],
     scc_preds: &[PredId],
     input: &Map<PredId, Delta>,
+    change: Option<&RuleChange>,
 ) -> Map<PredId, Delta> {
     if let [rule] = rules {
         if let Some(agg) = rule.agg {
-            return maintain_aggregate(db, rule, agg, input);
+            return maintain_aggregate(db, rule, agg, input, change.is_some_and(|c| c.added));
         }
     }
+    // The changed rule's whole output, as a job of the phase it feeds.
+    let unpinned = |added: bool| change.filter(|c| c.added == added).map(|c| (&c.rule, None));
     // ---- Phase 1: prove or delete, against the old view. ----
     // Each DRed phase is triply accounted: a trace span (opt-in, rich),
     // a flight-recorder span (always on, lands in black-box dumps), and
@@ -296,6 +321,9 @@ pub fn update_scc(
     // phase probes instead of scanning. Includes the check plans the
     // proof search walks.
     ensure_indices(db, rules, true);
+    if let Some(c) = change {
+        ensure_indices(db, std::slice::from_ref(&c.rule), false);
+    }
     let all: Vec<&CRule> = rules.iter().collect();
     let input_lists = delta_lists(input);
     let patches = OldView::patches(db, input);
@@ -303,7 +331,10 @@ pub fn update_scc(
         db,
         patches: &patches,
     };
-    let deleted = overdelete(&view, &all, scc_preds, &input_lists);
+    let mut jobs = delta_pin_jobs(&all, &input_lists, true);
+    jobs.extend(unpinned(false));
+    let first = eval_pin_jobs(&view, &jobs, |head, t| view.db.rel(head).contains(t));
+    let deleted = overdelete(&view, &all, scc_preds, first);
     for (&p, ts) in &deleted {
         for t in ts {
             db.rel_mut(p).remove(t);
@@ -317,7 +348,7 @@ pub fn update_scc(
     drop(overdelete_f);
     dred_overdelete.end_args(vec![("overdeleted", (overdeleted as u64).into())]);
 
-    // ---- Phase 2: insertions (added inputs + removed blockers). ----
+    // ---- Phase 2: insertions (added inputs, removed blockers, added rule). ----
     // All pins evaluate against what phase 1 left; anything one insertion
     // enables through a clique predicate is picked up by the semi-naive
     // rounds (the seed carries every insert).
@@ -326,7 +357,8 @@ pub fn update_scc(
     let insert_t0 = Instant::now();
     let gained = {
         let dbr: &Database = db;
-        let jobs = delta_pin_jobs(&all, &input_lists, false);
+        let mut jobs = delta_pin_jobs(&all, &input_lists, false);
+        jobs.extend(unpinned(true));
         eval_pin_jobs(dbr, &jobs, |head, t| !dbr.rel(head).contains(t))
     };
     let mut seed: Map<PredId, Set<Tuple>> = Map::default();
@@ -336,7 +368,7 @@ pub fn update_scc(
         }
     }
     let inserted_seed: usize = seed.values().map(|s| s.len()).sum();
-    let out = insert_and_net(db, rules, scc_preds, deleted, seed, false);
+    let out = insert_and_net(db, rules, scc_preds, deleted, seed);
     incr_obs::registry()
         .counter("datalog.dred.insert_ns")
         .add(insert_t0.elapsed().as_nanos() as u64);
@@ -379,7 +411,9 @@ fn group_tuple(db: &Database, rule: &CRule, agg: CAgg, key: &[Value]) -> Option<
 /// was derivable before, so it is lost iff no derivation is left now; a
 /// created-derivation one is derivable now, so it is gained iff none
 /// existed before — one head-bound walk each, in the other state. A sale
-/// that has a duplicate, or a product with two sales, changes nothing.
+/// that has a duplicate, or a product with two sales, changes nothing. A
+/// rule just `added` had no bindings before, so every one it has is gained
+/// (and its head holds no tuple: an aggregate is alone in its predicate).
 ///
 /// The group's live tuple is its accumulator: `count` adds the gained and
 /// subtracts the lost values (its tuple goes at 0), `sum` does the same
@@ -395,6 +429,7 @@ fn maintain_aggregate(
     rule: &CRule,
     agg: CAgg,
     input: &Map<PredId, Delta>,
+    added: bool,
 ) -> Map<PredId, Delta> {
     let span = trace::span("datalog", "agg.maintain");
     let mut fspan = flight::span(FlightCode::AggMaintain);
@@ -416,9 +451,13 @@ fn maintain_aggregate(
         // Destruction pins run where the derivations were, construction
         // pins where they are; each candidate is checked in the other state.
         for (gained, pinned, other) in [(false, old, new), (true, new, old)] {
-            let jobs = delta_pin_jobs(&[rule], &lists, !gained);
+            let jobs = match (added, gained) {
+                (false, _) => delta_pin_jobs(&[rule], &lists, !gained),
+                (true, true) => vec![(rule, None)],
+                (true, false) => continue,
+            };
             for (_, mut t) in eval_pin_jobs(pinned, &jobs, |_, _| true) {
-                if !derivable(other, rule, &t) {
+                if added || !derivable(other, rule, &t) {
                     let v = t.remove(agg.pos);
                     raw.push((t, v, gained));
                 }
@@ -521,76 +560,6 @@ fn fold_change(
     (new, walks)
 }
 
-/// Re-evaluate one clique from scratch against its (unchanged) inputs and
-/// return the net delta — the primitive behind incremental *rule* changes
-/// ("the rule definitions change", §I); fact updates never come here.
-/// Downstream propagation stays incremental via the returned delta.
-///
-/// The relations are never swapped for fresh ones: tuples that leave are
-/// tombstoned and tuples that stay keep their rows, so a snapshot pinned
-/// before the call keeps reading the old extent.
-pub fn reevaluate_scc(
-    db: &mut Database,
-    rules: &[CRule],
-    scc_preds: &[PredId],
-) -> Map<PredId, Delta> {
-    let _span = trace::span_with(
-        "datalog",
-        "clique.reevaluate",
-        vec![("preds", scc_preds.len().into())],
-    );
-    let _fspan = flight::span_arg(FlightCode::Reevaluate, scc_preds.len() as u64);
-    let _reeval_timer = ScopeCounter {
-        counter: "datalog.dred.reevaluate_ns",
-        t0: Instant::now(),
-    };
-    if rules.iter().any(|r| r.reads_any(scc_preds)) {
-        // Recursive: no single pass over the rules yields the extent, so
-        // take every tuple out and bootstrap the fixpoint.
-        let mut old: Map<PredId, Set<Tuple>> = Map::default();
-        for &p in scc_preds {
-            let ts: Set<Tuple> = db.rel(p).iter().cloned().collect();
-            for t in &ts {
-                db.rel_mut(p).remove(t);
-            }
-            old.insert(p, ts);
-        }
-        return insert_and_net(db, rules, scc_preds, old, Map::default(), true);
-    }
-    // Non-recursive (every aggregate clique is): one evaluation of the
-    // rules is the whole new extent; apply only how it differs from the
-    // live one, so unchanged groups keep their rows.
-    ensure_indices(db, rules, false);
-    let mut new: Map<PredId, Set<Tuple>> = Map::default();
-    for rule in rules {
-        let ext = new.entry(rule.head.pred).or_default();
-        if rule.agg.is_some() {
-            ext.extend(eval_agg_rule(db, rule));
-        } else {
-            eval_rule(db, rule, None, &mut |t| {
-                ext.insert(t);
-            });
-        }
-    }
-    let mut out: Map<PredId, Delta> = Map::default();
-    for &p in scc_preds {
-        let new_p = new.remove(&p).unwrap_or_default();
-        let mut d = Delta::default();
-        d.removed
-            .extend(db.rel(p).iter().filter(|&t| !new_p.contains(t)).cloned());
-        for t in &d.removed {
-            db.rel_mut(p).remove(t);
-        }
-        for t in new_p {
-            if db.rel_mut(p).insert(t.clone()) {
-                d.added.insert(t);
-            }
-        }
-        out.insert(p, d);
-    }
-    out
-}
-
 /// Exact old-vs-new extent diff for the clique predicates — the oracle
 /// the tracked net deltas are tested against.
 #[cfg(test)]
@@ -671,7 +640,7 @@ mod tests {
             .filter(|r| r.head.pred == path)
             .cloned()
             .collect();
-        update_scc(db, &path_rules, &[path], &input)
+        update_scc(db, &path_rules, &[path], &input, None)
     }
 
     #[test]
@@ -763,7 +732,7 @@ mod tests {
             .filter(|r| r.head.pred == path)
             .cloned()
             .collect();
-        let out = update_scc(&mut db, &path_rules, &[path], &input);
+        let out = update_scc(&mut db, &path_rules, &[path], &input, None);
         assert!(out[&path].is_empty());
     }
 
@@ -788,7 +757,7 @@ mod tests {
             .filter(|r| r.head.pred == allowed)
             .cloned()
             .collect();
-        let out = update_scc(&mut db, &arules, &[allowed], &input);
+        let out = update_scc(&mut db, &arules, &[allowed], &input, None);
         assert!(!db.has_fact("allowed", &["u1"]), "insertion through negation deletes");
         assert_eq!(out[&allowed].removed.len(), 1);
     }
@@ -811,13 +780,13 @@ mod tests {
             .filter(|r| r.head.pred == allowed)
             .cloned()
             .collect();
-        let out = update_scc(&mut db, &arules, &[allowed], &input);
+        let out = update_scc(&mut db, &arules, &[allowed], &input, None);
         assert!(db.has_fact("allowed", &["u2"]), "deletion through negation derives");
         assert_eq!(out[&allowed].added.len(), 1);
     }
 
     #[test]
-    fn reevaluate_scc_computes_net_delta() {
+    fn rule_changes_compute_net_deltas() {
         let (mut db, rules) = setup(&format!("{TC} edge(a, b). edge(b, c)."));
         let path = db.pred_id("path").unwrap();
         let path_rules: Vec<CRule> = rules
@@ -825,19 +794,23 @@ mod tests {
             .filter(|r| r.head.pred == path)
             .cloned()
             .collect();
-        // Same rules: re-evaluation is a no-op delta.
-        let out = reevaluate_scc(&mut db, &path_rules, &[path]);
-        assert!(out[&path].is_empty());
-        assert_eq!(db.rel(path).len(), 3);
-        // Drop the recursive rule: closure shrinks to the base edges.
-        let single: Vec<CRule> = path_rules
-            .iter()
-            .filter(|r| r.body.len() == 1)
-            .cloned()
-            .collect();
-        let out = reevaluate_scc(&mut db, &single, &[path]);
+        let (single, recursive): (Vec<CRule>, Vec<CRule>) =
+            path_rules.iter().cloned().partition(|r| r.body.len() == 1);
+        let change = |added| RuleChange {
+            rule: recursive[0].clone(),
+            added,
+        };
+        let none = Map::default();
+        // Drop the recursive rule: the closure shrinks to the base edges.
+        let out = update_scc(&mut db, &single, &[path], &none, Some(&change(false)));
         assert_eq!(out[&path].removed.len(), 1, "path(a, c) lost");
+        assert!(out[&path].added.is_empty());
         assert_eq!(db.rel(path).len(), 2);
+        // Add it back: its output seeds the semi-naive rounds.
+        let out = update_scc(&mut db, &path_rules, &[path], &none, Some(&change(true)));
+        assert_eq!(out[&path].added.len(), 1, "path(a, c) back");
+        assert!(out[&path].removed.is_empty());
+        assert_eq!(db.rel(path).len(), 3);
     }
 
     #[test]
@@ -864,7 +837,7 @@ mod tests {
             .filter(|r| r.head.pred == ok)
             .cloned()
             .collect();
-        update_scc(&mut db, &orules, &[ok], &input);
+        update_scc(&mut db, &orules, &[ok], &input, None);
         assert!(!db.has_fact("ok", &["i"]), "both blockers appeared at once");
     }
 }

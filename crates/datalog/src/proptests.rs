@@ -10,7 +10,7 @@
 use crate::engine::tests::QuotaStall;
 use crate::engine::{FactEdit, IncrementalEngine};
 use crate::eval::{compile_program, eval_agg_rule, load_facts, seminaive_scc, CRule, Extent};
-use crate::incr::{net_deltas, reevaluate_scc, update_scc, Delta, OldView};
+use crate::incr::{net_deltas, update_scc, Delta, OldView};
 use crate::hash::Map;
 use crate::mvcc::{ReaderHandle, Snapshot};
 use crate::parser::parse_program;
@@ -425,8 +425,9 @@ fn assert_same_delta(
 /// no-op and delete-then-reinsert edits included) and check, at each
 /// task, the overlay against a rolled-back copy of every input and the
 /// returned net delta against [`net_deltas`] over a copy taken before —
-/// for `update_scc` on every clique, aggregates included, and for
-/// `reevaluate_scc` on rule changes.
+/// for `update_scc` on every clique, aggregates included. (Rule changes
+/// take the same call; `tests/datalog_e2e.rs` checks them against a fresh
+/// engine.)
 fn assert_tasks_match_oracles(
     rules_src: &str,
     edges: &[(usize, usize)],
@@ -478,7 +479,7 @@ fn assert_tasks_match_oracles(
             }
             assert_overlay_matches_copy(&db, &input)?;
             let before = snapshot_of(&db, preds);
-            let out = update_scc(&mut db, crules, preds, &input);
+            let out = update_scc(&mut db, crules, preds, &input, None);
             assert_same_delta(&db, &out, &net_deltas(&db, preds, &before), "update")?;
             if let [rule @ CRule { agg: Some(_), .. }] = &crules[..] {
                 let mut folded = eval_agg_rule(&db, rule);
@@ -486,16 +487,6 @@ fn assert_tasks_match_oracles(
                 prop_assert_eq!(db.rel(preds[0]).sorted(), folded, "maintained != folded");
             }
             changed.extend(out);
-        }
-    }
-
-    // Rule changes: drop each clique's last rule, then restore it — both
-    // re-evaluation branches (recursive, non-recursive) with real deltas.
-    for (_, preds, crules) in &cliques {
-        for subset in [&crules[..crules.len() - 1], &crules[..]] {
-            let before = snapshot_of(&db, preds);
-            let out = reevaluate_scc(&mut db, subset, preds);
-            assert_same_delta(&db, &out, &net_deltas(&db, preds, &before), "rule change")?;
         }
     }
     Ok(())

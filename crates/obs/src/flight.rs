@@ -77,20 +77,18 @@ pub enum FlightCode {
     DredOverdelete = 10,
     /// DRed phase 2: insertion.
     DredInsert = 11,
-    /// Full clique re-evaluation.
-    Reevaluate = 12,
     /// Journal replay resumed a partially-committed update.
-    JournalReplay = 13,
+    JournalReplay = 12,
     /// One shard's participation in one cross-shard exchange round.
-    ShardRound = 14,
+    ShardRound = 13,
     /// A sharded batch aborted and rolled back on every shard.
-    ShardAbort = 15,
+    ShardAbort = 14,
     /// An aggregate clique maintained from its input deltas, group by group.
-    AggMaintain = 16,
+    AggMaintain = 15,
 }
 
 /// All codes, indexable by discriminant — the decode table for slots.
-const CODES: [FlightCode; 17] = [
+const CODES: [FlightCode; 16] = [
     FlightCode::UpdateRun,
     FlightCode::PopBatch,
     FlightCode::Commit,
@@ -103,7 +101,6 @@ const CODES: [FlightCode; 17] = [
     FlightCode::InFlight,
     FlightCode::DredOverdelete,
     FlightCode::DredInsert,
-    FlightCode::Reevaluate,
     FlightCode::JournalReplay,
     FlightCode::ShardRound,
     FlightCode::ShardAbort,
@@ -130,7 +127,6 @@ impl FlightCode {
             FlightCode::InFlight => "exec.in_flight",
             FlightCode::DredOverdelete => "dred.overdelete",
             FlightCode::DredInsert => "dred.insert",
-            FlightCode::Reevaluate => "clique.reevaluate",
             FlightCode::JournalReplay => "exec.journal_replay",
             FlightCode::ShardRound => "shard.round",
             FlightCode::ShardAbort => "shard.abort",
@@ -142,10 +138,9 @@ impl FlightCode {
     pub fn cat(self) -> &'static str {
         match self {
             FlightCode::PopBatch => "sched",
-            FlightCode::DredOverdelete
-            | FlightCode::DredInsert
-            | FlightCode::Reevaluate
-            | FlightCode::AggMaintain => "datalog",
+            FlightCode::DredOverdelete | FlightCode::DredInsert | FlightCode::AggMaintain => {
+                "datalog"
+            }
             FlightCode::ShardRound | FlightCode::ShardAbort => "shard",
             _ => "exec",
         }
@@ -163,7 +158,6 @@ impl FlightCode {
             FlightCode::ExecError => "kind",
             FlightCode::DredOverdelete => "overdeleted",
             FlightCode::DredInsert => "inserted",
-            FlightCode::Reevaluate => "nodes",
             FlightCode::JournalReplay => "replayed",
             FlightCode::ShardRound => "round",
             FlightCode::ShardAbort => "shard",

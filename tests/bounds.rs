@@ -927,3 +927,71 @@ fn aggregate_update_cost_is_independent_of_extent_size() {
          time ratio {ratio:.2}"
     );
 }
+
+/// A rule change costs the rule's output and what that output reaches, not
+/// the extents it lands in: adding and removing `reach(X) :- extra(X)`,
+/// whose output is one tuple, beside a `reach` chain 16× as long (with a
+/// `seen` copy of it downstream) takes about the same time — not the 16×
+/// of re-evaluating the clique — and a removal puts to proof one tuple in
+/// each of the two cliques the change reaches.
+#[test]
+fn rule_change_cost_is_independent_of_extent_size() {
+    let _turn = DATALOG_ENGINE_TESTS.lock().unwrap_or_else(PoisonError::into_inner);
+    const SMALL: usize = 2_000;
+    const LARGE: usize = 32_000;
+    const CHANGES: usize = 10;
+    const RULE: &str = "reach(X) :- extra(X).";
+    let counter = |name: &str| incr_obs::registry().counter(name).get();
+    let proof_work = || ["datalog.dred.overdeleted", "datalog.dred.proof_expansions"].map(counter);
+    let lb = |dag| -> Box<dyn Scheduler> { Box::new(LevelBased::new(dag)) };
+    let mut fastest = [Duration::MAX; 2];
+    for (slot, n) in [SMALL, LARGE].into_iter().enumerate() {
+        let mut src = String::from(
+            "reach(n0).\n\
+             reach(Y) :- reach(X), edge(X, Y).\n\
+             seen(X) :- reach(X).\n\
+             extra(x).\n",
+        );
+        for i in 0..n {
+            src.push_str(&format!("edge(n{i}, n{}).\n", i + 1));
+        }
+        let mut e = IncrementalEngine::new(&src).expect("valid program");
+        // A warm-up round, then the fastest of three, as above.
+        for round in 0..4 {
+            let mut elapsed = Duration::ZERO;
+            for _ in 0..CHANGES {
+                let t0 = Instant::now();
+                e.add_rule(RULE, lb).expect("valid rule");
+                elapsed += t0.elapsed();
+                assert_eq!((e.count("reach"), e.count("seen")), (n + 2, n + 2));
+                let before = proof_work();
+                let t0 = Instant::now();
+                e.remove_rule(RULE, lb).expect("rule in the program");
+                elapsed += t0.elapsed();
+                let after = proof_work();
+                let [overdeleted, expansions] = [0, 1].map(|i| after[i] - before[i]);
+                assert!(
+                    overdeleted <= 2 && expansions <= 2,
+                    "{n} edges: removing a rule of one output tuple took out {overdeleted} \
+                     and expanded {expansions} facts over reach and seen"
+                );
+                assert_eq!((e.count("reach"), e.count("seen")), (n + 1, n + 1));
+            }
+            if round > 0 {
+                fastest[slot] = fastest[slot].min(elapsed);
+            }
+        }
+    }
+    let ratio = fastest[1].as_secs_f64() / fastest[0].as_secs_f64();
+    assert!(
+        ratio <= 3.0,
+        "{CHANGES} add/remove pairs beside a chain of {LARGE} took {ratio:.1}x the time beside \
+         {SMALL} ({:?} vs {:?}); constant is 1x, re-evaluating the clique 16x",
+        fastest[1],
+        fastest[0]
+    );
+    println!(
+        "rule changes: {:?} beside {SMALL}, {:?} beside {LARGE}; time ratio {ratio:.2}",
+        fastest[0], fastest[1]
+    );
+}

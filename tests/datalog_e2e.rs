@@ -1,6 +1,6 @@
-//! End-to-end Datalog correctness: randomized edit sequences maintained
-//! incrementally (through every scheduler) must always agree with full
-//! recomputation from scratch.
+//! End-to-end Datalog correctness: randomized sequences of edits and rule
+//! changes maintained incrementally (through every scheduler) must always
+//! agree with full recomputation from scratch.
 
 use datalog_sched::datalog::{FactEdit, IncrementalEngine};
 use datalog_sched::sched::{Scheduler, SchedulerKind};
@@ -164,34 +164,62 @@ fn args(set: &RuleSet, fact: &Fact) -> Vec<String> {
     fact.1.iter().enumerate().map(text).collect()
 }
 
-/// Build an engine with the rule set plus the given base facts.
-fn engine_with(set: &RuleSet, facts: &BTreeSet<Fact>) -> IncrementalEngine {
-    let mut src = String::from(set.rules);
+/// The clauses of a rule set, each as `add_rule` and `remove_rule` take it.
+fn clauses(rules: &str) -> Vec<String> {
+    let clauses = rules.split('.').map(str::trim).filter(|c| !c.is_empty());
+    clauses.map(|c| format!("{c}.")).collect()
+}
+
+/// Build an engine with `rules` plus the given base facts of `set`.
+fn engine_with(set: &RuleSet, rules: &str, facts: &BTreeSet<Fact>) -> IncrementalEngine {
+    let mut src = String::from(rules);
     for fact in facts {
         src.push_str(&format!("{}({}).\n", fact.0, args(set, fact).join(", ")));
     }
     IncrementalEngine::new(&src).expect("valid program")
 }
 
-/// The sorted rows of `pred`, as text (symbol ids differ between engines).
+/// The sorted rows of `pred`, as text (symbol ids differ between engines);
+/// none when the engine has never heard of it — a fresh engine knows only
+/// the predicates its rules and facts mention.
 fn extent(e: &IncrementalEngine, (pred, arity): (&str, usize)) -> Vec<String> {
+    if e.database().pred_id(pred).is_none() {
+        return Vec::new();
+    }
     let mut rows = e.query(&format!("{pred}({})", vec!["?"; arity].join(", "))).expect("valid pattern");
     rows.sort();
     rows
 }
 
+/// Every base and derived extent of `set`.
+fn extents(e: &IncrementalEngine, set: &RuleSet) -> Vec<Vec<String>> {
+    set.base
+        .iter()
+        .chain(set.derived)
+        .map(|&pred| extent(e, pred))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Apply a random sequence of multi-edit updates incrementally and
-    /// compare every derived predicate with recomputation after each one —
-    /// for every rule set.
+    /// Apply a random sequence of steps incrementally — each a multi-edit
+    /// update, or the removal or re-adding of one clause of the rule set
+    /// (a fifth of the steps re-add a clause out of force, when there is
+    /// one; a fifth toggle any) — and after each one compare every base and derived extent with a
+    /// fresh engine built from the clauses in force plus the base facts,
+    /// for every rule set. A refused rule change (a clause that is a base
+    /// row, or was made one) must leave every extent as it was.
     #[test]
     fn incremental_equals_recompute(
         initial in proptest::collection::vec((0usize..8, 0..VERTS, 0..VERTS), 0..10),
-        updates in proptest::collection::vec(
-            proptest::collection::vec((any::<bool>(), 0usize..8, 0..VERTS, 0..VERTS), 1..5),
-            1..8,
+        steps in proptest::collection::vec(
+            (
+                0usize..5,
+                0usize..16,
+                proptest::collection::vec((any::<bool>(), 0usize..8, 0..VERTS, 0..VERTS), 1..5),
+            ),
+            1..10,
         ),
         sched_pick in 0usize..4,
     ) {
@@ -202,6 +230,12 @@ proptest! {
             SchedulerKind::Hybrid,
         ][sched_pick];
         for set in RULE_SETS {
+            let clauses = clauses(set.rules);
+            let mut in_force = vec![true; clauses.len()];
+            let program = |in_force: &[bool]| -> String {
+                let kept = clauses.iter().zip(in_force).filter(|&(_, &on)| on);
+                kept.map(|(c, _)| c.as_str()).collect::<Vec<_>>().join("\n")
+            };
             // The generated picks, read against this rule set's base tables.
             let fact = |pick: usize, a: usize, b: usize| -> Fact {
                 let (pred, arity) = set.base[pick % set.base.len()];
@@ -210,31 +244,59 @@ proptest! {
             // Mirror of the base tables for ground-truth reconstruction.
             let mut facts: BTreeSet<Fact> =
                 initial.iter().map(|&(pick, a, b)| fact(pick, a, b)).collect();
-            let mut engine = engine_with(set, &facts);
+            let mut engine = engine_with(set, set.rules, &facts);
             let mut sched: Box<dyn Scheduler> = kind.build(engine.dag().clone());
-            for (step, update) in updates.iter().enumerate() {
-                let mut edits = Vec::new();
-                for &(add, pick, a, b) in update {
-                    let f = fact(pick, a, b);
-                    let texts = args(set, &f);
-                    let texts: Vec<&str> = texts.iter().map(String::as_str).collect();
-                    if add {
-                        edits.push(FactEdit::add(f.0, &texts));
-                        facts.insert(f);
+            for (step, (what, pick, update)) in steps.iter().enumerate() {
+                let what = if *what < 2 {
+                    let out: Vec<usize> = (0..clauses.len()).filter(|&i| !in_force[i]).collect();
+                    let i = match (*what, out.is_empty()) {
+                        (1, false) => out[pick % out.len()],
+                        _ => pick % clauses.len(),
+                    };
+                    let before = extents(&engine, set);
+                    let (verb, result) = if in_force[i] {
+                        ("removing", engine.remove_rule(&clauses[i], |dag| kind.build(dag)))
                     } else {
-                        edits.push(FactEdit::remove(f.0, &texts));
-                        facts.remove(&f);
+                        ("adding", engine.add_rule(&clauses[i], |dag| kind.build(dag)))
+                    };
+                    let what = format!("{verb} {}", clauses[i]);
+                    if let Err(err) = result {
+                        prop_assert_eq!(
+                            extents(&engine, set),
+                            before,
+                            "{}: refused {} ({}) moved an extent ({:?})",
+                            set.name, what, err, kind
+                        );
+                        continue;
                     }
-                }
-                engine.update(sched.as_mut(), &edits).expect("update applies");
+                    in_force[i] = !in_force[i];
+                    sched = kind.build(engine.dag().clone());
+                    what
+                } else {
+                    let mut edits = Vec::new();
+                    for &(add, pick, a, b) in update {
+                        let f = fact(pick, a, b);
+                        let texts = args(set, &f);
+                        let texts: Vec<&str> = texts.iter().map(String::as_str).collect();
+                        if add {
+                            edits.push(FactEdit::add(f.0, &texts));
+                            facts.insert(f);
+                        } else {
+                            edits.push(FactEdit::remove(f.0, &texts));
+                            facts.remove(&f);
+                        }
+                    }
+                    engine.update(sched.as_mut(), &edits).expect("update applies");
+                    format!("{update:?}")
+                };
 
-                let full = engine_with(set, &facts);
+                let full = engine_with(set, &program(&in_force), &facts);
                 for &pred in set.base.iter().chain(set.derived) {
                     prop_assert_eq!(
                         extent(&engine, pred),
                         extent(&full, pred),
-                        "{}: {} after update {} ({:?}, {:?})",
-                        set.name, pred.0, step, update, kind
+                        "{}: {} after step {} ({}, {:?})",
+                        set.name, pred.0, step, what, kind
                     );
                 }
             }
