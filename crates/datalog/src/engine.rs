@@ -177,7 +177,7 @@ pub struct UpdateReport {
 /// (prove or delete, then insert — [`crate::incr`]). The type, with
 /// [`EvalOptions::sequential`], [`IncrementalEngine::eval_options`] and
 /// [`IncrementalEngine::set_eval_options`], is kept only because the frozen
-/// `bench_all/src/datalog_run.rs` calls them; ROADMAP 6(v) deletes them
+/// `bench_all/src/datalog_run.rs` calls them; ROADMAP 7(a) deletes them
 /// with it.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EvalOptions;
@@ -275,13 +275,13 @@ impl IncrementalEngine {
 
     /// The evaluation options in effect — always the default, since
     /// [`EvalOptions`] has nothing to set. Kept only for the frozen
-    /// `bench_all`; ROADMAP 6(v) deletes it.
+    /// `bench_all`; ROADMAP 7(a) deletes it.
     pub fn eval_options(&self) -> &EvalOptions {
         &EvalOptions
     }
 
     /// Accepts and ignores `opts`, which has nothing to set. Kept only for
-    /// the frozen `bench_all`; ROADMAP 6(v) deletes it.
+    /// the frozen `bench_all`; ROADMAP 7(a) deletes it.
     pub fn set_eval_options(&mut self, _opts: EvalOptions) {}
 
     /// Build the per-node rule sets once per (re)compilation.

@@ -13,6 +13,7 @@ use datalog_sched::sched::{
     CompletionBatch, CostMeter, Instance, LevelBased, Scheduler, SchedulerKind, TaskShape,
 };
 use datalog_sched::sim::{simulate_event, simulate_step, EventSimConfig, StepSimConfig};
+use datalog_sched::traces::{generate, preset};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashSet, VecDeque};
@@ -348,6 +349,17 @@ fn scheduling_time_is_linear_in_the_width_of_a_level() {
     }
 }
 
+/// `w` sources, source `i` over sink `i`.
+fn sources_over_sinks(w: usize) -> (Arc<Dag>, Vec<NodeId>) {
+    let mut b = DagBuilder::new(2 * w);
+    for i in 0..w {
+        b.add_edge(NodeId(i as u32), NodeId((w + i) as u32));
+    }
+    let dag = Arc::new(b.build().unwrap());
+    let sources = dag.sources().collect();
+    (dag, sources)
+}
+
 /// The same widths on the threaded executor, under Hybrid, over two
 /// levels: `w` sources, source `i` over sink `i`, one source in
 /// `FIRE_EVERY` firing its sink. A guard on linearity only: time on the
@@ -366,12 +378,7 @@ fn executor_time_is_linear_in_the_width_of_a_level() {
     const FIRE_EVERY: usize = 16;
     let mut fastest = [Duration::MAX; 2];
     for (slot, w) in [SMALL, LARGE].into_iter().enumerate() {
-        let mut b = DagBuilder::new(2 * w);
-        for i in 0..w {
-            b.add_edge(NodeId(i as u32), NodeId((w + i) as u32));
-        }
-        let dag = Arc::new(b.build().unwrap());
-        let sources: Vec<NodeId> = dag.sources().collect();
+        let (dag, sources) = sources_over_sinks(w);
         let fire: TaskFn = {
             let dag = dag.clone();
             Arc::new(move |v, fired: &mut Vec<NodeId>| {
@@ -399,6 +406,116 @@ fn executor_time_is_linear_in_the_width_of_a_level() {
         fastest[1],
         fastest[0]
     );
+}
+
+/// A level barrier the way the executor meets one: pop every source,
+/// complete every second one in one batch, firing its sink, and pop
+/// across the barrier while the other half still runs. Every fired sink
+/// is ready — its one ancestor is done — so all `w / 2` must come back.
+/// Then finish. Returns the charges and the scheduler's `lbx.inspected`.
+fn drive_across_a_barrier(
+    s: &mut dyn Scheduler,
+    dag: &Dag,
+    sources: &[NodeId],
+) -> (CostMeter, i64) {
+    let w = sources.len();
+    let mut popped = Vec::new();
+    let mut done = CompletionBatch::new();
+    s.start(sources);
+    while s.pop_batch(&mut popped, 256) > 0 {}
+    assert_eq!(popped.len(), w, "{}: every source is ready", s.name());
+    for &v in sources.iter().step_by(2) {
+        done.push(v, dag.children(v));
+    }
+    s.complete_batch(&done);
+    let mut sinks = Vec::new();
+    while s.pop_batch(&mut sinks, 256) > 0 {}
+    assert_eq!(sinks.len(), w / 2, "{}: every fired sink is ready", s.name());
+    done.clear();
+    for &v in sources.iter().skip(1).step_by(2).chain(&sinks) {
+        done.push(v, &[]);
+    }
+    s.complete_batch(&done);
+    assert_eq!(s.pop_batch(&mut popped, 256), 0);
+    assert!(s.is_quiescent(), "{} not quiescent", s.name());
+    let inspected = s
+        .gauges()
+        .into_iter()
+        .find_map(|(name, value)| (name == "lbx.inspected").then_some(value))
+        .expect("an `lbx.inspected` gauge");
+    (s.cost(), inspected)
+}
+
+/// The safety check from the candidate's side: at a barrier with `W / 2`
+/// sources still running, a sink whose own source is done is cleared by
+/// a walk up its one parent, not by testing it against every running
+/// source. The charges stay the naive loop's, which the paper's cost
+/// model prices (pinned: every ready candidate still pays for every
+/// blocker). The work behind them, `lbx.inspected`, is linear in `W`
+/// where testing the blockers was `W² / 4`, and so is the time.
+#[test]
+fn a_ready_candidate_costs_its_ancestors_not_the_blockers() {
+    let _turn = DATALOG_ENGINE_TESTS.lock().unwrap_or_else(PoisonError::into_inner);
+    const SMALL: usize = 4 * 1024;
+    const LARGE: usize = 64 * 1024;
+    for (kind, charges) in [
+        (SchedulerKind::LogicBlox, [75_497_499, 19_327_353_219]),
+        (SchedulerKind::Hybrid, [25_196_584, 6_442_942_984]),
+    ] {
+        let mut fastest = [Duration::MAX; 2];
+        for (slot, w) in [SMALL, LARGE].into_iter().enumerate() {
+            let (dag, sources) = sources_over_sinks(w);
+            let mut s = kind.build(dag.clone());
+            for _ in 0..3 {
+                let t0 = Instant::now();
+                let (cost, inspected) = drive_across_a_barrier(s.as_mut(), &dag, &sources);
+                fastest[slot] = fastest[slot].min(t0.elapsed());
+                assert_eq!(cost.total_ops(), charges[slot], "{kind:?} W={w}: charges moved");
+                assert!(
+                    inspected <= 2 * w as i64,
+                    "{kind:?} W={w}: {inspected} blockers tested and parents walked; \
+                     linear is <= {}, testing every blocker {}",
+                    2 * w,
+                    w * w / 4
+                );
+            }
+        }
+        let ratio = fastest[1].as_secs_f64() / fastest[0].as_secs_f64();
+        assert!(
+            ratio <= 48.0,
+            "{kind:?}: a barrier {LARGE} wide took {ratio:.1}x the time of {SMALL} \
+             ({:?} vs {:?}); linear is 16x, quadratic 256x",
+            fastest[1],
+            fastest[0]
+        );
+    }
+}
+
+/// What the cooperative Hybrid promises: it asks LevelBased first and
+/// lets LogicBlox scan only at a barrier, so on every preset its
+/// simulated makespan stays with the better of its two sides. (The
+/// background variant Table III runs does not: on #6 its scan is the
+/// makespan, 27x LevelBased's.)
+#[test]
+fn default_hybrid_tracks_the_better_side_on_every_preset() {
+    let _turn = DATALOG_ENGINE_TESTS.lock().unwrap_or_else(PoisonError::into_inner);
+    let cfg = EventSimConfig {
+        processors: 8,
+        ..EventSimConfig::default()
+    };
+    for id in 1..=11 {
+        let (inst, _) = generate(&preset(id));
+        let makespan = |kind: SchedulerKind| {
+            simulate_event(kind.build(inst.dag.clone()).as_mut(), &inst, &cfg).makespan
+        };
+        let best = makespan(SchedulerKind::LevelBased).min(makespan(SchedulerKind::LogicBlox));
+        let hybrid = makespan(SchedulerKind::Hybrid);
+        assert!(
+            hybrid <= 1.05 * best,
+            "#{id}: Hybrid's makespan {hybrid:.4} s is {:.3}x the better side's {best:.4} s",
+            hybrid / best
+        );
+    }
 }
 
 /// An attack-graph slice (the `two_hop` / `wide_open` rules of
@@ -430,8 +547,10 @@ fn attack_slice(hosts: usize, present: &HashSet<(usize, usize)>) -> String {
 }
 
 /// The Datalog tests below time engine updates and read process-wide
-/// counters as deltas, so they take turns — with the executor test above
-/// too, whose worker threads would be timed along with them.
+/// counters as deltas, so they take turns — with the executor and barrier
+/// tests above too, which are timed as well (the executor's worker threads
+/// would be timed along with them), and with the preset simulations, whose
+/// load would be.
 static DATALOG_ENGINE_TESTS: Mutex<()> = Mutex::new(());
 
 /// A clique task costs its deltas and its join work, not the size of the

@@ -184,3 +184,33 @@ fn executor_metric_names_and_metrics_md_rows_agree() {
         name.starts_with("exec.")
     });
 }
+
+/// The scheduler families: LevelBased, LogicBlox, LBL(k), SignalPropagation.
+const SCHEDULER_FAMILIES: [&str; 4] = ["lb.", "lbx.", "lbl.", "sig."];
+
+fn is_scheduler_gauge(name: &str) -> bool {
+    SCHEDULER_FAMILIES.iter().any(|f| name.starts_with(f))
+}
+
+/// The same for the gauges the schedulers return from `gauges()`: every
+/// `("lb.…", …)`-style pair in `crates/core/src` has a row in the
+/// scheduler table, and every row of those families names one.
+#[test]
+fn scheduler_gauge_names_and_metrics_md_rows_agree() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut emitted: Vec<String> = Vec::new();
+    for code in non_test_sources(&root.join("crates/core/src")) {
+        emitted.extend(
+            code.split("(\"")
+                .skip(1)
+                .filter_map(|rest| rest.split('"').next())
+                .filter(|name| is_scheduler_gauge(name))
+                .map(str::to_string),
+        );
+    }
+    assert!(
+        emitted.iter().any(|n| n == "lbx.blockers"),
+        "no `(\"lbx.blockers\", …)` gauge found: the scan is broken"
+    );
+    assert_rows_agree(root, "crates/core/src", emitted, is_scheduler_gauge);
+}
