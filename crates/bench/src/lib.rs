@@ -26,6 +26,7 @@
 //! reports the same quantities the same way.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod attack;
 pub mod results;

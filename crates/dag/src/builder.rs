@@ -159,6 +159,7 @@ impl DagBuilder {
         }
         if topo.len() != n {
             // Some node retained positive indegree: it lies on a cycle.
+            #[allow(clippy::expect_used, reason = "Kahn's order missed a node, so one kept positive indegree")]
             let culprit = (0..n as u32)
                 .map(NodeId)
                 .find(|v| indeg[v.index()] > 0)

@@ -19,6 +19,7 @@ impl NodeId {
 
     /// Construct from a `usize` index (panics if it does not fit in `u32`).
     #[inline]
+    #[allow(clippy::expect_used, reason = "the documented panic")]
     pub fn from_index(i: usize) -> Self {
         NodeId(u32::try_from(i).expect("node index exceeds u32::MAX"))
     }

@@ -24,6 +24,7 @@
 //! names, activation behaviour) live in the crates that consume it.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod builder;
 pub mod critical;

@@ -36,6 +36,7 @@ impl Default for LayeredParams {
 /// Generate a layered random DAG. Deterministic for a fixed seed. Every
 /// node at layer `l` has at least one parent at layer `l - 1`, so the DAG's
 /// computed levels equal the construction layers.
+#[allow(clippy::expect_used, reason = "edges only run from lower to higher node ids")]
 pub fn layered(p: LayeredParams) -> Dag {
     assert!(p.layers >= 1 && p.width >= 1, "degenerate layered params");
     let mut rng = StdRng::seed_from_u64(p.seed);
@@ -66,6 +67,7 @@ pub fn layered(p: LayeredParams) -> Dag {
 /// Random DAG over `n` nodes where each ordered pair `(i, j)` with `i < j`
 /// becomes an edge with probability `p` — the classic random-order DAG used
 /// by property tests for reachability / interval-list equivalence.
+#[allow(clippy::expect_used, reason = "edges only run from lower to higher node ids")]
 pub fn gnp_ordered(n: usize, p: f64, seed: u64) -> Dag {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut b = DagBuilder::new(n);
@@ -80,6 +82,7 @@ pub fn gnp_ordered(n: usize, p: f64, seed: u64) -> Dag {
 }
 
 /// A simple path `0 -> 1 -> ... -> n-1`.
+#[allow(clippy::expect_used, reason = "edges only run from lower to higher node ids")]
 pub fn chain(n: usize) -> Dag {
     let mut b = DagBuilder::new(n);
     for i in 1..n {
@@ -90,6 +93,7 @@ pub fn chain(n: usize) -> Dag {
 
 /// A star: one source fanning out to `n - 1` sinks (shallow-and-wide, the
 /// regime of traces #6 and #11).
+#[allow(clippy::expect_used, reason = "edges only run from lower to higher node ids")]
 pub fn fan(n: usize) -> Dag {
     assert!(n >= 1);
     let mut b = DagBuilder::new(n);

@@ -22,6 +22,7 @@ use incr_dag::{Dag, NodeId};
 use incr_obs::trace;
 use incr_sched::{CostMeter, Scheduler};
 use std::collections::BTreeSet;
+use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
@@ -41,6 +42,9 @@ pub enum EngineError {
     /// so the materialization is exactly what it was before the failed
     /// update, and retrying the same update is idempotent.
     Stall { scheduler: String },
+    /// The scheduler or a task panicked mid-update; the payload message
+    /// is kept. The update was rolled back exactly as for [`Self::Stall`].
+    Panicked(String),
     /// A sharded update batch failed on one shard: that shard panicked,
     /// returned an error, or missed the exchange barrier. Every shard
     /// was rolled back to its pre-batch state and no epoch published —
@@ -74,6 +78,9 @@ impl std::fmt::Display for EngineError {
                 f,
                 "{scheduler} stalled mid-update; the update was rolled back"
             ),
+            EngineError::Panicked(msg) => {
+                write!(f, "panicked mid-update: {msg}; the update was rolled back")
+            }
             EngineError::ShardFailed {
                 shard,
                 round,
@@ -209,7 +216,7 @@ pub struct IncrementalEngine {
     /// predicates (they compile into rules). Base facts are rows of the
     /// database and nowhere else once loaded: base tables are edited
     /// through [`Self::update`], so a copy here would go stale.
-    program: Program,
+    pub(crate) program: Program,
     rules: Vec<CRule>,
     graph: TaskGraph,
     /// Per task node: its clique's compiled rules (shared, not re-cloned
@@ -586,13 +593,30 @@ impl IncrementalEngine {
     /// goes to that clique's task beside its input deltas. Every clique task
     /// is the one [`update_scc`] call below.
     ///
-    /// A stalled scheduler returns [`EngineError::Stall`] with the
-    /// database mid-update; the caller ends the epoch
-    /// ([`Self::end_epoch`]), which aborts everything the update stamped
-    /// — its own pre-drive edits included — so a failed update rolls
-    /// back atomically and retrying it (with a working scheduler) is
-    /// idempotent.
+    /// A stalled scheduler returns [`EngineError::Stall`], and a panic —
+    /// the scheduler's or a task's — unwinds to here and returns
+    /// [`EngineError::Panicked`], either with the database mid-update; the
+    /// caller ends the epoch ([`Self::end_epoch`]), which aborts
+    /// everything the update stamped — its own pre-drive edits included
+    /// — so a failed update rolls back atomically and retrying it (with a
+    /// working scheduler) is idempotent. A panic that held the database
+    /// lock poisons it; [`DbCell`] recovers.
     fn drive(
+        &mut self,
+        scheduler: &mut dyn Scheduler,
+        initial: &[NodeId],
+        base_deltas: Map<PredId, Delta>,
+        change: Option<(NodeId, RuleChange)>,
+        collect: Option<&mut Map<PredId, Delta>>,
+    ) -> Result<UpdateReport, EngineError> {
+        let cascade =
+            AssertUnwindSafe(|| self.cascade(scheduler, initial, base_deltas, change, collect));
+        std::panic::catch_unwind(cascade)
+            .unwrap_or_else(|p| Err(EngineError::Panicked(incr_obs::flight::panic_message(p))))
+    }
+
+    /// [`Self::drive`]'s loop.
+    fn cascade(
         &mut self,
         scheduler: &mut dyn Scheduler,
         initial: &[NodeId],
@@ -850,8 +874,11 @@ impl IncrementalEngine {
             let old = std::mem::replace(&mut self.program, program);
             let report = self.propagate_rule_change(rule, added, make_sched);
             if report.is_err() {
+                // The old program was stratified when it went in, so this
+                // rebuild succeeds; were it to fail, its error would be the
+                // one returned.
                 self.program = old;
-                self.rebuild().expect("previous program was valid");
+                return self.rebuild().and(report);
             }
             report
         });
@@ -904,7 +931,9 @@ impl IncrementalEngine {
         }
         self.rebuild()?;
         let mut db = self.db_write();
-        let head = db.pred_id(head_pred).expect("head registered by rebuild");
+        let head = db
+            .pred_id(head_pred)
+            .ok_or_else(|| EngineError::Edit(format!("{head_pred} was not registered")))?;
         let change = derived.then(|| RuleChange {
             rule: compile_rule(rule, &mut db),
             added,
@@ -963,6 +992,7 @@ impl IncrementalEngine {
 pub(crate) mod tests {
     use super::*;
     use incr_sched::{Hybrid, LevelBased, LogicBlox, SignalPropagation};
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     const TC: &str = "path(X, Y) :- edge(X, Y).\n\
                       path(X, Z) :- path(X, Y), edge(Y, Z).\n\
@@ -1551,20 +1581,34 @@ pub(crate) mod tests {
     }
 
     /// Pops the first `quota` tasks of every update, then refuses to
-    /// schedule — a broken scheduler that wedges an update partway through.
+    /// schedule — a broken scheduler that wedges an update partway through
+    /// — or, when `panics`, panics at the next pop instead. Gated by a
+    /// switch, it does either only while the switch is on.
     pub(crate) struct QuotaStall {
-        inner: LevelBased,
+        inner: Box<dyn Scheduler + Send>,
         quota: usize,
+        panics: bool,
+        gate: Option<Arc<AtomicBool>>,
         popped: usize,
     }
 
     impl QuotaStall {
         pub(crate) fn new(dag: Arc<Dag>, quota: usize) -> Self {
+            Self::over(Box::new(LevelBased::new(dag)), quota, false)
+        }
+
+        pub(crate) fn over(inner: Box<dyn Scheduler + Send>, quota: usize, panics: bool) -> Self {
             QuotaStall {
-                inner: LevelBased::new(dag),
+                inner,
                 quota,
+                panics,
+                gate: None,
                 popped: 0,
             }
+        }
+
+        pub(crate) fn gated(self, switch: Arc<AtomicBool>) -> Self {
+            QuotaStall { gate: Some(switch), ..self }
         }
     }
 
@@ -1580,7 +1624,11 @@ pub(crate) mod tests {
             self.inner.on_completed(v, fired);
         }
         fn pop_ready(&mut self) -> Option<NodeId> {
-            if self.popped >= self.quota {
+            let on = self.gate.as_ref().is_none_or(|g| g.load(Ordering::SeqCst));
+            if on && self.popped >= self.quota {
+                if self.panics {
+                    panic!("fault-injected panic: {}", self.name());
+                }
                 return None;
             }
             let t = self.inner.pop_ready();
@@ -1764,6 +1812,42 @@ pub(crate) mod tests {
         refused_rule_change_is_forgotten(|e| {
             e.remove_rule("path(X, Z) :- path(X, Y), edge(Y, Z).", stall)
         });
+    }
+
+    /// A scheduler that panics mid-cascade refuses the update like a
+    /// stall: nothing the cascade stamped stays at the head, and the next
+    /// update publishes only itself — for a fact update and a rule change.
+    #[test]
+    fn scheduler_panic_mid_cascade_leaves_the_database_unchanged() {
+        crate::shard::tests::silence_test_panics();
+        let src = format!("{TC}\nseen(X) :- path(X, Y).");
+        let mut e = IncrementalEngine::new(&src).unwrap();
+        let preds = ["edge", "path", "seen"];
+        let (before, epoch, nodes) = (db_image(&e, &preds), e.epoch(), e.dag().node_count());
+        // Pops `edge` and `path` (which loses path(a, b) and path(a, c)),
+        // then panics before `seen` runs.
+        let mut broken = QuotaStall::over(Box::new(LevelBased::new(e.dag().clone())), 2, true);
+        let err = e.update(&mut broken, &[FactEdit::remove("edge", &["a", "b"])]);
+        assert!(
+            matches!(err, Err(EngineError::Panicked(ref m)) if m.contains("QuotaStall")),
+            "got {err:?}"
+        );
+        assert_eq!((db_image(&e, &preds), e.epoch()), (before.clone(), epoch));
+
+        let err = e.add_rule("path(Y, X) :- edge(X, Y).", |dag| {
+            Box::new(QuotaStall::over(Box::new(LevelBased::new(dag)), 1, true))
+        });
+        assert!(matches!(err, Err(EngineError::Panicked(_))), "got {err:?}");
+        assert_eq!((db_image(&e, &preds), e.epoch()), (before, epoch));
+        assert_eq!((e.dag().node_count(), e.rules.len()), (nodes, 3), "the program went back");
+
+        let next = [FactEdit::add("edge", &["x", "y"])];
+        let mut fresh = IncrementalEngine::new(&src).unwrap();
+        for engine in [&mut e, &mut fresh] {
+            let mut s = LevelBased::new(engine.dag().clone());
+            engine.update(&mut s, &next).unwrap();
+        }
+        assert_eq!(db_image(&e, &preds), db_image(&fresh, &preds));
     }
 
     #[test]

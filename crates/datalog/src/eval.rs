@@ -126,6 +126,7 @@ impl<'a> Extent<'a> {
         key: &[Value],
     ) -> Option<impl Iterator<Item = &'a Tuple> + 'a> {
         let main = self.rel.probe(cols, key)?;
+        #[allow(clippy::expect_used, reason = "OldView::patches builds each patch with its relation's indices")]
         let extra = self.patch.map(|p| {
             p.extra
                 .probe(cols, key)
@@ -188,7 +189,8 @@ pub enum Access {
 #[derive(Clone, Debug)]
 pub struct CRule {
     pub head: CAtom,
-    /// `(atom, negated)` in source order.
+    /// `(atom, negated)` in source order, but for a negated literal that
+    /// would run before its variables are bound: it follows its binders.
     pub body: Vec<(CAtom, bool)>,
     pub nvars: u32,
     /// Head aggregate, if any. An aggregate rule is folded whole by
@@ -390,6 +392,27 @@ pub fn compile_rule(rule: &Rule, db: &mut Database) -> CRule {
         fix(&l.atom, &mut body[i].0);
     }
     fix(&rule.head, &mut head);
+    // The walker visits the body in order, and a negated literal is a
+    // membership check: one written before the positive literals that
+    // bind its variables waits for them (safety says they exist). Every
+    // other literal keeps its place.
+    let mut ordered = Vec::with_capacity(body.len());
+    let mut waiting: Vec<(CAtom, bool)> = Vec::new();
+    let mut bound: Set<u32> = Set::default();
+    for (atom, negated) in body {
+        if negated {
+            waiting.push((atom, negated));
+        } else {
+            bound.extend(vars_of(&atom));
+            ordered.push((atom, negated));
+        }
+        let ground = |(atom, _): &(CAtom, bool)| vars_of(atom).iter().all(|s| bound.contains(s));
+        let (ready, rest): (Vec<_>, Vec<_>) = waiting.drain(..).partition(ground);
+        ordered.extend(ready);
+        waiting = rest;
+    }
+    ordered.extend(waiting);
+    let body = ordered;
     let agg = rule.head.agg().map(|(pos, op, var)| CAgg {
         pos,
         op,
@@ -522,6 +545,7 @@ fn matches(atom: &CAtom, tuple: &[Value], bind: &mut [Option<Value>], trail: &mu
 /// The value of a term in a ground position (never an unbound variable):
 /// a plan-bound column, or any column of a head or negated literal, which
 /// safety grounds once the positive body is bound.
+#[allow(clippy::expect_used, reason = "compile_rule orders every negated literal after the literals binding it")]
 fn resolve(t: &CTerm, bind: &[Option<Value>]) -> Value {
     match *t {
         CTerm::Const(c) => c,
@@ -692,6 +716,7 @@ pub(crate) fn fold(op: AggOp, vals: &[Value]) -> Option<Value> {
 /// (the aggregate position carries the bound variable), group by the
 /// remaining positions, and [`fold`] each group with the operator; a
 /// group that folds to nothing has no tuple.
+#[allow(clippy::expect_used, reason = "the documented precondition")]
 pub fn eval_agg_rule(db: &dyn Rels, rule: &CRule) -> Vec<Tuple> {
     let agg = rule.agg.expect("eval_agg_rule requires an aggregate head");
     let mut raw: Set<Tuple> = Set::default();
@@ -937,8 +962,8 @@ pub fn seminaive_scc(
         }
         for (p, t) in fresh {
             if db.rel_mut(p).insert(t.clone()) {
-                delta.get_mut(&p).expect("head in scc").insert(t.clone());
-                added.get_mut(&p).expect("head in scc").insert(t);
+                delta.entry(p).or_default().insert(t.clone());
+                added.entry(p).or_default().insert(t);
             }
         }
     }
@@ -994,8 +1019,8 @@ pub fn seminaive_scc(
         let mut grew = false;
         for (p, t) in fresh {
             if db.rel_mut(p).insert(t.clone()) {
-                next.get_mut(&p).expect("head in scc").insert(t.clone());
-                added.get_mut(&p).expect("head in scc").insert(t);
+                next.entry(p).or_default().insert(t.clone());
+                added.entry(p).or_default().insert(t);
                 grew = true;
             }
         }

@@ -28,6 +28,7 @@
 //!   the predicate's output changes", §II-A).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod ast;
 pub mod engine;
@@ -45,6 +46,8 @@ pub mod stream;
 pub mod taskgraph;
 pub mod value;
 
+#[cfg(test)]
+mod lattice;
 #[cfg(test)]
 mod proptests;
 

@@ -164,8 +164,9 @@ impl<'a> Lexer<'a> {
                     s.push('-');
                     self.bump();
                 }
-                while matches!(self.peek(), Some(d) if d.is_ascii_digit()) {
-                    s.push(self.bump().unwrap() as char);
+                while let Some(d) = self.peek().filter(u8::is_ascii_digit) {
+                    self.bump();
+                    s.push(d as char);
                 }
                 if s == "-" || s.is_empty() {
                     return Err(self.err("expected digits"));
@@ -174,8 +175,9 @@ impl<'a> Lexer<'a> {
             }
             c if c.is_ascii_alphabetic() || c == b'_' => {
                 let mut s = String::new();
-                while matches!(self.peek(), Some(d) if d.is_ascii_alphanumeric() || d == b'_') {
-                    s.push(self.bump().unwrap() as char);
+                while let Some(d) = self.peek().filter(|d| d.is_ascii_alphanumeric() || *d == b'_') {
+                    self.bump();
+                    s.push(d as char);
                 }
                 if s == "not" {
                     Tok::Bang

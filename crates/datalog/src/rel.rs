@@ -237,12 +237,7 @@ impl<'a> Probe<'a> {
         self.bucket
             .iter()
             .filter(move |&&r| Self::visible(rel, r, at))
-            .map(move |&r| {
-                rel.rows[r as usize]
-                    .tuple
-                    .as_ref()
-                    .expect("visible row holds its tuple")
-            })
+            .filter_map(move |&r| rel.rows[r as usize].tuple.as_ref())
     }
 }
 
@@ -308,6 +303,43 @@ impl Relation {
             .map(|(r, _)| r)
     }
 
+    /// The storage accounting, exact at every step: every slot is live,
+    /// retained or free; every index holds each unreclaimed row once and
+    /// finds every live one; the graveyard is `died`-ordered and final;
+    /// `dying` is the open epoch's tombstones, each slot knowing its
+    /// place. Panics on the first breach.
+    #[cfg(test)]
+    pub(crate) fn check_accounting(&self) {
+        assert_eq!(self.arena_len(), self.len() + self.retained() + self.free.len());
+        for cols in self.index_cols() {
+            assert_eq!(self.index_entries(cols), Some(self.len() + self.retained()));
+            for t in self.iter() {
+                let key: Tuple = cols.iter().map(|&c| t[c]).collect();
+                let found = self.probe(cols, &key).is_some_and(|p| p.iter().any(|u| u == t));
+                assert!(found, "index {cols:?} misses {t:?}");
+            }
+        }
+        let died: Vec<u64> = self.graveyard.iter().map(|&row| self.rows[row as usize].died).collect();
+        assert!(died.windows(2).all(|w| w[0] <= w[1]), "graveyard order {died:?}");
+        assert!(died.iter().all(|&d| d < self.write_epoch));
+        for (pos, &row) in self.dying.iter().enumerate() {
+            let slot = &self.rows[row as usize];
+            assert_eq!((slot.died, slot.dying_pos as usize), (self.write_epoch, pos));
+        }
+        // Every unreclaimed row is reachable from the chain of its tuple's
+        // hash, once, and from no other.
+        let mut chained = vec![false; self.arena_len()];
+        for &h in self.lookup.keys() {
+            for (row, slot) in self.chain(h) {
+                assert_eq!(slot.tuple.as_deref().map(tuple_hash), Some(h), "row {row} is on a foreign chain");
+                assert!(!std::mem::replace(&mut chained[row as usize], true), "row {row} is chained twice");
+            }
+        }
+        for (slot, chained) in self.rows.iter().zip(chained) {
+            assert_eq!(slot.tuple.is_some(), chained, "{slot:?}");
+        }
+    }
+
     /// Insert; true if new. Panics on arity mismatch (an engine bug, not
     /// a data error — arities are validated at parse time). Duplicates
     /// hash once and leave every index untouched.
@@ -356,6 +388,7 @@ impl Relation {
                 (self.rows.len() - 1) as Row
             }
         };
+        #[allow(clippy::expect_used, reason = "the slot was filled just above")]
         let stored = self.rows[row as usize]
             .tuple
             .as_deref()
@@ -433,6 +466,7 @@ impl Relation {
     /// free list. The caller has already accounted for `live` and the
     /// graveyard.
     fn reclaim(&mut self, row: Row) {
+        #[allow(clippy::expect_used, reason = "only unreclaimed rows are reclaimed")]
         let tuple = self.rows[row as usize]
             .tuple
             .take()
@@ -440,6 +474,7 @@ impl Relation {
         let h = tuple_hash(&tuple);
         let next = self.rows[row as usize].next;
         if self.lookup.get(&h) != Some(&row) {
+            #[allow(clippy::expect_used, reason = "a chain reaches every row on it")]
             let (before, _) = self
                 .chain(h)
                 .find(|(_, s)| s.next == row)
@@ -1099,35 +1134,6 @@ mod tests {
     /// Op code of a publish; 0–3 insert, 4–7 remove, 8–9 churn.
     const PUBLISH: u8 = 10;
 
-    /// The storage accounting, exact at every step: every slot is live,
-    /// retained or free; every index holds each unreclaimed row once; the
-    /// graveyard is `died`-ordered and final; `dying` is the open epoch's
-    /// tombstones, each slot knowing its place.
-    fn check_accounting(r: &Relation) {
-        assert_eq!(r.arena_len(), r.len() + r.retained() + r.free.len());
-        assert_eq!(r.index_entries(&[0]), Some(r.len() + r.retained()));
-        assert_eq!(r.index_entries(&[1]), Some(r.len() + r.retained()));
-        let died: Vec<u64> = r.graveyard.iter().map(|&row| r.rows[row as usize].died).collect();
-        assert!(died.windows(2).all(|w| w[0] <= w[1]), "graveyard order {died:?}");
-        assert!(died.iter().all(|&d| d < r.write_epoch));
-        for (pos, &row) in r.dying.iter().enumerate() {
-            let slot = &r.rows[row as usize];
-            assert_eq!((slot.died, slot.dying_pos as usize), (r.write_epoch, pos));
-        }
-        // Every unreclaimed row is reachable from the chain of its tuple's
-        // hash, once, and from no other.
-        let mut chained = vec![false; r.arena_len()];
-        for &h in r.lookup.keys() {
-            for (row, slot) in r.chain(h) {
-                assert_eq!(slot.tuple.as_deref().map(tuple_hash), Some(h), "row {row} is on a foreign chain");
-                assert!(!std::mem::replace(&mut chained[row as usize], true), "row {row} is chained twice");
-            }
-        }
-        for (slot, chained) in r.rows.iter().zip(chained) {
-            assert_eq!(slot.tuple.is_some(), chained, "{slot:?}");
-        }
-    }
-
     /// One random op against the database and the set model: codes 0–3
     /// insert, 4–7 remove, 8 takes one tuple out, back in and out again,
     /// 9 puts it back once more, [`PUBLISH`] publishes — pinning the new
@@ -1150,7 +1156,7 @@ mod tests {
             _ => {
                 let epoch = db.publish(pinned.unwrap_or(u64::MAX));
                 *pinned = (pinned.is_none() && a % 2 == 1).then_some(epoch);
-                check_accounting(db.rel(id));
+                db.rel(id).check_accounting();
                 &[]
             }
         };
@@ -1160,7 +1166,7 @@ mod tests {
             } else {
                 assert_eq!(db.rel_mut(id).remove(&t), model.remove(&t));
             }
-            check_accounting(db.rel(id));
+            db.rel(id).check_accounting();
         }
     }
 
@@ -1195,7 +1201,7 @@ mod tests {
         prop_assert_eq!(observe(db.rel(id), pinned), want);
         prop_assert_eq!(db.rel(id).sorted_at(db.epoch()), db.rel(id).sorted());
         // Aborted rows are on the free list, not leaked.
-        check_accounting(db.rel(id));
+        db.rel(id).check_accounting();
 
         let sorted = |model: &HashSet<Tuple>| {
             let mut v: Vec<Tuple> = model.iter().cloned().collect();
@@ -1214,7 +1220,7 @@ mod tests {
         let retained = db.rel(id).retained();
         prop_assert_eq!(db.rel_mut(id).vacuum(watermark), retained);
         let r = db.rel(id);
-        check_accounting(r);
+        r.check_accounting();
         prop_assert_eq!(r.retained(), 0);
         prop_assert_eq!(r.sorted(), sorted(&model));
         Ok(())

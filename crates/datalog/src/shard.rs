@@ -823,6 +823,7 @@ impl ShardedEngine {
                                     Some(&mut collected),
                                 );
                                 match run {
+                                    Err(EngineError::Panicked(m)) => RoundOutcome::Panicked(m),
                                     Err(e) => RoundOutcome::Failed(e),
                                     Ok(rep) => {
                                         let db = eng.database();
@@ -1124,7 +1125,7 @@ impl ShardedEngine {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::stream::DeltaQueue;
     use incr_sched::{Hybrid, LevelBased};
@@ -1136,7 +1137,7 @@ mod tests {
     /// Keep expected injected-panic unwinds out of test output. Same
     /// contract as the runtime crate's `silence_injected_panics` (which
     /// this crate cannot depend on): chained, idempotent, message-keyed.
-    fn silence_test_panics() {
+    pub(crate) fn silence_test_panics() {
         static ONCE: std::sync::Once = std::sync::Once::new();
         ONCE.call_once(|| {
             let prev = std::panic::take_hook();

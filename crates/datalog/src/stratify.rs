@@ -136,6 +136,7 @@ pub fn stratify(program: &Program) -> Result<Stratification, StratifyError> {
                 if low[v] == ids[v] {
                     let mut comp = Vec::new();
                     loop {
+                        #[allow(clippy::expect_used, reason = "a root's component is still on Tarjan's stack")]
                         let w = stack.pop().expect("tarjan stack underflow");
                         on_stack[w] = false;
                         scc_of[w] = sccs.len();

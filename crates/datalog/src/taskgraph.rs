@@ -42,6 +42,7 @@ pub struct TaskGraph {
 impl TaskGraph {
     /// Build from a stratification + compiled rules. `db` must already
     /// have every predicate registered (compile_program does this).
+    #[allow(clippy::expect_used, reason = "the documented precondition, and SCC condensations are acyclic")]
     pub fn build(strat: &Stratification, rules: &[CRule], db: &Database) -> TaskGraph {
         // Map stratification pred indices (name order) to PredIds.
         let pred_id: Vec<PredId> = strat

@@ -96,6 +96,7 @@ impl Interner {
     }
 
     /// Intern `s`, returning its stable id.
+    #[allow(clippy::expect_used, reason = "ids and offsets are u32 by design; 2^32 symbols is out of scope")]
     pub fn intern(&mut self, s: &str) -> SymId {
         let slot = match self.probe(s) {
             Ok(slot) => return SymId(self.slots[slot] - 1),

@@ -28,7 +28,7 @@ use crate::json::{obj, Json};
 use crate::trace;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Events retained per thread lane (power of two).
 pub const RING_CAPACITY: usize = 1 << 12;
@@ -294,7 +294,7 @@ struct LaneHandle {
 
 impl Drop for LaneHandle {
     fn drop(&mut self) {
-        collector().free.lock().unwrap().push(self.ring.clone());
+        collector().free.lock().unwrap_or_else(PoisonError::into_inner).push(self.ring.clone());
     }
 }
 
@@ -305,11 +305,11 @@ thread_local! {
 
 fn acquire_ring() -> Arc<FlightRing> {
     let c = collector();
-    if let Some(ring) = c.free.lock().unwrap().pop() {
+    if let Some(ring) = c.free.lock().unwrap_or_else(PoisonError::into_inner).pop() {
         return ring;
     }
     let ring = Arc::new(FlightRing::new(c.next_lane.fetch_add(1, Ordering::Relaxed)));
-    c.rings.lock().unwrap().push(ring.clone());
+    c.rings.lock().unwrap_or_else(PoisonError::into_inner).push(ring.clone());
     ring
 }
 
@@ -318,12 +318,10 @@ fn with_ring(f: impl FnOnce(&FlightRing)) {
     // events; dropping them beats panicking.
     let _ = LOCAL_RING.try_with(|cell| {
         let mut slot = cell.borrow_mut();
-        if slot.is_none() {
-            *slot = Some(LaneHandle {
-                ring: acquire_ring(),
-            });
-        }
-        f(&slot.as_ref().expect("just initialized").ring);
+        let lane = slot.get_or_insert_with(|| LaneHandle {
+            ring: acquire_ring(),
+        });
+        f(&lane.ring);
     });
 }
 
@@ -424,7 +422,7 @@ pub fn span_arg(code: FlightCode, arg: u64) -> FlightSpan {
 /// recycled lanes take the name of their newest owner).
 pub fn set_thread_name(name: &str) {
     with_ring(|ring| {
-        *ring.name.lock().unwrap() = Some(name.to_string());
+        *ring.name.lock().unwrap_or_else(PoisonError::into_inner) = Some(name.to_string());
     });
 }
 
@@ -457,7 +455,7 @@ pub struct FlightLane {
 /// Snapshot every lane's retained events (non-destructive; writers keep
 /// going). Torn slots are skipped and counted, never misread.
 pub fn snapshot() -> Vec<FlightLane> {
-    let rings: Vec<Arc<FlightRing>> = collector().rings.lock().unwrap().clone();
+    let rings: Vec<Arc<FlightRing>> = collector().rings.lock().unwrap_or_else(PoisonError::into_inner).clone();
     rings
         .iter()
         .map(|ring| {
@@ -507,7 +505,7 @@ pub fn snapshot() -> Vec<FlightLane> {
             }
             FlightLane {
                 lane: ring.lane,
-                name: ring.name.lock().unwrap().clone(),
+                name: ring.name.lock().unwrap_or_else(PoisonError::into_inner).clone(),
                 events,
                 overwritten: head.saturating_sub(RING_CAPACITY as u64),
                 torn,
@@ -519,7 +517,7 @@ pub fn snapshot() -> Vec<FlightLane> {
 /// Reset all lanes (test isolation). Only safe when no other thread is
 /// actively recording — callers serialize around it.
 pub fn clear() {
-    for ring in collector().rings.lock().unwrap().iter() {
+    for ring in collector().rings.lock().unwrap_or_else(PoisonError::into_inner).iter() {
         ring.head.store(0, Ordering::Release);
         for slot in ring.slots.iter() {
             slot.seq.store(0, Ordering::Release);
@@ -661,7 +659,7 @@ pub fn dump_to_dir(
         seq % DUMP_ROTATION
     ));
     std::fs::write(&path, doc.to_json())?;
-    *collector().last_dump.lock().unwrap() = Some(path.clone());
+    *collector().last_dump.lock().unwrap_or_else(PoisonError::into_inner) = Some(path.clone());
     Ok(path)
 }
 
@@ -713,7 +711,7 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Path of the most recent successful dump, if any (test hook).
 pub fn last_dump() -> Option<PathBuf> {
-    collector().last_dump.lock().unwrap().clone()
+    collector().last_dump.lock().unwrap_or_else(PoisonError::into_inner).clone()
 }
 
 #[cfg(test)]
@@ -814,7 +812,7 @@ mod tests {
         let _g = serial();
         clear();
         set_enabled(true);
-        let lanes_before = collector().rings.lock().unwrap().len();
+        let lanes_before = collector().rings.lock().unwrap_or_else(PoisonError::into_inner).len();
         for round in 0..4 {
             std::thread::spawn(move || {
                 set_thread_name(&format!("flight-recycle-{round}"));
@@ -823,7 +821,7 @@ mod tests {
             .join()
             .unwrap();
         }
-        let lanes_after = collector().rings.lock().unwrap().len();
+        let lanes_after = collector().rings.lock().unwrap_or_else(PoisonError::into_inner).len();
         // Sequential threads share one recycled ring (at most one new
         // lane total, not one per thread).
         assert!(

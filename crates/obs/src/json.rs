@@ -329,7 +329,8 @@ impl<'a> Parser<'a> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = std::str::from_utf8(&self.bytes[start..self.pos])
+            .map_err(|_| self.err("bad number"))?;
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err(&format!("bad number {text:?}")))

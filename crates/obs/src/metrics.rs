@@ -9,7 +9,7 @@
 use crate::json::{obj, Json};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Monotonically increasing event count.
 #[derive(Debug, Default)]
@@ -189,7 +189,7 @@ impl Registry {
     pub fn counter(&self, name: &str) -> Arc<Counter> {
         self.counters
             .lock()
-            .unwrap()
+            .unwrap_or_else(PoisonError::into_inner)
             .entry(name.to_string())
             .or_default()
             .clone()
@@ -198,7 +198,7 @@ impl Registry {
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
         self.gauges
             .lock()
-            .unwrap()
+            .unwrap_or_else(PoisonError::into_inner)
             .entry(name.to_string())
             .or_default()
             .clone()
@@ -207,7 +207,7 @@ impl Registry {
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
         self.histograms
             .lock()
-            .unwrap()
+            .unwrap_or_else(PoisonError::into_inner)
             .entry(name.to_string())
             .or_default()
             .clone()
@@ -223,14 +223,14 @@ impl Registry {
         let counters: Vec<(String, Json)> = self
             .counters
             .lock()
-            .unwrap()
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(k, c)| (k.clone(), c.get().into()))
             .collect();
         let gauges: Vec<(String, Json)> = self
             .gauges
             .lock()
-            .unwrap()
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(k, g)| {
                 (
@@ -246,7 +246,7 @@ impl Registry {
         let histograms: Vec<(String, Json)> = self
             .histograms
             .lock()
-            .unwrap()
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(k, h)| {
                 let buckets: Vec<Json> = h
@@ -279,22 +279,22 @@ impl Registry {
     /// update boundaries so per-update snapshots report per-update peaks,
     /// not process-lifetime ones).
     pub fn reset_gauge_peaks(&self) {
-        for g in self.gauges.lock().unwrap().values() {
+        for g in self.gauges.lock().unwrap_or_else(PoisonError::into_inner).values() {
             g.reset_peak();
         }
     }
 
     /// Reset every registered metric to zero (between bench repetitions).
     pub fn reset(&self) {
-        for c in self.counters.lock().unwrap().values() {
+        for c in self.counters.lock().unwrap_or_else(PoisonError::into_inner).values() {
             c.value.store(0, Ordering::Relaxed);
         }
-        for g in self.gauges.lock().unwrap().values() {
+        for g in self.gauges.lock().unwrap_or_else(PoisonError::into_inner).values() {
             g.value.store(0, Ordering::Relaxed);
             g.peak.store(0, Ordering::Relaxed);
             g.lifetime_peak.store(0, Ordering::Relaxed);
         }
-        let hists = self.histograms.lock().unwrap();
+        let hists = self.histograms.lock().unwrap_or_else(PoisonError::into_inner);
         for h in hists.values() {
             for b in &h.buckets {
                 b.store(0, Ordering::Relaxed);

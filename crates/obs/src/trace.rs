@@ -19,7 +19,7 @@
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Maximum buffered events per thread; beyond it events are counted as
@@ -145,7 +145,7 @@ fn with_shard<R>(f: impl FnOnce(&Shard) -> R) -> R {
                 events: Mutex::new(Vec::new()),
                 dropped: AtomicU64::new(0),
             });
-            c.shards.lock().unwrap().push(shard.clone());
+            c.shards.lock().unwrap_or_else(PoisonError::into_inner).push(shard.clone());
             shard
         });
         f(shard)
@@ -181,7 +181,7 @@ pub fn now_us() -> f64 {
 /// traces *balanced* — the overshoot is bounded by the open-span depth.
 fn push(event: Event) -> bool {
     with_shard(|shard| {
-        let mut events = shard.events.lock().unwrap();
+        let mut events = shard.events.lock().unwrap_or_else(PoisonError::into_inner);
         if events.len() < SHARD_CAPACITY || event.phase == Phase::End {
             events.push(event);
             true
@@ -203,7 +203,7 @@ pub fn record(event: Event) {
 /// recorder lane in black-box dumps (one call names both).
 pub fn set_thread_name(name: &str) {
     with_shard(|shard| {
-        *shard.name.lock().unwrap() = Some(name.to_string());
+        *shard.name.lock().unwrap_or_else(PoisonError::into_inner) = Some(name.to_string());
     });
     crate::flight::set_thread_name(name);
 }
@@ -390,14 +390,14 @@ pub struct ThreadEvents {
 /// Spans still open on live threads will appear unbalanced — close spans
 /// before collecting.
 pub fn drain() -> Vec<ThreadEvents> {
-    let shards = collector().shards.lock().unwrap();
+    let shards = collector().shards.lock().unwrap_or_else(PoisonError::into_inner);
     shards
         .iter()
         .map(|shard| {
-            let mut events = shard.events.lock().unwrap();
+            let mut events = shard.events.lock().unwrap_or_else(PoisonError::into_inner);
             ThreadEvents {
                 tid: shard.tid,
-                thread_name: shard.name.lock().unwrap().clone(),
+                thread_name: shard.name.lock().unwrap_or_else(PoisonError::into_inner).clone(),
                 events: std::mem::take(&mut *events),
                 dropped: shard.dropped.swap(0, Ordering::Relaxed),
             }

@@ -301,7 +301,7 @@ pub fn analyze(dag: &Dag, threads: &[ThreadEvents]) -> Vec<UpdateAttribution> {
             latest[v.index()].is_some()
         })
         .into_iter()
-        .map(|v| latest[v.index()].expect("chain node was executed").clone())
+        .filter_map(|v| latest[v.index()].cloned())
         .collect();
 
         out.push(UpdateAttribution {

@@ -711,6 +711,7 @@ impl Executor {
             let task = task.clone();
             let retry = self.cfg.retry.clone();
             let record_tasks = self.cfg.record_tasks;
+            #[allow(clippy::expect_used, reason = "a pool without its workers cannot run at all")]
             let handle = std::thread::Builder::new()
                 .name(format!("incr-worker-{i}"))
                 .spawn(move || {
@@ -1048,6 +1049,7 @@ fn drive_update(
             if resuming {
                 // Completions committed by the failed attempt replay from
                 // the journal instead of re-executing.
+                #[allow(clippy::expect_used, reason = "a resumed run always carries its journal")]
                 let journal = st.journal.as_deref().expect("resuming implies journal");
                 ready.retain(|&v| match journal.fired_of(v) {
                     Some(fired) => {

@@ -26,7 +26,7 @@ use crate::executor::{TaskOutcome, TryTaskFn};
 use incr_dag::NodeId;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Marker embedded in every injected panic message; the chaos suite's
 /// panic hook uses it to keep expected unwinds out of test output.
@@ -247,7 +247,7 @@ impl FaultPlan {
                             let mut attempts = state
                                 .attempts
                                 .lock()
-                                .expect("fault plan attempt table poisoned");
+                                .unwrap_or_else(PoisonError::into_inner);
                             let a = attempts.entry(node).or_insert(0);
                             if *a < k {
                                 *a += 1;

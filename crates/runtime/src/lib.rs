@@ -29,6 +29,7 @@
 //!   subcommand).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod attribution;
 pub mod executor;

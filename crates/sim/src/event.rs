@@ -177,6 +177,7 @@ pub fn simulate_event(
             busy += instance.durations[t.index()];
             let finish = start + instance.durations[t.index()];
             makespan = makespan.max(finish);
+            #[allow(clippy::expect_used, reason = "the loop pops only while a lane is idle")]
             let lane = free_lanes.pop().expect("idle count tracks free lanes");
             if trace::enabled() {
                 trace::sim_complete(

@@ -25,6 +25,7 @@
 //!   exact-readiness overlap on the Figure 2 instance).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod event;
 pub mod meta;

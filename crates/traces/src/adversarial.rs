@@ -24,6 +24,7 @@ use std::sync::Arc;
 /// waits for each `k_i` to finish before advancing past level `i`, giving
 /// makespan `Θ(l²)`; a scheduler with exact readiness runs each `k_i` on
 /// its own processor for `Θ(l + M)` total (Theorem 9, `M = max span = l - 1`).
+#[allow(clippy::unwrap_used, reason = "a fixed construction whose edges all point forward")]
 pub fn figure2(l: u32) -> Instance {
     assert!(l >= 2, "the example needs at least two levels");
     // Nodes: j_1..j_l are 0..l-1 ; k_i (i=2..=l) are l..2l-2.
@@ -54,6 +55,7 @@ pub fn figure2(l: u32) -> Instance {
 /// is safe. Every completion triggers a rescan of the whole active queue,
 /// and every candidate check walks the whole blocker set: `n` scans ×
 /// `n` candidates × `Θ(n)` blockers.
+#[allow(clippy::unwrap_used, reason = "a fixed construction whose edges all point forward")]
 pub fn lbx_cubic(n: u32) -> Instance {
     assert!(n >= 1);
     let mut b = DagBuilder::new(n as usize + 1);
@@ -76,6 +78,7 @@ pub fn lbx_cubic(n: u32) -> Instance {
 /// postorders contiguously; each other source covers only even-indexed
 /// sinks, whose postorders are pairwise non-adjacent — `Θ(k)` intervals
 /// per source.
+#[allow(clippy::unwrap_used, reason = "a fixed construction whose edges all point forward")]
 pub fn interval_blowup(k: u32) -> Arc<Dag> {
     let mut b = DagBuilder::new((2 * k) as usize);
     for j in 0..k {
@@ -96,6 +99,7 @@ pub fn interval_blowup(k: u32) -> Arc<Dag> {
 /// time before anything runs — while LevelBased (and therefore the
 /// Hybrid, which never needs the scan here) dispatches each task in
 /// `O(1)`.
+#[allow(clippy::unwrap_used, reason = "a fixed construction whose edges all point forward")]
 pub fn hundred_x(n: u32) -> Instance {
     let b = DagBuilder::new(n as usize);
     let dag: Arc<Dag> = Arc::new(b.build().unwrap());

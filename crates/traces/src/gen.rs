@@ -38,6 +38,7 @@ pub struct GenReport {
 /// Generate the instance for `spec`. Panics on an infeasible spec (the
 /// presets are all feasible; `TraceSpec::validate` catches most problems
 /// up front).
+#[allow(clippy::expect_used, reason = "the documented panic on an infeasible spec")]
 pub fn generate(spec: &TraceSpec) -> (Instance, GenReport) {
     spec.validate().expect("invalid trace spec");
     let mut rng = StdRng::seed_from_u64(spec.seed);

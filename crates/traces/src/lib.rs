@@ -26,6 +26,7 @@
 //!   for the paper's trace files.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod adversarial;
 pub mod durations;

@@ -21,6 +21,7 @@
 //! inventory, and `EXPERIMENTS.md` for paper-vs-measured results.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub use incr_dag as dag;
 pub use incr_datalog as datalog;
