@@ -8,7 +8,7 @@
 //! as far as the data requires and no further.
 
 use crate::ast::{Atom, Program, Rule, Term};
-use crate::eval::{compile_program, compile_rule, load_facts, seminaive_scc, CRule};
+use crate::eval::{compile_program, compile_rule, ensure_indices, load_facts, seminaive_scc};
 use crate::hash::Map;
 use crate::incr::{update_scc, Delta, RuleChange};
 use crate::mvcc::{DbCell, PinRegistry, ReaderHandle, Snapshot};
@@ -217,11 +217,8 @@ pub struct IncrementalEngine {
     /// database and nowhere else once loaded: base tables are edited
     /// through [`Self::update`], so a copy here would go stale.
     pub(crate) program: Program,
-    rules: Vec<CRule>,
+    /// The task graph, whose clique nodes own the compiled rules.
     graph: TaskGraph,
-    /// Per task node: its clique's compiled rules (shared, not re-cloned
-    /// on every execution).
-    node_rules: Vec<Arc<Vec<CRule>>>,
 }
 
 impl IncrementalEngine {
@@ -257,26 +254,26 @@ impl IncrementalEngine {
         program.rules.retain(|r| !r.is_fact() || derived.contains(&r.head.pred));
         program.rules.shrink_to_fit();
         let strat = stratify(&program).map_err(EngineError::Stratify)?;
-        let graph = TaskGraph::build(&strat, &rules, &db);
+        let graph = TaskGraph::build(&strat, rules, &db);
 
-        let node_rules = Self::index_node_rules(&graph, &rules);
-        // Full materialization happens on the still-private database,
-        // then the initial state publishes as epoch 1 — the first cut
-        // snapshots can pin.
+        // Full materialization happens on the still-private database, each
+        // clique with its heads lent, then the initial state publishes as
+        // epoch 1 — the first cut snapshots can pin. A clique's forward and
+        // pin plans' indices come just before it; the check and group plans
+        // are decided from the materialised extents, and indexed, after.
         for &v in graph.dag.topo_order() {
-            if let NodeKind::Clique { preds, .. } = &graph.kinds[v.index()] {
-                let rules = node_rules[v.index()].clone();
-                seminaive_scc(&mut db, &rules, preds, Map::default(), true);
+            if let NodeKind::Clique { preds, rules } = &graph.kinds[v.index()] {
+                ensure_indices(&mut db, rules.iter(), false);
+                seminaive_scc(&mut db.lend(preds), rules, Map::default(), true);
             }
         }
+        ensure_indices(&mut db, graph.rules(), true);
         db.publish(u64::MAX);
         Ok(IncrementalEngine {
             db: Arc::new(DbCell::new(db)),
             pins: Arc::new(PinRegistry::new()),
             program,
-            rules,
             graph,
-            node_rules,
         })
     }
 
@@ -290,20 +287,6 @@ impl IncrementalEngine {
     /// Accepts and ignores `opts`, which has nothing to set. Kept only for
     /// the frozen `bench_all`; ROADMAP 7(a) deletes it.
     pub fn set_eval_options(&mut self, _opts: EvalOptions) {}
-
-    /// Build the per-node rule sets once per (re)compilation.
-    fn index_node_rules(graph: &TaskGraph, rules: &[CRule]) -> Vec<Arc<Vec<CRule>>> {
-        graph
-            .kinds
-            .iter()
-            .map(|k| match k {
-                NodeKind::Base(_) => Arc::new(Vec::new()),
-                NodeKind::Clique { rules: idx, .. } => {
-                    Arc::new(idx.iter().map(|&i| rules[i].clone()).collect())
-                }
-            })
-            .collect()
-    }
 
     /// Shared read access to the head database (poison-recovering and
     /// writer-deferring; see [`DbCell`]).
@@ -591,7 +574,9 @@ impl IncrementalEngine {
     /// rule changes. `base_deltas` are consumed by base nodes when popped;
     /// `change` — a rule change's rule, with the node of its head clique —
     /// goes to that clique's task beside its input deltas. Every clique task
-    /// is the one [`update_scc`] call below.
+    /// is the one [`update_scc`] call below, over its clique's heads lent
+    /// from the database ([`Database::lend`]): it writes them and only
+    /// reads the rest, and it builds no index.
     ///
     /// A stalled scheduler returns [`EngineError::Stall`], and a panic —
     /// the scheduler's or a task's — unwinds to here and returns
@@ -658,11 +643,10 @@ impl IncrementalEngine {
                     let d = base_deltas.remove(p).unwrap_or_default();
                     Map::from_iter([(*p, d)])
                 }
-                NodeKind::Clique { preds, .. } => {
-                    let rules = self.node_rules[node.index()].clone();
+                NodeKind::Clique { preds, rules } => {
                     let input = std::mem::take(&mut pending[node.index()]);
                     let change = change.take_if(|(n, _)| *n == node).map(|(_, c)| c);
-                    update_scc(&mut db, &rules, preds, &input, change.as_ref())
+                    update_scc(&mut db.lend(preds), rules, preds, &input, change.as_ref())
                 }
             };
             for (p, d) in &out {
@@ -739,15 +723,17 @@ impl IncrementalEngine {
     }
 
     /// Rebuild stratification, compiled rules, and the task graph after a
-    /// program change, keeping the database contents.
-    fn rebuild(&mut self) -> Result<(), EngineError> {
+    /// program change, keeping the database contents; decide the plans over
+    /// the extents held now and build every index they probe. (A removed
+    /// rule's forward plan, all its output needs, probes indices built when
+    /// it went in: none is ever dropped.)
+    pub(crate) fn rebuild(&mut self) -> Result<(), EngineError> {
         let strat = stratify(&self.program).map_err(EngineError::Stratify)?;
         let mut db = self.db_write();
         let rules = compile_program(&self.program, &mut db);
-        let graph = TaskGraph::build(&strat, &rules, &db);
+        let graph = TaskGraph::build(&strat, rules, &db);
+        ensure_indices(&mut db, graph.rules(), true);
         drop(db);
-        self.node_rules = Self::index_node_rules(&graph, &rules);
-        self.rules = rules;
         self.graph = graph;
         Ok(())
     }
@@ -860,9 +846,9 @@ impl IncrementalEngine {
     /// aggregate that would share its predicate — is refused before
     /// anything moves. One refused later — unstratifiable program, stalled
     /// propagation — is refused whole, like any other update: the old
-    /// program comes back and the engine is rebuilt over it, so the old
+    /// program and its task graph, plans and all, come back, so the old
     /// data never sits under the new rules; then the epoch aborts, which
-    /// restores the data.
+    /// restores the data. (Indices built for the new rules stay, unused.)
     fn change_rules(
         &mut self,
         rule: &Rule,
@@ -872,13 +858,10 @@ impl IncrementalEngine {
     ) -> Result<UpdateReport, EngineError> {
         let report = self.check_rule_change(&program).and_then(|()| {
             let old = std::mem::replace(&mut self.program, program);
+            let graph = self.graph.clone();
             let report = self.propagate_rule_change(rule, added, make_sched);
             if report.is_err() {
-                // The old program was stratified when it went in, so this
-                // rebuild succeeds; were it to fail, its error would be the
-                // one returned.
-                self.program = old;
-                return self.rebuild().and(report);
+                (self.program, self.graph) = (old, graph);
             }
             report
         });
@@ -1527,7 +1510,8 @@ pub(crate) mod tests {
             let err = e.add_rule(rule, lb);
             assert!(matches!(err, Err(EngineError::Aggregate { .. })), "{rule}: {err:?}");
             assert_eq!(db_image(&e, &preds), image);
-            assert_eq!((e.epoch(), e.dag().node_count(), e.rules.len()), (epoch, nodes, 2));
+            let rules = e.task_graph().rules().count();
+            assert_eq!((e.epoch(), e.dag().node_count(), rules), (epoch, nodes, 2));
         }
         // An aggregate of its own goes in, and is maintained from then on.
         e.add_rule("total(C, sum(T)) :- a(C, T).", lb).unwrap();
@@ -1773,7 +1757,7 @@ pub(crate) mod tests {
         assert_eq!(e.database().rows_retained(), retained);
         assert_eq!(e.count("path"), 3, "nothing of the new rule's stayed");
         assert_eq!(e.dag().node_count(), nodes, "the task graph went back too");
-        assert_eq!(e.rules.len(), 2, "and so did the refused rule");
+        assert_eq!(e.task_graph().rules().count(), 2, "and so did the refused rule");
     }
 
     fn stall(dag: Arc<Dag>) -> Box<dyn Scheduler> {
@@ -1839,7 +1823,8 @@ pub(crate) mod tests {
         });
         assert!(matches!(err, Err(EngineError::Panicked(_))), "got {err:?}");
         assert_eq!((db_image(&e, &preds), e.epoch()), (before, epoch));
-        assert_eq!((e.dag().node_count(), e.rules.len()), (nodes, 3), "the program went back");
+        let rules = e.task_graph().rules().count();
+        assert_eq!((e.dag().node_count(), rules), (nodes, 3), "the program went back");
 
         let next = [FactEdit::add("edge", &["x", "y"])];
         let mut fresh = IncrementalEngine::new(&src).unwrap();
@@ -1848,6 +1833,34 @@ pub(crate) mod tests {
             engine.update(&mut s, &next).unwrap();
         }
         assert_eq!(db_image(&e, &preds), db_image(&fresh, &preds));
+    }
+
+    /// A panic inside a clique task, after phase 1 took rows out of the
+    /// heads lent to it, rolls the update back like any other: the head is
+    /// the pre-update image again, a snapshot pinned before still reads its
+    /// epoch, and the same update then commits.
+    #[test]
+    fn a_panic_inside_a_clique_task_leaves_the_database_unchanged() {
+        use crate::incr::tests::PANIC_AFTER_PHASE_1;
+        crate::shard::tests::silence_test_panics();
+        let mut e = IncrementalEngine::new(TC).unwrap();
+        let preds = ["edge", "path"];
+        let (before, epoch) = (db_image(&e, &preds), e.epoch());
+        let snapshot = e.begin_snapshot();
+        let pinned = snapshot.image();
+        // path(a, b) and path(a, c) lose their only derivations.
+        let cut = [FactEdit::remove("edge", &["a", "b"])];
+        PANIC_AFTER_PHASE_1.set(true);
+        let err = e.update(&mut LevelBased::new(e.dag().clone()), &cut);
+        assert!(
+            matches!(err, Err(EngineError::Panicked(ref m)) if m.contains("after phase 1")),
+            "got {err:?}"
+        );
+        assert!(!PANIC_AFTER_PHASE_1.get(), "the task tripped");
+        assert_eq!((db_image(&e, &preds), e.epoch()), (before, epoch));
+        assert_eq!((snapshot.epoch(), snapshot.image()), (epoch, pinned));
+        e.update(&mut LevelBased::new(e.dag().clone()), &cut).unwrap();
+        assert_eq!(rows(&e, "path(?, ?)"), ["(b, c)"]);
     }
 
     #[test]

@@ -5,14 +5,14 @@
 //! bindings, driven by a join plan: for each body atom the plan records
 //! which columns are bound by constants and earlier positive atoms, and
 //! the evaluator probes the secondary index on exactly that column set
-//! (built on demand by [`ensure_indices`]) instead of scanning the extent.
-//! The forward and pinned plans keep source order and are fixed at compile
-//! time; the head-bound [`CheckPlan`] (and an aggregate rule's group-bound
-//! one) also picks the order, most-bound atom first, once the extents are
-//! materialised. One walker (`walk`) runs them all; [`eval_rule`], the
-//! proof search of [`crate::prove`] and aggregate maintenance differ only
-//! in the leaf they hand it (emit the head, record the instance, read the
-//! aggregated value).
+//! (built with the rules by [`ensure_indices`], never by a clique task)
+//! instead of scanning the extent. The forward and pinned plans keep source
+//! order and are fixed at compile time; the head-bound [`CheckPlan`] (and an
+//! aggregate rule's group-bound one) also picks the order, most-bound atom
+//! first, once the extents are materialised. One walker (`walk`) runs them
+//! all; [`eval_rule`], the proof search of [`crate::prove`] and aggregate
+//! maintenance differ only in the leaf they hand it (emit the head, record
+//! the instance, read the aggregated value).
 //!
 //! Pinning body position `j` to a delta relation evaluates only the
 //! derivations that use a delta tuple at `j` — the primitive behind
@@ -23,15 +23,16 @@
 
 use crate::ast::{AggOp, Program, Rule, Term};
 use crate::hash::{Map, Set};
-use crate::rel::{Database, PredId, Probe, Relation};
+use crate::rel::{Database, Loan, PredId, Probe, Relation};
 use crate::value::{Key, Tuple, Value};
 use incr_obs::Counter;
 use std::cmp::Reverse;
 use std::sync::{Arc, OnceLock};
 
-/// Read-only source of relation extents. [`Database`] is the live store;
-/// the incremental module's `OldView` shows the pre-update state (which
-/// overdeletion must evaluate against) by patching the live relations.
+/// Read-only source of relation extents. [`Database`] is the live store
+/// and a [`Loan`] a clique task's view of it; the incremental module's
+/// `OldView` shows the pre-update state (which overdeletion must evaluate
+/// against) by patching a loan's relations.
 pub trait Rels {
     fn relation(&self, p: PredId) -> &Relation;
 
@@ -126,7 +127,7 @@ impl<'a> Extent<'a> {
         key: &[Value],
     ) -> Option<impl Iterator<Item = &'a Tuple> + 'a> {
         let main = self.rel.probe(cols, key)?;
-        #[allow(clippy::expect_used, reason = "OldView::patches builds each patch with its relation's indices")]
+        #[allow(clippy::expect_used, reason = "OldView::new builds each patch with its relation's indices")]
         let extra = self.patch.map(|p| {
             p.extra
                 .probe(cols, key)
@@ -206,10 +207,9 @@ pub struct CRule {
     /// so the rest of the body is probed from the delta outwards instead
     /// of scanned up to it. Entry `j` of plan `j` is unused.
     pub pin_plans: Vec<Vec<Access>>,
-    /// The head-bound plan, decided on first use ([`CRule::check_plan`]).
+    /// The head-bound plan ([`CRule::check_plan`]).
     check_plan: OnceLock<CheckPlan>,
-    /// The group-bound plan of an aggregate rule, decided on first use
-    /// ([`CRule::group_plan`]).
+    /// The group-bound plan of an aggregate rule ([`CRule::group_plan`]).
     group_plan: OnceLock<CheckPlan>,
 }
 
@@ -229,8 +229,8 @@ pub struct CheckPlan {
 
 impl CRule {
     /// Decided from the extents `db` shows the first time it is asked for —
-    /// in the engine, the first `ensure_indices(.., true)` after
-    /// materialisation; a rule change recompiles and so decides again.
+    /// in the engine, by `ensure_indices(.., true)` after materialisation
+    /// and in every `rebuild`, so a clique task only reads it.
     pub fn check_plan(&self, db: &dyn Rels) -> &CheckPlan {
         self.check_plan
             .get_or_init(|| plan_body(&self.body, &vars_of(&self.head), Some(db)))
@@ -458,14 +458,19 @@ pub fn compile_program(program: &Program, db: &mut Database) -> Vec<CRule> {
         .collect()
 }
 
-/// Build every secondary index the rules' plans probe, so evaluation
-/// under `&Database` never takes a lock or mutates. Call at any `&mut`
-/// entry point before evaluating; re-ensuring is a cheap no-op.
-/// `include_check_plans` additionally covers the head-bound plans (only
-/// the maintenance paths need those), deciding each rule's on the way —
-/// and, for an aggregate rule, its group plan and the head index on the
-/// group key its maintenance reads a group's tuple through.
-pub fn ensure_indices(db: &mut Database, rules: &[CRule], include_check_plans: bool) {
+/// Build every secondary index the rules' plans probe, so a clique task,
+/// which only reads its inputs, never builds one. The engine calls it
+/// where rules are compiled — at construction and in `rebuild` — and
+/// nowhere else; re-ensuring is a cheap no-op. `include_check_plans`
+/// additionally covers the head-bound plans (only the maintenance paths
+/// need those), deciding each rule's on the way from the extents `db`
+/// holds — and, for an aggregate rule, its group plan and the head index
+/// on the group key its maintenance reads a group's tuple through.
+pub fn ensure_indices<'r>(
+    db: &mut Database,
+    rules: impl IntoIterator<Item = &'r CRule>,
+    include_check_plans: bool,
+) {
     fn ensure_plan(db: &mut Database, rule: &CRule, plan: &[Access]) {
         for ((atom, _), access) in rule.body.iter().zip(plan) {
             if let Access::Index(cols) = access {
@@ -882,27 +887,8 @@ pub(crate) fn walk_group(
 pub fn naive_fixpoint(db: &mut Database, rules: &[CRule]) {
     ensure_indices(db, rules, false);
     loop {
-        let mut additions: Vec<(PredId, Tuple)> = Vec::new();
-        for rule in rules {
-            let head = rule.head.pred;
-            if rule.agg.is_some() {
-                // Valid when the rule's inputs are final within this call
-                // (stratification guarantees it in the engine).
-                for t in eval_agg_rule(db, rule) {
-                    if !db.rel(head).contains(&t) {
-                        additions.push((head, t));
-                    }
-                }
-                continue;
-            }
-            eval_rule(db, rule, None, &mut |t| {
-                if !db.rel(head).contains(&t) {
-                    additions.push((head, t));
-                }
-            });
-        }
         let mut grew = false;
-        for (p, t) in additions {
+        for (p, t) in unheld_output(db, rules) {
             grew |= db.rel_mut(p).insert(t);
         }
         if !grew {
@@ -911,14 +897,34 @@ pub fn naive_fixpoint(db: &mut Database, rules: &[CRule]) {
     }
 }
 
+/// Every rule's unpinned output over `db` that its head does not hold yet,
+/// rule by rule; an aggregate rule's is its folded groups, valid when its
+/// inputs are final (stratification guarantees it in the engine).
+fn unheld_output(db: &dyn Rels, rules: &[CRule]) -> Vec<(PredId, Tuple)> {
+    let mut out = Vec::new();
+    for rule in rules {
+        let head = rule.head.pred;
+        let mut keep = |t: Tuple| {
+            if !db.relation(head).contains(&t) {
+                out.push((head, t));
+            }
+        };
+        match rule.agg {
+            Some(_) => eval_agg_rule(db, rule).into_iter().for_each(keep),
+            None => eval_rule(db, rule, None, &mut keep),
+        }
+    }
+    out
+}
+
 /// Semi-naive fixpoint for one recursive clique, given that everything
 /// the clique depends on (outside itself) is final.
 ///
-/// `scc_preds` lists the clique's predicates; `rules` are exactly the
-/// rules whose heads are in the clique. `seed[p]` holds the tuples of
-/// `p` that are *new* relative to the last fixpoint (already inserted
-/// into `db`); for initial evaluation call with `bootstrap = true`, which
-/// runs every rule unpinned once to produce the first delta.
+/// `loan` lends the clique's predicates; `rules` are exactly the rules
+/// whose heads are in the clique. `seed[p]` holds the tuples of `p` that
+/// are *new* relative to the last fixpoint (already inserted); for initial
+/// evaluation call with `bootstrap = true`, which runs every rule unpinned
+/// once to produce the first delta.
 ///
 /// Each round pins every (rule, positive body position) pair whose
 /// predicate has a pending delta to that delta's sorted list, evaluates
@@ -927,48 +933,27 @@ pub fn naive_fixpoint(db: &mut Database, rules: &[CRule]) {
 ///
 /// Returns all tuples newly added, per predicate.
 pub fn seminaive_scc(
-    db: &mut Database,
+    loan: &mut Loan<'_>,
     rules: &[CRule],
-    scc_preds: &[PredId],
     seed: Map<PredId, Set<Tuple>>,
     bootstrap: bool,
 ) -> Map<PredId, Set<Tuple>> {
-    ensure_indices(db, rules, false);
-    let mut added: Map<PredId, Set<Tuple>> =
-        scc_preds.iter().map(|&p| (p, Set::default())).collect();
+    let mut added: Map<PredId, Set<Tuple>> = Map::default();
     let mut delta: Map<PredId, Set<Tuple>> = seed;
-    for &p in scc_preds {
-        delta.entry(p).or_default();
-    }
-
+    // The derivations of the round before.
+    let mut fresh = Vec::new();
     if bootstrap {
         // Unpinned full evaluation of every rule.
-        let mut fresh: Vec<(PredId, Tuple)> = Vec::new();
-        for rule in rules {
-            let head = rule.head.pred;
-            if rule.agg.is_some() {
-                for t in eval_agg_rule(db, rule) {
-                    if !db.rel(head).contains(&t) {
-                        fresh.push((head, t));
-                    }
-                }
-                continue;
-            }
-            eval_rule(db, rule, None, &mut |t| {
-                if !db.rel(head).contains(&t) {
-                    fresh.push((head, t));
-                }
-            });
-        }
+        fresh = unheld_output(loan, rules);
+    }
+    loop {
+        // The strictly new tuples join the delta.
         for (p, t) in fresh {
-            if db.rel_mut(p).insert(t.clone()) {
+            if loan.head_mut(p).insert(t.clone()) {
                 delta.entry(p).or_default().insert(t.clone());
                 added.entry(p).or_default().insert(t);
             }
         }
-    }
-
-    loop {
         // Deterministically ordered delta lists, so the derivations (and
         // the row order they are inserted in) do not depend on hash order.
         let delta_lists: Map<PredId, Vec<Tuple>> = delta
@@ -1012,22 +997,8 @@ pub fn seminaive_scc(
         if jobs.is_empty() {
             return added;
         }
-        let fresh = eval_pin_jobs(db, &jobs, |head, t| !db.rel(head).contains(t));
-        // Next round's delta = strictly new tuples.
-        let mut next: Map<PredId, Set<Tuple>> =
-            scc_preds.iter().map(|&p| (p, Set::default())).collect();
-        let mut grew = false;
-        for (p, t) in fresh {
-            if db.rel_mut(p).insert(t.clone()) {
-                next.entry(p).or_default().insert(t.clone());
-                added.entry(p).or_default().insert(t);
-                grew = true;
-            }
-        }
-        if !grew {
-            return added;
-        }
-        delta = next;
+        fresh = eval_pin_jobs(loan, &jobs, |head, t| !loan.relation(head).contains(t));
+        delta = Map::default();
     }
 }
 
@@ -1041,6 +1012,7 @@ mod tests {
         let mut db = Database::new();
         let rules = compile_program(&prog, &mut db);
         load_facts(&prog, &mut db);
+        ensure_indices(&mut db, &rules, false);
         (db, rules)
     }
 
@@ -1281,7 +1253,7 @@ mod tests {
             .filter(|r| r.head.pred == path)
             .cloned()
             .collect();
-        seminaive_scc(&mut db2, &scc_rules, &scc, Map::default(), true);
+        seminaive_scc(&mut db2.lend(&scc), &scc_rules, Map::default(), true);
 
         assert_eq!(db1.rel(path).sorted(), db2.rel(path).sorted());
         // Cycle a->b->c->a: 3x4 pairs reach d plus cycle pairs.
@@ -1363,7 +1335,7 @@ mod tests {
             .filter(|r| r.head.pred == path)
             .cloned()
             .collect();
-        seminaive_scc(&mut db, &scc_rules, &[path], Map::default(), true);
+        seminaive_scc(&mut db.lend(&[path]), &scc_rules, Map::default(), true);
         assert_eq!(db.rel(path).len(), 1);
 
         // Incremental: add edge(b, c); seed = the edge delta.
@@ -1373,7 +1345,7 @@ mod tests {
         db.rel_mut(edge).insert(new_edge.clone());
         let mut seed = Map::default();
         seed.insert(edge, Set::from_iter([new_edge]));
-        let added = seminaive_scc(&mut db, &scc_rules, &[path], seed, false);
+        let added = seminaive_scc(&mut db.lend(&[path]), &scc_rules, seed, false);
         // New paths: b->c and a->c.
         assert_eq!(added[&path].len(), 2);
         assert!(db.has_fact("path", &["a", "c"]));

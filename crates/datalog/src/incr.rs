@@ -51,12 +51,12 @@
 
 use crate::ast::AggOp;
 use crate::eval::{
-    ensure_indices, eval_pin_jobs, fold, seminaive_scc, walk_group, walk_head, CAgg, CRule, Patch,
-    Pin, PinJob, PinMode, Rels,
+    eval_pin_jobs, fold, seminaive_scc, walk_group, walk_head, CAgg, CRule, Patch, Pin, PinJob,
+    PinMode, Rels,
 };
 use crate::hash::{Map, Set};
 use crate::prove::Prover;
-use crate::rel::{Database, PredId, Relation};
+use crate::rel::{Loan, PredId, Relation};
 use crate::value::{Tuple, Value};
 use incr_obs::flight::{self, FlightCode};
 use incr_obs::trace;
@@ -105,34 +105,31 @@ pub struct RuleChange {
     pub added: bool,
 }
 
-/// Read view of the pre-update state (used by overdeletion): each changed
-/// input predicate is the live relation minus the tuples the update added
-/// plus the ones it removed; the clique's own predicates, which a task
-/// leaves untouched until its overdeletion is decided, are the live
-/// relations.
+/// Read view of the pre-update state (used by overdeletion), a patch over
+/// the task's loan: each changed input predicate is the live relation
+/// minus the tuples the update added plus the ones it removed; the
+/// clique's own predicates, which a task leaves untouched until its
+/// overdeletion is decided, are the lent relations.
 pub(crate) struct OldView<'a> {
-    pub(crate) db: &'a Database,
-    pub(crate) patches: &'a Map<PredId, Patch<'a>>,
+    pub(crate) live: &'a Loan<'a>,
+    patches: Map<PredId, Patch<'a>>,
 }
 
 impl<'a> OldView<'a> {
-    /// One patch per changed input predicate, undoing `input` (net deltas
-    /// already applied to `db`).
-    pub(crate) fn patches(
-        db: &Database,
-        input: &'a Map<PredId, Delta>,
-    ) -> Map<PredId, Patch<'a>> {
-        input
-            .iter()
-            .filter(|(_, d)| !d.is_empty())
-            .map(|(&p, d)| (p, Patch::undoing(db.rel(p), &d.added, &d.removed)))
-            .collect()
+    /// `live` with one patch per changed input predicate, undoing `input`
+    /// (net deltas already applied to it).
+    pub(crate) fn new(live: &'a Loan<'a>, input: &'a Map<PredId, Delta>) -> OldView<'a> {
+        let changed = input.iter().filter(|(_, d)| !d.is_empty());
+        let patches = changed
+            .map(|(&p, d)| (p, Patch::undoing(live.relation(p), &d.added, &d.removed)))
+            .collect();
+        OldView { live, patches }
     }
 }
 
 impl Rels for OldView<'_> {
     fn relation(&self, p: PredId) -> &Relation {
-        self.db.rel(p)
+        self.live.relation(p)
     }
 
     fn patch(&self, p: PredId) -> Option<&Patch<'_>> {
@@ -146,7 +143,7 @@ impl Rels for OldView<'_> {
 /// the net removals, and whatever went in without being in `deleted` is a
 /// net addition — a tuple taken out and put back is no change.
 fn insert_and_net(
-    db: &mut Database,
+    loan: &mut Loan<'_>,
     rules: &[CRule],
     scc_preds: &[PredId],
     deleted: Map<PredId, Set<Tuple>>,
@@ -163,12 +160,12 @@ fn insert_and_net(
         note_added(p, &mut ts.iter().cloned());
     }
     if !seed.is_empty() {
-        for (p, ts) in seminaive_scc(db, rules, scc_preds, seed, false) {
+        for (p, ts) in seminaive_scc(loan, rules, seed, false) {
             note_added(p, &mut ts.into_iter());
         }
     }
     for (p, ts) in deleted {
-        let rel = db.rel(p);
+        let rel = loan.relation(p);
         let removed = &mut out.entry(p).or_default().removed;
         removed.extend(ts.into_iter().filter(|t| !rel.contains(t)));
     }
@@ -247,7 +244,7 @@ fn overdelete(
     first: Vec<(PredId, Tuple)>,
 ) -> Map<PredId, Set<Tuple>> {
     let mut deleted: Map<PredId, Set<Tuple>> = Map::default();
-    let mut prover = Prover::new(view.db, rules, scc_preds);
+    let mut prover = Prover::new(view.live, rules, scc_preds);
     let mut fresh = first;
     loop {
         // A round is itself a delta: removals from clique predicates.
@@ -270,19 +267,22 @@ fn overdelete(
             return deleted;
         }
         fresh = eval_pin_jobs(view, &jobs, |head, t| {
-            view.db.rel(head).contains(t) && !deleted.get(&head).is_some_and(|d| d.contains(t))
+            view.relation(head).contains(t) && !deleted.get(&head).is_some_and(|d| d.contains(t))
         });
     }
 }
 
 /// Apply an update to one clique.
 ///
+/// * `loan` — the clique's predicates, lent for writing, and every other
+///   relation, to read ([`Loan`]).
 /// * `rules` — the rules whose heads are in this clique, now: an added
-///   rule among them, a removed one not.
+///   rule among them, a removed one not. Every index their plans probe
+///   was built when they were compiled.
 /// * `scc_preds` — the clique's predicates.
 /// * `input` — final *net* deltas of the *external* predicates this
 ///   clique reads (upstream cliques' outputs or base-table edits),
-///   already applied to `db`.
+///   already applied to the relations the loan reads.
 /// * `change` — the rule added to or removed from the clique, if any. Its
 ///   output, one unpinned evaluation, is one more source of candidates:
 ///   a removed rule's (over the old state) is put to proof, an added
@@ -293,7 +293,7 @@ fn overdelete(
 /// group by group ([`maintain_aggregate`]); every other clique proves or
 /// deletes, then inserts.
 pub fn update_scc(
-    db: &mut Database,
+    loan: &mut Loan<'_>,
     rules: &[CRule],
     scc_preds: &[PredId],
     input: &Map<PredId, Delta>,
@@ -301,7 +301,7 @@ pub fn update_scc(
 ) -> Map<PredId, Delta> {
     if let [rule] = rules {
         if let Some(agg) = rule.agg {
-            return maintain_aggregate(db, rule, agg, input, change.is_some_and(|c| c.added));
+            return maintain_aggregate(loan, rule, agg, input, change.is_some_and(|c| c.added));
         }
     }
     // The changed rule's whole output, as a job of the phase it feeds.
@@ -317,28 +317,22 @@ pub fn update_scc(
     let mut overdelete_f = flight::span(FlightCode::DredOverdelete);
     let overdelete_t0 = Instant::now();
 
-    // Indices first, so the old view's patches mirror them and every
-    // phase probes instead of scanning. Includes the check plans the
-    // proof search walks.
-    ensure_indices(db, rules, true);
-    if let Some(c) = change {
-        ensure_indices(db, std::slice::from_ref(&c.rule), false);
-    }
     let all: Vec<&CRule> = rules.iter().collect();
     let input_lists = delta_lists(input);
-    let patches = OldView::patches(db, input);
-    let view = OldView {
-        db,
-        patches: &patches,
-    };
+    let view = OldView::new(loan, input);
     let mut jobs = delta_pin_jobs(&all, &input_lists, true);
     jobs.extend(unpinned(false));
-    let first = eval_pin_jobs(&view, &jobs, |head, t| view.db.rel(head).contains(t));
+    let first = eval_pin_jobs(&view, &jobs, |head, t| view.relation(head).contains(t));
     let deleted = overdelete(&view, &all, scc_preds, first);
     for (&p, ts) in &deleted {
+        let rel = loan.head_mut(p);
         for t in ts {
-            db.rel_mut(p).remove(t);
+            rel.remove(t);
         }
+    }
+    #[cfg(test)]
+    if !deleted.is_empty() && tests::PANIC_AFTER_PHASE_1.replace(false) {
+        panic!("fault-injected panic: update_scc, after phase 1 took rows out");
     }
     let overdeleted: usize = deleted.values().map(|s| s.len()).sum();
     incr_obs::registry()
@@ -355,20 +349,17 @@ pub fn update_scc(
     let dred_insert = trace::span("datalog", "dred.insert");
     let mut insert_f = flight::span(FlightCode::DredInsert);
     let insert_t0 = Instant::now();
-    let gained = {
-        let dbr: &Database = db;
-        let mut jobs = delta_pin_jobs(&all, &input_lists, false);
-        jobs.extend(unpinned(true));
-        eval_pin_jobs(dbr, &jobs, |head, t| !dbr.rel(head).contains(t))
-    };
+    let mut jobs = delta_pin_jobs(&all, &input_lists, false);
+    jobs.extend(unpinned(true));
+    let gained = eval_pin_jobs(&*loan, &jobs, |head, t| !loan.relation(head).contains(t));
     let mut seed: Map<PredId, Set<Tuple>> = Map::default();
     for (p, t) in gained {
-        if db.rel_mut(p).insert(t.clone()) {
+        if loan.head_mut(p).insert(t.clone()) {
             seed.entry(p).or_default().insert(t);
         }
     }
     let inserted_seed: usize = seed.values().map(|s| s.len()).sum();
-    let out = insert_and_net(db, rules, scc_preds, deleted, seed);
+    let out = insert_and_net(loan, rules, scc_preds, deleted, seed);
     incr_obs::registry()
         .counter("datalog.dred.insert_ns")
         .add(insert_t0.elapsed().as_nanos() as u64);
@@ -385,8 +376,8 @@ fn derivable(db: &dyn Rels, rule: &CRule, t: &[Value]) -> bool {
 
 /// The live tuple of the group `key` of `rule`'s head — the group's
 /// accumulator — read through the head index on the group key.
-fn group_tuple(db: &Database, rule: &CRule, agg: CAgg, key: &[Value]) -> Option<Tuple> {
-    let head = db.rel(rule.head.pred);
+fn group_tuple(live: &Loan<'_>, rule: &CRule, agg: CAgg, key: &[Value]) -> Option<Tuple> {
+    let head = live.relation(rule.head.pred);
     let cols = agg.group_cols(rule.head.terms.len());
     if cols.is_empty() {
         // No group columns: one group, at most one tuple.
@@ -425,7 +416,7 @@ fn group_tuple(db: &Database, rule: &CRule, agg: CAgg, key: &[Value]) -> Option<
 /// `abort_open_epoch` undoes this like any other write and pinned
 /// snapshots keep reading their epoch.
 fn maintain_aggregate(
-    db: &mut Database,
+    loan: &mut Loan<'_>,
     rule: &CRule,
     agg: CAgg,
     input: &Map<PredId, Delta>,
@@ -437,17 +428,12 @@ fn maintain_aggregate(
         counter: "datalog.agg.maintain_ns",
         t0: Instant::now(),
     };
-    ensure_indices(db, std::slice::from_ref(rule), true);
     let lists = delta_lists(input);
     // `(group key, value, gained)` per raw tuple whose derivability changed.
     let mut raw: Vec<(Tuple, Value, bool)> = Vec::new();
     {
-        let patches = OldView::patches(db, input);
-        let view = OldView {
-            db,
-            patches: &patches,
-        };
-        let (old, new): (&dyn Rels, &dyn Rels) = (&view, db);
+        let view = OldView::new(loan, input);
+        let (old, new): (&dyn Rels, &dyn Rels) = (&view, view.live);
         // Destruction pins run where the derivations were, construction
         // pins where they are; each candidate is checked in the other state.
         for (gained, pinned, other) in [(false, old, new), (true, new, old)] {
@@ -475,23 +461,23 @@ fn maintain_aggregate(
         let values = |gained: bool| -> Vec<Value> {
             group.iter().filter(|r| r.2 == gained).map(|r| r.1).collect()
         };
-        let old = group_tuple(db, rule, agg, key);
+        let old = group_tuple(loan, rule, agg, key);
         let old_value = old.as_ref().map(|t| t[agg.pos]);
         let (gained, lost) = (values(true), values(false));
-        let (new_value, walks) = fold_change(db, rule, agg, key, old_value, &gained, &lost);
+        let (new_value, walks) = fold_change(loan, rule, agg, key, old_value, &gained, &lost);
         refolds += walks;
         if new_value == old_value {
             continue;
         }
         changed += 1;
         if let Some(t) = old {
-            db.rel_mut(head).remove(&t);
+            loan.head_mut(head).remove(&t);
             delta.removed.insert(t);
         }
         if let Some(v) = new_value {
             let mut t = key.clone();
             t.insert(agg.pos, v);
-            db.rel_mut(head).insert(t.clone());
+            loan.head_mut(head).insert(t.clone());
             delta.added.insert(t);
         }
     }
@@ -508,7 +494,7 @@ fn maintain_aggregate(
 /// raw values it `gained` and `lost`; `None` when the group folds to
 /// nothing; and how many group-bound walks it took.
 fn fold_change(
-    db: &Database,
+    live: &Loan<'_>,
     rule: &CRule,
     agg: CAgg,
     key: &[Value],
@@ -526,7 +512,7 @@ fn fold_change(
     // says stop; true iff it did.
     let mut walk = |leaf: &mut dyn FnMut(Value) -> bool| {
         walks += 1;
-        !walk_group(db, rule, key, &mut |b| b[agg.slot as usize].is_none_or(&mut *leaf))
+        !walk_group(live, rule, key, &mut |b| b[agg.slot as usize].is_none_or(&mut *leaf))
     };
     let new = match agg.op {
         AggOp::Count => {
@@ -564,7 +550,7 @@ fn fold_change(
 /// the tracked net deltas are tested against.
 #[cfg(test)]
 pub(crate) fn net_deltas(
-    db: &Database,
+    db: &crate::rel::Database,
     scc_preds: &[PredId],
     old_scc: &Map<PredId, Relation>,
 ) -> Map<PredId, Delta> {
@@ -589,18 +575,30 @@ pub(crate) fn net_deltas(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::eval::{compile_program, load_facts, naive_fixpoint};
+    use crate::eval::{compile_program, ensure_indices, load_facts, naive_fixpoint};
     use crate::parser::parse_program;
+    use crate::rel::Database;
+    use std::cell::Cell;
 
-    /// Build a database + compiled rules, fully materialized.
+    thread_local! {
+        /// Armed, the next [`update_scc`] on this thread that takes rows out
+        /// of its heads panics right after phase 1, and disarms it: a fault
+        /// inside a clique task, for the lattice and the engine's rollback
+        /// tests.
+        pub(crate) static PANIC_AFTER_PHASE_1: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Build a database + compiled rules, fully materialized, with every
+    /// plan's index built.
     fn setup(src: &str) -> (Database, Vec<CRule>) {
         let prog = parse_program(src).unwrap();
         let mut db = Database::new();
         let rules = compile_program(&prog, &mut db);
         load_facts(&prog, &mut db);
         naive_fixpoint(&mut db, &rules);
+        ensure_indices(&mut db, &rules, true);
         (db, rules)
     }
 
@@ -640,7 +638,7 @@ mod tests {
             .filter(|r| r.head.pred == path)
             .cloned()
             .collect();
-        update_scc(db, &path_rules, &[path], &input, None)
+        update_scc(&mut db.lend(&[path]), &path_rules, &[path], &input, None)
     }
 
     #[test]
@@ -732,7 +730,7 @@ mod tests {
             .filter(|r| r.head.pred == path)
             .cloned()
             .collect();
-        let out = update_scc(&mut db, &path_rules, &[path], &input, None);
+        let out = update_scc(&mut db.lend(&[path]), &path_rules, &[path], &input, None);
         assert!(out[&path].is_empty());
     }
 
@@ -757,7 +755,7 @@ mod tests {
             .filter(|r| r.head.pred == allowed)
             .cloned()
             .collect();
-        let out = update_scc(&mut db, &arules, &[allowed], &input, None);
+        let out = update_scc(&mut db.lend(&[allowed]), &arules, &[allowed], &input, None);
         assert!(!db.has_fact("allowed", &["u1"]), "insertion through negation deletes");
         assert_eq!(out[&allowed].removed.len(), 1);
     }
@@ -780,7 +778,7 @@ mod tests {
             .filter(|r| r.head.pred == allowed)
             .cloned()
             .collect();
-        let out = update_scc(&mut db, &arules, &[allowed], &input, None);
+        let out = update_scc(&mut db.lend(&[allowed]), &arules, &[allowed], &input, None);
         assert!(db.has_fact("allowed", &["u2"]), "deletion through negation derives");
         assert_eq!(out[&allowed].added.len(), 1);
     }
@@ -802,12 +800,12 @@ mod tests {
         };
         let none = Map::default();
         // Drop the recursive rule: the closure shrinks to the base edges.
-        let out = update_scc(&mut db, &single, &[path], &none, Some(&change(false)));
+        let out = update_scc(&mut db.lend(&[path]), &single, &[path], &none, Some(&change(false)));
         assert_eq!(out[&path].removed.len(), 1, "path(a, c) lost");
         assert!(out[&path].added.is_empty());
         assert_eq!(db.rel(path).len(), 2);
         // Add it back: its output seeds the semi-naive rounds.
-        let out = update_scc(&mut db, &path_rules, &[path], &none, Some(&change(true)));
+        let out = update_scc(&mut db.lend(&[path]), &path_rules, &[path], &none, Some(&change(true)));
         assert_eq!(out[&path].added.len(), 1, "path(a, c) back");
         assert!(out[&path].removed.is_empty());
         assert_eq!(db.rel(path).len(), 3);
@@ -837,7 +835,7 @@ mod tests {
             .filter(|r| r.head.pred == ok)
             .cloned()
             .collect();
-        update_scc(&mut db, &orules, &[ok], &input, None);
+        update_scc(&mut db.lend(&[ok]), &orules, &[ok], &input, None);
         assert!(!db.has_fact("ok", &["i"]), "both blockers appeared at once");
     }
 }

@@ -5,7 +5,8 @@
 //! and a stream of steps: edit batches with duplicate, no-op,
 //! insert-then-delete and malformed edits, and `add_rule` / `remove_rule`
 //! changes, some of which must be refused. Each run takes one point of the
-//! lattice (scheduler × 1, 2 or 3 shards × fault × a snapshot pinned
+//! lattice (scheduler × 1, 2 or 3 shards × fault — a stall, a scheduler
+//! panic, a panic inside a clique task or on a shard — × a snapshot pinned
 //! mid-cascade), and after every step [`Run::check`] holds the engine to
 //! stratified from-scratch evaluation of a model of its program and base
 //! rows: eval(db ⊕ Δ) = eval(db) ⊕ maintain(db, Δ).
@@ -18,6 +19,7 @@ use crate::ast::{Program, Rule};
 use crate::engine::tests::QuotaStall;
 use crate::engine::{EngineError, FactEdit, IncrementalEngine};
 use crate::eval::{compile_program, load_facts, naive_fixpoint, CRule};
+use crate::incr::tests::PANIC_AFTER_PHASE_1;
 use crate::mvcc::{ReaderHandle, Snapshot};
 use crate::parser::parse_program;
 use crate::proptests::{AGG_RULES, NEG_RULES, PARITY_RULES, RTC_RULES, TRI_RULES};
@@ -363,6 +365,10 @@ enum Fault {
     Panic(usize),
     /// `ShardFault::Panic` at this (shard, round).
     ShardPanic(usize, usize),
+    /// The first clique task that takes rows out of its heads panics right
+    /// after (`incr::tests::PANIC_AFTER_PHASE_1`; unsharded points only,
+    /// as the trip is per thread).
+    TaskPanic,
 }
 
 /// A point of the configuration lattice.
@@ -385,6 +391,7 @@ impl Point {
             0 => Fault::None,
             1 => Fault::Stall(quota),
             2 if shards > 1 => Fault::ShardPanic(rng.gen_range(0..shards), rng.gen_range(0..2)),
+            3 if shards == 1 => Fault::TaskPanic,
             _ => Fault::Panic(quota),
         };
         let kind = kinds[rng.gen_range(0..kinds.len())];
@@ -555,7 +562,8 @@ impl Run {
     fn attempt(&mut self, step: &Step, armed: bool) -> Result<(), EngineError> {
         let rig = &self.rig;
         rig.armed.store(armed, Ordering::SeqCst);
-        match (&mut self.engine, step) {
+        PANIC_AFTER_PHASE_1.set(armed && matches!(rig.point.fault, Fault::TaskPanic));
+        let result = match (&mut self.engine, step) {
             (Engine::One(e), Step::Batch(edits)) => {
                 e.update(rig.scheduler(e.dag().clone()).as_mut(), edits).map(drop)
             }
@@ -565,7 +573,9 @@ impl Run {
             }
             (Engine::Sharded(e), Step::Batch(edits)) => e.update(edits).map(drop),
             (Engine::Sharded(_), Step::Change { .. }) => unreachable!("sharded runs change no rules"),
-        }
+        };
+        PANIC_AFTER_PHASE_1.set(false);
+        result
     }
 
     /// Every extent at the head, rendered: the unsharded database, or the

@@ -5,11 +5,11 @@
 //! [`crate::lattice`], whose corpus also runs some of these templates.)
 
 use crate::engine::IncrementalEngine;
-use crate::eval::{compile_program, eval_agg_rule, load_facts, seminaive_scc, CRule, Extent};
+use crate::eval::{compile_program, ensure_indices, eval_agg_rule, load_facts, seminaive_scc, CRule, Extent, Rels};
 use crate::incr::{net_deltas, update_scc, Delta, OldView};
 use crate::hash::Map;
 use crate::parser::parse_program;
-use crate::rel::{Database, PredId, Relation};
+use crate::rel::{Database, Loan, PredId, Relation};
 use crate::stratify::stratify;
 use crate::taskgraph::{NodeKind, TaskGraph};
 use crate::value::Tuple;
@@ -57,10 +57,10 @@ const NLTC_RULES: &str = "path(X, Y) :- edge(X, Y).\n\
 const SG_RULES: &str = "sg(X, Y) :- edge(P, X), edge(P, Y).\n\
                         sg(X, Y) :- edge(P, X), sg(P, Q), edge(Q, Y).\n";
 
-/// `p`'s extent with `d` undone, as a copy — what `OldView` used to hold,
-/// kept as the oracle for the overlay that replaced it.
-fn rolled_back(db: &Database, p: PredId, d: &Delta) -> Relation {
-    let mut r = db.rel(p).clone();
+/// `live` with `d` undone, as a copy — what `OldView` used to hold, kept
+/// as the oracle for the overlay that replaced it.
+fn rolled_back(live: &Relation, d: &Delta) -> Relation {
+    let mut r = live.clone();
     for t in &d.added {
         r.remove(t);
     }
@@ -79,24 +79,20 @@ fn sorted<'a>(it: impl Iterator<Item = &'a Tuple>) -> Vec<Tuple> {
 /// Overlay ≡ copy: scan, membership and every index probe of each patched
 /// predicate agree with the rolled-back relation.
 fn assert_overlay_matches_copy(
-    db: &Database,
+    live: &Loan<'_>,
     input: &Map<PredId, Delta>,
 ) -> Result<(), TestCaseError> {
-    let patches = OldView::patches(db, input);
-    let view = OldView {
-        db,
-        patches: &patches,
-    };
+    let view = OldView::new(live, input);
     for (&p, d) in input.iter().filter(|(_, d)| !d.is_empty()) {
-        let old = rolled_back(db, p, d);
+        let old = rolled_back(live.relation(p), d);
         let ext = Extent::of(&view, p);
-        prop_assert_eq!(sorted(ext.iter()), old.sorted(), "scan of {}", db.pred_name(p));
+        prop_assert_eq!(sorted(ext.iter()), old.sorted(), "scan of {:?}", p);
         // Everything that is, was, or could be mistaken for a member.
-        let universe: Vec<&Tuple> = db.rel(p).iter().chain(&d.added).chain(&d.removed).collect();
+        let universe: Vec<&Tuple> = live.relation(p).iter().chain(&d.added).chain(&d.removed).collect();
         for &t in &universe {
             prop_assert_eq!(ext.contains(t), old.contains(t), "membership of {:?}", t);
         }
-        for cols in db.rel(p).index_cols() {
+        for cols in live.relation(p).index_cols() {
             for &t in &universe {
                 let key: Tuple = cols.iter().map(|&c| t[c]).collect();
                 let got = ext.probe(cols, &key).expect("index exists on the live relation");
@@ -140,23 +136,23 @@ fn assert_tasks_match_oracles(
     let mut db = Database::new();
     let rules = compile_program(&program, &mut db);
     load_facts(&program, &mut db);
-    let graph = TaskGraph::build(&strat, &rules, &db);
-    let cliques: Vec<(usize, Vec<PredId>, Vec<CRule>)> = graph
+    let graph = TaskGraph::build(&strat, rules, &db);
+    let cliques: Vec<(usize, &[PredId], &[CRule])> = graph
         .dag
         .topo_order()
         .iter()
         .filter_map(|v| match &graph.kinds[v.index()] {
             NodeKind::Base(_) => None,
-            NodeKind::Clique { preds, rules: idx } => Some((
-                v.index(),
-                preds.clone(),
-                idx.iter().map(|&i| rules[i].clone()).collect(),
-            )),
+            NodeKind::Clique { preds, rules } => Some((v.index(), &preds[..], &rules[..])),
         })
         .collect();
-    for (_, preds, crules) in &cliques {
-        seminaive_scc(&mut db, crules, preds, Map::default(), true);
+    // The engine's order: a clique's forward and pin plans' indices, its
+    // materialisation, and the check and group plans after all of them.
+    for &(_, preds, crules) in &cliques {
+        ensure_indices(&mut db, crules, false);
+        seminaive_scc(&mut db.lend(preds), crules, Map::default(), true);
     }
+    ensure_indices(&mut db, graph.rules(), true);
     let snapshot_of = |db: &Database, preds: &[PredId]| -> Map<PredId, Relation> {
         preds.iter().map(|&p| (p, db.rel(p).clone())).collect()
     };
@@ -171,19 +167,20 @@ fn assert_tasks_match_oracles(
         // Output deltas so far, by predicate; a clique's input is the
         // part of them it reads.
         let mut changed: Map<PredId, Delta> = base;
-        for (node, preds, crules) in &cliques {
-            let input: Map<PredId, Delta> = graph.reads[*node]
+        for &(node, preds, crules) in &cliques {
+            let input: Map<PredId, Delta> = graph.reads[node]
                 .iter()
                 .filter_map(|p| changed.get(p).filter(|d| !d.is_empty()).map(|d| (*p, d.clone())))
                 .collect();
             if input.is_empty() {
                 continue;
             }
-            assert_overlay_matches_copy(&db, &input)?;
             let before = snapshot_of(&db, preds);
-            let out = update_scc(&mut db, crules, preds, &input, None);
+            let mut loan = db.lend(preds);
+            assert_overlay_matches_copy(&loan, &input)?;
+            let out = update_scc(&mut loan, crules, preds, &input, None);
             assert_same_delta(&db, &out, &net_deltas(&db, preds, &before), "update")?;
-            if let [rule @ CRule { agg: Some(_), .. }] = &crules[..] {
+            if let [rule @ CRule { agg: Some(_), .. }] = crules {
                 let mut folded = eval_agg_rule(&db, rule);
                 folded.sort();
                 prop_assert_eq!(db.rel(preds[0]).sorted(), folded, "maintained != folded");

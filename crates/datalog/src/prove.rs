@@ -6,7 +6,7 @@
 //! never has to be derived again.
 //!
 //! A clique fact is **proved** iff some instance of a rule with it as
-//! head — enumerated with the head-bound plan over the live database,
+//! head — enumerated with the head-bound plan over the task's loan,
 //! inputs already new and clique extents still old — has every clique body
 //! fact proved. An instance with no clique body fact (a non-recursive rule,
 //! a program fact's empty body) proves its head outright.
@@ -25,9 +25,9 @@
 //! * **Proved facts are never deleted**, and each fact is expanded at most
 //!   once per task: nothing is forgotten between a task's candidates.
 
-use crate::eval::{instantiate, walk_head, CRule};
+use crate::eval::{instantiate, walk_head, CRule, Rels};
 use crate::hash::Map;
-use crate::rel::{Database, PredId};
+use crate::rel::PredId;
 use crate::value::{Key, Value};
 use std::rc::Rc;
 
@@ -48,8 +48,8 @@ struct Instance {
 }
 
 pub(crate) struct Prover<'a> {
-    /// The live database: inputs new, the clique's extents still old.
-    db: &'a Database,
+    /// The live relations: inputs new, the clique's extents still old.
+    db: &'a dyn Rels,
     rules: &'a [&'a CRule],
     clique: &'a [PredId],
     /// Fact ids (indices into `facts`), per clique predicate.
@@ -63,7 +63,7 @@ pub(crate) struct Prover<'a> {
 }
 
 impl<'a> Prover<'a> {
-    pub(crate) fn new(db: &'a Database, rules: &'a [&'a CRule], clique: &'a [PredId]) -> Self {
+    pub(crate) fn new(db: &'a dyn Rels, rules: &'a [&'a CRule], clique: &'a [PredId]) -> Self {
         Prover {
             db,
             rules,
@@ -166,6 +166,7 @@ mod tests {
     use super::*;
     use crate::eval::{compile_program, ensure_indices, load_facts, naive_fixpoint};
     use crate::parser::parse_program;
+    use crate::rel::Database;
     use crate::value::Tuple;
 
     /// Materialise `src`, then take `removed` out of and put `added` into

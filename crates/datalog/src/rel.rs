@@ -2,11 +2,12 @@
 //!
 //! Tuples live once, in a row arena; membership lookup and every index
 //! reference rows by dense id instead of cloning tuples. Secondary
-//! indices are built on demand for whatever column sets the compiled
-//! join plans need (see `eval::ensure_indices`) and are maintained
-//! incrementally on insert/remove. Duplicate inserts and misses touch
-//! only the membership chain — the tuple is hashed once and no index is
-//! disturbed unless the extent actually changes.
+//! indices are built for whatever column sets the compiled join plans
+//! need when the rules are compiled (see `eval::ensure_indices`), never
+//! by a clique task, and are maintained incrementally on insert/remove.
+//! Duplicate inserts and misses touch only the membership chain — the
+//! tuple is hashed once and no index is disturbed unless the extent
+//! actually changes.
 //!
 //! The membership chains live in the arena too: a table keyed by the
 //! tuple's hash holds the first row of its chain and each slot links to
@@ -50,6 +51,7 @@
 //! pinned reader can never observe an aliased tuple through a recycled
 //! slot.
 
+use crate::eval::Rels;
 use crate::hash::{ByHash, Map, WordHasher};
 use crate::value::{Interner, Key, Tuple, Value};
 use incr_obs::Counter;
@@ -732,9 +734,8 @@ impl Database {
         let id = PredId(self.names.len() as u32);
         self.ids.insert(name.to_string(), id);
         self.names.push(name.to_string());
-        let mut rel = Relation::new(arity);
-        rel.set_write_epoch(self.epoch + 1);
-        self.rels.push(rel);
+        // Stamped at the open epoch once written: `rel_mut` and `lend` sync it.
+        self.rels.push(Relation::new(arity));
         id
     }
 
@@ -811,6 +812,59 @@ impl Database {
     /// Total tuples visible at a pinned snapshot epoch.
     pub fn total_facts_at(&self, epoch: u64) -> usize {
         self.rels.iter().map(|r| r.len_at(epoch)).sum()
+    }
+
+    /// Lend the relations of `heads` (distinct, registered predicates) to
+    /// one clique task, each synced to the open epoch here, once.
+    pub fn lend(&mut self, heads: &[PredId]) -> Loan<'_> {
+        let mut ids = heads.to_vec();
+        ids.sort_unstable();
+        let open = self.epoch + 1;
+        let (mut heads, mut gaps) = (Vec::new(), Vec::new());
+        let (mut rest, mut start): (&mut [Relation], usize) = (&mut self.rels, 0);
+        for p in ids {
+            let (gap, tail) = std::mem::take(&mut rest).split_at_mut(p.index() - start);
+            let (head, tail) = tail.split_at_mut(1);
+            head[0].set_write_epoch(open);
+            gaps.push((start, &*gap));
+            heads.push((p, &mut head[0]));
+            (rest, start) = (tail, p.index() + 1);
+        }
+        gaps.push((start, rest));
+        Loan { heads, gaps }
+    }
+}
+
+/// A clique task's hold on a [`Database`] ([`Database::lend`]): its head
+/// relations `&mut`, split off the relation vector as `split_at_mut`
+/// splits a slice, every other relation only `&` (read through [`Rels`]),
+/// the interner and the epoch out of reach. So the compiler keeps a task
+/// from writing its inputs, and as nothing moved, a task that unwinds
+/// leaves nothing to put back. `heads` ascend by id; `gaps[i]` runs from
+/// its stored first id to just before head `i` (the last, to the end), so
+/// a binary search finds any relation, with no hashing and no allocation.
+pub struct Loan<'a> {
+    heads: Vec<(PredId, &'a mut Relation)>,
+    gaps: Vec<(usize, &'a [Relation])>,
+}
+
+impl Rels for Loan<'_> {
+    fn relation(&self, p: PredId) -> &Relation {
+        match self.heads.binary_search_by_key(&p, |(h, _)| *h) {
+            Ok(i) => self.heads[i].1,
+            Err(i) => &self.gaps[i].1[p.index() - self.gaps[i].0],
+        }
+    }
+}
+
+impl Loan<'_> {
+    /// A lent head, to write. Panics on any other predicate: a task writes
+    /// only its own clique.
+    pub fn head_mut(&mut self, p: PredId) -> &mut Relation {
+        match self.heads.binary_search_by_key(&p, |(h, _)| *h) {
+            Ok(i) => self.heads[i].1,
+            Err(_) => panic!("{p:?} is not lent to this task"),
+        }
     }
 }
 

@@ -614,6 +614,14 @@ impl ShardedEngine {
             let routed = this.route(&facts)?;
             this.plan.facts = facts;
             this.apply_batch(routed)?;
+            // Each shard decided its plans over the empty relations it was
+            // built with: decide them again over the rows just loaded, as
+            // the unsharded engine decides them over its materialisation.
+            // The program is the same, so is the task graph each scheduler
+            // was built over.
+            for e in &mut this.engines {
+                e.rebuild()?;
+            }
         }
         Ok(this)
     }
@@ -1142,11 +1150,11 @@ pub(crate) mod tests {
         ONCE.call_once(|| {
             let prev = std::panic::take_hook();
             std::panic::set_hook(Box::new(move |info| {
-                let injected = info
-                    .payload()
-                    .downcast_ref::<String>()
-                    .map(|s| s.contains("fault-injected panic"))
-                    .unwrap_or(false);
+                let payload = info.payload();
+                let text = payload.downcast_ref::<String>().map(String::as_str);
+                let injected = text
+                    .or_else(|| payload.downcast_ref::<&str>().copied())
+                    .is_some_and(|s| s.contains("fault-injected panic"));
                 if !injected {
                     prev(info);
                 }

@@ -22,8 +22,9 @@ pub enum NodeKind {
     /// A derived clique: fixpoint evaluation of `rules` over `preds`.
     Clique {
         preds: Vec<PredId>,
-        /// Indices into the engine's compiled-rule list.
-        rules: Vec<usize>,
+        /// The compiled rules with a head in `preds`, in program order —
+        /// the one copy, shared with every execution of the task.
+        rules: Arc<[CRule]>,
     },
 }
 
@@ -40,10 +41,11 @@ pub struct TaskGraph {
 }
 
 impl TaskGraph {
-    /// Build from a stratification + compiled rules. `db` must already
-    /// have every predicate registered (compile_program does this).
+    /// Build from a stratification + compiled rules, which the clique
+    /// nodes take over. `db` must already have every predicate registered
+    /// (compile_program does this).
     #[allow(clippy::expect_used, reason = "the documented precondition, and SCC condensations are acyclic")]
-    pub fn build(strat: &Stratification, rules: &[CRule], db: &Database) -> TaskGraph {
+    pub fn build(strat: &Stratification, rules: Vec<CRule>, db: &Database) -> TaskGraph {
         // Map stratification pred indices (name order) to PredIds.
         let pred_id: Vec<PredId> = strat
             .preds
@@ -53,20 +55,33 @@ impl TaskGraph {
 
         // One task node per SCC, numbered by SCC id.
         let n_nodes = strat.sccs.len();
-        let mut kinds: Vec<NodeKind> = Vec::with_capacity(n_nodes);
-        let mut node_of_pred: Map<PredId, NodeId> = Map::default();
-        for (scc_idx, comp) in strat.sccs.iter().enumerate() {
-            let preds: Vec<PredId> = comp.iter().map(|&p| pred_id[p]).collect();
-            for &p in &preds {
-                node_of_pred.insert(p, NodeId(scc_idx as u32));
+        let node_of_pred: Map<PredId, NodeId> = pred_id
+            .iter()
+            .zip(&strat.scc_of)
+            .map(|(&p, &c)| (p, NodeId(c as u32)))
+            .collect();
+        // One pass over the rules: each joins its head's node, whose edges
+        // and read set get the external predicates its body reads.
+        let mut b = DagBuilder::new(n_nodes);
+        let mut reads: Vec<Vec<PredId>> = vec![Vec::new(); n_nodes];
+        let mut buckets: Vec<Vec<CRule>> = vec![Vec::new(); n_nodes];
+        for rule in rules {
+            let node = node_of_pred[&rule.head.pred];
+            for (atom, _) in &rule.body {
+                let src = node_of_pred[&atom.pred];
+                if src != node {
+                    b.add_edge(src, node);
+                    if !reads[node.index()].contains(&atom.pred) {
+                        reads[node.index()].push(atom.pred);
+                    }
+                }
             }
-            let rule_idx: Vec<usize> = rules
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| preds.contains(&r.head.pred))
-                .map(|(i, _)| i)
-                .collect();
-            if rule_idx.is_empty() {
+            buckets[node.index()].push(rule);
+        }
+        let mut kinds: Vec<NodeKind> = Vec::with_capacity(n_nodes);
+        for (comp, rules) in strat.sccs.iter().zip(buckets) {
+            let preds: Vec<PredId> = comp.iter().map(|&p| pred_id[p]).collect();
+            if rules.is_empty() {
                 assert_eq!(
                     preds.len(),
                     1,
@@ -76,28 +91,8 @@ impl TaskGraph {
             } else {
                 kinds.push(NodeKind::Clique {
                     preds,
-                    rules: rule_idx,
+                    rules: rules.into(),
                 });
-            }
-        }
-
-        // Edges + per-node external read sets.
-        let mut b = DagBuilder::new(n_nodes);
-        let mut reads: Vec<Vec<PredId>> = vec![Vec::new(); n_nodes];
-        for (scc_idx, kind) in kinds.iter().enumerate() {
-            let NodeKind::Clique { rules: ridx, .. } = kind else {
-                continue;
-            };
-            for &ri in ridx {
-                for (atom, _) in &rules[ri].body {
-                    let src = node_of_pred[&atom.pred];
-                    if src.index() != scc_idx {
-                        b.add_edge(src, NodeId(scc_idx as u32));
-                        if !reads[scc_idx].contains(&atom.pred) {
-                            reads[scc_idx].push(atom.pred);
-                        }
-                    }
-                }
             }
         }
         let dag = Arc::new(b.build().expect("SCC condensation is acyclic"));
@@ -107,6 +102,14 @@ impl TaskGraph {
             node_of_pred,
             reads,
         }
+    }
+
+    /// Every compiled rule, clique by clique.
+    pub fn rules(&self) -> impl Iterator<Item = &CRule> + '_ {
+        self.kinds.iter().flat_map(|k| match k {
+            NodeKind::Base(_) => &[][..],
+            NodeKind::Clique { rules, .. } => &rules[..],
+        })
     }
 
     /// Human-readable node label (predicate names).
@@ -133,7 +136,7 @@ mod tests {
         let strat = stratify(&prog).unwrap();
         let mut db = Database::new();
         let rules = compile_program(&prog, &mut db);
-        let tg = TaskGraph::build(&strat, &rules, &db);
+        let tg = TaskGraph::build(&strat, rules, &db);
         (db, tg)
     }
 

@@ -79,15 +79,17 @@ fn is_datalog_metric(name: &str) -> bool {
 }
 
 /// The non-test code of every source file in `dir`: each file up to its
-/// test module (proptests.rs is declared `#[cfg(test)]` from lib.rs and
-/// holds no metric).
+/// test module, the first `#[cfg(test)]` at the start of a line — an
+/// indented one gates a test-only statement inside non-test code
+/// (proptests.rs is declared `#[cfg(test)]` from lib.rs and holds no
+/// metric).
 fn non_test_sources(dir: &Path) -> Vec<String> {
     std::fs::read_dir(dir)
         .expect("source directory")
         .map(|entry| {
             let text = std::fs::read_to_string(entry.expect("directory entry").path())
                 .expect("source file");
-            text.split("#[cfg(test)]")
+            text.split("\n#[cfg(test)]")
                 .next()
                 .unwrap_or_default()
                 .to_string()
