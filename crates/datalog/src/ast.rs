@@ -5,6 +5,7 @@
 //! negates a body literal (stratified negation only, enforced by
 //! [`crate::stratify`]).
 
+use crate::hash::Map;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -190,29 +191,31 @@ impl Program {
             .collect()
     }
 
-    /// Every predicate name mentioned anywhere, with its arity; errors on
-    /// inconsistent arities.
+    /// Every predicate name mentioned anywhere, with its arity, in
+    /// first-seen order; errors on inconsistent arities. Linear: each atom
+    /// finds its predicate through a map from name to position.
     pub fn predicate_arities(&self) -> Result<Vec<(String, usize)>, String> {
         let mut arities: Vec<(String, usize)> = Vec::new();
-        let mut check = |atom: &Atom| -> Result<(), String> {
-            match arities.iter().find(|(p, _)| p == &atom.pred) {
-                Some((_, a)) if *a != atom.arity() => Err(format!(
-                    "predicate {} used with arities {} and {}",
-                    atom.pred,
-                    a,
-                    atom.arity()
-                )),
-                Some(_) => Ok(()),
-                None => {
-                    arities.push((atom.pred.clone(), atom.arity()));
-                    Ok(())
+        let mut position: Map<&str, usize> = Map::default();
+        let atoms = self
+            .rules
+            .iter()
+            .flat_map(|r| std::iter::once(&r.head).chain(r.body.iter().map(|l| &l.atom)));
+        for atom in atoms {
+            match position.get(atom.pred.as_str()) {
+                Some(&i) if arities[i].1 != atom.arity() => {
+                    return Err(format!(
+                        "predicate {} used with arities {} and {}",
+                        atom.pred,
+                        arities[i].1,
+                        atom.arity()
+                    ))
                 }
-            }
-        };
-        for r in &self.rules {
-            check(&r.head)?;
-            for l in &r.body {
-                check(&l.atom)?;
+                Some(_) => {}
+                None => {
+                    position.insert(&atom.pred, arities.len());
+                    arities.push((atom.pred.clone(), atom.arity()));
+                }
             }
         }
         Ok(arities)

@@ -16,12 +16,13 @@
 //!   room, so it can never run unboundedly ahead of slow workers, however
 //!   large its chunks. The work channel itself is unbounded and never
 //!   blocks the coordinator; it blocks only waiting for completions;
-//! * workers append each task's fired children straight into a reusable
-//!   [`CompletionBatch`] (no per-task allocation) and flush the whole
-//!   buffer back in one message;
+//! * a chunk travels with a cleared [`CompletionBatch`]: the worker
+//!   appends each task's fired children straight into it (no per-task
+//!   allocation) and sends it back whole, with the emptied chunk vector,
+//!   in one message;
 //! * the coordinator feeds completions back with
-//!   [`Scheduler::complete_batch`], and chunk vectors / completion
-//!   batches recycle between the two sides so steady state allocates
+//!   [`Scheduler::complete_batch`] and keeps both free lists, so a chunk
+//!   costs one message each way on two pipes and steady state allocates
 //!   nothing.
 //!
 //! # Fault tolerance
@@ -56,9 +57,10 @@
 //!   their recorded fired sets to the scheduler without executing the
 //!   task again) and executes only what the failed attempt never ran.
 //!
-//! Workers park in `recv` when the queue is empty (condvar, no spinning)
-//! and exit on an explicit [`WorkMsg::Shutdown`] — distinct from a stalled
-//! scheduler, which surfaces as [`ExecError::Stall`]. Worker threads are
+//! Workers wait in `recv` when the queue is empty (a spin of tens of µs,
+//! then a condvar park) and exit on an explicit [`WorkMsg::Shutdown`] —
+//! distinct from a stalled scheduler, which surfaces as
+//! [`ExecError::Stall`]. Worker threads are
 //! joined with a bounded grace period; a thread wedged inside a hung task
 //! body is *leaked* (counted in `exec.workers_leaked`) rather than letting
 //! it hold the caller hostage. Completion order is still recorded for the
@@ -500,8 +502,9 @@ pub struct StreamReport {
 /// What the coordinator sends workers.
 #[derive(Debug)]
 enum WorkMsg {
-    /// Tasks to execute. The Vec travels back through the recycle channel.
-    Chunk(Vec<NodeId>),
+    /// Tasks to execute, and the cleared batch their completions go into.
+    /// Both come back in the chunk's [`DoneMsg`].
+    Chunk(Vec<NodeId>, CompletionBatch),
     /// Orderly end of the run: exit now. Distinct from a disconnect so a
     /// dropped coordinator (panic, error path) also releases workers, but
     /// the normal path is explicit.
@@ -524,33 +527,49 @@ impl TaskError {
     }
 }
 
-/// What workers send back: a clean batch, or the completions committed
-/// before a failing task plus the failure itself. Tasks after the failing
-/// one in the chunk are abandoned (the error path accounts for them when
-/// it steals the remains of the pipeline).
+/// What a worker sends back for one chunk: the completions it committed,
+/// the chunk's vector, and the failure that cut the chunk short, if
+/// one did. Tasks after the failing one in the chunk are abandoned (the
+/// error path accounts for them when it steals the remains of the
+/// pipeline).
 #[derive(Debug)]
-enum DoneMsg {
-    Batch(CompletionBatch),
-    Failed {
-        batch: CompletionBatch,
-        node: NodeId,
-        /// Tasks of the chunk after the failing node that were never run.
-        abandoned: usize,
-        error: TaskError,
-    },
+struct DoneMsg {
+    batch: CompletionBatch,
+    chunk: Vec<NodeId>,
+    failed: Option<Failure>,
 }
 
-/// The coordinator's ends of the pipes.
+/// The task that failed a chunk.
+#[derive(Debug)]
+struct Failure {
+    node: NodeId,
+    /// Tasks of the chunk after the failing node that were never run.
+    abandoned: usize,
+    error: TaskError,
+}
+
+/// The coordinator's ends of the two pipes, and the free lists of the
+/// buffers that travel through them.
 struct Pipes {
     work_tx: channel::Sender<WorkMsg>,
     /// Coordinator-side receiver clone of the work queue: the error path
     /// *steals* unstarted chunks back so the drain can account for them.
     work_steal: channel::Receiver<WorkMsg>,
     done_rx: channel::Receiver<DoneMsg>,
-    /// Cleared completion batches returning to workers.
-    batch_back_tx: channel::Sender<CompletionBatch>,
-    /// Cleared chunk vectors returning from workers.
-    chunk_back_rx: channel::Receiver<Vec<NodeId>>,
+    /// Emptied chunk vectors.
+    chunks: Vec<Vec<NodeId>>,
+    /// Cleared completion batches.
+    batches: Vec<CompletionBatch>,
+}
+
+impl Pipes {
+    /// Put a chunk's buffers back on the free lists.
+    fn recycle(&mut self, mut chunk: Vec<NodeId>, mut batch: CompletionBatch) {
+        chunk.clear();
+        batch.clear();
+        self.chunks.push(chunk);
+        self.batches.push(batch);
+    }
 }
 
 /// A fixed-size worker pool driving one scheduler.
@@ -695,56 +714,39 @@ impl Executor {
     fn with_pool<R>(
         &self,
         task: &TryTaskFn,
-        body: impl FnOnce(&Pipes, &mut Vec<NodeId>) -> Result<R, ExecError>,
+        body: impl FnOnce(&mut Pipes, &mut Vec<NodeId>) -> Result<R, ExecError>,
     ) -> Result<R, ExecError> {
         let (work_tx, work_rx) = channel::unbounded::<WorkMsg>();
         let (done_tx, done_rx) = channel::unbounded::<DoneMsg>();
-        let (batch_back_tx, batch_back_rx) = channel::unbounded::<CompletionBatch>();
-        let (chunk_back_tx, chunk_back_rx) = channel::unbounded::<Vec<NodeId>>();
 
         let mut handles = Vec::with_capacity(self.cfg.workers);
         for i in 0..self.cfg.workers {
             let work_rx = work_rx.clone();
             let done_tx = done_tx.clone();
-            let batch_back_rx = batch_back_rx.clone();
-            let chunk_back_tx = chunk_back_tx.clone();
             let task = task.clone();
             let retry = self.cfg.retry.clone();
             let record_tasks = self.cfg.record_tasks;
             #[allow(clippy::expect_used, reason = "a pool without its workers cannot run at all")]
             let handle = std::thread::Builder::new()
                 .name(format!("incr-worker-{i}"))
-                .spawn(move || {
-                    worker_loop(
-                        i,
-                        work_rx,
-                        done_tx,
-                        batch_back_rx,
-                        chunk_back_tx,
-                        task,
-                        retry,
-                        record_tasks,
-                    )
-                })
+                .spawn(move || worker_loop(i, work_rx, done_tx, task, retry, record_tasks))
                 .expect("spawn worker thread");
             handles.push(handle);
         }
         drop(done_tx);
-        drop(batch_back_rx);
-        drop(chunk_back_tx);
 
         // Unconditional: names both the trace track and the flight lane,
         // and the flight recorder is always on.
         trace::set_thread_name("executor-coordinator");
-        let pipes = Pipes {
+        let mut pipes = Pipes {
             work_tx,
             work_steal: work_rx,
             done_rx,
-            batch_back_tx,
-            chunk_back_rx,
+            chunks: Vec::new(),
+            batches: Vec::new(),
         };
         let mut ready = Vec::new();
-        let result = body(&pipes, &mut ready);
+        let result = body(&mut pipes, &mut ready);
         // Orderly shutdown: one message per worker, queued behind any
         // chunk still waiting.
         for _ in 0..self.cfg.workers {
@@ -811,17 +813,14 @@ fn run_one(
     }
 }
 
-/// Worker side: park on `recv`, execute chunks into a recycled completion
-/// batch (panic-isolated, retried), flush the batch whole. On a task
-/// failure, the completions committed so far travel back *with* the
-/// failure so the coordinator can account for every execution.
-#[allow(clippy::too_many_arguments)]
+/// Worker side: wait on `recv`, execute a chunk into the completion batch
+/// that came with it (panic-isolated, retried), send the batch back whole.
+/// On a task failure, the completions committed so far travel back *with*
+/// the failure so the coordinator can account for every execution.
 fn worker_loop(
     i: usize,
     work_rx: channel::Receiver<WorkMsg>,
     done_tx: channel::Sender<DoneMsg>,
-    batch_back_rx: channel::Receiver<CompletionBatch>,
-    chunk_back_tx: channel::Sender<Vec<NodeId>>,
     task: TryTaskFn,
     retry: RetryPolicy,
     record_tasks: bool,
@@ -834,11 +833,10 @@ fn worker_loop(
         let idle = trace::span("exec", "worker.idle");
         let msg = work_rx.recv();
         drop(idle);
-        let mut chunk = match msg {
-            Ok(WorkMsg::Chunk(chunk)) => chunk,
+        let (chunk, mut batch) = match msg {
+            Ok(WorkMsg::Chunk(chunk, batch)) => (chunk, batch),
             Ok(WorkMsg::Shutdown) | Err(_) => break,
         };
-        let mut batch = batch_back_rx.try_recv().unwrap_or_default();
         let span = trace::enabled().then(|| {
             trace::span_with(
                 "exec",
@@ -848,7 +846,7 @@ fn worker_loop(
         });
         let fspan = flight::span_arg(FlightCode::ChunkRun, chunk.len() as u64);
         let c0 = Instant::now();
-        let mut failure: Option<(NodeId, usize, TaskError)> = None;
+        let mut failed = None;
         for (pos, &node) in chunk.iter().enumerate() {
             let tspan = (record_tasks && trace::enabled())
                 .then(|| trace::span_with("exec", "task", vec![("node", node.index().into())]));
@@ -856,8 +854,12 @@ fn worker_loop(
             drop(tspan);
             match outcome {
                 Ok(()) => batch.commit(node),
-                Err(err) => {
-                    failure = Some((node, chunk.len() - pos - 1, err));
+                Err(error) => {
+                    failed = Some(Failure {
+                        node,
+                        abandoned: chunk.len() - pos - 1,
+                        error,
+                    });
                     break;
                 }
             }
@@ -865,18 +867,14 @@ fn worker_loop(
         busy_ns.add(c0.elapsed().as_nanos() as u64);
         drop(fspan);
         drop(span);
-        chunk.clear();
-        let _ = chunk_back_tx.send(chunk);
-        let msg = match failure {
-            None => DoneMsg::Batch(batch),
-            Some((node, abandoned, error)) => DoneMsg::Failed {
+        if done_tx
+            .send(DoneMsg {
                 batch,
-                node,
-                abandoned,
-                error,
-            },
-        };
-        if done_tx.send(msg).is_err() {
+                chunk,
+                failed,
+            })
+            .is_err()
+        {
             break;
         }
     }
@@ -950,6 +948,24 @@ impl DriveState<'_> {
         Ok(())
     }
 
+    /// Commit a worker's reply ([`Self::commit_batch`]) and account for
+    /// the failure it carries. Either error surfaces, the commit's first.
+    fn commit_done(
+        &mut self,
+        scheduler: &mut dyn Scheduler,
+        dag: &Dag,
+        msg: &mut DoneMsg,
+        validate: bool,
+    ) -> Result<(), ExecError> {
+        let commit = self.commit_batch(scheduler, dag, &msg.batch, validate);
+        let Some(failed) = msg.failed.take() else {
+            return commit;
+        };
+        self.unexecuted([failed.node]);
+        self.in_flight -= failed.abandoned;
+        commit.and(Err(failed.error.into_exec_error(failed.node)))
+    }
+
     /// Account for tasks that left flight without executing (stolen
     /// chunks, the failing task itself, abandoned chunk tails).
     fn unexecuted(&mut self, nodes: impl IntoIterator<Item = NodeId>) {
@@ -999,7 +1015,7 @@ fn drive_update(
     dag: &Dag,
     initial: &[NodeId],
     cfg: &ExecConfig,
-    pipes: &Pipes,
+    pipes: &mut Pipes,
     ready: &mut Vec<NodeId>,
     order: Option<&mut Vec<NodeId>>,
     wait_ns: &mut u64,
@@ -1122,32 +1138,14 @@ fn drive_update(
             return Err(ExecError::Timeout { snapshot });
         };
         loop {
-            let batch = match msg {
-                DoneMsg::Batch(batch) => batch,
-                DoneMsg::Failed {
-                    batch,
-                    node,
-                    abandoned,
-                    error,
-                } => {
-                    // Commit what really ran, account for what did not,
-                    // then drain the rest of the pipeline and surface the
-                    // failure.
-                    let commit = st.commit_batch(scheduler, dag, &batch, true);
-                    st.unexecuted([node]);
-                    st.in_flight -= abandoned;
-                    drain_on_error(scheduler, dag, cfg, pipes, &mut st);
-                    commit?;
-                    return Err(error.into_exec_error(node));
-                }
-            };
-            if let Err(e) = st.commit_batch(scheduler, dag, &batch, true) {
+            // Commit what really ran and account for what did not. On a
+            // failure, drain the rest of the pipeline, then surface it.
+            let committed = st.commit_done(scheduler, dag, &mut msg, true);
+            pipes.recycle(msg.chunk, msg.batch);
+            if let Err(e) = committed {
                 drain_on_error(scheduler, dag, cfg, pipes, &mut st);
                 return Err(e);
             }
-            let mut empty = batch;
-            empty.clear();
-            let _ = pipes.batch_back_tx.send(empty);
             match pipes.done_rx.try_recv() {
                 Some(next) => msg = next,
                 None => break,
@@ -1166,15 +1164,16 @@ fn drain_on_error(
     scheduler: &mut dyn Scheduler,
     dag: &Dag,
     cfg: &ExecConfig,
-    pipes: &Pipes,
+    pipes: &mut Pipes,
     st: &mut DriveState<'_>,
 ) {
     let drain_until = Instant::now() + cfg.drain_grace;
     loop {
         // Steal chunks no worker has picked up yet.
         while let Some(msg) = pipes.work_steal.try_recv() {
-            if let WorkMsg::Chunk(chunk) = msg {
+            if let WorkMsg::Chunk(chunk, batch) = msg {
                 st.unexecuted(chunk.iter().copied());
+                pipes.recycle(chunk, batch);
             }
         }
         if st.in_flight == 0 {
@@ -1182,20 +1181,11 @@ fn drain_on_error(
         }
         let budget = drain_until.saturating_duration_since(Instant::now());
         match pipes.done_rx.recv_timeout(budget) {
-            Ok(DoneMsg::Batch(batch)) => {
+            Ok(mut msg) => {
                 // Skip edge validation: the update is already failing and
                 // these executions are being preserved, not judged.
-                let _ = st.commit_batch(scheduler, dag, &batch, false);
-            }
-            Ok(DoneMsg::Failed {
-                batch,
-                node,
-                abandoned,
-                ..
-            }) => {
-                let _ = st.commit_batch(scheduler, dag, &batch, false);
-                st.unexecuted([node]);
-                st.in_flight -= abandoned;
+                let _ = st.commit_done(scheduler, dag, &mut msg, false);
+                pipes.recycle(msg.chunk, msg.batch);
             }
             Err(_) => {
                 // Stragglers (hung task bodies) get leaked with their
@@ -1210,17 +1200,18 @@ fn drain_on_error(
 }
 
 /// Split `ready` evenly across `workers`, with no cap on a chunk's length,
-/// and send the chunks, recycling chunk vectors returned by workers.
+/// and send the chunks, each in a recycled vector with a recycled batch.
 /// Returns the number of chunks sent.
-fn send_chunks(ready: &[NodeId], workers: usize, pipes: &Pipes) -> u64 {
+fn send_chunks(ready: &[NodeId], workers: usize, pipes: &mut Pipes) -> u64 {
     let len = ready.len().div_ceil(workers).max(1);
     for piece in ready.chunks(len) {
-        let mut chunk = pipes.chunk_back_rx.try_recv().unwrap_or_default();
+        let mut chunk = pipes.chunks.pop().unwrap_or_default();
         chunk.extend_from_slice(piece);
+        let batch = pipes.batches.pop().unwrap_or_default();
         // Unbounded: the window, not the queue, is the backpressure. A
         // send fails only once the pool is gone, which surfaces later as
         // a stall or a timeout.
-        let _ = pipes.work_tx.send(WorkMsg::Chunk(chunk));
+        let _ = pipes.work_tx.send(WorkMsg::Chunk(chunk, batch));
     }
     ready.len().div_ceil(len) as u64
 }
@@ -1397,14 +1388,12 @@ mod tests {
         // worker, with no cap, and a narrow one a task at a time.
         let (work_tx, work_rx) = channel::unbounded();
         let (_done_tx, done_rx) = channel::unbounded();
-        let (batch_back_tx, _batch_back_rx) = channel::unbounded();
-        let (_chunk_back_tx, chunk_back_rx) = channel::unbounded();
-        let pipes = Pipes {
+        let mut pipes = Pipes {
             work_tx,
             work_steal: work_rx,
             done_rx,
-            batch_back_tx,
-            chunk_back_rx,
+            chunks: Vec::new(),
+            batches: Vec::new(),
         };
         let ready: Vec<NodeId> = (0..256).map(NodeId).collect();
         for (tasks, workers, chunks, len) in [
@@ -1413,9 +1402,9 @@ mod tests {
             (16, 8, 8, 2),
             (3, 8, 3, 1),
         ] {
-            assert_eq!(send_chunks(&ready[..tasks], workers, &pipes), chunks);
+            assert_eq!(send_chunks(&ready[..tasks], workers, &mut pipes), chunks);
             let mut sent = Vec::new();
-            while let Some(WorkMsg::Chunk(chunk)) = pipes.work_steal.try_recv() {
+            while let Some(WorkMsg::Chunk(chunk, _)) = pipes.work_steal.try_recv() {
                 assert_eq!(chunk.len(), len, "{tasks} tasks over {workers} workers");
                 sent.extend(chunk);
             }
