@@ -10,6 +10,13 @@
 //! hands out ready work in O(1), so the expensive scans rarely or never
 //! run.
 //!
+//! One state table serves both sides, as the paper's one record of
+//! dispatched work. The LevelBased side owns it; the LogicBlox side is
+//! LogicBlox without its table (its queues, blockers, cost meter and scan
+//! scratch), hears of each activation and retirement from LevelBased's
+//! loop, and dispatches in the same table when it pops. Neither side
+//! mirrors the other's dispatches or repeats its writes.
+//!
 //! Every pop first consults LevelBased (cheap). Only when LevelBased is
 //! stalled at a level barrier does the LogicBlox side scan. With
 //! [`HybridConfig::background_scan`] the LogicBlox side additionally
@@ -20,7 +27,7 @@
 
 use crate::cost::CostMeter;
 use crate::levelbased::LevelBased;
-use crate::logicblox::LogicBlox;
+use crate::logicblox::{ScanMode, ScanSide};
 use crate::scheduler::{CompletionBatch, Scheduler};
 use incr_dag::{Dag, NodeId};
 use std::sync::Arc;
@@ -45,12 +52,11 @@ impl Default for HybridConfig {
     }
 }
 
-/// LevelBased + LogicBlox with a shared ready supply.
+/// LevelBased + LogicBlox's scan side over LevelBased's state table.
 pub struct Hybrid {
     lb: LevelBased,
-    lbx: LogicBlox,
+    lbx: ScanSide,
     config: HybridConfig,
-    pops: u64,
 }
 
 impl Hybrid {
@@ -61,9 +67,8 @@ impl Hybrid {
     pub fn with_config(dag: Arc<Dag>, config: HybridConfig) -> Self {
         Hybrid {
             lb: LevelBased::new(dag.clone()),
-            lbx: LogicBlox::new(dag),
+            lbx: ScanSide::new(dag, ScanMode::CostModeled),
             config,
-            pops: 0,
         }
     }
 
@@ -76,6 +81,12 @@ impl Hybrid {
     pub fn logicblox_cost(&self) -> CostMeter {
         self.lbx.cost()
     }
+
+    fn background_scan(&mut self) {
+        if self.config.background_scan {
+            self.lbx.scan(&self.lb.state, self.config.scan_slice);
+        }
+    }
 }
 
 impl Scheduler for Hybrid {
@@ -84,71 +95,47 @@ impl Scheduler for Hybrid {
     }
 
     fn start(&mut self, initial_active: &[NodeId]) {
-        self.lb.start(initial_active);
-        self.lbx.start(initial_active);
-        self.pops = 0;
+        self.lb.start_with(initial_active, &mut self.lbx);
     }
 
     fn on_completed(&mut self, v: NodeId, fired: &[NodeId]) {
-        self.lb.on_completed(v, fired);
-        self.lbx.on_completed(v, fired);
+        self.lb.complete_with(v, fired, &mut self.lbx);
     }
 
     fn complete_batch(&mut self, batch: &CompletionBatch) {
-        // One pass per side, each over its own tables, instead of
-        // alternating sides per node.
-        self.lb.complete_batch(batch);
-        self.lbx.complete_batch(batch);
+        self.lb.complete_batch_with(batch, &mut self.lbx);
     }
 
     fn pop_ready(&mut self) -> Option<NodeId> {
-        self.pops += 1;
         // LevelBased first: O(1) supply whenever the current level has work.
         if let Some(t) = self.lb.pop_ready() {
-            self.lbx.on_external_dispatch(t);
-            if self.config.background_scan {
-                // Model the parallel production deployment: the LogicBlox
-                // side burns a bounded slice of scan work concurrently.
-                self.lbx.background_scan_slice(self.config.scan_slice);
-            }
+            // Model the parallel production deployment: the LogicBlox
+            // side burns a bounded slice of scan work concurrently.
+            self.background_scan();
             return Some(t);
         }
         // LevelBased stalled at a barrier (or drained): let LogicBlox find
         // cross-level ready work the barrier is hiding.
-        if let Some(t) = self.lbx.pop_ready() {
-            self.lb.on_external_dispatch(t);
-            return Some(t);
-        }
-        None
+        self.lbx.pop_ready(&mut self.lb.state)
     }
 
     fn pop_batch(&mut self, out: &mut Vec<NodeId>, max: usize) -> usize {
-        self.pops += 1;
         let before = out.len();
-        // LevelBased drains its whole frontier in one inner batch; each
-        // dispatched task is mirrored into the LogicBlox side.
-        self.lb.pop_batch(out, max);
-        for &t in &out[before..] {
-            self.lbx.on_external_dispatch(t);
-        }
-        if self.config.background_scan && out.len() > before {
+        // LevelBased drains its whole frontier in one inner batch.
+        if self.lb.pop_batch(out, max) > 0 {
             // One slice per batch, not per node: the batch models a single
             // concurrent pop round of the parallel deployment.
-            self.lbx.background_scan_slice(self.config.scan_slice);
+            self.background_scan();
         }
         // Remaining capacity: cross-level work hidden behind the barrier.
-        if out.len() - before < max {
-            let lb_end = out.len();
-            self.lbx.pop_batch(out, max - (lb_end - before));
-            for &t in &out[lb_end..] {
-                self.lb.on_external_dispatch(t);
-            }
+        let taken = out.len() - before;
+        if taken < max {
+            self.lbx.pop_batch(&mut self.lb.state, out, max - taken);
         }
         out.len() - before
     }
 
     fn is_quiescent(&self) -> bool {
-        // Both track the same truth; ask either.
         self.lb.is_quiescent()
     }
 
@@ -166,7 +153,6 @@ impl Scheduler for Hybrid {
 
     fn on_external_dispatch(&mut self, v: NodeId) {
         self.lb.on_external_dispatch(v);
-        self.lbx.on_external_dispatch(v);
     }
 
     fn gauges(&self) -> Vec<(&'static str, i64)> {

@@ -46,6 +46,25 @@ pub struct LevelBased {
     pub(crate) level_stamp: Vec<u32>,
 }
 
+/// A scheduler that shares LevelBased's state table and follows it: told
+/// of each reset, each new activation and each retirement right after the
+/// table records it. [`crate::Hybrid`]'s LogicBlox side is one; plain
+/// LevelBased passes `()`, which ignores all three.
+pub(crate) trait Partner {
+    /// The table was reset for a new run; no activation has happened yet.
+    fn reset(&mut self, state: &StateTable);
+    /// `v` was activated.
+    fn activated(&mut self, v: NodeId, state: &StateTable);
+    /// `v` went Running → Done.
+    fn retired(&mut self, v: NodeId);
+}
+
+impl Partner for () {
+    fn reset(&mut self, _: &StateTable) {}
+    fn activated(&mut self, _: NodeId, _: &StateTable) {}
+    fn retired(&mut self, _: NodeId) {}
+}
+
 impl LevelBased {
     pub fn new(dag: Arc<Dag>) -> Self {
         let n = dag.node_count();
@@ -63,7 +82,7 @@ impl LevelBased {
         }
     }
 
-    pub(crate) fn activate(&mut self, v: NodeId) {
+    fn activate(&mut self, v: NodeId, partner: &mut impl Partner) {
         if self.state.activate(v) {
             self.cost.activations += 1;
             self.cost.bucket_ops += 1;
@@ -76,16 +95,17 @@ impl LevelBased {
             self.buckets[l].push(v);
             self.unfinished[l] += 1;
             self.peak_tracked = self.peak_tracked.max(self.state.active_unexecuted());
+            partner.activated(v, &self.state);
         }
     }
 
-    fn activate_fired(&mut self, fired: &[NodeId]) {
+    fn activate_fired(&mut self, fired: &[NodeId], partner: &mut impl Partner) {
         for &c in fired {
             debug_assert!(
                 self.dag.level(c) > self.cur || self.unfinished[self.cur as usize] > 0,
                 "activation below the cursor would violate Lemma 1"
             );
-            self.activate(c);
+            self.activate(c, partner);
         }
     }
 
@@ -125,23 +145,9 @@ impl LevelBased {
         }
     }
 
-    /// The current cursor level (for the look-ahead extension and tests).
-    pub fn current_level(&self) -> u32 {
-        self.cur
-    }
-
-    /// High-water mark of tracked active tasks (Theorem 2 space check).
-    pub fn peak_tracked(&self) -> usize {
-        self.peak_tracked
-    }
-}
-
-impl Scheduler for LevelBased {
-    fn name(&self) -> &str {
-        "LevelBased"
-    }
-
-    fn start(&mut self, initial_active: &[NodeId]) {
+    /// [`Scheduler::start`], telling `partner` of the reset and of each
+    /// activation.
+    pub(crate) fn start_with(&mut self, initial_active: &[NodeId], partner: &mut impl Partner) {
         // O(active of the previous run): only levels the previous update
         // wrote (every bucket push and `unfinished` bump goes through
         // `activate`, which records the level) need clearing.
@@ -158,21 +164,36 @@ impl Scheduler for LevelBased {
         self.cur = 0;
         self.cost = CostMeter::default();
         self.peak_tracked = 0;
+        partner.reset(&self.state);
         for &v in initial_active {
-            self.activate(v);
+            self.activate(v, partner);
         }
     }
 
-    fn on_completed(&mut self, v: NodeId, fired: &[NodeId]) {
+    /// [`Scheduler::on_completed`], telling `partner` of the retirement
+    /// and of each activation.
+    pub(crate) fn complete_with(
+        &mut self,
+        v: NodeId,
+        fired: &[NodeId],
+        partner: &mut impl Partner,
+    ) {
         if !self.state.complete_running(v, "LevelBased") {
             return;
         }
         self.cost.completions += 1;
         self.unfinished[self.dag.level(v) as usize] -= 1;
-        self.activate_fired(fired);
+        partner.retired(v);
+        self.activate_fired(fired, partner);
     }
 
-    fn complete_batch(&mut self, batch: &CompletionBatch) {
+    /// [`Scheduler::complete_batch`], telling `partner` of each
+    /// retirement and activation.
+    pub(crate) fn complete_batch_with(
+        &mut self,
+        batch: &CompletionBatch,
+        partner: &mut impl Partner,
+    ) {
         // A worker's batch is a run of same-level tasks almost always, so
         // the level counter takes one subtraction per run, not per node.
         // Deferring it is invisible: only the cursor reads `unfinished`,
@@ -191,11 +212,40 @@ impl Scheduler for LevelBased {
                 (run_level, run_len) = (l, 0);
             }
             run_len += 1;
-            self.activate_fired(fired);
+            partner.retired(v);
+            self.activate_fired(fired, partner);
         }
         if run_len > 0 {
             self.unfinished[run_level] -= run_len;
         }
+    }
+
+    /// The current cursor level (for the look-ahead extension and tests).
+    pub fn current_level(&self) -> u32 {
+        self.cur
+    }
+
+    /// High-water mark of tracked active tasks (Theorem 2 space check).
+    pub fn peak_tracked(&self) -> usize {
+        self.peak_tracked
+    }
+}
+
+impl Scheduler for LevelBased {
+    fn name(&self) -> &str {
+        "LevelBased"
+    }
+
+    fn start(&mut self, initial_active: &[NodeId]) {
+        self.start_with(initial_active, &mut ());
+    }
+
+    fn on_completed(&mut self, v: NodeId, fired: &[NodeId]) {
+        self.complete_with(v, fired, &mut ());
+    }
+
+    fn complete_batch(&mut self, batch: &CompletionBatch) {
+        self.complete_batch_with(batch, &mut ());
     }
 
     fn pop_ready(&mut self) -> Option<NodeId> {

@@ -10,7 +10,6 @@
 //! | [`LogicBlox`] | §II-C, §VI-B | the production baseline: interval-list ancestor queries, `O(n³)` worst-case scheduling time, `O(V²)` worst-case space |
 //! | [`SignalPropagation`] | §II-C | no precomputation, `Θ(V + E)` messages regardless of `n` |
 //! | [`Hybrid`] | §V, §VI | best of both: LogicBlox's typical makespan with LevelBased's worst-case robustness |
-//! | [`Duo`] | §V | the general combinator: LevelBased alongside *any* heuristic |
 //! | [`ExactGreedy`] | — | test oracle: exact readiness from ground-truth reachability |
 //!
 //! All schedulers speak one event protocol ([`Scheduler`]): the
@@ -52,7 +51,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod cost;
-pub mod duo;
 pub mod hybrid;
 pub mod instance;
 pub mod levelbased;
@@ -63,7 +61,6 @@ pub mod scheduler;
 pub mod signal;
 
 pub use cost::{CostMeter, CostPrices};
-pub use duo::Duo;
 pub use obs::Observed;
 pub use hybrid::{Hybrid, HybridConfig};
 pub use instance::{Instance, TaskShape};

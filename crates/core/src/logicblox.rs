@@ -35,7 +35,8 @@
 //!   walk is O(in-degree) where the loop is O(blockers).
 
 use crate::cost::CostMeter;
-use crate::scheduler::{CompletionBatch, NodeState, Scheduler, StateTable};
+use crate::levelbased::Partner;
+use crate::scheduler::{NodeState, Scheduler, StateTable};
 use incr_dag::{Dag, IntervalList, NodeId};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -49,18 +50,27 @@ pub enum ScanMode {
     CostModeled,
 }
 
-/// The production-baseline scheduler.
+/// The production-baseline scheduler: a state table and the scan side
+/// that reads it.
 pub struct LogicBlox {
+    pub(crate) state: StateTable,
+    pub(crate) side: ScanSide,
+}
+
+/// Everything LogicBlox keeps besides its state table. Its methods take
+/// the table as a parameter, so [`crate::Hybrid`] runs it over the table
+/// its LevelBased side owns: the side hears of each activation and
+/// retirement through [`Partner`] and dispatches in the shared table.
+pub(crate) struct ScanSide {
     dag: Arc<Dag>,
     il: IntervalList,
-    state: StateTable,
     mode: ScanMode,
     /// Active tasks not yet moved to the ready queue, in activation order;
     /// entries go stale when tasks are dispatched externally.
     active_queue: VecDeque<NodeId>,
     ready: VecDeque<NodeId>,
     /// In `ready` already (avoid rescanning / double-queueing); stamped
-    /// against `state.generation()` so restarts need no O(V) clear.
+    /// against the table's generation so restarts need no O(V) clear.
     queued_stamp: Vec<u32>,
     /// Active-or-running (uncompleted) tasks, bucketed by level for the
     /// pruned check; total count mirrors the naive blocker list length.
@@ -72,12 +82,11 @@ pub struct LogicBlox {
     /// Levels whose blocker bucket was written this run (the only ones the
     /// next `start` clears — O(active) restarts instead of O(L)).
     touched_levels: Vec<u32>,
-    /// `blocker_level_stamp[l] == state.generation()` ⇔ `l` in `touched_levels`.
+    /// `blocker_level_stamp[l] == generation` ⇔ `l` in `touched_levels`.
     blocker_level_stamp: Vec<u32>,
     /// Something changed since the last scan; a new scan may find work.
     dirty: bool,
     cost: CostMeter,
-    peak_tracked: usize,
     /// Cached `il.total_intervals()` — the structure is immutable after
     /// build, and the gauge is sampled on hot paths.
     interval_count: usize,
@@ -89,21 +98,16 @@ pub struct LogicBlox {
     walk: Vec<NodeId>,
 }
 
-impl LogicBlox {
-    pub fn new(dag: Arc<Dag>) -> Self {
-        Self::with_mode(dag, ScanMode::CostModeled)
-    }
-
-    pub fn with_mode(dag: Arc<Dag>, mode: ScanMode) -> Self {
+impl ScanSide {
+    pub(crate) fn new(dag: Arc<Dag>, mode: ScanMode) -> Self {
         let il = IntervalList::build(&dag);
         let interval_count = il.total_intervals();
         let n = dag.node_count();
         let l = dag.num_levels() as usize;
-        LogicBlox {
+        ScanSide {
             dag,
             il,
             interval_count,
-            state: StateTable::new(n),
             mode,
             active_queue: VecDeque::new(),
             ready: VecDeque::new(),
@@ -115,30 +119,18 @@ impl LogicBlox {
             blocker_level_stamp: vec![0; l],
             dirty: false,
             cost: CostMeter::default(),
-            peak_tracked: 0,
             inspected: 0,
             walk: Vec::new(),
         }
     }
 
-    /// The scan mode in force.
-    pub fn mode(&self) -> ScanMode {
-        self.mode
-    }
-
     #[inline]
-    fn is_queued(&self, v: NodeId) -> bool {
-        self.queued_stamp[v.index()] == self.state.generation()
+    fn is_queued(&self, v: NodeId, state: &StateTable) -> bool {
+        self.queued_stamp[v.index()] == state.generation()
     }
 
-    #[inline]
-    fn mark_queued(&mut self, v: NodeId) {
-        self.queued_stamp[v.index()] = self.state.generation();
-    }
-
-    fn add_blocker(&mut self, v: NodeId) {
+    fn add_blocker(&mut self, v: NodeId, gen: u32) {
         let l = self.dag.level(v) as usize;
-        let gen = self.state.generation();
         if self.blocker_level_stamp[l] != gen {
             self.blocker_level_stamp[l] = gen;
             self.touched_levels.push(l as u32);
@@ -160,31 +152,10 @@ impl LogicBlox {
         self.blocker_count -= 1;
     }
 
-    /// `v` finished: Running → Done and out of the blocker set. Returns
-    /// false, with nothing changed, when `v` is not Running (its blocker
-    /// slot may be stale); the caller must then drop the completion.
-    fn retire(&mut self, v: NodeId) -> bool {
-        let running = self.state.complete_running(v, "LogicBlox");
-        if running {
-            self.remove_blocker(v);
-        }
-        running
-    }
-
-    fn activate(&mut self, v: NodeId) {
-        if self.state.activate(v) {
-            self.cost.activations += 1;
-            self.active_queue.push_back(v);
-            self.add_blocker(v);
-            self.dirty = true;
-            self.peak_tracked = self.peak_tracked.max(self.state.active_unexecuted());
-        }
-    }
-
     /// Is candidate `t` safe, and what does the check cost?
     ///
     /// Returns `(safe, charged_queries, charged_probes)`.
-    fn check_candidate(&mut self, t: NodeId) -> (bool, u64, u64) {
+    fn check_candidate(&mut self, t: NodeId, state: &StateTable) -> (bool, u64, u64) {
         match self.mode {
             ScanMode::Faithful => {
                 let mut queries = 0u64;
@@ -215,7 +186,7 @@ impl LogicBlox {
                 // (minus self if it is one).
                 let ready_charge = total.saturating_sub(1).max(lower);
                 let floor = below.iter().position(|b| !b.is_empty()).unwrap_or(lt) as u32;
-                if lower > 0 && self.ancestors_clear(t, floor, lower) {
+                if lower > 0 && self.ancestors_clear(t, floor, lower, state) {
                     return (true, ready_charge, 2 * ready_charge);
                 }
                 let mut inspected = 0u64;
@@ -247,7 +218,7 @@ impl LogicBlox {
     /// ancestor of a node sits lower than it. False when a blocker is met
     /// or the budget runs out. No visited set: a shared ancestor is read
     /// once per path to it, which the budget bounds.
-    fn ancestors_clear(&mut self, t: NodeId, floor: u32, budget: u64) -> bool {
+    fn ancestors_clear(&mut self, t: NodeId, floor: u32, budget: u64, state: &StateTable) -> bool {
         self.walk.clear();
         self.walk.push(t);
         let mut read = 0u64;
@@ -263,7 +234,7 @@ impl LogicBlox {
                 if self.dag.level(p) < floor {
                     continue;
                 }
-                if matches!(self.state.get(p), NodeState::Active | NodeState::Running) {
+                if matches!(state.get(p), NodeState::Active | NodeState::Running) {
                     break 'walk false;
                 }
                 self.walk.push(p);
@@ -273,72 +244,36 @@ impl LogicBlox {
         clear
     }
 
-    /// Scan the whole active queue, moving every safe task to the ready
-    /// queue (paper §II-C: "the scheduler scans the queue of active tasks
-    /// ... if [ready], it is added to the queue of ready work").
-    fn scan(&mut self) {
-        let len = self.active_queue.len();
-        for _ in 0..len {
-            let Some(t) = self.active_queue.pop_front() else {
-                break;
-            };
-            // Drop stale entries (already dispatched/queued elsewhere).
-            if self.state.get(t) != NodeState::Active || self.is_queued(t) {
-                continue;
-            }
-            self.cost.scan_steps += 1;
-            let (safe, queries, probes) = self.check_candidate(t);
-            self.cost.ancestor_queries += queries;
-            self.cost.interval_probes += probes;
-            if safe {
-                self.mark_queued(t);
-                self.ready.push_back(t);
-            } else {
-                self.active_queue.push_back(t);
-            }
-        }
-        self.dirty = false;
-    }
-
-    /// Pop from the ready queue without triggering a scan — the hybrid
-    /// driver uses this to interleave with the LevelBased supply.
-    pub(crate) fn pop_ready_no_scan(&mut self) -> Option<NodeId> {
-        while let Some(t) = self.ready.pop_front() {
-            if self.state.get(t) == NodeState::Active {
-                self.state.dispatch(t);
-                return Some(t);
-            }
-        }
-        None
-    }
-
     /// Examine up to `budget` candidates from the front of the active
-    /// queue — the hybrid's bounded background scan. Safe candidates move
-    /// to the ready queue. `dirty` is cleared only when a full pass
-    /// completes within the budget.
-    pub(crate) fn background_scan_slice(&mut self, budget: usize) {
+    /// queue, moving every safe one to the ready queue (paper §II-C: "the
+    /// scheduler scans the queue of active tasks ... if [ready], it is
+    /// added to the queue of ready work"). A clean queue is not scanned;
+    /// `dirty` is cleared only when a full pass completes within the
+    /// budget. Plain pops scan without a budget; Hybrid's background scan
+    /// passes its slice.
+    pub(crate) fn scan(&mut self, state: &StateTable, budget: usize) {
         if !self.dirty {
             return;
         }
         let mut examined = 0usize;
-        let len = self.active_queue.len();
-        for _ in 0..len {
+        for _ in 0..self.active_queue.len() {
             if examined >= budget {
                 return; // budget exhausted; dirty stays set
             }
             let Some(t) = self.active_queue.pop_front() else {
                 break;
             };
-            if self.state.get(t) != NodeState::Active || self.is_queued(t) {
+            // Drop stale entries (already dispatched/queued elsewhere).
+            if state.get(t) != NodeState::Active || self.is_queued(t, state) {
                 continue;
             }
             examined += 1;
             self.cost.scan_steps += 1;
-            let (safe, queries, probes) = self.check_candidate(t);
+            let (safe, queries, probes) = self.check_candidate(t, state);
             self.cost.ancestor_queries += queries;
             self.cost.interval_probes += probes;
             if safe {
-                self.mark_queued(t);
+                self.queued_stamp[t.index()] = state.generation();
                 self.ready.push_back(t);
             } else {
                 self.active_queue.push_back(t);
@@ -347,101 +282,46 @@ impl LogicBlox {
         self.dirty = false;
     }
 
-    /// Number of uncompleted active tasks currently blocking.
-    pub fn blocker_count(&self) -> usize {
-        self.blocker_count
-    }
-
-    /// Total intervals held by the preprocessing structure.
-    pub fn interval_count(&self) -> usize {
-        self.interval_count
-    }
-}
-
-impl Scheduler for LogicBlox {
-    fn name(&self) -> &str {
-        "LogicBlox"
-    }
-
-    fn start(&mut self, initial_active: &[NodeId]) {
-        // O(active of the previous run): queue leftovers and touched
-        // blocker levels only; `queued_stamp` resets for free via the
-        // generation bump in `state.reset()`.
-        self.active_queue.clear();
-        self.ready.clear();
-        for &l in &self.touched_levels {
-            self.blockers_by_level[l as usize].clear();
-        }
-        self.touched_levels.clear();
-        self.state.reset();
-        if self.state.generation() == 1 {
-            // Stamp generation wrapped: old stamps could alias the new one.
-            self.queued_stamp.fill(0);
-            self.blocker_level_stamp.fill(0);
-        }
-        self.blocker_count = 0;
-        self.dirty = false;
-        self.cost = CostMeter::default();
-        self.peak_tracked = 0;
-        self.inspected = 0;
-        for &v in initial_active {
-            self.activate(v);
-        }
-    }
-
-    fn on_completed(&mut self, v: NodeId, fired: &[NodeId]) {
-        if !self.retire(v) {
-            return;
-        }
-        self.cost.completions += 1;
-        for &c in fired {
-            self.activate(c);
-        }
-        // A completion can unblock candidates even without new activations.
-        self.dirty = true;
-    }
-
-    fn complete_batch(&mut self, batch: &CompletionBatch) {
-        let mut retired = 0u64;
-        for (v, fired) in batch.iter() {
-            if !self.retire(v) {
-                continue;
-            }
-            retired += 1;
-            for &c in fired {
-                self.activate(c);
+    /// Pop from the ready queue without triggering a scan.
+    fn pop_ready_no_scan(&mut self, state: &mut StateTable) -> Option<NodeId> {
+        while let Some(t) = self.ready.pop_front() {
+            if state.get(t) == NodeState::Active {
+                state.dispatch(t);
+                return Some(t);
             }
         }
-        self.cost.completions += retired;
-        self.dirty |= retired > 0;
+        None
     }
 
-    fn pop_ready(&mut self) -> Option<NodeId> {
+    pub(crate) fn pop_ready(&mut self, state: &mut StateTable) -> Option<NodeId> {
         self.cost.pops += 1;
-        if let Some(t) = self.pop_ready_no_scan() {
+        if let Some(t) = self.pop_ready_no_scan(state) {
             return Some(t);
         }
-        if self.dirty {
-            self.scan();
-        }
-        self.pop_ready_no_scan()
+        self.scan(state, usize::MAX);
+        self.pop_ready_no_scan(state)
     }
 
-    fn pop_batch(&mut self, out: &mut Vec<NodeId>, max: usize) -> usize {
+    pub(crate) fn pop_batch(
+        &mut self,
+        state: &mut StateTable,
+        out: &mut Vec<NodeId>,
+        max: usize,
+    ) -> usize {
         // Drain the ready queue, scan at most once if it runs dry, then
         // drain again — one `pops` charge and one trait crossing per
         // wavefront; the scan charges stay per-candidate as always.
         self.cost.pops += 1;
         let before = out.len();
         while out.len() - before < max {
-            match self.pop_ready_no_scan() {
+            match self.pop_ready_no_scan(state) {
                 Some(t) => out.push(t),
                 None => {
                     if !self.dirty {
                         break;
                     }
-                    self.scan();
-                    match self.pop_ready_no_scan() {
+                    self.scan(state, usize::MAX);
+                    match self.pop_ready_no_scan(state) {
                         Some(t) => out.push(t),
                         None => break,
                     }
@@ -451,24 +331,149 @@ impl Scheduler for LogicBlox {
         out.len() - before
     }
 
+    pub(crate) fn cost(&self) -> CostMeter {
+        self.cost
+    }
+
+    /// Run-state bytes, the state table excluded.
+    pub(crate) fn space_bytes(&self) -> usize {
+        (self.active_queue.len() + self.ready.len() + self.blocker_count)
+            * std::mem::size_of::<NodeId>()
+            + self.queued_stamp.len() * std::mem::size_of::<u32>()
+            + self.blocker_pos.len() * std::mem::size_of::<u32>()
+    }
+
+    pub(crate) fn precompute_bytes(&self) -> usize {
+        self.il.memory_bytes()
+    }
+
+    pub(crate) fn gauges(&self) -> Vec<(&'static str, i64)> {
+        vec![
+            ("lbx.active_queue_depth", self.active_queue.len() as i64),
+            ("lbx.ready_depth", self.ready.len() as i64),
+            ("lbx.blockers", self.blocker_count as i64),
+            ("lbx.interval_list_size", self.interval_count as i64),
+            ("lbx.inspected", self.inspected as i64),
+        ]
+    }
+}
+
+impl Partner for ScanSide {
+    fn reset(&mut self, state: &StateTable) {
+        // O(active of the previous run): queue leftovers and touched
+        // blocker levels only; `queued_stamp` resets for free via the
+        // table's generation bump.
+        self.active_queue.clear();
+        self.ready.clear();
+        for &l in &self.touched_levels {
+            self.blockers_by_level[l as usize].clear();
+        }
+        self.touched_levels.clear();
+        if state.generation() == 1 {
+            // Stamp generation wrapped: old stamps could alias the new one.
+            self.queued_stamp.fill(0);
+            self.blocker_level_stamp.fill(0);
+        }
+        self.blocker_count = 0;
+        self.dirty = false;
+        self.cost = CostMeter::default();
+        self.inspected = 0;
+    }
+
+    fn activated(&mut self, v: NodeId, state: &StateTable) {
+        self.cost.activations += 1;
+        self.active_queue.push_back(v);
+        self.add_blocker(v, state.generation());
+        self.dirty = true;
+    }
+
+    fn retired(&mut self, v: NodeId) {
+        self.remove_blocker(v);
+        self.cost.completions += 1;
+        // A completion can unblock candidates even without new activations.
+        self.dirty = true;
+    }
+}
+
+impl LogicBlox {
+    pub fn new(dag: Arc<Dag>) -> Self {
+        Self::with_mode(dag, ScanMode::CostModeled)
+    }
+
+    pub fn with_mode(dag: Arc<Dag>, mode: ScanMode) -> Self {
+        LogicBlox {
+            state: StateTable::new(dag.node_count()),
+            side: ScanSide::new(dag, mode),
+        }
+    }
+
+    /// The scan mode in force.
+    pub fn mode(&self) -> ScanMode {
+        self.side.mode
+    }
+
+    fn activate(&mut self, v: NodeId) {
+        if self.state.activate(v) {
+            self.side.activated(v, &self.state);
+        }
+    }
+
+    /// Number of uncompleted active tasks currently blocking.
+    pub fn blocker_count(&self) -> usize {
+        self.side.blocker_count
+    }
+
+    /// Total intervals held by the preprocessing structure.
+    pub fn interval_count(&self) -> usize {
+        self.side.interval_count
+    }
+}
+
+impl Scheduler for LogicBlox {
+    fn name(&self) -> &str {
+        "LogicBlox"
+    }
+
+    fn start(&mut self, initial_active: &[NodeId]) {
+        self.state.reset();
+        self.side.reset(&self.state);
+        for &v in initial_active {
+            self.activate(v);
+        }
+    }
+
+    fn on_completed(&mut self, v: NodeId, fired: &[NodeId]) {
+        if !self.state.complete_running(v, "LogicBlox") {
+            return;
+        }
+        self.side.retired(v);
+        for &c in fired {
+            self.activate(c);
+        }
+    }
+
+    fn pop_ready(&mut self) -> Option<NodeId> {
+        self.side.pop_ready(&mut self.state)
+    }
+
+    fn pop_batch(&mut self, out: &mut Vec<NodeId>, max: usize) -> usize {
+        self.side.pop_batch(&mut self.state, out, max)
+    }
+
     fn is_quiescent(&self) -> bool {
         self.state.active_unexecuted() == 0
     }
 
     fn cost(&self) -> CostMeter {
-        self.cost
+        self.side.cost
     }
 
     fn space_bytes(&self) -> usize {
-        (self.active_queue.len() + self.ready.len() + self.blocker_count)
-            * std::mem::size_of::<NodeId>()
-            + self.queued_stamp.len() * std::mem::size_of::<u32>()
-            + self.blocker_pos.len() * std::mem::size_of::<u32>()
-            + self.state.bytes()
+        self.side.space_bytes() + self.state.bytes()
     }
 
     fn precompute_bytes(&self) -> usize {
-        self.il.memory_bytes()
+        self.side.precompute_bytes()
     }
 
     fn on_external_dispatch(&mut self, v: NodeId) {
@@ -480,13 +485,7 @@ impl Scheduler for LogicBlox {
     }
 
     fn gauges(&self) -> Vec<(&'static str, i64)> {
-        vec![
-            ("lbx.active_queue_depth", self.active_queue.len() as i64),
-            ("lbx.ready_depth", self.ready.len() as i64),
-            ("lbx.blockers", self.blocker_count as i64),
-            ("lbx.interval_list_size", self.interval_count as i64),
-            ("lbx.inspected", self.inspected as i64),
-        ]
+        self.side.gauges()
     }
 }
 

@@ -108,7 +108,8 @@ impl LevelBasedLookahead {
         }
         // ... plus running tasks (dispatched, not completed). Those within
         // the horizon pay a `bfs_step` when dequeued; the rest (dispatched
-        // from outside, by a `Duo` partner) are charged for the visit here.
+        // from outside, through `on_external_dispatch`) are charged for the
+        // visit here.
         for &v in &self.running {
             if dag.level(v) > horizon {
                 self.base.cost.scan_steps += 1;

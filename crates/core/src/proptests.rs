@@ -262,3 +262,211 @@ proptest! {
         prop_assert!(h.levelbased_cost().bucket_ops <= 3 * n + l + 1);
     }
 }
+
+/// Hybrid as it stood with two state tables: a whole LevelBased and a
+/// whole LogicBlox, each resetting, completing and activating in its own
+/// table, every dispatch mirrored into the other side. The reference for
+/// `one_table_hybrid_matches_the_two_table_reference`.
+struct TwoTableHybrid {
+    lb: crate::LevelBased,
+    lbx: crate::LogicBlox,
+    config: crate::HybridConfig,
+}
+
+impl TwoTableHybrid {
+    fn background_scan(&mut self) {
+        if self.config.background_scan {
+            self.lbx.side.scan(&self.lbx.state, self.config.scan_slice);
+        }
+    }
+}
+
+impl Scheduler for TwoTableHybrid {
+    fn name(&self) -> &str {
+        "TwoTableHybrid"
+    }
+
+    fn start(&mut self, initial_active: &[NodeId]) {
+        self.lb.start(initial_active);
+        self.lbx.start(initial_active);
+    }
+
+    fn on_completed(&mut self, v: NodeId, fired: &[NodeId]) {
+        self.lb.on_completed(v, fired);
+        self.lbx.on_completed(v, fired);
+    }
+
+    fn complete_batch(&mut self, batch: &CompletionBatch) {
+        self.lb.complete_batch(batch);
+        self.lbx.complete_batch(batch);
+    }
+
+    fn pop_ready(&mut self) -> Option<NodeId> {
+        if let Some(t) = self.lb.pop_ready() {
+            self.lbx.on_external_dispatch(t);
+            self.background_scan();
+            return Some(t);
+        }
+        let t = self.lbx.pop_ready()?;
+        self.lb.on_external_dispatch(t);
+        Some(t)
+    }
+
+    fn pop_batch(&mut self, out: &mut Vec<NodeId>, max: usize) -> usize {
+        let before = out.len();
+        self.lb.pop_batch(out, max);
+        for &t in &out[before..] {
+            self.lbx.on_external_dispatch(t);
+        }
+        if out.len() > before {
+            self.background_scan();
+        }
+        if out.len() - before < max {
+            let lb_end = out.len();
+            self.lbx.pop_batch(out, max - (lb_end - before));
+            for &t in &out[lb_end..] {
+                self.lb.on_external_dispatch(t);
+            }
+        }
+        out.len() - before
+    }
+
+    fn is_quiescent(&self) -> bool {
+        self.lb.is_quiescent() && self.lbx.is_quiescent()
+    }
+
+    fn cost(&self) -> crate::CostMeter {
+        self.lb.cost().plus(&self.lbx.cost())
+    }
+
+    fn space_bytes(&self) -> usize {
+        self.lb.space_bytes() + self.lbx.space_bytes()
+    }
+
+    fn precompute_bytes(&self) -> usize {
+        self.lb.precompute_bytes() + self.lbx.precompute_bytes()
+    }
+
+    fn on_external_dispatch(&mut self, v: NodeId) {
+        self.lb.on_external_dispatch(v);
+        self.lbx.on_external_dispatch(v);
+    }
+
+    fn gauges(&self) -> Vec<(&'static str, i64)> {
+        let mut g = self.lb.gauges();
+        g.extend(self.lbx.gauges());
+        g
+    }
+}
+
+/// Everything a caller can read off the two Hybrids must agree.
+fn same_hybrid_state(
+    one: &crate::Hybrid,
+    two: &TwoTableHybrid,
+    step: &str,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(one.levelbased_cost(), two.lb.cost(), "LevelBased, {}", step);
+    prop_assert_eq!(one.logicblox_cost(), two.lbx.cost(), "LogicBlox, {}", step);
+    prop_assert_eq!(one.gauges(), two.gauges(), "gauges, {}", step);
+    prop_assert_eq!(one.is_quiescent(), two.is_quiescent(), "quiesced, {}", step);
+    // One state table fewer, nothing else.
+    let space = two.space_bytes() - two.lbx.state.bytes();
+    prop_assert_eq!(one.space_bytes(), space, "space, {}", step);
+    Ok(())
+}
+
+/// splitmix64: the driver's choices, reproducible from the case's seed.
+fn next_choice(state: &mut u64, n: usize) -> usize {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    ((z ^ (z >> 31)) % n as u64) as usize
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The one-table Hybrid makes the decisions, and charges the costs,
+    /// of the two-table Hybrid it replaced, with the background scan on
+    /// and off. The driver mixes single pops with batches of random caps,
+    /// and completes random subsets of the tasks in flight, in random
+    /// order, one at a time or as one batch. Each instance runs twice on
+    /// the same objects, the first run possibly abandoned half-way, so
+    /// restarts are covered too.
+    #[test]
+    fn one_table_hybrid_matches_the_two_table_reference(
+        inst in arb_instance(),
+        background_scan in any::<bool>(),
+        scan_slice in 1usize..6,
+        seed in any::<u64>(),
+    ) {
+        let config = crate::HybridConfig { background_scan, scan_slice };
+        let mut one = crate::Hybrid::with_config(inst.dag.clone(), config);
+        let mut two = TwoTableHybrid {
+            lb: crate::LevelBased::new(inst.dag.clone()),
+            lbx: crate::LogicBlox::new(inst.dag.clone()),
+            config,
+        };
+        let mut rng = seed;
+        for round in 0..2 {
+            one.start(&inst.initial_active);
+            two.start(&inst.initial_active);
+            same_hybrid_state(&one, &two, "start")?;
+            let abandon_after = if round == 0 { next_choice(&mut rng, 40) } else { usize::MAX };
+            let mut in_flight: Vec<NodeId> = Vec::new();
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            let mut done = CompletionBatch::new();
+            for step in 0.. {
+                if step == abandon_after {
+                    break;
+                }
+                let action = next_choice(&mut rng, 3);
+                if action < 2 || in_flight.is_empty() {
+                    a.clear();
+                    b.clear();
+                    if action == 0 {
+                        let popped = one.pop_ready();
+                        prop_assert_eq!(popped, two.pop_ready(), "pop_ready");
+                        a.extend(popped);
+                    } else {
+                        let cap = 1 + next_choice(&mut rng, 8);
+                        one.pop_batch(&mut a, cap);
+                        two.pop_batch(&mut b, cap);
+                        prop_assert_eq!(&a, &b, "pop_batch({})", cap);
+                    }
+                    same_hybrid_state(&one, &two, "a pop")?;
+                    if a.is_empty() && in_flight.is_empty() {
+                        prop_assert!(one.is_quiescent(), "stalled with nothing in flight");
+                        break;
+                    }
+                    in_flight.extend_from_slice(&a);
+                    continue;
+                }
+                // Complete a random subset of the tasks in flight, in a
+                // random order.
+                let k = 1 + next_choice(&mut rng, in_flight.len());
+                for i in 0..k {
+                    let j = i + next_choice(&mut rng, in_flight.len() - i);
+                    in_flight.swap(i, j);
+                }
+                let finished: Vec<NodeId> = in_flight.drain(..k).collect();
+                if next_choice(&mut rng, 2) == 0 {
+                    for &t in &finished {
+                        one.on_completed(t, &inst.fired[t.index()]);
+                        two.on_completed(t, &inst.fired[t.index()]);
+                        same_hybrid_state(&one, &two, "on_completed")?;
+                    }
+                } else {
+                    done.clear();
+                    for &t in &finished {
+                        done.push(t, &inst.fired[t.index()]);
+                    }
+                    one.complete_batch(&done);
+                    two.complete_batch(&done);
+                    same_hybrid_state(&one, &two, "complete_batch")?;
+                }
+            }
+        }
+    }
+}

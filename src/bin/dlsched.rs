@@ -43,6 +43,13 @@
 //!                                     --shards N hash-partitions the relations
 //!                                     across N engine instances and answers
 //!                                     from the ownership-filtered union
+//! dlsched bench-diff <A.json> <B.json>
+//!                                     compare two `BENCH_*.json` trajectory
+//!                                     files metric by metric against the
+//!                                     `end_to_end` bounds of `BENCHMARK.json`
+//!                                     in the current directory; exits 1 if B
+//!                                     is worse than A beyond a bound, fails
+//!                                     more often, or lacks or fails a workload
 //! ```
 //!
 //! Scheduler names: `levelbased`, `lbl:<k>`, `logicblox`, `signal`,
@@ -71,9 +78,10 @@ fn main() {
         Some("stream") => cmd_stream(&args[1..]),
         Some("explain") => cmd_explain(&args[1..]),
         Some("query") => cmd_query(&args[1..]),
+        Some("bench-diff") => cmd_bench_diff(&args[1..]),
         _ => {
             eprintln!(
-                "usage: dlsched <gen|stats|simulate|gantt|trace|stream|explain|query> ...\n\
+                "usage: dlsched <gen|stats|simulate|gantt|trace|stream|explain|query|bench-diff> ...\n\
                  see the crate docs (src/bin/dlsched.rs) for details"
             );
             2
@@ -991,6 +999,158 @@ fn cmd_query(args: &[String]) -> i32 {
             eprintln!("{e}");
             code
         }
+    }
+}
+
+/// `dlsched bench-diff A.json B.json`: B (the change) against A (the
+/// baseline). Exit 0 if nothing is worse beyond its bound, 1 if something
+/// is, 2 if a file cannot be read.
+fn cmd_bench_diff(args: &[String]) -> i32 {
+    let [a_path, b_path] = args else {
+        eprintln!("usage: dlsched bench-diff <A.json> <B.json>");
+        return 2;
+    };
+    let load = |path: &str| -> Result<Json, String> {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+        Json::parse(&text).map_err(|e| format!("{path}: {e}"))
+    };
+    let (a, b, spec) = match (load(a_path), load(b_path), load("BENCHMARK.json")) {
+        (Ok(a), Ok(b), Ok(spec)) => (a, b, spec),
+        (Err(e), _, _) | (_, Err(e), _) | (_, _, Err(e)) => {
+            eprintln!("{e}");
+            return 2;
+        }
+    };
+    let names = |key: &str| spec.get(key).and_then(Json::as_arr).unwrap_or_default();
+    let (workloads, metrics) = (names("workloads"), names("end_to_end"));
+    if workloads.is_empty() || metrics.is_empty() {
+        eprintln!("BENCHMARK.json: no workloads or no end_to_end metrics");
+        return 2;
+    }
+    let num = |j: Option<&Json>| j.and_then(Json::as_f64);
+    let mut problems = 0;
+    println!(
+        "{:<13} {:<14} {:>14} {:>14} {:>7}  verdict",
+        "workload", "metric", "A", "B", "B/A"
+    );
+    for w in workloads {
+        let name = w.get("name").and_then(Json::as_str).unwrap_or("?");
+        let result = |doc: &Json, path: &str| {
+            let r = doc.get("results").and_then(|r| r.get(name));
+            match r {
+                None => println!("{name:<13} missing from {path}"),
+                Some(r) if r.get("correct") != Some(&Json::Bool(true)) => {
+                    println!("{name:<13} incorrect in {path}")
+                }
+                Some(r) => return Some(r.clone()),
+            }
+            None
+        };
+        let (Some(ra), Some(rb)) = (result(&a, a_path), result(&b, b_path)) else {
+            problems += 1;
+            continue;
+        };
+        let fail_share = |r: &Json| {
+            let attempted = num(r.get("attempted")).unwrap_or(0.0);
+            num(r.get("failed")).unwrap_or(0.0) / attempted.max(1.0)
+        };
+        if fail_share(&rb) > fail_share(&ra) {
+            println!(
+                "{name:<13} fails more often: {} vs {}",
+                fail_share(&rb),
+                fail_share(&ra)
+            );
+            problems += 1;
+        }
+        for m in metrics {
+            let metric = m.get("name").and_then(Json::as_str).unwrap_or("?");
+            let higher = m.get("better").and_then(Json::as_str) == Some("higher");
+            let bound = num(m.get("bound")).unwrap_or(0.0);
+            let value = |r: &Json| num(r.get("metrics")?.get(metric)?.get("value"));
+            let (Some(x), Some(y)) = (value(&ra), value(&rb)) else {
+                println!("{name:<13} {metric:<14} missing");
+                problems += 1;
+                continue;
+            };
+            // How much worse B is, as a fraction of A (negative: better).
+            let d = if higher { x - y } else { y - x };
+            let worse = if d == 0.0 {
+                0.0
+            } else if x == 0.0 {
+                d.signum() * f64::INFINITY
+            } else {
+                d / x.abs()
+            };
+            let verdict = if worse < 0.0 {
+                "better"
+            } else if worse <= bound {
+                "within bound"
+            } else {
+                problems += 1;
+                "WORSE beyond bound"
+            };
+            println!(
+                "{name:<13} {metric:<14} {x:>14.4} {y:>14.4} {:>7.3}  {verdict}",
+                y / x
+            );
+        }
+    }
+    if problems > 0 {
+        println!("{problems} problem(s)");
+        return 1;
+    }
+    0
+}
+
+#[cfg(test)]
+mod bench_diff_tests {
+    use super::*;
+
+    /// Mutable field `key` of a JSON object.
+    fn field<'a>(j: &'a mut Json, key: &str) -> &'a mut Json {
+        let Json::Obj(fields) = j else {
+            panic!("not an object at {key}")
+        };
+        &mut fields.iter_mut().find(|(k, _)| k == key).expect(key).1
+    }
+
+    /// `dlsched bench-diff` passes the committed trajectory file against
+    /// itself and against a gain, and fails a copy whose `trace_wide`
+    /// throughput halved or whose `tc_churn` run was incorrect.
+    #[test]
+    fn bench_diff_flags_a_regression_beyond_its_bound() {
+        let base = "BENCH_36.json";
+        let arg = |s: &str| s.to_string();
+        assert_eq!(cmd_bench_diff(&[arg(base), arg(base)]), 0);
+        let original = Json::parse(&std::fs::read_to_string(base).expect("read")).expect("parse");
+        let doctored = std::env::temp_dir().join(format!("bench-diff-{}.json", std::process::id()));
+        let diff_against = |edit: &dyn Fn(&mut Json)| {
+            let mut doc = original.clone();
+            edit(&mut doc);
+            std::fs::write(&doctored, doc.to_json()).expect("write");
+            cmd_bench_diff(&[arg(base), doctored.display().to_string()])
+        };
+        let scale_throughput = |factor: f64| {
+            move |doc: &mut Json| {
+                let wide = field(field(doc, "results"), "trace_wide");
+                let v = field(field(field(wide, "metrics"), "updates_per_s"), "value");
+                *v = Json::Num(v.as_f64().expect("number") * factor);
+            }
+        };
+        assert_eq!(diff_against(&scale_throughput(2.0)), 0);
+        assert_eq!(
+            diff_against(&scale_throughput(0.9)),
+            0,
+            "within the 0.25 bound"
+        );
+        assert_eq!(diff_against(&scale_throughput(0.5)), 1);
+        assert_eq!(
+            diff_against(&|doc: &mut Json| {
+                *field(field(field(doc, "results"), "tc_churn"), "correct") = Json::Bool(false);
+            }),
+            1
+        );
+        std::fs::remove_file(&doctored).expect("remove");
     }
 }
 

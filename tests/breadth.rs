@@ -1,12 +1,12 @@
 //! Breadth tests: secondary claims and stress paths not covered by the
 //! per-crate suites — LBL's cost envelope, generator exactness on
-//! arbitrary feasible specs, threaded execution at scale, and the Duo
-//! combinator under the executor.
+//! arbitrary feasible specs, threaded execution at scale, and the Hybrid
+//! configurations under the audited event simulator.
 
 use datalog_sched::dag::{DagBuilder, NodeId};
 use datalog_sched::runtime::{infallible, Executor, TaskFn};
 use datalog_sched::sched::{
-    CostPrices, Duo, LevelBased, LevelBasedLookahead, LogicBlox, Scheduler, SchedulerKind,
+    CostPrices, Hybrid, HybridConfig, LevelBased, LevelBasedLookahead, Scheduler, SchedulerKind,
 };
 use datalog_sched::sim::{simulate_event, EventSimConfig};
 use datalog_sched::traces::spec::CompClass;
@@ -126,7 +126,7 @@ proptest! {
 }
 
 /// Threaded executor at moderate scale: 5000 tasks across LevelBased,
-/// Hybrid, and Duo(LBL, LogicBlox).
+/// Hybrid, and LBL(3).
 #[test]
 fn executor_stress_five_thousand_tasks() {
     let pipes = 1000u32;
@@ -152,12 +152,15 @@ fn executor_stress_five_thousand_tasks() {
         .expect("run succeeds");
     assert_eq!(r.executed, expected);
 
-    let mut duo = Duo::new(
-        LevelBasedLookahead::new(dag.clone(), 3),
-        LogicBlox::new(dag.clone()),
-    );
+    let mut hybrid = Hybrid::new(dag.clone());
     let r = Executor::new(8)
-        .run(&mut duo, &dag, &initial, infallible(task), None)
+        .run(&mut hybrid, &dag, &initial, infallible(task.clone()), None)
+        .expect("run succeeds");
+    assert_eq!(r.executed, expected);
+
+    let mut lbl = LevelBasedLookahead::new(dag.clone(), 3);
+    let r = Executor::new(8)
+        .run(&mut lbl, &dag, &initial, infallible(task), None)
         .expect("run succeeds");
     assert_eq!(r.executed, expected);
 }
@@ -215,12 +218,12 @@ fn event_and_step_agree_on_unit_bounds() {
     }
 }
 
-/// The Duo combinator preserves safety under the event simulator with
-/// auditing, for several pairings.
+/// Hybrid preserves safety under the event simulator with auditing, with
+/// the background scan off and on.
 #[test]
-fn duo_pairings_audited() {
+fn hybrid_configurations_audited() {
     let spec = TraceSpec {
-        name: "duo",
+        name: "hybrid",
         id: 78,
         seed: 99,
         nodes: 1_500,
@@ -247,19 +250,14 @@ fn duo_pairings_audited() {
         audit: true,
         space_budget: None,
     };
-    let mut a = Duo::new(
-        LevelBased::new(inst.dag.clone()),
-        LogicBlox::new(inst.dag.clone()),
+    let mut quiet = Hybrid::new(inst.dag.clone());
+    assert_eq!(simulate_event(&mut quiet, &inst, &cfg).executed, expected);
+    let mut busy = Hybrid::with_config(
+        inst.dag.clone(),
+        HybridConfig {
+            background_scan: true,
+            scan_slice: 16,
+        },
     );
-    assert_eq!(simulate_event(&mut a, &inst, &cfg).executed, expected);
-    let mut b = Duo::new(
-        LogicBlox::new(inst.dag.clone()),
-        LevelBased::new(inst.dag.clone()),
-    );
-    assert_eq!(simulate_event(&mut b, &inst, &cfg).executed, expected);
-    let mut c = Duo::new(
-        LevelBasedLookahead::new(inst.dag.clone(), 6),
-        datalog_sched::sched::SignalPropagation::new(inst.dag.clone()),
-    );
-    assert_eq!(simulate_event(&mut c, &inst, &cfg).executed, expected);
+    assert_eq!(simulate_event(&mut busy, &inst, &cfg).executed, expected);
 }
