@@ -651,9 +651,11 @@ impl IncrementalEngine {
             };
             for (p, d) in &out {
                 if !d.is_empty() {
-                    let e = pred_changes
-                        .entry(db.pred_name(*p).to_string())
-                        .or_insert((0, 0));
+                    let name = db.pred_name(*p);
+                    let e = match pred_changes.get_mut(name) {
+                        Some(e) => e,
+                        None => pred_changes.entry(name.to_string()).or_default(),
+                    };
                     e.0 += d.added.len();
                     e.1 += d.removed.len();
                     if let Some(c) = collect.as_deref_mut() {
@@ -672,24 +674,29 @@ impl IncrementalEngine {
                 }
             }
             drop(db);
-            // Fire children whose read-set saw a change.
-            let mut fired: Vec<NodeId> = Vec::new();
-            for &child in self.graph.dag.children(node) {
-                let reads = &self.graph.reads[child.index()];
-                let mut any = false;
-                for (p, d) in &out {
-                    if !d.is_empty() && reads.contains(p) {
-                        any = true;
-                        pending[child.index()].insert(*p, d.clone());
-                    }
+            let changed: usize = out.values().map(Delta::len).sum();
+            // Fire children whose read-set saw a change. Each delta goes
+            // to its last reader and is cloned only for the ones before.
+            let reads = |child: &NodeId, p: &PredId| self.graph.reads[child.index()].contains(p);
+            let fired: Vec<NodeId> = (self.graph.dag.children(node).iter())
+                .filter(|&c| out.iter().any(|(p, d)| !d.is_empty() && reads(c, p)))
+                .copied()
+                .collect();
+            edges_fired += fired.len();
+            for (p, mut d) in out {
+                if d.is_empty() {
+                    continue;
                 }
-                if any {
-                    fired.push(child);
-                    edges_fired += 1;
+                let mut readers = fired.iter().filter(|&c| reads(c, &p)).peekable();
+                while let Some(child) = readers.next() {
+                    let d = match readers.peek() {
+                        Some(_) => d.clone(),
+                        None => std::mem::take(&mut d),
+                    };
+                    pending[child.index()].insert(p, d);
                 }
             }
             if let Some(s) = task_span {
-                let changed: usize = out.values().map(Delta::len).sum();
                 s.end_args(vec![
                     ("changed_tuples", changed.into()),
                     ("fired", fired.len().into()),

@@ -839,10 +839,15 @@ fn walk_tuples<'a>(
 /// search the body under the head-bound check plan (far more constrained
 /// than the forward plan), calling `leaf` per derivation. Returns `false`
 /// iff `leaf` stopped the search.
+///
+/// `bind` and `trail` are the caller's: whatever they hold is discarded,
+/// so a caller that walks many heads allocates them once.
 pub(crate) fn walk_head(
     db: &dyn Rels,
     rule: &CRule,
     t: &[Value],
+    bind: &mut Vec<Option<Value>>,
+    trail: &mut Vec<u32>,
     leaf: &mut dyn FnMut(&[Option<Value>]) -> bool,
 ) -> bool {
     let check = rule.check_plan(db);
@@ -852,10 +857,10 @@ pub(crate) fn walk_head(
         order: &check.order,
         pinned: None,
     };
-    let mut bind: Vec<Option<Value>> = vec![None; rule.nvars as usize];
-    let mut trail: Vec<u32> = Vec::new();
-    !matches(&rule.head, t, &mut bind, &mut trail)
-        || walk(db, &ctx, 0, &mut bind, &mut trail, leaf)
+    bind.clear();
+    bind.resize(rule.nvars as usize, None);
+    trail.clear();
+    !matches(&rule.head, t, bind, trail) || walk(db, &ctx, 0, bind, trail, leaf)
 }
 
 /// Walk one group of an aggregate rule: bind the head's group terms to
@@ -1204,13 +1209,15 @@ mod tests {
     /// Does the head-bound walk find a derivation of `t` through `rule`?
     /// Stops at the first one.
     fn derives(db: &Database, rule: &CRule, t: &[Value]) -> bool {
-        !walk_head(db, rule, t, &mut |_| false)
+        !walk_head(db, rule, t, &mut Vec::new(), &mut Vec::new(), &mut |_| {
+            false
+        })
     }
 
     /// Every derivation of `t` the head-bound walk finds through `rule`.
     fn derivation_count(db: &Database, rule: &CRule, t: &[Value]) -> u64 {
         let mut n = 0;
-        walk_head(db, rule, t, &mut |_| {
+        walk_head(db, rule, t, &mut Vec::new(), &mut Vec::new(), &mut |_| {
             n += 1;
             true
         });

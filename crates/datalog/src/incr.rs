@@ -369,9 +369,16 @@ pub fn update_scc(
     out
 }
 
-/// Is the raw head tuple `t` derivable through `rule` in `db`?
-fn derivable(db: &dyn Rels, rule: &CRule, t: &[Value]) -> bool {
-    !walk_head(db, rule, t, &mut |_| false)
+/// Is the raw head tuple `t` derivable through `rule` in `db`? `bind` and
+/// `trail` are [`walk_head`]'s buffers, the caller's to reuse.
+fn derivable(
+    db: &dyn Rels,
+    rule: &CRule,
+    t: &[Value],
+    bind: &mut Vec<Option<Value>>,
+    trail: &mut Vec<u32>,
+) -> bool {
+    !walk_head(db, rule, t, bind, trail, &mut |_| false)
 }
 
 /// The live tuple of the group `key` of `rule`'s head — the group's
@@ -431,6 +438,7 @@ fn maintain_aggregate(
     let lists = delta_lists(input);
     // `(group key, value, gained)` per raw tuple whose derivability changed.
     let mut raw: Vec<(Tuple, Value, bool)> = Vec::new();
+    let (mut bind, mut trail) = (Vec::new(), Vec::new());
     {
         let view = OldView::new(loan, input);
         let (old, new): (&dyn Rels, &dyn Rels) = (&view, view.live);
@@ -443,7 +451,7 @@ fn maintain_aggregate(
                 (true, false) => continue,
             };
             for (_, mut t) in eval_pin_jobs(pinned, &jobs, |_, _| true) {
-                if added || !derivable(other, rule, &t) {
+                if added || !derivable(other, rule, &t, &mut bind, &mut trail) {
                     let v = t.remove(agg.pos);
                     raw.push((t, v, gained));
                 }

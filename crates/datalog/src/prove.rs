@@ -8,14 +8,16 @@
 //! A clique fact is **proved** iff some instance of a rule with it as
 //! head — enumerated with the head-bound plan over the task's loan,
 //! inputs already new and clique extents still old — has every clique body
-//! fact proved. An instance with no clique body fact (a non-recursive rule,
-//! a program fact's empty body) proves its head outright.
+//! fact proved. An instance of an **exit rule** (one with no clique body
+//! atom: a non-recursive rule, a program fact's empty body) proves its head
+//! outright, so a fact is tried against the exit rules the moment it is
+//! first seen, and one they prove is never queued.
 //!
-//! The search runs backward from the candidate (expanding a fact enumerates
-//! its instances and queues their unseen body facts) and proofs run forward
-//! over the instances explored so far (proving a fact counts down the
-//! instances waiting for it), neither recursing over facts: closures are
-//! 10⁴–10⁵ deep. The invariants:
+//! The search runs backward from the candidate (expanding a queued fact
+//! enumerates its instances under the recursive rules and sees their body
+//! facts) and proofs run forward over the instances explored so far
+//! (proving a fact counts down the instances waiting for it), neither
+//! recursing over facts: closures are 10⁴–10⁵ deep. The invariants:
 //!
 //! * **Proofs are grounded.** A fact is only proved from facts proved
 //!   before it, so facts that support nothing but each other stay unproved.
@@ -24,65 +26,109 @@
 //!   proved, and what is explored and unproved has none.
 //! * **Proved facts are never deleted**, and each fact is expanded at most
 //!   once per task: nothing is forgotten between a task's candidates.
+//!
+//! A fact is named by its row in the clique's relation: the clique's
+//! relations are not written until overdeletion is decided, so for the
+//! prover's whole life a row holds one tuple and a tuple one row. A proof
+//! therefore copies no tuple, and one waiter arena holds every fact's
+//! waiting instances: what a proof allocates grows with the facts and
+//! instances it explores, in a few vectors, never per fact.
 
 use crate::eval::{instantiate, walk_head, CRule, Rels};
 use crate::hash::Map;
 use crate::rel::PredId;
 use crate::value::{Key, Value};
-use std::rc::Rc;
+
+/// A fact: an index into [`Prover::facts`].
+type FactId = u32;
+
+/// End of a waiter list.
+const NIL: u32 = u32::MAX;
 
 struct Fact {
     pred: PredId,
-    tuple: Rc<[Value]>,
+    /// The fact's row in its clique relation, which holds its tuple.
+    row: u32,
     proved: bool,
-    /// Explored instances with this fact in their body, one entry per
-    /// occurrence; emptied when the fact is proved.
-    waiting: Vec<usize>,
+    /// The first entry of this fact's waiter list in [`Prover::waiters`]
+    /// (or [`NIL`]): explored instances with this fact in their body, one
+    /// entry per occurrence; cut loose when the fact is proved.
+    waiters: u32,
 }
 
 /// An explored rule instance some of whose clique body facts are unproved.
 struct Instance {
-    head: usize,
+    head: FactId,
     /// Body-fact occurrences not proved yet.
     unproved: u32,
 }
 
+/// `walk_head`'s caller-owned buffers.
+type WalkBuffers = (Vec<Option<Value>>, Vec<u32>);
+
 pub(crate) struct Prover<'a> {
     /// The live relations: inputs new, the clique's extents still old.
     db: &'a dyn Rels,
-    rules: &'a [&'a CRule],
+    /// The clique's rules with no clique body atom, tried on sight.
+    exit: Vec<&'a CRule>,
+    /// The others, tried on a fact the exit rules left unproved.
+    recursive: Vec<&'a CRule>,
     clique: &'a [PredId],
-    /// Fact ids (indices into `facts`), per clique predicate.
-    ids: Map<PredId, Map<Rc<[Value]>, usize>>,
+    ids: Map<(PredId, u32), FactId>,
     facts: Vec<Fact>,
     instances: Vec<Instance>,
-    /// Facts seen in a body and not expanded yet, last in first out.
-    unexpanded: Vec<usize>,
-    /// Facts expanded so far (`datalog.dred.proof_expansions`).
+    /// Every waiter list: `(instance, next entry of the same list)`.
+    waiters: Vec<(u32, u32)>,
+    /// Facts the exit rules left unproved and not expanded yet, last in
+    /// first out.
+    unexpanded: Vec<FactId>,
+    /// The body facts of the instance being recorded.
+    body: Vec<FactId>,
+    /// Proved facts whose waiters are not counted down yet.
+    newly: Vec<FactId>,
+    /// For the expansion walk and, inside it, the on-sight exit walks.
+    expansion_walk: WalkBuffers,
+    sight_walk: WalkBuffers,
+    /// Facts seen so far, each tried once on sight and expanded at most
+    /// once more (`datalog.dred.proof_expansions`).
     pub(crate) expansions: u64,
 }
 
 impl<'a> Prover<'a> {
     pub(crate) fn new(db: &'a dyn Rels, rules: &'a [&'a CRule], clique: &'a [PredId]) -> Self {
+        let (recursive, exit) = rules.iter().partition(|r| r.reads_any(clique));
         Prover {
             db,
-            rules,
+            exit,
+            recursive,
             clique,
             ids: Map::default(),
             facts: Vec::new(),
             instances: Vec::new(),
+            waiters: Vec::new(),
             unexpanded: Vec::new(),
+            body: Vec::new(),
+            newly: Vec::new(),
+            expansion_walk: WalkBuffers::default(),
+            sight_walk: WalkBuffers::default(),
             expansions: 0,
         }
     }
 
     /// Does the old-extent tuple `t` of clique predicate `pred` hold in
-    /// the new state, by a proof through old-extent facts?
+    /// the new state, by a proof through old-extent facts? Panics if `t`
+    /// is not in `pred`'s extent: a candidate that is not there has
+    /// nothing to lose, and answering `false` would delete it and cascade.
+    #[allow(clippy::expect_used, reason = "the documented precondition")]
     pub(crate) fn check(&mut self, pred: PredId, t: &[Value]) -> bool {
-        let candidate = self.id_of(pred, t);
-        while !self.facts[candidate].proved {
+        let row = self.db.relation(pred).row_of(t);
+        let candidate = self.id_of(
+            pred,
+            row.expect("a candidate is a tuple of its clique relation"),
+        );
+        while !self.facts[candidate as usize].proved {
             match self.unexpanded.pop() {
-                Some(f) if !self.facts[f].proved => self.expand(f),
+                Some(f) if !self.facts[f as usize].proved => self.expand(f),
                 Some(_) => {}
                 None => return false,
             }
@@ -90,72 +136,112 @@ impl<'a> Prover<'a> {
         true
     }
 
-    /// The id of a clique fact; a fact seen for the first time is queued
-    /// for expansion.
-    fn id_of(&mut self, pred: PredId, t: &[Value]) -> usize {
-        let ids = self.ids.entry(pred).or_default();
-        if let Some(&id) = ids.get(t) {
-            return id;
+    /// The id of a clique fact. A fact seen for the first time is tried
+    /// against the exit rules and proved, or else queued for expansion.
+    fn id_of(&mut self, pred: PredId, row: u32) -> FactId {
+        let id = self.facts.len() as FactId;
+        if let Some(&seen) = self.ids.get(&(pred, row)) {
+            return seen;
         }
-        let (id, tuple) = (self.facts.len(), Rc::<[Value]>::from(t));
-        ids.insert(tuple.clone(), id);
+        self.ids.insert((pred, row), id);
         self.facts.push(Fact {
             pred,
-            tuple,
+            row,
             proved: false,
-            waiting: Vec::new(),
+            waiters: NIL,
         });
-        self.unexpanded.push(id);
+        self.expansions += 1;
+        let (db, t) = (self.db, self.db.relation(pred).tuple_at(row));
+        let (bind, trail) = &mut self.sight_walk;
+        let mut exits = self.exit.iter().filter(|r| r.head.pred == pred);
+        if exits.any(|rule| !walk_head(db, rule, t, bind, trail, &mut |_| false)) {
+            self.prove(id);
+        } else {
+            self.unexpanded.push(id);
+        }
         id
     }
 
-    /// Enumerate the instances with `f` as head until one has no unproved
-    /// body fact; the others wait for theirs.
-    fn expand(&mut self, f: usize) {
-        self.expansions += 1;
-        let (db, rules, clique) = (self.db, self.rules, self.clique);
-        let (pred, tuple) = (self.facts[f].pred, self.facts[f].tuple.clone());
-        for rule in rules.iter().filter(|r| r.head.pred == pred) {
-            let exhausted = walk_head(db, rule, &tuple, &mut |bind| {
-                let instance = self.instances.len();
-                let mut unproved = 0;
-                // Negation never reaches into a rule's own clique
-                // (stratification), so clique literals are positive.
-                for (atom, _) in rule.body.iter().filter(|(a, _)| clique.contains(&a.pred)) {
-                    let body_fact: Key = instantiate(atom, bind);
-                    let g = self.id_of(atom.pred, &body_fact);
-                    if !self.facts[g].proved {
-                        self.facts[g].waiting.push(instance);
-                        unproved += 1;
-                    }
+    /// Enumerate the instances of the recursive rules with `f` as head
+    /// until one has no unproved body fact; the others wait for theirs.
+    fn expand(&mut self, f: FactId) {
+        let (db, pred, row) = (
+            self.db,
+            self.facts[f as usize].pred,
+            self.facts[f as usize].row,
+        );
+        let tuple = db.relation(pred).tuple_at(row);
+        let (mut bind, mut trail) = std::mem::take(&mut self.expansion_walk);
+        let mut proved = false;
+        for i in 0..self.recursive.len() {
+            let rule = self.recursive[i];
+            if rule.head.pred == pred {
+                let mut leaf = |b: &[Option<Value>]| self.record(f, rule, b);
+                if !walk_head(db, rule, tuple, &mut bind, &mut trail, &mut leaf) {
+                    proved = true;
+                    break;
                 }
-                if unproved > 0 {
-                    self.instances.push(Instance { head: f, unproved });
-                }
-                unproved > 0
-            });
-            if !exhausted {
-                self.prove(f);
-                return;
             }
         }
+        self.expansion_walk = (bind, trail);
+        if proved {
+            self.prove(f);
+        }
+    }
+
+    /// Record the instance of `rule` at `bind`, whose head is `f`. Returns
+    /// whether to look for another: not once `f` is proved.
+    #[allow(
+        clippy::expect_used,
+        reason = "the walk matched the atom against that relation"
+    )]
+    fn record(&mut self, f: FactId, rule: &CRule, bind: &[Option<Value>]) -> bool {
+        // Every body fact is seen (and so maybe proved on sight) before the
+        // instance waits on any: a proof on sight must not count down an
+        // instance that is not recorded yet. Negation never reaches into a
+        // rule's own clique (stratification), so clique literals are
+        // positive.
+        let clique = self.clique;
+        for (atom, _) in rule.body.iter().filter(|(a, _)| clique.contains(&a.pred)) {
+            let body_fact: Key = instantiate(atom, bind);
+            let row = self.db.relation(atom.pred).row_of(&body_fact);
+            let g = self.id_of(atom.pred, row.expect("a body fact is in its relation"));
+            self.body.push(g);
+        }
+        let instance = self.instances.len() as u32;
+        let mut unproved = 0;
+        for g in self.body.drain(..) {
+            let fact = &mut self.facts[g as usize];
+            if !fact.proved {
+                self.waiters.push((instance, fact.waiters));
+                fact.waiters = (self.waiters.len() - 1) as u32;
+                unproved += 1;
+            }
+        }
+        if unproved > 0 {
+            self.instances.push(Instance { head: f, unproved });
+        }
+        unproved > 0 && !self.facts[f as usize].proved
     }
 
     /// Mark `f` proved and, forward over the explored instances, every
     /// head whose last unproved body fact this settles.
-    fn prove(&mut self, f: usize) {
-        let mut newly = vec![f];
-        while let Some(g) = newly.pop() {
-            let fact = &mut self.facts[g];
+    fn prove(&mut self, f: FactId) {
+        self.newly.push(f);
+        while let Some(g) = self.newly.pop() {
+            let fact = &mut self.facts[g as usize];
             if std::mem::replace(&mut fact.proved, true) {
                 continue;
             }
-            for i in std::mem::take(&mut fact.waiting) {
-                let instance = &mut self.instances[i];
+            let mut at = std::mem::replace(&mut fact.waiters, NIL);
+            while at != NIL {
+                let (i, next) = self.waiters[at as usize];
+                let instance = &mut self.instances[i as usize];
                 instance.unproved -= 1;
                 if instance.unproved == 0 {
-                    newly.push(instance.head);
+                    self.newly.push(instance.head);
                 }
+                at = next;
             }
         }
     }
@@ -271,5 +357,74 @@ mod tests {
             ),
             [true, false, false, true]
         );
+    }
+
+    /// A prover over the clique of `pred` alone, its rules taken from
+    /// `rules`, asked about the tuple `fact`: the answer, the facts seen
+    /// (`expansions`) and the facts left queued for a recursive expansion.
+    fn check_one(
+        db: &mut Database,
+        rules: &[CRule],
+        pred: &str,
+        fact: &[&str],
+    ) -> (bool, u64, usize) {
+        let t: Tuple = fact.iter().map(|s| db.sym(s)).collect();
+        let pred = db.pred_id(pred).unwrap();
+        let rules: Vec<&CRule> = rules.iter().filter(|r| r.head.pred == pred).collect();
+        let clique = [pred];
+        let mut prover = Prover::new(db, &rules, &clique);
+        let answer = prover.check(pred, &t);
+        (answer, prover.expansions, prover.unexpanded.len())
+    }
+
+    #[test]
+    fn an_exit_derivation_proves_a_candidate_on_sight() {
+        // path(a, b) lost nothing it needs: edge(a, b) proves it the
+        // moment it is seen, with no recursive rule tried and nothing
+        // queued.
+        let (mut db, rules) = after_edit(
+            "path(X, Y) :- edge(X, Y).\n\
+             path(X, Z) :- path(X, Y), edge(Y, Z).\n\
+             edge(a, b). edge(b, c). edge(c, a).",
+            &[["c", "a"]],
+            &[],
+        );
+        assert_eq!(
+            check_one(&mut db, &rules, "path", &["a", "b"]),
+            (true, 1, 0)
+        );
+    }
+
+    #[test]
+    fn body_facts_proved_on_sight_prove_their_instance_without_expansion() {
+        // path(a, c) lost its edge; its one recursive instance is
+        // path(a, b), path(b, c), both proved by their edges when first
+        // seen. So the instance proves the candidate and neither body fact
+        // is ever queued: three facts seen, nothing left to expand.
+        let (mut db, rules) = after_edit(
+            "path(X, Y) :- edge(X, Y).\n\
+             path(X, Z) :- path(X, Y), path(Y, Z).\n\
+             edge(a, b). edge(b, c). edge(a, c).",
+            &[["a", "c"]],
+            &[],
+        );
+        assert_eq!(
+            check_one(&mut db, &rules, "path", &["a", "c"]),
+            (true, 3, 0)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "a candidate is a tuple of its clique relation")]
+    fn a_candidate_outside_the_extent_is_refused() {
+        // path(b, a) never held: answering `false` would have it deleted.
+        let (mut db, rules) = after_edit(
+            "path(X, Y) :- edge(X, Y).\n\
+             path(X, Z) :- path(X, Y), edge(Y, Z).\n\
+             edge(a, b).",
+            &[],
+            &[],
+        );
+        check_one(&mut db, &rules, "path", &["b", "a"]);
     }
 }

@@ -299,7 +299,10 @@ impl Relation {
         })
     }
 
-    fn find_row(&self, t: &[Value]) -> Option<Row> {
+    /// The row holding `t` at head, if `t` is live. A row keeps its tuple
+    /// until the tuple is removed, so while the relation is not written
+    /// the row names the tuple.
+    pub(crate) fn row_of(&self, t: &[Value]) -> Option<Row> {
         self.chain(tuple_hash(t))
             .find(|(_, s)| s.live_at_head() && s.tuple.as_deref() == Some(t))
             .map(|(r, _)| r)
@@ -412,7 +415,7 @@ impl Relation {
     /// indices for pinned snapshot readers until [`Self::vacuum`]
     /// reclaims it past the watermark.
     pub fn remove(&mut self, t: &[Value]) -> bool {
-        let Some(row) = self.find_row(t) else {
+        let Some(row) = self.row_of(t) else {
             return false;
         };
         let slot = &mut self.rows[row as usize];
@@ -591,7 +594,17 @@ impl Relation {
     }
 
     pub fn contains(&self, t: &[Value]) -> bool {
-        self.find_row(t).is_some()
+        self.row_of(t).is_some()
+    }
+
+    /// The tuple of a row that [`Self::row_of`] returned, the relation
+    /// unwritten since.
+    #[allow(clippy::expect_used, reason = "a row stays live until written")]
+    pub(crate) fn tuple_at(&self, row: Row) -> &[Value] {
+        self.rows[row as usize]
+            .tuple
+            .as_deref()
+            .expect("a live row holds its tuple")
     }
 
     /// Membership at a pinned snapshot epoch.

@@ -1160,7 +1160,9 @@ fn rule_change_cost_is_independent_of_extent_size() {
 /// with its assertions printed instead, on the commit before the index
 /// builds left the clique tasks, which built each clique's check-plan
 /// indices on its first update and decided its plans there. The churn
-/// stream probed exactly what it probes now (and built one index). The
+/// stream probed what it probed then (and built one index) until the
+/// proof search began trying exit rules on a fact at sight, which took
+/// its hits and misses from 226 541 and 74 509 to the pinned ones. The
 /// retail stream read 1 050 hits, 7 089 misses and 40 scans (and built
 /// three): 2 000 sales, products and prices tie on extent size, and the
 /// first update's sale broke the tie the other way for `volume`'s check
@@ -1194,7 +1196,7 @@ fn no_update_builds_an_index() {
     let retail = replay(&retail_program(&retail_sales(2_000)), &retail);
     println!("(builds, hits, misses, scans): tc_churn {tc:?}, retail {retail:?}");
     assert_eq!((tc[0], retail[0]), (0, 0), "updates built indices");
-    assert_eq!((tc, retail), ([0, 226_541, 74_509, 0], [0, 1_010, 3_129, 40]), "probes moved");
+    assert_eq!((tc, retail), ([0, 141_600, 70_176, 0], [0, 1_010, 3_129, 40]), "probes moved");
 }
 
 /// n base tables, each read by one one-rule derived predicate, one fact
